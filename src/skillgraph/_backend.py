@@ -6,8 +6,10 @@ The environment variable ``SKILLGRAPH_NUMBA`` picks the path:
 * unset / ``1`` / ``on``  -- use the JIT build when numba imports cleanly
 * ``0`` / ``off``         -- force the NumPy fallback
 
-Selection happens once at import time so a whole process runs one backend;
-``benchmarks/bench_backends.py`` compares both via the kernel registry.
+Selection happens once at import time so a whole process runs one backend.
+numba is optional (the ``jit`` extra). ``python3 perfbench/run.py --workload
+query-m --seed 1 --seconds 3 --trace 1`` reports per-kernel call counts and
+times for the backend that ran.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ try:
     from numba import njit as _numba_njit
 
     NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional ``jit`` extra
     _numba_njit = None
     NUMBA_AVAILABLE = False
 

@@ -16,7 +16,7 @@ import enum
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .ingest import Course, EnrollmentRecord, Job, Skill, tokenize
 log = logging.getLogger(__name__)
 
 WEIGHT_SUM_TOL = 1e-9
+
+T = TypeVar("T")
 
 
 class NodeKind(enum.Enum):
@@ -81,6 +83,8 @@ class HeteroGraph:
 
     At most one edge exists per (source, target, relation). Node payload is a
     display name (course name, job title, skill name) defaulting to the id.
+    ``cached`` keeps derived views until the next ``add_node`` (of a new
+    node), ``add_edge`` or ``set_node_name``, each of which bumps a counter.
     """
 
     def __init__(self) -> None:
@@ -89,6 +93,9 @@ class HeteroGraph:
         self._out: dict[Relation, dict[str, dict[str, float]]] = {r: {} for r in Relation}
         self._in: dict[Relation, dict[str, dict[str, float]]] = {r: {} for r in Relation}
         self.counts: dict[str, dict] = {}
+        self._version = 0
+        # held on the graph, not in a weak-key map: a view may point back here
+        self._views: dict[Callable, tuple[int, object]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -100,6 +107,7 @@ class HeteroGraph:
             return
         self._kind[node_id] = kind
         self._name[node_id] = name if name is not None else node_id
+        self._version += 1
 
     def add_edge(self, source: str, relation: Relation, target: str, weight: float,
                  combine: bool = False) -> None:
@@ -116,6 +124,7 @@ class HeteroGraph:
         row[target] = row.get(target, 0.0) + weight
         col = self._in[relation].setdefault(target, {})
         col[source] = row[target]
+        self._version += 1
 
     # -- queries ------------------------------------------------------------
 
@@ -141,6 +150,18 @@ class HeteroGraph:
         if node_id not in self._kind:
             raise GraphError(f"unknown node {node_id!r}")
         self._name[node_id] = name
+        self._version += 1
+
+    def cached(self, build: Callable[["HeteroGraph"], T]) -> T:
+        """``build(self)``, computed once and reused until the graph changes.
+
+        A copy starts with no cached views.
+        """
+        hit = self._views.get(build)
+        if hit is None or hit[0] != self._version:
+            hit = (self._version, build(self))
+            self._views[build] = hit
+        return hit[1]  # type: ignore[return-value]
 
     def out_edges(self, node_id: str, relation: Relation) -> list[tuple[str, float]]:
         return sorted(self._out[relation].get(node_id, {}).items())

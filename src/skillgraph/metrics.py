@@ -204,7 +204,7 @@ def _resolve_jobs_by_title(jobs: Sequence[Job], text: str) -> list[Job]:
     query = tokenize(text)
     if not query:
         raise EvalError("empty job query")
-    matched = [job for job in jobs if title_contains(job.title, query)]
+    matched = [job for job in jobs if title_contains(tokenize(job.title), query)]
     if not matched:
         raise EvalError(f"no job title matches {text!r}")
     return matched

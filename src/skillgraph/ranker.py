@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -112,12 +113,28 @@ class ScenarioInput:
         return self.current_job if self.scenario == 3 else self.career_goal  # type: ignore[return-value]
 
 
-def title_contains(title: str, query_tokens: list[str]) -> bool:
-    """True when the query tokens appear as a contiguous run in the title."""
-    title_tokens = tokenize(title)
+def title_contains(title_tokens: list[str], query_tokens: list[str]) -> bool:
+    """True when the query tokens appear as a contiguous run in the title tokens."""
     k = len(query_tokens)
     return any(title_tokens[i:i + k] == query_tokens
                for i in range(len(title_tokens) - k + 1))
+
+
+@dataclass(frozen=True)
+class _GraphView:
+    """What queries read of one graph state, built once per state.
+
+    ``jobs`` pairs each job id, in sorted order, with its title tokens.
+    """
+
+    index: GraphIndex
+    jobs: list[tuple[str, list[str]]]
+
+
+def _graph_view(g: HeteroGraph) -> _GraphView:
+    index = GraphIndex(g)
+    jobs = [(job_id, tokenize(g.node_name(job_id))) for job_id in g.node_ids(NodeKind.JOB)]
+    return _GraphView(index, jobs)
 
 
 def resolve_job_query(g: HeteroGraph, text: str) -> dict[str, float]:
@@ -129,13 +146,11 @@ def resolve_job_query(g: HeteroGraph, text: str) -> dict[str, float]:
     query = tokenize(text)
     if not query:
         raise QueryError("empty job query")
-    matches = [job_id for job_id in g.node_ids(NodeKind.JOB)
-               if title_contains(g.node_name(job_id), query)]
+    jobs = g.cached(_graph_view).jobs
+    matches = [job_id for job_id, tokens in jobs if title_contains(tokens, query)]
     if not matches:
         qset = set(query)
-        scored = sorted(
-            (-len(qset & set(tokenize(g.node_name(j)))), g.node_name(j), j)
-            for j in g.node_ids(NodeKind.JOB))
+        scored = sorted((-len(qset & set(tokens)), g.node_name(j), j) for j, tokens in jobs)
         nearest = [title for _neg, title, _j in scored[:5]]
         raise QueryError(
             f"no job title matches {text!r}; nearest titles: {nearest}")
@@ -147,11 +162,9 @@ def _mask_for(index: GraphIndex, labels: Mapping[str, int] | None,
               community: int | None) -> np.ndarray:
     if community is None or labels is None:
         return np.ones(index.n, dtype=np.float64)
-    mask = np.zeros(index.n, dtype=np.float64)
-    for i, node_id in enumerate(index.ids):
-        if labels.get(node_id) == community:
-            mask[i] = 1.0
-    return mask
+    node_labels = np.fromiter(map(labels.get, index.ids, repeat(np.nan)),
+                              dtype=np.float64, count=index.n)
+    return (node_labels == community).astype(np.float64)
 
 
 def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Mapping[str, float],
@@ -160,7 +173,7 @@ def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Mapping[str, float],
     """Sum-of-tour-products scores for every node reachable along ``path``."""
     if community is not None and labels is None:
         raise QueryError("community gate requested without node labels")
-    index = GraphIndex(g)
+    index = g.cached(_graph_view).index
     scores = np.zeros(index.n, dtype=np.float64)
     for node_id, weight in seeds.items():
         if node_id not in index.pos:
@@ -178,7 +191,8 @@ def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Mapping[str, float],
             src, dst = dst, src
         mask = restricted_mask if step.community_restricted else ones
         scores = kernels.propagate_step(scores, src, dst, wgt, mask, index.n)
-    return {index.ids[i]: float(s) for i, s in enumerate(scores) if s > 0.0}
+    hits = np.flatnonzero(scores > 0.0)
+    return dict(zip([index.ids[i] for i in hits.tolist()], scores[hits].tolist()))
 
 
 BASE_PATH = MetaPath((

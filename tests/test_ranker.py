@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from skillgraph import ranker
 from skillgraph.errors import QueryError
 from skillgraph.graph import HeteroGraph, NodeKind, Relation
 from skillgraph.ranker import (BASE_PATH, MetaPath, MetaPathStep, RankedList, ScenarioInput,
@@ -265,6 +266,71 @@ class TestScenarios:
         assert set(prov.base) == {0} and set(prov.base[0]) == {"C1"}
         assert set(prov.prereq) == {"C0"}
         assert prov.seeds == {0: {"J1": 1.0}}
+
+
+class TestGraphViewCache:
+    """The ranker's per-graph array view follows every change to the graph."""
+
+    def test_growth_after_query_matches_fresh_graph(self):
+        g = two_tour_graph()
+        labels = {n: 0 for n in g.node_ids()}
+        inp = ScenarioInput(scenario=1, career_goal="data engineer")
+        recommend(g, labels, inp)
+        growth = [lambda h: h.add_node("J2", NodeKind.JOB, "data engineer"),
+                  lambda h: h.add_edge("J2", Relation.REQUIRED, "S1", 1.0)]
+        labels["J2"] = 0
+        for done, grow in enumerate(growth, start=1):
+            grow(g)
+            fresh = two_tour_graph()
+            for step in growth[:done]:
+                step(fresh)
+            assert recommend(g, labels, inp) == recommend(fresh, dict(labels), inp)
+            assert (score_metapath(g, BASE_PATH, {"J2": 1.0}, labels, 0)
+                    == score_metapath(fresh, BASE_PATH, {"J2": 1.0}, dict(labels), 0))
+
+    def test_renamed_job_resolves_by_new_title(self):
+        g = job_graph(["data engineer"])
+        assert resolve_job_query(g, "data engineer") == {"J0": 1.0}
+        g.set_node_name("J0", "plumber")
+        assert resolve_job_query(g, "plumber") == {"J0": 1.0}
+        with pytest.raises(QueryError, match="nearest titles: \\['plumber'\\]"):
+            resolve_job_query(g, "data engineer")
+
+    def test_mutating_copy_leaves_original(self):
+        g, labels = single_tour_graph()
+        inp = ScenarioInput(scenario=1, career_goal="data engineer")
+        before = recommend(g, labels, inp)
+        twin = g.copy()
+        twin.add_node("C2", NodeKind.COURSE)
+        twin.add_edge("C2", Relation.COVERED, "S2", 1.0)
+        twin.set_node_name("J1", "plumber")
+        assert recommend(g, labels, inp) == before
+        assert recommend(g.copy(), labels, inp) == before
+        assert recommend(twin, {**labels, "C2": 0},
+                         ScenarioInput(scenario=1, career_goal="plumber")).entries == (
+            ("C1", 1.0), ("C2", 1.0))
+
+    def test_labels_read_on_every_call(self):
+        g = two_tour_graph()
+        labels = {n: 0 for n in g.node_ids()}
+        assert score_metapath(g, BASE_PATH, {"J1": 1.0}, labels, 0)["C1"] == pytest.approx(1.0)
+        labels["S2"] = 1
+        assert score_metapath(g, BASE_PATH, {"J1": 1.0}, labels, 0)["C1"] == pytest.approx(0.5)
+
+    def test_unchanged_graph_indexed_once(self, monkeypatch):
+        builds = []
+
+        class CountingIndex(ranker.GraphIndex):
+            def __init__(self, g):
+                builds.append(g)
+                super().__init__(g)
+
+        monkeypatch.setattr(ranker, "GraphIndex", CountingIndex)
+        g, labels = single_tour_graph()
+        for scenario in (1, 3, 1, 3, 1, 3, 1, 3, 1, 3):
+            recommend(g, labels, ScenarioInput(scenario=scenario, career_goal="data engineer",
+                                               current_job="data engineer"))
+        assert builds == [g]
 
 
 class TestPrerequisiteExpansion:
