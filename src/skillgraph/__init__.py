@@ -6,9 +6,8 @@ from .community import (CommunityPartition, FlowModel, compute_flow, detect_comm
 from .errors import (CommunityError, ConfigError, EvalError, GraphError, IngestError,
                      QueryError, SkillGraphError)
 from .graph import (Edge, GraphStats, HeteroGraph, NodeKind, Relation,
-                    build_career_graph, build_education_graph, graph_stats,
-                    merge_graphs, prereq_counts, read_snapshot, skill_key,
-                    write_snapshot)
+                    build_career_graph, build_education_graph, merge_graphs,
+                    prereq_counts, read_snapshot, skill_key, write_snapshot)
 from .ingest import (Course, EnrollmentRecord, Job, Skill, load_course_skills,
                      load_courses, load_enrollments, load_jobs, load_skills,
                      match_course_skills, tokenize)
@@ -28,7 +27,7 @@ __all__ = [
     "MetaPathStep", "MetricReport", "NodeKind", "QueryError", "RankedList", "Relation",
     "ScenarioInput", "Skill", "SkillDocument", "SkillGraphError", "average_precision",
     "baseline_vector_space", "bm25", "build_career_graph", "build_education_graph",
-    "compute_flow", "detect_communities", "generate_synthetic_corpus", "graph_stats",
+    "compute_flow", "detect_communities", "generate_synthetic_corpus",
     "link_skills", "load_course_skills", "load_courses", "load_enrollments", "load_jobs",
     "load_skills", "map_equation", "match_course_skills", "merge_graphs",
     "merge_partitions", "metric_report", "precision", "precision_at", "prereq_counts",

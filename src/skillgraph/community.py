@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
@@ -36,16 +35,10 @@ _MAX_SWEEPS = 1_000
 
 @dataclass
 class FlowModel:
-    """Node visit rates of the teleporting walk, plus per-community rates.
-
-    ``exit_rate``/``internal_use`` are per-partition quantities; they are
-    filled by :func:`community_rates` and left ``None`` until then.
-    """
+    """Node visit rates of the teleporting walk."""
 
     visit_rate: dict[str, float]
     teleport: float
-    exit_rate: dict[int, float] | None = None
-    internal_use: dict[int, float] | None = None
 
 
 @dataclass
@@ -55,8 +48,18 @@ class CommunityPartition:
     num_communities: int
 
 
-def _plogp(x: float) -> float:
-    return x * math.log2(x) if x > 0.0 else 0.0
+def _stationary(n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray,
+                dangling: np.ndarray, teleport: float) -> np.ndarray:
+    """Visit rates of the teleporting walk, by power iteration to ``POWER_TOL``."""
+    if not 0.0 < teleport < 1.0:
+        raise CommunityError(f"teleport {teleport!r} outside (0, 1)")
+    visit, _iters, resid = kernels.power_iterate(
+        src, dst, wgt, dangling, n, teleport, POWER_TOL, POWER_MAX_ITER)
+    if resid > POWER_TOL:
+        raise CommunityError(
+            f"stationary distribution did not converge after {POWER_MAX_ITER} "
+            f"iterations (residual {resid:.3e})")
+    return visit
 
 
 class FlowGraph:
@@ -107,17 +110,12 @@ class FlowGraph:
         index = GraphIndex(g)
         src, dst, wgt, dangling = index.combined_transition()
         if visit is None:
-            visit, _iters, resid = kernels.power_iterate(
-                src, dst, wgt, dangling, index.n, teleport, POWER_TOL, POWER_MAX_ITER)
-            if resid > POWER_TOL:
-                raise CommunityError(
-                    f"stationary distribution did not converge after {POWER_MAX_ITER} "
-                    f"iterations (residual {resid:.3e})")
+            visit = _stationary(index.n, src, dst, wgt, dangling, teleport)
         visit = np.asarray(visit, dtype=np.float64)
         tele = np.where(dangling, visit, teleport * visit)
         eflow = (1.0 - teleport) * visit[src] * wgt
         keep = eflow > 0.0
-        node_plogp_sum = float(sum(_plogp(v) for v in visit))
+        node_plogp_sum = float(sum(kernels._plogp(v) for v in visit))
         return cls(index.ids, visit, tele, np.ones(index.n, dtype=np.float64),
                    src[keep], dst[keep], eflow[keep], index.n, node_plogp_sum)
 
@@ -157,16 +155,8 @@ def stationary_distribution(g: HeteroGraph, teleport: float = DEFAULT_TELEPORT,
     """Visit rates of the teleporting walk, by power iteration (sums to 1)."""
     if g.num_nodes() == 0:
         raise CommunityError("graph is empty")
-    if not 0.0 < teleport < 1.0:
-        raise CommunityError(f"teleport {teleport!r} outside (0, 1)")
     index = GraphIndex(g)
-    src, dst, wgt, dangling = index.combined_transition()
-    visit, _iters, resid = kernels.power_iterate(
-        src, dst, wgt, dangling, index.n, teleport, POWER_TOL, POWER_MAX_ITER)
-    if resid > POWER_TOL:
-        raise CommunityError(
-            f"stationary distribution did not converge after {POWER_MAX_ITER} "
-            f"iterations (residual {resid:.3e})")
+    visit = _stationary(index.n, *index.combined_transition(), teleport)
     return {node_id: float(p) for node_id, p in zip(index.ids, visit)}
 
 
@@ -184,7 +174,8 @@ def _labels_array(g: HeteroGraph, assignment: Mapping[str, int]) -> np.ndarray:
     return dense.astype(np.int64)
 
 
-def _flow_graph_for(g: HeteroGraph, flow: FlowModel) -> FlowGraph:
+def map_equation(g: HeteroGraph, flow: FlowModel, assignment: Mapping[str, int]) -> float:
+    """Description length (bits) of the partition under the two-level codebook."""
     ids = g.node_ids()
     if set(flow.visit_rate) != set(ids):
         raise CommunityError("flow model and graph disagree on the node set")
@@ -192,35 +183,8 @@ def _flow_graph_for(g: HeteroGraph, flow: FlowModel) -> FlowGraph:
     total = float(visit.sum())
     if abs(total - 1.0) > 1e-6:
         raise CommunityError(f"visit rates sum to {total!r}, not 1")
-    return FlowGraph.from_graph(g, flow.teleport, visit=visit)
-
-
-def map_equation(g: HeteroGraph, flow: FlowModel, assignment: Mapping[str, int]) -> float:
-    """Description length (bits) of the partition under the two-level codebook."""
-    return _flow_graph_for(g, flow).partition_cost(_labels_array(g, assignment))
-
-
-def community_rates(g: HeteroGraph, flow: FlowModel, assignment: Mapping[str, int],
-                    ) -> tuple[dict[int, float], dict[int, float]]:
-    """Per-community exit rate q_i and codebook usage p_i (exit + visits).
-
-    Also fills ``flow.exit_rate`` / ``flow.internal_use`` in place.
-    """
-    fg = _flow_graph_for(g, flow)
-    labels = _labels_array(g, assignment)
-    k = int(labels.max()) + 1
-    mod_visit = np.bincount(labels, weights=fg.visit, minlength=k)
-    mod_tele = np.bincount(labels, weights=fg.tele, minlength=k)
-    mod_size = np.bincount(labels, weights=fg.size, minlength=k)
-    lsrc = labels[fg.esrc]
-    cross = lsrc != labels[fg.edst]
-    mod_cross = np.bincount(lsrc[cross], weights=fg.eflow[cross], minlength=k)
-    q = mod_tele * (fg.n_orig - mod_size) / fg.n_orig + mod_cross
-    exit_rate = {m: float(q[m]) for m in range(k)}
-    internal = {m: float(q[m] + mod_visit[m]) for m in range(k)}
-    flow.exit_rate = exit_rate
-    flow.internal_use = internal
-    return exit_rate, internal
+    fg = FlowGraph.from_graph(g, flow.teleport, visit=visit)
+    return fg.partition_cost(_labels_array(g, assignment))
 
 
 def _renumber(labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -368,7 +332,11 @@ def read_labels(path: str | Path) -> dict[str, int]:
     for row in reader:
         if len(row) != 2:
             raise CommunityError(f"{path}: bad row {row!r}")
-        out[row[0]] = int(row[1])
+        try:
+            out[row[0]] = int(row[1])
+        except ValueError:
+            raise CommunityError(
+                f"{path}: bad row {row!r}: community is not an integer") from None
     return out
 
 

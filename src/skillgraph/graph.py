@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -92,7 +93,6 @@ class HeteroGraph:
         self._name: dict[str, str] = {}
         self._out: dict[Relation, dict[str, dict[str, float]]] = {r: {} for r in Relation}
         self._in: dict[Relation, dict[str, dict[str, float]]] = {r: {} for r in Relation}
-        self.counts: dict[str, dict] = {}
         self._version = 0
         # held on the graph, not in a weak-key map: a view may point back here
         self._views: dict[Callable, tuple[int, object]] = {}
@@ -191,7 +191,6 @@ class HeteroGraph:
         for rel in Relation:
             g._out[rel] = {s: dict(ts) for s, ts in self._out[rel].items()}
             g._in[rel] = {t: dict(ss) for t, ss in self._in[rel].items()}
-        g.counts = {k: dict(v) for k, v in self.counts.items()}
         return g
 
     def stats(self) -> GraphStats:
@@ -273,12 +272,8 @@ def build_education_graph(courses: Sequence[Course], enrollments: Sequence[Enrol
     for course in courses:
         for sid in sorted(course.skills):
             g.add_node(sid, NodeKind.SKILL, skill_names.get(sid, sid))
-    cover_counts: dict[str, int] = {}
     for course in courses:
         d = len(course.skills)
-        cover_counts[course.id] = d
-        if d == 0:
-            continue
         for sid in sorted(course.skills):
             g.add_edge(course.id, Relation.COVERED, sid, 1.0 / d)
     known = set(ids)
@@ -291,17 +286,12 @@ def build_education_graph(courses: Sequence[Course], enrollments: Sequence[Enrol
             skipped += 1
     if skipped:
         log.warning("skipped %d enrollment records naming unknown courses", skipped)
-    pair, total = prereq_counts(kept)
+    pair, _total = prereq_counts(kept)
     out_sum: dict[str, int] = {}
     for (ci, _cj), n in pair.items():
         out_sum[ci] = out_sum.get(ci, 0) + n
     for (ci, cj), n in sorted(pair.items()):
         g.add_edge(ci, Relation.PRE_REQUIRED, cj, n / out_sum[ci])
-    g.counts = {
-        "covered_total": cover_counts,
-        "prereq_pair": {f"{ci}->{cj}": n for (ci, cj), n in sorted(pair.items())},
-        "prereq_total": dict(sorted(total.items())),
-    }
     g.validate()
     return g
 
@@ -332,9 +322,6 @@ def build_career_graph(jobs: Sequence[Job], aggregate_by_title: bool = False) ->
             for sid in sorted(counts):
                 g.add_node(sid, NodeKind.SKILL, sid)
                 g.add_edge(node_id, Relation.REQUIRED, sid, counts[sid] / denom)
-        g.counts = {"required_total": {"_".join(t.split()) or "untitled":
-                                       sum(len(j.skills) for j in grp)
-                                       for t, grp in groups.items()}}
         g.validate()
         return g
     for job in jobs:
@@ -345,7 +332,6 @@ def build_career_graph(jobs: Sequence[Job], aggregate_by_title: bool = False) ->
         for sid in sorted(job.skills):
             g.add_node(sid, NodeKind.SKILL, sid)
             g.add_edge(job.id, Relation.REQUIRED, sid, 1.0 / d)
-    g.counts = {"required_total": {j.id: len(j.skills) for j in jobs}}
     g.validate()
     return g
 
@@ -391,10 +377,6 @@ def merge_graphs(education: HeteroGraph, career: HeteroGraph,
     return merged
 
 
-def graph_stats(g: HeteroGraph) -> GraphStats:
-    return g.stats()
-
-
 # ---------------------------------------------------------------------------
 # snapshot serialization
 # ---------------------------------------------------------------------------
@@ -435,8 +417,14 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
         if parts[0] == "N" and len(parts) == 3 and parts[2] in kind_by_value:
             g.add_node(_decode_id(parts[1]), kind_by_value[parts[2]])
         elif parts[0] == "E" and len(parts) == 5 and parts[2] in rel_by_value:
+            try:
+                weight = float(parts[4])
+            except ValueError:
+                weight = math.nan
+            if not math.isfinite(weight):
+                raise GraphError(f"{path}: line {lineno}: bad edge weight {parts[4]!r}")
             edges.append((_decode_id(parts[1]), rel_by_value[parts[2]],
-                          _decode_id(parts[3]), float(parts[4])))
+                          _decode_id(parts[3]), weight))
         else:
             raise GraphError(f"{path}: line {lineno}: unparseable snapshot line {line!r}")
     for source, relation, target, weight in edges:

@@ -1,4 +1,4 @@
-"""Hot numeric kernels with twin builds: Numba ``@njit`` and pure NumPy.
+"""Hot numeric kernels, one build each.
 
 Everything here works on plain int64/float64 arrays; graph/flow objects are
 flattened by their owners before calling in. The four kernels:
@@ -8,8 +8,10 @@ flattened by their owners before calling in. The four kernels:
 * ``local_move_pass``   -- one greedy sweep of single-unit community moves
 * ``propagate_step``    -- one meta-path hop (masked weighted scatter-add)
 
-``BACKENDS`` keeps both builds so the benchmark can compare them in one
-process; the module-level names are bound to the active backend.
+Three are vectorised NumPy. The move sweep is sequential and has no
+vectorised form: its loop source is JIT-compiled when numba (the optional
+``jit`` extra) imports, and runs as plain Python otherwise.
+``ACTIVE_BACKEND`` names which of the two ran: ``"numba"`` or ``"numpy"``.
 """
 from __future__ import annotations
 
@@ -17,18 +19,17 @@ import math
 
 import numpy as np
 
-from ._backend import NUMBA_AVAILABLE, USE_NUMBA, jit_compile
+try:
+    from numba import njit
+except ImportError:  # numba is the optional ``jit`` extra
+    njit = None
 
 
 def _plogp(x):
     return x * math.log2(x) if x > 0.0 else 0.0
 
 
-# ---------------------------------------------------------------------------
-# pure-NumPy builds
-# ---------------------------------------------------------------------------
-
-def _power_iterate_numpy(esrc, edst, eweight, dangling, n, teleport, tol, max_iter):
+def power_iterate(esrc, edst, eweight, dangling, n, teleport, tol, max_iter):
     p = np.full(n, 1.0 / n)
     resid = np.inf
     uniform = 1.0 / n
@@ -43,8 +44,8 @@ def _power_iterate_numpy(esrc, edst, eweight, dangling, n, teleport, tol, max_it
     return p, max_iter, resid
 
 
-def _partition_cost_numpy(labels, visit, tele, size, esrc, edst, eflow,
-                          n_orig, node_plogp_sum):
+def partition_cost(labels, visit, tele, size, esrc, edst, eflow,
+                   n_orig, node_plogp_sum):
     k = int(labels.max()) + 1 if labels.size else 0
     if k == 0:
         return 0.0
@@ -64,83 +65,15 @@ def _partition_cost_numpy(labels, visit, tele, size, esrc, edst, eflow,
             + float(plogp_p.sum()) - node_plogp_sum)
 
 
-def _propagate_step_numpy(scores, esrc, edst, eweight, mask, n):
+def propagate_step(scores, esrc, edst, eweight, mask, n):
     contrib = eweight * scores[esrc]
     out = np.bincount(edst, weights=contrib, minlength=n)
     return out * mask
 
 
-# ---------------------------------------------------------------------------
-# loop builds (same source compiles under numba; runs as-is as the fallback
-# for the sequential move sweep, which has no vectorizable shape)
-# ---------------------------------------------------------------------------
-
-def _make_power_iterate(plogp_unused):
-    def power_iterate(esrc, edst, eweight, dangling, n, teleport, tol, max_iter):
-        p = np.full(n, 1.0 / n)
-        p_next = np.zeros(n)
-        resid = np.inf
-        uniform = 1.0 / n
-        it_done = 0
-        for it in range(max_iter):
-            dangling_mass = 0.0
-            for v in range(n):
-                if dangling[v]:
-                    dangling_mass += p[v]
-            for v in range(n):
-                p_next[v] = 0.0
-            for e in range(esrc.shape[0]):
-                p_next[edst[e]] += eweight[e] * p[esrc[e]]
-            resid = 0.0
-            for v in range(n):
-                val = teleport * uniform + (1.0 - teleport) * (p_next[v] + dangling_mass * uniform)
-                resid += abs(val - p[v])
-                p_next[v] = val
-            for v in range(n):
-                p[v] = p_next[v]
-            it_done = it + 1
-            if resid <= tol:
-                break
-        return p, it_done, resid
-
-    return power_iterate
-
-
-def _make_partition_cost(plogp):
-    def partition_cost(labels, visit, tele, size, esrc, edst, eflow,
-                       n_orig, node_plogp_sum):
-        n = labels.shape[0]
-        if n == 0:
-            return 0.0
-        k = 0
-        for u in range(n):
-            if labels[u] + 1 > k:
-                k = labels[u] + 1
-        mod_visit = np.zeros(k)
-        mod_tele = np.zeros(k)
-        mod_size = np.zeros(k)
-        mod_cross = np.zeros(k)
-        for u in range(n):
-            m = labels[u]
-            mod_visit[m] += visit[u]
-            mod_tele[m] += tele[u]
-            mod_size[m] += size[u]
-        for e in range(esrc.shape[0]):
-            ms = labels[esrc[e]]
-            if ms != labels[edst[e]]:
-                mod_cross[ms] += eflow[e]
-        q_sum = 0.0
-        acc = 0.0
-        for m in range(k):
-            q = mod_tele[m] * (n_orig - mod_size[m]) / n_orig + mod_cross[m]
-            q_sum += q
-            acc += plogp(q + mod_visit[m]) - 2.0 * plogp(q)
-        return plogp(q_sum) + acc - node_plogp_sum
-
-    return partition_cost
-
-
 def _make_local_move_pass(plogp):
+    """The move-sweep loop source, with ``plogp`` bound per build."""
+
     def local_move_pass(order, labels, visit, tele, size, sout,
                         out_ptr, out_idx, out_flow, in_ptr, in_idx, in_flow,
                         mod_visit, mod_tele, mod_size, mod_cross, mod_exit,
@@ -247,45 +180,11 @@ def _make_local_move_pass(plogp):
     return local_move_pass
 
 
-def _make_propagate_step(plogp_unused):
-    def propagate_step(scores, esrc, edst, eweight, mask, n):
-        out = np.zeros(n)
-        for e in range(esrc.shape[0]):
-            s = scores[esrc[e]]
-            if s != 0.0:
-                out[edst[e]] += eweight[e] * s
-        for v in range(n):
-            out[v] *= mask[v]
-        return out
-
-    return propagate_step
-
-
-# ---------------------------------------------------------------------------
-# backend registry
-# ---------------------------------------------------------------------------
-
-BACKENDS: dict[str, dict] = {
-    "numpy": {
-        "power_iterate": _power_iterate_numpy,
-        "partition_cost": _partition_cost_numpy,
-        "local_move_pass": _make_local_move_pass(_plogp),
-        "propagate_step": _propagate_step_numpy,
-    }
-}
-
-if NUMBA_AVAILABLE:
-    _plogp_jit = jit_compile(_plogp)
-    BACKENDS["numba"] = {
-        "power_iterate": jit_compile(_make_power_iterate(_plogp_jit)),
-        "partition_cost": jit_compile(_make_partition_cost(_plogp_jit)),
-        "local_move_pass": jit_compile(_make_local_move_pass(_plogp_jit)),
-        "propagate_step": jit_compile(_make_propagate_step(_plogp_jit)),
-    }
-
-ACTIVE_BACKEND = "numba" if USE_NUMBA else "numpy"
-
-power_iterate = BACKENDS[ACTIVE_BACKEND]["power_iterate"]
-partition_cost = BACKENDS[ACTIVE_BACKEND]["partition_cost"]
-local_move_pass = BACKENDS[ACTIVE_BACKEND]["local_move_pass"]
-propagate_step = BACKENDS[ACTIVE_BACKEND]["propagate_step"]
+if njit is None:
+    ACTIVE_BACKEND = "numpy"
+    local_move_pass = _make_local_move_pass(_plogp)
+else:
+    # cached to disk; fastmath stays off, since reassociation would break the
+    # bit-level determinism the pipeline promises for fixed seeds
+    ACTIVE_BACKEND = "numba"
+    local_move_pass = njit(cache=True)(_make_local_move_pass(njit(cache=True)(_plogp)))

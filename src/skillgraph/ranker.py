@@ -296,6 +296,8 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
 
 def to_ranked_list(scores: Mapping[str, float], query: str, scenario: str,
                    cutoff: int | None = None) -> RankedList:
+    if cutoff is not None and cutoff < 0:
+        raise QueryError(f"list cutoff {cutoff} is negative")
     entries = sorted(((n, s) for n, s in scores.items() if s > 0.0),
                      key=lambda item: (-item[1], item[0]))
     if cutoff is not None:

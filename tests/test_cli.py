@@ -128,6 +128,39 @@ class TestErrors:
         assert code == 1
         assert "nearest titles" in err
 
+    def test_non_integer_label_exits_one(self, tmp_path, capsys):
+        _data, out = run_pipeline(tmp_path, capsys)
+        labels = out / "merged_labels.csv"
+        lines = labels.read_text().splitlines()
+        node_id = lines[1].split(",")[0]
+        lines[1] = f"{node_id},x"
+        labels.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "recommend", "--out", str(out),
+                               "--scenario", "1", "--goal", "topic-0", "--top", "3")
+        assert code == 1
+        assert f"error: {labels}: bad row ['{node_id}', 'x']" in err
+
+    def test_bad_snapshot_weight_exits_one(self, tmp_path, capsys):
+        _data, out = run_pipeline(tmp_path, capsys)
+        graph = out / "linked.graph"
+        lines = graph.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("E "))
+        parts = lines[lineno - 1].split(" ")
+        lines[lineno - 1] = " ".join(parts[:4] + ["abc"])
+        graph.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "recommend", "--out", str(out),
+                               "--scenario", "1", "--goal", "topic-0", "--top", "3")
+        assert code == 1
+        assert f"line {lineno}: bad edge weight 'abc'" in err
+
+    def test_negative_top_exits_one(self, tmp_path, capsys):
+        _data, out = run_pipeline(tmp_path, capsys)
+        code, stdout, err = run_cli(capsys, "recommend", "--out", str(out),
+                                    "--scenario", "1", "--goal", "topic-0", "--top", "-1")
+        assert code == 1
+        assert stdout == ""
+        assert "cutoff -1 is negative" in err
+
     def test_internal_errors_exit_two(self, tmp_path, capsys, monkeypatch):
         import skillgraph.cli as cli
         monkeypatch.setattr(cli, "cmd_build", lambda cfg: 1 / 0)

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from skillgraph.community import (CommunityPartition, FlowGraph, FlowModel, community_rates,
-                                  compute_flow, detect_communities, map_equation,
-                                  merge_partitions, read_labels, stationary_distribution,
-                                  write_labels, write_partition)
+from skillgraph.community import (CommunityPartition, FlowGraph, FlowModel, compute_flow,
+                                  detect_communities, map_equation, merge_partitions,
+                                  read_labels, stationary_distribution, write_labels,
+                                  write_partition)
 from skillgraph.errors import CommunityError
 from skillgraph.graph import HeteroGraph, NodeKind, Relation
 
@@ -135,17 +135,6 @@ class TestMapEquation:
         with pytest.raises(CommunityError, match="misses"):
             map_equation(g, flow, {"a": 0})
 
-    def test_community_rates_sum(self):
-        g = disconnected_triangles()
-        flow = compute_flow(g, 0.15)
-        assignment = {f"s{i}": (0 if i < 3 else 1) for i in range(6)}
-        exit_rate, internal = community_rates(g, flow, assignment)
-        for m in (0, 1):
-            assert internal[m] == pytest.approx(exit_rate[m] + 0.5, abs=1e-9)
-            assert exit_rate[m] >= 0.0
-        assert flow.exit_rate == exit_rate
-        assert flow.internal_use == internal
-
 
 class TestDetectCommunities:
     def test_clique_pair_splits_at_bridge(self):
@@ -184,6 +173,12 @@ class TestDetectCommunities:
         part = detect_communities(g, seed=0)
         assert part.num_communities == 1
         assert part.description_length == pytest.approx(0.0, abs=1e-12)
+
+    def test_bad_teleport_rejected(self):
+        # power iteration needs 0 < teleport < 1, as in stationary_distribution
+        for teleport in (0.0, 1.0, -0.1):
+            with pytest.raises(CommunityError, match="outside"):
+                detect_communities(clique_pair_graph(), seed=0, teleport=teleport)
 
     def test_never_worse_than_trivial_partitions(self):
         # the all-in-one bound needs every node to carry sparse flow:
@@ -344,3 +339,10 @@ def test_partition_and_label_files(tmp_path):
     assert read_labels(csv_path) == {"a": 0, "b": 1}
     write_labels(tmp_path / "l.csv", {"x": 3})
     assert read_labels(tmp_path / "l.csv") == {"x": 3}
+
+
+def test_non_integer_label_rejected(tmp_path):
+    path = tmp_path / "l.csv"
+    path.write_text("node_id,community\na,0\nb,two\n")
+    with pytest.raises(CommunityError, match=r"l\.csv: bad row \['b', 'two'\]"):
+        read_labels(path)

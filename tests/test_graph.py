@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from skillgraph.errors import GraphError
 from skillgraph.graph import (HeteroGraph, NodeKind, Relation, build_career_graph,
-                              build_education_graph, graph_stats, merge_graphs,
+                              build_education_graph, merge_graphs,
                               prereq_counts, read_snapshot, skill_key, snapshot_lines,
                               write_snapshot)
 from skillgraph.ingest import Course, EnrollmentRecord, Job
@@ -172,11 +172,11 @@ class TestMergeGraphs:
 
 def test_graph_stats_counts():
     empty = HeteroGraph()
-    s = graph_stats(empty)
+    s = empty.stats()
     assert s.total_nodes == 0 and s.total_edges == 0
     g = build_career_graph([Job(id="J1", title="t", company="", location="",
                                 skills=frozenset({"S1", "S2", "S3"}))])
-    s = graph_stats(g)
+    s = g.stats()
     assert s.node_counts[NodeKind.JOB] == 1
     assert s.node_counts[NodeKind.SKILL] == 3
     assert s.edge_counts[Relation.REQUIRED] == 3
@@ -234,6 +234,13 @@ class TestSnapshot:
         p = tmp_path / "g.graph"
         p.write_text("N C1 course\nX whatever\n")
         with pytest.raises(GraphError, match="line 2"):
+            read_snapshot(p)
+
+    @pytest.mark.parametrize("weight", ["abc", "nan", "inf"])
+    def test_bad_edge_weight_rejected(self, tmp_path, weight):
+        p = tmp_path / "g.graph"
+        p.write_text(f"N J1 job\nN S1 skill\nE J1 r S1 {weight}\n")
+        with pytest.raises(GraphError, match=f"g.graph: line 3: bad edge weight '{weight}'"):
             read_snapshot(p)
 
 

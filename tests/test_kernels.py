@@ -1,17 +1,13 @@
-"""Both kernel builds (numba jit and pure NumPy) must agree numerically."""
+"""Kernel checks that the pipeline-level oracles do not cover."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from skillgraph import kernels
-from skillgraph._backend import NUMBA_AVAILABLE
 from skillgraph.community import FlowGraph
-from skillgraph.graph import GraphIndex
 
 from oracles import random_hetero_graph
-
-BOTH = pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba unavailable")
 
 
 def flow_fixture(seed=0):
@@ -19,92 +15,49 @@ def flow_fixture(seed=0):
     return FlowGraph.from_graph(g, 0.15), g
 
 
+def run_move_pass(move_pass, fg, order):
+    labels = np.arange(fg.n_units, dtype=np.int64)
+    state = fg.singleton_module_state()
+    moves, delta, exit_sum = move_pass(
+        order, labels, fg.visit, fg.tele, fg.size, fg.sout,
+        fg.out_ptr, fg.out_idx, fg.out_flow, fg.in_ptr, fg.in_idx, fg.in_flow,
+        state["mod_visit"], state["mod_tele"], state["mod_size"],
+        state["mod_cross"], state["mod_exit"], state["exit_sum"],
+        float(fg.n_orig), 1e-10)
+    return moves, labels, delta, exit_sum
+
+
 def test_active_backend_registered():
-    assert kernels.ACTIVE_BACKEND in kernels.BACKENDS
-    assert set(kernels.BACKENDS["numpy"]) == {
-        "power_iterate", "partition_cost", "local_move_pass", "propagate_step"}
+    try:
+        import numba  # noqa: F401
+    except ImportError:
+        expected = "numpy"
+    else:
+        expected = "numba"
+    assert kernels.ACTIVE_BACKEND == expected
 
 
-@BOTH
-def test_power_iterate_backends_agree():
-    for seed in range(5):
-        g, _ = random_hetero_graph(np.random.default_rng(seed))
-        src, dst, wgt, dangling = GraphIndex(g).combined_transition()
-        n = g.num_nodes()
-        results = {}
-        for name, impl in kernels.BACKENDS.items():
-            p, iters, resid = impl["power_iterate"](src, dst, wgt, dangling, n,
-                                                    0.15, 1e-12, 10_000)
-            results[name] = np.asarray(p)
-            assert resid <= 1e-12
-        np.testing.assert_allclose(results["numpy"], results["numba"], atol=1e-12)
-
-
-@BOTH
-def test_partition_cost_backends_agree():
-    for seed in range(5):
-        fg, g = flow_fixture(seed)
-        rng = np.random.default_rng(seed + 1)
-        for _ in range(4):
-            raw = rng.integers(0, 3, size=fg.n_units)
-            _, labels = np.unique(raw, return_inverse=True)
-            labels = labels.astype(np.int64)
-            args = (labels, fg.visit, fg.tele, fg.size, fg.esrc, fg.edst,
-                    fg.eflow, float(fg.n_orig), fg.node_plogp_sum)
-            a = kernels.BACKENDS["numpy"]["partition_cost"](*args)
-            b = kernels.BACKENDS["numba"]["partition_cost"](*args)
-            assert a == pytest.approx(b, abs=1e-12)
-
-
-@BOTH
+@pytest.mark.skipif(kernels.ACTIVE_BACKEND != "numba", reason="numba unavailable")
 def test_local_move_pass_backends_identical():
+    # the jitted sweep against the same loop source run as plain Python
+    plain = kernels._make_local_move_pass(kernels._plogp)
     for seed in range(5):
-        fg, g = flow_fixture(seed)
+        fg, _g = flow_fixture(seed)
         order = np.random.default_rng(seed).permutation(fg.n_units).astype(np.int64)
-        outcomes = {}
-        for name, impl in kernels.BACKENDS.items():
-            labels = np.arange(fg.n_units, dtype=np.int64)
-            state = fg.singleton_module_state()
-            moves, delta, exit_sum = impl["local_move_pass"](
-                order, labels, fg.visit, fg.tele, fg.size, fg.sout,
-                fg.out_ptr, fg.out_idx, fg.out_flow, fg.in_ptr, fg.in_idx, fg.in_flow,
-                state["mod_visit"], state["mod_tele"], state["mod_size"],
-                state["mod_cross"], state["mod_exit"], state["exit_sum"],
-                float(fg.n_orig), 1e-10)
-            outcomes[name] = (moves, labels.copy(), delta)
-        assert outcomes["numpy"][0] == outcomes["numba"][0]
-        np.testing.assert_array_equal(outcomes["numpy"][1], outcomes["numba"][1])
-        assert outcomes["numpy"][2] == pytest.approx(outcomes["numba"][2], abs=1e-12)
-
-
-@BOTH
-def test_propagate_step_backends_agree():
-    rng = np.random.default_rng(7)
-    n = 30
-    esrc = rng.integers(0, n, size=120).astype(np.int64)
-    edst = rng.integers(0, n, size=120).astype(np.int64)
-    ew = rng.uniform(0.0, 1.0, size=120)
-    scores = rng.uniform(0.0, 1.0, size=n)
-    mask = (rng.random(n) < 0.5).astype(np.float64)
-    a = kernels.BACKENDS["numpy"]["propagate_step"](scores, esrc, edst, ew, mask, n)
-    b = kernels.BACKENDS["numba"]["propagate_step"](scores, esrc, edst, ew, mask, n)
-    np.testing.assert_allclose(a, b, atol=1e-12)
+        jit_moves, jit_labels, jit_delta, _ = run_move_pass(kernels.local_move_pass, fg, order)
+        py_moves, py_labels, py_delta, _ = run_move_pass(plain, fg, order)
+        assert jit_moves == py_moves
+        np.testing.assert_array_equal(jit_labels, py_labels)
+        assert jit_delta == pytest.approx(py_delta, abs=1e-12)
 
 
 def test_local_move_delta_matches_cost_difference():
     # incremental bookkeeping equals from-scratch recomputation
     for seed in range(6):
-        fg, g = flow_fixture(seed + 20)
-        labels = np.arange(fg.n_units, dtype=np.int64)
-        before = fg.partition_cost(labels)
+        fg, _g = flow_fixture(seed + 20)
+        before = fg.partition_cost(np.arange(fg.n_units, dtype=np.int64))
         order = np.random.default_rng(seed).permutation(fg.n_units).astype(np.int64)
-        state = fg.singleton_module_state()
-        moves, delta, _exit = kernels.local_move_pass(
-            order, labels, fg.visit, fg.tele, fg.size, fg.sout,
-            fg.out_ptr, fg.out_idx, fg.out_flow, fg.in_ptr, fg.in_idx, fg.in_flow,
-            state["mod_visit"], state["mod_tele"], state["mod_size"],
-            state["mod_cross"], state["mod_exit"], state["exit_sum"],
-            float(fg.n_orig), 1e-10)
+        _moves, labels, delta, _exit = run_move_pass(kernels.local_move_pass, fg, order)
         _, dense = np.unique(labels, return_inverse=True)
         after = fg.partition_cost(dense.astype(np.int64))
         assert after - before == pytest.approx(delta, abs=1e-9)

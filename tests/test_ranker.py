@@ -353,6 +353,11 @@ class TestRankedList:
     def test_zero_scores_dropped_and_cutoff(self):
         ranked = to_ranked_list({"a": 0.0, "b": 1.0, "c": 0.5}, "q", "s", cutoff=1)
         assert ranked.entries == (("b", 1.0),)
+        assert to_ranked_list({"b": 1.0}, "q", "s", cutoff=0).entries == ()
+
+    def test_negative_cutoff_rejected(self):
+        with pytest.raises(QueryError, match="cutoff -1 is negative"):
+            to_ranked_list({"a": 1.0, "b": 2.0}, "q", "s", cutoff=-1)
 
     def test_invalid_orderings_rejected(self):
         with pytest.raises(QueryError):
