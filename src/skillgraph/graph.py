@@ -225,21 +225,17 @@ class HeteroGraph:
                         raise GraphError(f"forward adjacency out of sync at {source}-{rel.value}->{target}")
 
 
-def prereq_counts(enrollments: Sequence[EnrollmentRecord],
-                  ) -> tuple[dict[tuple[str, str], int], dict[str, int]]:
+def prereq_counts(enrollments: Sequence[EnrollmentRecord]) -> dict[tuple[str, str], int]:
     """Count who-took-what-first over an enrollment log.
 
-    Returns ``(pair, total)`` where ``pair[(ci, cj)]`` is the number of
-    distinct students with some enrollment in ``cj`` at a strictly earlier
-    term than some enrollment in ``ci``, and ``total[ci]`` the number of
-    distinct students with any strictly earlier enrollment in a different
-    course. Retakes of the same course never count.
+    ``pair[(ci, cj)]`` is the number of distinct students with some
+    enrollment in ``cj`` at a strictly earlier term than some enrollment in
+    ``ci``. Retakes of the same course never count.
     """
     by_student: dict[str, list[tuple[int, str]]] = {}
     for rec in enrollments:
         by_student.setdefault(rec.student, []).append((rec.term, rec.course))
     pair: dict[tuple[str, str], int] = {}
-    total: dict[str, int] = {}
     for student in sorted(by_student):
         history = by_student[student]
         last_term = {c: max(t for t, cc in history if cc == c) for _, c in history}
@@ -247,11 +243,9 @@ def prereq_counts(enrollments: Sequence[EnrollmentRecord],
         for ci, t_late in last_term.items():
             for cj, _ in {(c, None) for t, c in history if t < t_late and c != ci}:
                 contributed.add((ci, cj))
-        for ci in {c for c, _ in contributed}:
-            total[ci] = total.get(ci, 0) + 1
         for key in contributed:
             pair[key] = pair.get(key, 0) + 1
-    return pair, total
+    return pair
 
 
 def build_education_graph(courses: Sequence[Course], enrollments: Sequence[EnrollmentRecord],
@@ -286,7 +280,7 @@ def build_education_graph(courses: Sequence[Course], enrollments: Sequence[Enrol
             skipped += 1
     if skipped:
         log.warning("skipped %d enrollment records naming unknown courses", skipped)
-    pair, _total = prereq_counts(kept)
+    pair = prereq_counts(kept)
     out_sum: dict[str, int] = {}
     for (ci, _cj), n in pair.items():
         out_sum[ci] = out_sum.get(ci, 0) + n
@@ -464,20 +458,9 @@ class GraphIndex:
         with no outgoing edges in any relation.
         """
         rel_count = np.zeros(self.n, dtype=np.int64)
-        for rel in Relation:
-            src, _dst, _w = self.rel_edges[rel]
-            if src.size:
-                present = np.zeros(self.n, dtype=bool)
-                present[src] = True
-                rel_count += present
-        combined: dict[tuple[int, int], float] = {}
-        for rel in Relation:
-            src, dst, wgt = self.rel_edges[rel]
-            for e in range(src.size):
-                key = (int(src[e]), int(dst[e]))
-                combined[key] = combined.get(key, 0.0) + wgt[e] / rel_count[src[e]]
-        items = sorted(combined.items())
-        src = np.asarray([k[0] for k, _ in items], dtype=np.int64)
-        dst = np.asarray([k[1] for k, _ in items], dtype=np.int64)
-        wgt = np.asarray([v for _, v in items], dtype=np.float64)
-        return src, dst, wgt, rel_count == 0
+        for src, _dst, _w in self.rel_edges.values():
+            rel_count += np.bincount(src, minlength=self.n) > 0
+        # no (src, dst) pair carries two relations: their endpoint kinds differ
+        src, dst, wgt = (np.concatenate(parts) for parts in zip(*self.rel_edges.values()))
+        order = np.lexsort((dst, src))
+        return src[order], dst[order], (wgt / rel_count[src])[order], rel_count == 0

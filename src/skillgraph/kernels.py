@@ -6,7 +6,7 @@ flattened by their owners before calling in. The four kernels:
 * ``power_iterate``     -- teleporting random-walk stationary distribution
 * ``partition_cost``    -- two-level codebook description length of a labeling
 * ``local_move_pass``   -- one greedy sweep of single-unit community moves
-* ``propagate_step``    -- one meta-path hop (masked weighted scatter-add)
+* ``propagate_step``    -- one meta-path hop (weighted scatter-add, ungated)
 
 Three are vectorised NumPy. The move sweep is sequential and has no
 vectorised form: its loop source is JIT-compiled when numba (the optional
@@ -65,10 +65,8 @@ def partition_cost(labels, visit, tele, size, esrc, edst, eflow,
             + float(plogp_p.sum()) - node_plogp_sum)
 
 
-def propagate_step(scores, esrc, edst, eweight, mask, n):
-    contrib = eweight * scores[esrc]
-    out = np.bincount(edst, weights=contrib, minlength=n)
-    return out * mask
+def propagate_step(scores, esrc, edst, eweight, n):
+    return np.bincount(edst, weights=eweight * scores[esrc], minlength=n)
 
 
 def _make_local_move_pass(plogp):

@@ -4,8 +4,9 @@ A candidate's score is the sum over all tours from a seed to it along the
 declared step sequence of the product of traversed edge weights; reverse
 steps traverse stored edges target-to-source with the stored forward weight.
 Steps flagged as community-restricted only land on nodes carrying the query
-community's merged label. Scoring is layered sparse propagation (one masked
-weighted scatter per step), which equals explicit tour enumeration.
+community's merged label. Scoring is layered sparse propagation (one weighted
+scatter per step, then a gate on the nodes a restricted step reached), which
+equals explicit tour enumeration.
 
 Three course-recommendation scenarios are wired on top:
 
@@ -22,8 +23,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from itertools import repeat
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -107,6 +106,9 @@ class ScenarioInput:
             raise QueryError("scenario 2 needs the already-taken courses")
         if self.scenario == 3 and not self.current_job:
             raise QueryError("scenario 3 needs the current job")
+        for i, course in enumerate(self.taken_courses):
+            if course in self.taken_courses[:i]:
+                raise QueryError(f"taken course {course!r} is listed more than once")
 
     @property
     def query_text(self) -> str:
@@ -158,13 +160,26 @@ def resolve_job_query(g: HeteroGraph, text: str) -> dict[str, float]:
     return {job_id: weight for job_id in matches}
 
 
-def _mask_for(index: GraphIndex, labels: Mapping[str, int] | None,
-              community: int | None) -> np.ndarray:
-    if community is None or labels is None:
-        return np.ones(index.n, dtype=np.float64)
-    node_labels = np.fromiter(map(labels.get, index.ids, repeat(np.nan)),
-                              dtype=np.float64, count=index.n)
-    return (node_labels == community).astype(np.float64)
+def _walk(index: GraphIndex, path: MetaPath, scores: np.ndarray,
+          labels: Mapping[str, int] | None = None,
+          community: int | None = None) -> np.ndarray:
+    """Push ``scores`` along ``path``, one kernel call per step. With a
+    ``community``, a restricted step zeroes each node it reached whose label
+    is missing or another community."""
+    for step in path.steps:
+        src, dst, wgt = index.rel_edges[step.relation]
+        if step.reverse:
+            src, dst = dst, src
+        scores = kernels.propagate_step(scores, src, dst, wgt, index.n)
+        if step.community_restricted and community is not None:
+            reached = np.flatnonzero(scores).tolist()
+            scores[[i for i in reached if labels.get(index.ids[i]) != community]] = 0.0
+    return scores
+
+
+def _positive(index: GraphIndex, scores: np.ndarray) -> dict[str, float]:
+    hits = np.flatnonzero(scores > 0.0)
+    return dict(zip([index.ids[i] for i in hits.tolist()], scores[hits].tolist()))
 
 
 def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Mapping[str, float],
@@ -183,16 +198,7 @@ def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Mapping[str, float],
                 f"seed {node_id!r} is a {g.node_kind(node_id).value}, "
                 f"path starts at a {path.source_kind.value}")
         scores[index.pos[node_id]] = weight
-    ones = np.ones(index.n, dtype=np.float64)
-    restricted_mask = _mask_for(index, labels, community)
-    for step in path.steps:
-        src, dst, wgt = index.rel_edges[step.relation]
-        if step.reverse:
-            src, dst = dst, src
-        mask = restricted_mask if step.community_restricted else ones
-        scores = kernels.propagate_step(scores, src, dst, wgt, mask, index.n)
-    hits = np.flatnonzero(scores > 0.0)
-    return dict(zip([index.ids[i] for i in hits.tolist()], scores[hits].tolist()))
+    return _positive(index, _walk(index, path, scores, labels, community))
 
 
 BASE_PATH = MetaPath((
@@ -213,36 +219,37 @@ UPSKILL_PATH = MetaPath((
     MetaPathStep(Relation.PRE_REQUIRED, reverse=True),
 ))
 
+_PREREQ_HOP = MetaPath((MetaPathStep(Relation.PRE_REQUIRED),))
+
 
 def prerequisite_expansion(g: HeteroGraph, base_scores: Mapping[str, float],
                            depth: int = DEFAULT_PREREQ_DEPTH) -> dict[str, float]:
-    """Push candidate scores one (or ``depth``) hops down stored prereq edges."""
-    extra: dict[str, float] = {}
-    frontier = dict(base_scores)
+    """Push candidate scores one (or ``depth``) hops down stored prereq edges.
+
+    Every level's pushes add up; ids that are not in the graph push nothing.
+    """
+    index = g.cached(_graph_view).index
+    level = np.zeros(index.n, dtype=np.float64)
+    for node_id, score in base_scores.items():
+        if node_id in index.pos:
+            level[index.pos[node_id]] = score
+    extra = np.zeros(index.n, dtype=np.float64)
     for _ in range(depth):
-        nxt: dict[str, float] = {}
-        for course, score in frontier.items():
-            for prereq, weight in g.out_edges(course, Relation.PRE_REQUIRED):
-                nxt[prereq] = nxt.get(prereq, 0.0) + score * weight
-        for node, score in nxt.items():
-            extra[node] = extra.get(node, 0.0) + score
-        frontier = nxt
-        if not frontier:
-            break
-    return extra
+        level = _walk(index, _PREREQ_HOP, level)
+        extra += level
+    return _positive(index, extra)
 
 
 @dataclass
 class Provenance:
     """Per-route score shares, for the restriction audit in debug mode.
 
-    ``base`` and ``taken`` are keyed by the community each group ran in;
+    ``seeds`` and ``base`` are keyed by the community each group ran in;
     ``prereq`` is a single map because that route ignores community gates.
     """
 
     seeds: dict[int, dict[str, float]] = field(default_factory=dict)
     base: dict[int, dict[str, float]] = field(default_factory=dict)
-    taken: dict[int, dict[str, float]] = field(default_factory=dict)
     prereq: dict[str, float] = field(default_factory=dict)
 
 
@@ -281,9 +288,7 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
                 for course in inp.taken_courses:
                     if course not in g or g.node_kind(course) is not NodeKind.COURSE:
                         raise QueryError(f"taken course {course!r} is not in the graph")
-                taken = score_metapath(g, TAKEN_PATH, taken_seeds, labels, community)
-                _merge_into(total, taken)
-                prov.taken[community] = taken
+                _merge_into(total, score_metapath(g, TAKEN_PATH, taken_seeds, labels, community))
         else:
             base = score_metapath(g, UPSKILL_PATH, group, labels, community)
             _merge_into(total, base)
@@ -315,10 +320,6 @@ def recommend(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInput,
     if debug:
         return ranked, prov
     return ranked
-
-
-def write_ranked_list(path: str | Path, ranked: RankedList) -> None:
-    Path(path).write_text(format_ranked_list(ranked), encoding="utf-8", newline="")
 
 
 def format_ranked_list(ranked: RankedList) -> str:

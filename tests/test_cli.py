@@ -116,6 +116,12 @@ class TestErrors:
         assert code == 1
         assert "career goal" in err
 
+    def test_repeated_taken_course_exits_one(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "recommend", "--out", str(tmp_path), "--scenario", "2",
+                               "--goal", "topic-0", "--taken", "C000,C000", "--top", "5")
+        assert code == 1
+        assert "taken course 'C000' is listed more than once" in err
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1

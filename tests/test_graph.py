@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillgraph.errors import GraphError
-from skillgraph.graph import (HeteroGraph, NodeKind, Relation, build_career_graph,
+from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build_career_graph,
                               build_education_graph, merge_graphs,
                               prereq_counts, read_snapshot, skill_key, snapshot_lines,
                               write_snapshot)
@@ -50,38 +50,22 @@ class TestPrereqCounts:
         recs = [EnrollmentRecord("s1", "C2", 0), EnrollmentRecord("s1", "C1", 1),
                 EnrollmentRecord("s2", "C2", 0), EnrollmentRecord("s2", "C1", 1),
                 EnrollmentRecord("s3", "C3", 0), EnrollmentRecord("s3", "C1", 1)]
-        pair, total = prereq_counts(recs)
+        pair = prereq_counts(recs)
         assert pair[("C1", "C2")] == 2
         assert pair[("C1", "C3")] == 1
-        assert total["C1"] == 3
         g = build_education_graph([course(c) for c in ("C1", "C2", "C3")], recs)
         assert g.out_edges("C1", Relation.PRE_REQUIRED) == [("C2", 2 / 3), ("C3", 1 / 3)]
 
     def test_single_enrollment_no_edges(self):
-        pair, total = prereq_counts([EnrollmentRecord("s1", "C1", 0)])
-        assert pair == {} and total == {}
+        assert prereq_counts([EnrollmentRecord("s1", "C1", 0)]) == {}
 
     def test_same_term_counts_neither_direction(self):
         recs = [EnrollmentRecord("s1", "C1", 0), EnrollmentRecord("s1", "C2", 0)]
-        pair, _total = prereq_counts(recs)
-        assert pair == {}
+        assert prereq_counts(recs) == {}
 
     def test_retake_does_not_self_count(self):
         recs = [EnrollmentRecord("s1", "C1", 0), EnrollmentRecord("s1", "C1", 1)]
-        pair, total = prereq_counts(recs)
-        assert pair == {} and total == {}
-
-    def test_pair_bounded_by_total(self):
-        rng = np.random.default_rng(5)
-        recs = []
-        for s in range(30):
-            terms = rng.choice(6, size=4, replace=False)
-            for t in sorted(terms.tolist()):
-                recs.append(EnrollmentRecord(f"s{s}", f"C{int(rng.integers(8))}", int(t)))
-        recs = list({(r.student, r.course, r.term): r for r in recs}.values())
-        pair, total = prereq_counts(recs)
-        for (ci, _cj), n in pair.items():
-            assert n <= total[ci]
+        assert prereq_counts(recs) == {}
 
     def test_multi_prereq_renormalizes(self):
         # one student precedes C1 with two courses: raw ratios sum to 2
@@ -180,6 +164,26 @@ def test_graph_stats_counts():
     assert s.node_counts[NodeKind.JOB] == 1
     assert s.node_counts[NodeKind.SKILL] == 3
     assert s.edge_counts[Relation.REQUIRED] == 3
+
+
+def test_combined_transition_matches_dict_reference():
+    dangling_seen = False
+    for seed in range(15):
+        g, _labels = random_hetero_graph(np.random.default_rng(seed))
+        index = GraphIndex(g)
+        want: dict[tuple[int, int], float] = {}
+        for node_id in g.node_ids():
+            rels = g.out_relations(node_id)
+            for rel in rels:
+                for target, weight in g.out_edges(node_id, rel):
+                    key = (index.pos[node_id], index.pos[target])
+                    want[key] = want.get(key, 0.0) + weight / len(rels)
+        src, dst, wgt, dangling = index.combined_transition()
+        assert list(zip(src.tolist(), dst.tolist())) == sorted(want)
+        assert wgt.tolist() == [want[key] for key in sorted(want)]
+        assert dangling.tolist() == [not g.out_relations(i) for i in index.ids]
+        dangling_seen |= bool(dangling.any())
+    assert dangling_seen
 
 
 def test_kind_discipline_enforced():

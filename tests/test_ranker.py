@@ -178,6 +178,17 @@ class TestScoreMetapath:
         b = format_ranked_list(recommend(shuffled, labels, inp))
         assert a == b
 
+    def test_unlabelled_node_passes_only_unrestricted_hops(self):
+        g, labels = single_tour_graph()
+        g.add_node("C2", NodeKind.COURSE)
+        g.add_edge("C2", Relation.PRE_REQUIRED, "C1", 1.0)
+        del labels["S1"]  # C2 carries no label either
+        assert score_metapath(g, BASE_PATH, {"J1": 1.0}, labels, 0) == {}
+        assert score_metapath(g, BASE_PATH, {"J1": 1.0}, labels) == {"C1": 1.0}
+        labels["S1"] = 0
+        upskill = score_metapath(g, ranker.UPSKILL_PATH, {"J1": 1.0}, labels, 0)
+        assert upskill == {"C2": 1.0}
+
     def test_seed_weight_scales_linearly(self):
         g, labels = single_tour_graph()
         one = score_metapath(g, BASE_PATH, {"J1": 1.0}, labels, 0)
@@ -236,6 +247,8 @@ class TestScenarios:
             ScenarioInput(scenario=3)
         with pytest.raises(QueryError):
             ScenarioInput(scenario=4, career_goal="x")
+        with pytest.raises(QueryError, match="taken course 'C1' is listed more than once"):
+            ScenarioInput(scenario=2, career_goal="x", taken_courses=("C1", "C0", "C1"))
 
     def test_all_scenarios_match_oracle_on_random_graphs(self):
         for seed in range(15):
@@ -343,6 +356,31 @@ class TestPrerequisiteExpansion:
         assert prerequisite_expansion(g, {"C2": 1.0}, depth=1) == {"C1": 1.0}
         assert prerequisite_expansion(g, {"C2": 1.0}, depth=2) == {"C1": 1.0, "C0": 1.0}
         assert prerequisite_expansion(g, {"C2": 1.0}, depth=0) == {}
+
+    def test_shared_prerequisite_adds_pushes(self):
+        g = HeteroGraph()
+        for c in ("C0", "C1", "C2", "C3"):
+            g.add_node(c, NodeKind.COURSE)
+        g.add_edge("C1", Relation.PRE_REQUIRED, "C0", 0.5)
+        g.add_edge("C1", Relation.PRE_REQUIRED, "C3", 0.5)
+        g.add_edge("C2", Relation.PRE_REQUIRED, "C0", 1.0)
+        assert prerequisite_expansion(g, {"C2": 0.5, "C1": 0.25}) == {"C0": 0.625, "C3": 0.125}
+        assert prerequisite_expansion(g, {"CX": 1.0, "C2": 0.5}) == {"C0": 0.5}
+
+    def test_depth_two_sums_levels_over_branching_chain(self):
+        g = HeteroGraph()
+        for c in ("C0", "C1", "C2", "C3", "C4"):
+            g.add_node(c, NodeKind.COURSE)
+        g.add_edge("C4", Relation.PRE_REQUIRED, "C2", 0.5)
+        g.add_edge("C4", Relation.PRE_REQUIRED, "C3", 0.5)
+        g.add_edge("C2", Relation.PRE_REQUIRED, "C0", 1.0)
+        g.add_edge("C3", Relation.PRE_REQUIRED, "C0", 0.75)
+        g.add_edge("C3", Relation.PRE_REQUIRED, "C1", 0.25)
+        assert prerequisite_expansion(g, {"C4": 1.0}, depth=2) == {
+            "C0": 0.875, "C1": 0.125, "C2": 0.5, "C3": 0.5}
+        # C0 is pushed at both levels: 1.0 from C2, then 0.5 + 0.375 through C2 and C3
+        assert prerequisite_expansion(g, {"C4": 1.0, "C2": 1.0}, depth=2) == {
+            "C0": 1.875, "C1": 0.125, "C2": 0.5, "C3": 0.5}
 
 
 class TestRankedList:

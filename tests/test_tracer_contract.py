@@ -1,0 +1,62 @@
+"""The benchmark tracer's patches still find the names they wrap.
+
+``perfbench/tracer.py`` replaces module attributes at run time, so a rename
+in ``src/`` would only surface when a traced benchmark runs. This runs one
+traced query and checks that the spans arrive and the patches come off.
+"""
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from skillgraph import cli, community, graph, ingest, kernels, linker, metrics, ranker, synth
+from skillgraph.graph import HeteroGraph, NodeKind, Relation
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PATCHED = (cli, community, graph, ingest, kernels, linker, metrics, ranker, synth,
+           community.FlowGraph)
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def small_graph():
+    """J1 -r-> S1 -l-> S2 <-c- C1 -p-> C0, all in community 0."""
+    g = HeteroGraph()
+    g.add_node("J1", NodeKind.JOB, "data engineer")
+    for node_id in ("S1", "S2"):
+        g.add_node(node_id, NodeKind.SKILL)
+    for node_id in ("C0", "C1"):
+        g.add_node(node_id, NodeKind.COURSE)
+    g.add_edge("J1", Relation.REQUIRED, "S1", 1.0)
+    g.add_edge("S1", Relation.LINKED, "S2", 1.0)
+    g.add_edge("C1", Relation.COVERED, "S2", 1.0)
+    g.add_edge("C1", Relation.PRE_REQUIRED, "C0", 1.0)
+    return g, {node_id: 0 for node_id in g.node_ids()}
+
+
+def test_traced_recommend_records_spans_and_restores():
+    tracer_mod = load_tracer()
+    before = [dict(vars(owner)) for owner in PATCHED]
+    tracer = tracer_mod.Tracer()
+    g, labels = small_graph()
+    try:
+        tracer_mod.instrument(tracer)
+        ranked = ranker.recommend(g, labels,
+                                  ranker.ScenarioInput(1, career_goal="data engineer"))
+    finally:
+        tracer.restore()
+    assert ranked.entries == (("C0", 1.0), ("C1", 1.0))
+    names = {span["name"] for span in tracer.spans}
+    assert {"ranker.score", "ranker.prereq", "kernels.propagate_step"} <= names
+    steps = tracer.select("kernels.propagate_step", ("setup",))
+    assert all(isinstance(span["edges"], int) for span in steps)
+    assert sum(span["edges"] for span in steps) > 0
+    for owner, attrs in zip(PATCHED, before):
+        now = vars(owner)
+        assert now.keys() == attrs.keys(), owner
+        assert all(now[name] is value for name, value in attrs.items()), owner
