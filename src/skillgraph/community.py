@@ -332,6 +332,8 @@ def read_labels(path: str | Path) -> dict[str, int]:
     for row in reader:
         if len(row) != 2:
             raise CommunityError(f"{path}: bad row {row!r}")
+        if row[0] in out:
+            raise CommunityError(f"{path}: node {row[0]!r} is labelled twice")
         try:
             out[row[0]] = int(row[1])
         except ValueError:

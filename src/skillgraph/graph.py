@@ -82,8 +82,10 @@ def skill_key(name: str) -> str:
 class HeteroGraph:
     """Directed weighted multigraph with typed nodes and relations.
 
-    At most one edge exists per (source, target, relation). Node payload is a
-    display name (course name, job title, skill name) defaulting to the id.
+    At most one edge exists per (source, target, relation), stored once in
+    its source's forward row; there is no reverse adjacency (reverse walks
+    read the array view, ``GraphIndex``). Node payload is a display name
+    (course name, job title, skill name) defaulting to the id.
     ``cached`` keeps derived views until the next ``add_node`` (of a new
     node), ``add_edge`` or ``set_node_name``, each of which bumps a counter.
     """
@@ -92,9 +94,7 @@ class HeteroGraph:
         self._kind: dict[str, NodeKind] = {}
         self._name: dict[str, str] = {}
         self._out: dict[Relation, dict[str, dict[str, float]]] = {r: {} for r in Relation}
-        self._in: dict[Relation, dict[str, dict[str, float]]] = {r: {} for r in Relation}
         self._version = 0
-        # held on the graph, not in a weak-key map: a view may point back here
         self._views: dict[Callable, tuple[int, object]] = {}
 
     # -- construction -------------------------------------------------------
@@ -122,8 +122,6 @@ class HeteroGraph:
         if target in row and not combine:
             raise GraphError(f"duplicate edge {source}-{relation.value}->{target}")
         row[target] = row.get(target, 0.0) + weight
-        col = self._in[relation].setdefault(target, {})
-        col[source] = row[target]
         self._version += 1
 
     # -- queries ------------------------------------------------------------
@@ -166,9 +164,6 @@ class HeteroGraph:
     def out_edges(self, node_id: str, relation: Relation) -> list[tuple[str, float]]:
         return sorted(self._out[relation].get(node_id, {}).items())
 
-    def in_edges(self, node_id: str, relation: Relation) -> list[tuple[str, float]]:
-        return sorted(self._in[relation].get(node_id, {}).items())
-
     def out_relations(self, node_id: str) -> list[Relation]:
         return [r for r in Relation if self._out[r].get(node_id)]
 
@@ -190,7 +185,6 @@ class HeteroGraph:
         g._name = dict(self._name)
         for rel in Relation:
             g._out[rel] = {s: dict(ts) for s, ts in self._out[rel].items()}
-            g._in[rel] = {t: dict(ss) for t, ss in self._in[rel].items()}
         return g
 
     def stats(self) -> GraphStats:
@@ -201,7 +195,7 @@ class HeteroGraph:
         return GraphStats(node_counts=node_counts, edge_counts=edge_counts)
 
     def validate(self) -> None:
-        """Check kind discipline, weight positivity, normalization, adjacency mirror."""
+        """Check kind discipline, weight positivity and normalization."""
         for rel in Relation:
             src_kind, dst_kind = RELATION_SIGNATURE[rel]
             for source, row in self._out[rel].items():
@@ -213,16 +207,10 @@ class HeteroGraph:
                         raise GraphError(f"{target!r} targeted by {rel.value} but is not a {dst_kind.value}")
                     if weight <= 0.0:
                         raise GraphError(f"non-positive weight on {source}-{rel.value}->{target}")
-                    if self._in[rel].get(target, {}).get(source) != weight:
-                        raise GraphError(f"reverse adjacency out of sync at {source}-{rel.value}->{target}")
                     total += weight
                 if row and abs(total - 1.0) > WEIGHT_SUM_TOL:
                     raise GraphError(
                         f"outgoing {rel.value}-weights of {source!r} sum to {total!r}, not 1")
-            for target, col in self._in[rel].items():
-                for source, weight in col.items():
-                    if self._out[rel].get(source, {}).get(target) != weight:
-                        raise GraphError(f"forward adjacency out of sync at {source}-{rel.value}->{target}")
 
 
 def prereq_counts(enrollments: Sequence[EnrollmentRecord]) -> dict[tuple[str, str], int]:
@@ -435,7 +423,6 @@ class GraphIndex:
     """Stable array numbering of a graph (sorted ids) plus per-relation COO."""
 
     def __init__(self, g: HeteroGraph) -> None:
-        self.graph = g
         self.ids: list[str] = g.node_ids()
         self.pos: dict[str, int] = {node_id: i for i, node_id in enumerate(self.ids)}
         self.n = len(self.ids)

@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 
 from .errors import GraphError
 from .graph import HeteroGraph, NodeKind, Relation
+from .ingest import tokenize
 
 DEFAULT_TOP_K = 10
 
@@ -89,8 +90,6 @@ class LinkRecord:
 
 def _skill_tokens(g: HeteroGraph, skill_id: str) -> tuple[str, ...]:
     # tokenize splits on '_', so identity-key names from snapshots work too
-    from .ingest import tokenize
-
     return tuple(tokenize(g.node_name(skill_id)))
 
 

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .errors import EvalError
 from .ingest import Course, Job, Skill, tokenize
-from .ranker import RankedList, to_ranked_list
+from .ranker import RankedList, title_contains, to_ranked_list
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,6 @@ class JudgedRun:
 
 @dataclass(frozen=True)
 class MetricReport:
-    per_query_ap: dict[str, float]
-    per_query_precision: dict[str, float]
     precision: float
     map: float
     map_at_5: float
@@ -97,14 +95,10 @@ def precision_at(run: JudgedRun, k: int) -> float:
 def metric_report(runs: Sequence[JudgedRun]) -> MetricReport:
     if not runs:
         raise EvalError("no judged runs to report on")
-    ap = {r.query: average_precision(r) for r in runs}
-    prec = {r.query: precision(r) for r in runs}
     mean = lambda values: sum(values) / len(values)  # noqa: E731
     return MetricReport(
-        per_query_ap=ap,
-        per_query_precision=prec,
-        precision=mean(list(prec.values())),
-        map=mean(list(ap.values())),
+        precision=mean([precision(r) for r in runs]),
+        map=mean([average_precision(r) for r in runs]),
         map_at_5=mean([average_precision(r, 5) for r in runs]),
         precision_at_10=mean([precision_at(r, 10) for r in runs]),
         map_at_10=mean([average_precision(r, 10) for r in runs]),
@@ -126,7 +120,10 @@ def load_judgments(path: str | Path) -> dict[str, dict[str, bool]]:
     for i, row in enumerate(reader, start=1):
         if len(row) != 3 or row[2] not in ("0", "1"):
             raise EvalError(f"{path}: row {i}: expected query_id,node_id,relevant(0|1)")
-        out.setdefault(row[0], {})[row[1]] = row[2] == "1"
+        judged = out.setdefault(row[0], {})
+        if row[1] in judged:
+            raise EvalError(f"{path}: row {i}: node {row[1]!r} is judged twice for query {row[0]!r}")
+        judged[row[1]] = row[2] == "1"
     return out
 
 
@@ -148,6 +145,7 @@ def load_runs(path: str | Path) -> dict[str, list[str]]:
     if header != ["query_id", "rank", "node_id", "score"]:
         raise EvalError(f"{path}: bad header {header!r}")
     staged: dict[str, list[tuple[int, str]]] = {}
+    seen: set[tuple[str, str]] = set()
     for i, row in enumerate(reader, start=1):
         if len(row) != 4:
             raise EvalError(f"{path}: row {i}: expected 4 fields")
@@ -155,6 +153,9 @@ def load_runs(path: str | Path) -> dict[str, list[str]]:
             rank = int(row[1])
         except ValueError:
             raise EvalError(f"{path}: row {i}: bad rank {row[1]!r}") from None
+        if (row[0], row[2]) in seen:
+            raise EvalError(f"{path}: row {i}: node {row[2]!r} is ranked twice for query {row[0]!r}")
+        seen.add((row[0], row[2]))
         staged.setdefault(row[0], []).append((rank, row[2]))
     out: dict[str, list[str]] = {}
     for query, pairs in staged.items():
@@ -199,8 +200,6 @@ def judged_runs(rankings: Mapping[str, Sequence[str]],
 
 def _resolve_jobs_by_title(jobs: Sequence[Job], text: str) -> list[Job]:
     # shares the ranker's containment rule so both systems see one query set
-    from .ranker import title_contains
-
     query = tokenize(text)
     if not query:
         raise EvalError("empty job query")

@@ -106,6 +106,13 @@ class ScenarioInput:
             raise QueryError("scenario 2 needs the already-taken courses")
         if self.scenario == 3 and not self.current_job:
             raise QueryError("scenario 3 needs the current job")
+        # an input the scenario does not read would answer a different question
+        if self.scenario != 2 and self.taken_courses:
+            raise QueryError(f"scenario {self.scenario} takes no taken courses; scenario 2 does")
+        if self.scenario != 3 and self.current_job:
+            raise QueryError(f"scenario {self.scenario} takes no current job; scenario 3 does")
+        if self.scenario == 3 and self.career_goal:
+            raise QueryError("scenario 3 takes no career goal; it starts from the current job")
         for i, course in enumerate(self.taken_courses):
             if course in self.taken_courses[:i]:
                 raise QueryError(f"taken course {course!r} is listed more than once")
@@ -272,6 +279,10 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
         if job_id not in labels:
             raise QueryError(f"job {job_id!r} carries no community label")
         groups.setdefault(labels[job_id], {})[job_id] = weight
+    for course in inp.taken_courses:
+        if course not in g or g.node_kind(course) is not NodeKind.COURSE:
+            raise QueryError(f"taken course {course!r} is not in the graph")
+    taken_seeds = {c: 1.0 / len(inp.taken_courses) for c in inp.taken_courses}
     total: dict[str, float] = {}
     for community in sorted(groups):
         group = groups[community]
@@ -283,19 +294,14 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
             _merge_into(total, extra)
             prov.base[community] = base
             _merge_into(prov.prereq, extra)
-            if inp.scenario == 2:
-                taken_seeds = {c: 1.0 / len(inp.taken_courses) for c in inp.taken_courses}
-                for course in inp.taken_courses:
-                    if course not in g or g.node_kind(course) is not NodeKind.COURSE:
-                        raise QueryError(f"taken course {course!r} is not in the graph")
+            if taken_seeds:
                 _merge_into(total, score_metapath(g, TAKEN_PATH, taken_seeds, labels, community))
         else:
             base = score_metapath(g, UPSKILL_PATH, group, labels, community)
             _merge_into(total, base)
             prov.base[community] = base
-    if inp.scenario == 2:
-        for course in inp.taken_courses:
-            total.pop(course, None)
+    for course in taken_seeds:
+        total.pop(course, None)
     return total, prov
 
 

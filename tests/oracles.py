@@ -134,13 +134,17 @@ def ref_score_metapath(g: HeteroGraph, steps, seeds: dict[str, float],
                        community: int | None = None) -> dict[str, float]:
     """steps: list of (Relation, reverse: bool, restricted: bool) triples."""
     out: dict[str, float] = {}
+    # reverse rows from a full edge scan; sources arrive in sorted order
+    into: dict[tuple[Relation, str], list[tuple[str, float]]] = {}
+    for edge in g.edges():
+        into.setdefault((edge.relation, edge.target), []).append((edge.source, edge.weight))
 
     def walk(node: str, depth: int, prob: float) -> None:
         if depth == len(steps):
             out[node] = out.get(node, 0.0) + prob
             return
         relation, reverse, restricted = steps[depth]
-        edges = g.in_edges(node, relation) if reverse else g.out_edges(node, relation)
+        edges = into.get((relation, node), []) if reverse else g.out_edges(node, relation)
         for nbr, weight in edges:
             if restricted and community is not None and labels.get(nbr) != community:
                 continue
@@ -206,11 +210,10 @@ def flow_isolated_nodes(g: HeteroGraph) -> list[str]:
     detection must leave them as singletons even when teleport flow would
     make a merge cheaper; optimality claims exclude them.
     """
-    isolated = []
-    for node in g.node_ids():
-        if not any(g.out_edges(node, r) or g.in_edges(node, r) for r in Relation):
-            isolated.append(node)
-    return isolated
+    touched = set()
+    for edge in g.edges():
+        touched.update((edge.source, edge.target))
+    return [node for node in g.node_ids() if node not in touched]
 
 
 def random_hetero_graph(rng: np.random.Generator, max_nodes: int = 50,

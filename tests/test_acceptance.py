@@ -140,7 +140,7 @@ def test_criterion_4_ranking_oracle_equivalence():
         seeds = {j: 1.0 / len(jobs) for j in jobs}
         taken = tuple(courses[:1])
         for scenario in (1, 2, 3):
-            inp = ScenarioInput(scenario=scenario, career_goal="q",
+            inp = ScenarioInput(scenario=scenario, career_goal="q" if scenario != 3 else None,
                                 taken_courses=taken if scenario == 2 else (),
                                 current_job="q" if scenario == 3 else None)
             got, _ = scenario_scores(g, labels, inp, seeds)

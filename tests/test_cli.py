@@ -122,6 +122,18 @@ class TestErrors:
         assert code == 1
         assert "taken course 'C000' is listed more than once" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--scenario", "1", "--goal", "topic-0 engineer", "--taken", "C000,CXYZ"],
+         "scenario 1 takes no taken courses"),
+        (["--scenario", "3", "--current-job", "topic-0 engineer", "--goal", "topic-1 analyst"],
+         "scenario 3 takes no career goal"),
+    ])
+    def test_input_the_scenario_ignores_exits_one(self, tmp_path, capsys, argv, message):
+        code, stdout, err = run_cli(capsys, "recommend", "--out", str(tmp_path), *argv)
+        assert code == 1
+        assert stdout == ""
+        assert message in err
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1
@@ -158,6 +170,32 @@ class TestErrors:
                                "--scenario", "1", "--goal", "topic-0", "--top", "3")
         assert code == 1
         assert f"line {lineno}: bad edge weight 'abc'" in err
+
+    def test_unnormalised_snapshot_exits_one(self, tmp_path, capsys):
+        _data, out = run_pipeline(tmp_path, capsys)
+        graph = out / "linked.graph"
+        lines = graph.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("E ") and " r " in line)
+        parts = lines[i].split(" ")
+        lines[i] = " ".join(parts[:4] + [repr(float(parts[4]) / 2)])
+        graph.write_text("\n".join(lines) + "\n")
+        code, stdout, err = run_cli(capsys, "recommend", "--out", str(out),
+                                    "--scenario", "1", "--goal", "topic-0", "--top", "3")
+        assert code == 1
+        assert stdout == ""
+        assert f"outgoing r-weights of '{parts[1]}' sum to" in err
+
+    def test_evaluate_repeated_run_node_exits_one(self, tmp_path, capsys):
+        judgments = tmp_path / "truth.csv"
+        judgments.write_text("query_id,node_id,relevant\nq,C1,1\n")
+        runs = tmp_path / "runs.csv"
+        runs.write_text("query_id,rank,node_id,score\nq,1,C1,1\nq,2,C1,0.5\n")
+        code, stdout, err = run_cli(capsys, "evaluate", "--judgments", str(judgments),
+                                    "--runs", str(runs), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "MAP" not in stdout
+        assert "node 'C1' is ranked twice for query 'q'" in err
+        assert not (tmp_path / "out" / "metrics.json").exists()
 
     def test_negative_top_exits_one(self, tmp_path, capsys):
         _data, out = run_pipeline(tmp_path, capsys)

@@ -341,6 +341,13 @@ def test_partition_and_label_files(tmp_path):
     assert read_labels(tmp_path / "l.csv") == {"x": 3}
 
 
+def test_repeated_label_rejected(tmp_path):
+    path = tmp_path / "l.csv"
+    path.write_text("node_id,community\na,0\nb,1\na,1\n")
+    with pytest.raises(CommunityError, match=r"l\.csv: node 'a' is labelled twice"):
+        read_labels(path)
+
+
 def test_non_integer_label_rejected(tmp_path):
     path = tmp_path / "l.csv"
     path.write_text("node_id,community\na,0\nb,two\n")

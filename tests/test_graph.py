@@ -31,7 +31,8 @@ class TestEducationGraph:
     def test_shared_skill_dedup(self):
         g = build_education_graph([course("C1", {"S1"}), course("C2", {"S1"})], [])
         assert g.node_ids(NodeKind.SKILL) == ["S1"]
-        assert len(g.in_edges("S1", Relation.COVERED)) == 2
+        assert g.out_edges("C1", Relation.COVERED) == [("S1", 1.0)]
+        assert g.out_edges("C2", Relation.COVERED) == [("S1", 1.0)]
 
     def test_zero_skill_course_kept(self):
         g = build_education_graph([course("C1")], [])
@@ -91,7 +92,8 @@ class TestCareerGraph:
                 Job(id="J2", title="t", company="", location="", skills=frozenset({"S1"}))]
         g = build_career_graph(jobs)
         assert g.node_ids(NodeKind.SKILL) == ["S1"]
-        assert len(g.in_edges("S1", Relation.REQUIRED)) == 2
+        assert g.out_edges("J1", Relation.REQUIRED) == [("S1", 1.0)]
+        assert g.out_edges("J2", Relation.REQUIRED) == [("S1", 1.0)]
 
     def test_aggregate_by_title(self):
         jobs = [Job(id="J1", title="Data Engineer", company="", location="",
@@ -112,8 +114,8 @@ class TestMergeGraphs:
                                       skills=frozenset({"sql"}))])
         merged = merge_graphs(edu, car)
         assert merged.node_ids(NodeKind.SKILL) == ["sql"]
-        assert merged.in_edges("sql", Relation.COVERED) == [("C1", 1.0)]
-        assert merged.in_edges("sql", Relation.REQUIRED) == [("J1", 1.0)]
+        assert merged.out_edges("C1", Relation.COVERED) == [("sql", 1.0)]
+        assert merged.out_edges("J1", Relation.REQUIRED) == [("sql", 1.0)]
 
     def test_disjoint_skills_stay_apart(self):
         edu = build_education_graph([course("C1", {"alpha"})], [])
@@ -245,6 +247,12 @@ class TestSnapshot:
         p = tmp_path / "g.graph"
         p.write_text(f"N J1 job\nN S1 skill\nE J1 r S1 {weight}\n")
         with pytest.raises(GraphError, match=f"g.graph: line 3: bad edge weight '{weight}'"):
+            read_snapshot(p)
+
+    def test_unnormalised_out_weights_rejected(self, tmp_path):
+        p = tmp_path / "g.graph"
+        p.write_text("N J1 job\nN S1 skill\nN S2 skill\nE J1 r S1 0.5\nE J1 r S2 0.4\n")
+        with pytest.raises(GraphError, match="outgoing r-weights of 'J1' sum to 0.9"):
             read_snapshot(p)
 
 

@@ -140,6 +140,18 @@ class TestJudgmentFiles:
         with pytest.raises(EvalError, match="gaps"):
             load_runs(p)
 
+    def test_repeated_judgment_rejected(self, tmp_path):
+        p = tmp_path / "j.csv"
+        p.write_text("query_id,node_id,relevant\nq,a,1\nq,b,0\nq,a,0\n")
+        with pytest.raises(EvalError, match=r"j\.csv: row 3: node 'a' is judged twice for query 'q'"):
+            load_judgments(p)
+
+    def test_repeated_run_node_rejected(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("query_id,rank,node_id,score\nq,1,a,1\nq,2,a,0.5\n")
+        with pytest.raises(EvalError, match=r"r\.csv: row 2: node 'a' is ranked twice for query 'q'"):
+            load_runs(p)
+
     def test_judged_runs_missing_policies(self):
         rankings = {"q": ["a", "b"]}
         judgments = {"q": {"a": True}}

@@ -250,6 +250,20 @@ class TestScenarios:
         with pytest.raises(QueryError, match="taken course 'C1' is listed more than once"):
             ScenarioInput(scenario=2, career_goal="x", taken_courses=("C1", "C0", "C1"))
 
+    def test_inputs_the_scenario_ignores_are_rejected(self):
+        for scenario in (1, 3):
+            goal = "x" if scenario == 1 else None
+            job = "x" if scenario == 3 else None
+            with pytest.raises(QueryError, match=f"scenario {scenario} takes no taken courses"):
+                ScenarioInput(scenario=scenario, career_goal=goal, current_job=job,
+                              taken_courses=("C1",))
+        for scenario in (1, 2):
+            with pytest.raises(QueryError, match=f"scenario {scenario} takes no current job"):
+                ScenarioInput(scenario=scenario, career_goal="x", current_job="y",
+                              taken_courses=("C1",) if scenario == 2 else ())
+        with pytest.raises(QueryError, match="scenario 3 takes no career goal"):
+            ScenarioInput(scenario=3, career_goal="x", current_job="y")
+
     def test_all_scenarios_match_oracle_on_random_graphs(self):
         for seed in range(15):
             g, labels = random_hetero_graph(np.random.default_rng(seed))
@@ -258,7 +272,7 @@ class TestScenarios:
             seeds = {j: 1.0 / len(jobs) for j in jobs}
             taken = tuple(courses[:1])
             for scenario in (1, 2, 3):
-                inp = ScenarioInput(scenario=scenario, career_goal="q",
+                inp = ScenarioInput(scenario=scenario, career_goal="q" if scenario != 3 else None,
                                     taken_courses=taken if scenario == 2 else (),
                                     current_job="q" if scenario == 3 else None)
                 got, _prov = scenario_scores(g, labels, inp, seeds)
@@ -341,8 +355,10 @@ class TestGraphViewCache:
         monkeypatch.setattr(ranker, "GraphIndex", CountingIndex)
         g, labels = single_tour_graph()
         for scenario in (1, 3, 1, 3, 1, 3, 1, 3, 1, 3):
-            recommend(g, labels, ScenarioInput(scenario=scenario, career_goal="data engineer",
-                                               current_job="data engineer"))
+            query = "data engineer"
+            recommend(g, labels, ScenarioInput(scenario=scenario,
+                                               career_goal=query if scenario == 1 else None,
+                                               current_job=query if scenario == 3 else None))
         assert builds == [g]
 
 
