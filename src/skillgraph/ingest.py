@@ -13,6 +13,11 @@ File formats (UTF-8, ``\\n`` line endings):
 Every loader also accepts the same schema as a JSON array of objects when the
 path ends in ``.json``; writers emit whichever format the extension names,
 byte-deterministically (sorted keys, sorted skill lists).
+
+Course-skill matching indexes the catalog once per call, by token tuple (a
+dictionary in the spirit of Aho-Corasick, CACM 1975). Each course then costs
+one lookup per stream window and phrase length, plus a sort of its hits,
+instead of a slide of every catalog skill over its token stream.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import IngestError
 
@@ -205,33 +210,63 @@ def load_course_skills(path: str | Path) -> list[tuple[str, str]]:
     return pairs
 
 
-def match_course_skills(course: Course, catalog: Sequence[Skill]) -> set[str]:
-    """Project a course onto catalog skills by greedy longest-phrase matching.
+@dataclass(frozen=True)
+class _PhraseIndex:
+    """The skill catalog indexed once by token tuple, for every course.
 
-    The course name and description are concatenated into one token stream.
-    Catalog skills are tried longest token sequence first (ties by id); every
-    free contiguous occurrence of a skill's tokens is consumed, so a shorter
-    skill can never re-match tokens a longer one already claimed.
+    ``ranked`` holds the catalog's non-empty phrases in claiming order: longest
+    token sequence first, then by id (equal ids keep catalog order).
+    ``phrases`` maps a token tuple to the ascending ranks of the skills with
+    those tokens, and ``lengths`` lists the distinct phrase lengths.
     """
-    if not catalog:
-        raise IngestError("skill catalog is empty")
-    stream = tokenize(course.name) + tokenize(course.description)
-    consumed = [False] * len(stream)
-    matched: set[str] = set()
-    for skill in sorted(catalog, key=lambda s: (-len(s.tokens), s.id)):
-        k = len(skill.tokens)
-        if k == 0 or k > len(stream):
-            continue
-        pattern = list(skill.tokens)
-        i = 0
-        while i + k <= len(stream):
-            if stream[i:i + k] == pattern and not any(consumed[i:i + k]):
+    ranked: tuple[Skill, ...]
+    phrases: Mapping[tuple[str, ...], list[int]]
+    lengths: tuple[int, ...]
+
+    @classmethod
+    def from_catalog(cls, catalog: Sequence[Skill]) -> "_PhraseIndex":
+        if not catalog:
+            raise IngestError("skill catalog is empty")
+        ranked = tuple(sorted((s for s in catalog if s.tokens),
+                              key=lambda s: (-len(s.tokens), s.id)))
+        phrases: dict[tuple[str, ...], list[int]] = {}
+        for rank, skill in enumerate(ranked):
+            phrases.setdefault(tuple(skill.tokens), []).append(rank)
+        return cls(ranked, phrases, tuple(sorted({len(p) for p in phrases})))
+
+    def match(self, course: Course) -> set[str]:
+        """Project a course onto the catalog by greedy longest-phrase matching.
+
+        The course name and description are concatenated into one token
+        stream. Every stream window of every phrase length is looked up once;
+        the hits are then claimed in (rank, position) order, and a hit is
+        kept only while none of its tokens is claimed yet. That is the order
+        of trying each skill in turn, longest first, over every free
+        contiguous occurrence, so a shorter skill can never re-match tokens a
+        longer one already claimed.
+        """
+        stream = tokenize(course.name) + tokenize(course.description)
+        hits: list[tuple[int, int]] = []
+        for k in self.lengths:
+            for i in range(len(stream) - k + 1):
+                ranks = self.phrases.get(tuple(stream[i:i + k]))
+                if ranks:
+                    hits.extend((rank, i) for rank in ranks)
+        hits.sort()
+        consumed = [False] * len(stream)
+        matched: set[str] = set()
+        for rank, i in hits:
+            skill = self.ranked[rank]
+            k = len(skill.tokens)
+            if not any(consumed[i:i + k]):
                 consumed[i:i + k] = [True] * k
                 matched.add(skill.id)
-                i += k
-            else:
-                i += 1
-    return matched
+        return matched
+
+
+def match_course_skills(course: Course, catalog: Sequence[Skill]) -> set[str]:
+    """Skills of ``catalog`` that ``course`` names; see ``_PhraseIndex.match``."""
+    return _PhraseIndex.from_catalog(catalog).match(course)
 
 
 def apply_skill_matching(courses: Sequence[Course], catalog: Sequence[Skill],
@@ -249,7 +284,10 @@ def apply_skill_matching(courses: Sequence[Course], catalog: Sequence[Skill],
             if cid not in known:
                 raise IngestError(f"pre-matched course {cid!r} not in course file")
         return [c.with_skills(by_course.get(c.id, set())) for c in courses]
-    return [c.with_skills(match_course_skills(c, catalog)) for c in courses]
+    if not courses:
+        return []
+    index = _PhraseIndex.from_catalog(catalog)
+    return [c.with_skills(index.match(c)) for c in courses]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,14 @@ tokens. Corpus statistics (N, document frequencies, average length) are
 computed per community, so identical names in different communities never
 link. Kept links are the per-source top-k positive scores, renormalized to
 sum to 1.
+
+Scoring goes through an inverted index (Robertson & Zaragoza, "The
+Probabilistic Relevance Framework: BM25 and Beyond", 2009): each community
+maps a token to the members whose names hold it, and a source is scored only
+against the members that share a token with it. Skipping the rest changes
+nothing: BM25 adds a term only for a query token the document holds, so a
+pair that shares no token scores exactly 0, and a zero score is never kept.
+Every idf is positive, so each pair that shares a token scores above 0.
 """
 from __future__ import annotations
 
@@ -13,6 +21,7 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -35,6 +44,10 @@ class SkillDocument:
     @property
     def length(self) -> int:
         return len(self.tokens)
+
+    @cached_property
+    def term_counts(self) -> Counter[str]:
+        return Counter(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -67,7 +80,7 @@ class CorpusStats:
 def bm25(query: Sequence[str], doc: SkillDocument, stats: CorpusStats,
          params: Bm25Params = Bm25Params()) -> float:
     """Okapi score with the +1-inside-log idf, so results are never negative."""
-    tf = Counter(doc.tokens)
+    tf = doc.term_counts
     norm = params.k1 * (1.0 - params.b + params.b * doc.length / stats.avgdl)
     score = 0.0
     for token in query:
@@ -98,7 +111,8 @@ def link_skills(g: HeteroGraph, communities: Mapping[str, int],
                 ) -> tuple[HeteroGraph, list[LinkRecord]]:
     """Return a copy of ``g`` with linked edges added, plus the kept links.
 
-    Self-links are forbidden and cross-community pairs are never scored.
+    Self-links are forbidden, and only same-community pairs that share a
+    token are scored.
     """
     if top_k < 1:
         raise GraphError(f"top_k must be >= 1, got {top_k!r}")
@@ -117,12 +131,16 @@ def link_skills(g: HeteroGraph, communities: Mapping[str, int],
             continue
         docs = {sid: SkillDocument(sid, _skill_tokens(g, sid)) for sid in members}
         stats = CorpusStats.from_documents([docs[sid] for sid in members])
+        postings: dict[str, list[str]] = {}
+        for sid in members:
+            for token in docs[sid].term_counts:
+                postings.setdefault(token, []).append(sid)
         for source in members:
             query = docs[source].tokens
+            targets = {t for token in docs[source].term_counts for t in postings[token]}
+            targets.discard(source)
             scored = []
-            for target in members:
-                if target == source:
-                    continue
+            for target in targets:
                 raw = bm25(query, docs[target], stats, params)
                 if raw > 0.0:
                     scored.append((-raw, target))

@@ -138,13 +138,17 @@ def write_judgments(path: str | Path, judgments: Mapping[str, Mapping[str, bool]
 
 
 def load_runs(path: str | Path) -> dict[str, list[str]]:
-    """Combined run file: CSV ``query_id,rank,node_id,score``, ranks 1-based."""
+    """Combined run file: CSV ``query_id,rank,node_id,score``, ranks 1-based.
+
+    Scores must be finite numbers that never rise as the rank gets worse
+    within a query (ties are allowed).
+    """
     text = Path(path).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != ["query_id", "rank", "node_id", "score"]:
         raise EvalError(f"{path}: bad header {header!r}")
-    staged: dict[str, list[tuple[int, str]]] = {}
+    staged: dict[str, list[tuple[int, str, float, int]]] = {}
     seen: set[tuple[str, str]] = set()
     for i, row in enumerate(reader, start=1):
         if len(row) != 4:
@@ -153,27 +157,27 @@ def load_runs(path: str | Path) -> dict[str, list[str]]:
             rank = int(row[1])
         except ValueError:
             raise EvalError(f"{path}: row {i}: bad rank {row[1]!r}") from None
+        try:
+            score = float(row[3])
+        except ValueError:
+            raise EvalError(f"{path}: row {i}: bad score {row[3]!r}") from None
+        if not math.isfinite(score):
+            raise EvalError(f"{path}: row {i}: score {row[3]!r} is not finite")
         if (row[0], row[2]) in seen:
             raise EvalError(f"{path}: row {i}: node {row[2]!r} is ranked twice for query {row[0]!r}")
         seen.add((row[0], row[2]))
-        staged.setdefault(row[0], []).append((rank, row[2]))
+        staged.setdefault(row[0], []).append((rank, row[2], score, i))
     out: dict[str, list[str]] = {}
-    for query, pairs in staged.items():
-        pairs.sort()
-        if [rank for rank, _ in pairs] != list(range(1, len(pairs) + 1)):
-            raise EvalError(f"run for query {query!r} has gaps or duplicate ranks")
-        out[query] = [node_id for _rank, node_id in pairs]
+    for query, entries in staged.items():
+        entries.sort()
+        if [rank for rank, *_ in entries] != list(range(1, len(entries) + 1)):
+            raise EvalError(f"{path}: run for query {query!r} has gaps or duplicate ranks")
+        for (_, _, above, _), (rank, _, score, row) in zip(entries, entries[1:]):
+            if score > above:
+                raise EvalError(f"{path}: row {row}: score {score!r} at rank {rank} of query "
+                                f"{query!r} rises above {above!r} at rank {rank - 1}")
+        out[query] = [node_id for _, node_id, _, _ in entries]
     return out
-
-
-def write_runs(path: str | Path, runs: Mapping[str, Sequence[tuple[str, float]]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["query_id", "rank", "node_id", "score"])
-    for query in sorted(runs):
-        for rank, (node_id, score) in enumerate(runs[query], start=1):
-            writer.writerow([query, rank, node_id, f"{score:.12g}"])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
 
 
 def judged_runs(rankings: Mapping[str, Sequence[str]],

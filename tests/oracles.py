@@ -11,7 +11,10 @@ import math
 
 import numpy as np
 
-from skillgraph.graph import HeteroGraph, Relation
+from skillgraph.errors import IngestError
+from skillgraph.graph import HeteroGraph, NodeKind, Relation
+from skillgraph.ingest import tokenize
+from skillgraph.linker import Bm25Params, CorpusStats, LinkRecord, SkillDocument, bm25
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +200,64 @@ def ref_scenario_scores(g: HeteroGraph, labels: dict[str, int], scenario: int,
         for course in taken:
             total.pop(course, None)
     return {node: score for node, score in total.items() if score > 0.0}
+
+
+# ---------------------------------------------------------------------------
+# course-skill matching and skill linking by exhaustive scans
+# ---------------------------------------------------------------------------
+
+def ref_match_course_skills(course, catalog) -> set[str]:
+    """Slide every catalog skill over the course's token stream, longest
+    phrase first (ties by id), claiming each free contiguous occurrence."""
+    if not catalog:
+        raise IngestError("skill catalog is empty")
+    stream = tokenize(course.name) + tokenize(course.description)
+    consumed = [False] * len(stream)
+    matched: set[str] = set()
+    for skill in sorted(catalog, key=lambda s: (-len(s.tokens), s.id)):
+        k = len(skill.tokens)
+        if k == 0 or k > len(stream):
+            continue
+        pattern = list(skill.tokens)
+        i = 0
+        while i + k <= len(stream):
+            if stream[i:i + k] == pattern and not any(consumed[i:i + k]):
+                consumed[i:i + k] = [True] * k
+                matched.add(skill.id)
+                i += k
+            else:
+                i += 1
+    return matched
+
+
+def ref_link_skills(g: HeteroGraph, communities: dict[str, int], params=None,
+                    top_k: int = 10) -> list:
+    """Score every ordered pair of distinct same-community skills with BM25
+    and keep each source's top-k positive scores, renormalised."""
+    params = params or Bm25Params()
+    by_community: dict[int, list[str]] = {}
+    for sid in g.node_ids(NodeKind.SKILL):
+        by_community.setdefault(communities[sid], []).append(sid)
+    records = []
+    for community in sorted(by_community):
+        members = by_community[community]
+        if len(members) < 2:
+            continue
+        docs = {sid: SkillDocument(sid, tuple(tokenize(g.node_name(sid)))) for sid in members}
+        stats = CorpusStats.from_documents([docs[sid] for sid in members])
+        for source in members:
+            scored = []
+            for target in members:
+                if target == source:
+                    continue
+                raw = bm25(docs[source].tokens, docs[target], stats, params)
+                if raw > 0.0:
+                    scored.append((-raw, target))
+            scored.sort()
+            kept = scored[:top_k]
+            total = sum(-neg for neg, _ in kept)
+            records.extend(LinkRecord(source, target, -neg, -neg / total) for neg, target in kept)
+    return records
 
 
 # ---------------------------------------------------------------------------

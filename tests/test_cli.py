@@ -72,7 +72,9 @@ class TestPipeline:
                          any(cid in truth[q] for cid in ranked))
             runs[query] = [(cid, 1.0 / (i + 1)) for i, cid in enumerate(ranked)]
         run_file = tmp_path / "runs.csv"
-        metrics.write_runs(run_file, runs)
+        run_file.write_text("query_id,rank,node_id,score\n" + "".join(
+            f"{query},{rank},{cid},{score!r}\n"
+            for query in sorted(runs) for rank, (cid, score) in enumerate(runs[query], start=1)))
         code, stdout, _ = run_cli(capsys, "evaluate", "--judgments",
                                   str(data / "ground_truth.csv"), "--runs", str(run_file),
                                   "--missing", "irrelevant", "--out", str(out))
@@ -195,6 +197,18 @@ class TestErrors:
         assert code == 1
         assert "MAP" not in stdout
         assert "node 'C1' is ranked twice for query 'q'" in err
+        assert not (tmp_path / "out" / "metrics.json").exists()
+
+    def test_evaluate_score_rising_with_rank_exits_one(self, tmp_path, capsys):
+        judgments = tmp_path / "truth.csv"
+        judgments.write_text("query_id,node_id,relevant\nq,C1,1\nq,C2,0\n")
+        runs = tmp_path / "runs.csv"
+        runs.write_text("query_id,rank,node_id,score\nq,1,C1,0.5\nq,2,C2,0.9\n")
+        code, stdout, err = run_cli(capsys, "evaluate", "--judgments", str(judgments),
+                                    "--runs", str(runs), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "MAP" not in stdout
+        assert "runs.csv: row 2: score 0.9 at rank 2 of query 'q' rises above 0.5" in err
         assert not (tmp_path / "out" / "metrics.json").exists()
 
     def test_negative_top_exits_one(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from skillgraph.ingest import (Course, EnrollmentRecord, Job, Skill, apply_skill
                                load_jobs, load_skills, match_course_skills, tokenize,
                                write_course_skills, write_courses, write_enrollments,
                                write_jobs, write_skills)
+
+from oracles import ref_match_course_skills
 
 
 def test_tokenize_strips_punctuation_and_case():
@@ -139,6 +143,70 @@ class TestMatchCourseSkills:
     def test_empty_catalog_rejected(self):
         with pytest.raises(IngestError):
             match_course_skills(Course(id="C1", name="x", description=""), [])
+
+
+class TestMatcherOracle:
+    """The phrase index claims exactly what sliding every skill would claim."""
+
+    VOCAB = ("a", "b", "c", "d")
+    EMPTY_NAMES = ("", "--", "  _ ")
+
+    def random_catalog(self, rng):
+        catalog = []
+        for i in range(rng.randint(1, 9)):
+            if rng.random() < 0.1:
+                name = rng.choice(self.EMPTY_NAMES)
+            elif catalog and rng.random() < 0.2:
+                name = rng.choice(catalog).name  # a second id with the same name
+            else:
+                name = " ".join(rng.choice(self.VOCAB) for _ in range(rng.randint(1, 4)))
+            sid = f"SK{rng.randint(0, i):02d}" if rng.random() < 0.05 else f"SK{i:02d}"
+            catalog.append(Skill.from_name(sid, name))
+        rng.shuffle(catalog)
+        return catalog
+
+    def random_course(self, rng, cid="C1"):
+        words = [rng.choice(self.VOCAB + ("x",)) for _ in range(rng.randint(0, 14))]
+        cut = rng.randint(0, len(words))
+        return Course(id=cid, name=" ".join(words[:cut]), description=" ".join(words[cut:]))
+
+    def test_random_catalogs_match_oracle(self):
+        rng = random.Random(20240601)
+        for _ in range(3000):
+            catalog = self.random_catalog(rng)
+            course = self.random_course(rng)
+            assert match_course_skills(course, catalog) == \
+                ref_match_course_skills(course, catalog), (course, catalog)
+
+    def test_apply_skill_matching_matches_oracle_per_course(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            catalog = self.random_catalog(rng)
+            courses = [self.random_course(rng, f"C{i}") for i in range(6)]
+            matched = apply_skill_matching(courses, catalog)
+            assert [c.skills for c in matched] == \
+                [frozenset(ref_match_course_skills(c, catalog)) for c in courses]
+
+    @pytest.mark.parametrize("names, text", [
+        (["a a"], "a a a"),
+        (["a a", "a a a"], "a a a a"),
+        (["a b", "b c", "a b c d"], "a b c a b c d"),
+        (["a", "a"], "b a"),
+        (["a b", "a", "", "--"], "a b a"),
+        (["d c b a", "c b", "b a", "a"], "d c b a c b a"),
+    ])
+    def test_overlap_and_duplicate_name_cases(self, names, text):
+        catalog = [Skill.from_name(f"SK{i}", name) for i, name in enumerate(names)]
+        course = Course(id="C1", name="", description=text)
+        assert match_course_skills(course, catalog) == ref_match_course_skills(course, catalog)
+
+    def test_same_name_goes_to_lowest_id(self):
+        catalog = [Skill.from_name("SK2", "a a"), Skill.from_name("SK1", "a a")]
+        course = Course(id="C1", name="a a a", description="")
+        assert match_course_skills(course, catalog) == {"SK1"}
+
+    def test_empty_courses_skip_catalog_check(self):
+        assert apply_skill_matching([], []) == []
 
 
 def test_apply_skill_matching_pre_matched(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,12 @@ from hypothesis import strategies as st
 
 from skillgraph.errors import GraphError
 from skillgraph.graph import HeteroGraph, NodeKind, Relation
+from skillgraph import linker
+from skillgraph.ingest import tokenize
 from skillgraph.linker import (Bm25Params, CorpusStats, SkillDocument, bm25, link_skills,
                                write_link_dump)
+
+from oracles import ref_link_skills
 
 
 def doc(skill, text):
@@ -139,3 +144,80 @@ class TestLinkSkills:
         lines = p.read_text().splitlines()
         assert lines[0] == "source,target,raw_bm25,weight"
         assert len(lines) == 3
+
+
+def random_skill_graph(rng):
+    """Skills named from a small vocabulary, so tokens repeat inside and
+    across communities, with some singleton communities."""
+    vocab = ("data", "sql", "mining", "graph", "stream", "cloud")
+    n = rng.randint(1, 14)
+    names = [" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 3))) for _ in range(n)]
+    g = HeteroGraph()
+    labels = {}
+    for i, name in enumerate(names):
+        sid = f"S{i:02d}"
+        g.add_node(sid, NodeKind.SKILL, name=name)
+        labels[sid] = rng.randint(0, 3) if rng.random() < 0.8 else 10 + i
+    return g, labels
+
+
+def linked_rows(g):
+    return sorted((e.source, e.target, e.weight) for e in g.edges()
+                  if e.relation is Relation.LINKED)
+
+
+class TestLinkOracle:
+    """Postings-restricted scoring keeps exactly the all-pairs links."""
+
+    def test_random_graphs_match_oracle(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            g, labels = random_skill_graph(rng)
+            params = Bm25Params(k1=rng.choice((0.0, 1.2, 2.0)), b=rng.choice((0.0, 0.75, 1.0)))
+            top_k = rng.randint(1, 4)
+            linked, records = link_skills(g, labels, params, top_k)
+            expected = ref_link_skills(g, labels, params, top_k)
+            assert records == expected
+            assert [(r.raw_score, r.weight) for r in records] == \
+                [(r.raw_score, r.weight) for r in expected]
+            assert linked_rows(linked) == sorted((r.source, r.target, r.weight) for r in expected)
+
+    def test_tied_scores_at_the_top_k_cut(self):
+        # every target shares only "sql" with the source, so all four tie
+        names = ["sql", "sql alpha", "sql beta", "sql gamma", "sql delta"]
+        g = HeteroGraph()
+        for i, name in enumerate(names):
+            g.add_node(f"S{i}", NodeKind.SKILL, name=name)
+        labels = {f"S{i}": 0 for i in range(len(names))}
+        _linked, records = link_skills(g, labels, top_k=2)
+        assert records == ref_link_skills(g, labels, top_k=2)
+        kept = [r for r in records if r.source == "S0"]
+        assert [r.target for r in kept] == ["S1", "S2"]
+        assert kept[0].raw_score == kept[1].raw_score
+
+    def test_shared_token_across_communities_does_not_link(self):
+        g = HeteroGraph()
+        for sid, name in (("S1", "data mining"), ("S2", "data lakes"), ("S3", "sql")):
+            g.add_node(sid, NodeKind.SKILL, name=name)
+        labels = {"S1": 0, "S2": 1, "S3": 1}
+        _linked, records = link_skills(g, labels)
+        assert records == [] == ref_link_skills(g, labels)
+
+
+def test_bm25_runs_once_per_same_community_pair_sharing_a_token(monkeypatch):
+    rng = random.Random(5)
+    original = linker.bm25
+    for _ in range(50):
+        g, labels = random_skill_graph(rng)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(linker, "bm25", counting)
+        link_skills(g, labels)
+        tokens = {sid: set(tokenize(g.node_name(sid))) for sid in labels}
+        expected = sum(1 for s in labels for t in labels
+                       if s != t and labels[s] == labels[t] and tokens[s] & tokens[t])
+        assert len(calls) == expected

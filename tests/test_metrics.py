@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -9,11 +11,22 @@ from skillgraph.errors import EvalError
 from skillgraph.ingest import Course, Job, Skill
 from skillgraph.metrics import (JudgedRun, average_precision, baseline_vector_space,
                                 judged_runs, load_judgments, load_runs, metric_report,
-                                precision, precision_at, write_judgments, write_runs)
+                                precision, precision_at, write_judgments)
 
 from oracles import ref_average_precision, ref_precision, ref_precision_at
 
 FIXTURES = json.loads((Path(__file__).parent / "data" / "metric_fixtures.json").read_text())
+
+
+def write_runs(path, runs):
+    """Write ``{query: [(node_id, score), ...]}`` as a run file, ranks in list order."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["query_id", "rank", "node_id", "score"])
+    for query in sorted(runs):
+        for rank, (node_id, score) in enumerate(runs[query], start=1):
+            writer.writerow([query, rank, node_id, f"{score:.12g}"])
+    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
 
 
 def run_from_flags(flags, extra_relevant=0, query="q"):
@@ -137,7 +150,7 @@ class TestJudgmentFiles:
     def test_rank_gaps_rejected(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("query_id,rank,node_id,score\nq,1,a,1\nq,3,b,0.5\n")
-        with pytest.raises(EvalError, match="gaps"):
+        with pytest.raises(EvalError, match=r"r\.csv: run for query .q. has gaps"):
             load_runs(p)
 
     def test_repeated_judgment_rejected(self, tmp_path):
@@ -151,6 +164,37 @@ class TestJudgmentFiles:
         p.write_text("query_id,rank,node_id,score\nq,1,a,1\nq,2,a,0.5\n")
         with pytest.raises(EvalError, match=r"r\.csv: row 2: node 'a' is ranked twice for query 'q'"):
             load_runs(p)
+
+    def test_tied_scores_accepted(self, tmp_path):
+        p = tmp_path / "r.csv"
+        write_runs(p, {"q": [("a", 0.5), ("b", 0.5), ("c", -1.0)]})
+        assert load_runs(p) == {"q": ["a", "b", "c"]}
+
+    @pytest.mark.parametrize("score, message", [
+        ("abc", r"r\.csv: row 2: bad score 'abc'"),
+        ("", r"r\.csv: row 2: bad score ''"),
+        ("nan", r"r\.csv: row 2: score 'nan' is not finite"),
+        ("-inf", r"r\.csv: row 2: score '-inf' is not finite"),
+    ])
+    def test_bad_score_rejected(self, tmp_path, score, message):
+        p = tmp_path / "r.csv"
+        p.write_text(f"query_id,rank,node_id,score\nq,1,a,1\nq,2,b,{score}\n")
+        with pytest.raises(EvalError, match=message):
+            load_runs(p)
+
+    def test_score_rising_with_rank_rejected(self, tmp_path):
+        # rows out of rank order: the offending row is the one at rank 3
+        p = tmp_path / "r.csv"
+        p.write_text("query_id,rank,node_id,score\nq,3,c,0.7\nq,1,a,0.9\nq,2,b,0.5\n"
+                     "z,1,a,0.1\n")
+        with pytest.raises(EvalError, match=r"r\.csv: row 1: score 0\.7 at rank 3 of query "
+                                             r"'q' rises above 0\.5 at rank 2"):
+            load_runs(p)
+
+    def test_scores_compared_within_one_query_only(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("query_id,rank,node_id,score\nq,1,a,0.1\nz,1,a,9\nz,2,b,0.2\n")
+        assert load_runs(p) == {"q": ["a"], "z": ["a", "b"]}
 
     def test_judged_runs_missing_policies(self):
         rankings = {"q": ["a", "b"]}
