@@ -62,13 +62,22 @@ def _stationary(n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray,
     return visit
 
 
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> tuple:
+    """``(ptr, idx, val)`` of the entries grouped by row, columns ascending."""
+    order = np.lexsort((cols, rows))
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    ptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
+    return ptr, cols[order], vals[order]
+
+
 class FlowGraph:
     """Array bundle consumed by the kernels.
 
     Units are graph nodes at level 0 and supernodes after aggregation; every
     unit carries its visit rate, teleport mass, and original-node count, and
     sparse inter-unit flows exclude nothing (self-flows stay, they are simply
-    never counted as exits).
+    never counted as exits). ``module_state`` sums them per module of a
+    labelling, for the codelength, the move sweep and ``aggregate`` alike.
     """
 
     def __init__(self, ids: list[str], visit: np.ndarray, tele: np.ndarray,
@@ -84,21 +93,8 @@ class FlowGraph:
         self.n_orig = n_orig
         self.node_plogp_sum = node_plogp_sum
         self.n_units = visit.shape[0]
-        order_out = np.lexsort((edst, esrc))
-        self.out_idx = edst[order_out]
-        self.out_flow = eflow[order_out]
-        self.out_ptr = np.zeros(self.n_units + 1, dtype=np.int64)
-        np.add.at(self.out_ptr[1:], esrc, 1)
-        np.cumsum(self.out_ptr, out=self.out_ptr)
-        order_in = np.lexsort((esrc, edst))
-        self.in_idx = esrc[order_in]
-        self.in_flow = eflow[order_in]
-        self.in_ptr = np.zeros(self.n_units + 1, dtype=np.int64)
-        np.add.at(self.in_ptr[1:], edst, 1)
-        np.cumsum(self.in_ptr, out=self.in_ptr)
-        not_self = esrc != edst
-        self.sout = np.bincount(esrc[not_self], weights=eflow[not_self],
-                                minlength=self.n_units)
+        self.out_ptr, self.out_idx, self.out_flow = _csr(esrc, edst, eflow, self.n_units)
+        self.in_ptr, self.in_idx, self.in_flow = _csr(edst, esrc, eflow, self.n_units)
 
     @classmethod
     def from_graph(cls, g: HeteroGraph, teleport: float,
@@ -119,35 +115,34 @@ class FlowGraph:
         return cls(index.ids, visit, tele, np.ones(index.n, dtype=np.float64),
                    src[keep], dst[keep], eflow[keep], index.n, node_plogp_sum)
 
-    def partition_cost(self, labels: np.ndarray) -> float:
-        labels = np.asarray(labels, dtype=np.int64)
-        return float(kernels.partition_cost(
-            labels, self.visit, self.tele, self.size, self.esrc, self.edst,
-            self.eflow, float(self.n_orig), self.node_plogp_sum))
-
-    def aggregate(self, labels: np.ndarray, k: int) -> "FlowGraph":
-        labels = np.asarray(labels, dtype=np.int64)
+    def module_state(self, labels: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+        """Fresh per-module ``(visit, tele, size, cross_flow, exit_rate)`` of int64
+        ``labels`` over module ids ``[0, k)``; an id no unit carries gets zeros."""
         visit = np.bincount(labels, weights=self.visit, minlength=k)
         tele = np.bincount(labels, weights=self.tele, minlength=k)
         size = np.bincount(labels, weights=self.size, minlength=k)
+        lsrc = labels[self.esrc]
+        cross = lsrc != labels[self.edst]
+        cross_flow = np.bincount(lsrc[cross], weights=self.eflow[cross], minlength=k)
+        exit_rate = tele * (self.n_orig - size) / self.n_orig + cross_flow
+        return visit, tele, size, cross_flow, exit_rate
+
+    def partition_cost(self, labels: np.ndarray) -> float:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.size == 0:
+            return 0.0
+        state = self.module_state(labels, int(labels.max()) + 1)
+        return float(kernels.partition_cost(state[0], state[4], self.node_plogp_sum))
+
+    def aggregate(self, labels: np.ndarray, k: int) -> "FlowGraph":
+        labels = np.asarray(labels, dtype=np.int64)
+        visit, tele, size, _cross, _exit = self.module_state(labels, k)
         keys = labels[self.esrc] * k + labels[self.edst]
         ukeys, inverse = np.unique(keys, return_inverse=True)
         flow = np.bincount(inverse, weights=self.eflow, minlength=ukeys.size)
         return FlowGraph([f"unit{i}" for i in range(k)], visit, tele, size,
                          (ukeys // k).astype(np.int64), (ukeys % k).astype(np.int64),
                          flow, self.n_orig, self.node_plogp_sum)
-
-    def singleton_module_state(self) -> dict:
-        """Aggregate arrays for the all-singletons labeling."""
-        mod_exit = self.tele * (self.n_orig - self.size) / self.n_orig + self.sout
-        return {
-            "mod_visit": self.visit.copy(),
-            "mod_tele": self.tele.copy(),
-            "mod_size": self.size.copy(),
-            "mod_cross": self.sout.copy(),
-            "mod_exit": mod_exit,
-            "exit_sum": float(mod_exit.sum()),
-        }
 
 
 def stationary_distribution(g: HeteroGraph, teleport: float = DEFAULT_TELEPORT,
@@ -169,9 +164,7 @@ def _labels_array(g: HeteroGraph, assignment: Mapping[str, int]) -> np.ndarray:
     missing = [i for i in ids if i not in assignment]
     if missing:
         raise CommunityError(f"assignment misses {len(missing)} nodes, e.g. {missing[0]!r}")
-    raw = np.asarray([assignment[i] for i in ids], dtype=np.int64)
-    _, dense = np.unique(raw, return_inverse=True)
-    return dense.astype(np.int64)
+    return _renumber(np.asarray([assignment[i] for i in ids], dtype=np.int64))[0]
 
 
 def map_equation(g: HeteroGraph, flow: FlowModel, assignment: Mapping[str, int]) -> float:
@@ -192,21 +185,22 @@ def _renumber(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return dense.astype(np.int64), int(dense.max()) + 1 if dense.size else 0
 
 
-def _sweep_to_convergence(fg: FlowGraph, labels: np.ndarray,
-                          rng: np.random.Generator, tracked: float) -> float:
-    state = fg.singleton_module_state()
-    exit_sum = state["exit_sum"]
+def _sweep_to_convergence(fg: FlowGraph, rng: np.random.Generator,
+                          tracked: float) -> tuple[np.ndarray, float]:
+    """Sweep from singletons until quiet; return the labels and the tracked cost."""
+    labels = np.arange(fg.n_units, dtype=np.int64)
+    state = fg.module_state(labels, fg.n_units)
+    sout = state[3].copy()  # each unit's own exit flow, fixed through the sweeps
+    exit_sum = float(state[4].sum())
     for _sweep in range(_MAX_SWEEPS):
         order = rng.permutation(fg.n_units).astype(np.int64)
         moves, delta, exit_sum = kernels.local_move_pass(
-            order, labels, fg.visit, fg.tele, fg.size, fg.sout,
+            order, labels, fg.visit, fg.tele, fg.size, sout,
             fg.out_ptr, fg.out_idx, fg.out_flow, fg.in_ptr, fg.in_idx, fg.in_flow,
-            state["mod_visit"], state["mod_tele"], state["mod_size"],
-            state["mod_cross"], state["mod_exit"], exit_sum,
-            float(fg.n_orig), MOVE_EPS)
+            *state, exit_sum, float(fg.n_orig), MOVE_EPS)
         tracked += delta
         if moves == 0:
-            return tracked
+            return labels, tracked
     raise CommunityError("local moves failed to converge")  # pragma: no cover
 
 
@@ -220,15 +214,15 @@ def detect_communities(g: HeteroGraph, seed: int = 0,
     sweep order comes from a seeded generator, zero-gain moves are rejected,
     and gain ties resolve to the lowest community index.
     """
+    if seed < 0:
+        raise CommunityError(f"seed {seed!r} must be >= 0")
     fg = FlowGraph.from_graph(g, teleport)
-    labels = np.arange(fg.n_units, dtype=np.int64)
-    tracked = fg.partition_cost(labels)
+    final = np.arange(fg.n_units, dtype=np.int64)
+    tracked = fg.partition_cost(final)
     rng = np.random.default_rng(seed)
     level = fg
-    final = np.arange(fg.n_units, dtype=np.int64)
     while True:
-        labels = np.arange(level.n_units, dtype=np.int64)
-        tracked = _sweep_to_convergence(level, labels, rng, tracked)
+        labels, tracked = _sweep_to_convergence(level, rng, tracked)
         dense, k = _renumber(labels)
         final = dense[final]
         if k == level.n_units:
@@ -285,27 +279,19 @@ def merge_partitions(edu_part: CommunityPartition, edu_graph: HeteroGraph,
             continue
         edu_final[e] = car_final[c] = next_label
         next_label += 1
-    for e in range(edu_part.num_communities):
-        if e not in edu_final:
-            edu_final[e] = next_label
-            next_label += 1
-    for c in range(car_part.num_communities):
-        if c not in car_final:
-            car_final[c] = next_label
-            next_label += 1
     labels: dict[str, int] = {}
-    for node_id in edu_graph.node_ids():
-        final = edu_final[edu_part.assignment[node_id]]
-        if edu_graph.node_kind(node_id) is NodeKind.SKILL:
-            labels.setdefault(skill_identity(edu_graph.node_name(node_id)), final)
-        else:
-            labels[node_id] = final
-    for node_id in car_graph.node_ids():
-        final = car_final[car_part.assignment[node_id]]
-        if car_graph.node_kind(node_id) is NodeKind.SKILL:
-            labels.setdefault(skill_identity(car_graph.node_name(node_id)), final)
-        else:
-            labels[node_id] = final
+    for part, g, final in ((edu_part, edu_graph, edu_final),
+                           (car_part, car_graph, car_final)):
+        for m in range(part.num_communities):
+            if m not in final:
+                final[m] = next_label
+                next_label += 1
+        for node_id in g.node_ids():
+            label = final[part.assignment[node_id]]
+            if g.node_kind(node_id) is NodeKind.SKILL:
+                labels.setdefault(skill_identity(g.node_name(node_id)), label)
+            else:
+                labels[node_id] = label
     return labels
 
 

@@ -6,6 +6,7 @@ the ``SKILLGRAPH_CONFIG`` environment variable when set.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -37,12 +38,14 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.teleport < 1.0:
             raise ConfigError(f"teleport {self.teleport!r} outside (0, 1)")
-        if self.bm25_k1 < 0.0:
-            raise ConfigError(f"bm25_k1 {self.bm25_k1!r} must be >= 0")
+        if not 0.0 <= self.bm25_k1 < math.inf:
+            raise ConfigError(f"bm25_k1 {self.bm25_k1!r} must be finite and >= 0")
         if not 0.0 <= self.bm25_b <= 1.0:
             raise ConfigError(f"bm25_b {self.bm25_b!r} outside [0, 1]")
         if self.link_top_k < 1:
             raise ConfigError(f"link_top_k {self.link_top_k!r} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed!r} must be >= 0")
         if self.prereq_depth < 0:
             raise ConfigError(f"prereq_depth {self.prereq_depth!r} must be >= 0")
 

@@ -4,7 +4,7 @@ Everything here works on plain int64/float64 arrays; graph/flow objects are
 flattened by their owners before calling in. The four kernels:
 
 * ``power_iterate``     -- teleporting random-walk stationary distribution
-* ``partition_cost``    -- two-level codebook description length of a labeling
+* ``partition_cost``    -- two-level codebook length from per-module visit/exit rates
 * ``local_move_pass``   -- one greedy sweep of single-unit community moves
 * ``propagate_step``    -- one meta-path hop (weighted scatter-add, ungated)
 
@@ -44,25 +44,14 @@ def power_iterate(esrc, edst, eweight, dangling, n, teleport, tol, max_iter):
     return p, max_iter, resid
 
 
-def partition_cost(labels, visit, tele, size, esrc, edst, eflow,
-                   n_orig, node_plogp_sum):
-    k = int(labels.max()) + 1 if labels.size else 0
-    if k == 0:
-        return 0.0
-    mod_visit = np.bincount(labels, weights=visit, minlength=k)
-    mod_tele = np.bincount(labels, weights=tele, minlength=k)
-    mod_size = np.bincount(labels, weights=size, minlength=k)
-    lsrc = labels[esrc]
-    cross = lsrc != labels[edst]
-    mod_cross = np.bincount(lsrc[cross], weights=eflow[cross], minlength=k)
-    q = mod_tele * (n_orig - mod_size) / n_orig + mod_cross
-    q_sum = float(q.sum())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp_q = np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
-        p_mod = q + mod_visit
-        plogp_p = np.where(p_mod > 0.0, p_mod * np.log2(np.where(p_mod > 0.0, p_mod, 1.0)), 0.0)
-    return (_plogp(q_sum) - 2.0 * float(plogp_q.sum())
-            + float(plogp_p.sum()) - node_plogp_sum)
+def _plogp_sum(x):
+    """Sum of ``x log2 x`` over an array, with ``0 log 0 = 0``."""
+    return float(np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0).sum())
+
+
+def partition_cost(mod_visit, mod_exit, node_plogp_sum):
+    return (_plogp(float(mod_exit.sum())) - 2.0 * _plogp_sum(mod_exit)
+            + _plogp_sum(mod_exit + mod_visit) - node_plogp_sum)
 
 
 def propagate_step(scores, esrc, edst, eweight, n):

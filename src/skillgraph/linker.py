@@ -56,8 +56,8 @@ class Bm25Params:
     b: float = 0.75
 
     def __post_init__(self) -> None:
-        if self.k1 < 0.0:
-            raise GraphError(f"k1 must be >= 0, got {self.k1!r}")
+        if not 0.0 <= self.k1 < math.inf:
+            raise GraphError(f"k1 must be finite and >= 0, got {self.k1!r}")
         if not 0.0 <= self.b <= 1.0:
             raise GraphError(f"b must be in [0, 1], got {self.b!r}")
 

@@ -72,6 +72,8 @@ def generate_synthetic_corpus(seed: int, n_jobs: int, n_courses: int, n_skills: 
                               alignment: float, out_dir: str | Path,
                               n_topics: int | None = None) -> SynthCorpus:
     """Write courses/jobs/skills/enrollments plus ground truth; return records."""
+    if seed < 0:
+        raise EvalError(f"seed {seed!r} must be >= 0")
     if min(n_jobs, n_courses, n_skills) < 1:
         raise EvalError("corpus sizes must be >= 1")
     if not 0.0 <= alignment <= 1.0:

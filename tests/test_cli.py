@@ -136,6 +136,30 @@ class TestErrors:
         assert stdout == ""
         assert message in err
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["link", "--k1", "nan"], "", "bm25_k1 nan must be finite and >= 0"),
+        (["link", "--k1", "inf"], "", "bm25_k1 inf must be finite and >= 0"),
+        (["link"], "bm25_k1 = nan\n", "bm25_k1 nan must be finite and >= 0"),
+        (["communities", "--seed", "-1"], "", "seed -1 must be >= 0"),
+        (["communities"], "seed = -2\n", "seed -2 must be >= 0"),
+    ])
+    def test_bad_parameter_exits_one(self, tmp_path, capsys, argv, config, message):
+        cfg_file = tmp_path / "cfg"
+        cfg_file.write_text(config)
+        code, stdout, err = run_cli(capsys, *argv, "--config", str(cfg_file),
+                                    "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert stdout == ""
+        assert message in err
+
+    def test_negative_synth_seed_exits_one(self, tmp_path, capsys):
+        code, stdout, err = run_cli(capsys, "synth", "--seed", "-1",
+                                    "--out", str(tmp_path / "data"))
+        assert code == 1
+        assert stdout == ""
+        assert "seed -1 must be >= 0" in err
+        assert not (tmp_path / "data").exists()
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1

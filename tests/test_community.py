@@ -136,6 +136,66 @@ class TestMapEquation:
             map_equation(g, flow, {"a": 0})
 
 
+def loop_module_state(fg, labels, k):
+    """Per-module sums by a plain loop over the units and the edges."""
+    visit, tele, size, cross = ([0.0] * k for _ in range(4))
+    for u in range(fg.n_units):
+        visit[labels[u]] += fg.visit[u]
+        tele[labels[u]] += fg.tele[u]
+        size[labels[u]] += fg.size[u]
+    for src, dst, flow in zip(fg.esrc, fg.edst, fg.eflow):
+        if labels[src] != labels[dst]:
+            cross[labels[src]] += flow
+    exit_rate = [tele[m] * (fg.n_orig - size[m]) / fg.n_orig + cross[m] for m in range(k)]
+    return visit, tele, size, cross, exit_rate
+
+
+class TestModuleState:
+    def test_matches_loop_with_unused_label_ids(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            g, _ = random_hetero_graph(rng)
+            fg = FlowGraph.from_graph(g, 0.15)
+            # more ids than units, so some ids carry no unit
+            k = fg.n_units + int(rng.integers(1, 4))
+            labels = rng.integers(0, k, size=fg.n_units).astype(np.int64)
+            state = fg.module_state(labels, k)
+            expected = loop_module_state(fg, labels, k)
+            assert len(state) == 5
+            for got, want in zip(state, expected):
+                assert got.shape == (k,)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            unused = np.setdiff1d(np.arange(k), labels)
+            assert unused.size > 0
+            for got in state:
+                assert not got[unused].any()
+
+    def test_singleton_state_is_fresh(self):
+        g, _ = random_hetero_graph(np.random.default_rng(3))
+        fg = FlowGraph.from_graph(g, 0.15)
+        visit, tele, size, _cross, _exit = fg.module_state(
+            np.arange(fg.n_units, dtype=np.int64), fg.n_units)
+        np.testing.assert_array_equal(visit, fg.visit)
+        np.testing.assert_array_equal(tele, fg.tele)
+        np.testing.assert_array_equal(size, fg.size)
+        for got, owned in ((visit, fg.visit), (tele, fg.tele), (size, fg.size)):
+            assert not np.shares_memory(got, owned)
+
+    def test_aggregated_cost_equals_labelled_cost(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            g, _ = random_hetero_graph(rng)
+            fg = FlowGraph.from_graph(g, 0.15)
+            raw = rng.integers(0, int(rng.integers(1, fg.n_units + 1)), size=fg.n_units)
+            _, dense = np.unique(raw, return_inverse=True)
+            dense = dense.astype(np.int64)
+            k = int(dense.max()) + 1
+            agg = fg.aggregate(dense, k)
+            assert agg.n_units == k
+            assert agg.partition_cost(np.arange(k, dtype=np.int64)) == pytest.approx(
+                fg.partition_cost(dense), abs=1e-12)
+
+
 class TestDetectCommunities:
     def test_clique_pair_splits_at_bridge(self):
         part = detect_communities(clique_pair_graph(), seed=0, teleport=0.15)
@@ -179,6 +239,10 @@ class TestDetectCommunities:
         for teleport in (0.0, 1.0, -0.1):
             with pytest.raises(CommunityError, match="outside"):
                 detect_communities(clique_pair_graph(), seed=0, teleport=teleport)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(CommunityError, match="seed -1 must be >= 0"):
+            detect_communities(clique_pair_graph(), seed=-1)
 
     def test_never_worse_than_trivial_partitions(self):
         # the all-in-one bound needs every node to carry sparse flow:

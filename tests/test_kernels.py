@@ -17,13 +17,11 @@ def flow_fixture(seed=0):
 
 def run_move_pass(move_pass, fg, order):
     labels = np.arange(fg.n_units, dtype=np.int64)
-    state = fg.singleton_module_state()
+    state = fg.module_state(labels, fg.n_units)
     moves, delta, exit_sum = move_pass(
-        order, labels, fg.visit, fg.tele, fg.size, fg.sout,
+        order, labels, fg.visit, fg.tele, fg.size, state[3].copy(),
         fg.out_ptr, fg.out_idx, fg.out_flow, fg.in_ptr, fg.in_idx, fg.in_flow,
-        state["mod_visit"], state["mod_tele"], state["mod_size"],
-        state["mod_cross"], state["mod_exit"], state["exit_sum"],
-        float(fg.n_orig), 1e-10)
+        *state, float(state[4].sum()), float(fg.n_orig), 1e-10)
     return moves, labels, delta, exit_sum
 
 

@@ -57,6 +57,11 @@ class TestBm25:
         with pytest.raises(GraphError):
             SkillDocument("s", ())
 
+    @pytest.mark.parametrize("k1", [math.nan, math.inf])
+    def test_non_finite_k1_rejected(self, k1):
+        with pytest.raises(GraphError, match="finite"):
+            Bm25Params(k1=k1)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(["sql", "python", "data", "etl"]), min_size=1, max_size=5),
            st.sampled_from(["spark", "hadoop", "graphs"]))
