@@ -2,7 +2,7 @@
 community-restricted meta-path ranking and an evaluation harness."""
 
 from .community import (CommunityPartition, FlowModel, compute_flow, detect_communities,
-                        map_equation, merge_partitions, stationary_distribution)
+                        map_equation, merge_partitions)
 from .errors import (CommunityError, ConfigError, EvalError, GraphError, IngestError,
                      QueryError, SkillGraphError)
 from .graph import (Edge, GraphStats, HeteroGraph, NodeKind, Relation,
@@ -32,5 +32,5 @@ __all__ = [
     "load_skills", "map_equation", "match_course_skills", "merge_graphs",
     "merge_partitions", "metric_report", "precision", "precision_at", "prereq_counts",
     "read_snapshot", "recommend", "resolve_job_query", "score_metapath", "skill_key",
-    "stationary_distribution", "tokenize", "write_snapshot",
+    "tokenize", "write_snapshot",
 ]

@@ -62,28 +62,34 @@ def _stationary(n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray,
     return visit
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> tuple:
-    """``(ptr, idx, val)`` of the entries grouped by row, columns ascending."""
-    order = np.lexsort((cols, rows))
+def _neighbours(esrc: np.ndarray, edst: np.ndarray, eflow: np.ndarray, n: int) -> tuple:
+    """``FlowGraph.nbr`` from COO flows in which no ``(src, dst)`` pair repeats."""
+    cross = esrc != edst
+    src, dst, flow = esrc[cross], edst[cross], eflow[cross]
+    keys, inverse = np.unique(np.concatenate((src * n + dst, dst * n + src)),
+                              return_inverse=True)
+    out = np.bincount(inverse[:src.size], weights=flow, minlength=keys.size)
+    inflow = np.bincount(inverse[src.size:], weights=flow, minlength=keys.size)
     ptr = np.zeros(n + 1, dtype=np.int64)
-    ptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
-    return ptr, cols[order], vals[order]
+    ptr[1:] = np.cumsum(np.bincount(keys // n, minlength=n))
+    return ptr, keys % n, out, inflow
 
 
 class FlowGraph:
     """Array bundle consumed by the kernels.
 
     Units are graph nodes at level 0 and supernodes after aggregation; every
-    unit carries its visit rate, teleport mass, and original-node count, and
-    sparse inter-unit flows exclude nothing (self-flows stay, they are simply
-    never counted as exits). ``module_state`` sums them per module of a
-    labelling, for the codelength, the move sweep and ``aggregate`` alike.
+    unit carries its visit rate, teleport mass, and original-node count. The
+    COO flows ``esrc/edst/eflow`` keep self-flows, never counted as exits, and
+    ``module_state`` sums them per module of a labelling. The move sweep walks
+    the neighbour list ``nbr = (ptr, idx, out, in)``: each unit's other units,
+    ascending and distinct, with the flow to and from each (0.0 where an edge
+    runs one way); self-flows are left out.
     """
 
-    def __init__(self, ids: list[str], visit: np.ndarray, tele: np.ndarray,
-                 size: np.ndarray, esrc: np.ndarray, edst: np.ndarray,
-                 eflow: np.ndarray, n_orig: int, node_plogp_sum: float) -> None:
-        self.ids = ids
+    def __init__(self, visit: np.ndarray, tele: np.ndarray, size: np.ndarray,
+                 esrc: np.ndarray, edst: np.ndarray, eflow: np.ndarray,
+                 n_orig: int, node_plogp_sum: float) -> None:
         self.visit = visit
         self.tele = tele
         self.size = size
@@ -93,8 +99,7 @@ class FlowGraph:
         self.n_orig = n_orig
         self.node_plogp_sum = node_plogp_sum
         self.n_units = visit.shape[0]
-        self.out_ptr, self.out_idx, self.out_flow = _csr(esrc, edst, eflow, self.n_units)
-        self.in_ptr, self.in_idx, self.in_flow = _csr(edst, esrc, eflow, self.n_units)
+        self.nbr = _neighbours(esrc, edst, eflow, self.n_units)
 
     @classmethod
     def from_graph(cls, g: HeteroGraph, teleport: float,
@@ -112,7 +117,7 @@ class FlowGraph:
         eflow = (1.0 - teleport) * visit[src] * wgt
         keep = eflow > 0.0
         node_plogp_sum = float(sum(kernels._plogp(v) for v in visit))
-        return cls(index.ids, visit, tele, np.ones(index.n, dtype=np.float64),
+        return cls(visit, tele, np.ones(index.n, dtype=np.float64),
                    src[keep], dst[keep], eflow[keep], index.n, node_plogp_sum)
 
     def module_state(self, labels: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
@@ -140,23 +145,17 @@ class FlowGraph:
         keys = labels[self.esrc] * k + labels[self.edst]
         ukeys, inverse = np.unique(keys, return_inverse=True)
         flow = np.bincount(inverse, weights=self.eflow, minlength=ukeys.size)
-        return FlowGraph([f"unit{i}" for i in range(k)], visit, tele, size,
-                         (ukeys // k).astype(np.int64), (ukeys % k).astype(np.int64),
-                         flow, self.n_orig, self.node_plogp_sum)
+        return FlowGraph(visit, tele, size, ukeys // k, ukeys % k, flow,
+                         self.n_orig, self.node_plogp_sum)
 
 
-def stationary_distribution(g: HeteroGraph, teleport: float = DEFAULT_TELEPORT,
-                            ) -> dict[str, float]:
+def compute_flow(g: HeteroGraph, teleport: float = DEFAULT_TELEPORT) -> FlowModel:
     """Visit rates of the teleporting walk, by power iteration (sums to 1)."""
     if g.num_nodes() == 0:
         raise CommunityError("graph is empty")
     index = GraphIndex(g)
     visit = _stationary(index.n, *index.combined_transition(), teleport)
-    return {node_id: float(p) for node_id, p in zip(index.ids, visit)}
-
-
-def compute_flow(g: HeteroGraph, teleport: float = DEFAULT_TELEPORT) -> FlowModel:
-    return FlowModel(visit_rate=stationary_distribution(g, teleport), teleport=teleport)
+    return FlowModel(visit_rate=dict(zip(index.ids, visit.tolist())), teleport=teleport)
 
 
 def _labels_array(g: HeteroGraph, assignment: Mapping[str, int]) -> np.ndarray:
@@ -190,14 +189,12 @@ def _sweep_to_convergence(fg: FlowGraph, rng: np.random.Generator,
     """Sweep from singletons until quiet; return the labels and the tracked cost."""
     labels = np.arange(fg.n_units, dtype=np.int64)
     state = fg.module_state(labels, fg.n_units)
-    sout = state[3].copy()  # each unit's own exit flow, fixed through the sweeps
     exit_sum = float(state[4].sum())
     for _sweep in range(_MAX_SWEEPS):
         order = rng.permutation(fg.n_units).astype(np.int64)
         moves, delta, exit_sum = kernels.local_move_pass(
-            order, labels, fg.visit, fg.tele, fg.size, sout,
-            fg.out_ptr, fg.out_idx, fg.out_flow, fg.in_ptr, fg.in_idx, fg.in_flow,
-            *state, exit_sum, float(fg.n_orig), MOVE_EPS)
+            order, labels, fg.visit, fg.tele, fg.size, *fg.nbr, *state,
+            exit_sum, float(fg.n_orig), MOVE_EPS)
         tracked += delta
         if moves == 0:
             return labels, tracked
@@ -235,7 +232,7 @@ def detect_communities(g: HeteroGraph, seed: int = 0,
     # canonical labels: first appearance over sorted node ids
     relabel: dict[int, int] = {}
     assignment: dict[str, int] = {}
-    for node_id, lab in zip(fg.ids, final):
+    for node_id, lab in zip(g.node_ids(), final):
         assignment[node_id] = relabel.setdefault(int(lab), len(relabel))
     return CommunityPartition(assignment=assignment,
                               description_length=float(recomputed),

@@ -288,6 +288,9 @@ def build_career_graph(jobs: Sequence[Job], aggregate_by_title: bool = False) ->
     ids = [j.id for j in jobs]
     if len(set(ids)) != len(ids):
         raise GraphError("duplicate job ids")
+    bare = next((j.id for j in jobs if not j.skills), None)
+    if bare is not None:
+        raise GraphError(f"job {bare!r} has no skills")
     g = HeteroGraph()
     if aggregate_by_title:
         groups: dict[str, list[Job]] = {}
@@ -308,8 +311,6 @@ def build_career_graph(jobs: Sequence[Job], aggregate_by_title: bool = False) ->
         return g
     for job in jobs:
         g.add_node(job.id, NodeKind.JOB, job.title)
-        if not job.skills:
-            raise GraphError(f"job {job.id!r} has no skills")
         d = len(job.skills)
         for sid in sorted(job.skills):
             g.add_node(sid, NodeKind.SKILL, sid)

@@ -61,8 +61,8 @@ def propagate_step(scores, esrc, edst, eweight, n):
 def _make_local_move_pass(plogp):
     """The move-sweep loop source, with ``plogp`` bound per build."""
 
-    def local_move_pass(order, labels, visit, tele, size, sout,
-                        out_ptr, out_idx, out_flow, in_ptr, in_idx, in_flow,
+    def local_move_pass(order, labels, visit, tele, size,
+                        nbr_ptr, nbr_idx, nbr_out, nbr_in,
                         mod_visit, mod_tele, mod_size, mod_cross, mod_exit,
                         exit_sum, n_orig, eps):
         n_units = labels.shape[0]
@@ -76,47 +76,26 @@ def _make_local_move_pass(plogp):
             u = order[oi]
             a = labels[u]
             ncand = 0
-            for e in range(out_ptr[u], out_ptr[u + 1]):
-                v = out_idx[e]
-                if v == u:
-                    continue
-                m = labels[v]
+            sout = 0.0  # the unit's own exit flow
+            for e in range(nbr_ptr[u], nbr_ptr[u + 1]):
+                m = labels[nbr_idx[e]]
                 if mark[m] != u:
                     mark[m] = u
                     conn_out[m] = 0.0
                     conn_in[m] = 0.0
                     cand[ncand] = m
                     ncand += 1
-                conn_out[m] += out_flow[e]
-            for e in range(in_ptr[u], in_ptr[u + 1]):
-                v = in_idx[e]
-                if v == u:
-                    continue
-                m = labels[v]
-                if mark[m] != u:
-                    mark[m] = u
-                    conn_out[m] = 0.0
-                    conn_in[m] = 0.0
-                    cand[ncand] = m
-                    ncand += 1
-                conn_in[m] += in_flow[e]
+                conn_out[m] += nbr_out[e]
+                conn_in[m] += nbr_in[e]
+                sout += nbr_out[e]
             if ncand == 0:
                 continue
-            # candidate modules scanned in ascending index order so that
-            # equal gains resolve to the lowest module id
-            for i in range(1, ncand):
-                key = cand[i]
-                j = i - 1
-                while j >= 0 and cand[j] > key:
-                    cand[j + 1] = cand[j]
-                    j -= 1
-                cand[j + 1] = key
             ca_out = conn_out[a] if mark[a] == u else 0.0
             ca_in = conn_in[a] if mark[a] == u else 0.0
             t_a = mod_tele[a] - tele[u]
             s_a = mod_size[a] - size[u]
             v_a = mod_visit[a] - visit[u]
-            x_a = mod_cross[a] - (sout[u] - ca_out) + ca_in
+            x_a = mod_cross[a] - (sout - ca_out) + ca_in
             q_a_new = t_a * (n_orig - s_a) / n_orig + x_a
             q_a_old = mod_exit[a]
             base_a = (plogp(q_a_new) - plogp(q_a_old)) * -2.0 + (
@@ -134,14 +113,15 @@ def _make_local_move_pass(plogp):
                 t_b = mod_tele[b] + tele[u]
                 s_b = mod_size[b] + size[u]
                 v_b = mod_visit[b] + visit[u]
-                x_b = mod_cross[b] - conn_in[b] + (sout[u] - conn_out[b])
+                x_b = mod_cross[b] - conn_in[b] + (sout - conn_out[b])
                 q_b_new = t_b * (n_orig - s_b) / n_orig + x_b
                 exit_new = exit_sum - q_a_old - q_b_old + q_a_new + q_b_new
                 dl = (plogp(exit_new) - plogp(exit_sum)
                       - 2.0 * (plogp(q_b_new) - plogp(q_b_old))
                       + (plogp(q_b_new + v_b) - plogp(q_b_old + mod_visit[b]))
                       + base_a)
-                if dl < best_dl:
+                # equal gains resolve to the lowest module id
+                if dl < best_dl or (dl == best_dl and b < best):
                     best_dl = dl
                     best = b
                     best_q_b = q_b_new

@@ -80,7 +80,9 @@ def generate_synthetic_corpus(seed: int, n_jobs: int, n_courses: int, n_skills: 
         raise EvalError(f"alignment {alignment!r} outside [0, 1]")
     if n_topics is None:
         n_topics = max(2, min(10, n_skills // 10))
-    n_topics = max(1, min(n_topics, n_jobs, n_courses, n_skills))
+    elif n_topics < 1:
+        raise EvalError(f"topic count {n_topics!r} must be >= 1")
+    n_topics = min(n_topics, n_jobs, n_courses, n_skills)
     rng = np.random.default_rng(seed)
     used_words: set[str] = set(_FILLER) | set(_ROLES) | {"topic", "course"}
     used_phrases: set[str] = set()

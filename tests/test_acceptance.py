@@ -15,7 +15,7 @@ import pytest
 from skillgraph import ingest, metrics
 from skillgraph.cli import main as cli_main
 from skillgraph.community import (FlowGraph, compute_flow, detect_communities,
-                                  map_equation, merge_partitions, stationary_distribution)
+                                  map_equation, merge_partitions)
 from skillgraph.graph import (HeteroGraph, NodeKind, Relation, build_career_graph,
                               build_education_graph, merge_graphs)
 from skillgraph.linker import link_skills

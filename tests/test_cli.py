@@ -160,6 +160,15 @@ class TestErrors:
         assert "seed -1 must be >= 0" in err
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("topics", ["0", "-1"])
+    def test_non_positive_synth_topics_exits_one(self, tmp_path, capsys, topics):
+        code, stdout, err = run_cli(capsys, "synth", "--topics", topics,
+                                    "--out", str(tmp_path / "data"))
+        assert code == 1
+        assert stdout == ""
+        assert f"topic count {topics} must be >= 1" in err
+        assert not (tmp_path / "data").exists()
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1

@@ -7,7 +7,7 @@ import pytest
 
 from skillgraph.community import (CommunityPartition, FlowGraph, FlowModel, compute_flow,
                                   detect_communities, map_equation, merge_partitions,
-                                  read_labels, stationary_distribution, write_labels,
+                                  read_labels, write_labels,
                                   write_partition)
 from skillgraph.errors import CommunityError
 from skillgraph.graph import HeteroGraph, NodeKind, Relation
@@ -57,13 +57,13 @@ def disconnected_triangles():
 
 class TestStationaryDistribution:
     def test_two_cycle_symmetric(self):
-        rates = stationary_distribution(linked_cycle(["a", "b"]), teleport=0.15)
+        rates = compute_flow(linked_cycle(["a", "b"]), teleport=0.15).visit_rate
         assert rates == pytest.approx({"a": 0.5, "b": 0.5}, abs=1e-12)
 
     def test_single_isolated_node(self):
         g = HeteroGraph()
         g.add_node("s", NodeKind.SKILL)
-        assert stationary_distribution(g, 0.15) == {"s": 1.0}
+        assert compute_flow(g, 0.15).visit_rate == {"s": 1.0}
 
     def test_directed_chain_matches_linear_solve(self):
         g = HeteroGraph()
@@ -71,7 +71,7 @@ class TestStationaryDistribution:
             g.add_node(s, NodeKind.SKILL)
         g.add_edge("a", Relation.LINKED, "b", 1.0)
         g.add_edge("b", Relation.LINKED, "c", 1.0)
-        rates = stationary_distribution(g, teleport=0.15)
+        rates = compute_flow(g, teleport=0.15).visit_rate
         expected = ref_stationary(g, 0.15)
         for node, p in expected.items():
             assert rates[node] == pytest.approx(p, abs=1e-9)
@@ -79,7 +79,7 @@ class TestStationaryDistribution:
     def test_random_graphs_match_linear_solve(self):
         for seed in range(8):
             g, _ = random_hetero_graph(np.random.default_rng(seed))
-            rates = stationary_distribution(g, 0.15)
+            rates = compute_flow(g, 0.15).visit_rate
             expected = ref_stationary(g, 0.15)
             assert sum(rates.values()) == pytest.approx(1.0, abs=1e-9)
             for node, p in expected.items():
@@ -87,9 +87,9 @@ class TestStationaryDistribution:
 
     def test_bad_teleport_rejected(self):
         with pytest.raises(CommunityError):
-            stationary_distribution(linked_cycle(["a", "b"]), teleport=0.0)
+            compute_flow(linked_cycle(["a", "b"]), teleport=0.0)
         with pytest.raises(CommunityError):
-            stationary_distribution(HeteroGraph())
+            compute_flow(HeteroGraph())
 
 
 class TestMapEquation:
@@ -196,6 +196,45 @@ class TestModuleState:
                 fg.partition_cost(dense), abs=1e-12)
 
 
+def loop_neighbours(fg):
+    out = [dict() for _ in range(fg.n_units)]
+    inflow = [dict() for _ in range(fg.n_units)]
+    for s, d, f in zip(fg.esrc.tolist(), fg.edst.tolist(), fg.eflow.tolist()):
+        if s != d:
+            out[s][d] = out[s].get(d, 0.0) + f
+            out[d].setdefault(s, 0.0)
+            inflow[d][s] = inflow[d].get(s, 0.0) + f
+            inflow[s].setdefault(d, 0.0)
+    return out, inflow
+
+
+class TestNeighbourList:
+    def test_matches_per_edge_loop(self):
+        self_flows = two_way = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            g, _ = random_hetero_graph(rng)
+            fg = FlowGraph.from_graph(g, 0.15)
+            raw = rng.integers(0, max(1, fg.n_units // 3), size=fg.n_units)
+            _, dense = np.unique(raw, return_inverse=True)
+            # one aggregated level: intra-module self-flows, flow both ways
+            agg = fg.aggregate(dense.astype(np.int64), int(dense.max()) + 1)
+            self_flows += int((agg.esrc == agg.edst).sum())
+            two_way += len(set(zip(agg.esrc.tolist(), agg.edst.tolist()))
+                           & set(zip(agg.edst.tolist(), agg.esrc.tolist())))
+            for level in (fg, agg):
+                ptr, idx, out, inflow = level.nbr
+                want_out, want_in = loop_neighbours(level)
+                assert ptr[0] == 0 and ptr[-1] == idx.size
+                for u in range(level.n_units):
+                    row = idx[ptr[u]:ptr[u + 1]].tolist()
+                    assert row == sorted(want_out[u])
+                    assert u not in row
+                    assert out[ptr[u]:ptr[u + 1]].tolist() == [want_out[u][v] for v in row]
+                    assert inflow[ptr[u]:ptr[u + 1]].tolist() == [want_in[u][v] for v in row]
+        assert self_flows > 0 and two_way > 0
+
+
 class TestDetectCommunities:
     def test_clique_pair_splits_at_bridge(self):
         part = detect_communities(clique_pair_graph(), seed=0, teleport=0.15)
@@ -235,7 +274,7 @@ class TestDetectCommunities:
         assert part.description_length == pytest.approx(0.0, abs=1e-12)
 
     def test_bad_teleport_rejected(self):
-        # power iteration needs 0 < teleport < 1, as in stationary_distribution
+        # power iteration needs 0 < teleport < 1, as in compute_flow
         for teleport in (0.0, 1.0, -0.1):
             with pytest.raises(CommunityError, match="outside"):
                 detect_communities(clique_pair_graph(), seed=0, teleport=teleport)
@@ -252,7 +291,7 @@ class TestDetectCommunities:
         for seed in range(8):
             g, _ = random_hetero_graph(np.random.default_rng(seed))
             part = detect_communities(g, seed=1, teleport=0.15)
-            flow = FlowModel(visit_rate=stationary_distribution(g, 0.15), teleport=0.15)
+            flow = compute_flow(g, 0.15)
             singles = map_equation(g, flow, {n: i for i, n in enumerate(g.node_ids())})
             assert part.description_length <= singles + 1e-9
             if not flow_isolated_nodes(g):
@@ -304,7 +343,7 @@ class TestDetectCommunities:
         for seed in range(5):
             g, _ = random_hetero_graph(np.random.default_rng(seed + 100))
             part = detect_communities(g, seed=seed)
-            flow = FlowModel(visit_rate=stationary_distribution(g, 0.15), teleport=0.15)
+            flow = compute_flow(g, 0.15)
             assert map_equation(g, flow, part.assignment) == pytest.approx(
                 part.description_length, abs=1e-6)
 

@@ -105,6 +105,12 @@ class TestCareerGraph:
         assert g.out_edges("data_engineer", Relation.REQUIRED) == [
             ("python", 1 / 3), ("sql", 2 / 3)]
 
+    @pytest.mark.parametrize("aggregate_by_title", [False, True])
+    def test_skill_less_job_rejected_in_both_modes(self, aggregate_by_title):
+        jobs = [Job(id="J1", title="data engineer", company="c", location="l")]
+        with pytest.raises(GraphError, match="job 'J1' has no skills"):
+            build_career_graph(jobs, aggregate_by_title=aggregate_by_title)
+
 
 class TestMergeGraphs:
     def test_same_name_skills_fuse(self):

@@ -15,12 +15,12 @@ def flow_fixture(seed=0):
     return FlowGraph.from_graph(g, 0.15), g
 
 
-def run_move_pass(move_pass, fg, order):
-    labels = np.arange(fg.n_units, dtype=np.int64)
+def run_move_pass(move_pass, fg, order, labels=None):
+    if labels is None:
+        labels = np.arange(fg.n_units, dtype=np.int64)
     state = fg.module_state(labels, fg.n_units)
     moves, delta, exit_sum = move_pass(
-        order, labels, fg.visit, fg.tele, fg.size, state[3].copy(),
-        fg.out_ptr, fg.out_idx, fg.out_flow, fg.in_ptr, fg.in_idx, fg.in_flow,
+        order, labels, fg.visit, fg.tele, fg.size, *fg.nbr,
         *state, float(state[4].sum()), float(fg.n_orig), 1e-10)
     return moves, labels, delta, exit_sum
 
@@ -60,3 +60,19 @@ def test_local_move_delta_matches_cost_difference():
         after = fg.partition_cost(dense.astype(np.int64))
         assert after - before == pytest.approx(delta, abs=1e-9)
         assert delta <= 0.0
+
+
+def test_equal_gains_move_to_lowest_module():
+    # path 0-1-2 with equal flows: unit 1 gains the same joining either end,
+    # and meets module 2 (unit 0) before module 0 (unit 2) in its neighbours
+    visit = np.array([0.25, 0.5, 0.25])
+    flow = np.full(4, 0.2)
+    fg = FlowGraph(visit, 0.15 * visit, np.ones(3), np.array([0, 1, 1, 2]),
+                   np.array([1, 0, 2, 1]), flow, 3,
+                   float(sum(kernels._plogp(v) for v in visit)))
+    labels = np.array([2, 1, 0], dtype=np.int64)
+    moves, labels, delta, _exit = run_move_pass(
+        kernels.local_move_pass, fg, np.array([1], dtype=np.int64), labels)
+    assert moves == 1
+    assert delta < 0.0
+    assert labels.tolist() == [2, 0, 0]
