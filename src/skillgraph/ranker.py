@@ -133,34 +133,48 @@ def title_contains(title_tokens: list[str], query_tokens: list[str]) -> bool:
 class _GraphView:
     """What queries read of one graph state, built once per state.
 
-    ``jobs`` pairs each job id, in sorted order, with its title tokens.
+    ``titles`` maps each distinct job title, as its token tuple, to the ids
+    of the jobs that carry it, in sorted order. ``postings`` maps each token
+    to the distinct titles that contain it, so a query checks only the
+    titles on its rarest token's postings instead of every job.
     """
 
     index: GraphIndex
-    jobs: list[tuple[str, list[str]]]
+    titles: dict[tuple[str, ...], list[str]]
+    postings: dict[str, list[tuple[str, ...]]]
 
 
 def _graph_view(g: HeteroGraph) -> _GraphView:
-    index = GraphIndex(g)
-    jobs = [(job_id, tokenize(g.node_name(job_id))) for job_id in g.node_ids(NodeKind.JOB)]
-    return _GraphView(index, jobs)
+    titles: dict[tuple[str, ...], list[str]] = {}
+    for job_id in g.node_ids(NodeKind.JOB):
+        titles.setdefault(tuple(tokenize(g.node_name(job_id))), []).append(job_id)
+    postings: dict[str, list[tuple[str, ...]]] = {}
+    for title in titles:
+        for token in dict.fromkeys(title):
+            postings.setdefault(token, []).append(title)
+    return _GraphView(GraphIndex(g), titles, postings)
 
 
 def resolve_job_query(g: HeteroGraph, text: str) -> dict[str, float]:
     """Jobs whose title contains the query as a contiguous token run.
 
-    Matches share uniform weight. With no match, raises and names the five
-    nearest titles by shared-token count.
+    Matches share uniform weight. With no match, raises and names up to five
+    nearest distinct titles by shared-token count, then by title.
     """
     query = tokenize(text)
     if not query:
         raise QueryError("empty job query")
-    jobs = g.cached(_graph_view).jobs
-    matches = [job_id for job_id, tokens in jobs if title_contains(tokens, query)]
+    view = g.cached(_graph_view)
+    # a matching title holds every query token, so the rarest one's postings
+    # hold every match; a token in no title leaves nothing to check
+    candidates = min((view.postings.get(token, []) for token in query), key=len)
+    matches = sorted(job_id for title in candidates if title_contains(list(title), query)
+                     for job_id in view.titles[title])
     if not matches:
         qset = set(query)
-        scored = sorted((-len(qset & set(tokens)), g.node_name(j), j) for j, tokens in jobs)
-        nearest = [title for _neg, title, _j in scored[:5]]
+        scored = sorted({(-len(qset.intersection(title)), g.node_name(job_id))
+                         for title, job_ids in view.titles.items() for job_id in job_ids})
+        nearest = [name for _neg, name in scored[:5]]
         raise QueryError(
             f"no job title matches {text!r}; nearest titles: {nearest}")
     weight = 1.0 / len(matches)
@@ -197,13 +211,14 @@ def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Mapping[str, float],
         raise QueryError("community gate requested without node labels")
     index = g.cached(_graph_view).index
     scores = np.zeros(index.n, dtype=np.float64)
+    source_kind = path.source_kind
     for node_id, weight in seeds.items():
         if node_id not in index.pos:
             raise QueryError(f"seed {node_id!r} is not in the graph")
-        if g.node_kind(node_id) is not path.source_kind:
+        if g.node_kind(node_id) is not source_kind:
             raise QueryError(
                 f"seed {node_id!r} is a {g.node_kind(node_id).value}, "
-                f"path starts at a {path.source_kind.value}")
+                f"path starts at a {source_kind.value}")
         scores[index.pos[node_id]] = weight
     return _positive(index, _walk(index, path, scores, labels, community))
 

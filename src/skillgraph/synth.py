@@ -78,11 +78,16 @@ def generate_synthetic_corpus(seed: int, n_jobs: int, n_courses: int, n_skills: 
         raise EvalError("corpus sizes must be >= 1")
     if not 0.0 <= alignment <= 1.0:
         raise EvalError(f"alignment {alignment!r} outside [0, 1]")
+    # each topic needs a job, a course and a skill: the default count is
+    # clamped to fit, an explicit one that does not fit is an error
+    max_topics = min(n_jobs, n_courses, n_skills)
     if n_topics is None:
-        n_topics = max(2, min(10, n_skills // 10))
+        n_topics = min(max(2, min(10, n_skills // 10)), max_topics)
     elif n_topics < 1:
         raise EvalError(f"topic count {n_topics!r} must be >= 1")
-    n_topics = min(n_topics, n_jobs, n_courses, n_skills)
+    elif n_topics > max_topics:
+        raise EvalError(f"topic count {n_topics!r} exceeds {max_topics}, the smallest "
+                        f"of the job, course and skill counts")
     rng = np.random.default_rng(seed)
     used_words: set[str] = set(_FILLER) | set(_ROLES) | {"topic", "course"}
     used_phrases: set[str] = set()

@@ -203,6 +203,23 @@ def ref_scenario_scores(g: HeteroGraph, labels: dict[str, int], scenario: int,
 
 
 # ---------------------------------------------------------------------------
+# job-title resolution by a scan of every job
+# ---------------------------------------------------------------------------
+
+def ref_resolve_job_query(g: HeteroGraph, text: str) -> dict[str, float]:
+    """Every job whose title tokens hold the query tokens as a contiguous
+    run, in id order with uniform weight; empty when none does."""
+    query = tokenize(text)
+    k = len(query)
+    matches = []
+    for job_id in g.node_ids(NodeKind.JOB):
+        title = tokenize(g.node_name(job_id))
+        if any(title[i:i + k] == query for i in range(len(title) - k + 1)):
+            matches.append(job_id)
+    return {job_id: 1.0 / len(matches) for job_id in matches}
+
+
+# ---------------------------------------------------------------------------
 # course-skill matching and skill linking by exhaustive scans
 # ---------------------------------------------------------------------------
 

@@ -169,6 +169,18 @@ class TestErrors:
         assert f"topic count {topics} must be >= 1" in err
         assert not (tmp_path / "data").exists()
 
+    def test_oversized_synth_topics_exits_one(self, tmp_path, capsys):
+        # the default sizes are 100 jobs, 30 courses and 60 skills
+        code, stdout, err = run_cli(capsys, "synth", "--topics", "500",
+                                    "--out", str(tmp_path / "data"))
+        assert code == 1
+        assert stdout == ""
+        assert "topic count 500 exceeds 30" in err
+        assert not (tmp_path / "data").exists()
+        code, _, _ = run_cli(capsys, "synth", "--topics", "30",
+                             "--out", str(tmp_path / "data"))
+        assert code == 0
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1

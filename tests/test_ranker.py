@@ -11,7 +11,8 @@ from skillgraph.ranker import (BASE_PATH, MetaPath, MetaPathStep, RankedList, Sc
                                resolve_job_query, scenario_scores, score_metapath,
                                to_ranked_list)
 
-from oracles import random_hetero_graph, ref_scenario_scores, ref_score_metapath
+from oracles import (random_hetero_graph, ref_resolve_job_query, ref_scenario_scores,
+                     ref_score_metapath)
 
 
 def job_graph(titles):
@@ -46,6 +47,70 @@ class TestResolveJobQuery:
     def test_empty_query_rejected(self):
         with pytest.raises(QueryError):
             resolve_job_query(job_graph(["x"]), "  ,, ")
+
+    def test_nearest_titles_are_distinct(self):
+        g = job_graph(["topic-3 engineer"] * 6 + ["topic-3 analyst", "Engineer", "plumber"])
+        with pytest.raises(QueryError) as err:
+            resolve_job_query(g, "engineer topic-3")
+        assert str(err.value).endswith(
+            "nearest titles: ['topic-3 engineer', 'topic-3 analyst', 'Engineer', 'plumber']")
+
+    def test_nearest_titles_capped_at_five(self):
+        g = job_graph([f"role {c}" for c in "fedcba"] * 2 + ["x"])
+        with pytest.raises(QueryError, match=r"nearest titles: \['role a', 'role b', "
+                                             r"'role c', 'role d', 'role e'\]$"):
+            resolve_job_query(g, "role z")
+
+    def test_index_matches_scan_on_random_titles(self):
+        rng = np.random.default_rng(20)
+        # few tokens, so repeats ("a a" in "a a b") and shared titles are common;
+        # "--" and "" tokenize to nothing, "q" is in no title
+        words = ["a", "b", "c", "d", "--", ""]
+        for _trial in range(3000):
+            pool = [" ".join(rng.choice(words, size=int(rng.integers(0, 5))))
+                    for _ in range(int(rng.integers(1, 5)))]
+            g = job_graph([pool[int(rng.integers(len(pool)))]
+                           for _ in range(int(rng.integers(1, 9)))])
+            query = " ".join(rng.choice(words[:4] + ["q"], size=int(rng.integers(1, 4))))
+            expected = ref_resolve_job_query(g, query)
+            if expected:
+                got = resolve_job_query(g, query)
+                assert list(got.items()) == list(expected.items()), (pool, query)
+            else:
+                with pytest.raises(QueryError, match="no job title matches"):
+                    resolve_job_query(g, query)
+
+    def test_checks_only_rarest_token_titles(self, monkeypatch):
+        calls = []
+        real = ranker.title_contains
+        monkeypatch.setattr(ranker, "title_contains",
+                            lambda title, query: calls.append(tuple(title)) or real(title, query))
+        g = job_graph(["data engineer"] * 40 + ["data scientist"] * 40
+                      + ["senior data engineer", "big data engineer ii", "engineer data"]
+                      + ["plumber"] * 20)
+        seeds = resolve_job_query(g, "data engineer")
+        assert seeds == ref_resolve_job_query(g, "data engineer")
+        postings = g.cached(ranker._graph_view).postings
+        assert len(postings["engineer"]) < len(postings["data"])
+        assert sorted(calls) == sorted(postings["engineer"])
+        assert len(calls) == 4
+
+        # a renamed or added job reaches the next query through a rebuilt index
+        g.set_node_name("J99", "lead data engineer")
+        calls.clear()
+        assert "J99" in resolve_job_query(g, "data engineer")
+        assert len(calls) == 5
+        g.add_node("J200", NodeKind.JOB, "data engineer")
+        calls.clear()
+        assert list(resolve_job_query(g, "data engineer")) == list(
+            ref_resolve_job_query(g, "data engineer"))
+        assert "J200" in ref_resolve_job_query(g, "data engineer")
+        assert len(calls) == 5
+
+        calls.clear()
+        with pytest.raises(QueryError):
+            resolve_job_query(g, "data plumber quantum")
+        assert calls == []
 
 
 class TestMetaPath:
