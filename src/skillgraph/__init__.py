@@ -5,12 +5,11 @@ from .community import (CommunityPartition, FlowModel, compute_flow, detect_comm
                         map_equation, merge_partitions)
 from .errors import (CommunityError, ConfigError, EvalError, GraphError, IngestError,
                      QueryError, SkillGraphError)
-from .graph import (Edge, GraphStats, HeteroGraph, NodeKind, Relation,
-                    build_career_graph, build_education_graph, merge_graphs,
-                    prereq_counts, read_snapshot, skill_key, write_snapshot)
-from .ingest import (Course, EnrollmentRecord, Job, Skill, load_course_skills,
-                     load_courses, load_enrollments, load_jobs, load_skills,
-                     match_course_skills, tokenize)
+from .graph import (Edge, HeteroGraph, NodeKind, Relation, build_career_graph,
+                    build_education_graph, merge_graphs, prereq_counts, read_snapshot,
+                    skill_key, write_snapshot)
+from .ingest import (Course, EnrollmentRecord, Job, Skill, load_course_skills, load_courses,
+                     load_enrollments, load_jobs, load_skills, tokenize)
 from .linker import Bm25Params, CorpusStats, SkillDocument, bm25, link_skills
 from .metrics import (JudgedRun, MetricReport, average_precision, baseline_vector_space,
                       metric_report, precision, precision_at)
@@ -23,13 +22,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Bm25Params", "CommunityError", "CommunityPartition", "ConfigError", "CorpusStats",
     "Course", "Edge", "EnrollmentRecord", "EvalError", "FlowModel", "GraphError",
-    "GraphStats", "HeteroGraph", "IngestError", "Job", "JudgedRun", "MetaPath",
+    "HeteroGraph", "IngestError", "Job", "JudgedRun", "MetaPath",
     "MetaPathStep", "MetricReport", "NodeKind", "QueryError", "RankedList", "Relation",
     "ScenarioInput", "Skill", "SkillDocument", "SkillGraphError", "average_precision",
     "baseline_vector_space", "bm25", "build_career_graph", "build_education_graph",
     "compute_flow", "detect_communities", "generate_synthetic_corpus",
     "link_skills", "load_course_skills", "load_courses", "load_enrollments", "load_jobs",
-    "load_skills", "map_equation", "match_course_skills", "merge_graphs",
+    "load_skills", "map_equation", "merge_graphs",
     "merge_partitions", "metric_report", "precision", "precision_at", "prereq_counts",
     "read_snapshot", "recommend", "resolve_job_query", "score_metapath", "skill_key",
     "tokenize", "write_snapshot",

@@ -95,11 +95,9 @@ def cmd_build(cfg: PipelineConfig) -> str:
     graph_mod.write_snapshot(education, out / F_EDU_GRAPH)
     graph_mod.write_snapshot(career, out / F_CAR_GRAPH)
     graph_mod.write_snapshot(merged, out / F_MERGED_GRAPH)
-    s = merged.stats()
-    return (f"build: merged graph has {s.total_nodes} nodes "
-            f"({s.node_counts[graph_mod.NodeKind.COURSE]} courses, "
-            f"{s.node_counts[graph_mod.NodeKind.JOB]} jobs, "
-            f"{s.node_counts[graph_mod.NodeKind.SKILL]} skills) and {s.total_edges} edges")
+    courses_n, jobs_n, skills_n = (len(merged.node_ids(kind)) for kind in graph_mod.NodeKind)
+    return (f"build: merged graph has {merged.num_nodes()} nodes ({courses_n} courses, "
+            f"{jobs_n} jobs, {skills_n} skills) and {merged.num_edges()} edges")
 
 
 def _attach_skill_names(g, catalog) -> None:

@@ -18,13 +18,13 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from . import kernels
 from .errors import CommunityError
-from .graph import GraphIndex, HeteroGraph, NodeKind, skill_key
+from .graph import GraphIndex, HeteroGraph, NodeKind, union_ids
 
 DEFAULT_TELEPORT = 0.15
 POWER_TOL = 1e-12
@@ -62,10 +62,8 @@ def _stationary(n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray,
     return visit
 
 
-def _neighbours(esrc: np.ndarray, edst: np.ndarray, eflow: np.ndarray, n: int) -> tuple:
-    """``FlowGraph.nbr`` from COO flows in which no ``(src, dst)`` pair repeats."""
-    cross = esrc != edst
-    src, dst, flow = esrc[cross], edst[cross], eflow[cross]
+def _neighbours(src: np.ndarray, dst: np.ndarray, flow: np.ndarray, n: int) -> tuple:
+    """``FlowGraph.nbr`` from COO flows between distinct units, no pair twice."""
     keys, inverse = np.unique(np.concatenate((src * n + dst, dst * n + src)),
                               return_inverse=True)
     out = np.bincount(inverse[:src.size], weights=flow, minlength=keys.size)
@@ -80,26 +78,22 @@ class FlowGraph:
 
     Units are graph nodes at level 0 and supernodes after aggregation; every
     unit carries its visit rate, teleport mass, and original-node count. The
-    COO flows ``esrc/edst/eflow`` keep self-flows, never counted as exits, and
-    ``module_state`` sums them per module of a labelling. The move sweep walks
-    the neighbour list ``nbr = (ptr, idx, out, in)``: each unit's other units,
-    ascending and distinct, with the flow to and from each (0.0 where an edge
-    runs one way); self-flows are left out.
+    neighbour list ``nbr = (ptr, idx, out, in)`` is the only edge list: each
+    unit's other units, ascending and distinct, with the flow to and from each
+    (0.0 where an edge runs one way). A unit's flow to itself is never an exit
+    and is not kept. ``rows`` is the unit owning each ``nbr`` entry.
     """
 
     def __init__(self, visit: np.ndarray, tele: np.ndarray, size: np.ndarray,
-                 esrc: np.ndarray, edst: np.ndarray, eflow: np.ndarray,
-                 n_orig: int, node_plogp_sum: float) -> None:
+                 nbr: tuple, n_orig: int, node_plogp_sum: float) -> None:
         self.visit = visit
         self.tele = tele
         self.size = size
-        self.esrc = esrc
-        self.edst = edst
-        self.eflow = eflow
+        self.nbr = nbr
         self.n_orig = n_orig
         self.node_plogp_sum = node_plogp_sum
         self.n_units = visit.shape[0]
-        self.nbr = _neighbours(esrc, edst, eflow, self.n_units)
+        self.rows = np.repeat(np.arange(self.n_units, dtype=np.int64), np.diff(nbr[0]))
 
     @classmethod
     def from_graph(cls, g: HeteroGraph, teleport: float,
@@ -115,10 +109,11 @@ class FlowGraph:
         visit = np.asarray(visit, dtype=np.float64)
         tele = np.where(dangling, visit, teleport * visit)
         eflow = (1.0 - teleport) * visit[src] * wgt
-        keep = eflow > 0.0
+        keep = (eflow > 0.0) & (src != dst)
         node_plogp_sum = float(sum(kernels._plogp(v) for v in visit))
         return cls(visit, tele, np.ones(index.n, dtype=np.float64),
-                   src[keep], dst[keep], eflow[keep], index.n, node_plogp_sum)
+                   _neighbours(src[keep], dst[keep], eflow[keep], index.n),
+                   index.n, node_plogp_sum)
 
     def module_state(self, labels: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
         """Fresh per-module ``(visit, tele, size, cross_flow, exit_rate)`` of int64
@@ -126,9 +121,10 @@ class FlowGraph:
         visit = np.bincount(labels, weights=self.visit, minlength=k)
         tele = np.bincount(labels, weights=self.tele, minlength=k)
         size = np.bincount(labels, weights=self.size, minlength=k)
-        lsrc = labels[self.esrc]
-        cross = lsrc != labels[self.edst]
-        cross_flow = np.bincount(lsrc[cross], weights=self.eflow[cross], minlength=k)
+        _ptr, idx, out, _in = self.nbr
+        lsrc = labels[self.rows]
+        cross = lsrc != labels[idx]
+        cross_flow = np.bincount(lsrc[cross], weights=out[cross], minlength=k)
         exit_rate = tele * (self.n_orig - size) / self.n_orig + cross_flow
         return visit, tele, size, cross_flow, exit_rate
 
@@ -140,12 +136,15 @@ class FlowGraph:
         return float(kernels.partition_cost(state[0], state[4], self.node_plogp_sum))
 
     def aggregate(self, labels: np.ndarray, k: int) -> "FlowGraph":
+        """One unit per module of dense ``labels``; flow inside a module is dropped."""
         labels = np.asarray(labels, dtype=np.int64)
         visit, tele, size, _cross, _exit = self.module_state(labels, k)
-        keys = labels[self.esrc] * k + labels[self.edst]
-        ukeys, inverse = np.unique(keys, return_inverse=True)
-        flow = np.bincount(inverse, weights=self.eflow, minlength=ukeys.size)
-        return FlowGraph(visit, tele, size, ukeys // k, ukeys % k, flow,
+        _ptr, idx, out, _in = self.nbr
+        lsrc, ldst = labels[self.rows], labels[idx]
+        keep = (out > 0.0) & (lsrc != ldst)
+        keys, inverse = np.unique(lsrc[keep] * k + ldst[keep], return_inverse=True)
+        flow = np.bincount(inverse, weights=out[keep], minlength=keys.size)
+        return FlowGraph(visit, tele, size, _neighbours(keys // k, keys % k, flow, k),
                          self.n_orig, self.node_plogp_sum)
 
 
@@ -240,27 +239,26 @@ def detect_communities(g: HeteroGraph, seed: int = 0,
 
 
 def _skill_keys_by_community(part: CommunityPartition, g: HeteroGraph,
-                             identity: Callable[[str], str]) -> dict[int, set[str]]:
+                             ids: Mapping[str, str]) -> dict[int, set[str]]:
     out: dict[int, set[str]] = {}
     for sid in g.node_ids(NodeKind.SKILL):
-        out.setdefault(part.assignment[sid], set()).add(identity(g.node_name(sid)))
+        out.setdefault(part.assignment[sid], set()).add(ids[sid])
     return out
 
 
 def merge_partitions(edu_part: CommunityPartition, edu_graph: HeteroGraph,
-                     car_part: CommunityPartition, car_graph: HeteroGraph,
-                     skill_identity: Callable[[str], str] = skill_key,
-                     ) -> dict[str, int]:
+                     car_part: CommunityPartition, car_graph: HeteroGraph) -> dict[str, int]:
     """Pair education and career communities by shared-skill count.
 
     Greedy one-to-one matching by descending overlap (ties to the lower
     education index, then lower career index); zero overlap never merges.
-    Returns merged labels keyed by union-graph node ids (courses, jobs, and
-    skill identity keys). A skill present in both graphs takes the label of
-    its education-side community.
+    Returns merged labels keyed by ``graph.union_ids``, the node ids of
+    ``merge_graphs`` on the same two graphs. A skill present in both graphs
+    takes the label of its education-side community.
     """
-    edu_skills = _skill_keys_by_community(edu_part, edu_graph, skill_identity)
-    car_skills = _skill_keys_by_community(car_part, car_graph, skill_identity)
+    edu_ids, car_ids = union_ids(edu_graph), union_ids(car_graph)
+    edu_skills = _skill_keys_by_community(edu_part, edu_graph, edu_ids)
+    car_skills = _skill_keys_by_community(car_part, car_graph, car_ids)
     candidates: list[tuple[int, int, int]] = []
     for e in sorted(edu_skills):
         for c in sorted(car_skills):
@@ -277,18 +275,13 @@ def merge_partitions(edu_part: CommunityPartition, edu_graph: HeteroGraph,
         edu_final[e] = car_final[c] = next_label
         next_label += 1
     labels: dict[str, int] = {}
-    for part, g, final in ((edu_part, edu_graph, edu_final),
-                           (car_part, car_graph, car_final)):
+    for part, ids, final in ((edu_part, edu_ids, edu_final), (car_part, car_ids, car_final)):
         for m in range(part.num_communities):
             if m not in final:
                 final[m] = next_label
                 next_label += 1
-        for node_id in g.node_ids():
-            label = final[part.assignment[node_id]]
-            if g.node_kind(node_id) is NodeKind.SKILL:
-                labels.setdefault(skill_identity(g.node_name(node_id)), label)
-            else:
-                labels[node_id] = label
+        for node_id, union_id in ids.items():
+            labels.setdefault(union_id, final[part.assignment[node_id]])
     return labels
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -58,20 +59,6 @@ class Edge:
     target: str
     relation: Relation
     weight: float
-
-
-@dataclass
-class GraphStats:
-    node_counts: dict[NodeKind, int]
-    edge_counts: dict[Relation, int]
-
-    @property
-    def total_nodes(self) -> int:
-        return sum(self.node_counts.values())
-
-    @property
-    def total_edges(self) -> int:
-        return sum(self.edge_counts.values())
 
 
 def skill_key(name: str) -> str:
@@ -187,13 +174,6 @@ class HeteroGraph:
             g._out[rel] = {s: dict(ts) for s, ts in self._out[rel].items()}
         return g
 
-    def stats(self) -> GraphStats:
-        node_counts = {k: 0 for k in NodeKind}
-        for kind in self._kind.values():
-            node_counts[kind] += 1
-        edge_counts = {r: sum(len(row) for row in self._out[r].values()) for r in Relation}
-        return GraphStats(node_counts=node_counts, edge_counts=edge_counts)
-
     def validate(self) -> None:
         """Check kind discipline, weight positivity and normalization."""
         for rel in Relation:
@@ -282,8 +262,10 @@ def build_career_graph(jobs: Sequence[Job], aggregate_by_title: bool = False) ->
     """Job + skill graph with required edges.
 
     One node per posting by default; with ``aggregate_by_title`` postings
-    sharing a normalized title collapse into one node whose edge weights are
-    skill frequencies over the merged postings.
+    sharing a normalized title collapse into one node, id ``"_".join(tokens)``
+    and name the normalized title (``untitled`` for both when it is empty).
+    A node's edge weights are its skill frequencies over its postings, which
+    is ``1/d`` for a single posting with ``d`` skills.
     """
     ids = [j.id for j in jobs]
     if len(set(ids)) != len(ids):
@@ -291,57 +273,53 @@ def build_career_graph(jobs: Sequence[Job], aggregate_by_title: bool = False) ->
     bare = next((j.id for j in jobs if not j.skills), None)
     if bare is not None:
         raise GraphError(f"job {bare!r} has no skills")
-    g = HeteroGraph()
-    if aggregate_by_title:
-        groups: dict[str, list[Job]] = {}
-        for job in jobs:
-            groups.setdefault(" ".join(tokenize(job.title)), []).append(job)
-        for title in sorted(groups):
-            node_id = "_".join(title.split()) or "untitled"
-            g.add_node(node_id, NodeKind.JOB, title)
-            counts: dict[str, int] = {}
-            for job in groups[title]:
-                for sid in job.skills:
-                    counts[sid] = counts.get(sid, 0) + 1
-            denom = sum(counts.values())
-            for sid in sorted(counts):
-                g.add_node(sid, NodeKind.SKILL, sid)
-                g.add_edge(node_id, Relation.REQUIRED, sid, counts[sid] / denom)
-        g.validate()
-        return g
+    groups: dict[str, tuple[str, list[Job]]] = {}
     for job in jobs:
-        g.add_node(job.id, NodeKind.JOB, job.title)
-        d = len(job.skills)
-        for sid in sorted(job.skills):
+        if aggregate_by_title:
+            tokens = tokenize(job.title)
+            node_id, name = "_".join(tokens) or "untitled", " ".join(tokens) or "untitled"
+        else:
+            node_id, name = job.id, job.title
+        groups.setdefault(node_id, (name, []))[1].append(job)
+    g = HeteroGraph()
+    for node_id, (name, postings) in groups.items():
+        g.add_node(node_id, NodeKind.JOB, name)
+        counts = Counter(sid for job in postings for sid in job.skills)
+        total = sum(counts.values())
+        for sid in sorted(counts):
             g.add_node(sid, NodeKind.SKILL, sid)
-            g.add_edge(job.id, Relation.REQUIRED, sid, 1.0 / d)
+            g.add_edge(node_id, Relation.REQUIRED, sid, counts[sid] / total)
     g.validate()
     return g
 
 
-def merge_graphs(education: HeteroGraph, career: HeteroGraph,
-                 skill_identity: Callable[[str], str] = skill_key) -> HeteroGraph:
-    """Union of both graphs with skill nodes fused by name identity.
+def union_ids(g: HeteroGraph) -> dict[str, str]:
+    """Each node's id in the union of the two domain graphs.
 
-    Every skill node's id is rewritten to ``skill_identity(name)``; edges that
-    become parallel under the rewrite have their weights added, so per-source
-    out-weight totals are preserved.
+    A skill is known by ``skill_key`` of its name, so the same skill named in
+    both corpora becomes one node; a course or job keeps its own id.
+    """
+    ids = {}
+    for node_id in g.node_ids():
+        if g.node_kind(node_id) is NodeKind.SKILL:
+            key = skill_key(g.node_name(node_id))
+            if not key:
+                raise GraphError(f"skill {node_id!r} normalizes to an empty key")
+            ids[node_id] = key
+        else:
+            ids[node_id] = node_id
+    return ids
+
+
+def merge_graphs(education: HeteroGraph, career: HeteroGraph) -> HeteroGraph:
+    """Union of both graphs, each node renamed to its ``union_ids`` id.
+
+    A skill node's name becomes its key. Edges that become parallel under the
+    renaming have their weights added, so per-source out-weight totals are
+    preserved.
     """
     merged = HeteroGraph()
-
-    def remap(g: HeteroGraph) -> dict[str, str]:
-        mapping = {}
-        for node_id in g.node_ids():
-            if g.node_kind(node_id) is NodeKind.SKILL:
-                key = skill_identity(g.node_name(node_id))
-                if not key:
-                    raise GraphError(f"skill {node_id!r} normalizes to an empty key")
-                mapping[node_id] = key
-            else:
-                mapping[node_id] = node_id
-        return mapping
-
-    edu_map, car_map = remap(education), remap(career)
+    edu_map, car_map = union_ids(education), union_ids(career)
     edu_course_jobs = {i for i in education.node_ids()
                        if education.node_kind(i) is not NodeKind.SKILL}
     for node_id in career.node_ids():

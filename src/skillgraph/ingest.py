@@ -43,11 +43,10 @@ def tokenize(text: str) -> list[str]:
 class Skill:
     id: str
     name: str
-    tokens: tuple[str, ...] = field(default=())
+    tokens: tuple[str, ...] = field(init=False, compare=False)
 
-    @classmethod
-    def from_name(cls, skill_id: str, name: str) -> "Skill":
-        return cls(id=skill_id, name=name, tokens=tuple(tokenize(name)))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tokens", tuple(tokenize(self.name)))
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,7 @@ def load_skills(path: str | Path) -> list[Skill]:
         if sid in seen:
             raise IngestError(f"row {row}: duplicate skill id {sid!r}")
         seen.add(sid)
-        skills.append(Skill.from_name(sid, str(rec["name"])))
+        skills.append(Skill(sid, str(rec["name"])))
     return skills
 
 
@@ -262,11 +261,6 @@ class _PhraseIndex:
                 consumed[i:i + k] = [True] * k
                 matched.add(skill.id)
         return matched
-
-
-def match_course_skills(course: Course, catalog: Sequence[Skill]) -> set[str]:
-    """Skills of ``catalog`` that ``course`` names; see ``_PhraseIndex.match``."""
-    return _PhraseIndex.from_catalog(catalog).match(course)
 
 
 def apply_skill_matching(courses: Sequence[Course], catalog: Sequence[Skill],

@@ -123,7 +123,7 @@ def generate_synthetic_corpus(seed: int, n_jobs: int, n_courses: int, n_skills: 
         job_vocab.append(shared + job_only)
         shared_names.extend(shared)
 
-    skills = [Skill.from_name(f"SK{idx:04d}", name)
+    skills = [Skill(f"SK{idx:04d}", name)
               for idx, name in enumerate(n for t in range(n_topics) for n in course_vocab[t])]
 
     course_topics = _spread(n_courses, n_topics)

@@ -220,6 +220,40 @@ def ref_resolve_job_query(g: HeteroGraph, text: str) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
+# career graph, one loop per mode
+# ---------------------------------------------------------------------------
+
+def ref_build_career_graph(jobs, aggregate_by_title: bool = False) -> HeteroGraph:
+    """Per posting: weight 1/d over its d skills. By title: postings grouped by
+    normalized title, weight = skill frequency over the group. No title may
+    normalize to nothing, whose node would be named ``""``."""
+    g = HeteroGraph()
+    if aggregate_by_title:
+        groups: dict[str, list] = {}
+        for job in jobs:
+            groups.setdefault(" ".join(tokenize(job.title)), []).append(job)
+        for title in sorted(groups):
+            node_id = "_".join(title.split()) or "untitled"
+            g.add_node(node_id, NodeKind.JOB, title)
+            counts: dict[str, int] = {}
+            for job in groups[title]:
+                for sid in job.skills:
+                    counts[sid] = counts.get(sid, 0) + 1
+            denom = sum(counts.values())
+            for sid in sorted(counts):
+                g.add_node(sid, NodeKind.SKILL, sid)
+                g.add_edge(node_id, Relation.REQUIRED, sid, counts[sid] / denom)
+        return g
+    for job in jobs:
+        g.add_node(job.id, NodeKind.JOB, job.title)
+        d = len(job.skills)
+        for sid in sorted(job.skills):
+            g.add_node(sid, NodeKind.SKILL, sid)
+            g.add_edge(job.id, Relation.REQUIRED, sid, 1.0 / d)
+    return g
+
+
+# ---------------------------------------------------------------------------
 # course-skill matching and skill linking by exhaustive scans
 # ---------------------------------------------------------------------------
 
@@ -231,11 +265,11 @@ def ref_match_course_skills(course, catalog) -> set[str]:
     stream = tokenize(course.name) + tokenize(course.description)
     consumed = [False] * len(stream)
     matched: set[str] = set()
-    for skill in sorted(catalog, key=lambda s: (-len(s.tokens), s.id)):
-        k = len(skill.tokens)
+    for skill in sorted(catalog, key=lambda s: (-len(tokenize(s.name)), s.id)):
+        pattern = tokenize(skill.name)
+        k = len(pattern)
         if k == 0 or k > len(stream):
             continue
-        pattern = list(skill.tokens)
         i = 0
         while i + k <= len(stream):
             if stream[i:i + k] == pattern and not any(consumed[i:i + k]):

@@ -10,7 +10,10 @@ from skillgraph.community import (CommunityPartition, FlowGraph, FlowModel, comp
                                   read_labels, write_labels,
                                   write_partition)
 from skillgraph.errors import CommunityError
-from skillgraph.graph import HeteroGraph, NodeKind, Relation
+from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build_career_graph,
+                              build_education_graph, merge_graphs)
+from skillgraph.ingest import apply_skill_matching
+from skillgraph.synth import generate_synthetic_corpus
 
 from oracles import (flow_isolated_nodes, random_hetero_graph, ref_map_equation,
                      ref_stationary, set_partitions)
@@ -136,14 +139,23 @@ class TestMapEquation:
             map_equation(g, flow, {"a": 0})
 
 
-def loop_module_state(fg, labels, k):
+def edge_flows(g, fg, teleport=0.15):
+    """``(src, dst, flow)`` of each edge between distinct nodes of ``g``, in
+    ``(src, dst)`` order, from the walk matrix and ``fg``'s visit rates."""
+    src, dst, wgt, _dangling = GraphIndex(g).combined_transition()
+    flow = (1.0 - teleport) * fg.visit[src] * wgt
+    return [(s, d, f) for s, d, f in zip(src.tolist(), dst.tolist(), flow.tolist())
+            if s != d and f > 0.0]
+
+
+def loop_module_state(fg, flows, labels, k):
     """Per-module sums by a plain loop over the units and the edges."""
     visit, tele, size, cross = ([0.0] * k for _ in range(4))
     for u in range(fg.n_units):
         visit[labels[u]] += fg.visit[u]
         tele[labels[u]] += fg.tele[u]
         size[labels[u]] += fg.size[u]
-    for src, dst, flow in zip(fg.esrc, fg.edst, fg.eflow):
+    for src, dst, flow in flows:
         if labels[src] != labels[dst]:
             cross[labels[src]] += flow
     exit_rate = [tele[m] * (fg.n_orig - size[m]) / fg.n_orig + cross[m] for m in range(k)]
@@ -160,7 +172,7 @@ class TestModuleState:
             k = fg.n_units + int(rng.integers(1, 4))
             labels = rng.integers(0, k, size=fg.n_units).astype(np.int64)
             state = fg.module_state(labels, k)
-            expected = loop_module_state(fg, labels, k)
+            expected = loop_module_state(fg, edge_flows(g, fg), labels, k)
             assert len(state) == 5
             for got, want in zip(state, expected):
                 assert got.shape == (k,)
@@ -196,10 +208,10 @@ class TestModuleState:
                 fg.partition_cost(dense), abs=1e-12)
 
 
-def loop_neighbours(fg):
-    out = [dict() for _ in range(fg.n_units)]
-    inflow = [dict() for _ in range(fg.n_units)]
-    for s, d, f in zip(fg.esrc.tolist(), fg.edst.tolist(), fg.eflow.tolist()):
+def loop_neighbours(n_units, flows):
+    out = [dict() for _ in range(n_units)]
+    inflow = [dict() for _ in range(n_units)]
+    for s, d, f in flows:
         if s != d:
             out[s][d] = out[s].get(d, 0.0) + f
             out[d].setdefault(s, 0.0)
@@ -210,21 +222,24 @@ def loop_neighbours(fg):
 
 class TestNeighbourList:
     def test_matches_per_edge_loop(self):
-        self_flows = two_way = 0
+        intra = two_way = 0
         for seed in range(8):
             rng = np.random.default_rng(seed)
             g, _ = random_hetero_graph(rng)
             fg = FlowGraph.from_graph(g, 0.15)
             raw = rng.integers(0, max(1, fg.n_units // 3), size=fg.n_units)
             _, dense = np.unique(raw, return_inverse=True)
-            # one aggregated level: intra-module self-flows, flow both ways
+            # one aggregated level: flow inside a module is dropped, and
+            # parallel edges between two modules add up
             agg = fg.aggregate(dense.astype(np.int64), int(dense.max()) + 1)
-            self_flows += int((agg.esrc == agg.edst).sum())
-            two_way += len(set(zip(agg.esrc.tolist(), agg.edst.tolist()))
-                           & set(zip(agg.edst.tolist(), agg.esrc.tolist())))
-            for level in (fg, agg):
+            flows = edge_flows(g, fg)
+            module = dense.tolist()
+            agg_flows = [(module[s], module[d], f) for s, d, f in flows]
+            intra += sum(s == d for s, d, _f in agg_flows)
+            two_way += int(((agg.nbr[2] > 0.0) & (agg.nbr[3] > 0.0)).sum())
+            for level, level_flows in ((fg, flows), (agg, agg_flows)):
                 ptr, idx, out, inflow = level.nbr
-                want_out, want_in = loop_neighbours(level)
+                want_out, want_in = loop_neighbours(level.n_units, level_flows)
                 assert ptr[0] == 0 and ptr[-1] == idx.size
                 for u in range(level.n_units):
                     row = idx[ptr[u]:ptr[u + 1]].tolist()
@@ -232,7 +247,7 @@ class TestNeighbourList:
                     assert u not in row
                     assert out[ptr[u]:ptr[u + 1]].tolist() == [want_out[u][v] for v in row]
                     assert inflow[ptr[u]:ptr[u + 1]].tolist() == [want_in[u][v] for v in row]
-        assert self_flows > 0 and two_way > 0
+        assert intra > 0 and two_way > 0
 
 
 class TestDetectCommunities:
@@ -418,6 +433,18 @@ class TestMergePartitions:
         assert labels["c"] == labels["d"]
         assert labels["c"] != labels["a"]
         assert labels["x"] not in (labels["a"], labels["c"])
+
+    def test_labels_cover_merged_graph_nodes(self, tmp_path):
+        for seed in range(3):
+            corpus = generate_synthetic_corpus(seed, n_jobs=40, n_courses=12, n_skills=24,
+                                               alignment=0.3, out_dir=tmp_path / f"c{seed}")
+            courses = apply_skill_matching(corpus.courses, corpus.skills)
+            edu = build_education_graph(courses, corpus.enrollments, catalog=corpus.skills)
+            edu_part = detect_communities(edu, seed=1)
+            for aggregate_by_title in (False, True):
+                car = build_career_graph(corpus.jobs, aggregate_by_title=aggregate_by_title)
+                labels = merge_partitions(edu_part, edu, detect_communities(car, seed=1), car)
+                assert set(labels) == set(merge_graphs(edu, car).node_ids())
 
     def test_courses_and_jobs_inherit_labels(self):
         edu = _skill_graph(["sql"])

@@ -12,7 +12,7 @@ from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build
                               write_snapshot)
 from skillgraph.ingest import Course, EnrollmentRecord, Job
 
-from oracles import random_hetero_graph
+from oracles import random_hetero_graph, ref_build_career_graph
 
 
 def course(cid, skills=(), name=None):
@@ -111,6 +111,39 @@ class TestCareerGraph:
         with pytest.raises(GraphError, match="job 'J1' has no skills"):
             build_career_graph(jobs, aggregate_by_title=aggregate_by_title)
 
+    def test_empty_and_untitled_titles_share_one_node(self):
+        # both titles map to node id 'untitled'; they form one valid node
+        jobs = [Job(id="J1", title="untitled", company="", location="",
+                    skills=frozenset({"sql"})),
+                Job(id="J2", title="!!!", company="", location="",
+                    skills=frozenset({"sql", "python"}))]
+        for order in (jobs, jobs[::-1]):
+            g = build_career_graph(order, aggregate_by_title=True)
+            assert g.node_ids(NodeKind.JOB) == ["untitled"]
+            assert g.node_name("untitled") == "untitled"
+            assert g.out_edges("untitled", Relation.REQUIRED) == [
+                ("python", 1 / 3), ("sql", 2 / 3)]
+
+    @pytest.mark.parametrize("aggregate_by_title", [False, True])
+    def test_matches_two_loop_reference(self, aggregate_by_title):
+        words = ["Data", "engineer", "ML-Ops", "analyst", "senior", "data_engineer", "C++"]
+        seps = [" ", "  ", "/", " - "]
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            jobs = []
+            for i in range(int(rng.integers(1, 12))):
+                title = rng.choice(seps).join(
+                    rng.choice(words, size=int(rng.integers(1, 4))).tolist())
+                skills = rng.choice(8, size=int(rng.integers(1, 5)), replace=False)
+                jobs.append(Job(id=f"J{i}", title=str(title), company="", location="",
+                                skills=frozenset(f"s{int(k)}" for k in skills)))
+            got = build_career_graph(jobs, aggregate_by_title=aggregate_by_title)
+            want = ref_build_career_graph(jobs, aggregate_by_title=aggregate_by_title)
+            assert got.node_ids() == want.node_ids()
+            assert [got.node_name(i) for i in got.node_ids()] == \
+                [want.node_name(i) for i in want.node_ids()]
+            assert list(got.edges()) == list(want.edges())
+
 
 class TestMergeGraphs:
     def test_same_name_skills_fuse(self):
@@ -164,14 +197,12 @@ class TestMergeGraphs:
 
 def test_graph_stats_counts():
     empty = HeteroGraph()
-    s = empty.stats()
-    assert s.total_nodes == 0 and s.total_edges == 0
+    assert empty.num_nodes() == 0 and empty.num_edges() == 0
     g = build_career_graph([Job(id="J1", title="t", company="", location="",
                                 skills=frozenset({"S1", "S2", "S3"}))])
-    s = g.stats()
-    assert s.node_counts[NodeKind.JOB] == 1
-    assert s.node_counts[NodeKind.SKILL] == 3
-    assert s.edge_counts[Relation.REQUIRED] == 3
+    assert g.node_ids(NodeKind.JOB) == ["J1"]
+    assert len(g.node_ids(NodeKind.SKILL)) == 3
+    assert g.num_nodes() == 4 and g.num_edges() == 3
 
 
 def test_combined_transition_matches_dict_reference():

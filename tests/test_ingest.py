@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 from skillgraph.errors import IngestError
 from skillgraph.ingest import (Course, EnrollmentRecord, Job, Skill, apply_skill_matching,
                                load_course_skills, load_courses, load_enrollments,
-                               load_jobs, load_skills, match_course_skills, tokenize,
-                               write_course_skills, write_courses, write_enrollments,
-                               write_jobs, write_skills)
+                               load_jobs, load_skills, tokenize, write_course_skills,
+                               write_courses, write_enrollments, write_jobs, write_skills)
 
 from oracles import ref_match_course_skills
+
+
+def match_one(course, catalog):
+    """The catalog skills one course names."""
+    return apply_skill_matching([course], catalog)[0].skills
 
 
 def test_tokenize_strips_punctuation_and_case():
@@ -112,37 +116,48 @@ class TestLoadEnrollments:
 
 
 class TestMatchCourseSkills:
+    def test_directly_built_skill_matches(self):
+        course = Course(id="C1", name="learn sql fast", description="")
+        assert match_one(course, [Skill("SK1", "sql")]) == {"SK1"}
+
+    def test_skill_tokens_follow_name(self):
+        skill = Skill("SK1", "Machine-Learning & AI")
+        assert skill.tokens == ("machine", "learning", "ai")
+        assert skill == Skill("SK1", "Machine-Learning & AI")
+        with pytest.raises(TypeError):
+            Skill("SK1", "sql", ("other",))  # tokens always come from the name
+
     def test_longer_skill_consumes_tokens(self):
         course = Course(id="C1", name="Introduction to Machine Learning", description="")
-        catalog = [Skill.from_name("SK1", "machine learning"), Skill.from_name("SK2", "learning")]
-        assert match_course_skills(course, catalog) == {"SK1"}
+        catalog = [Skill("SK1", "machine learning"), Skill("SK2", "learning")]
+        assert match_one(course, catalog) == {"SK1"}
 
     def test_single_containment(self):
         course = Course(id="C1", name="Databases and SQL", description="")
-        assert match_course_skills(course, [Skill.from_name("SK1", "sql")]) == {"SK1"}
+        assert match_one(course, [Skill("SK1", "sql")]) == {"SK1"}
 
     def test_no_overlap_empty(self):
         course = Course(id="C1", name="Ethics Seminar", description="")
-        assert match_course_skills(course, [Skill.from_name("SK1", "java")]) == set()
+        assert match_one(course, [Skill("SK1", "java")]) == set()
 
     def test_description_participates(self):
         course = Course(id="C1", name="Systems", description="covers operating systems design")
-        catalog = [Skill.from_name("SK1", "operating systems")]
-        assert match_course_skills(course, catalog) == {"SK1"}
+        catalog = [Skill("SK1", "operating systems")]
+        assert match_one(course, catalog) == {"SK1"}
 
     def test_second_occurrence_still_matches_shorter_skill(self):
         course = Course(id="C1", name="", description="machine learning and learning theory")
-        catalog = [Skill.from_name("SK1", "machine learning"), Skill.from_name("SK2", "learning")]
-        assert match_course_skills(course, catalog) == {"SK1", "SK2"}
+        catalog = [Skill("SK1", "machine learning"), Skill("SK2", "learning")]
+        assert match_one(course, catalog) == {"SK1", "SK2"}
 
     def test_catalog_order_insensitive(self):
         course = Course(id="C1", name="graph databases with sql", description="")
-        catalog = [Skill.from_name("SK1", "sql"), Skill.from_name("SK2", "graph databases")]
-        assert match_course_skills(course, catalog) == match_course_skills(course, catalog[::-1])
+        catalog = [Skill("SK1", "sql"), Skill("SK2", "graph databases")]
+        assert match_one(course, catalog) == match_one(course, catalog[::-1])
 
     def test_empty_catalog_rejected(self):
         with pytest.raises(IngestError):
-            match_course_skills(Course(id="C1", name="x", description=""), [])
+            match_one(Course(id="C1", name="x", description=""), [])
 
 
 class TestMatcherOracle:
@@ -161,7 +176,7 @@ class TestMatcherOracle:
             else:
                 name = " ".join(rng.choice(self.VOCAB) for _ in range(rng.randint(1, 4)))
             sid = f"SK{rng.randint(0, i):02d}" if rng.random() < 0.05 else f"SK{i:02d}"
-            catalog.append(Skill.from_name(sid, name))
+            catalog.append(Skill(sid, name))
         rng.shuffle(catalog)
         return catalog
 
@@ -175,7 +190,7 @@ class TestMatcherOracle:
         for _ in range(3000):
             catalog = self.random_catalog(rng)
             course = self.random_course(rng)
-            assert match_course_skills(course, catalog) == \
+            assert match_one(course, catalog) == \
                 ref_match_course_skills(course, catalog), (course, catalog)
 
     def test_apply_skill_matching_matches_oracle_per_course(self):
@@ -196,14 +211,14 @@ class TestMatcherOracle:
         (["d c b a", "c b", "b a", "a"], "d c b a c b a"),
     ])
     def test_overlap_and_duplicate_name_cases(self, names, text):
-        catalog = [Skill.from_name(f"SK{i}", name) for i, name in enumerate(names)]
+        catalog = [Skill(f"SK{i}", name) for i, name in enumerate(names)]
         course = Course(id="C1", name="", description=text)
-        assert match_course_skills(course, catalog) == ref_match_course_skills(course, catalog)
+        assert match_one(course, catalog) == ref_match_course_skills(course, catalog)
 
     def test_same_name_goes_to_lowest_id(self):
-        catalog = [Skill.from_name("SK2", "a a"), Skill.from_name("SK1", "a a")]
+        catalog = [Skill("SK2", "a a"), Skill("SK1", "a a")]
         course = Course(id="C1", name="a a a", description="")
-        assert match_course_skills(course, catalog) == {"SK1"}
+        assert match_one(course, catalog) == {"SK1"}
 
     def test_empty_courses_skip_catalog_check(self):
         assert apply_skill_matching([], []) == []
@@ -211,7 +226,7 @@ class TestMatcherOracle:
 
 def test_apply_skill_matching_pre_matched(tmp_path):
     courses = [Course(id="C1", name="a", description=""), Course(id="C2", name="b", description="")]
-    catalog = [Skill.from_name("SK1", "sql")]
+    catalog = [Skill("SK1", "sql")]
     matched = apply_skill_matching(courses, catalog, pre_matched=[("C1", "SK1")])
     assert matched[0].skills == frozenset({"SK1"})
     assert matched[1].skills == frozenset()
@@ -226,7 +241,7 @@ def test_round_trip_all_record_types(tmp_path, suffix):
                Course(id="C2", name="B", description="")]
     jobs = [Job(id="J1", title="Data Scientist", company="a,b", location="x",
                 skills=frozenset({"python", "statistics"}))]
-    skills = [Skill.from_name("SK1", "sql")]
+    skills = [Skill("SK1", "sql")]
     enrollments = [EnrollmentRecord("s1", "C1", 0), EnrollmentRecord("s1", "C2", 1)]
 
     cp = tmp_path / f"c.{suffix}"
@@ -273,8 +288,8 @@ def test_tokenize_deterministic_and_clean(text):
        st.permutations(["sql", "data mining", "graph mining", "python"]))
 def test_matcher_order_insensitive_and_within_catalog(words, catalog_names):
     course = Course(id="C1", name=" ".join(words), description="")
-    catalog = [Skill.from_name(f"SK{i}", name) for i, name in enumerate(sorted(catalog_names))]
-    shuffled = [Skill.from_name(f"SK{sorted(catalog_names).index(n)}", n) for n in catalog_names]
-    result = match_course_skills(course, catalog)
-    assert result == match_course_skills(course, shuffled)
+    catalog = [Skill(f"SK{i}", name) for i, name in enumerate(sorted(catalog_names))]
+    shuffled = [Skill(f"SK{sorted(catalog_names).index(n)}", n) for n in catalog_names]
+    result = match_one(course, catalog)
+    assert result == match_one(course, shuffled)
     assert result <= {s.id for s in catalog}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from skillgraph import kernels
-from skillgraph.community import FlowGraph
+from skillgraph.community import FlowGraph, _neighbours
 
 from oracles import random_hetero_graph
 
@@ -66,9 +66,8 @@ def test_equal_gains_move_to_lowest_module():
     # path 0-1-2 with equal flows: unit 1 gains the same joining either end,
     # and meets module 2 (unit 0) before module 0 (unit 2) in its neighbours
     visit = np.array([0.25, 0.5, 0.25])
-    flow = np.full(4, 0.2)
-    fg = FlowGraph(visit, 0.15 * visit, np.ones(3), np.array([0, 1, 1, 2]),
-                   np.array([1, 0, 2, 1]), flow, 3,
+    nbr = _neighbours(np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1]), np.full(4, 0.2), 3)
+    fg = FlowGraph(visit, 0.15 * visit, np.ones(3), nbr, 3,
                    float(sum(kernels._plogp(v) for v in visit)))
     labels = np.array([2, 1, 0], dtype=np.int64)
     moves, labels, delta, _exit = run_move_pass(

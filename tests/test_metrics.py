@@ -244,7 +244,7 @@ class TestBaselineVectorSpace:
     def test_skill_names_from_catalog_used(self):
         jobs = [Job(id="J1", title="data engineer", company="", location="",
                     skills=frozenset({"stream processing"}))]
-        catalog = [Skill.from_name("SK1", "stream processing")]
+        catalog = [Skill("SK1", "stream processing")]
         course_with = Course(id="C1", name="pipelines", description="",
                              skills=frozenset({"SK1"}))
         course_without = make_course("C2", "pipelines", "")
