@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -352,6 +353,29 @@ class TestDetectCommunities:
         b = detect_communities(shuffled, seed=7)
         assert a.assignment == b.assignment
         assert a.description_length == b.description_length
+
+    def test_golden_synth_partitions(self, tmp_path):
+        # pinned output of both graphs of one seeded corpus: a stalled career
+        # partition (k far above the planted 10) is sensitive to every
+        # tie-break and to the last bit of each gain; in a build with numba
+        # this also pins the jitted sweep to the plain-Python one end to end
+        corpus = generate_synthetic_corpus(5, n_jobs=1000, n_courses=150, n_skills=1500,
+                                           alignment=0.3, out_dir=tmp_path)
+        courses = apply_skill_matching(corpus.courses, corpus.skills)
+        graphs = {"education": build_education_graph(courses, corpus.enrollments,
+                                                     catalog=corpus.skills),
+                  "career": build_career_graph(corpus.jobs)}
+        expected = {
+            "education": ("10.08778464739344", 12,
+                          "90984ab7391c8acda3c9076a115a6935c4954f9284a71a54417af53f08448eb9"),
+            "career": ("11.749535322724551", 176,
+                       "a0b0f8827b5841264f40c4fca81abb68397305542e37c61c949824604f732b5f"),
+        }
+        for name, g in graphs.items():
+            part = detect_communities(g, seed=1)
+            rows = "".join(f"{node},{c}\n" for node, c in sorted(part.assignment.items()))
+            digest = hashlib.sha256(rows.encode()).hexdigest()
+            assert (repr(part.description_length), part.num_communities, digest) == expected[name]
 
     def test_recomputed_length_matches_tracked(self):
         # detect_communities raises if incremental and from-scratch L drift

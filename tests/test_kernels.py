@@ -37,8 +37,9 @@ def test_active_backend_registered():
 
 @pytest.mark.skipif(kernels.ACTIVE_BACKEND != "numba", reason="numba unavailable")
 def test_local_move_pass_backends_identical():
-    # the jitted sweep against the same loop source run as plain Python
-    plain = kernels._make_local_move_pass(kernels._plogp)
+    # the jitted sweep against the plain-Python build that ships: the same
+    # loop source run on lists behind the in-place entry point
+    plain = kernels._list_local_move_pass
     for seed in range(5):
         fg, _g = flow_fixture(seed)
         order = np.random.default_rng(seed).permutation(fg.n_units).astype(np.int64)
@@ -47,6 +48,22 @@ def test_local_move_pass_backends_identical():
         assert jit_moves == py_moves
         np.testing.assert_array_equal(jit_labels, py_labels)
         assert jit_delta == pytest.approx(py_delta, abs=1e-12)
+
+
+def test_local_move_pass_writes_module_state_back():
+    # the caller's module arrays hold the state of the labels the sweep left
+    for seed in range(4):
+        fg, _g = flow_fixture(seed + 40)
+        labels = np.arange(fg.n_units, dtype=np.int64)
+        state = fg.module_state(labels, fg.n_units)
+        order = np.random.default_rng(seed).permutation(fg.n_units).astype(np.int64)
+        moves, _delta, exit_sum = kernels.local_move_pass(
+            order, labels, fg.visit, fg.tele, fg.size, *fg.nbr,
+            *state, float(state[4].sum()), float(fg.n_orig), 1e-10)
+        assert moves > 0
+        for tracked, fresh in zip(state, fg.module_state(labels, fg.n_units)):
+            np.testing.assert_allclose(tracked, fresh, rtol=0.0, atol=1e-12)
+        assert exit_sum == pytest.approx(float(state[4].sum()), abs=1e-12)
 
 
 def test_local_move_delta_matches_cost_difference():
