@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from . import kernels
-from .errors import CommunityError
+from .errors import CommunityError, csv_rows
 from .graph import GraphIndex, HeteroGraph, NodeKind, union_ids
 
 DEFAULT_TELEPORT = 0.15
@@ -299,8 +299,7 @@ def write_labels(path: str | Path, labels: Mapping[str, int]) -> None:
 
 
 def read_labels(path: str | Path) -> dict[str, int]:
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
+    reader = csv_rows(path, CommunityError)
     header = next(reader, None)
     if header != ["node_id", "community"]:
         raise CommunityError(f"{path}: bad header {header!r}")

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 ENV_CONFIG = "SKILLGRAPH_CONFIG"
 
@@ -97,7 +97,7 @@ def load_config(path: str | Path | None = None,
         p = Path(chosen)
         if not p.exists():
             raise ConfigError(f"config file {p} does not exist")
-        values.update(parse_config_text(p.read_text(encoding="utf-8")))
+        values.update(parse_config_text(read_text(p, ConfigError)))
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val

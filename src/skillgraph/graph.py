@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import GraphError
+from .errors import GraphError, read_text
 from .ingest import Course, EnrollmentRecord, Job, Skill, tokenize
 
 log = logging.getLogger(__name__)
@@ -371,7 +371,7 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
     kind_by_value = {k.value: k for k in NodeKind}
     rel_by_value = {r.value: r for r in Relation}
     edges: list[tuple[str, Relation, str, float]] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, GraphError).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split(" ")

@@ -29,9 +29,12 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import IngestError
+from .errors import IngestError, csv_rows, read_text
 
 _TOKEN_SPLIT = re.compile(r"[\W_]+", re.UNICODE)
+# a job skill becomes a graph node id, and the graph snapshot keeps one record
+# per line with only ' ' encoded; every str.splitlines break is whitespace
+_NON_SPACE_WHITESPACE = re.compile(r"[^\S ]")
 
 
 def tokenize(text: str) -> list[str]:
@@ -90,13 +93,9 @@ def _read_rows(path: str | Path, columns: Sequence[str]) -> list[tuple[int, dict
     Row numbers are 1-based over data records (the CSV header is row 0).
     """
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
     if path.suffix.lower() == ".json":
         try:
-            data = json.loads(raw)
+            data = json.loads(read_text(path, IngestError))
         except json.JSONDecodeError as exc:
             raise IngestError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, list):
@@ -108,11 +107,10 @@ def _read_rows(path: str | Path, columns: Sequence[str]) -> list[tuple[int, dict
                     f"{path}: row {i}: expected keys {list(columns)}")
             out.append((i, {k: obj[k] for k in columns}))
         return out
-    reader = csv.reader(io.StringIO(raw))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError(f"{path}: missing header row") from None
+    reader = csv_rows(path, IngestError)
+    header = next(reader, None)
+    if header is None:
+        raise IngestError(f"{path}: missing header row")
     if header != list(columns):
         raise IngestError(
             f"{path}: bad header {header!r}, expected {list(columns)!r}")
@@ -154,6 +152,11 @@ def load_jobs(path: str | Path) -> list[Job]:
         skills = frozenset(s for s in parts if s)
         if not skills:
             raise IngestError(f"row {row}: job {jid!r} has an empty skill list")
+        # the skills are stripped, so any match lies inside one of them
+        if _NON_SPACE_WHITESPACE.search(" ".join(skills)):
+            bad = min(s for s in skills if _NON_SPACE_WHITESPACE.search(s))
+            raise IngestError(
+                f"row {row}: job {jid!r}: skill {bad!r} contains whitespace other than ' '")
         jobs.append(Job(id=jid, title=str(rec["title"]), company=str(rec["company"]),
                         location=str(rec["location"]), skills=skills))
     return jobs

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import EvalError
+from .errors import EvalError, csv_rows
 from .ingest import Course, Job, Skill, tokenize
 from .ranker import RankedList, title_contains, to_ranked_list
 
@@ -111,8 +111,7 @@ def metric_report(runs: Sequence[JudgedRun]) -> MetricReport:
 
 def load_judgments(path: str | Path) -> dict[str, dict[str, bool]]:
     """CSV ``query_id,node_id,relevant`` with relevant in {0,1}."""
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
+    reader = csv_rows(path, EvalError)
     header = next(reader, None)
     if header != ["query_id", "node_id", "relevant"]:
         raise EvalError(f"{path}: bad header {header!r}")
@@ -143,8 +142,7 @@ def load_runs(path: str | Path) -> dict[str, list[str]]:
     Scores must be finite numbers that never rise as the rank gets worse
     within a query (ties are allowed).
     """
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
+    reader = csv_rows(path, EvalError)
     header = next(reader, None)
     if header != ["query_id", "rank", "node_id", "score"]:
         raise EvalError(f"{path}: bad header {header!r}")

@@ -35,6 +35,19 @@ def run_pipeline(tmp_path, capsys, seed=7, out_name="out"):
     return data, out
 
 
+def ingest_argv(tmp_path, capsys, **replaced):
+    """``ingest`` arguments for a small synthetic corpus, with the input
+    files named in ``replaced`` (``courses=path``...) swapped in."""
+    data = tmp_path / "data"
+    code, _, err = run_cli(capsys, "synth", "--seed", "7", "--jobs", "40", "--courses", "12",
+                           "--skills", "24", "--out", str(data))
+    assert code == 0, err
+    argv = ["ingest", "--out", str(tmp_path / "out")]
+    for name in ("courses", "jobs", "skills", "enrollments"):
+        argv += [f"--{name}", str(replaced.get(name, data / f"{name}.csv"))]
+    return argv
+
+
 class TestPipeline:
     def test_full_pipeline_and_recommend(self, tmp_path, capsys):
         _data, out = run_pipeline(tmp_path, capsys)
@@ -277,6 +290,54 @@ class TestErrors:
                                "--out", str(tmp_path))
         assert code == 1
         assert "error" in err
+
+    def test_undecodable_course_file_exits_one(self, tmp_path, capsys):
+        courses = tmp_path / "courses.csv"
+        courses.write_bytes(b"id,name,description\nC1,caf\xff,x\n")
+        code, stdout, err = run_cli(capsys, *ingest_argv(tmp_path, capsys, courses=courses))
+        assert code == 1
+        assert stdout == ""
+        assert f"error: {courses}: not UTF-8 text" in err
+
+    def test_oversized_course_field_exits_one(self, tmp_path, capsys):
+        courses = tmp_path / "courses.csv"
+        courses.write_text("id,name,description\nC1," + "n" * 200_000 + ",x\n")
+        code, stdout, err = run_cli(capsys, *ingest_argv(tmp_path, capsys, courses=courses))
+        assert code == 1
+        assert stdout == ""
+        assert f"error: {courses}: line 2: field larger than field limit" in err
+
+    def test_undecodable_config_file_exits_one(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg"
+        cfg_file.write_bytes(b"seed = 1 # \xff\n")
+        code, stdout, err = run_cli(capsys, "build", "--config", str(cfg_file),
+                                    "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert stdout == ""
+        assert f"error: {cfg_file}: not UTF-8 text" in err
+
+    @pytest.mark.parametrize("bad", ["judgments", "runs"])
+    def test_undecodable_evaluate_input_exits_one(self, tmp_path, capsys, bad):
+        files = {"judgments": b"query_id,node_id,relevant\nq,C1,1\n",
+                 "runs": b"query_id,rank,node_id,score\nq,1,C1,1\n"}
+        files[bad] = files[bad].replace(b"C1", b"C\xff")
+        paths = {}
+        for name, content in files.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_bytes(content)
+        code, stdout, err = run_cli(capsys, "evaluate", "--judgments", str(paths["judgments"]),
+                                    "--runs", str(paths["runs"]), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "MAP" not in stdout
+        assert f"error: {paths[bad]}: not UTF-8 text" in err
+
+    def test_job_skill_with_line_break_exits_one(self, tmp_path, capsys):
+        jobs = tmp_path / "jobs.csv"
+        jobs.write_text('id,title,company,location,skills\nJ1,dev,acme,remote,"odd\nskill;sql"\n')
+        code, stdout, err = run_cli(capsys, *ingest_argv(tmp_path, capsys, jobs=jobs))
+        assert code == 1
+        assert stdout == ""
+        assert "row 1: job 'J1': skill 'odd\\nskill' contains whitespace other than ' '" in err
 
 
 class TestHelp:

@@ -357,8 +357,8 @@ class TestDetectCommunities:
     def test_golden_synth_partitions(self, tmp_path):
         # pinned output of both graphs of one seeded corpus: a stalled career
         # partition (k far above the planted 10) is sensitive to every
-        # tie-break and to the last bit of each gain; in a build with numba
-        # this also pins the jitted sweep to the plain-Python one end to end
+        # tie-break and to the last bit of each gain, so this also pins the
+        # move sweep's arithmetic and its order end to end
         corpus = generate_synthetic_corpus(5, n_jobs=1000, n_courses=150, n_skills=1500,
                                            alignment=0.3, out_dir=tmp_path)
         courses = apply_skill_matching(corpus.courses, corpus.skills)
@@ -506,4 +506,11 @@ def test_non_integer_label_rejected(tmp_path):
     path = tmp_path / "l.csv"
     path.write_text("node_id,community\na,0\nb,two\n")
     with pytest.raises(CommunityError, match=r"l\.csv: bad row \['b', 'two'\]"):
+        read_labels(path)
+
+
+def test_undecodable_labels_rejected(tmp_path):
+    path = tmp_path / "l.csv"
+    path.write_bytes(b"node_id,community\ncaf\xff,0\n")
+    with pytest.raises(CommunityError, match=r"l\.csv: not UTF-8 text"):
         read_labels(path)

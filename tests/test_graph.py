@@ -279,6 +279,12 @@ class TestSnapshot:
         with pytest.raises(GraphError, match="line 2"):
             read_snapshot(p)
 
+    def test_undecodable_snapshot_rejected(self, tmp_path):
+        p = tmp_path / "g.graph"
+        p.write_bytes(b"N C1 course\nN caf\xff skill\n")
+        with pytest.raises(GraphError, match=r"g\.graph: not UTF-8 text"):
+            read_snapshot(p)
+
     @pytest.mark.parametrize("weight", ["abc", "nan", "inf"])
     def test_bad_edge_weight_rejected(self, tmp_path, weight):
         p = tmp_path / "g.graph"

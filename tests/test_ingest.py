@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -79,6 +80,32 @@ class TestLoadJobs:
         p.write_text("id,title,company,location,skills\nJ1,Dev,acme,remote,\n")
         with pytest.raises(IngestError, match="J1"):
             load_jobs(p)
+
+    @pytest.mark.parametrize("skill", ["odd\nskill", "odd\rskill", "odd\tskill",
+                                       "odd\x1cskill", "odd\u2028skill"])
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_skill_with_other_whitespace_rejected(self, tmp_path, skill, suffix):
+        # a job skill becomes a graph node, and the snapshot holds one per line
+        p = tmp_path / f"j{suffix}"
+        rows = [{"id": "J0", "title": "Dev", "company": "acme", "location": "remote",
+                 "skills": ["sql"]},
+                {"id": "J1", "title": "Dev", "company": "acme", "location": "remote",
+                 "skills": ["sql", skill]}]
+        if suffix == ".json":
+            p.write_text(json.dumps(rows))
+        else:
+            p.write_text("id,title,company,location,skills\n" + "".join(
+                f'{r["id"]},{r["title"]},{r["company"]},{r["location"]},"{";".join(r["skills"])}"\n'
+                for r in rows), newline="")
+        # (text reads turn a CSV '\r' into '\n')
+        with pytest.raises(IngestError, match="row 2: job 'J1': skill 'odd.+skill' "
+                                              "contains whitespace other than ' '"):
+            load_jobs(p)
+
+    def test_skill_with_space_accepted(self, tmp_path):
+        p = tmp_path / "j.csv"
+        p.write_text("id,title,company,location,skills\nJ1,Dev,acme,remote,machine learning\n")
+        assert load_jobs(p)[0].skills == frozenset({"machine learning"})
 
     def test_two_files_concatenate(self, tmp_path):
         a = tmp_path / "a.csv"
