@@ -27,7 +27,7 @@ from . import metrics as metrics_mod
 from . import ranker as ranker_mod
 from . import synth as synth_mod
 from .config import PipelineConfig, load_config
-from .errors import ConfigError, SkillGraphError
+from .errors import ConfigError, SkillGraphError, write_text
 
 F_COURSES = "courses.csv"
 F_COURSE_SKILLS = "course_skills.csv"
@@ -172,7 +172,7 @@ def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     report = metrics_mod.metric_report(runs)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / F_METRICS).write_text(report.to_json(), encoding="utf-8", newline="")
+    write_text(out / F_METRICS, report.to_json())
     return (report.render_table() +
             f"\nevaluate: {len(runs)} queries -> {out / F_METRICS}")
 

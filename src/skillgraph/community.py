@@ -14,8 +14,6 @@ cycle repeats until an aggregation level stops merging.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -23,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from . import kernels
-from .errors import CommunityError, csv_rows
+from .errors import CommunityError, csv_rows, csv_text, write_text
 from .graph import GraphIndex, HeteroGraph, NodeKind, union_ids
 
 DEFAULT_TELEPORT = 0.15
@@ -289,24 +287,16 @@ def merge_partitions(edu_part: CommunityPartition, edu_graph: HeteroGraph,
 # partition / label files
 # ---------------------------------------------------------------------------
 
+_LABEL_HEADER = ("node_id", "community")
+
+
 def write_labels(path: str | Path, labels: Mapping[str, int]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["node_id", "community"])
-    for node_id in sorted(labels):
-        writer.writerow([node_id, labels[node_id]])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
+    write_text(path, csv_text(_LABEL_HEADER, ((n, labels[n]) for n in sorted(labels))))
 
 
 def read_labels(path: str | Path) -> dict[str, int]:
-    reader = csv_rows(path, CommunityError)
-    header = next(reader, None)
-    if header != ["node_id", "community"]:
-        raise CommunityError(f"{path}: bad header {header!r}")
     out: dict[str, int] = {}
-    for row in reader:
-        if len(row) != 2:
-            raise CommunityError(f"{path}: bad row {row!r}")
+    for row in csv_rows(path, _LABEL_HEADER, CommunityError):
         if row[0] in out:
             raise CommunityError(f"{path}: node {row[0]!r} is labelled twice")
         try:
@@ -322,4 +312,4 @@ def write_partition(path: str | Path, summary_path: str | Path,
     write_labels(path, partition.assignment)
     summary = (f"L={partition.description_length:.17g} "
                f"k={partition.num_communities} seed={seed}\n")
-    Path(summary_path).write_text(summary, encoding="utf-8", newline="")
+    write_text(summary_path, summary)

@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import GraphError, read_text
+from .errors import GraphError, read_text, write_text
 from .ingest import Course, EnrollmentRecord, Job, Skill, tokenize
 
 log = logging.getLogger(__name__)
@@ -363,7 +363,7 @@ def snapshot_lines(g: HeteroGraph) -> list[str]:
 
 
 def write_snapshot(g: HeteroGraph, path: str | Path) -> None:
-    Path(path).write_text("\n".join(snapshot_lines(g)) + "\n", encoding="utf-8", newline="")
+    write_text(path, "\n".join(snapshot_lines(g)) + "\n")
 
 
 def read_snapshot(path: str | Path) -> HeteroGraph:

@@ -1,6 +1,6 @@
 """Corpus records: parsing, validation, writers, and course-skill matching.
 
-File formats (UTF-8, ``\\n`` line endings):
+File formats (UTF-8; the text codec in :mod:`skillgraph.errors`):
 
 * courses:     CSV header ``id,name,description``
 * jobs:        CSV header ``id,title,company,location,skills`` with a
@@ -11,8 +11,8 @@ File formats (UTF-8, ``\\n`` line endings):
   ``course_id,skill_id``
 
 Every loader also accepts the same schema as a JSON array of objects when the
-path ends in ``.json``; writers emit whichever format the extension names,
-byte-deterministically (sorted keys, sorted skill lists).
+path ends in ``.json`` (a job's skills may then be a list). Writers always
+emit CSV, byte-deterministically (sorted skill lists and course-skill pairs).
 
 Course-skill matching indexes the catalog once per call, by token tuple (a
 dictionary in the spirit of Aho-Corasick, CACM 1975). Each course then costs
@@ -21,15 +21,13 @@ instead of a slide of every catalog skill over its token stream.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import IngestError, csv_rows, read_text
+from .errors import IngestError, csv_rows, csv_text, read_text, write_text
 
 _TOKEN_SPLIT = re.compile(r"[\W_]+", re.UNICODE)
 # a job skill becomes a graph node id, and the graph snapshot keeps one record
@@ -107,19 +105,8 @@ def _read_rows(path: str | Path, columns: Sequence[str]) -> list[tuple[int, dict
                     f"{path}: row {i}: expected keys {list(columns)}")
             out.append((i, {k: obj[k] for k in columns}))
         return out
-    reader = csv_rows(path, IngestError)
-    header = next(reader, None)
-    if header is None:
-        raise IngestError(f"{path}: missing header row")
-    if header != list(columns):
-        raise IngestError(
-            f"{path}: bad header {header!r}, expected {list(columns)!r}")
-    out = []
-    for i, row in enumerate(reader, start=1):
-        if len(row) != len(columns):
-            raise IngestError(f"{path}: row {i}: expected {len(columns)} fields, got {len(row)}")
-        out.append((i, dict(zip(columns, row))))
-    return out
+    rows = csv_rows(path, columns, IngestError)
+    return [(i, dict(zip(columns, row))) for i, row in enumerate(rows, start=1)]
 
 
 def load_courses(path: str | Path) -> list[Course]:
@@ -157,6 +144,10 @@ def load_jobs(path: str | Path) -> list[Job]:
             bad = min(s for s in skills if _NON_SPACE_WHITESPACE.search(s))
             raise IngestError(
                 f"row {row}: job {jid!r}: skill {bad!r} contains whitespace other than ' '")
+        # the CSV form joins a job's skills with ';', so a JSON skill must not hold one
+        if ";" in "".join(skills):
+            bad = min(s for s in skills if ";" in s)
+            raise IngestError(f"row {row}: job {jid!r}: skill {bad!r} contains ';'")
         jobs.append(Job(id=jid, title=str(rec["title"]), company=str(rec["company"]),
                         location=str(rec["location"]), skills=skills))
     return jobs
@@ -291,54 +282,26 @@ def apply_skill_matching(courses: Sequence[Course], catalog: Sequence[Skill],
 # writers (byte-deterministic)
 # ---------------------------------------------------------------------------
 
-def _write_text(path: str | Path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="")
-
-
-def _emit(path: str | Path, columns: Sequence[str], rows: list[dict]) -> None:
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        _write_text(path, json.dumps(rows, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for rec in rows:
-        writer.writerow([rec[c] for c in columns])
-    _write_text(path, buf.getvalue())
-
-
 def write_courses(path: str | Path, courses: Sequence[Course]) -> None:
-    _emit(path, ("id", "name", "description"),
-          [{"id": c.id, "name": c.name, "description": c.description} for c in courses])
+    write_text(path, csv_text(("id", "name", "description"),
+                              ((c.id, c.name, c.description) for c in courses)))
 
 
 def write_course_skills(path: str | Path, courses: Sequence[Course]) -> None:
-    pairs = sorted((c.id, sid) for c in courses for sid in c.skills)
-    _emit(path, ("course_id", "skill_id"),
-          [{"course_id": c, "skill_id": s} for c, s in pairs])
+    write_text(path, csv_text(("course_id", "skill_id"),
+                              sorted((c.id, sid) for c in courses for sid in c.skills)))
 
 
 def write_jobs(path: str | Path, jobs: Sequence[Job]) -> None:
-    rows = []
-    for j in jobs:
-        skills = sorted(j.skills)
-        bad = [s for s in skills if ";" in s]
-        if bad:
-            raise IngestError(f"job {j.id!r}: skill id {bad[0]!r} contains ';'")
-        if str(Path(path).suffix).lower() == ".json":
-            rows.append({"id": j.id, "title": j.title, "company": j.company,
-                         "location": j.location, "skills": skills})
-        else:
-            rows.append({"id": j.id, "title": j.title, "company": j.company,
-                         "location": j.location, "skills": ";".join(skills)})
-    _emit(path, ("id", "title", "company", "location", "skills"), rows)
+    write_text(path, csv_text(("id", "title", "company", "location", "skills"),
+                              ((j.id, j.title, j.company, j.location, ";".join(sorted(j.skills)))
+                               for j in jobs)))
 
 
 def write_skills(path: str | Path, skills: Sequence[Skill]) -> None:
-    _emit(path, ("id", "name"), [{"id": s.id, "name": s.name} for s in skills])
+    write_text(path, csv_text(("id", "name"), ((s.id, s.name) for s in skills)))
 
 
 def write_enrollments(path: str | Path, records: Sequence[EnrollmentRecord]) -> None:
-    _emit(path, ("student", "course", "term"),
-          [{"student": r.student, "course": r.course, "term": r.term} for r in records])
+    write_text(path, csv_text(("student", "course", "term"),
+                              ((r.student, r.course, r.term) for r in records)))

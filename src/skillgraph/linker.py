@@ -16,8 +16,6 @@ Every idf is positive, so each pair that shares a token scores above 0.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -25,7 +23,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import GraphError
+from .errors import GraphError, csv_text, write_text
 from .graph import HeteroGraph, NodeKind, Relation
 from .ingest import tokenize
 
@@ -157,9 +155,6 @@ def link_skills(g: HeteroGraph, communities: Mapping[str, int],
 
 
 def write_link_dump(path: str | Path, records: Sequence[LinkRecord]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", "target", "raw_bm25", "weight"])
-    for rec in records:
-        writer.writerow([rec.source, rec.target, f"{rec.raw_score:.12g}", f"{rec.weight:.12g}"])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
+    write_text(path, csv_text(("source", "target", "raw_bm25", "weight"),
+                              ((r.source, r.target, f"{r.raw_score:.12g}", f"{r.weight:.12g}")
+                               for r in records)))

@@ -12,8 +12,6 @@ Conventions, pinned so every number is unambiguous:
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from collections import Counter
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import EvalError, csv_rows
+from .errors import EvalError, csv_rows, csv_text, write_text
 from .ingest import Course, Job, Skill, tokenize
 from .ranker import RankedList, title_contains, to_ranked_list
 
@@ -109,15 +107,14 @@ def metric_report(runs: Sequence[JudgedRun]) -> MetricReport:
 # judgment / run files
 # ---------------------------------------------------------------------------
 
+_JUDGMENT_HEADER = ("query_id", "node_id", "relevant")
+
+
 def load_judgments(path: str | Path) -> dict[str, dict[str, bool]]:
     """CSV ``query_id,node_id,relevant`` with relevant in {0,1}."""
-    reader = csv_rows(path, EvalError)
-    header = next(reader, None)
-    if header != ["query_id", "node_id", "relevant"]:
-        raise EvalError(f"{path}: bad header {header!r}")
     out: dict[str, dict[str, bool]] = {}
-    for i, row in enumerate(reader, start=1):
-        if len(row) != 3 or row[2] not in ("0", "1"):
+    for i, row in enumerate(csv_rows(path, _JUDGMENT_HEADER, EvalError), start=1):
+        if row[2] not in ("0", "1"):
             raise EvalError(f"{path}: row {i}: expected query_id,node_id,relevant(0|1)")
         judged = out.setdefault(row[0], {})
         if row[1] in judged:
@@ -127,13 +124,10 @@ def load_judgments(path: str | Path) -> dict[str, dict[str, bool]]:
 
 
 def write_judgments(path: str | Path, judgments: Mapping[str, Mapping[str, bool]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["query_id", "node_id", "relevant"])
-    for query in sorted(judgments):
-        for node_id in sorted(judgments[query]):
-            writer.writerow([query, node_id, int(judgments[query][node_id])])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
+    write_text(path, csv_text(_JUDGMENT_HEADER,
+                              ((query, node_id, int(judgments[query][node_id]))
+                               for query in sorted(judgments)
+                               for node_id in sorted(judgments[query]))))
 
 
 def load_runs(path: str | Path) -> dict[str, list[str]]:
@@ -142,15 +136,10 @@ def load_runs(path: str | Path) -> dict[str, list[str]]:
     Scores must be finite numbers that never rise as the rank gets worse
     within a query (ties are allowed).
     """
-    reader = csv_rows(path, EvalError)
-    header = next(reader, None)
-    if header != ["query_id", "rank", "node_id", "score"]:
-        raise EvalError(f"{path}: bad header {header!r}")
     staged: dict[str, list[tuple[int, str, float, int]]] = {}
     seen: set[tuple[str, str]] = set()
-    for i, row in enumerate(reader, start=1):
-        if len(row) != 4:
-            raise EvalError(f"{path}: row {i}: expected 4 fields")
+    rows = csv_rows(path, ("query_id", "rank", "node_id", "score"), EvalError)
+    for i, row in enumerate(rows, start=1):
         try:
             rank = int(row[1])
         except ValueError:

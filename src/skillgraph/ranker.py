@@ -20,15 +20,13 @@ Three course-recommendation scenarios are wired on top:
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from . import kernels
-from .errors import QueryError
+from .errors import QueryError, csv_text
 from .graph import RELATION_SIGNATURE, GraphIndex, HeteroGraph, NodeKind, Relation
 from .ingest import tokenize
 
@@ -344,9 +342,6 @@ def recommend(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInput,
 
 
 def format_ranked_list(ranked: RankedList) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "node_id", "score"])
-    for rank, (node_id, score) in enumerate(ranked.entries, start=1):
-        writer.writerow([rank, node_id, f"{score:.12g}"])
-    return buf.getvalue()
+    return csv_text(("rank", "node_id", "score"),
+                    ((rank, node_id, f"{score:.12g}")
+                     for rank, (node_id, score) in enumerate(ranked.entries, start=1)))

@@ -7,6 +7,7 @@ import pytest
 from skillgraph.cli import build_parser, main
 from skillgraph.config import ENV_CONFIG, PipelineConfig, load_config, parse_config_text
 from skillgraph.errors import ConfigError
+from skillgraph.ingest import load_courses
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +123,21 @@ class TestPipeline:
         assert code == 0
         assert stdout.startswith("rank,node_id,score")
         assert "base candidates" in err
+
+    def test_course_name_with_carriage_return_survives_build(self, tmp_path, capsys):
+        # ingest accepts the name, so the canonical courses.csv must read it back
+        argv = ingest_argv(tmp_path, capsys)
+        rows = [{"id": c.id, "name": c.name, "description": c.description}
+                for c in load_courses(tmp_path / "data" / "courses.csv")]
+        rows[0]["name"] = "a\rb"
+        courses = tmp_path / "courses.json"
+        courses.write_text(json.dumps(rows))
+        argv[argv.index("--courses") + 1] = str(courses)
+        out = tmp_path / "out"
+        for stage in (argv, ["build", "--out", str(out)]):
+            code, _, err = run_cli(capsys, *stage)
+            assert code == 0, (stage[0], err)
+        assert load_courses(out / "courses.csv")[0].name == "a\rb"
 
 
 class TestErrors:
@@ -338,6 +354,16 @@ class TestErrors:
         assert code == 1
         assert stdout == ""
         assert "row 1: job 'J1': skill 'odd\\nskill' contains whitespace other than ' '" in err
+
+    def test_job_skill_with_semicolon_exits_one_before_writing(self, tmp_path, capsys):
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(json.dumps([{"id": "J1", "title": "dev", "company": "acme",
+                                     "location": "remote", "skills": ["a;b", "sql"]}]))
+        code, stdout, err = run_cli(capsys, *ingest_argv(tmp_path, capsys, jobs=jobs))
+        assert code == 1
+        assert stdout == ""
+        assert "row 1: job 'J1': skill 'a;b' contains ';'" in err
+        assert not (tmp_path / "out" / "courses.csv").exists()
 
 
 class TestHelp:

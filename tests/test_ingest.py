@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skillgraph
 from skillgraph.errors import IngestError
 from skillgraph.ingest import (Course, EnrollmentRecord, Job, Skill, apply_skill_matching,
                                load_course_skills, load_courses, load_enrollments,
@@ -62,6 +64,17 @@ class TestLoadCourses:
         with pytest.raises(IngestError, match="whitespace"):
             load_courses(p)
 
+    def test_quoted_carriage_return_kept(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text('id,name,description\nC1,"x\ry",d\n', newline="")
+        assert load_courses(p)[0].name == "x\ry"
+
+    def test_crlf_line_ends_load(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_bytes(b"id,name,description\r\nC1,A,d\r\nC2,B,\r\n")
+        assert load_courses(p) == [Course(id="C1", name="A", description="d"),
+                                   Course(id="C2", name="B", description="")]
+
     def test_json_variant(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text('[{"id": "C1", "name": "A", "description": "d"}]')
@@ -97,7 +110,6 @@ class TestLoadJobs:
             p.write_text("id,title,company,location,skills\n" + "".join(
                 f'{r["id"]},{r["title"]},{r["company"]},{r["location"]},"{";".join(r["skills"])}"\n'
                 for r in rows), newline="")
-        # (text reads turn a CSV '\r' into '\n')
         with pytest.raises(IngestError, match="row 2: job 'J1': skill 'odd.+skill' "
                                               "contains whitespace other than ' '"):
             load_jobs(p)
@@ -265,7 +277,8 @@ def test_apply_skill_matching_pre_matched(tmp_path):
 def test_round_trip_all_record_types(tmp_path, suffix):
     courses = [Course(id="C1", name="Intro, advanced", description='has "quotes"\nand newline',
                       skills=frozenset({"SK1"})),
-               Course(id="C2", name="B", description="")]
+               Course(id="C2", name="B", description=""),
+               Course(id="C3", name="carriage\rreturn", description="two\r\nlines")]
     jobs = [Job(id="J1", title="Data Scientist", company="a,b", location="x",
                 skills=frozenset({"python", "statistics"}))]
     skills = [Skill("SK1", "sql")]
@@ -276,11 +289,23 @@ def test_round_trip_all_record_types(tmp_path, suffix):
     sp = tmp_path / f"s.{suffix}"
     ep = tmp_path / f"e.{suffix}"
     pp = tmp_path / f"p.{suffix}"
-    write_courses(cp, courses)
-    write_course_skills(pp, courses)
-    write_jobs(jp, jobs)
-    write_skills(sp, skills)
-    write_enrollments(ep, enrollments)
+    if suffix == "csv":
+        write_courses(cp, courses)
+        write_course_skills(pp, courses)
+        write_jobs(jp, jobs)
+        write_skills(sp, skills)
+        write_enrollments(ep, enrollments)
+    else:
+        # the writers emit CSV only; JSON is an input format
+        def dump(path, records):
+            path.write_text(json.dumps(records))
+        dump(cp, [{"id": c.id, "name": c.name, "description": c.description} for c in courses])
+        dump(pp, [{"course_id": c.id, "skill_id": s} for c in courses for s in sorted(c.skills)])
+        dump(jp, [{"id": j.id, "title": j.title, "company": j.company, "location": j.location,
+                   "skills": sorted(j.skills)} for j in jobs])
+        dump(sp, [{"id": s.id, "name": s.name} for s in skills])
+        dump(ep, [{"student": r.student, "course": r.course, "term": r.term}
+                  for r in enrollments])
 
     loaded = apply_skill_matching(load_courses(cp), skills, pre_matched=load_course_skills(pp))
     assert loaded == courses
@@ -297,6 +322,16 @@ def test_writers_byte_deterministic(tmp_path):
     write_jobs(p2, jobs)
     assert p1.read_bytes() == p2.read_bytes()
     assert "a;b;c" in p1.read_text()
+
+
+def test_only_the_errors_module_formats_files():
+    # every file the package writes goes through the one codec in skillgraph.errors
+    src = Path(skillgraph.__file__).parent
+    found = [f"{path.name}: {pattern}" for path in sorted(src.glob("*.py"))
+             if path.name != "errors.py"
+             for pattern in ("csv.writer", "io.StringIO", ".write_text(")
+             if pattern in path.read_text(encoding="utf-8")]
+    assert found == []
 
 
 @settings(max_examples=50, deadline=None)
