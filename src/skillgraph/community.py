@@ -8,9 +8,13 @@ of a two-level codebook: one index codebook over community exits plus one
 codebook per community over its exits and node visits.
 
 Detection is greedy and multi-level: starting from singletons, nodes move to
-the neighboring community with the best cost decrease (seeded shuffled sweeps
-until a sweep makes no move), communities aggregate into supernodes, and the
-cycle repeats until an aggregation level stops merging.
+the neighboring community with the best cost decrease, communities aggregate
+into supernodes, and the cycle repeats until an aggregation level stops
+merging. Each level makes one queue pass: every unit is queued once in a
+seeded shuffled order, and a move queues the mover's neighbours outside its
+new community (the fast local move of Leiden, Traag, Waltman & van Eck 2019).
+As in Leiden, the result need not be free of single improving moves. On a
+connected graph the one-community partition is taken when it codes shorter.
 """
 from __future__ import annotations
 
@@ -28,7 +32,6 @@ DEFAULT_TELEPORT = 0.15
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 10_000
 MOVE_EPS = 1e-10
-_MAX_SWEEPS = 1_000
 
 
 @dataclass
@@ -181,32 +184,46 @@ def _renumber(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return dense.astype(np.int64), int(dense.max()) + 1 if dense.size else 0
 
 
-def _sweep_to_convergence(fg: FlowGraph, rng: np.random.Generator,
-                          tracked: float) -> tuple[np.ndarray, float]:
-    """Sweep from singletons until quiet; return the labels and the tracked cost."""
+def _local_moves(fg: FlowGraph, rng: np.random.Generator,
+                 tracked: float) -> tuple[np.ndarray, float]:
+    """One queue pass from singletons in seeded shuffled order; return the
+    labels and the tracked cost."""
     labels = np.arange(fg.n_units, dtype=np.int64)
     state = fg.module_state(labels, fg.n_units)
-    exit_sum = float(state[4].sum())
-    for _sweep in range(_MAX_SWEEPS):
-        order = rng.permutation(fg.n_units).astype(np.int64)
-        moves, delta, exit_sum = kernels.local_move_pass(
-            order, labels, fg.visit, fg.tele, fg.size, *fg.nbr, *state,
-            exit_sum, float(fg.n_orig), MOVE_EPS)
-        tracked += delta
-        if moves == 0:
-            return labels, tracked
-    raise CommunityError("local moves failed to converge")  # pragma: no cover
+    order = rng.permutation(fg.n_units).astype(np.int64)
+    _moves, delta, _exit = kernels.local_move_pass(
+        order, labels, fg.visit, fg.tele, fg.size, *fg.nbr, *state,
+        float(state[4].sum()), float(fg.n_orig), MOVE_EPS)
+    return labels, tracked + delta
+
+
+def _connected(fg: FlowGraph) -> bool:
+    """Whether ``fg.nbr`` links every unit to every other (it lists each edge
+    both ways, so one search from unit 0 finds the component)."""
+    ptr, idx = fg.nbr[0].tolist(), fg.nbr[1].tolist()
+    seen = [False] * fg.n_units
+    seen[0] = True
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in idx[ptr[u]:ptr[u + 1]]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return all(seen)
 
 
 def detect_communities(g: HeteroGraph, seed: int = 0,
                        teleport: float = DEFAULT_TELEPORT) -> CommunityPartition:
     """Greedy multi-level minimization of the codebook description length.
 
-    Local-move sweeps run until quiet, communities aggregate into supernodes,
-    and the cycle repeats until an aggregation level produces no further
-    merge. Deterministic for a fixed seed: node numbering is sorted-id based,
-    sweep order comes from a seeded generator, zero-gain moves are rejected,
-    and gain ties resolve to the lowest community index.
+    One local-move queue pass per level, communities aggregate into
+    supernodes, and the cycle repeats until an aggregation level produces no
+    further merge; then, if the graph is connected and one community codes
+    shorter, that is the result. Deterministic for a fixed seed: node
+    numbering is sorted-id based, the starting queue order comes from a
+    seeded generator, zero-gain moves are rejected, and gain ties resolve to
+    the lowest community index.
     """
     if seed < 0:
         raise CommunityError(f"seed {seed!r} must be >= 0")
@@ -216,7 +233,7 @@ def detect_communities(g: HeteroGraph, seed: int = 0,
     rng = np.random.default_rng(seed)
     level = fg
     while True:
-        labels, tracked = _sweep_to_convergence(level, rng, tracked)
+        labels, tracked = _local_moves(level, rng, tracked)
         dense, k = _renumber(labels)
         final = dense[final]
         if k == level.n_units:
@@ -226,6 +243,13 @@ def detect_communities(g: HeteroGraph, seed: int = 0,
     if abs(recomputed - tracked) > 1e-6:
         raise CommunityError(
             f"incremental cost tracking drifted: {tracked!r} vs {recomputed!r}")
+    if level.n_units > 1 and _connected(level):
+        # moves can always reach one module on a connected graph; take it
+        # when it codes shorter, as Infomap's one-level check does
+        one = np.zeros(fg.n_units, dtype=np.int64)
+        one_cost = fg.partition_cost(one)
+        if one_cost < recomputed:
+            final, recomputed = one, one_cost
     # canonical labels: first appearance over sorted node ids
     relabel: dict[int, int] = {}
     assignment: dict[str, int] = {}

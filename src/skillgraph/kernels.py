@@ -5,10 +5,10 @@ flattened by their owners before calling in. The four kernels:
 
 * ``power_iterate``     -- teleporting random-walk stationary distribution
 * ``partition_cost``    -- two-level codebook length from per-module visit/exit rates
-* ``local_move_pass``   -- one greedy sweep of single-unit community moves
+* ``local_move_pass``   -- greedy single-unit community moves from a FIFO queue
 * ``propagate_step``    -- one meta-path hop (weighted scatter-add, ungated)
 
-Three are vectorised NumPy. The move sweep is sequential and has no
+Three are vectorised NumPy. The move pass is sequential and has no
 vectorised form, so it is a plain-Python loop. It copies its arrays to lists,
 runs on those and writes the labels and module state back: indexing an
 ndarray from Python boxes every element as a numpy scalar, and numpy scalar
@@ -19,6 +19,7 @@ build that runs, for benchmark reports.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -62,30 +63,42 @@ def local_move_pass(order, labels, visit, tele, size,
                     nbr_ptr, nbr_idx, nbr_out, nbr_in,
                     mod_visit, mod_tele, mod_size, mod_cross, mod_exit,
                     exit_sum, n_orig, eps):
-    """One greedy sweep of single-unit moves, in ``order``, on list copies of
-    the array arguments; ``labels`` and the five module arrays are written
-    back in place. Returns ``(moves, delta_sum, exit_sum)``."""
+    """Greedy single-unit moves from a FIFO queue that starts as ``order``,
+    on list copies of the array arguments; ``labels`` and the five module
+    arrays are written back in place. A unit that moves to module ``b``
+    queues each neighbour that is neither queued nor in ``b``; the pass ends
+    when the queue is empty, which it reaches because every move lowers the
+    cost by more than ``eps``. Returns ``(moves, delta_sum, exit_sum)``."""
     updated = (labels, mod_visit, mod_tele, mod_size, mod_cross, mod_exit)
     labels, mod_visit, mod_tele, mod_size, mod_cross, mod_exit = [a.tolist() for a in updated]
-    order, visit, tele, size = order.tolist(), visit.tolist(), tele.tolist(), size.tolist()
+    visit, tele, size = visit.tolist(), tele.tolist(), size.tolist()
     nbr_ptr, nbr_idx = nbr_ptr.tolist(), nbr_idx.tolist()
     nbr_out, nbr_in = nbr_out.tolist(), nbr_in.tolist()
     n_units = len(labels)
     conn_out = [0.0] * n_units
     conn_in = [0.0] * n_units
-    mark = [-1] * n_units
+    # visit number that last reset a module's conn_out/conn_in; a visit number,
+    # not the unit, because the queue can visit a unit more than once
+    mark = [0] * n_units
     cand = [0] * n_units
+    queue = deque(order.tolist())
+    queued = [False] * n_units
+    for u in queue:
+        queued[u] = True
     moves = 0
     delta_sum = 0.0
-    for oi in range(len(order)):
-        u = order[oi]
+    visits = 0
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        visits += 1
         a = labels[u]
         ncand = 0
         sout = 0.0  # the unit's own exit flow
         for e in range(nbr_ptr[u], nbr_ptr[u + 1]):
             m = labels[nbr_idx[e]]
-            if mark[m] != u:
-                mark[m] = u
+            if mark[m] != visits:
+                mark[m] = visits
                 conn_out[m] = 0.0
                 conn_in[m] = 0.0
                 cand[ncand] = m
@@ -100,8 +113,8 @@ def local_move_pass(order, labels, visit, tele, size,
         size_u = size[u]
         visit_u = visit[u]
         plogp_exit = _plogp(exit_sum)
-        ca_out = conn_out[a] if mark[a] == u else 0.0
-        ca_in = conn_in[a] if mark[a] == u else 0.0
+        ca_out = conn_out[a] if mark[a] == visits else 0.0
+        ca_in = conn_in[a] if mark[a] == visits else 0.0
         t_a = mod_tele[a] - tele_u
         s_a = mod_size[a] - size_u
         v_a = mod_visit[a] - visit_u
@@ -152,6 +165,11 @@ def local_move_pass(order, labels, visit, tele, size,
             exit_sum = best_exit
             moves += 1
             delta_sum += best_dl
+            for e in range(nbr_ptr[u], nbr_ptr[u + 1]):
+                v = nbr_idx[e]
+                if not queued[v] and labels[v] != best:
+                    queued[v] = True
+                    queue.append(v)
     for array, values in zip(updated, (labels, mod_visit, mod_tele, mod_size, mod_cross,
                                        mod_exit)):
         array[:] = values

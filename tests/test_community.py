@@ -314,6 +314,17 @@ class TestDetectCommunities:
                 all_one = map_equation(g, flow, {n: 0 for n in g.node_ids()})
                 assert part.description_length <= all_one + 1e-9
 
+    def test_connected_graph_never_worse_than_one_module(self):
+        # a connected graph can always be moved into one module, so detection
+        # takes it whenever it codes shorter, whatever the move order
+        g, _ = random_hetero_graph(np.random.default_rng(0))
+        flow = compute_flow(g, 0.15)
+        assert not flow_isolated_nodes(g)
+        all_one = map_equation(g, flow, {n: 0 for n in g.node_ids()})
+        for seed in range(40):
+            part = detect_communities(g, seed=seed, teleport=0.15)
+            assert part.description_length <= all_one + 1e-9
+
     def test_small_graphs_hit_exhaustive_optimum(self):
         checked = 0
         for seed in range(300):
@@ -368,14 +379,31 @@ class TestDetectCommunities:
         expected = {
             "education": ("10.08778464739344", 12,
                           "90984ab7391c8acda3c9076a115a6935c4954f9284a71a54417af53f08448eb9"),
-            "career": ("11.749535322724551", 176,
-                       "a0b0f8827b5841264f40c4fca81abb68397305542e37c61c949824604f732b5f"),
+            "career": ("11.719914957795252", 128,
+                       "0066f248bc52cb664139274d1ea6229fa36afc8e42991a3f704b019ef9179421"),
         }
         for name, g in graphs.items():
             part = detect_communities(g, seed=1)
             rows = "".join(f"{node},{c}\n" for node, c in sorted(part.assignment.items()))
             digest = hashlib.sha256(rows.encode()).hexdigest()
             assert (repr(part.description_length), part.num_communities, digest) == expected[name]
+
+    @pytest.mark.parametrize("corpus_seed", [7, 8])
+    def test_m_size_career_recovers_planted_topics(self, tmp_path, corpus_seed):
+        # at 2000/300/800 the career graph's ten planted topics are found
+        # whole: ten modules, coding exactly as the planted partition does
+        corpus = generate_synthetic_corpus(corpus_seed, n_jobs=2000, n_courses=300,
+                                           n_skills=800, alignment=0.3, out_dir=tmp_path)
+        g = build_career_graph(corpus.jobs)
+        planted: dict[str, int] = {}
+        for job in corpus.jobs:
+            planted[job.id] = corpus.job_topic[job.id]
+            for skill in job.skills:
+                planted[skill] = corpus.job_topic[job.id]
+        planted_l = map_equation(g, compute_flow(g, 0.15), planted)
+        part = detect_communities(g, seed=3)
+        assert part.num_communities == 10
+        assert part.description_length == pytest.approx(planted_l, abs=1e-9)
 
     def test_recomputed_length_matches_tracked(self):
         # detect_communities raises if incremental and from-scratch L drift
