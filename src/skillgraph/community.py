@@ -49,14 +49,13 @@ class CommunityPartition:
     num_communities: int
 
 
-def _stationary(n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray,
-                dangling: np.ndarray, teleport: float) -> np.ndarray:
+def _stationary(index: GraphIndex, teleport: float) -> np.ndarray:
     """Visit rates of the teleporting walk, by power iteration to ``POWER_TOL``."""
     if not 0.0 < teleport < 1.0:
         raise CommunityError(f"teleport {teleport!r} outside (0, 1)")
     visit, _iters, resid = kernels.power_iterate(
-        src, dst, wgt, dangling, n, teleport, POWER_TOL, POWER_MAX_ITER)
-    if resid > POWER_TOL:
+        *index.walk, index.n, teleport, POWER_TOL, POWER_MAX_ITER)
+    if not resid <= POWER_TOL:
         raise CommunityError(
             f"stationary distribution did not converge after {POWER_MAX_ITER} "
             f"iterations (residual {resid:.3e})")
@@ -103,10 +102,10 @@ class FlowGraph:
             raise CommunityError("graph is empty")
         if not 0.0 <= teleport < 1.0:
             raise CommunityError(f"teleport {teleport!r} outside [0, 1)")
-        index = GraphIndex(g)
-        src, dst, wgt, dangling = index.combined_transition()
+        index = g.cached(GraphIndex)
+        src, dst, wgt, dangling = index.walk
         if visit is None:
-            visit = _stationary(index.n, src, dst, wgt, dangling, teleport)
+            visit = _stationary(index, teleport)
         visit = np.asarray(visit, dtype=np.float64)
         tele = np.where(dangling, visit, teleport * visit)
         eflow = (1.0 - teleport) * visit[src] * wgt
@@ -153,30 +152,27 @@ def compute_flow(g: HeteroGraph, teleport: float = DEFAULT_TELEPORT) -> FlowMode
     """Visit rates of the teleporting walk, by power iteration (sums to 1)."""
     if g.num_nodes() == 0:
         raise CommunityError("graph is empty")
-    index = GraphIndex(g)
-    visit = _stationary(index.n, *index.combined_transition(), teleport)
+    index = g.cached(GraphIndex)
+    visit = _stationary(index, teleport)
     return FlowModel(visit_rate=dict(zip(index.ids, visit.tolist())), teleport=teleport)
-
-
-def _labels_array(g: HeteroGraph, assignment: Mapping[str, int]) -> np.ndarray:
-    ids = g.node_ids()
-    missing = [i for i in ids if i not in assignment]
-    if missing:
-        raise CommunityError(f"assignment misses {len(missing)} nodes, e.g. {missing[0]!r}")
-    return _renumber(np.asarray([assignment[i] for i in ids], dtype=np.int64))[0]
 
 
 def map_equation(g: HeteroGraph, flow: FlowModel, assignment: Mapping[str, int]) -> float:
     """Description length (bits) of the partition under the two-level codebook."""
-    ids = g.node_ids()
+    ids = g.cached(GraphIndex).ids
     if set(flow.visit_rate) != set(ids):
         raise CommunityError("flow model and graph disagree on the node set")
     visit = np.asarray([flow.visit_rate[i] for i in ids], dtype=np.float64)
+    if not (np.isfinite(visit).all() and (visit >= 0.0).all()):
+        raise CommunityError("visit rates must be finite and non-negative")
     total = float(visit.sum())
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:
         raise CommunityError(f"visit rates sum to {total!r}, not 1")
-    fg = FlowGraph.from_graph(g, flow.teleport, visit=visit)
-    return fg.partition_cost(_labels_array(g, assignment))
+    missing = [i for i in ids if i not in assignment]
+    if missing:
+        raise CommunityError(f"assignment misses {len(missing)} nodes, e.g. {missing[0]!r}")
+    labels = _renumber(np.asarray([assignment[i] for i in ids], dtype=np.int64))[0]
+    return FlowGraph.from_graph(g, flow.teleport, visit=visit).partition_cost(labels)
 
 
 def _renumber(labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -253,7 +249,7 @@ def detect_communities(g: HeteroGraph, seed: int = 0,
     # canonical labels: first appearance over sorted node ids
     relabel: dict[int, int] = {}
     assignment: dict[str, int] = {}
-    for node_id, lab in zip(g.node_ids(), final):
+    for node_id, lab in zip(g.cached(GraphIndex).ids, final):
         assignment[node_id] = relabel.setdefault(int(lab), len(relabel))
     return CommunityPartition(assignment=assignment,
                               description_length=float(recomputed),

@@ -13,6 +13,7 @@ that relation exists.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import math
 from collections import Counter
@@ -75,6 +76,8 @@ class HeteroGraph:
     (course name, job title, skill name) defaulting to the id.
     ``cached`` keeps derived views until the next ``add_node`` (of a new
     node), ``add_edge`` or ``set_node_name``, each of which bumps a counter.
+    Every view comes from ``cached``, e.g. ``g.cached(GraphIndex)``, so it is
+    built once per graph state and shared.
     """
 
     def __init__(self) -> None:
@@ -98,8 +101,9 @@ class HeteroGraph:
 
     def add_edge(self, source: str, relation: Relation, target: str, weight: float,
                  combine: bool = False) -> None:
-        if weight <= 0.0:
-            raise GraphError(f"edge {source}-{relation.value}->{target} has non-positive weight")
+        if not (math.isfinite(weight) and weight > 0.0):
+            raise GraphError(f"edge {source}-{relation.value}->{target} has non-positive "
+                             f"or non-finite weight {weight!r}")
         src_kind, dst_kind = RELATION_SIGNATURE[relation]
         if self._kind.get(source) is not src_kind:
             raise GraphError(f"edge {source}-{relation.value}->{target}: source is not a {src_kind.value}")
@@ -175,20 +179,11 @@ class HeteroGraph:
         return g
 
     def validate(self) -> None:
-        """Check kind discipline, weight positivity and normalization."""
+        """Check normalization; ``add_edge`` enforces kinds and weights."""
         for rel in Relation:
-            src_kind, dst_kind = RELATION_SIGNATURE[rel]
             for source, row in self._out[rel].items():
-                if self._kind.get(source) is not src_kind:
-                    raise GraphError(f"{source!r} has {rel.value}-edges but is not a {src_kind.value}")
-                total = 0.0
-                for target, weight in row.items():
-                    if self._kind.get(target) is not dst_kind:
-                        raise GraphError(f"{target!r} targeted by {rel.value} but is not a {dst_kind.value}")
-                    if weight <= 0.0:
-                        raise GraphError(f"non-positive weight on {source}-{rel.value}->{target}")
-                    total += weight
-                if row and abs(total - 1.0) > WEIGHT_SUM_TOL:
+                total = sum(row.values())
+                if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
                     raise GraphError(
                         f"outgoing {rel.value}-weights of {source!r} sum to {total!r}, not 1")
 
@@ -399,7 +394,11 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
 # ---------------------------------------------------------------------------
 
 class GraphIndex:
-    """Stable array numbering of a graph (sorted ids) plus per-relation COO."""
+    """Stable array numbering of a graph (sorted ids) plus per-relation COO.
+
+    Read it as ``g.cached(GraphIndex)``: every caller shares one build per
+    graph state, so none may write to its arrays.
+    """
 
     def __init__(self, g: HeteroGraph) -> None:
         self.ids: list[str] = g.node_ids()
@@ -417,7 +416,8 @@ class GraphIndex:
                                    np.asarray(dst, dtype=np.int64),
                                    np.asarray(wgt, dtype=np.float64))
 
-    def combined_transition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    @functools.cached_property
+    def walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Row-stochastic walk matrix averaging each node's relations uniformly.
 
         Returns COO arrays (src, dst, weight) plus a dangling mask for nodes

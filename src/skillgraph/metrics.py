@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .errors import EvalError, csv_rows, csv_text, write_text
 from .ingest import Course, Job, Skill, tokenize
-from .ranker import RankedList, title_contains, to_ranked_list
+from .ranker import RankedList, match_titles, title_index, to_ranked_list
 
 
 @dataclass(frozen=True)
@@ -189,17 +189,6 @@ def judged_runs(rankings: Mapping[str, Sequence[str]],
 # vector-space baseline
 # ---------------------------------------------------------------------------
 
-def _resolve_jobs_by_title(jobs: Sequence[Job], text: str) -> list[Job]:
-    # shares the ranker's containment rule so both systems see one query set
-    query = tokenize(text)
-    if not query:
-        raise EvalError("empty job query")
-    matched = [job for job in jobs if title_contains(tokenize(job.title), query)]
-    if not matched:
-        raise EvalError(f"no job title matches {text!r}")
-    return matched
-
-
 def _tfidf_vector(tokens: Sequence[str], idf: Mapping[str, float]) -> dict[str, float]:
     vec = {}
     for token, count in Counter(tokens).items():
@@ -241,9 +230,16 @@ def baseline_vector_space(jobs: Sequence[Job], courses: Sequence[Course], query:
         df.update(set(tokens))
     n = len(courses)
     idf = {t: math.log(n / d) for t, d in df.items()}
-    matched = _resolve_jobs_by_title(jobs, query)
+    # the ranker's matcher, keyed by input position to keep the input order
+    title_tokens = tokenize(query)
+    if not title_tokens:
+        raise EvalError("empty job query")
+    matched = match_titles(title_index((i, job.title) for i, job in enumerate(jobs)),
+                           title_tokens)
+    if not matched:
+        raise EvalError(f"no job title matches {query!r}")
     query_tokens: list[str] = []
-    for job in matched:
+    for job in (jobs[i] for i in matched):
         query_tokens += tokenize(job.title)
         for sid in sorted(job.skills):
             query_tokens += tokenize(sid)

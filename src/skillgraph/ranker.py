@@ -21,7 +21,7 @@ Three course-recommendation scenarios are wired on top:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -128,29 +128,42 @@ def title_contains(title_tokens: list[str], query_tokens: list[str]) -> bool:
 
 
 @dataclass(frozen=True)
-class _GraphView:
-    """What queries read of one graph state, built once per state.
+class TitleIndex:
+    """Job titles as token tuples: ``titles`` maps each distinct one to the
+    ids of its jobs and ``postings`` each token to the titles holding it, so a
+    query checks only its rarest token's titles instead of every job."""
 
-    ``titles`` maps each distinct job title, as its token tuple, to the ids
-    of the jobs that carry it, in sorted order. ``postings`` maps each token
-    to the distinct titles that contain it, so a query checks only the
-    titles on its rarest token's postings instead of every job.
-    """
-
-    index: GraphIndex
-    titles: dict[tuple[str, ...], list[str]]
+    titles: dict[tuple[str, ...], list]
     postings: dict[str, list[tuple[str, ...]]]
 
 
-def _graph_view(g: HeteroGraph) -> _GraphView:
-    titles: dict[tuple[str, ...], list[str]] = {}
-    for job_id in g.node_ids(NodeKind.JOB):
-        titles.setdefault(tuple(tokenize(g.node_name(job_id))), []).append(job_id)
+def title_index(jobs: Iterable[tuple[object, str]]) -> TitleIndex:
+    """Index ``(job id, title)`` pairs, tokenizing each distinct title once."""
+    by_raw: dict[str, list] = {}
+    for job_id, title in jobs:
+        by_raw.setdefault(title, []).append(job_id)
+    titles: dict[tuple[str, ...], list] = {}
+    for raw, job_ids in by_raw.items():
+        titles.setdefault(tuple(tokenize(raw)), []).extend(job_ids)
     postings: dict[str, list[tuple[str, ...]]] = {}
     for title in titles:
         for token in dict.fromkeys(title):
             postings.setdefault(token, []).append(title)
-    return _GraphView(GraphIndex(g), titles, postings)
+    return TitleIndex(titles, postings)
+
+
+def job_titles(g: HeteroGraph) -> TitleIndex:
+    """The title index of ``g``'s job nodes; read it as ``g.cached(job_titles)``."""
+    return title_index((job_id, g.node_name(job_id)) for job_id in g.node_ids(NodeKind.JOB))
+
+
+def match_titles(index: TitleIndex, query: list[str]) -> list:
+    """Sorted ids of the jobs whose title holds the ``query`` tokens as a run."""
+    # a matching title holds every query token, so the rarest one's postings
+    # hold every match; a token in no title leaves nothing to check
+    candidates = min((index.postings.get(token, []) for token in query), key=len)
+    return sorted(job_id for title in candidates if title_contains(list(title), query)
+                  for job_id in index.titles[title])
 
 
 def resolve_job_query(g: HeteroGraph, text: str) -> dict[str, float]:
@@ -162,16 +175,12 @@ def resolve_job_query(g: HeteroGraph, text: str) -> dict[str, float]:
     query = tokenize(text)
     if not query:
         raise QueryError("empty job query")
-    view = g.cached(_graph_view)
-    # a matching title holds every query token, so the rarest one's postings
-    # hold every match; a token in no title leaves nothing to check
-    candidates = min((view.postings.get(token, []) for token in query), key=len)
-    matches = sorted(job_id for title in candidates if title_contains(list(title), query)
-                     for job_id in view.titles[title])
+    index = g.cached(job_titles)
+    matches = match_titles(index, query)
     if not matches:
         qset = set(query)
         scored = sorted({(-len(qset.intersection(title)), g.node_name(job_id))
-                         for title, job_ids in view.titles.items() for job_id in job_ids})
+                         for title, job_ids in index.titles.items() for job_id in job_ids})
         nearest = [name for _neg, name in scored[:5]]
         raise QueryError(
             f"no job title matches {text!r}; nearest titles: {nearest}")
@@ -207,7 +216,7 @@ def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Mapping[str, float],
     """Sum-of-tour-products scores for every node reachable along ``path``."""
     if community is not None and labels is None:
         raise QueryError("community gate requested without node labels")
-    index = g.cached(_graph_view).index
+    index = g.cached(GraphIndex)
     scores = np.zeros(index.n, dtype=np.float64)
     source_kind = path.source_kind
     for node_id, weight in seeds.items():
@@ -248,7 +257,9 @@ def prerequisite_expansion(g: HeteroGraph, base_scores: Mapping[str, float],
 
     Every level's pushes add up; ids that are not in the graph push nothing.
     """
-    index = g.cached(_graph_view).index
+    if depth < 0:
+        raise QueryError(f"prerequisite depth {depth!r} must be >= 0")
+    index = g.cached(GraphIndex)
     level = np.zeros(index.n, dtype=np.float64)
     for node_id, score in base_scores.items():
         if node_id in index.pos:

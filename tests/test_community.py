@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from skillgraph import kernels
 from skillgraph.community import (CommunityPartition, FlowGraph, FlowModel, compute_flow,
                                   detect_communities, map_equation, merge_partitions,
                                   read_labels, write_labels,
@@ -89,6 +90,12 @@ class TestStationaryDistribution:
             for node, p in expected.items():
                 assert rates[node] == pytest.approx(p, abs=1e-9)
 
+    def test_nan_residual_rejected(self, monkeypatch):
+        monkeypatch.setattr(kernels, "power_iterate",
+                            lambda *args: (np.full(args[4], math.nan), 1, math.nan))
+        with pytest.raises(CommunityError, match="did not converge"):
+            compute_flow(linked_cycle(["a", "b"]), 0.15)
+
     def test_bad_teleport_rejected(self):
         with pytest.raises(CommunityError):
             compute_flow(linked_cycle(["a", "b"]), teleport=0.0)
@@ -133,6 +140,14 @@ class TestMapEquation:
             expected = ref_map_equation(g, flow.visit_rate, labels, 0.15)
             assert map_equation(g, flow, labels) == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("rates", [{"a": math.nan, "b": math.nan},
+                                       {"a": 1.5, "b": -0.5},
+                                       {"a": math.inf, "b": 0.0}])
+    def test_non_finite_or_negative_visit_rates_rejected(self, rates):
+        g = linked_cycle(["a", "b"])
+        with pytest.raises(CommunityError, match="finite and non-negative"):
+            map_equation(g, FlowModel(visit_rate=rates, teleport=0.15), {"a": 0, "b": 1})
+
     def test_missing_node_rejected(self):
         g = linked_cycle(["a", "b"])
         flow = compute_flow(g, 0.15)
@@ -143,7 +158,7 @@ class TestMapEquation:
 def edge_flows(g, fg, teleport=0.15):
     """``(src, dst, flow)`` of each edge between distinct nodes of ``g``, in
     ``(src, dst)`` order, from the walk matrix and ``fg``'s visit rates."""
-    src, dst, wgt, _dangling = GraphIndex(g).combined_transition()
+    src, dst, wgt, _dangling = GraphIndex(g).walk
     flow = (1.0 - teleport) * fg.visit[src] * wgt
     return [(s, d, f) for s, d, f in zip(src.tolist(), dst.tolist(), flow.tolist())
             if s != d and f > 0.0]

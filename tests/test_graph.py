@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skillgraph.community import compute_flow, detect_communities, map_equation
 from skillgraph.errors import GraphError
 from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build_career_graph,
                               build_education_graph, merge_graphs,
                               prereq_counts, read_snapshot, skill_key, snapshot_lines,
                               write_snapshot)
 from skillgraph.ingest import Course, EnrollmentRecord, Job
+from skillgraph.ranker import BASE_PATH, prerequisite_expansion, score_metapath
 
 from oracles import random_hetero_graph, ref_build_career_graph
 
@@ -217,7 +221,7 @@ def test_combined_transition_matches_dict_reference():
                 for target, weight in g.out_edges(node_id, rel):
                     key = (index.pos[node_id], index.pos[target])
                     want[key] = want.get(key, 0.0) + weight / len(rels)
-        src, dst, wgt, dangling = index.combined_transition()
+        src, dst, wgt, dangling = index.walk
         assert list(zip(src.tolist(), dst.tolist())) == sorted(want)
         assert wgt.tolist() == [want[key] for key in sorted(want)]
         assert dangling.tolist() == [not g.out_relations(i) for i in index.ids]
@@ -235,6 +239,71 @@ def test_kind_discipline_enforced():
         g.add_edge("J1", Relation.REQUIRED, "C1", 1.0)
     with pytest.raises(GraphError, match="non-positive"):
         g.add_edge("J1", Relation.REQUIRED, "C1", 0.0)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])
+def test_non_finite_or_negative_weight_rejected(weight):
+    g = HeteroGraph()
+    g.add_node("J1", NodeKind.JOB)
+    g.add_node("S1", NodeKind.SKILL)
+    with pytest.raises(GraphError, match="non-finite weight"):
+        g.add_edge("J1", Relation.REQUIRED, "S1", weight)
+    assert g.num_edges() == 0
+
+
+def test_validate_rejects_nan_weight_sum():
+    # add_edge refuses NaN; a row written behind its back still fails the sum check
+    g = HeteroGraph()
+    g.add_node("J1", NodeKind.JOB)
+    g.add_node("S1", NodeKind.SKILL)
+    g._out[Relation.REQUIRED]["J1"] = {"S1": math.nan}
+    with pytest.raises(GraphError, match="sum to nan, not 1"):
+        g.validate()
+
+
+def _use_every_view(g, labels):
+    """Flow, codelength, detection and ranking on ``g``, the same as a pipeline run."""
+    flow = compute_flow(g)
+    map_equation(g, flow, labels)
+    detect_communities(g, seed=0)
+    map_equation(g, flow, labels)
+    score_metapath(g, BASE_PATH, {"J0": 1.0}, labels, labels["J0"])
+    prerequisite_expansion(g, {"C0": 1.0})
+
+
+def test_index_built_once_per_graph_state(monkeypatch):
+    builds = []
+    init = GraphIndex.__init__
+
+    def counting_init(self, g):
+        builds.append(g)
+        init(self, g)
+
+    monkeypatch.setattr(GraphIndex, "__init__", counting_init)
+    g, labels = random_hetero_graph(np.random.default_rng(3))
+    _use_every_view(g, labels)
+    _use_every_view(g, labels)
+    assert builds == [g]
+    g.add_node("C99", NodeKind.COURSE)
+    g.add_edge("C99", Relation.COVERED, "S0", 1.0)
+    _use_every_view(g, {**labels, "C99": 0})
+    assert builds == [g, g]
+    g.set_node_name("J0", "renamed job")
+    _use_every_view(g, {**labels, "C99": 0})
+    assert builds == [g, g, g]
+
+
+def test_shared_index_arrays_left_unchanged():
+    for seed in range(5):
+        g, labels = random_hetero_graph(np.random.default_rng(seed))
+        _use_every_view(g, labels)
+        shared, fresh = g.cached(GraphIndex), GraphIndex(g)
+        assert shared.ids == fresh.ids and shared.pos == fresh.pos
+        for rel in Relation:
+            for got, want in zip(shared.rel_edges[rel], fresh.rel_edges[rel]):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        for got, want in zip(shared.walk, fresh.walk):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_skill_key_normalizes():

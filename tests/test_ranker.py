@@ -90,7 +90,7 @@ class TestResolveJobQuery:
                       + ["plumber"] * 20)
         seeds = resolve_job_query(g, "data engineer")
         assert seeds == ref_resolve_job_query(g, "data engineer")
-        postings = g.cached(ranker._graph_view).postings
+        postings = g.cached(ranker.job_titles).postings
         assert len(postings["engineer"]) < len(postings["data"])
         assert sorted(calls) == sorted(postings["engineer"])
         assert len(calls) == 4
@@ -437,6 +437,12 @@ class TestPrerequisiteExpansion:
         assert prerequisite_expansion(g, {"C2": 1.0}, depth=1) == {"C1": 1.0}
         assert prerequisite_expansion(g, {"C2": 1.0}, depth=2) == {"C1": 1.0, "C0": 1.0}
         assert prerequisite_expansion(g, {"C2": 1.0}, depth=0) == {}
+
+    def test_negative_depth_rejected(self):
+        g = HeteroGraph()
+        g.add_node("C0", NodeKind.COURSE)
+        with pytest.raises(QueryError, match="depth -1 must be >= 0"):
+            prerequisite_expansion(g, {"C0": 1.0}, depth=-1)
 
     def test_shared_prerequisite_adds_pushes(self):
         g = HeteroGraph()
