@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import community as community_mod
@@ -56,24 +57,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _load_canonical_corpus(out: Path):
-    courses = ingest_mod.load_courses(out / F_COURSES)
-    pairs = ingest_mod.load_course_skills(out / F_COURSE_SKILLS)
-    skills = ingest_mod.load_skills(out / F_SKILLS)
-    courses = ingest_mod.apply_skill_matching(courses, skills, pre_matched=pairs)
-    jobs = ingest_mod.load_jobs(out / F_JOBS)
-    enrollments = ingest_mod.load_enrollments(out / F_ENROLLMENTS)
-    return courses, jobs, skills, enrollments
+def _load_corpus(courses, course_skills, skills, jobs, enrollments):
+    """Load a corpus; without ``course_skills`` courses are matched to skills."""
+    loaded = ingest_mod.load_courses(courses)
+    catalog = ingest_mod.load_skills(skills)
+    pre = ingest_mod.load_course_skills(course_skills) if course_skills else None
+    return (ingest_mod.apply_skill_matching(loaded, catalog, pre_matched=pre),
+            ingest_mod.load_jobs(jobs), catalog, ingest_mod.load_enrollments(enrollments))
 
 
 def cmd_ingest(cfg: PipelineConfig) -> str:
     cfg.require_paths("courses", "jobs", "skills", "enrollments")
-    courses = ingest_mod.load_courses(cfg.courses)
-    skills = ingest_mod.load_skills(cfg.skills)
-    pre = ingest_mod.load_course_skills(cfg.course_skills) if cfg.course_skills else None
-    courses = ingest_mod.apply_skill_matching(courses, skills, pre_matched=pre)
-    jobs = ingest_mod.load_jobs(cfg.jobs)
-    enrollments = ingest_mod.load_enrollments(cfg.enrollments)
+    courses, jobs, skills, enrollments = _load_corpus(
+        cfg.courses, cfg.course_skills, cfg.skills, cfg.jobs, cfg.enrollments)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ingest_mod.write_courses(out / F_COURSES, courses)
@@ -88,7 +84,8 @@ def cmd_ingest(cfg: PipelineConfig) -> str:
 
 def cmd_build(cfg: PipelineConfig) -> str:
     out = Path(cfg.out_dir)
-    courses, jobs, skills, enrollments = _load_canonical_corpus(out)
+    courses, jobs, skills, enrollments = _load_corpus(
+        out / F_COURSES, out / F_COURSE_SKILLS, out / F_SKILLS, out / F_JOBS, out / F_ENROLLMENTS)
     education = graph_mod.build_education_graph(courses, enrollments, catalog=skills)
     career = graph_mod.build_career_graph(jobs, aggregate_by_title=cfg.aggregate_jobs_by_title)
     merged = graph_mod.merge_graphs(education, career)
@@ -194,7 +191,8 @@ def build_parser() -> _Parser:
 
     def add_common(p: _Parser) -> None:
         p.add_argument("--config", help="key=value config file (default: $SKILLGRAPH_CONFIG)")
-        p.add_argument("--out", help="output directory (config key out_dir)")
+        p.add_argument("--out", dest="out_dir", metavar="OUT",
+                       help="output directory (config key out_dir)")
 
     p = sub.add_parser("ingest", help="validate corpora and match course skills")
     add_common(p)
@@ -217,9 +215,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("link", help="add BM25 skill links inside communities")
     add_common(p)
-    p.add_argument("--k1", type=float, help="BM25 k1")
-    p.add_argument("--b", type=float, help="BM25 b")
-    p.add_argument("--top-k", dest="top_k", type=int, help="links kept per skill")
+    p.add_argument("--k1", dest="bm25_k1", metavar="K1", type=float, help="BM25 k1")
+    p.add_argument("--b", dest="bm25_b", metavar="B", type=float, help="BM25 b")
+    p.add_argument("--top-k", dest="link_top_k", metavar="TOP_K", type=int,
+                   help="links kept per skill")
     p.add_argument("--dump-links", action="store_true", help="also write links_dump.csv")
 
     p = sub.add_parser("recommend", help="rank courses for a scenario query")
@@ -253,17 +252,9 @@ def build_parser() -> _Parser:
 
 
 def _config_from(args: argparse.Namespace) -> PipelineConfig:
-    overrides: dict[str, object] = {}
-    mapping = {
-        "out": "out_dir", "courses": "courses", "jobs": "jobs", "skills": "skills",
-        "enrollments": "enrollments", "course_skills": "course_skills",
-        "seed": "seed", "teleport": "teleport", "k1": "bm25_k1", "b": "bm25_b",
-        "top_k": "link_top_k", "aggregate_jobs_by_title": "aggregate_jobs_by_title",
-    }
-    for flag, key in mapping.items():
-        if hasattr(args, flag) and getattr(args, flag) is not None:
-            overrides[key] = getattr(args, flag)
-    return load_config(getattr(args, "config", None), overrides)
+    """Config file values, overridden by each flag whose ``dest`` is a config key."""
+    return load_config(args.config, {f.name: getattr(args, f.name, None)
+                                     for f in fields(PipelineConfig)})
 
 
 def main(argv: list[str] | None = None) -> int:

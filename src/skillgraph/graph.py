@@ -309,23 +309,19 @@ def union_ids(g: HeteroGraph) -> dict[str, str]:
 def merge_graphs(education: HeteroGraph, career: HeteroGraph) -> HeteroGraph:
     """Union of both graphs, each node renamed to its ``union_ids`` id.
 
-    A skill node's name becomes its key. Edges that become parallel under the
-    renaming have their weights added, so per-source out-weight totals are
-    preserved.
+    A skill node's name becomes its key; ``add_node`` rejects an id given two
+    kinds (a course id equal to a job id or a skill key). Edges that become
+    parallel under the renaming have their weights added, in sorted order, so
+    per-source out-weight totals are preserved.
     """
     merged = HeteroGraph()
-    edu_map, car_map = union_ids(education), union_ids(career)
-    edu_course_jobs = {i for i in education.node_ids()
-                       if education.node_kind(i) is not NodeKind.SKILL}
-    for node_id in career.node_ids():
-        if career.node_kind(node_id) is not NodeKind.SKILL and node_id in edu_course_jobs:
-            raise GraphError(f"node id {node_id!r} appears in both corpora")
-    for g, mapping in ((education, edu_map), (career, car_map)):
-        for node_id in g.node_ids():
+    maps = [(g, union_ids(g)) for g in (education, career)]
+    for g, mapping in maps:
+        for node_id, union_id in mapping.items():
             kind = g.node_kind(node_id)
-            name = mapping[node_id] if kind is NodeKind.SKILL else g.node_name(node_id)
-            merged.add_node(mapping[node_id], kind, name)
-    for g, mapping in ((education, edu_map), (career, car_map)):
+            merged.add_node(union_id, kind,
+                            union_id if kind is NodeKind.SKILL else g.node_name(node_id))
+    for g, mapping in maps:
         for edge in g.edges():
             merged.add_edge(mapping[edge.source], edge.relation, mapping[edge.target],
                             edge.weight, combine=True)
@@ -350,10 +346,13 @@ def _decode_id(token: str) -> str:
 
 
 def snapshot_lines(g: HeteroGraph) -> list[str]:
-    lines = [f"N {_encode_id(i)} {g.node_kind(i).value}" for i in g.node_ids()]
-    for edge in g.edges():
-        lines.append(f"E {_encode_id(edge.source)} {edge.relation.value} "
-                     f"{_encode_id(edge.target)} {edge.weight:.17g}")
+    # every line is distinct, so the one sort fixes the order whatever the walk
+    lines = [f"N {_encode_id(i)} {kind.value}" for i, kind in g._kind.items()]
+    for relation, rows in g._out.items():
+        for source, row in rows.items():
+            head = f"E {_encode_id(source)} {relation.value} "
+            lines.extend(f"{head}{_encode_id(target)} {weight:.17g}"
+                         for target, weight in row.items())
     return sorted(lines)
 
 
@@ -370,9 +369,10 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
         if not line.strip():
             continue
         parts = line.split(" ")
-        if parts[0] == "N" and len(parts) == 3 and parts[2] in kind_by_value:
+        if parts[0] == "N" and len(parts) == 3 and parts[1] and parts[2] in kind_by_value:
             g.add_node(_decode_id(parts[1]), kind_by_value[parts[2]])
-        elif parts[0] == "E" and len(parts) == 5 and parts[2] in rel_by_value:
+        elif (parts[0] == "E" and len(parts) == 5 and parts[1] and parts[3]
+              and parts[2] in rel_by_value):
             try:
                 weight = float(parts[4])
             except ValueError:

@@ -6,7 +6,8 @@ share exactly an ``alignment`` fraction of names. Courses embed their
 skills' phrases in the description (so greedy matching recovers them), job
 titles carry a ``topic-<t>`` tag plus a role word, and enrollment sequences
 run down each topic's course chain so prerequisite edges appear. Ground
-truth marks every course of a job's topic as relevant to that job.
+truth holds one judgment set per topic goal: query ``topic-<t>`` marks every
+course of topic ``t`` relevant.
 """
 from __future__ import annotations
 
@@ -205,7 +206,7 @@ def generate_synthetic_corpus(seed: int, n_jobs: int, n_courses: int, n_skills: 
             enrollments.append(EnrollmentRecord(student=f"S{s:04d}",
                                                 course=chain[ci], term=t0 + j))
 
-    truth = {job.id: {cid: True for cid in chains[job_topic[job.id]]} for job in jobs}
+    truth = {f"topic-{t}": dict.fromkeys(chain, True) for t, chain in enumerate(chains)}
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -72,19 +72,15 @@ class TestPipeline:
 
     def test_evaluate_with_ground_truth(self, tmp_path, capsys):
         data, out = run_pipeline(tmp_path, capsys)
-        # rank for two topic queries, build a run file keyed like the truth
-        import skillgraph.metrics as metrics
+        # rank for two topic goals, build a run file keyed like the truth
         runs = {}
-        truth = metrics.load_judgments(data / "ground_truth.csv")
         for topic in (0, 1):
             code, stdout, _ = run_cli(capsys, "recommend", "--out", str(out),
                                       "--scenario", "1", "--goal", f"topic-{topic}",
                                       "--top", "10")
             assert code == 0
             ranked = [line.split(",")[1] for line in stdout.strip().splitlines()[1:]]
-            query = next(q for q in sorted(truth) if truth[q] and
-                         any(cid in truth[q] for cid in ranked))
-            runs[query] = [(cid, 1.0 / (i + 1)) for i, cid in enumerate(ranked)]
+            runs[f"topic-{topic}"] = [(cid, 1.0 / (i + 1)) for i, cid in enumerate(ranked)]
         run_file = tmp_path / "runs.csv"
         run_file.write_text("query_id,rank,node_id,score\n" + "".join(
             f"{query},{rank},{cid},{score!r}\n"
@@ -423,6 +419,38 @@ class TestConfig:
                                "--enrollments", str(data / "enrollments.csv"))
         assert code == 0, err
         assert (tmp_path / "from_config" / "courses.csv").exists()
+
+    # (command, extra argv, flag argv, config key, file value, flag value)
+    FLAGS = [
+        ("ingest", [], ["--courses", "c.csv"], "courses", "f.csv", "c.csv"),
+        ("ingest", [], ["--jobs", "j.csv"], "jobs", "f.csv", "j.csv"),
+        ("ingest", [], ["--skills", "s.csv"], "skills", "f.csv", "s.csv"),
+        ("ingest", [], ["--enrollments", "e.csv"], "enrollments", "f.csv", "e.csv"),
+        ("ingest", [], ["--course-skills", "p.csv"], "course_skills", "f.csv", "p.csv"),
+        ("build", [], ["--aggregate-jobs-by-title"], "aggregate_jobs_by_title", False, True),
+        ("communities", [], ["--seed", "5"], "seed", 9, 5),
+        ("communities", [], ["--teleport", "0.3"], "teleport", 0.2, 0.3),
+        ("link", [], ["--k1", "2.5"], "bm25_k1", 1.5, 2.5),
+        ("link", [], ["--b", "0.25"], "bm25_b", 0.5, 0.25),
+        ("link", [], ["--top-k", "3"], "link_top_k", 7, 3),
+    ] + [(command, extra, ["--out", "flag_out"], "out_dir", "file_out", "flag_out")
+         for command, extra in (
+             ("ingest", []), ("build", []), ("communities", []), ("link", []),
+             ("recommend", ["--scenario", "1"]),
+             ("evaluate", ["--judgments", "j.csv", "--runs", "r.csv"]))]
+
+    @pytest.mark.parametrize("command, extra, flag, key, file_value, flag_value", FLAGS)
+    def test_each_flag_sets_its_config_key(self, tmp_path, capsys, monkeypatch,
+                                           command, extra, flag, key, file_value, flag_value):
+        import skillgraph.cli as cli
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda cfg, *rest, **kw: seen.append(cfg) or "")
+        cfg_file = tmp_path / "cfg"
+        cfg_file.write_text(f"{key} = {str(file_value).lower()}\n")
+        for argv, expected in ((flag, flag_value), ([], file_value)):
+            code, _, err = run_cli(capsys, command, "--config", str(cfg_file), *extra, *argv)
+            assert code == 0, err
+            assert getattr(seen.pop(), key) == expected
 
     def test_missing_config_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):

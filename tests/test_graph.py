@@ -181,6 +181,13 @@ class TestMergeGraphs:
         with pytest.raises(GraphError, match="X1"):
             merge_graphs(edu, car)
 
+    def test_course_id_equal_to_career_skill_key_rejected(self):
+        edu = build_education_graph([course("sql", {"SK1"})], [])
+        car = build_career_graph([Job(id="J1", title="t", company="", location="",
+                                      skills=frozenset({"SQL"}))])
+        with pytest.raises(GraphError, match="'sql' used as both course and skill"):
+            merge_graphs(edu, car)
+
     def test_out_weight_totals_preserved(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -341,6 +348,42 @@ class TestSnapshot:
         write_snapshot(g, p)
         back = read_snapshot(p)
         assert back.node_ids(NodeKind.SKILL) == ["100% uptime", "machine learning"]
+
+    @staticmethod
+    def _golden_graph(step):
+        # "a b" sorts before "a!" but its encoding "a%20b" sorts after
+        nodes = [("J1", NodeKind.JOB), ("C2", NodeKind.COURSE), ("a!", NodeKind.SKILL),
+                 ("C1", NodeKind.COURSE), ("a b", NodeKind.SKILL), ("100%", NodeKind.SKILL)]
+        edges = [("a b", Relation.LINKED, "a!", 1.0), ("C2", Relation.COVERED, "a!", 2 / 3),
+                 ("J1", Relation.REQUIRED, "a b", 1.0), ("C2", Relation.COVERED, "a b", 1 / 3),
+                 ("C1", Relation.PRE_REQUIRED, "C2", 1.0), ("C1", Relation.COVERED, "100%", 1.0)]
+        g = HeteroGraph()
+        for node_id, kind in nodes[::step]:
+            g.add_node(node_id, kind)
+        for source, relation, target, weight in edges[::step]:
+            g.add_edge(source, relation, target, weight)
+        return g
+
+    def test_written_bytes_pinned_and_insertion_order_free(self, tmp_path):
+        golden = (b"E C1 c 100%25 1\nE C1 p C2 1\nE C2 c a! 0.66666666666666663\n"
+                  b"E C2 c a%20b 0.33333333333333331\nE J1 r a%20b 1\nE a%20b l a! 1\n"
+                  b"N 100%25 skill\nN C1 course\nN C2 course\nN J1 job\nN a! skill\n"
+                  b"N a%20b skill\n")
+        for step in (1, -1):
+            p = tmp_path / f"g{step}.graph"
+            write_snapshot(self._golden_graph(step), p)
+            assert p.read_bytes() == golden
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("N  course\nN s1 skill\nE  c s1 1\n", 1),
+        ("N C1 course\nN s1 skill\nE  c s1 1\n", 3),
+        ("N C1 course\nE C1 c  1\n", 2),
+    ])
+    def test_empty_node_id_rejected(self, tmp_path, text, lineno):
+        p = tmp_path / "g.graph"
+        p.write_text(text)
+        with pytest.raises(GraphError, match=f"line {lineno}: unparseable snapshot line"):
+            read_snapshot(p)
 
     def test_unparseable_line_rejected(self, tmp_path):
         p = tmp_path / "g.graph"

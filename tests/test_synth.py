@@ -56,12 +56,12 @@ def test_outputs_load_through_ingest(tmp_path):
     assert len(courses) == 6 and len(jobs) == 15 and len(skills) == 12
     assert enrollments
     truth = load_judgments(corpus.paths["ground_truth"])
-    assert set(truth) == {j.id for j in jobs}
-    # every job's relevant courses are exactly its topic's courses
-    for job in jobs:
-        topic = corpus.job_topic[job.id]
+    topics = set(corpus.course_topic.values())
+    assert set(truth) == {f"topic-{t}" for t in topics}
+    # each topic goal's relevant courses are exactly that topic's courses
+    for topic in topics:
         expected = {cid for cid, t in corpus.course_topic.items() if t == topic}
-        assert set(truth[job.id]) == expected
+        assert truth[f"topic-{topic}"] == dict.fromkeys(expected, True)
 
 
 def test_descriptions_carry_matchable_skills(tmp_path):
