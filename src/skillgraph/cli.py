@@ -97,18 +97,23 @@ def cmd_build(cfg: PipelineConfig) -> str:
             f"{jobs_n} jobs, {skills_n} skills) and {merged.num_edges()} edges")
 
 
-def _attach_skill_names(g, catalog) -> None:
-    names = {s.id: s.name for s in catalog}
-    for sid in g.node_ids(graph_mod.NodeKind.SKILL):
-        if sid in names:
-            g.set_node_name(sid, names[sid])
+def _attach_names(g, kind, names: dict[str, str]) -> None:
+    """Name each ``kind`` node of ``g`` that ``names`` holds; snapshots keep no names."""
+    for node_id in g.node_ids(kind):
+        if node_id in names:
+            g.set_node_name(node_id, names[node_id])
+
+
+def _attach_job_titles(g, jobs) -> None:
+    _attach_names(g, graph_mod.NodeKind.JOB, {j.id: j.title for j in jobs})
 
 
 def cmd_communities(cfg: PipelineConfig) -> str:
     out = Path(cfg.out_dir)
     education = graph_mod.read_snapshot(out / F_EDU_GRAPH)
     career = graph_mod.read_snapshot(out / F_CAR_GRAPH)
-    _attach_skill_names(education, ingest_mod.load_skills(out / F_SKILLS))
+    _attach_names(education, graph_mod.NodeKind.SKILL,
+                  {s.id: s.name for s in ingest_mod.load_skills(out / F_SKILLS)})
     edu_part = community_mod.detect_communities(education, seed=cfg.seed, teleport=cfg.teleport)
     car_part = community_mod.detect_communities(career, seed=cfg.seed, teleport=cfg.teleport)
     labels = community_mod.merge_partitions(edu_part, education, car_part, career)
@@ -130,13 +135,6 @@ def cmd_link(cfg: PipelineConfig, dump_links: bool = False) -> str:
     if dump_links:
         linker_mod.write_link_dump(out / F_LINK_DUMP, records)
     return f"link: added {len(records)} skill links -> {out / F_LINKED_GRAPH}"
-
-
-def _attach_job_titles(g, jobs) -> None:
-    titles = {j.id: j.title for j in jobs}
-    for jid in g.node_ids(graph_mod.NodeKind.JOB):
-        if jid in titles:
-            g.set_node_name(jid, titles[jid])
 
 
 def cmd_recommend(cfg: PipelineConfig, args: argparse.Namespace) -> str:

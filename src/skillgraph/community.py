@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
@@ -32,6 +32,8 @@ DEFAULT_TELEPORT = 0.15
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 10_000
 MOVE_EPS = 1e-10
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -314,7 +316,45 @@ def write_labels(path: str | Path, labels: Mapping[str, int]) -> None:
     write_text(path, csv_text(_LABEL_HEADER, ((n, labels[n]) for n in sorted(labels))))
 
 
-def read_labels(path: str | Path) -> dict[str, int]:
+class Labels(Mapping[str, int]):
+    """Read-only community labels keyed by node id, as ``read_labels`` gives them.
+
+    Because they cannot change, a reader may keep what it derives from them
+    for one graph state: ``cached(index, build)`` is ``build(index, self)``,
+    computed once and reused until asked about another ``GraphIndex``.
+    """
+
+    def __init__(self, labels: Mapping[str, int]) -> None:
+        self._labels = dict(labels)
+        self._views: dict[Callable, tuple[GraphIndex, object]] = {}
+
+    def __getitem__(self, node_id: str) -> int:
+        return self._labels[node_id]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._labels)
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def __contains__(self, node_id: object) -> bool:
+        return node_id in self._labels
+
+    def get(self, node_id: str, default=None):
+        return self._labels.get(node_id, default)
+
+    def __repr__(self) -> str:
+        return f"Labels({self._labels!r})"
+
+    def cached(self, index: GraphIndex, build: Callable[[GraphIndex, "Labels"], T]) -> T:
+        hit = self._views.get(build)
+        if hit is None or hit[0] is not index:
+            hit = (index, build(index, self))
+            self._views[build] = hit
+        return hit[1]  # type: ignore[return-value]
+
+
+def read_labels(path: str | Path) -> Labels:
     out: dict[str, int] = {}
     for row in csv_rows(path, _LABEL_HEADER, CommunityError):
         if row[0] in out:
@@ -324,7 +364,7 @@ def read_labels(path: str | Path) -> dict[str, int]:
         except ValueError:
             raise CommunityError(
                 f"{path}: bad row {row!r}: community is not an integer") from None
-    return out
+    return Labels(out)
 
 
 def write_partition(path: str | Path, summary_path: str | Path,

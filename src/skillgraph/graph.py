@@ -16,6 +16,7 @@ import enum
 import functools
 import logging
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -365,12 +366,17 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
     kind_by_value = {k.value: k for k in NodeKind}
     rel_by_value = {r.value: r for r in Relation}
     edges: list[tuple[str, Relation, str, float]] = []
+    # machine ints: an int object per edge would raise the peak RSS of a read
+    edge_lines = array("I")
     for lineno, line in enumerate(read_text(path, GraphError).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split(" ")
         if parts[0] == "N" and len(parts) == 3 and parts[1] and parts[2] in kind_by_value:
-            g.add_node(_decode_id(parts[1]), kind_by_value[parts[2]])
+            try:
+                g.add_node(_decode_id(parts[1]), kind_by_value[parts[2]])
+            except GraphError as exc:
+                raise GraphError(f"{path}: line {lineno}: {exc}") from None
         elif (parts[0] == "E" and len(parts) == 5 and parts[1] and parts[3]
               and parts[2] in rel_by_value):
             try:
@@ -381,10 +387,15 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
                 raise GraphError(f"{path}: line {lineno}: bad edge weight {parts[4]!r}")
             edges.append((_decode_id(parts[1]), rel_by_value[parts[2]],
                           _decode_id(parts[3]), weight))
+            edge_lines.append(lineno)
         else:
             raise GraphError(f"{path}: line {lineno}: unparseable snapshot line {line!r}")
-    for source, relation, target, weight in edges:
-        g.add_edge(source, relation, target, weight)
+    # edge lines sort before node lines, so edges go in once every node has
+    for lineno, (source, relation, target, weight) in zip(edge_lines, edges):
+        try:
+            g.add_edge(source, relation, target, weight)
+        except GraphError as exc:
+            raise GraphError(f"{path}: line {lineno}: {exc}") from None
     g.validate()
     return g
 

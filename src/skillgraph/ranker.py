@@ -4,9 +4,12 @@ A candidate's score is the sum over all tours from a seed to it along the
 declared step sequence of the product of traversed edge weights; reverse
 steps traverse stored edges target-to-source with the stored forward weight.
 Steps flagged as community-restricted only land on nodes carrying the query
-community's merged label. Scoring is layered sparse propagation (one weighted
-scatter per step, then a gate on the nodes a restricted step reached), which
-equals explicit tour enumeration.
+community's merged label. Scoring is layered sparse propagation, one weighted
+scatter per step, which equals explicit tour enumeration. A restricted step
+scatters only the edges whose landing node is in the query community: each
+relation's edges are stably ordered by that node's community once per graph
+state and labels (``CommunityEdges``), so the step reads one contiguous slice
+and every node still sums its pushes in the order a full scatter would.
 
 Three course-recommendation scenarios are wired on top:
 
@@ -26,6 +29,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import kernels
+from .community import Labels
 from .errors import QueryError, csv_text
 from .graph import RELATION_SIGNATURE, GraphIndex, HeteroGraph, NodeKind, Relation
 from .ingest import tokenize
@@ -48,6 +52,11 @@ class MetaPathStep:
     def target_kind(self) -> NodeKind:
         src, dst = RELATION_SIGNATURE[self.relation]
         return src if self.reverse else dst
+
+    def edges(self, index: GraphIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``index``'s edges of this step's relation as (from, to, weight)."""
+        src, dst, wgt = index.rel_edges[self.relation]
+        return (dst, src, wgt) if self.reverse else (src, dst, wgt)
 
 
 @dataclass(frozen=True)
@@ -188,26 +197,61 @@ def resolve_job_query(g: HeteroGraph, text: str) -> dict[str, float]:
     return {job_id: weight for job_id in matches}
 
 
+class CommunityEdges:
+    """Per (relation, direction), the edges stably ordered by the community
+    of the node they land on, with each community's bounds; an edge landing
+    on an unlabelled node is in no community's slice. Community ids map to
+    slice numbers through a dict, so any hashable label works. Read it as
+    ``labels.cached(index, CommunityEdges)``; slices are built on first use."""
+
+    def __init__(self, index: GraphIndex, labels: Labels) -> None:
+        self.index = index
+        self.slot: dict[int, int] = {}
+        node_slot = [-1 if c is None else self.slot.setdefault(c, len(self.slot))
+                     for c in map(labels.get, index.ids)]
+        self.node_slot = np.asarray(node_slot, dtype=np.int64)
+        self._ordered: dict[tuple[Relation, bool], tuple] = {}
+
+    def edges(self, step: MetaPathStep,
+              community: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``step``'s edges that land in ``community``, as (from, to, weight)."""
+        key = (step.relation, step.reverse)
+        if key not in self._ordered:
+            src, dst, wgt = step.edges(self.index)
+            landing = self.node_slot[dst]
+            # stable, so each landing node keeps its edges' order and its sum
+            order = np.argsort(landing, kind="stable")
+            bounds = np.searchsorted(landing[order], np.arange(len(self.slot) + 1))
+            self._ordered[key] = (src[order], dst[order], wgt[order], bounds.tolist())
+        src, dst, wgt, bounds = self._ordered[key]
+        k = self.slot.get(community)
+        lo, hi = (0, 0) if k is None else (bounds[k], bounds[k + 1])
+        return src[lo:hi], dst[lo:hi], wgt[lo:hi]
+
+
 def _walk(index: GraphIndex, path: MetaPath, scores: np.ndarray,
-          labels: Mapping[str, int] | None = None,
-          community: int | None = None) -> np.ndarray:
+          gate: CommunityEdges | None = None, community: int | None = None) -> np.ndarray:
     """Push ``scores`` along ``path``, one kernel call per step. With a
-    ``community``, a restricted step zeroes each node it reached whose label
-    is missing or another community."""
+    ``gate``, a restricted step scatters only the edges that land in
+    ``community``, which equals a full scatter with every node outside it
+    (or unlabelled) zeroed, to the bit."""
     for step in path.steps:
-        src, dst, wgt = index.rel_edges[step.relation]
-        if step.reverse:
-            src, dst = dst, src
+        if step.community_restricted and gate is not None:
+            src, dst, wgt = gate.edges(step, community)
+        else:
+            src, dst, wgt = step.edges(index)
         scores = kernels.propagate_step(scores, src, dst, wgt, index.n)
-        if step.community_restricted and community is not None:
-            reached = np.flatnonzero(scores).tolist()
-            scores[[i for i in reached if labels.get(index.ids[i]) != community]] = 0.0
     return scores
 
 
 def _positive(index: GraphIndex, scores: np.ndarray) -> dict[str, float]:
     hits = np.flatnonzero(scores > 0.0)
     return dict(zip([index.ids[i] for i in hits.tolist()], scores[hits].tolist()))
+
+
+def _as_labels(labels: Mapping[str, int]) -> Labels:
+    """``labels`` itself when it is ``Labels``; else a copy, read now."""
+    return labels if isinstance(labels, Labels) else Labels(labels)
 
 
 def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Mapping[str, float],
@@ -217,6 +261,7 @@ def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Mapping[str, float],
     if community is not None and labels is None:
         raise QueryError("community gate requested without node labels")
     index = g.cached(GraphIndex)
+    gate = None if community is None else _as_labels(labels).cached(index, CommunityEdges)
     scores = np.zeros(index.n, dtype=np.float64)
     source_kind = path.source_kind
     for node_id, weight in seeds.items():
@@ -227,7 +272,7 @@ def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Mapping[str, float],
                 f"seed {node_id!r} is a {g.node_kind(node_id).value}, "
                 f"path starts at a {source_kind.value}")
         scores[index.pos[node_id]] = weight
-    return _positive(index, _walk(index, path, scores, labels, community))
+    return _positive(index, _walk(index, path, scores, gate, community))
 
 
 BASE_PATH = MetaPath((
@@ -297,6 +342,7 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
     Seeds are grouped by merged community; each group runs with its own
     community gate and the score maps add.
     """
+    labels = _as_labels(labels)
     prov = Provenance()
     groups: dict[int, dict[str, float]] = {}
     for job_id, weight in seeds.items():

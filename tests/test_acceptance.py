@@ -14,7 +14,7 @@ import pytest
 
 from skillgraph import ingest, metrics
 from skillgraph.cli import main as cli_main
-from skillgraph.community import (FlowGraph, compute_flow, detect_communities,
+from skillgraph.community import (FlowGraph, Labels, compute_flow, detect_communities,
                                   map_equation, merge_partitions)
 from skillgraph.graph import (HeteroGraph, NodeKind, Relation, build_career_graph,
                               build_education_graph, merge_graphs)
@@ -128,9 +128,9 @@ def test_criterion_3_planted_partition_recovery():
             f"{best:.6f} over {count} partitions in {elapsed:.1f}s")
 
 
-def test_criterion_4_ranking_oracle_equivalence():
-    """Layered propagation equals DFS tour enumeration, 50 graphs, 3 scenarios."""
-    start = time.time()
+def _ranking_oracle_gaps(wrap) -> tuple[float, int]:
+    """Worst score gap and scores compared, propagation against DFS tour
+    enumeration on 50 random graphs x 3 scenarios, labels passed as ``wrap(labels)``."""
     worst = 0.0
     compared = 0
     for seed in range(50):
@@ -143,7 +143,7 @@ def test_criterion_4_ranking_oracle_equivalence():
             inp = ScenarioInput(scenario=scenario, career_goal="q" if scenario != 3 else None,
                                 taken_courses=taken if scenario == 2 else (),
                                 current_job="q" if scenario == 3 else None)
-            got, _ = scenario_scores(g, labels, inp, seeds)
+            got, _ = scenario_scores(g, wrap(labels), inp, seeds)
             want = ref_scenario_scores(g, labels, scenario, seeds,
                                        taken=taken if scenario == 2 else ())
             assert set(got) == set(want), (seed, scenario)
@@ -151,10 +151,23 @@ def test_criterion_4_ranking_oracle_equivalence():
                 worst = max(worst, abs(got[node] - score))
                 assert abs(got[node] - score) <= 1e-12, (seed, scenario, node)
                 compared += 1
+    return worst, compared
+
+
+def test_criterion_4_ranking_oracle_equivalence():
+    """Layered propagation equals DFS tour enumeration, 50 graphs, 3 scenarios."""
+    start = time.time()
+    worst, compared = _ranking_oracle_gaps(dict)
     elapsed = time.time() - start
     verdict(4, "ranking oracle", elapsed < 30.0,
             f"{compared} scores across 50 graphs x 3 scenarios, worst |ds|={worst:.2e}, "
             f"{elapsed:.1f}s")
+
+
+def test_criterion_4_holds_with_read_only_labels():
+    """The same equivalence with labels given as ``Labels``, as ``read_labels`` returns them."""
+    _worst, compared = _ranking_oracle_gaps(Labels)
+    assert compared == 500
 
 
 def test_criterion_5_community_restriction(tmp_path):

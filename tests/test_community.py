@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from skillgraph import kernels
-from skillgraph.community import (CommunityPartition, FlowGraph, FlowModel, compute_flow,
-                                  detect_communities, map_equation, merge_partitions,
-                                  read_labels, write_labels,
+from skillgraph.community import (CommunityPartition, FlowGraph, FlowModel, Labels,
+                                  compute_flow, detect_communities, map_equation,
+                                  merge_partitions, read_labels, write_labels,
                                   write_partition)
 from skillgraph.errors import CommunityError
 from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build_career_graph,
@@ -536,6 +536,21 @@ def test_partition_and_label_files(tmp_path):
     assert read_labels(csv_path) == {"a": 0, "b": 1}
     write_labels(tmp_path / "l.csv", {"x": 3})
     assert read_labels(tmp_path / "l.csv") == {"x": 3}
+
+
+def test_read_labels_are_read_only(tmp_path):
+    path = tmp_path / "l.csv"
+    write_labels(path, {"a": 0, "b": -1})
+    labels = read_labels(path)
+    assert isinstance(labels, Labels) and dict(labels) == {"a": 0, "b": -1}
+    with pytest.raises(TypeError):
+        labels["a"] = 1  # type: ignore[index]
+    with pytest.raises(TypeError):
+        del labels["a"]  # type: ignore[attr-defined]
+    source = {"x": 3}
+    copied = Labels(source)
+    source["x"] = 4
+    assert copied["x"] == 3 and copied.get("y") is None and "y" not in copied
 
 
 def test_repeated_label_rejected(tmp_path):

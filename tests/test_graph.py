@@ -404,6 +404,31 @@ class TestSnapshot:
         with pytest.raises(GraphError, match=f"g.graph: line 3: bad edge weight '{weight}'"):
             read_snapshot(p)
 
+    def test_node_given_two_kinds_names_file_and_line(self, tmp_path):
+        p = tmp_path / "g.graph"
+        p.write_text("N C1 course\nN C1 skill\n")
+        with pytest.raises(GraphError,
+                           match=r"g\.graph: line 2: node id 'C1' used as both course and skill"):
+            read_snapshot(p)
+
+    @pytest.mark.parametrize("text, lineno, tail", [
+        ("E J1 r S1 1\n", 1, "edge J1-r->S1: source is not a job"),
+        ("E J1 r S1 1\nN J1 job\nN S1 course\n", 1, "edge J1-r->S1: target is not a skill"),
+        ("E C1 c S1 1\nE J1 r S1 1\nN C1 course\nN J1 skill\nN S1 skill\n", 2,
+         "edge J1-r->S1: source is not a job"),
+    ])
+    def test_edge_endpoint_kind_names_file_and_line(self, tmp_path, text, lineno, tail):
+        p = tmp_path / "g.graph"
+        p.write_text(text)
+        with pytest.raises(GraphError, match=rf"g\.graph: line {lineno}: {tail}"):
+            read_snapshot(p)
+
+    def test_duplicate_edge_names_file_and_line(self, tmp_path):
+        p = tmp_path / "g.graph"
+        p.write_text("E J1 r S1 0.5\nE J1 r S1 0.5\nN J1 job\nN S1 skill\n")
+        with pytest.raises(GraphError, match=r"g\.graph: line 2: duplicate edge J1-r->S1"):
+            read_snapshot(p)
+
     def test_unnormalised_out_weights_rejected(self, tmp_path):
         p = tmp_path / "g.graph"
         p.write_text("N J1 job\nN S1 skill\nN S2 skill\nE J1 r S1 0.5\nE J1 r S2 0.4\n")

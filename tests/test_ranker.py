@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
-from skillgraph import ranker
+from skillgraph import cli, ranker
+from skillgraph.community import Labels, read_labels
 from skillgraph.errors import QueryError
-from skillgraph.graph import HeteroGraph, NodeKind, Relation
-from skillgraph.ranker import (BASE_PATH, MetaPath, MetaPathStep, RankedList, ScenarioInput,
-                               format_ranked_list, prerequisite_expansion, recommend,
-                               resolve_job_query, scenario_scores, score_metapath,
-                               to_ranked_list)
+from skillgraph.graph import GraphIndex, HeteroGraph, NodeKind, Relation, read_snapshot
+from skillgraph.ingest import load_jobs
+from skillgraph.ranker import (BASE_PATH, TAKEN_PATH, UPSKILL_PATH, MetaPath, MetaPathStep,
+                               RankedList, ScenarioInput, format_ranked_list,
+                               prerequisite_expansion, recommend, resolve_job_query,
+                               scenario_scores, score_metapath, to_ranked_list)
 
 from oracles import (random_hetero_graph, ref_resolve_job_query, ref_scenario_scores,
                      ref_score_metapath)
@@ -425,6 +430,158 @@ class TestGraphViewCache:
                                                career_goal=query if scenario == 1 else None,
                                                current_job=query if scenario == 3 else None))
         assert builds == [g]
+
+
+def awkward_labels(rng, g, labels):
+    """Recode labels 0/1/2 as a negative id, an id beyond int64 and 7; leave
+    about a fifth of the non-job nodes unlabelled; label two ids that are not
+    in the graph, one with a community no graph node carries."""
+    codes = {0: -3, 1: 2 ** 70, 2: 7}
+    out = {node: codes[c] for node, c in labels.items()
+           if g.node_kind(node) is NodeKind.JOB or rng.random() > 0.2}
+    out["ghost-a"] = -3
+    out["ghost-b"] = 99
+    return out
+
+
+def full_scatter_then_zero(g, path, seeds, labels, community):
+    """The gate as a full-relation scatter per step, then every node outside
+    ``community`` (or unlabelled) zeroed after a restricted step."""
+    index = GraphIndex(g)
+    scores = np.zeros(index.n)
+    for node, weight in seeds.items():
+        scores[index.pos[node]] = weight
+    outside = np.array([labels.get(node) != community for node in index.ids], dtype=bool)
+    for step in path.steps:
+        src, dst, wgt = index.rel_edges[step.relation]
+        if step.reverse:
+            src, dst = dst, src
+        scores = np.bincount(dst, weights=wgt * scores[src], minlength=index.n)
+        if step.community_restricted and community is not None:
+            scores[outside] = 0.0
+    return {index.ids[i]: scores[i] for i in np.flatnonzero(scores > 0.0).tolist()}
+
+
+class TestCommunityGate:
+    """A restricted step scatters only its community's slice of the edges."""
+
+    COMMUNITIES = (None, -3, 2 ** 70, 7, 99, 12345)
+
+    def test_sliced_scores_equal_oracle_and_full_scatter(self):
+        checked = 0
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            g, plain = random_hetero_graph(rng, n_labels=3)
+            labels = awkward_labels(rng, g, plain)
+            read_only = Labels(labels)
+            kind_seeds = {kind: {n: 1.0 / len(g.node_ids(kind)) for n in g.node_ids(kind)}
+                          for kind in (NodeKind.JOB, NodeKind.COURSE)}
+            for path in (BASE_PATH, TAKEN_PATH, UPSKILL_PATH):
+                seeds = kind_seeds[path.source_kind]
+                steps = [(s.relation, s.reverse, s.community_restricted) for s in path.steps]
+                for community in self.COMMUNITIES:
+                    got = score_metapath(g, path, seeds, read_only, community)
+                    # the same tours summed in the same order: equal to the bit
+                    assert got == full_scatter_then_zero(g, path, seeds, labels, community)
+                    assert score_metapath(g, path, seeds, labels, community) == got
+                    want = ref_score_metapath(g, steps, seeds, labels, community)
+                    assert set(got) == set(want), (seed, path, community)
+                    for node, score in want.items():
+                        assert got[node] == pytest.approx(score, abs=1e-12)
+                    checked += len(want)
+        assert checked > 500
+
+    def test_scenarios_equal_oracle_with_awkward_labels(self):
+        outside_taken = 0
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            g, plain = random_hetero_graph(rng, n_labels=3)
+            labels = awkward_labels(rng, g, plain)
+            jobs = g.node_ids(NodeKind.JOB)
+            seeds = {j: 1.0 / len(jobs) for j in jobs}
+            courses = g.node_ids(NodeKind.COURSE)
+            # a taken course outside the first job's community (or unlabelled)
+            away = [c for c in courses if labels.get(c) != labels[jobs[0]]]
+            taken = tuple(dict.fromkeys(courses[:1] + away[:1]))
+            outside_taken += bool(away)
+            for scenario in (1, 2, 3):
+                inp = ScenarioInput(scenario=scenario, career_goal="q" if scenario != 3 else None,
+                                    taken_courses=taken if scenario == 2 else (),
+                                    current_job="q" if scenario == 3 else None)
+                want = ref_scenario_scores(g, labels, scenario, seeds,
+                                           taken=taken if scenario == 2 else ())
+                for given in (labels, Labels(labels)):
+                    got, _prov = scenario_scores(g, given, inp, seeds)
+                    assert set(got) == set(want), (seed, scenario)
+                    for node, score in want.items():
+                        assert got[node] == pytest.approx(score, abs=1e-12)
+        assert outside_taken >= 20
+
+    def test_slices_built_once_per_graph_state_and_labels(self, monkeypatch):
+        builds = []
+
+        class CountingEdges(ranker.CommunityEdges):
+            def __init__(self, index, labels):
+                builds.append(index)
+                super().__init__(index, labels)
+
+        monkeypatch.setattr(ranker, "CommunityEdges", CountingEdges)
+        g, plain = single_tour_graph()
+        labels = Labels({**plain, "C2": 0})
+        inp = ScenarioInput(scenario=1, career_goal="data engineer")
+        for _ in range(3):
+            assert recommend(g, labels, inp).entries == (("C1", 1.0),)
+        assert len(builds) == 1
+        g.add_node("C2", NodeKind.COURSE)
+        assert recommend(g, labels, inp).entries == (("C1", 1.0),)
+        assert len(builds) == 2
+        g.add_edge("C2", Relation.COVERED, "S2", 1.0)
+        assert recommend(g, labels, inp).entries == (("C1", 1.0), ("C2", 1.0))
+        assert recommend(g, labels, inp).entries == (("C1", 1.0), ("C2", 1.0))
+        assert len(builds) == 3
+        # a plain mapping may change between calls, so each call reads it again
+        recommend(g, dict(labels), inp)
+        recommend(g, dict(labels), inp)
+        assert len(builds) == 5
+
+    def test_ranked_lists_pinned_on_fanned_out_corpus(self, tmp_path):
+        # "topic-4 engineer" jobs sit in six merged communities of this corpus;
+        # one holds the courses, so a gate that reads another community's
+        # slice, or drops one, changes these bytes
+        data, out = tmp_path / "data", tmp_path / "out"
+        stages = [["synth", "--seed", "1", "--jobs", "400", "--courses", "60",
+                   "--skills", "600", "--alignment", "0.3", "--out", str(data)],
+                  ["ingest", "--courses", str(data / "courses.csv"), "--jobs",
+                   str(data / "jobs.csv"), "--skills", str(data / "skills.csv"),
+                   "--enrollments", str(data / "enrollments.csv"), "--out", str(out)],
+                  ["build", "--out", str(out)],
+                  ["communities", "--out", str(out), "--seed", "3"],
+                  ["link", "--out", str(out)]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in stages:
+                assert cli.main(argv) == 0
+        g = read_snapshot(out / cli.F_LINKED_GRAPH)
+        labels = read_labels(out / cli.F_LABELS)
+        cli._attach_job_titles(g, load_jobs(out / cli.F_JOBS))
+        goal = "topic-4 engineer"
+        expected = {
+            ScenarioInput(1, career_goal=goal): (
+                "rank,node_id,score\n1,C024,0.0059526105713\n2,C026,0.00474812272039\n"
+                "3,C025,0.0039739488626\n4,C029,0.00296194790619\n"
+                "5,C027,0.00251900640317\n6,C028,0.00197297005825\n"),
+            ScenarioInput(2, career_goal=goal, taken_courses=("C024", "C000")): (
+                "rank,node_id,score\n1,C027,0.0275190064032\n2,C026,0.00474812272039\n"
+                "3,C025,0.0039739488626\n4,C029,0.00296194790619\n"
+                "5,C028,0.00197297005825\n"),
+            ScenarioInput(3, current_job=goal): (
+                "rank,node_id,score\n1,C027,0.00205357142857\n2,C028,0.00169104230558\n"
+                "3,C029,0.00161491605622\n4,C026,0.00109853487468\n"
+                "5,C025,0.00098868138721\n"),
+        }
+        for inp, text in expected.items():
+            ranked, prov = recommend(g, labels, inp, cutoff=10, debug=True)
+            assert len(prov.seeds) == 6
+            assert format_ranked_list(ranked) == text
 
 
 class TestPrerequisiteExpansion:
