@@ -145,18 +145,15 @@ def cmd_recommend(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     g = graph_mod.read_snapshot(out / F_LINKED_GRAPH)
     labels = community_mod.read_labels(out / F_LABELS)
     _attach_job_titles(g, ingest_mod.load_jobs(out / F_JOBS))
+    ranked = ranker_mod.recommend(g, labels, inp, cutoff=args.top,
+                                  prereq_depth=cfg.prereq_depth)
     if args.debug:
-        ranked, prov = ranker_mod.recommend(g, labels, inp, cutoff=args.top,
-                                            prereq_depth=cfg.prereq_depth, debug=True)
-        for community in sorted(prov.base):
-            base = prov.base[community]
+        prov = ranked.provenance
+        for community, base in sorted(prov.base.items()):
             print(f"# community {community}: {len(prov.seeds[community])} seeds, "
                   f"{len(base)} base candidates", file=sys.stderr)
         if prov.prereq:
             print(f"# prerequisite route: {len(prov.prereq)} candidates", file=sys.stderr)
-    else:
-        ranked = ranker_mod.recommend(g, labels, inp, cutoff=args.top,
-                                      prereq_depth=cfg.prereq_depth)
     return ranker_mod.format_ranked_list(ranked).rstrip("\n")
 
 

@@ -196,19 +196,17 @@ def prereq_counts(enrollments: Sequence[EnrollmentRecord]) -> dict[tuple[str, st
     enrollment in ``cj`` at a strictly earlier term than some enrollment in
     ``ci``. Retakes of the same course never count.
     """
-    by_student: dict[str, list[tuple[int, str]]] = {}
+    spans: dict[str, dict[str, tuple[int, int]]] = {}
     for rec in enrollments:
-        by_student.setdefault(rec.student, []).append((rec.term, rec.course))
+        courses = spans.setdefault(rec.student, {})
+        first, last = courses.get(rec.course, (rec.term, rec.term))
+        courses[rec.course] = (min(first, rec.term), max(last, rec.term))
     pair: dict[tuple[str, str], int] = {}
-    for student in sorted(by_student):
-        history = by_student[student]
-        last_term = {c: max(t for t, cc in history if cc == c) for _, c in history}
-        contributed: set[tuple[str, str]] = set()
-        for ci, t_late in last_term.items():
-            for cj, _ in {(c, None) for t, c in history if t < t_late and c != ci}:
-                contributed.add((ci, cj))
-        for key in contributed:
-            pair[key] = pair.get(key, 0) + 1
+    for courses in spans.values():
+        for ci, (_first, last) in courses.items():
+            for cj, (first, _last) in courses.items():
+                if ci != cj and first < last:
+                    pair[(ci, cj)] = pair.get((ci, cj), 0) + 1
     return pair
 
 

@@ -11,8 +11,9 @@ File formats (UTF-8; the text codec in :mod:`skillgraph.errors`):
   ``course_id,skill_id``
 
 Every loader also accepts the same schema as a JSON array of objects when the
-path ends in ``.json`` (a job's skills may then be a list). Writers always
-emit CSV, byte-deterministically (sorted skill lists and course-skill pairs).
+path ends in ``.json`` (a job's skills may then be a list; text is a JSON
+string or number). Writers always emit CSV, byte-deterministically (sorted
+skill lists and course-skill pairs).
 
 Course-skill matching indexes the catalog once per call, by token tuple (a
 dictionary in the spirit of Aho-Corasick, CACM 1975). Each course then costs
@@ -77,19 +78,37 @@ class EnrollmentRecord:
     term: int
 
 
-def _check_id(value: str, what: str, row: int) -> str:
+def _check_id(value: str, what: str, where: str) -> str:
     if not value:
-        raise IngestError(f"row {row}: empty {what} id")
+        raise IngestError(f"{where}: empty {what} id")
     if any(ch.isspace() for ch in value):
-        raise IngestError(f"row {row}: {what} id {value!r} contains whitespace")
+        raise IngestError(f"{where}: {what} id {value!r} contains whitespace")
     return value
 
 
-def _read_rows(path: str | Path, columns: Sequence[str]) -> list[tuple[int, dict]]:
-    """Yield (row_number, record) pairs from a CSV or JSON file.
+def _unique(seen: set, key, what: str, where: str):
+    """``key``, added to ``seen``; a key already there is a duplicate row."""
+    if key in seen:
+        raise IngestError(f"{where}: duplicate {what} {key!r}")
+    seen.add(key)
+    return key
 
-    Row numbers are 1-based over data records (the CSV header is row 0).
-    """
+
+_JSON_NON_TEXT = {type(None): "null", bool: "a boolean", dict: "an object", list: "an array"}
+
+
+def _json_text(value: object, where: str, column: str) -> str:
+    """A JSON string or number as text; null, booleans, objects and arrays are not."""
+    kind = _JSON_NON_TEXT.get(type(value))
+    if kind is not None:
+        raise IngestError(f"{where}: {column} is {kind}, not text")
+    return str(value)
+
+
+def _read_rows(path: str | Path, columns: Sequence[str],
+               raw: Sequence[str] = ()) -> list[tuple[str, dict]]:
+    """(where, record) pairs from a CSV or JSON file; ``where`` names the file
+    and the 1-based data row. JSON values in ``raw`` columns stay as they are."""
     path = Path(path)
     if path.suffix.lower() == ".json":
         try:
@@ -100,91 +119,81 @@ def _read_rows(path: str | Path, columns: Sequence[str]) -> list[tuple[int, dict
             raise IngestError(f"{path}: expected a JSON array of objects")
         out = []
         for i, obj in enumerate(data, start=1):
+            where = f"{path}: row {i}"
             if not isinstance(obj, dict) or set(obj) != set(columns):
-                raise IngestError(
-                    f"{path}: row {i}: expected keys {list(columns)}")
-            out.append((i, {k: obj[k] for k in columns}))
+                raise IngestError(f"{where}: expected keys {list(columns)}")
+            out.append((where, {k: obj[k] if k in raw else _json_text(obj[k], where, k)
+                                for k in columns}))
         return out
     rows = csv_rows(path, columns, IngestError)
-    return [(i, dict(zip(columns, row))) for i, row in enumerate(rows, start=1)]
+    return [(f"{path}: row {i}", dict(zip(columns, row))) for i, row in enumerate(rows, start=1)]
 
 
 def load_courses(path: str | Path) -> list[Course]:
     courses: list[Course] = []
     seen: set[str] = set()
-    for row, rec in _read_rows(path, ("id", "name", "description")):
-        cid = _check_id(str(rec["id"]), "course", row)
-        if cid in seen:
-            raise IngestError(f"row {row}: duplicate course id {cid!r}")
-        seen.add(cid)
-        courses.append(Course(id=cid, name=str(rec["name"]), description=str(rec["description"])))
+    for where, rec in _read_rows(path, ("id", "name", "description")):
+        cid = _unique(seen, _check_id(rec["id"], "course", where), "course id", where)
+        courses.append(Course(id=cid, name=rec["name"], description=rec["description"]))
     return courses
 
 
 def load_jobs(path: str | Path) -> list[Job]:
     jobs: list[Job] = []
     seen: set[str] = set()
-    for row, rec in _read_rows(path, ("id", "title", "company", "location", "skills")):
-        jid = _check_id(str(rec["id"]), "job", row)
-        if jid in seen:
-            raise IngestError(f"row {row}: duplicate job id {jid!r}")
-        seen.add(jid)
+    for where, rec in _read_rows(path, ("id", "title", "company", "location", "skills"),
+                                 raw=("skills",)):
+        jid = _unique(seen, _check_id(rec["id"], "job", where), "job id", where)
         raw = rec["skills"]
         if isinstance(raw, str):
             parts = [s.strip() for s in raw.split(";")]
         elif isinstance(raw, list):
-            parts = [str(s).strip() for s in raw]
+            parts = [_json_text(s, where, "skills").strip() for s in raw]
         else:
-            raise IngestError(f"row {row}: bad skills field for job {jid!r}")
+            raise IngestError(f"{where}: bad skills field for job {jid!r}")
         skills = frozenset(s for s in parts if s)
         if not skills:
-            raise IngestError(f"row {row}: job {jid!r} has an empty skill list")
+            raise IngestError(f"{where}: job {jid!r} has an empty skill list")
         # the skills are stripped, so any match lies inside one of them
         if _NON_SPACE_WHITESPACE.search(" ".join(skills)):
             bad = min(s for s in skills if _NON_SPACE_WHITESPACE.search(s))
             raise IngestError(
-                f"row {row}: job {jid!r}: skill {bad!r} contains whitespace other than ' '")
+                f"{where}: job {jid!r}: skill {bad!r} contains whitespace other than ' '")
         # the CSV form joins a job's skills with ';', so a JSON skill must not hold one
         if ";" in "".join(skills):
             bad = min(s for s in skills if ";" in s)
-            raise IngestError(f"row {row}: job {jid!r}: skill {bad!r} contains ';'")
-        jobs.append(Job(id=jid, title=str(rec["title"]), company=str(rec["company"]),
-                        location=str(rec["location"]), skills=skills))
+            raise IngestError(f"{where}: job {jid!r}: skill {bad!r} contains ';'")
+        jobs.append(Job(id=jid, title=rec["title"], company=rec["company"],
+                        location=rec["location"], skills=skills))
     return jobs
 
 
 def load_skills(path: str | Path) -> list[Skill]:
     skills: list[Skill] = []
     seen: set[str] = set()
-    for row, rec in _read_rows(path, ("id", "name")):
-        sid = _check_id(str(rec["id"]), "skill", row)
-        if sid in seen:
-            raise IngestError(f"row {row}: duplicate skill id {sid!r}")
-        seen.add(sid)
-        skills.append(Skill(sid, str(rec["name"])))
+    for where, rec in _read_rows(path, ("id", "name")):
+        sid = _unique(seen, _check_id(rec["id"], "skill", where), "skill id", where)
+        skills.append(Skill(sid, rec["name"]))
     return skills
 
 
 def load_enrollments(path: str | Path) -> list[EnrollmentRecord]:
     records: list[EnrollmentRecord] = []
     seen: set[tuple[str, str, int]] = set()
-    for row, rec in _read_rows(path, ("student", "course", "term")):
-        student = _check_id(str(rec["student"]), "student", row)
-        course = _check_id(str(rec["course"]), "course", row)
+    for where, rec in _read_rows(path, ("student", "course", "term"), raw=("term",)):
+        student = _check_id(rec["student"], "student", where)
+        course = _check_id(rec["course"], "course", where)
         raw_term = rec["term"]
         if isinstance(raw_term, bool) or (isinstance(raw_term, float)
                                           and not raw_term.is_integer()):
-            raise IngestError(f"row {row}: term {raw_term!r} is not an integer")
+            raise IngestError(f"{where}: term {raw_term!r} is not an integer")
         try:
             term = int(raw_term)
         except (TypeError, ValueError):
-            raise IngestError(f"row {row}: term {raw_term!r} is not an integer") from None
+            raise IngestError(f"{where}: term {raw_term!r} is not an integer") from None
         if term < 0:
-            raise IngestError(f"row {row}: negative term {term}")
-        key = (student, course, term)
-        if key in seen:
-            raise IngestError(f"row {row}: duplicate enrollment {key!r}")
-        seen.add(key)
+            raise IngestError(f"{where}: negative term {term}")
+        _unique(seen, (student, course, term), "enrollment", where)
         records.append(EnrollmentRecord(student=student, course=course, term=term))
     return records
 
@@ -193,13 +202,10 @@ def load_course_skills(path: str | Path) -> list[tuple[str, str]]:
     """Pre-matched (course_id, skill_id) pairs."""
     pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
-    for row, rec in _read_rows(path, ("course_id", "skill_id")):
-        pair = (_check_id(str(rec["course_id"]), "course", row),
-                _check_id(str(rec["skill_id"]), "skill", row))
-        if pair in seen:
-            raise IngestError(f"row {row}: duplicate course-skill pair {pair!r}")
-        seen.add(pair)
-        pairs.append(pair)
+    for where, rec in _read_rows(path, ("course_id", "skill_id")):
+        pair = (_check_id(rec["course_id"], "course", where),
+                _check_id(rec["skill_id"], "skill", where))
+        pairs.append(_unique(seen, pair, "course-skill pair", where))
     return pairs
 
 

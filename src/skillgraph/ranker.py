@@ -86,6 +86,8 @@ class RankedList:
     entries: tuple[tuple[str, float], ...]
     query: str
     scenario: str
+    # how ``recommend`` reached the entries; equality and repr ignore it
+    provenance: Provenance | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if any(score <= 0.0 for _n, score in self.entries):
@@ -318,7 +320,7 @@ def prerequisite_expansion(g: HeteroGraph, base_scores: Mapping[str, float],
 
 @dataclass
 class Provenance:
-    """Per-route score shares, for the restriction audit in debug mode.
+    """Per-route score shares of one query, as ``recommend`` attaches them.
 
     ``seeds`` and ``base`` are keyed by the community each group ran in;
     ``prereq`` is a single map because that route ignores community gates.
@@ -340,62 +342,54 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
     """Scenario score map before sorting/cutoff; seeds come from job resolution.
 
     Seeds are grouped by merged community; each group runs with its own
-    community gate and the score maps add.
+    community gate and the score maps add: base, then the prerequisite hop of
+    a non-empty scenario 1/2 base, then the scenario 2 taken-course walk.
     """
     labels = _as_labels(labels)
     prov = Provenance()
-    groups: dict[int, dict[str, float]] = {}
     for job_id, weight in seeds.items():
-        if job_id not in labels:
+        community = labels.get(job_id)
+        if community is None:
             raise QueryError(f"job {job_id!r} carries no community label")
-        groups.setdefault(labels[job_id], {})[job_id] = weight
+        prov.seeds.setdefault(community, {})[job_id] = weight
     for course in inp.taken_courses:
         if course not in g or g.node_kind(course) is not NodeKind.COURSE:
             raise QueryError(f"taken course {course!r} is not in the graph")
     taken_seeds = {c: 1.0 / len(inp.taken_courses) for c in inp.taken_courses}
+    path = UPSKILL_PATH if inp.scenario == 3 else BASE_PATH
     total: dict[str, float] = {}
-    for community in sorted(groups):
-        group = groups[community]
-        prov.seeds[community] = dict(group)
-        if inp.scenario in (1, 2):
-            base = score_metapath(g, BASE_PATH, group, labels, community)
+    for community, group in sorted(prov.seeds.items()):
+        base = prov.base[community] = score_metapath(g, path, group, labels, community)
+        _merge_into(total, base)
+        if inp.scenario != 3 and base:
             extra = prerequisite_expansion(g, base, prereq_depth)
-            _merge_into(total, base)
             _merge_into(total, extra)
-            prov.base[community] = base
             _merge_into(prov.prereq, extra)
-            if taken_seeds:
-                _merge_into(total, score_metapath(g, TAKEN_PATH, taken_seeds, labels, community))
-        else:
-            base = score_metapath(g, UPSKILL_PATH, group, labels, community)
-            _merge_into(total, base)
-            prov.base[community] = base
+        if taken_seeds:
+            _merge_into(total, score_metapath(g, TAKEN_PATH, taken_seeds, labels, community))
     for course in taken_seeds:
         total.pop(course, None)
     return total, prov
 
 
 def to_ranked_list(scores: Mapping[str, float], query: str, scenario: str,
-                   cutoff: int | None = None) -> RankedList:
+                   cutoff: int | None = None, provenance: Provenance | None = None,
+                   ) -> RankedList:
     if cutoff is not None and cutoff < 0:
         raise QueryError(f"list cutoff {cutoff} is negative")
     entries = sorted(((n, s) for n, s in scores.items() if s > 0.0),
                      key=lambda item: (-item[1], item[0]))
     if cutoff is not None:
         entries = entries[:cutoff]
-    return RankedList(entries=tuple(entries), query=query, scenario=scenario)
+    return RankedList(tuple(entries), query, scenario, provenance)
 
 
 def recommend(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInput,
-              cutoff: int = 10, prereq_depth: int = DEFAULT_PREREQ_DEPTH,
-              debug: bool = False) -> RankedList | tuple[RankedList, Provenance]:
-    """Rank candidate courses for one scenario input."""
+              cutoff: int = 10, prereq_depth: int = DEFAULT_PREREQ_DEPTH) -> RankedList:
+    """Rank candidate courses for one scenario input, with per-route ``provenance``."""
     seeds = resolve_job_query(g, inp.query_text)
     scores, prov = scenario_scores(g, labels, inp, seeds, prereq_depth)
-    ranked = to_ranked_list(scores, inp.query_text, f"scenario-{inp.scenario}", cutoff)
-    if debug:
-        return ranked, prov
-    return ranked
+    return to_ranked_list(scores, inp.query_text, f"scenario-{inp.scenario}", cutoff, prov)
 
 
 def format_ranked_list(ranked: RankedList) -> str:

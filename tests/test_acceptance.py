@@ -181,7 +181,8 @@ def test_criterion_5_community_restriction(tmp_path):
         topics = sorted(set(corpus.job_topic.values()))
         for t in topics:
             inp = ScenarioInput(scenario=1, career_goal=f"topic-{t}")
-            ranked, prov = recommend(linked, labels, inp, cutoff=100, debug=True)
+            ranked = recommend(linked, labels, inp, cutoff=100)
+            prov = ranked.provenance
             for community, base in prov.base.items():
                 for candidate in base:
                     assert labels[candidate] == community, (seed, t, candidate)
@@ -205,8 +206,9 @@ def test_criterion_5_community_restriction(tmp_path):
     g.add_edge("C1", Relation.COVERED, "S2", 1.0)
     g.add_edge("C1", Relation.PRE_REQUIRED, "C0", 1.0)
     crafted_labels = {"J1": 0, "S1": 0, "S2": 0, "C1": 0, "C0": 7}
-    ranked, prov = recommend(g, crafted_labels, ScenarioInput(scenario=1, career_goal="data engineer"),
-                             cutoff=10, debug=True)
+    ranked = recommend(g, crafted_labels, ScenarioInput(scenario=1, career_goal="data engineer"),
+                       cutoff=10)
+    prov = ranked.provenance
     assert dict(ranked.entries) == {"C0": 1.0, "C1": 1.0}
     assert "C0" not in prov.base[0] and "C0" in prov.prereq
     outside_via_prereq += 1

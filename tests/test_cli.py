@@ -351,6 +351,15 @@ class TestErrors:
         assert stdout == ""
         assert "row 1: job 'J1': skill 'odd\\nskill' contains whitespace other than ' '" in err
 
+    def test_duplicate_job_id_names_the_jobs_file(self, tmp_path, capsys):
+        jobs = tmp_path / "jobs.csv"
+        jobs.write_text("id,title,company,location,skills\nJ1,dev,acme,remote,sql\n"
+                        "J1,ops,acme,remote,linux\n")
+        code, stdout, err = run_cli(capsys, *ingest_argv(tmp_path, capsys, jobs=jobs))
+        assert code == 1
+        assert stdout == ""
+        assert f"{jobs}: row 2: duplicate job id 'J1'" in err
+
     def test_job_skill_with_semicolon_exits_one_before_writing(self, tmp_path, capsys):
         jobs = tmp_path / "jobs.json"
         jobs.write_text(json.dumps([{"id": "J1", "title": "dev", "company": "acme",

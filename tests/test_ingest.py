@@ -154,6 +154,68 @@ class TestLoadEnrollments:
             load_enrollments(p)
 
 
+LOADER_ROWS = [
+    (load_courses, {"id": "C1", "name": "A", "description": "d"}, "duplicate course id 'C1'"),
+    (load_jobs, {"id": "J1", "title": "Dev", "company": "acme", "location": "remote",
+                 "skills": "sql"}, "duplicate job id 'J1'"),
+    (load_skills, {"id": "SK1", "name": "sql"}, "duplicate skill id 'SK1'"),
+    (load_enrollments, {"student": "s1", "course": "C1", "term": 0},
+     "duplicate enrollment ('s1', 'C1', 0)"),
+    (load_course_skills, {"course_id": "C1", "skill_id": "SK1"},
+     "duplicate course-skill pair ('C1', 'SK1')"),
+]
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("loader, row, message", LOADER_ROWS,
+                         ids=[loader.__name__ for loader, _r, _m in LOADER_ROWS])
+def test_row_errors_name_the_file(tmp_path, suffix, loader, row, message):
+    p = tmp_path / f"records{suffix}"
+    if suffix == ".json":
+        p.write_text(json.dumps([row, row]))
+    else:
+        line = ",".join(str(v) for v in row.values())
+        p.write_text(",".join(row) + f"\n{line}\n{line}\n")
+    with pytest.raises(IngestError) as err:
+        loader(p)
+    assert str(err.value) == f"{p}: row 2: {message}"
+
+
+class TestJsonText:
+    """A JSON text field takes a string or a number, nothing else."""
+
+    @pytest.mark.parametrize("column", ["id", "description"])
+    @pytest.mark.parametrize("value, kind", [(None, "null"), (True, "a boolean"),
+                                             (False, "a boolean"), ({}, "an object"),
+                                             (["x"], "an array")])
+    def test_non_text_course_field_rejected(self, tmp_path, column, value, kind):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps([{"id": "C1", "name": "A", "description": "d", column: value}]))
+        with pytest.raises(IngestError) as err:
+            load_courses(p)
+        assert str(err.value) == f"{p}: row 1: {column} is {kind}, not text"
+
+    @pytest.mark.parametrize("value, kind", [(None, "null"), (False, "a boolean"),
+                                             (["sql"], "an array")])
+    def test_non_text_job_skill_rejected(self, tmp_path, value, kind):
+        p = tmp_path / "j.json"
+        p.write_text(json.dumps([{"id": "J1", "title": "Dev", "company": "acme",
+                                  "location": "remote", "skills": ["sql", value]}]))
+        with pytest.raises(IngestError) as err:
+            load_jobs(p)
+        assert str(err.value) == f"{p}: row 1: skills is {kind}, not text"
+
+    def test_numbers_load_as_text(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text('[{"id": 7, "name": "A", "description": 1.5}]')
+        assert load_courses(p) == [Course(id="7", name="A", description="1.5")]
+        p = tmp_path / "j.json"
+        p.write_text('[{"id": 8, "title": "Dev", "company": 0, "location": "x", '
+                     '"skills": [3, "sql"]}]')
+        assert load_jobs(p) == [Job(id="8", title="Dev", company="0", location="x",
+                                    skills=frozenset({"3", "sql"}))]
+
+
 class TestMatchCourseSkills:
     def test_directly_built_skill_matches(self):
         course = Course(id="C1", name="learn sql fast", description="")

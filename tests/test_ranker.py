@@ -357,9 +357,8 @@ class TestScenarios:
         g.add_node("C0", NodeKind.COURSE)
         labels["C0"] = 5
         g.add_edge("C1", Relation.PRE_REQUIRED, "C0", 1.0)
-        _ranked, prov = recommend(g, labels,
-                                  ScenarioInput(scenario=1, career_goal="data engineer"),
-                                  debug=True)
+        prov = recommend(g, labels,
+                         ScenarioInput(scenario=1, career_goal="data engineer")).provenance
         assert set(prov.base) == {0} and set(prov.base[0]) == {"C1"}
         assert set(prov.prereq) == {"C0"}
         assert prov.seeds == {0: {"J1": 1.0}}
@@ -462,6 +461,36 @@ def full_scatter_then_zero(g, path, seeds, labels, community):
     return {index.ids[i]: scores[i] for i in np.flatnonzero(scores > 0.0).tolist()}
 
 
+@pytest.fixture(scope="module")
+def fanned_out(tmp_path_factory):
+    """The linked graph and labels of a ``synth --seed 1`` 400/60/600 corpus."""
+    tmp = tmp_path_factory.mktemp("fanned_out")
+    data, out = tmp / "data", tmp / "out"
+    stages = [["synth", "--seed", "1", "--jobs", "400", "--courses", "60",
+               "--skills", "600", "--alignment", "0.3", "--out", str(data)],
+              ["ingest", "--courses", str(data / "courses.csv"), "--jobs",
+               str(data / "jobs.csv"), "--skills", str(data / "skills.csv"),
+               "--enrollments", str(data / "enrollments.csv"), "--out", str(out)],
+              ["build", "--out", str(out)],
+              ["communities", "--out", str(out), "--seed", "3"],
+              ["link", "--out", str(out)]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in stages:
+            assert cli.main(argv) == 0
+    g = read_snapshot(out / cli.F_LINKED_GRAPH)
+    labels = read_labels(out / cli.F_LABELS)
+    cli._attach_job_titles(g, load_jobs(out / cli.F_JOBS))
+    return g, labels
+
+
+FANNED_OUT_GOAL = "topic-4 engineer"
+FANNED_OUT_INPUTS = (
+    ScenarioInput(1, career_goal=FANNED_OUT_GOAL),
+    ScenarioInput(2, career_goal=FANNED_OUT_GOAL, taken_courses=("C024", "C000")),
+    ScenarioInput(3, current_job=FANNED_OUT_GOAL),
+)
+
+
 class TestCommunityGate:
     """A restricted step scatters only its community's slice of the edges."""
 
@@ -544,26 +573,12 @@ class TestCommunityGate:
         recommend(g, dict(labels), inp)
         assert len(builds) == 5
 
-    def test_ranked_lists_pinned_on_fanned_out_corpus(self, tmp_path):
+    def test_ranked_lists_pinned_on_fanned_out_corpus(self, fanned_out):
         # "topic-4 engineer" jobs sit in six merged communities of this corpus;
         # one holds the courses, so a gate that reads another community's
         # slice, or drops one, changes these bytes
-        data, out = tmp_path / "data", tmp_path / "out"
-        stages = [["synth", "--seed", "1", "--jobs", "400", "--courses", "60",
-                   "--skills", "600", "--alignment", "0.3", "--out", str(data)],
-                  ["ingest", "--courses", str(data / "courses.csv"), "--jobs",
-                   str(data / "jobs.csv"), "--skills", str(data / "skills.csv"),
-                   "--enrollments", str(data / "enrollments.csv"), "--out", str(out)],
-                  ["build", "--out", str(out)],
-                  ["communities", "--out", str(out), "--seed", "3"],
-                  ["link", "--out", str(out)]]
-        with contextlib.redirect_stdout(io.StringIO()):
-            for argv in stages:
-                assert cli.main(argv) == 0
-        g = read_snapshot(out / cli.F_LINKED_GRAPH)
-        labels = read_labels(out / cli.F_LABELS)
-        cli._attach_job_titles(g, load_jobs(out / cli.F_JOBS))
-        goal = "topic-4 engineer"
+        g, labels = fanned_out
+        goal = FANNED_OUT_GOAL
         expected = {
             ScenarioInput(1, career_goal=goal): (
                 "rank,node_id,score\n1,C024,0.0059526105713\n2,C026,0.00474812272039\n"
@@ -579,9 +594,59 @@ class TestCommunityGate:
                 "5,C025,0.00098868138721\n"),
         }
         for inp, text in expected.items():
-            ranked, prov = recommend(g, labels, inp, cutoff=10, debug=True)
-            assert len(prov.seeds) == 6
+            ranked = recommend(g, labels, inp, cutoff=10)
+            assert len(ranked.provenance.seeds) == 6
             assert format_ranked_list(ranked) == text
+
+
+class TestScenarioRoutes:
+    """Each route runs once per community group, in the order base ->
+    prerequisite hop -> taken walk, on a goal that fans out over six groups
+    of which only one reaches a course."""
+
+    def test_raw_totals_pinned(self, fanned_out):
+        # the full repr pins every float to the bit and the key order, so a
+        # change in which route merges first, or in summation order, shows
+        g, labels = fanned_out
+        expected = [
+            "{'C024': 0.0059526105713012135, 'C025': 0.003973948862595526, "
+            "'C026': 0.004748122720385534, 'C027': 0.002519006403174009, "
+            "'C028': 0.0019729700582511627, 'C029': 0.0029619479061939276}",
+            "{'C025': 0.003973948862595526, 'C026': 0.004748122720385534, "
+            "'C027': 0.02751900640317401, 'C028': 0.0019729700582511627, "
+            "'C029': 0.0029619479061939276}",
+            "{'C025': 0.0009886813872099207, 'C026': 0.0010985348746776896, "
+            "'C027': 0.0020535714285714285, 'C028': 0.0016910423055751156, "
+            "'C029': 0.0016149160562215902}",
+        ]
+        for inp, want in zip(FANNED_OUT_INPUTS, expected):
+            seeds = resolve_job_query(g, inp.query_text)
+            total, prov = scenario_scores(g, labels, inp, seeds)
+            assert len(prov.seeds) == 6
+            assert repr(total) == want
+
+    def test_prerequisite_hop_runs_once_per_nonempty_base(self, fanned_out, monkeypatch):
+        g, labels = fanned_out
+        bases = []
+
+        def counting(graph, base_scores, depth=ranker.DEFAULT_PREREQ_DEPTH):
+            bases.append(dict(base_scores))
+            return prerequisite_expansion(graph, base_scores, depth)
+
+        monkeypatch.setattr(ranker, "prerequisite_expansion", counting)
+        for inp in FANNED_OUT_INPUTS:
+            bases.clear()
+            prov = recommend(g, labels, inp).provenance
+            nonempty = [base for base in prov.base.values() if base]
+            assert len(prov.base) == 6 and len(nonempty) == 1
+            assert bases == (nonempty if inp.scenario != 3 else [])
+
+    def test_recommend_provenance_is_scenario_scores(self, fanned_out):
+        g, labels = fanned_out
+        for inp in FANNED_OUT_INPUTS:
+            seeds = resolve_job_query(g, inp.query_text)
+            assert (recommend(g, labels, inp).provenance
+                    == scenario_scores(g, labels, inp, seeds)[1])
 
 
 class TestPrerequisiteExpansion:
@@ -648,6 +713,16 @@ class TestRankedList:
             RankedList(entries=(("a", 1.0), ("a", 1.0)), query="q", scenario="s")
         with pytest.raises(QueryError):
             RankedList(entries=(("a", 0.0),), query="q", scenario="s")
+
+    def test_equality_ignores_provenance(self):
+        entries = (("C1", 1.0),)
+        plain = RankedList(entries, "q", "s")
+        traced = RankedList(entries, "q", "s", ranker.Provenance(prereq={"C0": 1.0}))
+        assert traced == plain and hash(traced) == hash(plain)
+        assert repr(traced) == repr(plain)
+
+    def test_to_ranked_list_carries_no_provenance(self):
+        assert to_ranked_list({"a": 1.0}, "q", "s").provenance is None
 
     def test_serialization_format(self):
         ranked = to_ranked_list({"C1": 1 / 3, "C2": 2 / 3}, "q", "s")
