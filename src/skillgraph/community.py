@@ -18,6 +18,7 @@ connected graph the one-community partition is taken when it codes shorter.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, TypeVar
@@ -182,19 +183,6 @@ def _renumber(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return dense.astype(np.int64), int(dense.max()) + 1 if dense.size else 0
 
 
-def _local_moves(fg: FlowGraph, rng: np.random.Generator,
-                 tracked: float) -> tuple[np.ndarray, float]:
-    """One queue pass from singletons in seeded shuffled order; return the
-    labels and the tracked cost."""
-    labels = np.arange(fg.n_units, dtype=np.int64)
-    state = fg.module_state(labels, fg.n_units)
-    order = rng.permutation(fg.n_units).astype(np.int64)
-    _moves, delta, _exit = kernels.local_move_pass(
-        order, labels, fg.visit, fg.tele, fg.size, *fg.nbr, *state,
-        float(state[4].sum()), float(fg.n_orig), MOVE_EPS)
-    return labels, tracked + delta
-
-
 def _connected(fg: FlowGraph) -> bool:
     """Whether ``fg.nbr`` links every unit to every other (it lists each edge
     both ways, so one search from unit 0 finds the component)."""
@@ -231,7 +219,13 @@ def detect_communities(g: HeteroGraph, seed: int = 0,
     rng = np.random.default_rng(seed)
     level = fg
     while True:
-        labels, tracked = _local_moves(level, rng, tracked)
+        # one queue pass from singletons in seeded shuffled order
+        labels = np.arange(level.n_units, dtype=np.int64)
+        order = rng.permutation(level.n_units).astype(np.int64)
+        _moves, delta = kernels.local_move_pass(
+            order, labels, level.visit, level.tele, level.size, level.nbr,
+            level.module_state(labels, level.n_units), float(level.n_orig), MOVE_EPS)
+        tracked += delta
         dense, k = _renumber(labels)
         final = dense[final]
         if k == level.n_units:
@@ -258,14 +252,6 @@ def detect_communities(g: HeteroGraph, seed: int = 0,
                               num_communities=len(relabel))
 
 
-def _skill_keys_by_community(part: CommunityPartition, g: HeteroGraph,
-                             ids: Mapping[str, str]) -> dict[int, set[str]]:
-    out: dict[int, set[str]] = {}
-    for sid in g.node_ids(NodeKind.SKILL):
-        out.setdefault(part.assignment[sid], set()).add(ids[sid])
-    return out
-
-
 def merge_partitions(edu_part: CommunityPartition, edu_graph: HeteroGraph,
                      car_part: CommunityPartition, car_graph: HeteroGraph) -> dict[str, int]:
     """Pair education and career communities by shared-skill count.
@@ -277,15 +263,14 @@ def merge_partitions(edu_part: CommunityPartition, edu_graph: HeteroGraph,
     takes the label of its education-side community.
     """
     edu_ids, car_ids = union_ids(edu_graph), union_ids(car_graph)
-    edu_skills = _skill_keys_by_community(edu_part, edu_graph, edu_ids)
-    car_skills = _skill_keys_by_community(car_part, car_graph, car_ids)
-    candidates: list[tuple[int, int, int]] = []
-    for e in sorted(edu_skills):
-        for c in sorted(car_skills):
-            overlap = len(edu_skills[e] & car_skills[c])
-            if overlap > 0:
-                candidates.append((-overlap, e, c))
-    candidates.sort()
+    # a key can name several career skills ("SQL" and "sql") in different communities
+    car_by_key: dict[str, set[int]] = {}
+    for sid in car_graph.node_ids(NodeKind.SKILL):
+        car_by_key.setdefault(car_ids[sid], set()).add(car_part.assignment[sid])
+    edu_keys = {(edu_part.assignment[sid], edu_ids[sid])
+                for sid in edu_graph.node_ids(NodeKind.SKILL)}
+    overlap = Counter((e, c) for e, key in edu_keys for c in car_by_key.get(key, ()))
+    candidates = sorted((-n, e, c) for (e, c), n in overlap.items())
     edu_final: dict[int, int] = {}
     car_final: dict[int, int] = {}
     next_label = 0

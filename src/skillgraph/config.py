@@ -97,7 +97,11 @@ def load_config(path: str | Path | None = None,
         p = Path(chosen)
         if not p.exists():
             raise ConfigError(f"config file {p} does not exist")
-        values.update(parse_config_text(read_text(p, ConfigError)))
+        text = read_text(p, ConfigError)
+        try:
+            values.update(parse_config_text(text))
+        except ConfigError as exc:
+            raise ConfigError(f"{p}: {exc}") from None
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val

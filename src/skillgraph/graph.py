@@ -100,8 +100,7 @@ class HeteroGraph:
         self._name[node_id] = name if name is not None else node_id
         self._version += 1
 
-    def add_edge(self, source: str, relation: Relation, target: str, weight: float,
-                 combine: bool = False) -> None:
+    def add_edge(self, source: str, relation: Relation, target: str, weight: float) -> None:
         if not (math.isfinite(weight) and weight > 0.0):
             raise GraphError(f"edge {source}-{relation.value}->{target} has non-positive "
                              f"or non-finite weight {weight!r}")
@@ -111,9 +110,9 @@ class HeteroGraph:
         if self._kind.get(target) is not dst_kind:
             raise GraphError(f"edge {source}-{relation.value}->{target}: target is not a {dst_kind.value}")
         row = self._out[relation].setdefault(source, {})
-        if target in row and not combine:
+        if target in row:
             raise GraphError(f"duplicate edge {source}-{relation.value}->{target}")
-        row[target] = row.get(target, 0.0) + weight
+        row[target] = weight
         self._version += 1
 
     # -- queries ------------------------------------------------------------
@@ -309,8 +308,9 @@ def merge_graphs(education: HeteroGraph, career: HeteroGraph) -> HeteroGraph:
     """Union of both graphs, each node renamed to its ``union_ids`` id.
 
     A skill node's name becomes its key; ``add_node`` rejects an id given two
-    kinds (a course id equal to a job id or a skill key). Edges that become
-    parallel under the renaming have their weights added, in sorted order, so
+    kinds (a course id equal to a job id or a skill key). Each relation's rows
+    are copied, sources and then targets in sorted order; edges that become
+    parallel under the renaming have their weights added in that order, so
     per-source out-weight totals are preserved.
     """
     merged = HeteroGraph()
@@ -320,10 +320,16 @@ def merge_graphs(education: HeteroGraph, career: HeteroGraph) -> HeteroGraph:
             kind = g.node_kind(node_id)
             merged.add_node(union_id, kind,
                             union_id if kind is NodeKind.SKILL else g.node_name(node_id))
+    # both inputs' edges passed add_edge, and renaming keeps each endpoint's
+    # kind, so the rows need no per-edge check
     for g, mapping in maps:
-        for edge in g.edges():
-            merged.add_edge(mapping[edge.source], edge.relation, mapping[edge.target],
-                            edge.weight, combine=True)
+        for relation, rows in g._out.items():
+            merged_rows = merged._out[relation]
+            for source in sorted(rows):
+                row = merged_rows.setdefault(mapping[source], {})
+                for target, weight in sorted(rows[source].items()):
+                    union_target = mapping[target]
+                    row[union_target] = row.get(union_target, 0.0) + weight
     merged.validate()
     return merged
 

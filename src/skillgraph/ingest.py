@@ -6,14 +6,14 @@ File formats (UTF-8; the text codec in :mod:`skillgraph.errors`):
 * jobs:        CSV header ``id,title,company,location,skills`` with a
                ``;``-separated skill list
 * skills:      CSV header ``id,name``
-* enrollments: CSV header ``student,course,term`` (term a non-negative int)
+* enrollments: CSV header ``student,course,term`` (term 1-18 ASCII digits)
 * course-skill pairs (optional pre-matched file): CSV header
   ``course_id,skill_id``
 
 Every loader also accepts the same schema as a JSON array of objects when the
 path ends in ``.json`` (a job's skills may then be a list; text is a JSON
-string or number). Writers always emit CSV, byte-deterministically (sorted
-skill lists and course-skill pairs).
+string or number, kept as written). Writers always emit CSV,
+byte-deterministically (sorted skill lists and course-skill pairs).
 
 Course-skill matching indexes the catalog once per call, by token tuple (a
 dictionary in the spirit of Aho-Corasick, CACM 1975). Each course then costs
@@ -112,7 +112,9 @@ def _read_rows(path: str | Path, columns: Sequence[str],
     path = Path(path)
     if path.suffix.lower() == ".json":
         try:
-            data = json.loads(read_text(path, IngestError))
+            # numbers stay the text they were written as
+            data = json.loads(read_text(path, IngestError),
+                              parse_int=str, parse_float=str, parse_constant=str)
         except json.JSONDecodeError as exc:
             raise IngestError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, list):
@@ -180,19 +182,17 @@ def load_skills(path: str | Path) -> list[Skill]:
 def load_enrollments(path: str | Path) -> list[EnrollmentRecord]:
     records: list[EnrollmentRecord] = []
     seen: set[tuple[str, str, int]] = set()
-    for where, rec in _read_rows(path, ("student", "course", "term"), raw=("term",)):
+    for where, rec in _read_rows(path, ("student", "course", "term")):
         student = _check_id(rec["student"], "student", where)
         course = _check_id(rec["course"], "course", where)
-        raw_term = rec["term"]
-        if isinstance(raw_term, bool) or (isinstance(raw_term, float)
-                                          and not raw_term.is_integer()):
-            raise IngestError(f"{where}: term {raw_term!r} is not an integer")
-        try:
-            term = int(raw_term)
-        except (TypeError, ValueError):
-            raise IngestError(f"{where}: term {raw_term!r} is not an integer") from None
-        if term < 0:
-            raise IngestError(f"{where}: negative term {term}")
+        text = rec["term"]
+        digits = text.removeprefix("-")
+        if digits != text and digits.isascii() and digits.isdigit():
+            raise IngestError(f"{where}: negative term {text}")
+        # plain ASCII digits, few enough for a 64-bit integer
+        if not (text.isascii() and text.isdigit() and len(text) <= 18):
+            raise IngestError(f"{where}: term {text!r} is not an integer")
+        term = int(text)
         _unique(seen, (student, course, term), "enrollment", where)
         records.append(EnrollmentRecord(student=student, course=course, term=term))
     return records

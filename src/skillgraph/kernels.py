@@ -10,11 +10,11 @@ flattened by their owners before calling in. The four kernels:
 
 Three are vectorised NumPy. The move pass is sequential and has no
 vectorised form, so it is a plain-Python loop. It copies its arrays to lists,
-runs on those and writes the labels and module state back: indexing an
-ndarray from Python boxes every element as a numpy scalar, and numpy scalar
-arithmetic is several times slower than the same IEEE double operations on
-Python floats, which give bit-identical results. ``ACTIVE_BACKEND`` names the
-build that runs, for benchmark reports.
+runs on those and writes only the labels back: indexing an ndarray from
+Python boxes every element as a numpy scalar, and numpy scalar arithmetic is
+several times slower than the same IEEE double operations on Python floats,
+which give bit-identical results. ``ACTIVE_BACKEND`` names the build that
+runs, for benchmark reports.
 """
 from __future__ import annotations
 
@@ -59,21 +59,21 @@ def propagate_step(scores, esrc, edst, eweight, n):
     return np.bincount(edst, weights=eweight * scores[esrc], minlength=n)
 
 
-def local_move_pass(order, labels, visit, tele, size,
-                    nbr_ptr, nbr_idx, nbr_out, nbr_in,
-                    mod_visit, mod_tele, mod_size, mod_cross, mod_exit,
-                    exit_sum, n_orig, eps):
-    """Greedy single-unit moves from a FIFO queue that starts as ``order``,
-    on list copies of the array arguments; ``labels`` and the five module
-    arrays are written back in place. A unit that moves to module ``b``
-    queues each neighbour that is neither queued nor in ``b``; the pass ends
-    when the queue is empty, which it reaches because every move lowers the
-    cost by more than ``eps``. Returns ``(moves, delta_sum, exit_sum)``."""
-    updated = (labels, mod_visit, mod_tele, mod_size, mod_cross, mod_exit)
-    labels, mod_visit, mod_tele, mod_size, mod_cross, mod_exit = [a.tolist() for a in updated]
+def local_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps):
+    """Greedy single-unit moves from a FIFO queue that starts as ``order``.
+
+    ``nbr`` is ``FlowGraph.nbr`` and ``modules`` the ``FlowGraph.module_state``
+    of ``labels``; the pass runs on list copies of both and writes only the
+    final ``labels`` back, in place. A unit that moves to module ``b`` queues
+    each neighbour that is neither queued nor in ``b``; the pass ends when the
+    queue is empty, which it reaches because every move lowers the cost by
+    more than ``eps``. Returns ``(moves, delta_sum)``, the move count and the
+    summed cost change."""
+    exit_sum = float(modules[4].sum())
+    labels_out, labels = labels, labels.tolist()
+    mod_visit, mod_tele, mod_size, mod_cross, mod_exit = [a.tolist() for a in modules]
     visit, tele, size = visit.tolist(), tele.tolist(), size.tolist()
-    nbr_ptr, nbr_idx = nbr_ptr.tolist(), nbr_idx.tolist()
-    nbr_out, nbr_in = nbr_out.tolist(), nbr_in.tolist()
+    nbr_ptr, nbr_idx, nbr_out, nbr_in = [a.tolist() for a in nbr]
     n_units = len(labels)
     conn_out = [0.0] * n_units
     conn_in = [0.0] * n_units
@@ -170,7 +170,5 @@ def local_move_pass(order, labels, visit, tele, size,
                 if not queued[v] and labels[v] != best:
                     queued[v] = True
                     queue.append(v)
-    for array, values in zip(updated, (labels, mod_visit, mod_tele, mod_size, mod_cross,
-                                       mod_exit)):
-        array[:] = values
-    return moves, delta_sum, exit_sum
+    labels_out[:] = labels
+    return moves, delta_sum

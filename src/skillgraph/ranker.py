@@ -345,6 +345,9 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
     community gate and the score maps add: base, then the prerequisite hop of
     a non-empty scenario 1/2 base, then the scenario 2 taken-course walk.
     """
+    # checked here too: a scenario 3 query or an empty base never expands
+    if prereq_depth < 0:
+        raise QueryError(f"prerequisite depth {prereq_depth!r} must be >= 0")
     labels = _as_labels(labels)
     prov = Provenance()
     for job_id, weight in seeds.items():

@@ -12,8 +12,9 @@ import math
 import numpy as np
 
 from skillgraph.errors import IngestError
-from skillgraph.graph import HeteroGraph, NodeKind, Relation
-from skillgraph.ingest import tokenize
+from skillgraph.graph import (HeteroGraph, NodeKind, Relation, build_career_graph,
+                              build_education_graph)
+from skillgraph.ingest import Course, EnrollmentRecord, Job, Skill, tokenize
 from skillgraph.linker import Bm25Params, CorpusStats, LinkRecord, SkillDocument, bm25
 
 
@@ -254,6 +255,71 @@ def ref_build_career_graph(jobs, aggregate_by_title: bool = False) -> HeteroGrap
 
 
 # ---------------------------------------------------------------------------
+# graph and partition merge, edge by edge and pair by pair
+# ---------------------------------------------------------------------------
+
+def _union_id(g: HeteroGraph, node_id: str) -> str:
+    if g.node_kind(node_id) is NodeKind.SKILL:
+        return "_".join(tokenize(g.node_name(node_id)))
+    return node_id
+
+
+def ref_merge_graphs(education: HeteroGraph, career: HeteroGraph) -> HeteroGraph:
+    """Both graphs' nodes under their union ids (a skill is its name's key),
+    and every renamed edge's weight summed in ``edges()`` order, education
+    first, then added once."""
+    merged = HeteroGraph()
+    totals: dict[tuple[str, Relation, str], float] = {}
+    for g in (education, career):
+        for node_id in g.node_ids():
+            union_id = _union_id(g, node_id)
+            kind = g.node_kind(node_id)
+            merged.add_node(union_id, kind,
+                            union_id if kind is NodeKind.SKILL else g.node_name(node_id))
+    for g in (education, career):
+        for edge in g.edges():
+            key = (_union_id(g, edge.source), edge.relation, _union_id(g, edge.target))
+            totals[key] = totals.get(key, 0.0) + edge.weight
+    for (source, relation, target), weight in totals.items():
+        merged.add_edge(source, relation, target, weight)
+    return merged
+
+
+def ref_merge_partitions(edu_part, edu_graph: HeteroGraph,
+                         car_part, car_graph: HeteroGraph) -> dict[str, int]:
+    """Intersect the skill-key sets of every (education, career) community
+    pair, match pairs greedily by descending overlap (ties to the lower
+    education, then career id), then number the unmatched communities,
+    education first. A node takes its community's label; a union id that
+    both sides hold keeps the education label."""
+    def keys(part, g):
+        out: dict[int, set[str]] = {}
+        for node_id in g.node_ids(NodeKind.SKILL):
+            out.setdefault(part.assignment[node_id], set()).add(_union_id(g, node_id))
+        return out
+
+    edu_keys, car_keys = keys(edu_part, edu_graph), keys(car_part, car_graph)
+    pairs = sorted((-len(edu_keys[e] & car_keys[c]), e, c)
+                   for e in edu_keys for c in car_keys if edu_keys[e] & car_keys[c])
+    edu_label: dict[int, int] = {}
+    car_label: dict[int, int] = {}
+    for _neg, e, c in pairs:
+        if e not in edu_label and c not in car_label:
+            edu_label[e] = car_label[c] = len(edu_label)
+    label_count = len(edu_label)
+    for part, label in ((edu_part, edu_label), (car_part, car_label)):
+        for m in range(part.num_communities):
+            if m not in label:
+                label[m] = label_count
+                label_count += 1
+    labels: dict[str, int] = {}
+    for g, part, label in ((edu_graph, edu_part, edu_label), (car_graph, car_part, car_label)):
+        for node_id in g.node_ids():
+            labels.setdefault(_union_id(g, node_id), label[part.assignment[node_id]])
+    return labels
+
+
+# ---------------------------------------------------------------------------
 # course-skill matching and skill linking by exhaustive scans
 # ---------------------------------------------------------------------------
 
@@ -326,6 +392,37 @@ def flow_isolated_nodes(g: HeteroGraph) -> list[str]:
     for edge in g.edges():
         touched.update((edge.source, edge.target))
     return [node for node in g.node_ids() if node not in touched]
+
+
+# skill names whose keys collide ("SQL" and "sql" are both ``sql``)
+COLLIDING_SKILL_NAMES = ["SQL", "sql", "Sql", "data-base", "Data_Base", "data base",
+                         "python", "Python!", "ML-Ops", "ml ops", "r", "R"]
+
+
+def random_domain_graphs(rng: np.random.Generator, aggregate_by_title: bool = False,
+                         ) -> tuple[HeteroGraph, HeteroGraph]:
+    """A small education graph (catalog skills named from
+    ``COLLIDING_SKILL_NAMES``, random enrollments) and career graph (raw job
+    skills drawn from the same names), so that a course or a job often holds
+    two skills with one key."""
+    names = COLLIDING_SKILL_NAMES
+    catalog = [Skill(f"SK{i}", name) for i, name in enumerate(names)]
+    courses = []
+    for i in range(int(rng.integers(1, 9))):
+        picked = rng.choice(len(catalog), size=int(rng.integers(0, 5)), replace=False)
+        courses.append(Course(id=f"C{i}", name=f"course {i}", description="",
+                              skills=frozenset(catalog[int(k)].id for k in picked)))
+    enrollments = [EnrollmentRecord(f"s{int(rng.integers(0, 6))}",
+                                    courses[int(rng.integers(0, len(courses)))].id,
+                                    int(rng.integers(0, 4)))
+                   for _ in range(int(rng.integers(0, 25)))]
+    titles = ["engineer", "Senior engineer", "analyst", "lead analyst"]
+    jobs = [Job(id=f"J{i}", title=str(rng.choice(titles)), company="", location="",
+                skills=frozenset(rng.choice(names, size=int(rng.integers(1, 6)),
+                                            replace=False).tolist()))
+            for i in range(int(rng.integers(1, 9)))]
+    return (build_education_graph(courses, enrollments, catalog=catalog),
+            build_career_graph(jobs, aggregate_by_title=aggregate_by_title))
 
 
 def random_hetero_graph(rng: np.random.Generator, max_nodes: int = 50,

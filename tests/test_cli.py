@@ -319,6 +319,16 @@ class TestErrors:
         assert stdout == ""
         assert f"error: {courses}: line 2: field larger than field limit" in err
 
+    def test_json_number_past_int_digit_limit_exits_one(self, tmp_path, capsys):
+        enrollments = tmp_path / "enrollments.json"
+        term = "1" + "0" * 4999
+        enrollments.write_text(f'[{{"student": "s1", "course": "C000", "term": {term}}}]')
+        code, stdout, err = run_cli(capsys, *ingest_argv(tmp_path, capsys,
+                                                         enrollments=enrollments))
+        assert code == 1
+        assert stdout == ""
+        assert f"error: {enrollments}: row 1: term '{term}' is not an integer" in err
+
     def test_undecodable_config_file_exits_one(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg"
         cfg_file.write_bytes(b"seed = 1 # \xff\n")
@@ -460,6 +470,26 @@ class TestConfig:
             code, _, err = run_cli(capsys, command, "--config", str(cfg_file), *extra, *argv)
             assert code == 0, err
             assert getattr(seen.pop(), key) == expected
+
+    @pytest.mark.parametrize("text, tail", [
+        ("foo = 1\n", "line 1: unknown config key 'foo'"),
+        ("# c\nseed 3\n", "line 2: expected key=value, got 'seed 3'"),
+        ("teleport = fast\n", "config key 'teleport': 'fast' is not a float"),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_config_file_errors_name_the_file(self, tmp_path, capsys, monkeypatch,
+                                              text, tail, via):
+        cfg_file = tmp_path / "unk.cfg"
+        cfg_file.write_text(text)
+        argv = ["build", "--out", str(tmp_path / "out")]
+        if via == "flag":
+            argv += ["--config", str(cfg_file)]
+        else:
+            monkeypatch.setenv(ENV_CONFIG, str(cfg_file))
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: {cfg_file}: {tail}\n"
 
     def test_missing_config_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):

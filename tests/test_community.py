@@ -13,12 +13,12 @@ from skillgraph.community import (CommunityPartition, FlowGraph, FlowModel, Labe
                                   write_partition)
 from skillgraph.errors import CommunityError
 from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build_career_graph,
-                              build_education_graph, merge_graphs)
+                              build_education_graph, merge_graphs, skill_key)
 from skillgraph.ingest import apply_skill_matching
 from skillgraph.synth import generate_synthetic_corpus
 
-from oracles import (flow_isolated_nodes, random_hetero_graph, ref_map_equation,
-                     ref_stationary, set_partitions)
+from oracles import (flow_isolated_nodes, random_domain_graphs, random_hetero_graph,
+                     ref_map_equation, ref_merge_partitions, ref_stationary, set_partitions)
 
 
 def linked_cycle(ids):
@@ -500,6 +500,28 @@ class TestMergePartitions:
         assert labels["c"] == labels["d"]
         assert labels["c"] != labels["a"]
         assert labels["x"] not in (labels["a"], labels["c"])
+
+    def test_matches_pairwise_reference_when_a_key_splits(self):
+        # one key names several career skills ("SQL", "sql"), which random
+        # labels often put in different career communities
+        rng = np.random.default_rng(23)
+        split = 0
+        for trial in range(300):
+            edu, car = random_domain_graphs(rng, aggregate_by_title=bool(trial % 2))
+            parts = []
+            for g in (edu, car):
+                k = int(rng.integers(1, 5))
+                parts.append(CommunityPartition(
+                    {n: int(rng.integers(0, k)) for n in g.node_ids()}, 0.0, k))
+            edu_part, car_part = parts
+            assert merge_partitions(edu_part, edu, car_part, car) == \
+                ref_merge_partitions(edu_part, edu, car_part, car)
+            by_key: dict[str, set[int]] = {}
+            for sid in car.node_ids(NodeKind.SKILL):
+                by_key.setdefault(skill_key(car.node_name(sid)), set()).add(
+                    car_part.assignment[sid])
+            split += any(len(communities) > 1 for communities in by_key.values())
+        assert split
 
     def test_labels_cover_merged_graph_nodes(self, tmp_path):
         for seed in range(3):

@@ -16,7 +16,8 @@ from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build
 from skillgraph.ingest import Course, EnrollmentRecord, Job
 from skillgraph.ranker import BASE_PATH, prerequisite_expansion, score_metapath
 
-from oracles import random_hetero_graph, ref_build_career_graph
+from oracles import (random_domain_graphs, random_hetero_graph, ref_build_career_graph,
+                     ref_merge_graphs)
 
 
 def course(cid, skills=(), name=None):
@@ -188,6 +189,22 @@ class TestMergeGraphs:
         with pytest.raises(GraphError, match="'sql' used as both course and skill"):
             merge_graphs(edu, car)
 
+    @pytest.mark.parametrize("aggregate_by_title", [False, True])
+    def test_matches_edge_by_edge_reference(self, aggregate_by_title):
+        # colliding skill keys make parallel edges, whose weights must add in
+        # the same order as an edge-by-edge sum
+        rng = np.random.default_rng(19)
+        fused = 0
+        for _ in range(40):
+            edu, car = random_domain_graphs(rng, aggregate_by_title)
+            merged = merge_graphs(edu, car)
+            want = ref_merge_graphs(edu, car)
+            assert snapshot_lines(merged) == snapshot_lines(want)
+            assert [merged.node_name(i) for i in merged.node_ids()] == \
+                [want.node_name(i) for i in want.node_ids()]
+            fused += merged.num_edges() < edu.num_edges() + car.num_edges()
+        assert fused
+
     def test_out_weight_totals_preserved(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -204,6 +221,18 @@ class TestMergeGraphs:
                     edges = merged.out_edges(node, rel)
                     if edges:
                         assert abs(sum(w for _t, w in edges) - 1.0) <= 1e-9
+
+
+def test_add_edge_rejects_duplicates_and_has_no_combine_mode():
+    g = HeteroGraph()
+    g.add_node("J1", NodeKind.JOB)
+    g.add_node("S1", NodeKind.SKILL)
+    g.add_edge("J1", Relation.REQUIRED, "S1", 0.5)
+    with pytest.raises(GraphError, match="duplicate edge J1-r->S1"):
+        g.add_edge("J1", Relation.REQUIRED, "S1", 0.5)
+    with pytest.raises(TypeError):
+        g.add_edge("J1", Relation.REQUIRED, "S1", 0.5, combine=True)
+    assert g.out_edges("J1", Relation.REQUIRED) == [("S1", 0.5)]
 
 
 def test_graph_stats_counts():

@@ -153,6 +153,54 @@ class TestLoadEnrollments:
         with pytest.raises(IngestError, match="not an integer"):
             load_enrollments(p)
 
+    @pytest.mark.parametrize("term", ["1_0", " 3", "3 ", "\u0663", "+3", "3.0", "1e3", "-",
+                                      "1" * 19])
+    def test_term_must_be_plain_ascii_digits(self, tmp_path, term):
+        p = tmp_path / "e.csv"
+        p.write_text(f"student,course,term\ns1,C1,{term}\n", encoding="utf-8")
+        with pytest.raises(IngestError) as err:
+            load_enrollments(p)
+        assert str(err.value) == f"{p}: row 1: term {term!r} is not an integer"
+
+    def test_eighteen_digit_term_loads(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_text("student,course,term\ns1,C1,007\ns1,C2," + "9" * 18 + "\n")
+        assert [r.term for r in load_enrollments(p)] == [7, int("9" * 18)]
+
+    @pytest.mark.parametrize("term", ['"3"', "3"])
+    def test_json_term_string_or_integer_loads(self, tmp_path, term):
+        p = tmp_path / "e.json"
+        p.write_text(f'[{{"student": "s1", "course": "C1", "term": {term}}}]')
+        assert load_enrollments(p) == [EnrollmentRecord("s1", "C1", 3)]
+
+    @pytest.mark.parametrize("term", ["1e300", "3.0", "1" + "0" * 4999, "NaN", "-0.5"],
+                             ids=["1e300", "3.0", "5000-digits", "NaN", "-0.5"])
+    def test_json_number_that_is_no_digit_string_rejected(self, tmp_path, term):
+        p = tmp_path / "e.json"
+        p.write_text(f'[{{"student": "s1", "course": "C1", "term": {term}}}]')
+        with pytest.raises(IngestError) as err:
+            load_enrollments(p)
+        assert str(err.value) == f"{p}: row 1: term {term!r} is not an integer"
+
+    def test_json_boolean_term_rejected(self, tmp_path):
+        p = tmp_path / "e.json"
+        p.write_text('[{"student": "s1", "course": "C1", "term": true}]')
+        with pytest.raises(IngestError) as err:
+            load_enrollments(p)
+        assert str(err.value) == f"{p}: row 1: term is a boolean, not text"
+
+    @pytest.mark.parametrize("suffix, term", [(".csv", "-3"), (".json", "-3"),
+                                              (".csv", "-" + "1" * 30)])
+    def test_minus_then_digits_is_a_negative_term(self, tmp_path, suffix, term):
+        p = tmp_path / f"e{suffix}"
+        if suffix == ".json":
+            p.write_text(f'[{{"student": "s1", "course": "C1", "term": {term}}}]')
+        else:
+            p.write_text(f"student,course,term\ns1,C1,{term}\n")
+        with pytest.raises(IngestError) as err:
+            load_enrollments(p)
+        assert str(err.value) == f"{p}: row 1: negative term {term}"
+
 
 LOADER_ROWS = [
     (load_courses, {"id": "C1", "name": "A", "description": "d"}, "duplicate course id 'C1'"),
@@ -204,6 +252,13 @@ class TestJsonText:
         with pytest.raises(IngestError) as err:
             load_jobs(p)
         assert str(err.value) == f"{p}: row 1: skills is {kind}, not text"
+
+    def test_long_number_loads_as_written(self, tmp_path):
+        # past Python's int-conversion digit limit, still text
+        digits = "7" * 5000
+        p = tmp_path / "c.json"
+        p.write_text(f'[{{"id": "C1", "name": {digits}, "description": 1e300}}]')
+        assert load_courses(p) == [Course(id="C1", name=digits, description="1e300")]
 
     def test_numbers_load_as_text(self, tmp_path):
         p = tmp_path / "c.json"

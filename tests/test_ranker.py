@@ -308,6 +308,23 @@ class TestScenarios:
         ranked = recommend(g, labels, inp)
         assert ranked.entries == (("C2", 1.0),)
 
+    def test_negative_prereq_depth_rejected_for_scenario3(self):
+        # scenario 3 never runs the prerequisite hop, yet the depth is checked
+        g, labels = single_tour_graph()
+        inp = ScenarioInput(scenario=3, current_job="data engineer")
+        with pytest.raises(QueryError, match="depth -1 must be >= 0"):
+            recommend(g, labels, inp, prereq_depth=-1)
+
+    def test_negative_prereq_depth_rejected_when_every_base_is_empty(self):
+        # C1 sits outside the goal's community, so the base reaches nothing
+        # and no prerequisite hop runs; the depth is still checked
+        g, labels = single_tour_graph()
+        labels["C1"] = 1
+        inp = ScenarioInput(scenario=1, career_goal="data engineer")
+        assert recommend(g, labels, inp).entries == ()
+        with pytest.raises(QueryError, match="depth -1 must be >= 0"):
+            recommend(g, labels, inp, prereq_depth=-1)
+
     def test_scenario_input_validation(self):
         with pytest.raises(QueryError):
             ScenarioInput(scenario=1)
