@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Mapping, TypeVar
 import numpy as np
 
 from . import kernels
-from .errors import CommunityError, csv_rows, csv_text, write_text
+from .errors import CommunityError, csv_rows, csv_text, parse_number, write_text
 from .graph import GraphIndex, HeteroGraph, NodeKind, union_ids
 
 DEFAULT_TELEPORT = 0.15
@@ -344,11 +344,10 @@ def read_labels(path: str | Path) -> Labels:
     for row in csv_rows(path, _LABEL_HEADER, CommunityError):
         if row[0] in out:
             raise CommunityError(f"{path}: node {row[0]!r} is labelled twice")
-        try:
-            out[row[0]] = int(row[1])
-        except ValueError:
-            raise CommunityError(
-                f"{path}: bad row {row!r}: community is not an integer") from None
+        label = parse_number(row[1], int)
+        if label is None:
+            raise CommunityError(f"{path}: bad row {row!r}: community is not an integer")
+        out[row[0]] = label
     return Labels(out)
 
 

@@ -1,8 +1,8 @@
 """Flat key=value pipeline configuration.
 
-Lines are ``key = value``; blank lines and lines starting with ``#`` are
-ignored. Command-line flags override file values; the file path defaults to
-the ``SKILLGRAPH_CONFIG`` environment variable when set.
+Lines are ``key = value``, each key at most once; blank lines and lines
+starting with ``#`` are ignored. Command-line flags override file values; the
+file path defaults to the ``SKILLGRAPH_CONFIG`` environment variable when set.
 """
 from __future__ import annotations
 
@@ -11,12 +11,12 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError, read_text
+from .errors import ConfigError, parse_number, read_text
 
 ENV_CONFIG = "SKILLGRAPH_CONFIG"
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 @dataclass
@@ -56,17 +56,13 @@ class PipelineConfig:
 
 
 def _coerce(name: str, kind: type, raw: str):
-    if kind is bool:
-        low = raw.strip().lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ConfigError(f"config key {name!r}: {raw!r} is not a boolean")
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"config key {name!r}: {raw!r} is not a {kind.__name__}") from None
+    if kind is str:
+        return raw
+    value = _BOOLEANS.get(raw.lower()) if kind is bool else parse_number(raw, kind)
+    if value is None:
+        kind_name = "boolean" if kind is bool else kind.__name__
+        raise ConfigError(f"config key {name!r}: {raw!r} is not a {kind_name}")
+    return value
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -83,6 +79,8 @@ def parse_config_text(text: str) -> dict[str, object]:
         key = key.strip()
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: config key {key!r} is given twice")
         kind = resolved[types[key]] if isinstance(types[key], str) else types[key]
         values[key] = _coerce(key, kind, raw.strip())
     return values

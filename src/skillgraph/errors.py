@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the one codec for every
-text file the package writes or reads.
+text file the package writes or reads, whose numbers ``parse_number`` reads.
 
 Every artifact is UTF-8 text written without newline translation. Tables are
 CSV with ``\\n`` line ends; a row holding a ``\\r`` has every field quoted, so
@@ -74,6 +74,18 @@ def csv_rows(path: str | Path, header: Sequence[str],
             yield row
     except csv.Error as exc:
         raise error(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def parse_number(text: str, kind: type[int] | type[float]) -> int | float | None:
+    """``text`` as a ``kind``, or None unless it is ASCII digits after an optional
+    ``-`` (an int) or ASCII float notation with no ``_`` and no surrounding
+    whitespace (a float). Callers check range and finiteness."""
+    plain = text.removeprefix("-").isdigit() if kind is int else (
+        "_" not in text and text == text.strip())
+    try:
+        return kind(text) if plain and text.isascii() else None
+    except ValueError:  # not float notation, or past int()'s digit limit
+        return None
 
 
 def write_text(path: str | Path, text: str) -> None:

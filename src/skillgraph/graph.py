@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import GraphError, read_text, write_text
+from .errors import GraphError, parse_number, read_text, write_text
 from .ingest import Course, EnrollmentRecord, Job, Skill, tokenize
 
 log = logging.getLogger(__name__)
@@ -372,34 +372,29 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
     edges: list[tuple[str, Relation, str, float]] = []
     # machine ints: an int object per edge would raise the peak RSS of a read
     edge_lines = array("I")
-    for lineno, line in enumerate(read_text(path, GraphError).splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split(" ")
-        if parts[0] == "N" and len(parts) == 3 and parts[1] and parts[2] in kind_by_value:
-            try:
+    text = read_text(path, GraphError)
+    try:  # every error names the line of the node or edge at hand
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            parts = line.split(" ")
+            if parts[0] == "N" and len(parts) == 3 and parts[1] and parts[2] in kind_by_value:
                 g.add_node(_decode_id(parts[1]), kind_by_value[parts[2]])
-            except GraphError as exc:
-                raise GraphError(f"{path}: line {lineno}: {exc}") from None
-        elif (parts[0] == "E" and len(parts) == 5 and parts[1] and parts[3]
-              and parts[2] in rel_by_value):
-            try:
-                weight = float(parts[4])
-            except ValueError:
-                weight = math.nan
-            if not math.isfinite(weight):
-                raise GraphError(f"{path}: line {lineno}: bad edge weight {parts[4]!r}")
-            edges.append((_decode_id(parts[1]), rel_by_value[parts[2]],
-                          _decode_id(parts[3]), weight))
-            edge_lines.append(lineno)
-        else:
-            raise GraphError(f"{path}: line {lineno}: unparseable snapshot line {line!r}")
-    # edge lines sort before node lines, so edges go in once every node has
-    for lineno, (source, relation, target, weight) in zip(edge_lines, edges):
-        try:
+            elif (parts[0] == "E" and len(parts) == 5 and parts[1] and parts[3]
+                  and parts[2] in rel_by_value):
+                weight = parse_number(parts[4], float)
+                if weight is None or not math.isfinite(weight):
+                    raise GraphError(f"bad edge weight {parts[4]!r}")
+                edges.append((_decode_id(parts[1]), rel_by_value[parts[2]],
+                              _decode_id(parts[3]), weight))
+                edge_lines.append(lineno)
+            else:
+                raise GraphError(f"unparseable snapshot line {line!r}")
+        # edge lines sort before node lines, so edges go in once every node has
+        for lineno, (source, relation, target, weight) in zip(edge_lines, edges):
             g.add_edge(source, relation, target, weight)
-        except GraphError as exc:
-            raise GraphError(f"{path}: line {lineno}: {exc}") from None
+    except GraphError as exc:
+        raise GraphError(f"{path}: line {lineno}: {exc}") from None
     g.validate()
     return g
 

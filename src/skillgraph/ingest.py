@@ -12,8 +12,9 @@ File formats (UTF-8; the text codec in :mod:`skillgraph.errors`):
 
 Every loader also accepts the same schema as a JSON array of objects when the
 path ends in ``.json`` (a job's skills may then be a list; text is a JSON
-string or number, kept as written). Writers always emit CSV,
-byte-deterministically (sorted skill lists and course-skill pairs).
+string or number, kept as written; no object gives a key twice). Writers
+always emit CSV, byte-deterministically (sorted skill lists and course-skill
+pairs).
 
 Course-skill matching indexes the catalog once per call, by token tuple (a
 dictionary in the spirit of Aho-Corasick, CACM 1975). Each course then costs
@@ -24,11 +25,12 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import IngestError, csv_rows, csv_text, read_text, write_text
+from .errors import IngestError, csv_rows, csv_text, parse_number, read_text, write_text
 
 _TOKEN_SPLIT = re.compile(r"[\W_]+", re.UNICODE)
 # a job skill becomes a graph node id, and the graph snapshot keeps one record
@@ -105,18 +107,30 @@ def _json_text(value: object, where: str, column: str) -> str:
     return str(value)
 
 
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key given twice is a ValueError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"key {key!r} is given twice")
+    return obj
+
+
 def _read_rows(path: str | Path, columns: Sequence[str],
                raw: Sequence[str] = ()) -> list[tuple[str, dict]]:
     """(where, record) pairs from a CSV or JSON file; ``where`` names the file
     and the 1-based data row. JSON values in ``raw`` columns stay as they are."""
     path = Path(path)
     if path.suffix.lower() == ".json":
+        text = read_text(path, IngestError)
         try:
             # numbers stay the text they were written as
-            data = json.loads(read_text(path, IngestError),
+            data = json.loads(text, object_pairs_hook=_json_object,
                               parse_int=str, parse_float=str, parse_constant=str)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or a key given twice
             raise IngestError(f"{path}: invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise IngestError(f"{path}: invalid JSON: nested too deeply") from None
         if not isinstance(data, list):
             raise IngestError(f"{path}: expected a JSON array of objects")
         out = []
@@ -186,13 +200,11 @@ def load_enrollments(path: str | Path) -> list[EnrollmentRecord]:
         student = _check_id(rec["student"], "student", where)
         course = _check_id(rec["course"], "course", where)
         text = rec["term"]
-        digits = text.removeprefix("-")
-        if digits != text and digits.isascii() and digits.isdigit():
+        term = parse_number(text, int)
+        if term is not None and text.startswith("-"):
             raise IngestError(f"{where}: negative term {text}")
-        # plain ASCII digits, few enough for a 64-bit integer
-        if not (text.isascii() and text.isdigit() and len(text) <= 18):
+        if term is None or len(text) > 18:  # 18 digits always fit a 64-bit integer
             raise IngestError(f"{where}: term {text!r} is not an integer")
-        term = int(text)
         _unique(seen, (student, course, term), "enrollment", where)
         records.append(EnrollmentRecord(student=student, course=course, term=term))
     return records

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import EvalError, csv_rows, csv_text, write_text
+from .errors import EvalError, csv_rows, csv_text, parse_number, write_text
 from .ingest import Course, Job, Skill, tokenize
 from .ranker import RankedList, match_titles, title_index, to_ranked_list
 
@@ -140,14 +140,11 @@ def load_runs(path: str | Path) -> dict[str, list[str]]:
     seen: set[tuple[str, str]] = set()
     rows = csv_rows(path, ("query_id", "rank", "node_id", "score"), EvalError)
     for i, row in enumerate(rows, start=1):
-        try:
-            rank = int(row[1])
-        except ValueError:
-            raise EvalError(f"{path}: row {i}: bad rank {row[1]!r}") from None
-        try:
-            score = float(row[3])
-        except ValueError:
-            raise EvalError(f"{path}: row {i}: bad score {row[3]!r}") from None
+        rank, score = parse_number(row[1], int), parse_number(row[3], float)
+        if rank is None:
+            raise EvalError(f"{path}: row {i}: bad rank {row[1]!r}")
+        if score is None:
+            raise EvalError(f"{path}: row {i}: bad score {row[3]!r}")
         if not math.isfinite(score):
             raise EvalError(f"{path}: row {i}: score {row[3]!r} is not finite")
         if (row[0], row[2]) in seen:

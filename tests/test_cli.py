@@ -329,6 +329,14 @@ class TestErrors:
         assert stdout == ""
         assert f"error: {enrollments}: row 1: term '{term}' is not an integer" in err
 
+    def test_json_nested_past_the_recursion_limit_exits_one(self, tmp_path, capsys):
+        courses = tmp_path / "courses.json"
+        courses.write_text("[" * 100_000 + "]" * 100_000)
+        code, stdout, err = run_cli(capsys, *ingest_argv(tmp_path, capsys, courses=courses))
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: {courses}: invalid JSON: nested too deeply\n"
+
     def test_undecodable_config_file_exits_one(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg"
         cfg_file.write_bytes(b"seed = 1 # \xff\n")
@@ -475,6 +483,7 @@ class TestConfig:
         ("foo = 1\n", "line 1: unknown config key 'foo'"),
         ("# c\nseed 3\n", "line 2: expected key=value, got 'seed 3'"),
         ("teleport = fast\n", "config key 'teleport': 'fast' is not a float"),
+        ("seed = 1\n# again\nseed = 2\n", "line 3: config key 'seed' is given twice"),
     ])
     @pytest.mark.parametrize("via", ["flag", "env"])
     def test_config_file_errors_name_the_file(self, tmp_path, capsys, monkeypatch,

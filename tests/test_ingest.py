@@ -270,6 +270,25 @@ class TestJsonText:
         assert load_jobs(p) == [Job(id="8", title="Dev", company="0", location="x",
                                     skills=frozenset({"3", "sql"}))]
 
+    @pytest.mark.parametrize("text, key", [
+        ('[{"id": "C1", "id": "C2", "name": "A", "description": "d"}]', "id"),
+        ('[{"id": "C1", "name": "A", "description": "d", "name": "A"}]', "name"),
+    ])
+    def test_key_given_twice_rejected(self, tmp_path, text, key):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        with pytest.raises(IngestError) as err:
+            load_courses(p)
+        assert str(err.value) == f"{p}: invalid JSON: key {key!r} is given twice"
+
+    def test_key_given_twice_in_a_nested_object_rejected(self, tmp_path):
+        p = tmp_path / "j.json"
+        p.write_text('[{"id": "J1", "title": "Dev", "company": "acme", "location": "x", '
+                     '"skills": [{"a": 1, "a": 2}]}]')
+        with pytest.raises(IngestError) as err:
+            load_jobs(p)
+        assert str(err.value) == f"{p}: invalid JSON: key 'a' is given twice"
+
 
 class TestMatchCourseSkills:
     def test_directly_built_skill_matches(self):
