@@ -5,9 +5,8 @@ from .community import (CommunityPartition, FlowModel, compute_flow, detect_comm
                         map_equation, merge_partitions)
 from .errors import (CommunityError, ConfigError, EvalError, GraphError, IngestError,
                      QueryError, SkillGraphError)
-from .graph import (Edge, HeteroGraph, NodeKind, Relation, build_career_graph,
-                    build_education_graph, merge_graphs, prereq_counts, read_snapshot,
-                    skill_key, write_snapshot)
+from .graph import (HeteroGraph, NodeKind, Relation, build_career_graph, build_education_graph,
+                    merge_graphs, prereq_counts, read_snapshot, skill_key, write_snapshot)
 from .ingest import (Course, EnrollmentRecord, Job, Skill, load_course_skills, load_courses,
                      load_enrollments, load_jobs, load_skills, tokenize)
 from .linker import Bm25Params, CorpusStats, SkillDocument, bm25, link_skills
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bm25Params", "CommunityError", "CommunityPartition", "ConfigError", "CorpusStats",
-    "Course", "Edge", "EnrollmentRecord", "EvalError", "FlowModel", "GraphError",
+    "Course", "EnrollmentRecord", "EvalError", "FlowModel", "GraphError",
     "HeteroGraph", "IngestError", "Job", "JudgedRun", "MetaPath",
     "MetaPathStep", "MetricReport", "NodeKind", "QueryError", "RankedList", "Relation",
     "ScenarioInput", "Skill", "SkillDocument", "SkillGraphError", "average_precision",

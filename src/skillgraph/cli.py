@@ -28,7 +28,7 @@ from . import metrics as metrics_mod
 from . import ranker as ranker_mod
 from . import synth as synth_mod
 from .config import PipelineConfig, load_config
-from .errors import ConfigError, SkillGraphError, write_text
+from .errors import ConfigError, SkillGraphError, parse_number, write_text
 
 F_COURSES = "courses.csv"
 F_COURSE_SKILLS = "course_skills.csv"
@@ -55,6 +55,20 @@ class _UsageError(SkillGraphError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(f"{self.prog}: {message}")
+
+
+def _number(kind: type[int] | type[float]):
+    """An argparse ``type`` reading a flag by the rule files follow, ``parse_number``."""
+    def parse(text: str) -> int | float:
+        value = parse_number(text, kind)
+        if value is None:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not {'an int' if kind is int else 'a float'}")
+        return value
+    return parse
+
+
+_INT, _FLOAT = _number(int), _number(float)
 
 
 def _load_corpus(courses, course_skills, skills, jobs, enrollments):
@@ -205,25 +219,25 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("communities", help="detect and merge skill communities")
     add_common(p)
-    p.add_argument("--seed", type=int, help="detection shuffle seed")
-    p.add_argument("--teleport", type=float, help="walk teleport probability")
+    p.add_argument("--seed", type=_INT, help="detection shuffle seed")
+    p.add_argument("--teleport", type=_FLOAT, help="walk teleport probability")
 
     p = sub.add_parser("link", help="add BM25 skill links inside communities")
     add_common(p)
-    p.add_argument("--k1", dest="bm25_k1", metavar="K1", type=float, help="BM25 k1")
-    p.add_argument("--b", dest="bm25_b", metavar="B", type=float, help="BM25 b")
-    p.add_argument("--top-k", dest="link_top_k", metavar="TOP_K", type=int,
+    p.add_argument("--k1", dest="bm25_k1", metavar="K1", type=_FLOAT, help="BM25 k1")
+    p.add_argument("--b", dest="bm25_b", metavar="B", type=_FLOAT, help="BM25 b")
+    p.add_argument("--top-k", dest="link_top_k", metavar="TOP_K", type=_INT,
                    help="links kept per skill")
     p.add_argument("--dump-links", action="store_true", help="also write links_dump.csv")
 
     p = sub.add_parser("recommend", help="rank courses for a scenario query")
     add_common(p)
-    p.add_argument("--scenario", type=int, choices=(1, 2, 3), required=True,
+    p.add_argument("--scenario", type=_INT, choices=(1, 2, 3), required=True,
                    help="1 goal, 2 goal+taken courses, 3 upskilling")
     p.add_argument("--goal", help="career-goal job query text (scenarios 1 and 2)")
     p.add_argument("--taken", help="comma-separated taken course ids (scenario 2)")
     p.add_argument("--current-job", dest="current_job", help="current job text (scenario 3)")
-    p.add_argument("--top", type=int, default=10, help="list length cutoff")
+    p.add_argument("--top", type=_INT, default=10, help="list length cutoff")
     p.add_argument("--debug", action="store_true",
                    help="print per-route provenance counts to stderr")
 
@@ -235,13 +249,13 @@ def build_parser() -> _Parser:
                    help="policy for ranked ids without judgments")
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--jobs", type=int, default=100, help="number of jobs")
-    p.add_argument("--courses", type=int, default=30, help="number of courses")
-    p.add_argument("--skills", type=int, default=60, help="skills per vocabulary")
-    p.add_argument("--alignment", type=float, default=0.2,
+    p.add_argument("--seed", type=_INT, default=0, help="generator seed")
+    p.add_argument("--jobs", type=_INT, default=100, help="number of jobs")
+    p.add_argument("--courses", type=_INT, default=30, help="number of courses")
+    p.add_argument("--skills", type=_INT, default=60, help="skills per vocabulary")
+    p.add_argument("--alignment", type=_FLOAT, default=0.2,
                    help="fraction of skill names shared across corpora")
-    p.add_argument("--topics", type=int, default=None, help="planted topic count")
+    p.add_argument("--topics", type=_INT, default=None, help="planted topic count")
     p.add_argument("--out", required=True, help="corpus output directory")
     return parser
 

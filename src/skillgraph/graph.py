@@ -16,11 +16,9 @@ import enum
 import functools
 import logging
 import math
-from array import array
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -53,14 +51,6 @@ RELATION_SIGNATURE: dict[Relation, tuple[NodeKind, NodeKind]] = {
     Relation.REQUIRED: (NodeKind.JOB, NodeKind.SKILL),
     Relation.LINKED: (NodeKind.SKILL, NodeKind.SKILL),
 }
-
-
-@dataclass(frozen=True)
-class Edge:
-    source: str
-    target: str
-    relation: Relation
-    weight: float
 
 
 def skill_key(name: str) -> str:
@@ -151,18 +141,6 @@ class HeteroGraph:
             hit = (self._version, build(self))
             self._views[build] = hit
         return hit[1]  # type: ignore[return-value]
-
-    def out_edges(self, node_id: str, relation: Relation) -> list[tuple[str, float]]:
-        return sorted(self._out[relation].get(node_id, {}).items())
-
-    def out_relations(self, node_id: str) -> list[Relation]:
-        return [r for r in Relation if self._out[r].get(node_id)]
-
-    def edges(self) -> Iterator[Edge]:
-        for relation in Relation:
-            for source in sorted(self._out[relation]):
-                for target, weight in sorted(self._out[relation][source].items()):
-                    yield Edge(source, target, relation, weight)
 
     def num_nodes(self) -> int:
         return len(self._kind)
@@ -338,9 +316,9 @@ def merge_graphs(education: HeteroGraph, career: HeteroGraph) -> HeteroGraph:
 # snapshot serialization
 # ---------------------------------------------------------------------------
 # One line per node (``N <id> <kind>``) and edge
-# (``E <src> <relation> <dst> <weight>``, 17 significant digits), sorted
-# lexicographically. Ids are percent-encoded (space and '%' only) so the
-# line format stays whitespace-delimited.
+# (``E <src> <relation> <dst> <weight>``, 17 significant digits), written
+# sorted lexicographically and read in any order. Ids are percent-encoded
+# (space and '%' only) so the line format stays whitespace-delimited.
 
 def _encode_id(node_id: str) -> str:
     return node_id.replace("%", "%25").replace(" ", "%20")
@@ -366,33 +344,32 @@ def write_snapshot(g: HeteroGraph, path: str | Path) -> None:
 
 
 def read_snapshot(path: str | Path) -> HeteroGraph:
+    """Load a snapshot; its lines may come in any order.
+
+    The first pass adds every node and rejects a line that is neither a
+    well-formed node nor a well-formed edge; the second parses each edge's
+    weight and adds the edge. So node and line-shape errors come first, then
+    edge errors in line order, each as ``{path}: line N: ...``.
+    """
     g = HeteroGraph()
     kind_by_value = {k.value: k for k in NodeKind}
     rel_by_value = {r.value: r for r in Relation}
-    edges: list[tuple[str, Relation, str, float]] = []
-    # machine ints: an int object per edge would raise the peak RSS of a read
-    edge_lines = array("I")
-    text = read_text(path, GraphError)
+    lines = read_text(path, GraphError).splitlines()
     try:  # every error names the line of the node or edge at hand
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
+        for lineno, line in enumerate(lines, start=1):
             parts = line.split(" ")
             if parts[0] == "N" and len(parts) == 3 and parts[1] and parts[2] in kind_by_value:
                 g.add_node(_decode_id(parts[1]), kind_by_value[parts[2]])
-            elif (parts[0] == "E" and len(parts) == 5 and parts[1] and parts[3]
-                  and parts[2] in rel_by_value):
-                weight = parse_number(parts[4], float)
-                if weight is None or not math.isfinite(weight):
-                    raise GraphError(f"bad edge weight {parts[4]!r}")
-                edges.append((_decode_id(parts[1]), rel_by_value[parts[2]],
-                              _decode_id(parts[3]), weight))
-                edge_lines.append(lineno)
-            else:
+            elif line.strip() and not (parts[0] == "E" and len(parts) == 5 and parts[1]
+                                       and parts[3] and parts[2] in rel_by_value):
                 raise GraphError(f"unparseable snapshot line {line!r}")
-        # edge lines sort before node lines, so edges go in once every node has
-        for lineno, (source, relation, target, weight) in zip(edge_lines, edges):
-            g.add_edge(source, relation, target, weight)
+        for lineno, line in enumerate(lines, start=1):
+            if line.startswith("E "):  # the first pass checked its shape
+                _e, source, relation, target, text = line.split(" ")
+                weight = parse_number(text, float)
+                if weight is None or not math.isfinite(weight):
+                    raise GraphError(f"bad edge weight {text!r}")
+                g.add_edge(_decode_id(source), rel_by_value[relation], _decode_id(target), weight)
     except GraphError as exc:
         raise GraphError(f"{path}: line {lineno}: {exc}") from None
     g.validate()

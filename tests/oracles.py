@@ -19,6 +19,23 @@ from skillgraph.linker import Bm25Params, CorpusStats, LinkRecord, SkillDocument
 
 
 # ---------------------------------------------------------------------------
+# edge reads straight from the graph's rows, never through GraphIndex
+# ---------------------------------------------------------------------------
+
+def out_edges(g: HeteroGraph, node: str, relation: Relation) -> list[tuple[str, float]]:
+    """``node``'s ``relation`` edges as (target, weight), by target."""
+    return sorted(g._out[relation].get(node, {}).items())
+
+
+def edges(g: HeteroGraph) -> list[tuple[str, Relation, str, float]]:
+    """Every edge as (source, relation, target, weight): relations in
+    ``Relation`` order, then by source, then by target."""
+    return [(source, relation, target, weight) for relation in Relation
+            for source in sorted(g._out[relation])
+            for target, weight in out_edges(g, source, relation)]
+
+
+# ---------------------------------------------------------------------------
 # ranked-retrieval metrics, straight from the definitions
 # ---------------------------------------------------------------------------
 
@@ -57,13 +74,13 @@ def dense_transition(g: HeteroGraph, teleport: float) -> tuple[list[str], np.nda
     pos = {node_id: i for i, node_id in enumerate(ids)}
     P = np.zeros((n, n))
     for i, node_id in enumerate(ids):
-        rels = g.out_relations(node_id)
+        rels = [rel for rel in Relation if out_edges(g, node_id, rel)]
         if not rels:
             P[i, :] = 1.0 / n
             continue
         row = np.zeros(n)
         for rel in rels:
-            for target, weight in g.out_edges(node_id, rel):
+            for target, weight in out_edges(g, node_id, rel):
                 row[pos[target]] += weight / len(rels)
         P[i, :] = teleport / n + (1.0 - teleport) * row
     return ids, P
@@ -140,16 +157,16 @@ def ref_score_metapath(g: HeteroGraph, steps, seeds: dict[str, float],
     out: dict[str, float] = {}
     # reverse rows from a full edge scan; sources arrive in sorted order
     into: dict[tuple[Relation, str], list[tuple[str, float]]] = {}
-    for edge in g.edges():
-        into.setdefault((edge.relation, edge.target), []).append((edge.source, edge.weight))
+    for source, relation, target, weight in edges(g):
+        into.setdefault((relation, target), []).append((source, weight))
 
     def walk(node: str, depth: int, prob: float) -> None:
         if depth == len(steps):
             out[node] = out.get(node, 0.0) + prob
             return
         relation, reverse, restricted = steps[depth]
-        edges = into.get((relation, node), []) if reverse else g.out_edges(node, relation)
-        for nbr, weight in edges:
+        row = into.get((relation, node), []) if reverse else out_edges(g, node, relation)
+        for nbr, weight in row:
             if restricted and community is not None and labels.get(nbr) != community:
                 continue
             walk(nbr, depth + 1, prob * weight)
@@ -186,7 +203,7 @@ def ref_scenario_scores(g: HeteroGraph, labels: dict[str, int], scenario: int,
             for _ in range(depth):
                 nxt: dict[str, float] = {}
                 for course, score in frontier.items():
-                    for prereq, weight in g.out_edges(course, Relation.PRE_REQUIRED):
+                    for prereq, weight in out_edges(g, course, Relation.PRE_REQUIRED):
                         nxt[prereq] = nxt.get(prereq, 0.0) + score * weight
                 add(nxt)
                 frontier = nxt
@@ -266,7 +283,7 @@ def _union_id(g: HeteroGraph, node_id: str) -> str:
 
 def ref_merge_graphs(education: HeteroGraph, career: HeteroGraph) -> HeteroGraph:
     """Both graphs' nodes under their union ids (a skill is its name's key),
-    and every renamed edge's weight summed in ``edges()`` order, education
+    and every renamed edge's weight summed in ``edges`` order, education
     first, then added once."""
     merged = HeteroGraph()
     totals: dict[tuple[str, Relation, str], float] = {}
@@ -277,9 +294,9 @@ def ref_merge_graphs(education: HeteroGraph, career: HeteroGraph) -> HeteroGraph
             merged.add_node(union_id, kind,
                             union_id if kind is NodeKind.SKILL else g.node_name(node_id))
     for g in (education, career):
-        for edge in g.edges():
-            key = (_union_id(g, edge.source), edge.relation, _union_id(g, edge.target))
-            totals[key] = totals.get(key, 0.0) + edge.weight
+        for source, relation, target, weight in edges(g):
+            key = (_union_id(g, source), relation, _union_id(g, target))
+            totals[key] = totals.get(key, 0.0) + weight
     for (source, relation, target), weight in totals.items():
         merged.add_edge(source, relation, target, weight)
     return merged
@@ -389,8 +406,8 @@ def flow_isolated_nodes(g: HeteroGraph) -> list[str]:
     make a merge cheaper; optimality claims exclude them.
     """
     touched = set()
-    for edge in g.edges():
-        touched.update((edge.source, edge.target))
+    for source, _relation, target, _weight in edges(g):
+        touched.update((source, target))
     return [node for node in g.node_ids() if node not in touched]
 
 

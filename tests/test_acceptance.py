@@ -22,7 +22,7 @@ from skillgraph.linker import link_skills
 from skillgraph.ranker import ScenarioInput, recommend, scenario_scores
 from skillgraph.synth import generate_synthetic_corpus
 
-from oracles import (random_hetero_graph, ref_scenario_scores, set_partitions)
+from oracles import (out_edges, random_hetero_graph, ref_scenario_scores, set_partitions)
 
 
 def verdict(n: int, name: str, ok: bool, detail: str) -> None:
@@ -56,7 +56,7 @@ def test_criterion_1_weight_normalization(tmp_path):
         for g in (education, career, merged):
             for node in g.node_ids():
                 for rel in Relation:
-                    edges = g.out_edges(node, rel)
+                    edges = out_edges(g, node, rel)
                     if edges:
                         total = sum(w for _t, w in edges)
                         assert abs(total - 1.0) <= 1e-9, (seed, node, rel, total)

@@ -177,6 +177,29 @@ class TestErrors:
         assert stdout == ""
         assert message in err
 
+    # (command, argv the command needs, numeric flag, its dest)
+    NUMERIC_FLAGS = [
+        ("communities", [], "--seed", "seed"), ("communities", [], "--teleport", "teleport"),
+        ("link", [], "--k1", "bm25_k1"), ("link", [], "--b", "bm25_b"),
+        ("link", [], "--top-k", "link_top_k"), ("recommend", [], "--scenario", "scenario"),
+        ("recommend", ["--scenario", "1"], "--top", "top"),
+    ] + [("synth", [], f"--{name}", name)
+         for name in ("seed", "jobs", "courses", "skills", "alignment", "topics")]
+
+    @pytest.mark.parametrize("command, extra, flag, dest", NUMERIC_FLAGS)
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", " 3"])
+    def test_numeric_flag_follows_the_number_rule(self, tmp_path, capsys, command, extra,
+                                                  flag, dest, text):
+        # int() and float() take each of these forms; no file reader does
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, command, *extra, flag, text, "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert f"argument {flag}: {text!r} is not" in err
+        assert not out.exists()
+        args = build_parser().parse_args([command, *extra, flag, "3", "--out", str(out)])
+        assert getattr(args, dest) == 3
+
     def test_negative_synth_seed_exits_one(self, tmp_path, capsys):
         code, stdout, err = run_cli(capsys, "synth", "--seed", "-1",
                                     "--out", str(tmp_path / "data"))

@@ -17,7 +17,7 @@ from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build
 from skillgraph.ingest import apply_skill_matching
 from skillgraph.synth import generate_synthetic_corpus
 
-from oracles import (flow_isolated_nodes, random_domain_graphs, random_hetero_graph,
+from oracles import (edges, flow_isolated_nodes, random_domain_graphs, random_hetero_graph,
                      ref_map_equation, ref_merge_partitions, ref_stationary, set_partitions)
 
 
@@ -373,8 +373,8 @@ class TestDetectCommunities:
         shuffled = HeteroGraph()
         for node in reversed(g.node_ids()):
             shuffled.add_node(node, g.node_kind(node), g.node_name(node))
-        for edge in reversed(list(g.edges())):
-            shuffled.add_edge(edge.source, edge.relation, edge.target, edge.weight)
+        for edge in reversed(edges(g)):
+            shuffled.add_edge(*edge)
         a = detect_communities(g, seed=7)
         b = detect_communities(shuffled, seed=7)
         assert a.assignment == b.assignment

@@ -16,8 +16,8 @@ from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build
 from skillgraph.ingest import Course, EnrollmentRecord, Job
 from skillgraph.ranker import BASE_PATH, prerequisite_expansion, score_metapath
 
-from oracles import (random_domain_graphs, random_hetero_graph, ref_build_career_graph,
-                     ref_merge_graphs)
+from oracles import (edges, out_edges, random_domain_graphs, random_hetero_graph,
+                     ref_build_career_graph, ref_merge_graphs)
 
 
 def course(cid, skills=(), name=None):
@@ -27,17 +27,17 @@ def course(cid, skills=(), name=None):
 class TestEducationGraph:
     def test_cover_weights_split_evenly(self):
         g = build_education_graph([course("C1", {"S1", "S2"})], [])
-        assert g.out_edges("C1", Relation.COVERED) == [("S1", 0.5), ("S2", 0.5)]
+        assert out_edges(g, "C1", Relation.COVERED) == [("S1", 0.5), ("S2", 0.5)]
 
     def test_single_skill_weight_one(self):
         g = build_education_graph([course("C1", {"S1"})], [])
-        assert g.out_edges("C1", Relation.COVERED) == [("S1", 1.0)]
+        assert out_edges(g, "C1", Relation.COVERED) == [("S1", 1.0)]
 
     def test_shared_skill_dedup(self):
         g = build_education_graph([course("C1", {"S1"}), course("C2", {"S1"})], [])
         assert g.node_ids(NodeKind.SKILL) == ["S1"]
-        assert g.out_edges("C1", Relation.COVERED) == [("S1", 1.0)]
-        assert g.out_edges("C2", Relation.COVERED) == [("S1", 1.0)]
+        assert out_edges(g, "C1", Relation.COVERED) == [("S1", 1.0)]
+        assert out_edges(g, "C2", Relation.COVERED) == [("S1", 1.0)]
 
     def test_zero_skill_course_kept(self):
         g = build_education_graph([course("C1")], [])
@@ -60,7 +60,7 @@ class TestPrereqCounts:
         assert pair[("C1", "C2")] == 2
         assert pair[("C1", "C3")] == 1
         g = build_education_graph([course(c) for c in ("C1", "C2", "C3")], recs)
-        assert g.out_edges("C1", Relation.PRE_REQUIRED) == [("C2", 2 / 3), ("C3", 1 / 3)]
+        assert out_edges(g, "C1", Relation.PRE_REQUIRED) == [("C2", 2 / 3), ("C3", 1 / 3)]
 
     def test_single_enrollment_no_edges(self):
         assert prereq_counts([EnrollmentRecord("s1", "C1", 0)]) == {}
@@ -78,27 +78,28 @@ class TestPrereqCounts:
         recs = [EnrollmentRecord("s1", "C2", 0), EnrollmentRecord("s1", "C3", 0),
                 EnrollmentRecord("s1", "C1", 1)]
         g = build_education_graph([course(c) for c in ("C1", "C2", "C3")], recs)
-        assert g.out_edges("C1", Relation.PRE_REQUIRED) == [("C2", 0.5), ("C3", 0.5)]
+        assert out_edges(g, "C1", Relation.PRE_REQUIRED) == [("C2", 0.5), ("C3", 0.5)]
 
 
 class TestCareerGraph:
     def test_three_skills_uniform(self):
         g = build_career_graph([Job(id="J1", title="t", company="", location="",
                                     skills=frozenset({"S1", "S2", "S3"}))])
-        assert g.out_edges("J1", Relation.REQUIRED) == [("S1", 1 / 3), ("S2", 1 / 3), ("S3", 1 / 3)]
+        assert out_edges(g, "J1", Relation.REQUIRED) == [
+            ("S1", 1 / 3), ("S2", 1 / 3), ("S3", 1 / 3)]
 
     def test_single_skill(self):
         g = build_career_graph([Job(id="J1", title="t", company="", location="",
                                     skills=frozenset({"S1"}))])
-        assert g.out_edges("J1", Relation.REQUIRED) == [("S1", 1.0)]
+        assert out_edges(g, "J1", Relation.REQUIRED) == [("S1", 1.0)]
 
     def test_shared_skill_one_node(self):
         jobs = [Job(id="J1", title="t", company="", location="", skills=frozenset({"S1"})),
                 Job(id="J2", title="t", company="", location="", skills=frozenset({"S1"}))]
         g = build_career_graph(jobs)
         assert g.node_ids(NodeKind.SKILL) == ["S1"]
-        assert g.out_edges("J1", Relation.REQUIRED) == [("S1", 1.0)]
-        assert g.out_edges("J2", Relation.REQUIRED) == [("S1", 1.0)]
+        assert out_edges(g, "J1", Relation.REQUIRED) == [("S1", 1.0)]
+        assert out_edges(g, "J2", Relation.REQUIRED) == [("S1", 1.0)]
 
     def test_aggregate_by_title(self):
         jobs = [Job(id="J1", title="Data Engineer", company="", location="",
@@ -107,7 +108,7 @@ class TestCareerGraph:
                     skills=frozenset({"sql"}))]
         g = build_career_graph(jobs, aggregate_by_title=True)
         assert g.node_ids(NodeKind.JOB) == ["data_engineer"]
-        assert g.out_edges("data_engineer", Relation.REQUIRED) == [
+        assert out_edges(g, "data_engineer", Relation.REQUIRED) == [
             ("python", 1 / 3), ("sql", 2 / 3)]
 
     @pytest.mark.parametrize("aggregate_by_title", [False, True])
@@ -126,7 +127,7 @@ class TestCareerGraph:
             g = build_career_graph(order, aggregate_by_title=True)
             assert g.node_ids(NodeKind.JOB) == ["untitled"]
             assert g.node_name("untitled") == "untitled"
-            assert g.out_edges("untitled", Relation.REQUIRED) == [
+            assert out_edges(g, "untitled", Relation.REQUIRED) == [
                 ("python", 1 / 3), ("sql", 2 / 3)]
 
     @pytest.mark.parametrize("aggregate_by_title", [False, True])
@@ -147,7 +148,7 @@ class TestCareerGraph:
             assert got.node_ids() == want.node_ids()
             assert [got.node_name(i) for i in got.node_ids()] == \
                 [want.node_name(i) for i in want.node_ids()]
-            assert list(got.edges()) == list(want.edges())
+            assert edges(got) == edges(want)
 
 
 class TestMergeGraphs:
@@ -158,8 +159,8 @@ class TestMergeGraphs:
                                       skills=frozenset({"sql"}))])
         merged = merge_graphs(edu, car)
         assert merged.node_ids(NodeKind.SKILL) == ["sql"]
-        assert merged.out_edges("C1", Relation.COVERED) == [("sql", 1.0)]
-        assert merged.out_edges("J1", Relation.REQUIRED) == [("sql", 1.0)]
+        assert out_edges(merged, "C1", Relation.COVERED) == [("sql", 1.0)]
+        assert out_edges(merged, "J1", Relation.REQUIRED) == [("sql", 1.0)]
 
     def test_disjoint_skills_stay_apart(self):
         edu = build_education_graph([course("C1", {"alpha"})], [])
@@ -173,7 +174,7 @@ class TestMergeGraphs:
                                       skills=frozenset({"sql", "SQL"}))])
         edu = build_education_graph([course("C1")], [])
         merged = merge_graphs(edu, car)
-        assert merged.out_edges("J1", Relation.REQUIRED) == [("sql", 1.0)]
+        assert out_edges(merged, "J1", Relation.REQUIRED) == [("sql", 1.0)]
 
     def test_course_job_id_collision_rejected(self):
         edu = build_education_graph([course("X1")], [])
@@ -218,9 +219,9 @@ class TestMergeGraphs:
             merged = merge_graphs(edu, car)
             for node in merged.node_ids():
                 for rel in Relation:
-                    edges = merged.out_edges(node, rel)
-                    if edges:
-                        assert abs(sum(w for _t, w in edges) - 1.0) <= 1e-9
+                    row = out_edges(merged, node, rel)
+                    if row:
+                        assert abs(sum(w for _t, w in row) - 1.0) <= 1e-9
 
 
 def test_add_edge_rejects_duplicates_and_has_no_combine_mode():
@@ -232,7 +233,7 @@ def test_add_edge_rejects_duplicates_and_has_no_combine_mode():
         g.add_edge("J1", Relation.REQUIRED, "S1", 0.5)
     with pytest.raises(TypeError):
         g.add_edge("J1", Relation.REQUIRED, "S1", 0.5, combine=True)
-    assert g.out_edges("J1", Relation.REQUIRED) == [("S1", 0.5)]
+    assert out_edges(g, "J1", Relation.REQUIRED) == [("S1", 0.5)]
 
 
 def test_graph_stats_counts():
@@ -252,15 +253,16 @@ def test_combined_transition_matches_dict_reference():
         index = GraphIndex(g)
         want: dict[tuple[int, int], float] = {}
         for node_id in g.node_ids():
-            rels = g.out_relations(node_id)
+            rels = [rel for rel in Relation if out_edges(g, node_id, rel)]
             for rel in rels:
-                for target, weight in g.out_edges(node_id, rel):
+                for target, weight in out_edges(g, node_id, rel):
                     key = (index.pos[node_id], index.pos[target])
                     want[key] = want.get(key, 0.0) + weight / len(rels)
         src, dst, wgt, dangling = index.walk
         assert list(zip(src.tolist(), dst.tolist())) == sorted(want)
         assert wgt.tolist() == [want[key] for key in sorted(want)]
-        assert dangling.tolist() == [not g.out_relations(i) for i in index.ids]
+        assert dangling.tolist() == [not any(out_edges(g, i, rel) for rel in Relation)
+                                     for i in index.ids]
         dangling_seen |= bool(dangling.any())
     assert dangling_seen
 
@@ -358,6 +360,23 @@ class TestSnapshot:
             back = read_snapshot(p)
             assert snapshot_lines(back) == snapshot_lines(g)
 
+    def test_lines_read_in_any_order(self, tmp_path):
+        # shuffled lines, with node lines before, between and after edge lines
+        rng = np.random.default_rng(3)
+        for i in range(8):
+            g, _labels = random_hetero_graph(rng)
+            lines = snapshot_lines(g)
+            nodes = [line for line in lines if line.startswith("N ")]
+            edge_lines = [line for line in lines if line.startswith("E ")]
+            assert len(nodes) >= 3 and len(edge_lines) >= 2
+            rng.shuffle(nodes)
+            rng.shuffle(edge_lines)
+            half = len(edge_lines) // 2
+            mixed = nodes[:1] + edge_lines[:half] + nodes[1:-1] + edge_lines[half:] + nodes[-1:]
+            p = tmp_path / f"g{i}.graph"
+            p.write_text("\n".join(mixed) + "\n")
+            assert snapshot_lines(read_snapshot(p)) == lines
+
     def test_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(2)
         g, _ = random_hetero_graph(rng)
@@ -383,13 +402,13 @@ class TestSnapshot:
         # "a b" sorts before "a!" but its encoding "a%20b" sorts after
         nodes = [("J1", NodeKind.JOB), ("C2", NodeKind.COURSE), ("a!", NodeKind.SKILL),
                  ("C1", NodeKind.COURSE), ("a b", NodeKind.SKILL), ("100%", NodeKind.SKILL)]
-        edges = [("a b", Relation.LINKED, "a!", 1.0), ("C2", Relation.COVERED, "a!", 2 / 3),
+        edge_specs = [("a b", Relation.LINKED, "a!", 1.0), ("C2", Relation.COVERED, "a!", 2 / 3),
                  ("J1", Relation.REQUIRED, "a b", 1.0), ("C2", Relation.COVERED, "a b", 1 / 3),
                  ("C1", Relation.PRE_REQUIRED, "C2", 1.0), ("C1", Relation.COVERED, "100%", 1.0)]
         g = HeteroGraph()
         for node_id, kind in nodes[::step]:
             g.add_node(node_id, kind)
-        for source, relation, target, weight in edges[::step]:
+        for source, relation, target, weight in edge_specs[::step]:
             g.add_edge(source, relation, target, weight)
         return g
 
@@ -471,6 +490,6 @@ def test_normalization_invariant_on_random_graphs(seed):
     g, _labels = random_hetero_graph(np.random.default_rng(seed))
     for node in g.node_ids():
         for rel in Relation:
-            edges = g.out_edges(node, rel)
-            if edges:
-                assert abs(sum(w for _t, w in edges) - 1.0) <= 1e-9
+            row = out_edges(g, node, rel)
+            if row:
+                assert abs(sum(w for _t, w in row) - 1.0) <= 1e-9

@@ -16,7 +16,7 @@ from skillgraph.ranker import (BASE_PATH, TAKEN_PATH, UPSKILL_PATH, MetaPath, Me
                                prerequisite_expansion, recommend, resolve_job_query,
                                scenario_scores, score_metapath, to_ranked_list)
 
-from oracles import (random_hetero_graph, ref_resolve_job_query, ref_scenario_scores,
+from oracles import (edges, random_hetero_graph, ref_resolve_job_query, ref_scenario_scores,
                      ref_score_metapath)
 
 
@@ -203,9 +203,9 @@ class TestScoreMetapath:
         pruned = HeteroGraph()
         for n in g.node_ids():
             pruned.add_node(n, g.node_kind(n), g.node_name(n))
-        for e in g.edges():
-            if (e.source, e.target) != ("S2", "S3"):
-                pruned.add_edge(e.source, e.relation, e.target, e.weight)
+        for source, relation, target, weight in edges(g):
+            if (source, target) != ("S2", "S3"):
+                pruned.add_edge(source, relation, target, weight)
         less = score_metapath(pruned, BASE_PATH, {"J1": 1.0}, labels, 0)
         for node, score in less.items():
             assert score <= full.get(node, 0.0) + 1e-12
@@ -218,14 +218,14 @@ class TestScoreMetapath:
             jobs = g.node_ids(NodeKind.JOB)
             seeds = {j: 1.0 / len(jobs) for j in jobs}
             full = score_metapath(g, BASE_PATH, seeds, labels, 0)
-            edges = list(g.edges())
-            victim = edges[int(rng.integers(len(edges)))]
+            every = edges(g)
+            victim = every[int(rng.integers(len(every)))]
             pruned = HeteroGraph()
             for n in g.node_ids():
                 pruned.add_node(n, g.node_kind(n), g.node_name(n))
-            for e in edges:
-                if e != victim:
-                    pruned.add_edge(e.source, e.relation, e.target, e.weight)
+            for edge in every:
+                if edge != victim:
+                    pruned.add_edge(*edge)
             less = score_metapath(pruned, BASE_PATH, seeds, labels, 0)
             for node, score in less.items():
                 assert score <= full.get(node, 0.0) + 1e-12
@@ -241,8 +241,8 @@ class TestScoreMetapath:
         shuffled = HeteroGraph()
         for n in reversed(g.node_ids()):
             shuffled.add_node(n, g.node_kind(n), g.node_name(n))
-        for e in reversed(list(g.edges())):
-            shuffled.add_edge(e.source, e.relation, e.target, e.weight)
+        for edge in reversed(edges(g)):
+            shuffled.add_edge(*edge)
         inp = ScenarioInput(scenario=1, career_goal="data engineer")
         a = format_ranked_list(recommend(g, labels, inp))
         b = format_ranked_list(recommend(shuffled, labels, inp))
