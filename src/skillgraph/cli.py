@@ -11,6 +11,11 @@ so each one can be rerun in isolation:
 * evaluate     judgments + run file -> metric table + metrics.json
 * synth        seeded synthetic corpus + ground truth
 
+``main`` runs the command ``cmd_<name>`` it finds under that name when it
+runs. Every stage command takes ``(cfg, args)``: the config, with each flag
+whose ``dest`` is a config key already applied, and the parsed flags. Only
+``cmd_synth`` takes ``(args)`` alone, so that it never reads a config file.
+
 Exit codes: 0 success, 1 user error, 2 internal error.
 """
 from __future__ import annotations
@@ -28,7 +33,7 @@ from . import metrics as metrics_mod
 from . import ranker as ranker_mod
 from . import synth as synth_mod
 from .config import PipelineConfig, load_config
-from .errors import ConfigError, SkillGraphError, parse_number, write_text
+from .errors import KIND_WORDS, ConfigError, SkillGraphError, parse_number, write_text
 
 F_COURSES = "courses.csv"
 F_COURSE_SKILLS = "course_skills.csv"
@@ -48,13 +53,9 @@ F_LINK_DUMP = "links_dump.csv"
 F_METRICS = "metrics.json"
 
 
-class _UsageError(SkillGraphError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(f"{self.prog}: {message}")
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _number(kind: type[int] | type[float]):
@@ -62,8 +63,7 @@ def _number(kind: type[int] | type[float]):
     def parse(text: str) -> int | float:
         value = parse_number(text, kind)
         if value is None:
-            raise argparse.ArgumentTypeError(
-                f"{text!r} is not {'an int' if kind is int else 'a float'}")
+            raise argparse.ArgumentTypeError(f"{text!r} is not {KIND_WORDS[kind]}")
         return value
     return parse
 
@@ -80,7 +80,7 @@ def _load_corpus(courses, course_skills, skills, jobs, enrollments):
             ingest_mod.load_jobs(jobs), catalog, ingest_mod.load_enrollments(enrollments))
 
 
-def cmd_ingest(cfg: PipelineConfig) -> str:
+def cmd_ingest(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     cfg.require_paths("courses", "jobs", "skills", "enrollments")
     courses, jobs, skills, enrollments = _load_corpus(
         cfg.courses, cfg.course_skills, cfg.skills, cfg.jobs, cfg.enrollments)
@@ -96,7 +96,7 @@ def cmd_ingest(cfg: PipelineConfig) -> str:
             f"{len(skills)} catalog skills, {len(enrollments)} enrollments -> {out}")
 
 
-def cmd_build(cfg: PipelineConfig) -> str:
+def cmd_build(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     out = Path(cfg.out_dir)
     courses, jobs, skills, enrollments = _load_corpus(
         out / F_COURSES, out / F_COURSE_SKILLS, out / F_SKILLS, out / F_JOBS, out / F_ENROLLMENTS)
@@ -122,7 +122,7 @@ def _attach_job_titles(g, jobs) -> None:
     _attach_names(g, graph_mod.NodeKind.JOB, {j.id: j.title for j in jobs})
 
 
-def cmd_communities(cfg: PipelineConfig) -> str:
+def cmd_communities(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     out = Path(cfg.out_dir)
     education = graph_mod.read_snapshot(out / F_EDU_GRAPH)
     career = graph_mod.read_snapshot(out / F_CAR_GRAPH)
@@ -139,14 +139,14 @@ def cmd_communities(cfg: PipelineConfig) -> str:
             f"k={car_part.num_communities}; merged labels -> {out / F_LABELS}")
 
 
-def cmd_link(cfg: PipelineConfig, dump_links: bool = False) -> str:
+def cmd_link(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     out = Path(cfg.out_dir)
     merged = graph_mod.read_snapshot(out / F_MERGED_GRAPH)
     labels = community_mod.read_labels(out / F_LABELS)
     params = linker_mod.Bm25Params(k1=cfg.bm25_k1, b=cfg.bm25_b)
     linked, records = linker_mod.link_skills(merged, labels, params, top_k=cfg.link_top_k)
     graph_mod.write_snapshot(linked, out / F_LINKED_GRAPH)
-    if dump_links:
+    if args.dump_links:
         linker_mod.write_link_dump(out / F_LINK_DUMP, records)
     return f"link: added {len(records)} skill links -> {out / F_LINKED_GRAPH}"
 
@@ -267,29 +267,10 @@ def _config_from(args: argparse.Namespace) -> PipelineConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.command == "synth":
-            print(cmd_synth(args))
-        elif args.command == "ingest":
-            print(cmd_ingest(_config_from(args)))
-        elif args.command == "build":
-            print(cmd_build(_config_from(args)))
-        elif args.command == "communities":
-            print(cmd_communities(_config_from(args)))
-        elif args.command == "link":
-            print(cmd_link(_config_from(args), dump_links=args.dump_links))
-        elif args.command == "recommend":
-            print(cmd_recommend(_config_from(args), args))
-        elif args.command == "evaluate":
-            print(cmd_evaluate(_config_from(args), args))
-        else:  # pragma: no cover - argparse enforces choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        command = globals()[f"cmd_{args.command}"]
+        print(command(args) if args.command == "synth" else command(_config_from(args), args))
     except (SkillGraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -54,6 +54,8 @@ class CommunityPartition:
 
 def _stationary(index: GraphIndex, teleport: float) -> np.ndarray:
     """Visit rates of the teleporting walk, by power iteration to ``POWER_TOL``."""
+    if index.n == 0:
+        raise CommunityError("graph is empty")
     if not 0.0 < teleport < 1.0:
         raise CommunityError(f"teleport {teleport!r} outside (0, 1)")
     visit, _iters, resid = kernels.power_iterate(
@@ -66,7 +68,8 @@ def _stationary(index: GraphIndex, teleport: float) -> np.ndarray:
 
 
 def _neighbours(src: np.ndarray, dst: np.ndarray, flow: np.ndarray, n: int) -> tuple:
-    """``FlowGraph.nbr`` from COO flows between distinct units, no pair twice."""
+    """``FlowGraph.nbr`` from COO flows between distinct units; the flows of a
+    pair given more than once are added in the order given."""
     keys, inverse = np.unique(np.concatenate((src * n + dst, dst * n + src)),
                               return_inverse=True)
     out = np.bincount(inverse[:src.size], weights=flow, minlength=keys.size)
@@ -101,8 +104,6 @@ class FlowGraph:
     @classmethod
     def from_graph(cls, g: HeteroGraph, teleport: float,
                    visit: np.ndarray | None = None) -> "FlowGraph":
-        if g.num_nodes() == 0:
-            raise CommunityError("graph is empty")
         if not 0.0 <= teleport < 1.0:
             raise CommunityError(f"teleport {teleport!r} outside [0, 1)")
         index = g.cached(GraphIndex)
@@ -133,8 +134,6 @@ class FlowGraph:
 
     def partition_cost(self, labels: np.ndarray) -> float:
         labels = np.asarray(labels, dtype=np.int64)
-        if labels.size == 0:
-            return 0.0
         state = self.module_state(labels, int(labels.max()) + 1)
         return float(kernels.partition_cost(state[0], state[4], self.node_plogp_sum))
 
@@ -145,16 +144,12 @@ class FlowGraph:
         _ptr, idx, out, _in = self.nbr
         lsrc, ldst = labels[self.rows], labels[idx]
         keep = (out > 0.0) & (lsrc != ldst)
-        keys, inverse = np.unique(lsrc[keep] * k + ldst[keep], return_inverse=True)
-        flow = np.bincount(inverse, weights=out[keep], minlength=keys.size)
-        return FlowGraph(visit, tele, size, _neighbours(keys // k, keys % k, flow, k),
+        return FlowGraph(visit, tele, size, _neighbours(lsrc[keep], ldst[keep], out[keep], k),
                          self.n_orig, self.node_plogp_sum)
 
 
 def compute_flow(g: HeteroGraph, teleport: float = DEFAULT_TELEPORT) -> FlowModel:
     """Visit rates of the teleporting walk, by power iteration (sums to 1)."""
-    if g.num_nodes() == 0:
-        raise CommunityError("graph is empty")
     index = g.cached(GraphIndex)
     visit = _stationary(index, teleport)
     return FlowModel(visit_rate=dict(zip(index.ids, visit.tolist())), teleport=teleport)
@@ -180,7 +175,7 @@ def map_equation(g: HeteroGraph, flow: FlowModel, assignment: Mapping[str, int])
 
 def _renumber(labels: np.ndarray) -> tuple[np.ndarray, int]:
     _, dense = np.unique(labels, return_inverse=True)
-    return dense.astype(np.int64), int(dense.max()) + 1 if dense.size else 0
+    return dense.astype(np.int64), int(dense.max()) + 1
 
 
 def _connected(fg: FlowGraph) -> bool:

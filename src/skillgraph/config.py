@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
-from .errors import ConfigError, parse_number, read_text
+from .errors import KIND_WORDS, ConfigError, parse_number, read_text
 
 ENV_CONFIG = "SKILLGRAPH_CONFIG"
 
@@ -60,14 +61,12 @@ def _coerce(name: str, kind: type, raw: str):
         return raw
     value = _BOOLEANS.get(raw.lower()) if kind is bool else parse_number(raw, kind)
     if value is None:
-        kind_name = "boolean" if kind is bool else kind.__name__
-        raise ConfigError(f"config key {name!r}: {raw!r} is not a {kind_name}")
+        raise ConfigError(f"config key {name!r}: {raw!r} is not {KIND_WORDS[kind]}")
     return value
 
 
 def parse_config_text(text: str) -> dict[str, object]:
-    types = {f.name: f.type for f in fields(PipelineConfig)}
-    resolved = {"str": str, "float": float, "int": int, "bool": bool}
+    types = get_type_hints(PipelineConfig)
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -81,8 +80,7 @@ def parse_config_text(text: str) -> dict[str, object]:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: config key {key!r} is given twice")
-        kind = resolved[types[key]] if isinstance(types[key], str) else types[key]
-        values[key] = _coerce(key, kind, raw.strip())
+        values[key] = _coerce(key, types[key], raw.strip())
     return values
 
 

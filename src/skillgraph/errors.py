@@ -76,6 +76,10 @@ def csv_rows(path: str | Path, header: Sequence[str],
         raise error(f"{path}: line {reader.line_num}: {exc}") from None
 
 
+# how a message names a value that is not of the kind read (``is not an int``)
+KIND_WORDS = {int: "an int", float: "a float", bool: "a boolean"}
+
+
 def parse_number(text: str, kind: type[int] | type[float]) -> int | float | None:
     """``text`` as a ``kind``, or None unless it is ASCII digits after an optional
     ``-`` (an int) or ASCII float notation with no ``_`` and no surrounding

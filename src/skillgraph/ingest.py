@@ -4,7 +4,7 @@ File formats (UTF-8; the text codec in :mod:`skillgraph.errors`):
 
 * courses:     CSV header ``id,name,description``
 * jobs:        CSV header ``id,title,company,location,skills`` with a
-               ``;``-separated skill list
+               ``;``-separated skill list; each skill holds a letter or digit
 * skills:      CSV header ``id,name``
 * enrollments: CSV header ``student,course,term`` (term 1-18 ASCII digits)
 * course-skill pairs (optional pre-matched file): CSV header
@@ -157,6 +157,7 @@ def load_courses(path: str | Path) -> list[Course]:
 def load_jobs(path: str | Path) -> list[Job]:
     jobs: list[Job] = []
     seen: set[str] = set()
+    keyed: set[str] = set()  # skills known to have a token; jobs share most skills
     for where, rec in _read_rows(path, ("id", "title", "company", "location", "skills"),
                                  raw=("skills",)):
         jid = _unique(seen, _check_id(rec["id"], "job", where), "job id", where)
@@ -179,6 +180,13 @@ def load_jobs(path: str | Path) -> list[Job]:
         if ";" in "".join(skills):
             bad = min(s for s in skills if ";" in s)
             raise IngestError(f"{where}: job {jid!r}: skill {bad!r} contains ';'")
+        # a skill's graph node is keyed by ``skill_key``, its tokens joined
+        if not keyed.issuperset(skills):
+            bad = [s for s in skills - keyed if not tokenize(s)]
+            if bad:
+                raise IngestError(
+                    f"{where}: job {jid!r}: skill {min(bad)!r} has no letters or digits")
+            keyed |= skills
         jobs.append(Job(id=jid, title=rec["title"], company=rec["company"],
                         location=rec["location"], skills=skills))
     return jobs

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -46,14 +46,7 @@ class MetricReport:
     map_at_10: float
 
     def to_json(self) -> str:
-        payload = {
-            "precision": self.precision,
-            "map": self.map,
-            "map_at_5": self.map_at_5,
-            "precision_at_10": self.precision_at_10,
-            "map_at_10": self.map_at_10,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def render_table(self) -> str:
         header = f"{'Precision':>10} {'MAP':>8} {'MAP@5':>8} {'P@10':>8} {'MAP@10':>8}"

@@ -11,7 +11,7 @@ course of topic ``t`` relevant.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +66,12 @@ class SynthCorpus:
     course_topic: dict[str, int]
     job_topic: dict[str, int]
     shared_names: list[str]
-    paths: dict[str, Path] = field(default_factory=dict)
+
+    @property
+    def paths(self) -> dict[str, Path]:
+        """Each file ``generate_synthetic_corpus`` writes, by name."""
+        return {name: self.out_dir / f"{name}.csv"
+                for name in ("courses", "jobs", "skills", "enrollments", "ground_truth")}
 
 
 def generate_synthetic_corpus(seed: int, n_jobs: int, n_courses: int, n_skills: int,
@@ -136,8 +141,7 @@ def generate_synthetic_corpus(seed: int, n_jobs: int, n_courses: int, n_skills: 
         vocab = course_vocab[t]
         picks: list[list[str]] = [[] for _ in range(course_topics[t])]
         for i, name in enumerate(vocab[:shared_per_topic[t]]):
-            if picks:
-                picks[i % len(picks)].append(name)
+            picks[i % len(picks)].append(name)
         for ci in range(course_topics[t]):
             extra = min(3 + int(rng.integers(3)), len(vocab))
             while len(picks[ci]) < extra:
@@ -170,8 +174,7 @@ def generate_synthetic_corpus(seed: int, n_jobs: int, n_courses: int, n_skills: 
         vocab = job_vocab[t]
         picks = [[] for _ in range(job_topics[t])]
         for i, name in enumerate(vocab[:shared_per_topic[t]]):
-            if picks:
-                picks[i % len(picks)].append(name)
+            picks[i % len(picks)].append(name)
         for ji in range(job_topics[t]):
             want = 3 + int(rng.integers(4))
             while len(picks[ji]) < min(want, len(vocab)):
@@ -197,8 +200,6 @@ def generate_synthetic_corpus(seed: int, n_jobs: int, n_courses: int, n_skills: 
     for s in range(n_students):
         t = s % n_topics
         chain = chains[t]
-        if not chain:
-            continue
         k = min(2 + int(rng.integers(3)), len(chain))
         picks = sorted(int(i) for i in rng.choice(len(chain), size=k, replace=False))
         t0 = int(rng.integers(3))
@@ -213,16 +214,10 @@ def generate_synthetic_corpus(seed: int, n_jobs: int, n_courses: int, n_skills: 
     corpus = SynthCorpus(out_dir=out, courses=courses, jobs=jobs, skills=skills,
                          enrollments=enrollments, course_topic=course_topic,
                          job_topic=job_topic, shared_names=shared_names)
-    corpus.paths = {
-        "courses": out / "courses.csv",
-        "jobs": out / "jobs.csv",
-        "skills": out / "skills.csv",
-        "enrollments": out / "enrollments.csv",
-        "ground_truth": out / "ground_truth.csv",
-    }
-    write_courses(corpus.paths["courses"], courses)
-    write_jobs(corpus.paths["jobs"], jobs)
-    write_skills(corpus.paths["skills"], skills)
-    write_enrollments(corpus.paths["enrollments"], enrollments)
-    write_judgments(corpus.paths["ground_truth"], truth)
+    paths = corpus.paths
+    write_courses(paths["courses"], courses)
+    write_jobs(paths["jobs"], jobs)
+    write_skills(paths["skills"], skills)
+    write_enrollments(paths["enrollments"], enrollments)
+    write_judgments(paths["ground_truth"], truth)
     return corpus

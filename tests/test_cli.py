@@ -177,6 +177,26 @@ class TestErrors:
         assert stdout == ""
         assert message in err
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["link"], "bm25_b = 2\n", "error: bm25_b 2.0 outside [0, 1]\n"),
+        (["recommend", "--scenario", "1", "--goal", "topic-0"], "prereq_depth = -1\n",
+         "error: prereq_depth -1 must be >= 0\n"),
+    ])
+    def test_config_value_out_of_range_exits_one(self, tmp_path, capsys, argv, config, message):
+        cfg_file = tmp_path / "cfg"
+        cfg_file.write_text(config)
+        code, stdout, err = run_cli(capsys, *argv, "--config", str(cfg_file),
+                                    "--out", str(tmp_path / "out"))
+        assert (code, stdout, err) == (1, "", message)
+
+    def test_ingest_without_courses_exits_one(self, tmp_path, capsys):
+        argv = ingest_argv(tmp_path, capsys)
+        del argv[argv.index("--courses"):argv.index("--courses") + 2]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err == "error: config key 'courses' is required for this stage\n"
+        assert not (tmp_path / "out").exists()
+
     # (command, argv the command needs, numeric flag, its dest)
     NUMERIC_FLAGS = [
         ("communities", [], "--seed", "seed"), ("communities", [], "--teleport", "teleport"),
@@ -240,6 +260,16 @@ class TestErrors:
                                "--scenario", "1", "--goal", "quantum plumber", "--top", "3")
         assert code == 1
         assert "nearest titles" in err
+
+    def test_resolved_job_without_label_exits_one(self, tmp_path, capsys):
+        _data, out = run_pipeline(tmp_path, capsys)
+        labels = out / "merged_labels.csv"
+        lines = labels.read_text().splitlines(keepends=True)
+        labels.write_text("".join(line for line in lines if not line.startswith("J")))
+        code, stdout, err = run_cli(capsys, "recommend", "--out", str(out),
+                                    "--scenario", "1", "--goal", "topic-0 engineer", "--top", "3")
+        assert (code, stdout) == (1, "")
+        assert "carries no community label" in err
 
     def test_non_integer_label_exits_one(self, tmp_path, capsys):
         _data, out = run_pipeline(tmp_path, capsys)
@@ -314,7 +344,7 @@ class TestErrors:
 
     def test_internal_errors_exit_two(self, tmp_path, capsys, monkeypatch):
         import skillgraph.cli as cli
-        monkeypatch.setattr(cli, "cmd_build", lambda cfg: 1 / 0)
+        monkeypatch.setattr(cli, "cmd_build", lambda cfg, args: 1 / 0)
         code, _, err = run_cli(capsys, "build", "--out", str(tmp_path))
         assert code == 2
         assert "internal error" in err

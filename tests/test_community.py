@@ -103,6 +103,12 @@ class TestStationaryDistribution:
             compute_flow(HeteroGraph())
 
 
+    @pytest.mark.parametrize("run", [compute_flow, detect_communities])
+    def test_empty_graph_rejected(self, run):
+        with pytest.raises(CommunityError, match="graph is empty"):
+            run(HeteroGraph())
+
+
 class TestMapEquation:
     def test_single_community_is_visit_entropy(self):
         for seed in range(20):
@@ -153,6 +159,18 @@ class TestMapEquation:
         flow = compute_flow(g, 0.15)
         with pytest.raises(CommunityError, match="misses"):
             map_equation(g, flow, {"a": 0})
+
+    def test_flow_of_another_node_set_rejected(self):
+        g = linked_cycle(["a", "b"])
+        flow = FlowModel(visit_rate={"a": 0.5, "c": 0.5}, teleport=0.15)
+        with pytest.raises(CommunityError, match="disagree on the node set"):
+            map_equation(g, flow, {"a": 0, "b": 1})
+
+    def test_visit_rates_not_summing_to_one_rejected(self):
+        g = linked_cycle(["a", "b"])
+        flow = FlowModel(visit_rate={"a": 0.25, "b": 0.5}, teleport=0.15)
+        with pytest.raises(CommunityError, match="visit rates sum to 0.75, not 1"):
+            map_equation(g, flow, {"a": 0, "b": 1})
 
 
 def edge_flows(g, fg, teleport=0.15):

@@ -51,6 +51,11 @@ class TestEducationGraph:
         assert "CX" not in g
 
 
+    def test_duplicate_course_ids_rejected(self):
+        with pytest.raises(GraphError, match="duplicate course ids"):
+            build_education_graph([course("C1", ["S1"]), course("C1", ["S2"])], [])
+
+
 class TestPrereqCounts:
     def test_three_student_log(self):
         recs = [EnrollmentRecord("s1", "C2", 0), EnrollmentRecord("s1", "C1", 1),
@@ -115,6 +120,12 @@ class TestCareerGraph:
     def test_skill_less_job_rejected_in_both_modes(self, aggregate_by_title):
         jobs = [Job(id="J1", title="data engineer", company="c", location="l")]
         with pytest.raises(GraphError, match="job 'J1' has no skills"):
+            build_career_graph(jobs, aggregate_by_title=aggregate_by_title)
+
+    @pytest.mark.parametrize("aggregate_by_title", [False, True])
+    def test_duplicate_job_ids_rejected(self, aggregate_by_title):
+        jobs = [Job(id="J1", title="t", company="", location="", skills=frozenset({"S1"}))] * 2
+        with pytest.raises(GraphError, match="duplicate job ids"):
             build_career_graph(jobs, aggregate_by_title=aggregate_by_title)
 
     def test_empty_and_untitled_titles_share_one_node(self):
@@ -277,6 +288,16 @@ def test_kind_discipline_enforced():
         g.add_edge("J1", Relation.REQUIRED, "C1", 1.0)
     with pytest.raises(GraphError, match="non-positive"):
         g.add_edge("J1", Relation.REQUIRED, "C1", 0.0)
+
+
+def test_unknown_node_rejected_by_kind_and_name_lookups():
+    g = HeteroGraph()
+    g.add_node("J1", NodeKind.JOB)
+    with pytest.raises(GraphError, match="unknown node 'J9'"):
+        g.node_kind("J9")
+    with pytest.raises(GraphError, match="unknown node 'J9'"):
+        g.set_node_name("J9", "ops")
+    assert "J9" not in g
 
 
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])

@@ -58,6 +58,45 @@ class TestLoadCourses:
         with pytest.raises(IngestError, match="cannot read"):
             load_courses(tmp_path / "nope.csv")
 
+    def test_empty_file_rejected(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("")
+        with pytest.raises(IngestError) as err:
+            load_courses(p)
+        assert str(err.value) == f"{p}: missing header row"
+
+    def test_row_of_the_wrong_width_rejected(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("id,name,description\nC1,a,d\nC2,b\n")
+        with pytest.raises(IngestError) as err:
+            load_courses(p)
+        assert str(err.value) == f"{p}: row 2: expected 3 fields, got 2"
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_empty_id_rejected(self, tmp_path, suffix):
+        p = tmp_path / f"c{suffix}"
+        if suffix == ".json":
+            p.write_text(json.dumps([{"id": "", "name": "a", "description": "d"}]))
+        else:
+            p.write_text("id,name,description\n,a,d\n")
+        with pytest.raises(IngestError) as err:
+            load_courses(p)
+        assert str(err.value) == f"{p}: row 1: empty course id"
+
+    def test_json_top_level_not_an_array_rejected(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"id": "C1", "name": "a", "description": "d"}))
+        with pytest.raises(IngestError) as err:
+            load_courses(p)
+        assert str(err.value) == f"{p}: expected a JSON array of objects"
+
+    def test_json_object_missing_a_key_rejected(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps([{"id": "C1", "name": "a"}]))
+        with pytest.raises(IngestError) as err:
+            load_courses(p)
+        assert str(err.value) == f"{p}: row 1: expected keys ['id', 'name', 'description']"
+
     def test_whitespace_id_rejected(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text('id,name,description\n"C 1",a,\n')
@@ -118,6 +157,31 @@ class TestLoadJobs:
         p = tmp_path / "j.csv"
         p.write_text("id,title,company,location,skills\nJ1,Dev,acme,remote,machine learning\n")
         assert load_jobs(p)[0].skills == frozenset({"machine learning"})
+
+    def test_skill_without_letters_or_digits_rejected_csv(self, tmp_path):
+        # skill_key of such a skill is empty, so it could name no graph node
+        p = tmp_path / "j.csv"
+        p.write_text("id,title,company,location,skills\nJ1,Dev,acme,remote,sql\n"
+                     "J2,Ops,acme,remote,sql;!!!\n")
+        with pytest.raises(IngestError) as err:
+            load_jobs(p)
+        assert str(err.value) == f"{p}: row 2: job 'J2': skill '!!!' has no letters or digits"
+
+    def test_skill_without_letters_or_digits_rejected_json(self, tmp_path):
+        p = tmp_path / "j.json"
+        p.write_text(json.dumps([{"id": "J1", "title": "Dev", "company": "acme",
+                                  "location": "remote", "skills": ["sql", "-", "_"]}]))
+        with pytest.raises(IngestError) as err:
+            load_jobs(p)
+        assert str(err.value) == f"{p}: row 1: job 'J1': skill '-' has no letters or digits"
+
+    def test_skills_field_that_is_an_object_rejected(self, tmp_path):
+        p = tmp_path / "j.json"
+        p.write_text(json.dumps([{"id": "J1", "title": "Dev", "company": "acme",
+                                  "location": "remote", "skills": {"sql": 1}}]))
+        with pytest.raises(IngestError) as err:
+            load_jobs(p)
+        assert str(err.value) == f"{p}: row 1: bad skills field for job 'J1'"
 
     def test_two_files_concatenate(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -407,6 +471,13 @@ def test_apply_skill_matching_pre_matched(tmp_path):
     assert matched[1].skills == frozenset()
     with pytest.raises(IngestError, match="SK9"):
         apply_skill_matching(courses, catalog, pre_matched=[("C1", "SK9")])
+
+
+def test_pre_matched_course_not_in_course_file_rejected():
+    courses = [Course(id="C1", name="a", description="")]
+    with pytest.raises(IngestError) as err:
+        apply_skill_matching(courses, [Skill("SK1", "sql")], pre_matched=[("C9", "SK1")])
+    assert str(err.value) == "pre-matched course 'C9' not in course file"
 
 
 @pytest.mark.parametrize("suffix", ["csv", "json"])

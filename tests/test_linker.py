@@ -125,6 +125,11 @@ class TestLinkSkills:
         with pytest.raises(GraphError, match="no community label"):
             link_skills(g, {})
 
+    def test_top_k_below_one_rejected(self):
+        g, labels = skill_graph(["data mining", "data analysis"], [0, 0])
+        with pytest.raises(GraphError, match="top_k must be >= 1, got 0"):
+            link_skills(g, labels, top_k=0)
+
     def test_underscore_key_names_tokenize(self):
         # snapshot-loaded merged graphs name skills by identity key
         g = HeteroGraph()

@@ -207,6 +207,10 @@ class TestJudgmentFiles:
         with pytest.raises(EvalError):
             judged_runs(rankings, judgments, missing="bogus")
 
+    def test_run_for_a_query_without_judgments_rejected(self):
+        with pytest.raises(EvalError, match="no judgments for query 'z'"):
+            judged_runs({"q": ["a"], "z": ["a"]}, {"q": {"a": True}})
+
 
 def make_course(cid, name, description):
     return Course(id=cid, name=name, description=description)
@@ -241,6 +245,21 @@ class TestBaselineVectorSpace:
         jobs = [Job(id="J1", title="x", company="", location="", skills=frozenset({"s"}))]
         with pytest.raises(EvalError, match="no job title"):
             baseline_vector_space(jobs, [make_course("C1", "a", "")], "zzz")
+
+    def test_empty_corpora_rejected(self):
+        jobs = [Job(id="J1", title="data engineer", company="", location="",
+                    skills=frozenset({"spark"}))]
+        courses = [make_course("C1", "data spark", "")]
+        for no_jobs, no_courses in ((jobs, []), ([], courses), ([], [])):
+            with pytest.raises(EvalError, match="baseline needs non-empty corpora"):
+                baseline_vector_space(no_jobs, no_courses, "data engineer")
+
+    @pytest.mark.parametrize("query", ["", "  ", "!!!"])
+    def test_empty_query_rejected(self, query):
+        jobs = [Job(id="J1", title="data engineer", company="", location="",
+                    skills=frozenset({"spark"}))]
+        with pytest.raises(EvalError, match="empty job query"):
+            baseline_vector_space(jobs, [make_course("C1", "data spark", "")], query)
 
     def test_synth_ranking_pinned(self, tmp_path):
         # pinned bit for bit: matched jobs add their tokens in input order,

@@ -142,7 +142,7 @@ def _config(key, kind_name):
     def read(_tmp_path, value):
         with pytest.raises(ConfigError) as err:
             parse_config_text(f"{key} = {value}\n")
-        return str(err.value), f"config key {key!r}: {value!r} is not a {kind_name}"
+        return str(err.value), f"config key {key!r}: {value!r} is not {kind_name}"
     return read
 
 
@@ -159,8 +159,8 @@ READERS = {
     "run-rank": (_run_rank, int),
     "run-score": (_run_score, float),
     "snapshot-weight": (_snapshot_weight, float),
-    "config-int": (_config("seed", "int"), int),
-    "config-float": (_config("bm25_k1", "float"), float),
+    "config-int": (_config("seed", "an int"), int),
+    "config-float": (_config("bm25_k1", "a float"), float),
     "term": (_term, int),
 }
 FORMS = ["1_0", " 3", "3 ", "+3", "٣", "１", "0.5\t"]

@@ -183,6 +183,11 @@ class TestScoreMetapath:
         with pytest.raises(QueryError, match="path starts at"):
             score_metapath(g, BASE_PATH, {"C1": 1.0}, labels, community=0)
 
+    def test_seed_not_in_graph_rejected(self):
+        g, labels = single_tour_graph()
+        with pytest.raises(QueryError, match="seed 'J9' is not in the graph"):
+            score_metapath(g, BASE_PATH, {"J9": 1.0}, labels, community=0)
+
     def test_matches_dfs_oracle_on_random_graphs(self):
         steps = [(s.relation, s.reverse, s.community_restricted) for s in BASE_PATH.steps]
         for seed in range(15):
