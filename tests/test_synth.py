@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from skillgraph.errors import EvalError
@@ -17,6 +19,23 @@ def test_fixed_seed_is_byte_identical(tmp_path):
                                   alignment=0.5, out_dir=tmp_path / "b")
     for name in a.paths:
         assert a.paths[name].read_bytes() == b.paths[name].read_bytes(), name
+
+
+def test_golden_synth_bytes(tmp_path):
+    # pinned bytes of every written file: titles, companies, locations and
+    # filler words reach no graph, so only this test sees them change
+    corpus = generate_synthetic_corpus(5, n_jobs=1000, n_courses=150, n_skills=1500,
+                                       alignment=0.3, out_dir=tmp_path)
+    expected = {
+        "courses": "044d22a1d082e8b7a1bc095ff3c7ffaf857ccf7610b26058a54c83981934c692",
+        "jobs": "9920400b81ce496c5a812a3949924eeae973d771f5d401c7172c3215b1b537a9",
+        "skills": "d0d2b2256ba3c7297a9dc4d199042bd88d3964fcd63da69840ca60cf44254fb5",
+        "enrollments": "b1b4c386c91976c92eb4594ac44156f569a20c7a127429539fc7fed33929b088",
+        "ground_truth": "43cdf19f048ed8494f7d3e829d08d3c91cdcb370148acb7f57c3cc8452d64762",
+    }
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in corpus.paths.items()}
+    assert digests == expected
 
 
 def test_different_seed_differs(tmp_path):
