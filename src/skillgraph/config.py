@@ -12,7 +12,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
 
+from .community import DEFAULT_TELEPORT
 from .errors import KIND_WORDS, ConfigError, parse_number, read_text
+from .linker import DEFAULT_TOP_K, Bm25Params
+from .ranker import DEFAULT_PREREQ_DEPTH
 
 ENV_CONFIG = "SKILLGRAPH_CONFIG"
 
@@ -28,13 +31,13 @@ class PipelineConfig:
     enrollments: str = ""
     course_skills: str = ""
     out_dir: str = "out"
-    teleport: float = 0.15
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
-    link_top_k: int = 10
+    teleport: float = DEFAULT_TELEPORT
+    bm25_k1: float = Bm25Params.k1
+    bm25_b: float = Bm25Params.b
+    link_top_k: int = DEFAULT_TOP_K
     seed: int = 0
     aggregate_jobs_by_title: bool = False
-    prereq_depth: int = 1
+    prereq_depth: int = DEFAULT_PREREQ_DEPTH
 
     def __post_init__(self) -> None:
         if not 0.0 < self.teleport < 1.0:

@@ -203,22 +203,15 @@ def build_education_graph(courses: Sequence[Course], enrollments: Sequence[Enrol
     for course in courses:
         g.add_node(course.id, NodeKind.COURSE, course.name)
     for course in courses:
-        for sid in sorted(course.skills):
-            g.add_node(sid, NodeKind.SKILL, skill_names.get(sid, sid))
-    for course in courses:
         d = len(course.skills)
         for sid in sorted(course.skills):
+            g.add_node(sid, NodeKind.SKILL, skill_names.get(sid))
             g.add_edge(course.id, Relation.COVERED, sid, 1.0 / d)
     known = set(ids)
-    kept = []
-    skipped = 0
-    for rec in enrollments:
-        if rec.course in known:
-            kept.append(rec)
-        else:
-            skipped += 1
-    if skipped:
-        log.warning("skipped %d enrollment records naming unknown courses", skipped)
+    kept = [rec for rec in enrollments if rec.course in known]
+    if len(kept) < len(enrollments):
+        log.warning("skipped %d enrollment records naming unknown courses",
+                    len(enrollments) - len(kept))
     pair = prereq_counts(kept)
     out_sum: dict[str, int] = {}
     for (ci, _cj), n in pair.items():
@@ -258,7 +251,7 @@ def build_career_graph(jobs: Sequence[Job], aggregate_by_title: bool = False) ->
         counts = Counter(sid for job in postings for sid in job.skills)
         total = sum(counts.values())
         for sid in sorted(counts):
-            g.add_node(sid, NodeKind.SKILL, sid)
+            g.add_node(sid, NodeKind.SKILL)
             g.add_edge(node_id, Relation.REQUIRED, sid, counts[sid] / total)
     g.validate()
     return g

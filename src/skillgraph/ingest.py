@@ -8,7 +8,7 @@ File formats (UTF-8; the text codec in :mod:`skillgraph.errors`):
 * skills:      CSV header ``id,name``
 * enrollments: CSV header ``student,course,term`` (term 1-18 ASCII digits)
 * course-skill pairs (optional pre-matched file): CSV header
-  ``course_id,skill_id``
+  ``course_id,skill_id``; each named skill's catalog name holds a letter or digit
 
 Every loader also accepts the same schema as a JSON array of objects when the
 path ends in ``.json`` (a job's skills may then be a list; text is a JSON
@@ -157,7 +157,7 @@ def load_courses(path: str | Path) -> list[Course]:
 def load_jobs(path: str | Path) -> list[Job]:
     jobs: list[Job] = []
     seen: set[str] = set()
-    keyed: set[str] = set()  # skills known to have a token; jobs share most skills
+    checked: set[str] = set()  # skills that passed; jobs share most skills
     for where, rec in _read_rows(path, ("id", "title", "company", "location", "skills"),
                                  raw=("skills",)):
         jid = _unique(seen, _check_id(rec["id"], "job", where), "job id", where)
@@ -171,22 +171,19 @@ def load_jobs(path: str | Path) -> list[Job]:
         skills = frozenset(s for s in parts if s)
         if not skills:
             raise IngestError(f"{where}: job {jid!r} has an empty skill list")
-        # the skills are stripped, so any match lies inside one of them
-        if _NON_SPACE_WHITESPACE.search(" ".join(skills)):
-            bad = min(s for s in skills if _NON_SPACE_WHITESPACE.search(s))
-            raise IngestError(
-                f"{where}: job {jid!r}: skill {bad!r} contains whitespace other than ' '")
-        # the CSV form joins a job's skills with ';', so a JSON skill must not hold one
-        if ";" in "".join(skills):
-            bad = min(s for s in skills if ";" in s)
-            raise IngestError(f"{where}: job {jid!r}: skill {bad!r} contains ';'")
-        # a skill's graph node is keyed by ``skill_key``, its tokens joined
-        if not keyed.issuperset(skills):
-            bad = [s for s in skills - keyed if not tokenize(s)]
-            if bad:
-                raise IngestError(
-                    f"{where}: job {jid!r}: skill {min(bad)!r} has no letters or digits")
-            keyed |= skills
+        for skill in sorted(skills - checked):
+            if _NON_SPACE_WHITESPACE.search(skill):
+                fault = "contains whitespace other than ' '"
+            # the CSV form joins a job's skills with ';', so a JSON skill must not hold one
+            elif ";" in skill:
+                fault = "contains ';'"
+            # a skill's graph node is keyed by ``skill_key``, its tokens joined
+            elif not tokenize(skill):
+                fault = "has no letters or digits"
+            else:
+                continue
+            raise IngestError(f"{where}: job {jid!r}: skill {skill!r} {fault}")
+        checked |= skills
         jobs.append(Job(id=jid, title=rec["title"], company=rec["company"],
                         location=rec["location"], skills=skills))
     return jobs
@@ -286,12 +283,17 @@ class _PhraseIndex:
 def apply_skill_matching(courses: Sequence[Course], catalog: Sequence[Skill],
                          pre_matched: Sequence[tuple[str, str]] | None = None) -> list[Course]:
     """Fill every course's skill set, from a pre-matched pair file or the matcher."""
-    catalog_ids = {s.id for s in catalog}
     if pre_matched is not None:
+        by_id = {s.id: s for s in catalog}
         by_course: dict[str, set[str]] = {}
         for cid, sid in pre_matched:
-            if sid not in catalog_ids:
+            if sid not in by_id:
                 raise IngestError(f"pre-matched skill {sid!r} not in catalog")
+            # a covered skill's graph node is keyed by ``skill_key``, its tokens
+            # joined; the matcher skips such a skill, a pair file may not
+            if not by_id[sid].tokens:
+                raise IngestError(
+                    f"pre-matched skill {sid!r} of course {cid!r} has no letters or digits")
             by_course.setdefault(cid, set()).add(sid)
         known = {c.id for c in courses}
         for cid in by_course:

@@ -51,6 +51,16 @@ def _new_phrase(rng: np.random.Generator, pool: list[str], used: set[str]) -> st
     raise EvalError("topic word pool exhausted")  # pragma: no cover
 
 
+def _top_up(rng: np.random.Generator, vocab: list[str], picks: list[str],
+            want: int) -> list[str]:
+    """``picks`` plus random distinct ``vocab`` names, up to ``want`` or all of ``vocab``."""
+    while len(picks) < min(want, len(vocab)):
+        cand = vocab[int(rng.integers(len(vocab)))]
+        if cand not in picks:
+            picks.append(cand)
+    return picks
+
+
 def _spread(total: int, bins: int) -> list[int]:
     base, extra = divmod(total, bins)
     return [base + (1 if i < extra else 0) for i in range(bins)]
@@ -65,7 +75,6 @@ class SynthCorpus:
     enrollments: list[EnrollmentRecord]
     course_topic: dict[str, int]
     job_topic: dict[str, int]
-    shared_names: list[str]
 
     @property
     def paths(self) -> dict[str, Path]:
@@ -105,10 +114,8 @@ def generate_synthetic_corpus(seed: int, n_jobs: int, n_courses: int, n_skills: 
     skills_per_topic = _spread(n_skills, n_topics)
     shared_per_topic = _spread(round(alignment * n_skills), n_topics)
     course_words: list[list[str]] = []   # per topic: shared + course-side
-    job_words: list[list[str]] = []      # per topic: shared + job-side
     course_vocab: list[list[str]] = []   # per topic, course-side skill names
     job_vocab: list[list[str]] = []      # per topic, job-side skill names
-    shared_names: list[str] = []
     for t in range(n_topics):
         need = skills_per_topic[t] * 2
         pool_size = max(8, int(np.ceil(np.sqrt(max(need * 2, 1)))) + 4)
@@ -117,17 +124,15 @@ def generate_synthetic_corpus(seed: int, n_jobs: int, n_courses: int, n_skills: 
         shared_pool = [_new_word(rng, used_words) for _ in range(n_shared_words)]
         course_words.append(shared_pool + [_new_word(rng, used_words)
                                            for _ in range(n_side_words)])
-        job_words.append(shared_pool + [_new_word(rng, used_words)
-                                        for _ in range(n_side_words)])
+        job_words = shared_pool + [_new_word(rng, used_words) for _ in range(n_side_words)]
         shared = [_new_phrase(rng, shared_pool, used_phrases)
                   for _ in range(min(shared_per_topic[t], skills_per_topic[t]))]
         course_only = [_new_phrase(rng, course_words[t], used_phrases)
                        for _ in range(skills_per_topic[t] - len(shared))]
-        job_only = [_new_phrase(rng, job_words[t], used_phrases)
+        job_only = [_new_phrase(rng, job_words, used_phrases)
                     for _ in range(skills_per_topic[t] - len(shared))]
         course_vocab.append(shared + course_only)
         job_vocab.append(shared + job_only)
-        shared_names.extend(shared)
 
     skills = [Skill(f"SK{idx:04d}", name)
               for idx, name in enumerate(n for t in range(n_topics) for n in course_vocab[t])]
@@ -137,20 +142,16 @@ def generate_synthetic_corpus(seed: int, n_jobs: int, n_courses: int, n_skills: 
     course_topic: dict[str, int] = {}
     chains: list[list[str]] = [[] for _ in range(n_topics)]
     idx = 0
+    # each course or job of a topic takes its round-robin share of the
+    # topic's shared names, then random names of its side up to its size
     for t in range(n_topics):
         vocab = course_vocab[t]
-        picks: list[list[str]] = [[] for _ in range(course_topics[t])]
-        for i, name in enumerate(vocab[:shared_per_topic[t]]):
-            picks[i % len(picks)].append(name)
+        shared = vocab[:shared_per_topic[t]]
         for ci in range(course_topics[t]):
-            extra = min(3 + int(rng.integers(3)), len(vocab))
-            while len(picks[ci]) < extra:
-                cand = vocab[int(rng.integers(len(vocab)))]
-                if cand not in picks[ci]:
-                    picks[ci].append(cand)
+            picks = _top_up(rng, vocab, shared[ci::course_topics[t]], 3 + int(rng.integers(3)))
             cid = f"C{idx:03d}"
             words: list[str] = [_FILLER[int(rng.integers(len(_FILLER)))]]
-            for phrase in picks[ci]:
+            for phrase in picks:
                 words += phrase.split() + [_FILLER[int(rng.integers(len(_FILLER)))]]
             # cross-topic lexical noise: lone words from other pools, each
             # padded with filler so they never form a matchable skill phrase
@@ -172,15 +173,9 @@ def generate_synthetic_corpus(seed: int, n_jobs: int, n_courses: int, n_skills: 
     idx = 0
     for t in range(n_topics):
         vocab = job_vocab[t]
-        picks = [[] for _ in range(job_topics[t])]
-        for i, name in enumerate(vocab[:shared_per_topic[t]]):
-            picks[i % len(picks)].append(name)
+        shared = vocab[:shared_per_topic[t]]
         for ji in range(job_topics[t]):
-            want = 3 + int(rng.integers(4))
-            while len(picks[ji]) < min(want, len(vocab)):
-                cand = vocab[int(rng.integers(len(vocab)))]
-                if cand not in picks[ji]:
-                    picks[ji].append(cand)
+            picks = _top_up(rng, vocab, shared[ji::job_topics[t]], 3 + int(rng.integers(4)))
             jid = f"J{idx:05d}"
             role = _ROLES[int(rng.integers(len(_ROLES)))]
             level = _LEVELS[int(rng.integers(len(_LEVELS)))]
@@ -188,7 +183,7 @@ def generate_synthetic_corpus(seed: int, n_jobs: int, n_courses: int, n_skills: 
             jobs.append(Job(id=jid, title=title,
                             company=_COMPANIES[int(rng.integers(len(_COMPANIES)))],
                             location=_LOCATIONS[int(rng.integers(len(_LOCATIONS)))],
-                            skills=frozenset(picks[ji])))
+                            skills=frozenset(picks)))
             job_topic[jid] = t
             idx += 1
 
@@ -213,7 +208,7 @@ def generate_synthetic_corpus(seed: int, n_jobs: int, n_courses: int, n_skills: 
     out.mkdir(parents=True, exist_ok=True)
     corpus = SynthCorpus(out_dir=out, courses=courses, jobs=jobs, skills=skills,
                          enrollments=enrollments, course_topic=course_topic,
-                         job_topic=job_topic, shared_names=shared_names)
+                         job_topic=job_topic)
     paths = corpus.paths
     write_courses(paths["courses"], courses)
     write_jobs(paths["jobs"], jobs)

@@ -175,6 +175,16 @@ class TestLoadJobs:
             load_jobs(p)
         assert str(err.value) == f"{p}: row 1: job 'J1': skill '-' has no letters or digits"
 
+    def test_first_skill_in_order_reports_its_first_rule(self, tmp_path):
+        # each new skill is checked once, in sorted order, against the rules
+        # in turn: 'a;b' sorts first, so its ';' is reported, not the tab
+        p = tmp_path / "j.json"
+        p.write_text(json.dumps([{"id": "J1", "title": "Dev", "company": "acme",
+                                  "location": "remote", "skills": ["a;b", "z\tz"]}]))
+        with pytest.raises(IngestError) as err:
+            load_jobs(p)
+        assert str(err.value) == f"{p}: row 1: job 'J1': skill 'a;b' contains ';'"
+
     def test_skills_field_that_is_an_object_rejected(self, tmp_path):
         p = tmp_path / "j.json"
         p.write_text(json.dumps([{"id": "J1", "title": "Dev", "company": "acme",
@@ -471,6 +481,16 @@ def test_apply_skill_matching_pre_matched(tmp_path):
     assert matched[1].skills == frozenset()
     with pytest.raises(IngestError, match="SK9"):
         apply_skill_matching(courses, catalog, pre_matched=[("C1", "SK9")])
+
+
+def test_pre_matched_skill_without_letters_or_digits_rejected():
+    # its graph key would be empty; a catalog may still hold such a skill
+    courses = [Course(id="C1", name="a", description="")]
+    catalog = [Skill("SK0", "!!!"), Skill("SK1", "sql")]
+    assert apply_skill_matching(courses, catalog, pre_matched=[("C1", "SK1")])
+    with pytest.raises(IngestError) as err:
+        apply_skill_matching(courses, catalog, pre_matched=[("C1", "SK0")])
+    assert str(err.value) == "pre-matched skill 'SK0' of course 'C1' has no letters or digits"
 
 
 def test_pre_matched_course_not_in_course_file_rejected():
