@@ -66,7 +66,8 @@ class HeteroGraph:
     read the array view, ``GraphIndex``). Node payload is a display name
     (course name, job title, skill name) defaulting to the id.
     ``cached`` keeps derived views until the next ``add_node`` (of a new
-    node), ``add_edge`` or ``set_node_name``, each of which bumps a counter.
+    node), ``add_edge``, ``add_row`` or ``set_node_name``, each of which bumps
+    a counter.
     Every view comes from ``cached``, e.g. ``g.cached(GraphIndex)``, so it is
     built once per graph state and shared.
     """
@@ -104,6 +105,22 @@ class HeteroGraph:
             raise GraphError(f"duplicate edge {source}-{relation.value}->{target}")
         row[target] = weight
         self._version += 1
+
+    def add_row(self, source: str, relation: Relation, row: dict[str, float]) -> None:
+        """Add ``source``'s ``relation`` edges ``row`` (target to weight) at once.
+
+        The caller vouches for what ``add_edge`` checks: every endpoint has
+        the relation's kind and every weight is positive and finite. A source
+        that already has ``relation`` edges adds them through ``add_edge``,
+        which names the first repeated target.
+        """
+        rows = self._out[relation]
+        if source in rows:
+            for target, weight in row.items():
+                self.add_edge(source, relation, target, weight)
+        elif row:
+            rows[source] = row
+            self._version += 1
 
     # -- queries ------------------------------------------------------------
 
@@ -356,15 +373,30 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
             elif line.strip() and not (parts[0] == "E" and len(parts) == 5 and parts[1]
                                        and parts[3] and parts[2] in rel_by_value):
                 raise GraphError(f"unparseable snapshot line {line!r}")
+        # an edge that passes every add_edge check is written straight into its
+        # row; any other goes through add_edge, which raises its own message
+        kinds = g._kind
+        edge_kinds = {r.value: (r, *RELATION_SIGNATURE[r], g._out[r]) for r in Relation}
         for lineno, line in enumerate(lines, start=1):
             if line.startswith("E "):  # the first pass checked its shape
                 _e, source, relation, target, text = line.split(" ")
                 weight = parse_number(text, float)
                 if weight is None or not math.isfinite(weight):
                     raise GraphError(f"bad edge weight {text!r}")
-                g.add_edge(_decode_id(source), rel_by_value[relation], _decode_id(target), weight)
+                if "%" in source:
+                    source = _decode_id(source)
+                if "%" in target:
+                    target = _decode_id(target)
+                rel, src_kind, dst_kind, rows = edge_kinds[relation]
+                if weight > 0.0 and kinds.get(source) is src_kind and kinds.get(target) is dst_kind:
+                    row = rows.setdefault(source, {})
+                    if target not in row:
+                        row[target] = weight
+                        continue
+                g.add_edge(source, rel, target, weight)
     except GraphError as exc:
         raise GraphError(f"{path}: line {lineno}: {exc}") from None
+    g._version += 1  # for the edges written straight into their rows
     g.validate()
     return g
 

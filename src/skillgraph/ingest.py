@@ -36,11 +36,13 @@ _TOKEN_SPLIT = re.compile(r"[\W_]+", re.UNICODE)
 # a job skill becomes a graph node id, and the graph snapshot keeps one record
 # per line with only ' ' encoded; every str.splitlines break is whitespace
 _NON_SPACE_WHITESPACE = re.compile(r"[^\S ]")
+# \s matches exactly the characters str.isspace calls whitespace
+_WHITESPACE = re.compile(r"\s")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, squash non-alphanumerics to spaces, split."""
-    return [t for t in _TOKEN_SPLIT.sub(" ", text.lower()).split() if t]
+    return _TOKEN_SPLIT.sub(" ", text.lower()).split()
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ class EnrollmentRecord:
 def _check_id(value: str, what: str, where: str) -> str:
     if not value:
         raise IngestError(f"{where}: empty {what} id")
-    if any(ch.isspace() for ch in value):
+    if _WHITESPACE.search(value):
         raise IngestError(f"{where}: {what} id {value!r} contains whitespace")
     return value
 
@@ -215,15 +217,24 @@ def load_enrollments(path: str | Path) -> list[EnrollmentRecord]:
     return records
 
 
-def load_course_skills(path: str | Path) -> list[tuple[str, str]]:
-    """Pre-matched (course_id, skill_id) pairs."""
+class CourseSkillPairs(list):
+    """Pre-matched (course_id, skill_id) pairs read from ``path``; pair ``i``
+    (from 0) comes from data row ``i + 1``, which a later check names."""
+
+    def __init__(self, pairs: Iterable[tuple[str, str]], path: Path) -> None:
+        super().__init__(pairs)
+        self.path = path
+
+
+def load_course_skills(path: str | Path) -> CourseSkillPairs:
+    """Pre-matched (course_id, skill_id) pairs, one per row."""
     pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     for where, rec in _read_rows(path, ("course_id", "skill_id")):
         pair = (_check_id(rec["course_id"], "course", where),
                 _check_id(rec["skill_id"], "skill", where))
         pairs.append(_unique(seen, pair, "course-skill pair", where))
-    return pairs
+    return CourseSkillPairs(pairs, Path(path))
 
 
 @dataclass(frozen=True)
@@ -282,23 +293,28 @@ class _PhraseIndex:
 
 def apply_skill_matching(courses: Sequence[Course], catalog: Sequence[Skill],
                          pre_matched: Sequence[tuple[str, str]] | None = None) -> list[Course]:
-    """Fill every course's skill set, from a pre-matched pair file or the matcher."""
+    """Fill every course's skill set, from pre-matched pairs or the matcher.
+
+    Pairs are checked in order, and the first bad one raises; pairs from
+    ``load_course_skills`` are named by file and row."""
     if pre_matched is not None:
+        path = pre_matched.path if isinstance(pre_matched, CourseSkillPairs) else None
         by_id = {s.id: s for s in catalog}
+        known = {c.id for c in courses}
         by_course: dict[str, set[str]] = {}
-        for cid, sid in pre_matched:
+        for row, (cid, sid) in enumerate(pre_matched, start=1):
             if sid not in by_id:
-                raise IngestError(f"pre-matched skill {sid!r} not in catalog")
+                fault = f"pre-matched skill {sid!r} not in catalog"
             # a covered skill's graph node is keyed by ``skill_key``, its tokens
             # joined; the matcher skips such a skill, a pair file may not
-            if not by_id[sid].tokens:
-                raise IngestError(
-                    f"pre-matched skill {sid!r} of course {cid!r} has no letters or digits")
-            by_course.setdefault(cid, set()).add(sid)
-        known = {c.id for c in courses}
-        for cid in by_course:
-            if cid not in known:
-                raise IngestError(f"pre-matched course {cid!r} not in course file")
+            elif not by_id[sid].tokens:
+                fault = f"pre-matched skill {sid!r} of course {cid!r} has no letters or digits"
+            elif cid not in known:
+                fault = f"pre-matched course {cid!r} not in course file"
+            else:
+                by_course.setdefault(cid, set()).add(sid)
+                continue
+            raise IngestError(fault if path is None else f"{path}: row {row}: {fault}")
         return [c.with_skills(by_course.get(c.id, set())) for c in courses]
     if not courses:
         return []

@@ -13,8 +13,13 @@ vectorised form, so it is a plain-Python loop. It copies its arrays to lists,
 runs on those and writes only the labels back: indexing an ndarray from
 Python boxes every element as a numpy scalar, and numpy scalar arithmetic is
 several times slower than the same IEEE double operations on Python floats,
-which give bit-identical results. ``ACTIVE_BACKEND`` names the build that
-runs, for benchmark reports.
+which give bit-identical results. It also keeps each module's old code
+terms, ``plogp(exit)`` and ``plogp(exit + visit)``, and ``plogp`` of the
+total exit, updating them only on a move, and computes each candidate's new
+terms with ``math.log2`` inline; the floats and their order of addition are
+those of recomputing every term through ``_plogp``, so labels, moves and
+delta keep every bit. ``ACTIVE_BACKEND`` names the build that runs, for
+benchmark reports.
 """
 from __future__ import annotations
 
@@ -72,6 +77,11 @@ def local_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps)
     exit_sum = float(modules[4].sum())
     labels_out, labels = labels, labels.tolist()
     mod_visit, mod_tele, mod_size, mod_cross, mod_exit = [a.tolist() for a in modules]
+    # each module's old code terms, kept up to date by every move
+    mod_pq = [_plogp(q) for q in mod_exit]
+    mod_pqv = [_plogp(q + v) for q, v in zip(mod_exit, mod_visit)]
+    plogp_exit = _plogp(exit_sum)
+    log2 = math.log2
     visit, tele, size = visit.tolist(), tele.tolist(), size.tolist()
     nbr_ptr, nbr_idx, nbr_out, nbr_in = [a.tolist() for a in nbr]
     n_units = len(labels)
@@ -112,7 +122,6 @@ def local_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps)
         tele_u = tele[u]
         size_u = size[u]
         visit_u = visit[u]
-        plogp_exit = _plogp(exit_sum)
         ca_out = conn_out[a] if mark[a] == visits else 0.0
         ca_in = conn_in[a] if mark[a] == visits else 0.0
         t_a = mod_tele[a] - tele_u
@@ -121,13 +130,17 @@ def local_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps)
         x_a = mod_cross[a] - (sout - ca_out) + ca_in
         q_a_new = t_a * (n_orig - s_a) / n_orig + x_a
         q_a_old = mod_exit[a]
-        base_a = (_plogp(q_a_new) - _plogp(q_a_old)) * -2.0 + (
-            _plogp(q_a_new + v_a) - _plogp(q_a_old + mod_visit[a]))
+        qv_a = q_a_new + v_a
+        # _plogp, inline here and below: the call costs more than the arithmetic
+        pq_a = q_a_new * log2(q_a_new) if q_a_new > 0.0 else 0.0
+        pqv_a = qv_a * log2(qv_a) if qv_a > 0.0 else 0.0
+        base_a = (pq_a - mod_pq[a]) * -2.0 + (pqv_a - mod_pqv[a])
         best_dl = -eps
         best = -1
         best_q_b = 0.0
         best_x_b = 0.0
         best_exit = 0.0
+        best_terms = (0.0, 0.0, 0.0)
         for ci in range(ncand):
             b = cand[ci]
             if b == a:
@@ -139,10 +152,12 @@ def local_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps)
             x_b = mod_cross[b] - conn_in[b] + (sout - conn_out[b])
             q_b_new = t_b * (n_orig - s_b) / n_orig + x_b
             exit_new = exit_sum - q_a_old - q_b_old + q_a_new + q_b_new
-            dl = (_plogp(exit_new) - plogp_exit
-                  - 2.0 * (_plogp(q_b_new) - _plogp(q_b_old))
-                  + (_plogp(q_b_new + v_b) - _plogp(q_b_old + mod_visit[b]))
-                  + base_a)
+            qv_b = q_b_new + v_b
+            pq_exit = exit_new * log2(exit_new) if exit_new > 0.0 else 0.0
+            pq_b = q_b_new * log2(q_b_new) if q_b_new > 0.0 else 0.0
+            pqv_b = qv_b * log2(qv_b) if qv_b > 0.0 else 0.0
+            dl = (pq_exit - plogp_exit - 2.0 * (pq_b - mod_pq[b])
+                  + (pqv_b - mod_pqv[b]) + base_a)
             # equal gains resolve to the lowest module id
             if dl < best_dl or (dl == best_dl and b < best):
                 best_dl = dl
@@ -150,6 +165,7 @@ def local_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps)
                 best_q_b = q_b_new
                 best_x_b = x_b
                 best_exit = exit_new
+                best_terms = (pq_exit, pq_b, pqv_b)
         if best >= 0:
             labels[u] = best
             mod_tele[a] = t_a
@@ -157,11 +173,14 @@ def local_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps)
             mod_visit[a] = v_a
             mod_cross[a] = x_a
             mod_exit[a] = q_a_new
+            mod_pq[a] = pq_a
+            mod_pqv[a] = pqv_a
             mod_tele[best] += tele[u]
             mod_size[best] += size[u]
             mod_visit[best] += visit[u]
             mod_cross[best] = best_x_b
             mod_exit[best] = best_q_b
+            plogp_exit, mod_pq[best], mod_pqv[best] = best_terms
             exit_sum = best_exit
             moves += 1
             delta_sum += best_dl

@@ -13,6 +13,8 @@ against the members that share a token with it. Skipping the rest changes
 nothing: BM25 adds a term only for a query token the document holds, so a
 pair that shares no token scores exactly 0, and a zero score is never kept.
 Every idf is positive, so each pair that shares a token scores above 0.
+Each community's ``CorpusStats`` computes every token's idf once, and
+``bm25`` reads it for each pair it scores.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ class SkillDocument:
         if not self.tokens:
             raise GraphError(f"skill {self.skill!r} has no tokens")
 
-    @property
+    @cached_property
     def length(self) -> int:
         return len(self.tokens)
 
@@ -60,6 +62,11 @@ class Bm25Params:
             raise GraphError(f"b must be in [0, 1], got {self.b!r}")
 
 
+def _idf(n_docs: int, df: int) -> float:
+    """The +1-inside-log idf, so it is never negative."""
+    return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+
+
 @dataclass(frozen=True)
 class CorpusStats:
     n_docs: int
@@ -74,19 +81,28 @@ class CorpusStats:
         avgdl = sum(d.length for d in docs) / len(docs)
         return cls(n_docs=len(docs), df=dict(df), avgdl=avgdl)
 
+    @cached_property
+    def idf(self) -> dict[str, float]:
+        """Each corpus token's idf, computed once for every pair scored."""
+        return {token: _idf(self.n_docs, df) for token, df in self.df.items()}
+
 
 def bm25(query: Sequence[str], doc: SkillDocument, stats: CorpusStats,
          params: Bm25Params = Bm25Params()) -> float:
-    """Okapi score with the +1-inside-log idf, so results are never negative."""
+    """Okapi score with the +1-inside-log idf, so results are never negative.
+
+    A token outside the corpus takes the idf of ``df = 0``."""
     tf = doc.term_counts
+    idfs = stats.idf
     norm = params.k1 * (1.0 - params.b + params.b * doc.length / stats.avgdl)
     score = 0.0
     for token in query:
         f = tf.get(token, 0)
         if f == 0:
             continue
-        df = stats.df.get(token, 0)
-        idf = math.log(1.0 + (stats.n_docs - df + 0.5) / (df + 0.5))
+        idf = idfs.get(token)
+        if idf is None:
+            idf = _idf(stats.n_docs, 0)
         score += idf * (f * (params.k1 + 1.0)) / (f + norm)
     return score
 
@@ -145,11 +161,14 @@ def link_skills(g: HeteroGraph, communities: Mapping[str, int],
             scored.sort()
             kept = scored[:top_k]
             total = sum(-neg for neg, _ in kept)
+            row = {}
             for neg, target in kept:
                 raw = -neg
                 weight = raw / total
-                linked.add_edge(source, Relation.LINKED, target, weight)
+                row[target] = weight
                 records.append(LinkRecord(source, target, raw, weight))
+            # skills link to skills, and every kept weight is positive
+            linked.add_row(source, Relation.LINKED, row)
     linked.validate()
     return linked, records
 

@@ -3,11 +3,15 @@
 Everything here is written from definitions, by a deliberately different
 route than the package: dense matrices instead of sparse flows, recursive
 tour enumeration instead of layered propagation, and plain entropy formulas
-instead of the plogp decomposition. Keep it that way.
+instead of the plogp decomposition. Keep it that way. The one exception is
+``ref_local_move_pass``, the greedy move pass with every code term
+recomputed: its moves have no closed form to check against, and the kernel
+must match its bits.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -15,6 +19,7 @@ from skillgraph.errors import IngestError
 from skillgraph.graph import (HeteroGraph, NodeKind, Relation, build_career_graph,
                               build_education_graph)
 from skillgraph.ingest import Course, EnrollmentRecord, Job, Skill, tokenize
+from skillgraph.kernels import _plogp
 from skillgraph.linker import Bm25Params, CorpusStats, LinkRecord, SkillDocument, bm25
 
 
@@ -392,6 +397,120 @@ def ref_link_skills(g: HeteroGraph, communities: dict[str, int], params=None,
             total = sum(-neg for neg, _ in kept)
             records.extend(LinkRecord(source, target, -neg, -neg / total) for neg, target in kept)
     return records
+
+
+# ---------------------------------------------------------------------------
+# the greedy move pass, every term recomputed
+# ---------------------------------------------------------------------------
+
+def ref_local_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps):
+    """``kernels.local_move_pass`` in its plain form: every code term of
+    every candidate is recomputed through ``_plogp``. The kernel keeps each
+    module's terms between visits and inlines ``_plogp``; both add the same
+    floats in the same order, so labels, moves and delta must be equal."""
+    exit_sum = float(modules[4].sum())
+    labels_out, labels = labels, labels.tolist()
+    mod_visit, mod_tele, mod_size, mod_cross, mod_exit = [a.tolist() for a in modules]
+    visit, tele, size = visit.tolist(), tele.tolist(), size.tolist()
+    nbr_ptr, nbr_idx, nbr_out, nbr_in = [a.tolist() for a in nbr]
+    n_units = len(labels)
+    conn_out = [0.0] * n_units
+    conn_in = [0.0] * n_units
+    # visit number that last reset a module's conn_out/conn_in; a visit number,
+    # not the unit, because the queue can visit a unit more than once
+    mark = [0] * n_units
+    cand = [0] * n_units
+    queue = deque(order.tolist())
+    queued = [False] * n_units
+    for u in queue:
+        queued[u] = True
+    moves = 0
+    delta_sum = 0.0
+    visits = 0
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        visits += 1
+        a = labels[u]
+        ncand = 0
+        sout = 0.0  # the unit's own exit flow
+        for e in range(nbr_ptr[u], nbr_ptr[u + 1]):
+            m = labels[nbr_idx[e]]
+            if mark[m] != visits:
+                mark[m] = visits
+                conn_out[m] = 0.0
+                conn_in[m] = 0.0
+                cand[ncand] = m
+                ncand += 1
+            w_out = nbr_out[e]
+            conn_out[m] += w_out
+            conn_in[m] += nbr_in[e]
+            sout += w_out
+        if ncand == 0:
+            continue
+        tele_u = tele[u]
+        size_u = size[u]
+        visit_u = visit[u]
+        plogp_exit = _plogp(exit_sum)
+        ca_out = conn_out[a] if mark[a] == visits else 0.0
+        ca_in = conn_in[a] if mark[a] == visits else 0.0
+        t_a = mod_tele[a] - tele_u
+        s_a = mod_size[a] - size_u
+        v_a = mod_visit[a] - visit_u
+        x_a = mod_cross[a] - (sout - ca_out) + ca_in
+        q_a_new = t_a * (n_orig - s_a) / n_orig + x_a
+        q_a_old = mod_exit[a]
+        base_a = (_plogp(q_a_new) - _plogp(q_a_old)) * -2.0 + (
+            _plogp(q_a_new + v_a) - _plogp(q_a_old + mod_visit[a]))
+        best_dl = -eps
+        best = -1
+        best_q_b = 0.0
+        best_x_b = 0.0
+        best_exit = 0.0
+        for ci in range(ncand):
+            b = cand[ci]
+            if b == a:
+                continue
+            q_b_old = mod_exit[b]
+            t_b = mod_tele[b] + tele_u
+            s_b = mod_size[b] + size_u
+            v_b = mod_visit[b] + visit_u
+            x_b = mod_cross[b] - conn_in[b] + (sout - conn_out[b])
+            q_b_new = t_b * (n_orig - s_b) / n_orig + x_b
+            exit_new = exit_sum - q_a_old - q_b_old + q_a_new + q_b_new
+            dl = (_plogp(exit_new) - plogp_exit
+                  - 2.0 * (_plogp(q_b_new) - _plogp(q_b_old))
+                  + (_plogp(q_b_new + v_b) - _plogp(q_b_old + mod_visit[b]))
+                  + base_a)
+            # equal gains resolve to the lowest module id
+            if dl < best_dl or (dl == best_dl and b < best):
+                best_dl = dl
+                best = b
+                best_q_b = q_b_new
+                best_x_b = x_b
+                best_exit = exit_new
+        if best >= 0:
+            labels[u] = best
+            mod_tele[a] = t_a
+            mod_size[a] = s_a
+            mod_visit[a] = v_a
+            mod_cross[a] = x_a
+            mod_exit[a] = q_a_new
+            mod_tele[best] += tele[u]
+            mod_size[best] += size[u]
+            mod_visit[best] += visit[u]
+            mod_cross[best] = best_x_b
+            mod_exit[best] = best_q_b
+            exit_sum = best_exit
+            moves += 1
+            delta_sum += best_dl
+            for e in range(nbr_ptr[u], nbr_ptr[u + 1]):
+                v = nbr_idx[e]
+                if not queued[v] and labels[v] != best:
+                    queued[v] = True
+                    queue.append(v)
+    labels_out[:] = labels
+    return moves, delta_sum
 
 
 # ---------------------------------------------------------------------------

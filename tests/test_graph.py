@@ -418,6 +418,17 @@ class TestSnapshot:
         back = read_snapshot(p)
         assert back.node_ids(NodeKind.SKILL) == ["100% uptime", "machine learning"]
 
+    def test_encoded_ids_decode_at_both_edge_ends(self, tmp_path):
+        g = HeteroGraph()
+        for node_id in ("100% a b", "50%20", "c%25 d"):
+            g.add_node(node_id, NodeKind.SKILL)
+        g.add_edge("100% a b", Relation.LINKED, "50%20", 0.25)
+        g.add_edge("100% a b", Relation.LINKED, "c%25 d", 0.75)
+        g.add_edge("c%25 d", Relation.LINKED, "100% a b", 1.0)
+        p = tmp_path / "g.graph"
+        write_snapshot(g, p)
+        assert edges(read_snapshot(p)) == edges(g)
+
     @staticmethod
     def _golden_graph(step):
         # "a b" sorts before "a!" but its encoding "a%20b" sorts after
@@ -471,6 +482,13 @@ class TestSnapshot:
         p = tmp_path / "g.graph"
         p.write_text(f"N J1 job\nN S1 skill\nE J1 r S1 {weight}\n")
         with pytest.raises(GraphError, match=f"g.graph: line 3: bad edge weight '{weight}'"):
+            read_snapshot(p)
+
+    @pytest.mark.parametrize("weight", ["abc", "-1", "0"])
+    def test_line_shape_errors_come_before_edge_errors(self, tmp_path, weight):
+        p = tmp_path / "g.graph"
+        p.write_text(f"E J1 r S1 {weight}\nN J1 job\nX junk\nN S1 skill\n")
+        with pytest.raises(GraphError, match=r"g\.graph: line 3: unparseable snapshot line"):
             read_snapshot(p)
 
     def test_node_given_two_kinds_names_file_and_line(self, tmp_path):

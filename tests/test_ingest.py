@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,19 @@ class TestLoadCourses:
         p.write_text('id,name,description\n"C 1",a,\n')
         with pytest.raises(IngestError, match="whitespace"):
             load_courses(p)
+
+    def test_id_whitespace_is_what_str_isspace_says(self, tmp_path):
+        # every character str.isspace accepts is whitespace inside an id; a
+        # zero-width space is not one
+        p = tmp_path / "c.json"
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert len(spaces) > 20
+        for ch in spaces:
+            p.write_text(json.dumps([{"id": f"C{ch}1", "name": "a", "description": ""}]))
+            with pytest.raises(IngestError, match="contains whitespace"):
+                load_courses(p)
+        p.write_text(json.dumps([{"id": "C\u200b1", "name": "a", "description": ""}]))
+        assert load_courses(p)[0].id == "C\u200b1"
 
     def test_quoted_carriage_return_kept(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -498,6 +512,22 @@ def test_pre_matched_course_not_in_course_file_rejected():
     with pytest.raises(IngestError) as err:
         apply_skill_matching(courses, [Skill("SK1", "sql")], pre_matched=[("C9", "SK1")])
     assert str(err.value) == "pre-matched course 'C9' not in course file"
+
+
+@pytest.mark.parametrize("rows, row, fault", [
+    (["C1,SK1", "C1,SK9"], 2, "pre-matched skill 'SK9' not in catalog"),
+    (["C1,SK1", "C1,SK0"], 2, "pre-matched skill 'SK0' of course 'C1' has no letters or digits"),
+    # the first row that gives the course is named
+    (["C1,SK1", "C9,SK1", "C9,SK2"], 2, "pre-matched course 'C9' not in course file"),
+])
+def test_pre_matched_pair_errors_name_the_file_and_row(tmp_path, rows, row, fault):
+    p = tmp_path / "pairs.csv"
+    p.write_text("course_id,skill_id\n" + "".join(f"{r}\n" for r in rows))
+    courses = [Course(id="C1", name="a", description="")]
+    catalog = [Skill("SK0", "!!!"), Skill("SK1", "sql"), Skill("SK2", "etl")]
+    with pytest.raises(IngestError) as err:
+        apply_skill_matching(courses, catalog, pre_matched=load_course_skills(p))
+    assert str(err.value) == f"{p}: row {row}: {fault}"
 
 
 @pytest.mark.parametrize("suffix", ["csv", "json"])

@@ -7,7 +7,7 @@ import pytest
 from skillgraph import kernels
 from skillgraph.community import FlowGraph, _neighbours
 
-from oracles import random_hetero_graph
+from oracles import random_hetero_graph, ref_local_move_pass
 
 
 def flow_fixture(seed=0):
@@ -40,6 +40,42 @@ def test_local_move_delta_matches_cost_difference():
         after = fg.partition_cost(dense.astype(np.int64))
         assert after - before == pytest.approx(delta, abs=1e-9)
         assert delta <= 0.0
+
+
+def random_flow_graph(rng, n):
+    """``n`` units joined by random flows, a tenth of them with no visit."""
+    visit = rng.dirichlet(np.ones(n))
+    visit[rng.choice(n, size=n // 10, replace=False)] = 0.0
+    m = 4 * n
+    src, dst = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+    keep = src != dst
+    nbr = _neighbours(src[keep], dst[keep], rng.uniform(0.0, 1.0 / m, size=int(keep.sum())), n)
+    return FlowGraph(visit, 0.15 * visit, np.ones(n), nbr, n,
+                     float(sum(kernels._plogp(v) for v in visit)))
+
+
+def test_local_move_pass_equals_reference_bit_for_bit():
+    # the kernel keeps module code terms between visits; the reference
+    # recomputes them, so every label, the move count and the delta agree
+    # exactly, at level 0 and after one aggregation. A unit leaving a
+    # singleton empties its module, whose exit term takes plogp's 0 branch
+    rng = np.random.default_rng(5)
+    graphs = [flow_fixture(seed)[0] for seed in range(8)]
+    graphs += [random_flow_graph(rng, n) for n in (2, 3, 30, 200, 600)]
+    for fg in graphs:
+        level = fg
+        for _level in range(2):
+            order = rng.permutation(level.n_units).astype(np.int64)
+            runs = []
+            for move_pass in (kernels.local_move_pass, ref_local_move_pass):
+                labels = np.arange(level.n_units, dtype=np.int64)
+                moves, delta = move_pass(
+                    order, labels, level.visit, level.tele, level.size, level.nbr,
+                    level.module_state(labels, level.n_units), float(level.n_orig), 1e-10)
+                runs.append((labels.tolist(), moves, delta))
+            assert runs[0] == runs[1]
+            _, dense = np.unique(runs[0][0], return_inverse=True)
+            level = level.aggregate(dense.astype(np.int64), int(dense.max()) + 1)
 
 
 def test_equal_gains_move_to_lowest_module():

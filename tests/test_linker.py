@@ -49,6 +49,12 @@ class TestBm25:
         stats = CorpusStats.from_documents(docs)
         assert bm25(("sql",), docs[0], stats) > 0.0
 
+    def test_token_outside_the_corpus_takes_the_idf_of_df_zero(self):
+        # a document scored against another corpus's statistics: N=1, avgdl=1
+        stats = CorpusStats.from_documents([doc("s1", "sql")])
+        score = bm25(("python",), doc("s2", "python"), stats)
+        assert score == pytest.approx(math.log(1.0 + 1.5 / 0.5), abs=1e-12)
+
     def test_parameter_validation(self):
         with pytest.raises(GraphError):
             Bm25Params(k1=-1.0)
@@ -119,6 +125,13 @@ class TestLinkSkills:
         linked, _ = link_skills(g, labels)
         for n in labels:
             assert all(t != n for t, _w in out_edges(linked, n, Relation.LINKED))
+
+    def test_linking_a_linked_graph_names_the_repeated_edge(self):
+        g, labels = skill_graph(["data mining", "data analysis"], [0, 0])
+        linked, _records = link_skills(g, labels)
+        with pytest.raises(GraphError) as err:
+            link_skills(linked, labels)
+        assert str(err.value) == "duplicate edge data analysis-l->data mining"
 
     def test_missing_label_rejected(self):
         g, _ = skill_graph(["sql"], [0])
