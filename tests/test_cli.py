@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -92,6 +93,75 @@ class TestPipeline:
         payload = json.loads((out / "metrics.json").read_text())
         assert set(payload) == {"precision", "map", "map_at_5", "precision_at_10", "map_at_10"}
         assert "MAP" in stdout
+
+    def test_golden_walkthrough_artifacts(self, tmp_path, capsys):
+        # the README walkthrough end to end: pinned bytes of every file the
+        # stages write under out/ and of each ranked list they print
+        data, out = tmp_path / "data", tmp_path / "out"
+        steps = {
+            "synth": ["synth", "--seed", "7", "--jobs", "200", "--courses", "40",
+                      "--skills", "80", "--alignment", "0.3", "--out", str(data)],
+            "ingest": ["ingest", "--courses", str(data / "courses.csv"),
+                       "--jobs", str(data / "jobs.csv"), "--skills", str(data / "skills.csv"),
+                       "--enrollments", str(data / "enrollments.csv"), "--out", str(out)],
+            "build": ["build", "--out", str(out)],
+            "communities": ["communities", "--out", str(out), "--seed", "3"],
+            "link": ["link", "--out", str(out), "--dump-links"],
+            "s1": ["recommend", "--out", str(out), "--scenario", "1",
+                   "--goal", "topic-0 engineer", "--top", "5"],
+            "s2": ["recommend", "--out", str(out), "--scenario", "2",
+                   "--goal", "topic-0 engineer", "--taken", "C000,C001", "--top", "5"],
+            "s3": ["recommend", "--out", str(out), "--scenario", "3",
+                   "--current-job", "topic-1 analyst", "--top", "5"],
+            "runs": ["recommend", "--out", str(out), "--scenario", "1",
+                     "--goal", "topic-0", "--top", "10"],
+        }
+        lists = {}
+        for name, argv in steps.items():
+            code, stdout, err = run_cli(capsys, *argv)
+            assert code == 0, (name, err)
+            if argv[0] == "recommend":
+                lists[name] = stdout
+        # the last list keyed by its goal, as the README's sed does
+        head, *rows = lists["runs"].splitlines()
+        (tmp_path / "runs.csv").write_text(
+            "".join([f"query_id,{head}\n"] + [f"topic-0,{row}\n" for row in rows]),
+            encoding="utf-8")
+        code, _, err = run_cli(capsys, "evaluate", "--judgments", str(data / "ground_truth.csv"),
+                               "--runs", str(tmp_path / "runs.csv"),
+                               "--missing", "irrelevant", "--out", str(out))
+        assert code == 0, err
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted(out.iterdir())}
+        digests.update((name, hashlib.sha256(text.encode()).hexdigest())
+                       for name, text in lists.items())
+        expected = {
+            "career.graph": "81fbabefea7f0917711e557dfe27e7d8f713e05b5c7b200b4ea5981ce2ea0b03",
+            "career.partition.csv":
+                "dbdb52b728a82b51fb08ac7d12e6116b4f1a186c64c76cdeb4b96a4cd3105ce0",
+            "career.partition.summary":
+                "32c5b181c3315ae23e9166d196e4e56903ead4485e5988581424dc4bc0449dea",
+            "course_skills.csv": "9c88f785216047e723e53d516fc707b5e0f62159861af11e639055158b6f8aeb",
+            "courses.csv": "cf868a3104e4e1ebee8f4faac68f22c559dcc4003dabb9c6e85529129b4f5bc3",
+            "education.graph": "f914c2aa9e3cb3211a5cd04754fa1b71ec257814934c66587f7ace762e9b8120",
+            "education.partition.csv":
+                "aecf4e0dfed0e6b131c6c9357a9d7bc1635bd89fa3fc50e0eefc691547734711",
+            "education.partition.summary":
+                "3eca0f30ce8d506a4790b0ef26c07ff33b3b7bdc5ecf5a914ee3ad2b795716e9",
+            "enrollments.csv": "6c27a6b082dc84142d962c0295b262d78fe36a9259a1214d8c25014735ef75bf",
+            "jobs.csv": "fc0627c7852f813537e5e5708a8efe07092bcbf48c17b7f5812d0a05139c412c",
+            "linked.graph": "5710720d3da8b2e2f98fa4950487dc8d05a1b3481ef5e0e86bc415df54bbef7d",
+            "links_dump.csv": "b584b230419ca2c9300ce4769ee03913b3b79527329da891d12e19f65ffe8ff4",
+            "merged.graph": "c77b81c111c5677de8966d8fa5ba0b6585af7e89366c41998f83d602ff3f15f5",
+            "merged_labels.csv": "873dbcc66090b47a57893bac95fb3062994a4119d4a850724b35152507a690cc",
+            "metrics.json": "8306bee121ce33895f57225045731b1a9f1769428f337b2db493267cb73cbf01",
+            "skills.csv": "65a924359feac0b389c515bcc6c240a3bdb8ce93c410f980ae1767335028f877",
+            "s1": "7a35bb081a46682b5321c4f927b6a88661f35e8020f39f479045e401a9482b06",
+            "s2": "557db8d4c14dbe7a2eb8d29359174f7d4d3adfa76afc5f72fe50d81b37380f3a",
+            "s3": "70f88ef5705d4478b8839dbaa150b19e443a97313f997d1df99c2acf5b9bc237",
+            "runs": "db639ca677109195f34023307888113ddf25d52fb2e3333d00f10cfc030d4dca",
+        }
+        assert digests == expected
 
     def test_link_dump_flag(self, tmp_path, capsys):
         _data, out = run_pipeline(tmp_path, capsys)
