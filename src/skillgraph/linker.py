@@ -167,7 +167,6 @@ def link_skills(g: HeteroGraph, communities: Mapping[str, int],
                 weight = raw / total
                 row[target] = weight
                 records.append(LinkRecord(source, target, raw, weight))
-            # skills link to skills, and every kept weight is positive
             linked.add_row(source, Relation.LINKED, row)
     linked.validate()
     return linked, records

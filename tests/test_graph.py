@@ -247,6 +247,47 @@ def test_add_edge_rejects_duplicates_and_has_no_combine_mode():
     assert out_edges(g, "J1", Relation.REQUIRED) == [("S1", 0.5)]
 
 
+def _job_graph():
+    g = HeteroGraph()
+    g.add_node("J1", NodeKind.JOB)
+    g.add_node("C1", NodeKind.COURSE)
+    for sid in ("S1", "S2", "S3"):
+        g.add_node(sid, NodeKind.SKILL)
+    return g
+
+
+@pytest.mark.parametrize("existing", [{}, {"S3": 0.5}])
+@pytest.mark.parametrize("row, bad", [
+    ({"S1": 0.5, "C1": 0.5}, ("C1", 0.5)),
+    ({"S1": 0.5, "S2": 0.0}, ("S2", 0.0)),
+    ({"S1": 0.5, "C1": 0.0}, ("C1", 0.0)),  # the weight is checked before the kind
+])
+def test_add_row_raises_add_edge_message_and_adds_nothing(existing, row, bad):
+    g = _job_graph()
+    with pytest.raises(GraphError) as one:
+        g.add_edge("J1", Relation.REQUIRED, *bad)
+    if existing:
+        g.add_row("J1", Relation.REQUIRED, existing)
+    view = g.cached(GraphIndex)
+    with pytest.raises(GraphError) as whole:
+        g.add_row("J1", Relation.REQUIRED, row)
+    assert str(whole.value) == str(one.value)
+    assert out_edges(g, "J1", Relation.REQUIRED) == sorted(existing.items())
+    assert g.cached(GraphIndex) is view  # the graph's version did not move
+
+
+def test_add_row_onto_an_existing_row_merges_and_rejects_a_repeat():
+    g = _job_graph()
+    g.add_edge("J1", Relation.REQUIRED, "S1", 0.5)
+    g.add_row("J1", Relation.REQUIRED, {"S2": 0.5})
+    assert out_edges(g, "J1", Relation.REQUIRED) == [("S1", 0.5), ("S2", 0.5)]
+    view = g.cached(GraphIndex)
+    with pytest.raises(GraphError, match="^duplicate edge J1-r->S1$"):
+        g.add_row("J1", Relation.REQUIRED, {"S3": 0.25, "S1": 0.25})
+    assert out_edges(g, "J1", Relation.REQUIRED) == [("S1", 0.5), ("S2", 0.5)]
+    assert g.cached(GraphIndex) is view
+
+
 def test_graph_stats_counts():
     empty = HeteroGraph()
     assert empty.num_nodes() == 0 and empty.num_edges() == 0
