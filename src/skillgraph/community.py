@@ -18,6 +18,7 @@ connected graph the one-community partition is taken when it codes shorter.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,7 +115,7 @@ class FlowGraph:
         tele = np.where(dangling, visit, teleport * visit)
         eflow = (1.0 - teleport) * visit[src] * wgt
         keep = (eflow > 0.0) & (src != dst)
-        node_plogp_sum = float(sum(kernels._plogp(v) for v in visit))
+        node_plogp_sum = math.fsum(kernels._plogp(v) for v in visit)
         return cls(visit, tele, np.ones(index.n, dtype=np.float64),
                    _neighbours(src[keep], dst[keep], eflow[keep], index.n),
                    index.n, node_plogp_sum)

@@ -160,7 +160,7 @@ def link_skills(g: HeteroGraph, communities: Mapping[str, int],
                     scored.append((-raw, target))
             scored.sort()
             kept = scored[:top_k]
-            total = sum(-neg for neg, _ in kept)
+            total = math.fsum(-neg for neg, _ in kept)
             row = {}
             for neg, target in kept:
                 raw = -neg

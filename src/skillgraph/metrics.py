@@ -86,7 +86,7 @@ def precision_at(run: JudgedRun, k: int) -> float:
 def metric_report(runs: Sequence[JudgedRun]) -> MetricReport:
     if not runs:
         raise EvalError("no judged runs to report on")
-    mean = lambda values: sum(values) / len(values)  # noqa: E731
+    mean = lambda values: math.fsum(values) / len(values)  # noqa: E731
     return MetricReport(
         precision=mean([precision(r) for r in runs]),
         map=mean([average_precision(r) for r in runs]),
@@ -190,9 +190,9 @@ def _tfidf_vector(tokens: Sequence[str], idf: Mapping[str, float]) -> dict[str, 
 def _cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     if not a or not b:
         return 0.0
-    dot = sum(v * b[t] for t, v in a.items() if t in b)
-    na = math.sqrt(sum(v * v for v in a.values()))
-    nb = math.sqrt(sum(v * v for v in b.values()))
+    dot = math.fsum(v * b[t] for t, v in a.items() if t in b)
+    na = math.sqrt(math.fsum(v * v for v in a.values()))
+    nb = math.sqrt(math.fsum(v * v for v in b.values()))
     return dot / (na * nb) if dot else 0.0
 
 

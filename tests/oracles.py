@@ -394,7 +394,7 @@ def ref_link_skills(g: HeteroGraph, communities: dict[str, int], params=None,
                     scored.append((-raw, target))
             scored.sort()
             kept = scored[:top_k]
-            total = sum(-neg for neg, _ in kept)
+            total = math.fsum(-neg for neg, _ in kept)
             records.extend(LinkRecord(source, target, -neg, -neg / total) for neg, target in kept)
     return records
 

@@ -140,17 +140,17 @@ class TestPipeline:
             "career.partition.csv":
                 "dbdb52b728a82b51fb08ac7d12e6116b4f1a186c64c76cdeb4b96a4cd3105ce0",
             "career.partition.summary":
-                "32c5b181c3315ae23e9166d196e4e56903ead4485e5988581424dc4bc0449dea",
+                "f3e6c1d01db06d4b9e68f35567787600c10e2456f91100132c99991d54f8d0de",
             "course_skills.csv": "9c88f785216047e723e53d516fc707b5e0f62159861af11e639055158b6f8aeb",
             "courses.csv": "cf868a3104e4e1ebee8f4faac68f22c559dcc4003dabb9c6e85529129b4f5bc3",
             "education.graph": "f914c2aa9e3cb3211a5cd04754fa1b71ec257814934c66587f7ace762e9b8120",
             "education.partition.csv":
                 "aecf4e0dfed0e6b131c6c9357a9d7bc1635bd89fa3fc50e0eefc691547734711",
             "education.partition.summary":
-                "3eca0f30ce8d506a4790b0ef26c07ff33b3b7bdc5ecf5a914ee3ad2b795716e9",
+                "6696e5ac3f8670772b6188dc00083eebb90de3b5b72a5946e7ebc0ca550f53c0",
             "enrollments.csv": "6c27a6b082dc84142d962c0295b262d78fe36a9259a1214d8c25014735ef75bf",
             "jobs.csv": "fc0627c7852f813537e5e5708a8efe07092bcbf48c17b7f5812d0a05139c412c",
-            "linked.graph": "5710720d3da8b2e2f98fa4950487dc8d05a1b3481ef5e0e86bc415df54bbef7d",
+            "linked.graph": "3917af134f7d52db45ef70eece558bb3753c2a83c0cdb2dc93e32db095cdc3b0",
             "links_dump.csv": "b584b230419ca2c9300ce4769ee03913b3b79527329da891d12e19f65ffe8ff4",
             "merged.graph": "c77b81c111c5677de8966d8fa5ba0b6585af7e89366c41998f83d602ff3f15f5",
             "merged_labels.csv": "873dbcc66090b47a57893bac95fb3062994a4119d4a850724b35152507a690cc",

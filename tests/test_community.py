@@ -410,9 +410,9 @@ class TestDetectCommunities:
                                                      catalog=corpus.skills),
                   "career": build_career_graph(corpus.jobs)}
         expected = {
-            "education": ("10.08778464739344", 12,
+            "education": ("10.087784647393462", 12,
                           "90984ab7391c8acda3c9076a115a6935c4954f9284a71a54417af53f08448eb9"),
-            "career": ("11.719914957795252", 128,
+            "career": ("11.719914957795217", 128,
                        "0066f248bc52cb664139274d1ea6229fa36afc8e42991a3f704b019ef9179421"),
         }
         for name, g in graphs.items():

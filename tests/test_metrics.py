@@ -263,18 +263,18 @@ class TestBaselineVectorSpace:
 
     def test_synth_ranking_pinned(self, tmp_path):
         # pinned bit for bit: matched jobs add their tokens in input order,
-        # and reversing the jobs moves C008's score in the last bit
+        # and the cosine sums each vector exactly, so reversing the jobs
+        # (which reorders the query vector) changes no bit
         corpus = generate_synthetic_corpus(3, n_jobs=60, n_courses=20, n_skills=40,
                                            alignment=0.3, out_dir=tmp_path)
-        want = [("C006", 0.5757208018449668), ("C007", 0.47477398843378527),
-                ("C008", 0.43342796267509415), ("C009", 0.3386354011071219),
+        want = [("C006", 0.5757208018449667), ("C007", 0.4747739884337852),
+                ("C008", 0.4334279626750941), ("C009", 0.3386354011071219),
                 ("C005", 0.3168654857815146), ("C016", 0.09847564763989712),
-                ("C014", 0.0783585665269789), ("C013", 0.06103423690863146),
+                ("C014", 0.0783585665269789), ("C013", 0.06103423690863145),
                 ("C015", 0.046527439502301364)]
         ranked = baseline_vector_space(corpus.jobs, corpus.courses, "topic-1 engineer",
                                        catalog=corpus.skills)
         assert list(ranked.entries) == want
-        want[2] = ("C008", 0.4334279626750941)
         ranked = baseline_vector_space(corpus.jobs[::-1], corpus.courses, "topic-1 engineer",
                                        catalog=corpus.skills)
         assert list(ranked.entries) == want

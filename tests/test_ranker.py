@@ -632,7 +632,7 @@ class TestScenarioRoutes:
         g, labels = fanned_out
         expected = [
             "{'C024': 0.0059526105713012135, 'C025': 0.003973948862595526, "
-            "'C026': 0.004748122720385534, 'C027': 0.002519006403174009, "
+            "'C026': 0.004748122720385534, 'C027': 0.0025190064031740084, "
             "'C028': 0.0019729700582511627, 'C029': 0.0029619479061939276}",
             "{'C025': 0.003973948862595526, 'C026': 0.004748122720385534, "
             "'C027': 0.02751900640317401, 'C028': 0.0019729700582511627, "
