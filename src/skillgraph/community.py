@@ -337,12 +337,12 @@ class Labels(Mapping[str, int]):
 
 def read_labels(path: str | Path) -> Labels:
     out: dict[str, int] = {}
-    for row in csv_rows(path, _LABEL_HEADER, CommunityError):
+    for i, row in enumerate(csv_rows(path, _LABEL_HEADER, CommunityError), start=1):
         if row[0] in out:
-            raise CommunityError(f"{path}: node {row[0]!r} is labelled twice")
+            raise CommunityError(f"{path}: row {i}: node {row[0]!r} is labelled twice")
         label = parse_number(row[1], int)
         if label is None:
-            raise CommunityError(f"{path}: bad row {row!r}: community is not an integer")
+            raise CommunityError(f"{path}: row {i}: community {row[1]!r} is not an integer")
         out[row[0]] = label
     return Labels(out)
 

@@ -76,10 +76,6 @@ class MetaPath:
     def source_kind(self) -> NodeKind:
         return self.steps[0].source_kind
 
-    @property
-    def target_kind(self) -> NodeKind:
-        return self.steps[-1].target_kind
-
 
 @dataclass(frozen=True)
 class RankedList:

@@ -351,7 +351,7 @@ class TestErrors:
         code, _, err = run_cli(capsys, "recommend", "--out", str(out),
                                "--scenario", "1", "--goal", "topic-0", "--top", "3")
         assert code == 1
-        assert f"error: {labels}: bad row ['{node_id}', 'x']" in err
+        assert f"error: {labels}: row 1: community 'x' is not an integer" in err
 
     def test_bad_snapshot_weight_exits_one(self, tmp_path, capsys):
         _data, out = run_pipeline(tmp_path, capsys)

@@ -596,14 +596,14 @@ def test_read_labels_are_read_only(tmp_path):
 def test_repeated_label_rejected(tmp_path):
     path = tmp_path / "l.csv"
     path.write_text("node_id,community\na,0\nb,1\na,1\n")
-    with pytest.raises(CommunityError, match=r"l\.csv: node 'a' is labelled twice"):
+    with pytest.raises(CommunityError, match=r"l\.csv: row 3: node 'a' is labelled twice"):
         read_labels(path)
 
 
 def test_non_integer_label_rejected(tmp_path):
     path = tmp_path / "l.csv"
     path.write_text("node_id,community\na,0\nb,two\n")
-    with pytest.raises(CommunityError, match=r"l\.csv: bad row \['b', 'two'\]"):
+    with pytest.raises(CommunityError, match=r"l\.csv: row 2: community 'two' is not an integer"):
         read_labels(path)
 
 

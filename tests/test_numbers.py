@@ -107,7 +107,7 @@ def _labels(tmp_path, value):
     path.write_text(f"node_id,community\na,{value}\n", encoding="utf-8")
     with pytest.raises(CommunityError) as err:
         read_labels(path)
-    return str(err.value), f"{path}: bad row {['a', value]!r}: community is not an integer"
+    return str(err.value), f"{path}: row 1: community {value!r} is not an integer"
 
 
 def _run_rank(tmp_path, value):

@@ -125,7 +125,6 @@ class TestMetaPath:
         path = MetaPath((MetaPathStep(Relation.REQUIRED), MetaPathStep(Relation.LINKED),
                          MetaPathStep(Relation.COVERED, reverse=True)))
         assert path.source_kind is NodeKind.JOB
-        assert path.target_kind is NodeKind.COURSE
 
     def test_empty_rejected(self):
         with pytest.raises(QueryError):
