@@ -326,9 +326,13 @@ def merge_graphs(education: HeteroGraph, career: HeteroGraph) -> HeteroGraph:
 # One line per node (``N <id> <kind>``) and edge
 # (``E <src> <relation> <dst> <weight>``, 17 significant digits), written
 # sorted lexicographically and read in any order. Ids are percent-encoded
-# (space and '%' only) so the line format stays whitespace-delimited.
+# (space and '%' only) so the line format stays space-delimited; an id must
+# be non-empty and hold no character ``str.splitlines`` breaks on.
 
 def _encode_id(node_id: str) -> str:
+    if node_id.splitlines() != [node_id]:  # also true for ''
+        raise GraphError(f"node id {node_id!r} cannot be written to a snapshot: "
+                         "it is empty or holds a line break")
     return node_id.replace("%", "%25").replace(" ", "%20")
 
 
@@ -337,14 +341,29 @@ def _decode_id(token: str) -> str:
 
 
 def snapshot_lines(g: HeteroGraph) -> list[str]:
-    # every line is distinct, so the one sort fixes the order whatever the walk
-    lines = [f"N {_encode_id(i)} {kind.value}" for i, kind in g._kind.items()]
+    """The snapshot's lines in written order.
+
+    Each id is encoded, and each distinct weight formatted, once: a graph
+    has far fewer distinct weights than edges.
+    """
+    kinds = g._kind
+    code = {node_id: _encode_id(node_id) for node_id in kinds}
+    lines = []
+    for kind in NodeKind:
+        value = kind.value
+        lines.extend(f"N {code[i]} {value}" for i, k in kinds.items() if k is kind)
+    text: dict[float, str] = {}
     for relation, rows in g._out.items():
+        value = relation.value
         for source, row in rows.items():
-            head = f"E {_encode_id(source)} {relation.value} "
-            lines.extend(f"{head}{_encode_id(target)} {weight:.17g}"
-                         for target, weight in row.items())
-    return sorted(lines)
+            head = f"E {code[source]} {value} "
+            for target, weight in row.items():
+                w = text.get(weight)
+                if w is None:
+                    w = text[weight] = f"{weight:.17g}"
+                lines.append(f"{head}{code[target]} {w}")
+    lines.sort()  # every line is distinct, so the sort alone fixes the order
+    return lines
 
 
 def write_snapshot(g: HeteroGraph, path: str | Path) -> None:
@@ -355,9 +374,10 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
     """Load a snapshot; its lines may come in any order.
 
     The first pass adds every node and rejects a line that is neither a
-    well-formed node nor a well-formed edge; the second parses each edge's
-    weight and adds the edge. So node and line-shape errors come first, then
-    edge errors in line order, each as ``{path}: line N: ...``.
+    well-formed node nor a well-formed edge; the second adds each edge,
+    parsing each distinct weight text once. So node and line-shape errors
+    come first, then edge errors in line order, each as
+    ``{path}: line N: ...``.
     """
     g = HeteroGraph()
     kind_by_value = {k.value: k for k in NodeKind}
@@ -375,26 +395,36 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
         # row, and any other goes through add_edge, which raises its message.
         # Reading every edge through add_edge took perfbench build-mid's
         # setup_s from 0.646 to 0.697 s and build_s from 1.71 to 1.80 s
-        # (medians of 8 alternating pairs, 2 vCPU, Python 3.11.7)
+        # (medians of 8 alternating pairs, 2 vCPU, Python 3.11.7). Written
+        # snapshots group a source's edges of one relation, so the row and the
+        # source's kind are looked up once per run of such lines: 8% off a read
+        # of build-mid's linked.graph (medians of 11, 3 processes)
         kinds = g._kind
         edge_kinds = {r.value: (r, *RELATION_SIGNATURE[r], g._out[r]) for r in Relation}
+        weights: dict[str, float] = {}  # each distinct text parsed once; only good ones kept
+        last_source = last_relation = None
         for lineno, line in enumerate(lines, start=1):
             if line.startswith("E "):  # the first pass checked its shape
                 _e, source, relation, target, text = line.split(" ")
-                weight = parse_number(text, float)
-                if weight is None or not math.isfinite(weight):
-                    raise GraphError(f"bad edge weight {text!r}")
-                if "%" in source:
-                    source = _decode_id(source)
+                if source != last_source or relation != last_relation:
+                    last_source, last_relation = source, relation
+                    rel, src_kind, dst_kind, rows = edge_kinds[relation]
+                    source_id = _decode_id(source) if "%" in source else source
+                    row = (rows.setdefault(source_id, {})
+                           if kinds.get(source_id) is src_kind else None)
+                weight = weights.get(text)
+                if weight is None:
+                    weight = parse_number(text, float)
+                    if weight is None or not math.isfinite(weight):
+                        raise GraphError(f"bad edge weight {text!r}")
+                    weights[text] = weight
                 if "%" in target:
                     target = _decode_id(target)
-                rel, src_kind, dst_kind, rows = edge_kinds[relation]
-                if weight > 0.0 and kinds.get(source) is src_kind and kinds.get(target) is dst_kind:
-                    row = rows.setdefault(source, {})
-                    if target not in row:
-                        row[target] = weight
-                        continue
-                g.add_edge(source, rel, target, weight)
+                if (weight > 0.0 and row is not None and kinds.get(target) is dst_kind
+                        and target not in row):
+                    row[target] = weight
+                    continue
+                g.add_edge(source_id, rel, target, weight)
     except GraphError as exc:
         raise GraphError(f"{path}: line {lineno}: {exc}") from None
     g._version += 1  # for the edges written straight into their rows
@@ -418,10 +448,10 @@ class GraphIndex:
         self.pos: dict[str, int] = {node_id: i for i, node_id in enumerate(self.ids)}
         self.n = len(self.ids)
         self.rel_edges: dict[Relation, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for rel in Relation:
+        for rel, rows in g._out.items():
             src, dst, wgt = [], [], []
-            for source in sorted(g._out[rel]):
-                for target, weight in sorted(g._out[rel][source].items()):
+            for source in sorted(rows):
+                for target, weight in sorted(rows[source].items()):
                     src.append(self.pos[source])
                     dst.append(self.pos[target])
                     wgt.append(weight)

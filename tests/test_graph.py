@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -562,6 +563,93 @@ class TestSnapshot:
         p.write_text("N J1 job\nN S1 skill\nN S2 skill\nE J1 r S1 0.5\nE J1 r S2 0.4\n")
         with pytest.raises(GraphError, match="outgoing r-weights of 'J1' sum to 0.9"):
             read_snapshot(p)
+
+    # the writer formats each distinct weight once and the reader parses each
+    # distinct text once; these pin what sharing that work must not change
+
+    def test_weights_one_ulp_apart_read_back_bit_exact(self, tmp_path):
+        near = math.nextafter(0.1, 1)
+        g = HeteroGraph()
+        g.add_node("J1", NodeKind.JOB)
+        for sid in ("S1", "S2", "S3"):
+            g.add_node(sid, NodeKind.SKILL)
+        g.add_row("J1", Relation.REQUIRED, {"S1": 0.1, "S2": near, "S3": 1.0 - 0.1 - near})
+        p = tmp_path / "g.graph"
+        write_snapshot(g, p)
+        got = [w.hex() for _t, w in out_edges(read_snapshot(p), "J1", Relation.REQUIRED)]
+        assert got == [w.hex() for _t, w in out_edges(g, "J1", Relation.REQUIRED)]
+        assert got[0] != got[1]
+
+    def test_equal_weight_texts_read_and_write_as_one(self, tmp_path):
+        p = tmp_path / "g.graph"
+        p.write_text("N J1 job\nN S1 skill\nN S2 skill\nE J1 r S1 0.5\nE J1 r S2 0.50\n")
+        back = read_snapshot(p)
+        assert out_edges(back, "J1", Relation.REQUIRED) == [("S1", 0.5), ("S2", 0.5)]
+        assert [line for line in snapshot_lines(back) if line.startswith("E ")] == [
+            "E J1 r S1 0.5", "E J1 r S2 0.5"]
+
+    @pytest.mark.parametrize("weight, tail", [
+        ("abc", "bad edge weight 'abc'"),
+        ("1e-400", "edge J1-r->S1 has non-positive or non-finite weight 0.0"),
+    ])
+    def test_repeated_bad_weight_names_its_first_line(self, tmp_path, weight, tail):
+        p = tmp_path / "g.graph"
+        p.write_text(f"N J1 job\nN S1 skill\nE J1 r S1 {weight}\nN S2 skill\n"
+                     f"E J1 r S2 {weight}\n")
+        with pytest.raises(GraphError, match=rf"g\.graph: line 3: {tail}$"):
+            read_snapshot(p)
+
+    @pytest.mark.parametrize("node_id", ["", "a\nb", "a\rb", "a\x1cb", "a b", "a\n"])
+    def test_id_a_line_cannot_carry_is_refused_before_writing(self, tmp_path, node_id):
+        g = HeteroGraph()
+        g.add_node("J1", NodeKind.JOB)
+        g.add_node(node_id, NodeKind.SKILL)
+        g.add_edge("J1", Relation.REQUIRED, node_id, 1.0)
+        p = tmp_path / "g.graph"
+        with pytest.raises(GraphError, match=re.escape(f"node id {node_id!r} cannot be written")):
+            write_snapshot(g, p)
+        assert not p.exists()
+
+    def test_id_with_a_tab_round_trips(self, tmp_path):
+        g = HeteroGraph()
+        g.add_node("J1", NodeKind.JOB)
+        g.add_node("a\tb", NodeKind.SKILL)
+        g.add_edge("J1", Relation.REQUIRED, "a\tb", 1.0)
+        p = tmp_path / "g.graph"
+        write_snapshot(g, p)
+        assert edges(read_snapshot(p)) == edges(g)
+
+
+_ID_PARTS = ["a", "b", "Z", " ", "%", "%20", "%25"]
+_WEIGHTS = [w for x in (0.1, 0.125, 0.2, 1 / 7, 0.25)
+            for w in (math.nextafter(x, 0), x, math.nextafter(x, 1))]
+
+
+@st.composite
+def codec_graphs(draw):
+    """Skill graphs whose ids mix spaces and percent escapes, and whose
+    weights (all but each row's first) come from a pool with ulp neighbours."""
+    ids = draw(st.lists(st.lists(st.sampled_from(_ID_PARTS), min_size=1, max_size=5).map("".join),
+                        min_size=2, max_size=8, unique=True))
+    g = HeteroGraph()
+    for node_id in ids:
+        g.add_node(node_id, NodeKind.SKILL)
+    for source in ids:
+        targets = draw(st.lists(st.sampled_from(ids), max_size=4, unique=True))
+        picks = [draw(st.sampled_from(_WEIGHTS)) for _ in targets[1:]]
+        g.add_row(source, Relation.LINKED, dict(zip(targets, [1.0 - math.fsum(picks), *picks])))
+    return g
+
+
+@settings(max_examples=50, deadline=None)
+@given(codec_graphs())
+def test_snapshot_write_read_write_is_byte_stable(tmp_path_factory, g):
+    tmp = tmp_path_factory.mktemp("codec")
+    write_snapshot(g, tmp / "a.graph")
+    back = read_snapshot(tmp / "a.graph")
+    write_snapshot(back, tmp / "b.graph")
+    assert (tmp / "a.graph").read_bytes() == (tmp / "b.graph").read_bytes()
+    assert edges(back) == edges(g)
 
 
 @settings(max_examples=20, deadline=None)
