@@ -333,6 +333,11 @@ def _encode_id(node_id: str) -> str:
     if node_id.splitlines() != [node_id]:  # also true for ''
         raise GraphError(f"node id {node_id!r} cannot be written to a snapshot: "
                          "it is empty or holds a line break")
+    try:
+        node_id.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise GraphError(f"node id {node_id!r} cannot be written to a snapshot: it holds "
+                         f"{node_id[exc.start]!r}, which UTF-8 cannot encode") from None
     return node_id.replace("%", "%25").replace(" ", "%20")
 
 

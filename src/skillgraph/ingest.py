@@ -102,11 +102,19 @@ _JSON_NON_TEXT = {type(None): "null", bool: "a boolean", dict: "an object", list
 
 
 def _json_text(value: object, where: str, column: str) -> str:
-    """A JSON string or number as text; null, booleans, objects and arrays are not."""
+    """A JSON string or number as text; null, booleans, objects and arrays are
+    not, nor is a string holding a lone surrogate escape (``"\\ud800"``),
+    which no UTF-8 file the program writes could hold."""
     kind = _JSON_NON_TEXT.get(type(value))
     if kind is not None:
         raise IngestError(f"{where}: {column} is {kind}, not text")
-    return str(value)
+    text = str(value)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise IngestError(f"{where}: {column} holds {text[exc.start]!r} at character "
+                          f"{exc.start}, which UTF-8 cannot encode") from None
+    return text
 
 
 def _json_object(pairs: list[tuple[str, object]]) -> dict:
@@ -140,8 +148,9 @@ def _read_rows(path: str | Path, columns: Sequence[str],
             where = f"{path}: row {i}"
             if not isinstance(obj, dict) or set(obj) != set(columns):
                 raise IngestError(f"{where}: expected keys {list(columns)}")
-            out.append((where, {k: obj[k] if k in raw else _json_text(obj[k], where, k)
-                                for k in columns}))
+            # a raw column's string is text all the same
+            out.append((where, {k: obj[k] if k in raw and not isinstance(obj[k], str)
+                                else _json_text(obj[k], where, k) for k in columns}))
         return out
     rows = csv_rows(path, columns, IngestError)
     return [(f"{path}: row {i}", dict(zip(columns, row))) for i, row in enumerate(rows, start=1)]

@@ -234,5 +234,6 @@ def baseline_vector_space(jobs: Sequence[Job], courses: Sequence[Course], query:
         for sid in sorted(job.skills):
             query_tokens += tokenize(sid)
     qvec = _tfidf_vector(query_tokens, idf)
-    scores = {cid: _cosine(qvec, _tfidf_vector(tokens, idf)) for cid, tokens in docs.items()}
-    return to_ranked_list(scores, query, "baseline-vector-space", cutoff)
+    ids = sorted(docs)
+    scores = [_cosine(qvec, _tfidf_vector(docs[cid], idf)) for cid in ids]
+    return to_ranked_list(ids, scores, query, "baseline-vector-space", cutoff)

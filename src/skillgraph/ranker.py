@@ -11,6 +11,19 @@ relation's edges are stably ordered by that node's community once per graph
 state and labels (``CommunityEdges``), so the step reads one contiguous slice
 and every node still sums its pushes in the order a full scatter would.
 
+A walk with a step that has no edge to push along ends with no mass: a
+restricted step whose slice for the query community is empty (a career
+community that holds no course, say), or any step whose relation has no
+edges. ``score_metapath`` sees this after checking its seeds and returns the
+shared empty ``NO_SCORES`` without allocating or scattering, so a query that
+fans out over many community groups pays only for the walks that can reach
+a course. The rule reads only the graph and the labels.
+
+A route's scores stay one dense vector over the graph's nodes (``Scores``),
+and a scenario adds its routes as vectors in the order a per-node merge
+would, which keeps every bit because adding 0.0 is exact. Node ids are made
+only for the ranked list, and for the provenance when it is read.
+
 Three course-recommendation scenarios are wired on top:
 
 1. career goal -> job seeds -> required/linked/covered walk inside the job's
@@ -24,7 +37,7 @@ Three course-recommendation scenarios are wired on top:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -227,24 +240,71 @@ class CommunityEdges:
         return src[lo:hi], dst[lo:hi], wgt[lo:hi]
 
 
-def _walk(index: GraphIndex, path: MetaPath, scores: np.ndarray,
-          gate: CommunityEdges | None = None, community: int | None = None) -> np.ndarray:
-    """Push ``scores`` along ``path``, one kernel call per step. With a
-    ``gate``, a restricted step scatters only the edges that land in
-    ``community``, which equals a full scatter with every node outside it
-    (or unlabelled) zeroed, to the bit."""
+Edges = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _path_edges(index: GraphIndex, path: MetaPath, gate: CommunityEdges | None = None,
+                community: int | None = None) -> list[Edges] | None:
+    """Each step's edges as (from, to, weight), or None as soon as a step has
+    none, since a walk that cannot take a step ends with no mass. With a
+    ``gate``, a restricted step has only the edges that land in
+    ``community``: scattering them equals a full scatter with every node
+    outside it (or unlabelled) zeroed, to the bit."""
+    edges = []
     for step in path.steps:
         if step.community_restricted and gate is not None:
-            src, dst, wgt = gate.edges(step, community)
+            step_edges = gate.edges(step, community)
         else:
-            src, dst, wgt = step.edges(index)
+            step_edges = step.edges(index)
+        if not len(step_edges[2]):
+            return None
+        edges.append(step_edges)
+    return edges
+
+
+def _walk(index: GraphIndex, edges: list[Edges], scores: np.ndarray) -> np.ndarray:
+    """Push ``scores`` along each step's ``edges``, one kernel call per step."""
+    for src, dst, wgt in edges:
         scores = kernels.propagate_step(scores, src, dst, wgt, index.n)
     return scores
 
 
-def _positive(index: GraphIndex, scores: np.ndarray) -> dict[str, float]:
-    hits = np.flatnonzero(scores > 0.0)
-    return dict(zip([index.ids[i] for i in hits.tolist()], scores[hits].tolist()))
+class Scores(Mapping[str, float]):
+    """Node scores as one dense vector over ``index``, 0.0 where a score is
+    not positive; the keys are the nodes with a positive score, in index
+    order. Routes add as vectors, and node ids are made only when read."""
+
+    def __init__(self, index: GraphIndex, vector: np.ndarray) -> None:
+        self.index = index
+        self.vector = vector
+        self._hits: np.ndarray | None = None
+
+    @property
+    def hits(self) -> np.ndarray:
+        """Index positions of the keys, ascending."""
+        if self._hits is None:
+            self._hits = np.flatnonzero(self.vector > 0.0)
+        return self._hits
+
+    def __getitem__(self, node_id: str) -> float:
+        i = self.index.pos.get(node_id)
+        if i is None or not self.vector[i] > 0.0:
+            raise KeyError(node_id)
+        return float(self.vector[i])
+
+    def __iter__(self) -> Iterator[str]:
+        ids = self.index.ids
+        return (ids[i] for i in self.hits.tolist())
+
+    def __len__(self) -> int:
+        return len(self.hits)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+# what a walk that can carry no mass returns; shared, so it creates nothing
+NO_SCORES = Scores(GraphIndex(HeteroGraph()), np.zeros(0))
 
 
 def _as_labels(labels: Mapping[str, int]) -> Labels:
@@ -254,23 +314,31 @@ def _as_labels(labels: Mapping[str, int]) -> Labels:
 
 def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Mapping[str, float],
                    labels: Mapping[str, int] | None = None,
-                   community: int | None = None) -> dict[str, float]:
+                   community: int | None = None) -> Scores:
     """Sum-of-tour-products scores for every node reachable along ``path``."""
     if community is not None and labels is None:
         raise QueryError("community gate requested without node labels")
     index = g.cached(GraphIndex)
     gate = None if community is None else _as_labels(labels).cached(index, CommunityEdges)
-    scores = np.zeros(index.n, dtype=np.float64)
     source_kind = path.source_kind
-    for node_id, weight in seeds.items():
+    for node_id in seeds:
         if node_id not in index.pos:
             raise QueryError(f"seed {node_id!r} is not in the graph")
         if g.node_kind(node_id) is not source_kind:
             raise QueryError(
                 f"seed {node_id!r} is a {g.node_kind(node_id).value}, "
                 f"path starts at a {source_kind.value}")
+    edges = _path_edges(index, path, gate, community)
+    if edges is None:
+        return NO_SCORES
+    scores = np.zeros(index.n, dtype=np.float64)
+    for node_id, weight in seeds.items():
         scores[index.pos[node_id]] = weight
-    return _positive(index, _walk(index, path, scores, gate, community))
+    # seeds of no negative (or NaN) weight, over positive edge weights, score
+    # no node below 0.0; any other seed needs the scores below it set to 0.0
+    kept = scores.min() >= 0.0
+    scores = _walk(index, edges, scores)
+    return Scores(index, scores if kept else np.fmax(scores, 0.0))
 
 
 BASE_PATH = MetaPath((
@@ -294,24 +362,29 @@ UPSKILL_PATH = MetaPath((
 _PREREQ_HOP = MetaPath((MetaPathStep(Relation.PRE_REQUIRED),))
 
 
-def prerequisite_expansion(g: HeteroGraph, base_scores: Mapping[str, float],
-                           depth: int = DEFAULT_PREREQ_DEPTH) -> dict[str, float]:
+def prerequisite_expansion(g: HeteroGraph, base_scores: Scores,
+                           depth: int = DEFAULT_PREREQ_DEPTH) -> Scores:
     """Push candidate scores one (or ``depth``) hops down stored prereq edges.
 
-    Every level's pushes add up; ids that are not in the graph push nothing.
+    Every level's pushes add up. ``base_scores`` are scores on ``g`` as it
+    is now, such as ``score_metapath`` returns.
     """
     if depth < 0:
         raise QueryError(f"prerequisite depth {depth!r} must be >= 0")
+    if not base_scores or not depth:
+        return NO_SCORES
     index = g.cached(GraphIndex)
-    level = np.zeros(index.n, dtype=np.float64)
-    for node_id, score in base_scores.items():
-        if node_id in index.pos:
-            level[index.pos[node_id]] = score
-    extra = np.zeros(index.n, dtype=np.float64)
-    for _ in range(depth):
-        level = _walk(index, _PREREQ_HOP, level)
-        extra += level
-    return _positive(index, extra)
+    if base_scores.index is not index:
+        raise QueryError("base scores were made on another graph, or before it changed")
+    edges = _path_edges(index, _PREREQ_HOP)
+    if edges is None:
+        return NO_SCORES
+    # the levels add in order; the first is its own sum, as 0.0 + x is x
+    level = extra = _walk(index, edges, base_scores.vector)
+    for _ in range(depth - 1):
+        level = _walk(index, edges, level)
+        extra = extra + level
+    return Scores(index, extra)
 
 
 @dataclass
@@ -323,18 +396,25 @@ class Provenance:
     """
 
     seeds: dict[int, dict[str, float]] = field(default_factory=dict)
-    base: dict[int, dict[str, float]] = field(default_factory=dict)
-    prereq: dict[str, float] = field(default_factory=dict)
+    base: dict[int, Mapping[str, float]] = field(default_factory=dict)
+    prereq: Mapping[str, float] = field(default_factory=dict)
 
 
-def _merge_into(total: dict[str, float], part: Mapping[str, float]) -> None:
-    for node, score in part.items():
-        total[node] = total.get(node, 0.0) + score
+def _add(total: np.ndarray | None, part: Scores) -> np.ndarray | None:
+    """``total`` plus ``part``'s vector, in place; ``NO_SCORES`` adds nothing.
+    Adding 0.0 leaves a score's bits, so this sums each node's routes in the
+    order a per-node merge would."""
+    if part is NO_SCORES:
+        return total
+    if total is None:
+        return part.vector.copy()
+    total += part.vector
+    return total
 
 
 def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInput,
                     seeds: Mapping[str, float], prereq_depth: int = DEFAULT_PREREQ_DEPTH,
-                    ) -> tuple[dict[str, float], Provenance]:
+                    ) -> tuple[Scores, Provenance]:
     """Scenario score map before sorting/cutoff; seeds come from job resolution.
 
     Seeds are grouped by merged community; each group runs with its own
@@ -356,31 +436,42 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
             raise QueryError(f"taken course {course!r} is not in the graph")
     taken_seeds = {c: 1.0 / len(inp.taken_courses) for c in inp.taken_courses}
     path = UPSKILL_PATH if inp.scenario == 3 else BASE_PATH
-    total: dict[str, float] = {}
+    total = prereq = None
     for community, group in sorted(prov.seeds.items()):
         base = prov.base[community] = score_metapath(g, path, group, labels, community)
-        _merge_into(total, base)
+        total = _add(total, base)
         if inp.scenario != 3 and base:
             extra = prerequisite_expansion(g, base, prereq_depth)
-            _merge_into(total, extra)
-            _merge_into(prov.prereq, extra)
+            total = _add(total, extra)
+            prereq = _add(prereq, extra)
         if taken_seeds:
-            _merge_into(total, score_metapath(g, TAKEN_PATH, taken_seeds, labels, community))
+            total = _add(total, score_metapath(g, TAKEN_PATH, taken_seeds, labels, community))
+    index = g.cached(GraphIndex)
+    if prereq is not None:
+        prov.prereq = Scores(index, prereq)
+    if total is None:
+        return NO_SCORES, prov
     for course in taken_seeds:
-        total.pop(course, None)
-    return total, prov
+        total[index.pos[course]] = 0.0
+    return Scores(index, total), prov
 
 
-def to_ranked_list(scores: Mapping[str, float], query: str, scenario: str,
-                   cutoff: int | None = None, provenance: Provenance | None = None,
-                   ) -> RankedList:
+def to_ranked_list(ids: Sequence[str], scores: Sequence[float] | np.ndarray, query: str,
+                   scenario: str, cutoff: int | None = None,
+                   provenance: Provenance | None = None) -> RankedList:
+    """The ids of a positive score, highest score first, cut at ``cutoff``.
+
+    ``scores[i]`` is the score of ``ids[i]``, and ``ids`` must be in
+    ascending order, as a ``GraphIndex``'s are: a stable sort then breaks
+    ties by id. Only the entries kept are paired with their ids.
+    """
     if cutoff is not None and cutoff < 0:
         raise QueryError(f"list cutoff {cutoff} is negative")
-    entries = sorted(((n, s) for n, s in scores.items() if s > 0.0),
-                     key=lambda item: (-item[1], item[0]))
-    if cutoff is not None:
-        entries = entries[:cutoff]
-    return RankedList(tuple(entries), query, scenario, provenance)
+    scores = np.asarray(scores, dtype=np.float64)
+    hits = np.flatnonzero(scores > 0.0)
+    kept = hits[np.argsort(-scores[hits], kind="stable")][:cutoff].tolist()
+    return RankedList(tuple(zip([ids[i] for i in kept], scores[kept].tolist())),
+                      query, scenario, provenance)
 
 
 def recommend(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInput,
@@ -388,7 +479,8 @@ def recommend(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInput,
     """Rank candidate courses for one scenario input, with per-route ``provenance``."""
     seeds = resolve_job_query(g, inp.query_text)
     scores, prov = scenario_scores(g, labels, inp, seeds, prereq_depth)
-    return to_ranked_list(scores, inp.query_text, f"scenario-{inp.scenario}", cutoff, prov)
+    return to_ranked_list(scores.index.ids, scores.vector, inp.query_text,
+                          f"scenario-{inp.scenario}", cutoff, prov)
 
 
 def format_ranked_list(ranked: RankedList) -> str:

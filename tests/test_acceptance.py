@@ -16,10 +16,12 @@ from skillgraph import ingest, metrics
 from skillgraph.cli import main as cli_main
 from skillgraph.community import (FlowGraph, Labels, compute_flow, detect_communities,
                                   map_equation, merge_partitions)
+from skillgraph.errors import QueryError
 from skillgraph.graph import (HeteroGraph, NodeKind, Relation, build_career_graph,
                               build_education_graph, merge_graphs)
 from skillgraph.linker import link_skills
-from skillgraph.ranker import ScenarioInput, recommend, scenario_scores
+from skillgraph.ranker import (BASE_PATH, NO_SCORES, ScenarioInput, recommend, scenario_scores,
+                               score_metapath)
 from skillgraph.synth import generate_synthetic_corpus
 
 from oracles import (out_edges, random_hetero_graph, ref_scenario_scores, set_partitions)
@@ -128,13 +130,16 @@ def test_criterion_3_planted_partition_recovery():
             f"{best:.6f} over {count} partitions in {elapsed:.1f}s")
 
 
-def _ranking_oracle_gaps(wrap) -> tuple[float, int]:
+def _ranking_oracle_gaps(wrap, relabel=None) -> tuple[float, int]:
     """Worst score gap and scores compared, propagation against DFS tour
-    enumeration on 50 random graphs x 3 scenarios, labels passed as ``wrap(labels)``."""
+    enumeration on 50 random graphs x 3 scenarios, labels passed as
+    ``wrap(labels)``; ``relabel(g, labels)``, when given, makes the labels."""
     worst = 0.0
     compared = 0
     for seed in range(50):
         g, labels = random_hetero_graph(np.random.default_rng(seed), max_nodes=50)
+        if relabel is not None:
+            labels = relabel(g, labels)
         jobs = g.node_ids(NodeKind.JOB)
         courses = g.node_ids(NodeKind.COURSE)
         seeds = {j: 1.0 / len(jobs) for j in jobs}
@@ -143,10 +148,11 @@ def _ranking_oracle_gaps(wrap) -> tuple[float, int]:
             inp = ScenarioInput(scenario=scenario, career_goal="q" if scenario != 3 else None,
                                 taken_courses=taken if scenario == 2 else (),
                                 current_job="q" if scenario == 3 else None)
-            got, _ = scenario_scores(g, wrap(labels), inp, seeds)
+            got, prov = scenario_scores(g, wrap(labels), inp, seeds)
             want = ref_scenario_scores(g, labels, scenario, seeds,
                                        taken=taken if scenario == 2 else ())
             assert set(got) == set(want), (seed, scenario)
+            assert set(prov.base) == {labels[j] for j in jobs}, (seed, scenario)
             for node, score in want.items():
                 worst = max(worst, abs(got[node] - score))
                 assert abs(got[node] - score) <= 1e-12, (seed, scenario, node)
@@ -162,6 +168,48 @@ def test_criterion_4_ranking_oracle_equivalence():
     verdict(4, "ranking oracle", elapsed < 30.0,
             f"{compared} scores across 50 graphs x 3 scenarios, worst |ds|={worst:.2e}, "
             f"{elapsed:.1f}s")
+
+
+def _with_dead_groups(g: HeteroGraph, labels: dict) -> tuple[dict, list[int]]:
+    """``labels`` with jobs moved to new communities whose gated walks cannot
+    reach a course, and those communities: each odd-numbered job alone (no
+    required skill lands in it), and the first job with the skills it
+    requires and their linked skills (no course covers a skill in it)."""
+    labels = dict(labels)
+    fresh = max(labels.values()) + 1
+    jobs = g.node_ids(NodeKind.JOB)
+    required = [s for s, _w in out_edges(g, jobs[0], Relation.REQUIRED)]
+    linked = [t for s in required for t, _w in out_edges(g, s, Relation.LINKED)]
+    for node in [jobs[0], *required, *linked]:
+        labels[node] = fresh
+    dead = [fresh]
+    for job in jobs[1::2]:
+        dead.append(fresh + len(dead))
+        labels[job] = dead[-1]
+    return labels, dead
+
+
+def test_criterion_4_holds_with_dead_groups():
+    """The same equivalence when some groups cannot reach a course: their
+    walks push nothing, they stay in the provenance, and a bad seed among
+    them is still refused."""
+    _worst, compared = _ranking_oracle_gaps(
+        Labels, lambda g, labels: _with_dead_groups(g, labels)[0])
+    assert compared > 0
+    dead_groups = 0
+    for seed in range(50):
+        g, plain = random_hetero_graph(np.random.default_rng(seed), max_nodes=50)
+        labels, dead = _with_dead_groups(g, plain)
+        by_community = {labels[j]: j for j in g.node_ids(NodeKind.JOB)}
+        for community in dead:
+            job = by_community[community]
+            assert score_metapath(g, BASE_PATH, {job: 1.0}, labels, community) is NO_SCORES
+            with pytest.raises(QueryError, match="seed 'JX' is not in the graph"):
+                score_metapath(g, BASE_PATH, {job: 1.0, "JX": 1.0}, labels, community)
+            with pytest.raises(QueryError, match="seed 'C0' is a course, path starts at a job"):
+                score_metapath(g, BASE_PATH, {job: 1.0, "C0": 1.0}, labels, community)
+            dead_groups += 1
+    assert dead_groups >= 50
 
 
 def test_criterion_4_holds_with_read_only_labels():

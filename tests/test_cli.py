@@ -452,6 +452,17 @@ class TestErrors:
         assert stdout == ""
         assert f"error: {enrollments}: row 1: term '{term}' is not an integer" in err
 
+    def test_json_lone_surrogate_exits_one(self, tmp_path, capsys):
+        courses = tmp_path / "courses.json"
+        courses.write_text(json.dumps([{"id": "C1", "name": "bad\ud800name",
+                                        "description": "d"}]))
+        code, stdout, err = run_cli(capsys, *ingest_argv(tmp_path, capsys, courses=courses))
+        assert code == 1
+        assert stdout == ""
+        assert (f"error: {courses}: row 1: name holds '\\ud800' at character 3, "
+                "which UTF-8 cannot encode") in err
+        assert not (tmp_path / "out" / "courses.csv").exists()
+
     def test_json_nested_past_the_recursion_limit_exits_one(self, tmp_path, capsys):
         courses = tmp_path / "courses.json"
         courses.write_text("[" * 100_000 + "]" * 100_000)

@@ -15,7 +15,7 @@ from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build
                               prereq_counts, read_snapshot, skill_key, snapshot_lines,
                               write_snapshot)
 from skillgraph.ingest import Course, EnrollmentRecord, Job
-from skillgraph.ranker import BASE_PATH, prerequisite_expansion, score_metapath
+from skillgraph.ranker import BASE_PATH, Scores, prerequisite_expansion, score_metapath
 
 from oracles import (edges, out_edges, random_domain_graphs, random_hetero_graph,
                      ref_build_career_graph, ref_merge_graphs)
@@ -369,7 +369,10 @@ def _use_every_view(g, labels):
     detect_communities(g, seed=0)
     map_equation(g, flow, labels)
     score_metapath(g, BASE_PATH, {"J0": 1.0}, labels, labels["J0"])
-    prerequisite_expansion(g, {"C0": 1.0})
+    index = g.cached(GraphIndex)
+    base = np.zeros(index.n)
+    base[index.pos["C0"]] = 1.0
+    prerequisite_expansion(g, Scores(index, base))
 
 
 def test_index_built_once_per_graph_state(monkeypatch):
@@ -608,6 +611,18 @@ class TestSnapshot:
         p = tmp_path / "g.graph"
         with pytest.raises(GraphError, match=re.escape(f"node id {node_id!r} cannot be written")):
             write_snapshot(g, p)
+        assert not p.exists()
+
+    def test_id_utf8_cannot_encode_is_refused_before_writing(self, tmp_path):
+        g = HeteroGraph()
+        g.add_node("J1", NodeKind.JOB)
+        g.add_node("a\ud800b", NodeKind.SKILL)
+        g.add_edge("J1", Relation.REQUIRED, "a\ud800b", 1.0)
+        p = tmp_path / "g.graph"
+        with pytest.raises(GraphError) as err:
+            write_snapshot(g, p)
+        assert str(err.value) == ("node id 'a\\ud800b' cannot be written to a snapshot: "
+                                  "it holds '\\ud800', which UTF-8 cannot encode")
         assert not p.exists()
 
     def test_id_with_a_tab_round_trips(self, tmp_path):

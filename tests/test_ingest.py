@@ -341,6 +341,32 @@ class TestJsonText:
             load_jobs(p)
         assert str(err.value) == f"{p}: row 1: skills is {kind}, not text"
 
+    def test_lone_surrogate_rejected(self, tmp_path):
+        # json.loads accepts the escape, but no UTF-8 file can hold its character
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps([{"id": "C1", "name": "bad\ud800name", "description": "d"}]))
+        with pytest.raises(IngestError) as err:
+            load_courses(p)
+        assert str(err.value) == (f"{p}: row 1: name holds '\\ud800' at character 3, "
+                                  "which UTF-8 cannot encode")
+
+    @pytest.mark.parametrize("skills", [["sql", "x\udfffy"], "sql;x\udfffy"],
+                             ids=["list", "string"])
+    def test_lone_surrogate_job_skill_rejected(self, tmp_path, skills):
+        p = tmp_path / "j.json"
+        p.write_text(json.dumps([{"id": "J1", "title": "Dev", "company": "acme",
+                                  "location": "remote", "skills": skills}]))
+        with pytest.raises(IngestError) as err:
+            load_jobs(p)
+        at = 1 if isinstance(skills, list) else 5
+        assert str(err.value) == (f"{p}: row 1: skills holds '\\udfff' at character {at}, "
+                                  "which UTF-8 cannot encode")
+
+    def test_paired_surrogate_escapes_load_as_one_character(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text('[{"id": "C1", "name": "a\\ud83d\\ude00", "description": "d"}]')
+        assert load_courses(p) == [Course(id="C1", name="a\U0001f600", description="d")]
+
     def test_long_number_loads_as_written(self, tmp_path):
         # past Python's int-conversion digit limit, still text
         digits = "7" * 5000

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from skillgraph import cli, ranker
+from skillgraph import cli, kernels, ranker
 from skillgraph.community import Labels, read_labels
 from skillgraph.errors import QueryError
 from skillgraph.graph import GraphIndex, HeteroGraph, NodeKind, Relation, read_snapshot
@@ -373,6 +373,29 @@ class TestScenarios:
                 for node, score in want.items():
                     assert got[node] == pytest.approx(score, abs=1e-12)
 
+    def test_scenarios_match_oracle_with_seeds_of_any_sign(self):
+        # a negative seed cancels mass that others push, and each route keeps
+        # only the nodes it leaves positive, before the routes add
+        checked = 0
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            g, labels = random_hetero_graph(rng, n_labels=3)
+            jobs = g.node_ids(NodeKind.JOB)
+            seeds = dict(zip(jobs, rng.normal(size=len(jobs)).tolist()))
+            taken = tuple(g.node_ids(NodeKind.COURSE)[:1])
+            for scenario in (1, 2, 3):
+                inp = ScenarioInput(scenario=scenario, career_goal="q" if scenario != 3 else None,
+                                    taken_courses=taken if scenario == 2 else (),
+                                    current_job="q" if scenario == 3 else None)
+                got, _prov = scenario_scores(g, labels, inp, seeds)
+                want = ref_scenario_scores(g, labels, scenario, seeds,
+                                           taken=taken if scenario == 2 else ())
+                assert set(got) == set(want), (seed, scenario)
+                for node, score in want.items():
+                    assert got[node] == pytest.approx(score, abs=1e-12)
+                checked += len(want)
+        assert checked > 40
+
     def test_debug_provenance_separates_routes(self):
         g, labels = single_tour_graph()
         g.add_node("C0", NodeKind.COURSE)
@@ -662,12 +685,42 @@ class TestScenarioRoutes:
             assert len(prov.base) == 6 and len(nonempty) == 1
             assert bases == (nonempty if inp.scenario != 3 else [])
 
+    def test_walks_that_cannot_reach_a_course_push_nothing(self, fanned_out, monkeypatch):
+        # five of the six groups are career communities with no course, so
+        # their gated walks end before a scatter: only the live group's base
+        # (3 steps, or 4 for upskilling), its prerequisite hop and its
+        # taken-course walk (2 steps) call the kernel
+        g, labels = fanned_out
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return propagate_step(*args)
+
+        propagate_step = kernels.propagate_step
+        monkeypatch.setattr(kernels, "propagate_step", counting)
+        counts = []
+        for inp in FANNED_OUT_INPUTS:
+            calls.clear()
+            recommend(g, labels, inp)
+            counts.append(len(calls))
+        assert counts == [4, 6, 4]
+
     def test_recommend_provenance_is_scenario_scores(self, fanned_out):
         g, labels = fanned_out
         for inp in FANNED_OUT_INPUTS:
             seeds = resolve_job_query(g, inp.query_text)
             assert (recommend(g, labels, inp).provenance
                     == scenario_scores(g, labels, inp, seeds)[1])
+
+
+def scores_on(g, scores):
+    """``scores`` as ``ranker.Scores`` on ``g`` as it is now."""
+    index = g.cached(GraphIndex)
+    vector = np.zeros(index.n)
+    for node_id, score in scores.items():
+        vector[index.pos[node_id]] = score
+    return ranker.Scores(index, vector)
 
 
 class TestPrerequisiteExpansion:
@@ -677,15 +730,16 @@ class TestPrerequisiteExpansion:
             g.add_node(c, NodeKind.COURSE)
         g.add_edge("C2", Relation.PRE_REQUIRED, "C1", 1.0)
         g.add_edge("C1", Relation.PRE_REQUIRED, "C0", 1.0)
-        assert prerequisite_expansion(g, {"C2": 1.0}, depth=1) == {"C1": 1.0}
-        assert prerequisite_expansion(g, {"C2": 1.0}, depth=2) == {"C1": 1.0, "C0": 1.0}
-        assert prerequisite_expansion(g, {"C2": 1.0}, depth=0) == {}
+        base = scores_on(g, {"C2": 1.0})
+        assert prerequisite_expansion(g, base, depth=1) == {"C1": 1.0}
+        assert prerequisite_expansion(g, base, depth=2) == {"C1": 1.0, "C0": 1.0}
+        assert prerequisite_expansion(g, base, depth=0) == {}
 
     def test_negative_depth_rejected(self):
         g = HeteroGraph()
         g.add_node("C0", NodeKind.COURSE)
         with pytest.raises(QueryError, match="depth -1 must be >= 0"):
-            prerequisite_expansion(g, {"C0": 1.0}, depth=-1)
+            prerequisite_expansion(g, scores_on(g, {"C0": 1.0}), depth=-1)
 
     def test_shared_prerequisite_adds_pushes(self):
         g = HeteroGraph()
@@ -694,8 +748,22 @@ class TestPrerequisiteExpansion:
         g.add_edge("C1", Relation.PRE_REQUIRED, "C0", 0.5)
         g.add_edge("C1", Relation.PRE_REQUIRED, "C3", 0.5)
         g.add_edge("C2", Relation.PRE_REQUIRED, "C0", 1.0)
-        assert prerequisite_expansion(g, {"C2": 0.5, "C1": 0.25}) == {"C0": 0.625, "C3": 0.125}
-        assert prerequisite_expansion(g, {"CX": 1.0, "C2": 0.5}) == {"C0": 0.5}
+        base = scores_on(g, {"C2": 0.5, "C1": 0.25})
+        assert prerequisite_expansion(g, base) == {"C0": 0.625, "C3": 0.125}
+
+    def test_base_from_another_graph_state_rejected(self):
+        g = HeteroGraph()
+        for c in ("C0", "C1"):
+            g.add_node(c, NodeKind.COURSE)
+        g.add_edge("C1", Relation.PRE_REQUIRED, "C0", 1.0)
+        base = scores_on(g, {"C1": 1.0})
+        with pytest.raises(QueryError, match="base scores were made on another graph"):
+            prerequisite_expansion(g.copy(), base)
+        g.add_node("C2", NodeKind.COURSE)
+        with pytest.raises(QueryError, match="base scores were made on another graph"):
+            prerequisite_expansion(g, base)
+        # an empty base pushes nothing, whatever graph it came from
+        assert prerequisite_expansion(g, ranker.NO_SCORES) == {}
 
     def test_depth_two_sums_levels_over_branching_chain(self):
         g = HeteroGraph()
@@ -706,26 +774,39 @@ class TestPrerequisiteExpansion:
         g.add_edge("C2", Relation.PRE_REQUIRED, "C0", 1.0)
         g.add_edge("C3", Relation.PRE_REQUIRED, "C0", 0.75)
         g.add_edge("C3", Relation.PRE_REQUIRED, "C1", 0.25)
-        assert prerequisite_expansion(g, {"C4": 1.0}, depth=2) == {
+        assert prerequisite_expansion(g, scores_on(g, {"C4": 1.0}), depth=2) == {
             "C0": 0.875, "C1": 0.125, "C2": 0.5, "C3": 0.5}
         # C0 is pushed at both levels: 1.0 from C2, then 0.5 + 0.375 through C2 and C3
-        assert prerequisite_expansion(g, {"C4": 1.0, "C2": 1.0}, depth=2) == {
+        assert prerequisite_expansion(g, scores_on(g, {"C4": 1.0, "C2": 1.0}), depth=2) == {
             "C0": 1.875, "C1": 0.125, "C2": 0.5, "C3": 0.5}
 
 
 class TestRankedList:
     def test_sorted_ties_by_id(self):
-        ranked = to_ranked_list({"b": 1.0, "a": 1.0, "c": 2.0}, "q", "s")
+        ranked = to_ranked_list(["a", "b", "c"], [1.0, 1.0, 2.0], "q", "s")
         assert ranked.entries == (("c", 2.0), ("a", 1.0), ("b", 1.0))
 
     def test_zero_scores_dropped_and_cutoff(self):
-        ranked = to_ranked_list({"a": 0.0, "b": 1.0, "c": 0.5}, "q", "s", cutoff=1)
+        ranked = to_ranked_list(["a", "b", "c"], [0.0, 1.0, 0.5], "q", "s", cutoff=1)
         assert ranked.entries == (("b", 1.0),)
-        assert to_ranked_list({"b": 1.0}, "q", "s", cutoff=0).entries == ()
+        assert to_ranked_list(["b"], [1.0], "q", "s", cutoff=0).entries == ()
+
+    def test_matches_a_sort_by_score_then_id(self):
+        # the routine's reference: sort every positive entry by (-score, id), then cut
+        rng = np.random.default_rng(5)
+        pool = [0.25, 0.5, 1.0, 2.0, 0.0, -0.0, -1.0, np.nan, np.inf, 1e-300]
+        for size in (0, 1, 7, 40):
+            ids = sorted(f"n{i:03d}" for i in rng.choice(1000, size=size, replace=False))
+            scores = rng.choice(pool, size=size).tolist()
+            for cutoff in (None, 0, 3, 50):
+                want = sorted(((n, s) for n, s in zip(ids, scores) if s > 0.0),
+                              key=lambda item: (-item[1], item[0]))[:cutoff]
+                got = to_ranked_list(ids, scores, "q", "s", cutoff).entries
+                assert got == tuple(want), (size, cutoff)
 
     def test_negative_cutoff_rejected(self):
         with pytest.raises(QueryError, match="cutoff -1 is negative"):
-            to_ranked_list({"a": 1.0, "b": 2.0}, "q", "s", cutoff=-1)
+            to_ranked_list(["a", "b"], [1.0, 2.0], "q", "s", cutoff=-1)
 
     def test_invalid_orderings_rejected(self):
         with pytest.raises(QueryError):
@@ -743,9 +824,9 @@ class TestRankedList:
         assert repr(traced) == repr(plain)
 
     def test_to_ranked_list_carries_no_provenance(self):
-        assert to_ranked_list({"a": 1.0}, "q", "s").provenance is None
+        assert to_ranked_list(["a"], [1.0], "q", "s").provenance is None
 
     def test_serialization_format(self):
-        ranked = to_ranked_list({"C1": 1 / 3, "C2": 2 / 3}, "q", "s")
+        ranked = to_ranked_list(["C1", "C2"], [1 / 3, 2 / 3], "q", "s")
         text = format_ranked_list(ranked)
         assert text == "rank,node_id,score\n1,C2,0.666666666667\n2,C1,0.333333333333\n"
