@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 
 import numpy as np
@@ -52,6 +53,18 @@ class TestResolveJobQuery:
     def test_empty_query_rejected(self):
         with pytest.raises(QueryError):
             resolve_job_query(job_graph(["x"]), "  ,, ")
+
+    def test_no_match_message_pinned(self):
+        # five nearest distinct titles: most shared tokens first, then by title
+        g = job_graph(["data engineer", "senior data engineer", "data scientist",
+                       "java developer", "plumber", "Data Analyst", "engineer in training",
+                       "zoo keeper"])
+        with pytest.raises(QueryError) as err:
+            resolve_job_query(g, "quantum data engineer")
+        assert str(err.value) == (
+            "no job title matches 'quantum data engineer'; nearest titles: "
+            "['data engineer', 'senior data engineer', 'Data Analyst', 'data scientist', "
+            "'engineer in training']")
 
     def test_nearest_titles_are_distinct(self):
         g = job_graph(["topic-3 engineer"] * 6 + ["topic-3 analyst", "Engineer", "plumber"])
@@ -408,6 +421,57 @@ class TestScenarios:
         assert prov.seeds == {0: {"J1": 1.0}}
 
 
+class TestSeedErrors:
+    """A library caller's seed mapping is checked in one order: every seed
+    labelled, then every taken course in the graph, then each community
+    group's seeds, groups ascending, in the graph and of the path's kind."""
+
+    @staticmethod
+    def graph():
+        g, labels = single_tour_graph()
+        g.add_node("J2", NodeKind.JOB, "data engineer")
+        g.add_node("C0", NodeKind.COURSE)
+        return g, {**labels, "C0": 0}
+
+    def test_unlabelled_seed_raises_first(self):
+        g, labels = self.graph()
+        inp = ScenarioInput(2, career_goal="data engineer", taken_courses=("CX",))
+        # JX is labelled but not in the graph; J2 is in the graph, unlabelled
+        labels["JX"] = 0
+        for seeds, unlabelled in (({"JX": 0.5, "J2": 0.5}, "J2"), ({"J1": 0.5, "JY": 0.5}, "JY")):
+            with pytest.raises(QueryError, match=f"^job '{unlabelled}' carries no community label$"):
+                scenario_scores(g, labels, inp, seeds)
+
+    def test_bad_taken_course_raises_before_a_seed_missing_from_the_graph(self):
+        g, labels = self.graph()
+        inp = ScenarioInput(2, career_goal="data engineer", taken_courses=("C1", "CX"))
+        with pytest.raises(QueryError, match="^taken course 'CX' is not in the graph$"):
+            scenario_scores(g, {**labels, "JX": 0}, inp, {"J1": 0.5, "JX": 0.5})
+
+    def test_labelled_seed_missing_from_the_graph(self):
+        g, labels = self.graph()
+        for scenario in (1, 3):
+            inp = ScenarioInput(scenario, career_goal="q" if scenario == 1 else None,
+                                current_job="q" if scenario == 3 else None)
+            with pytest.raises(QueryError, match="^seed 'JX' is not in the graph$"):
+                scenario_scores(g, {**labels, "JX": 0}, inp, {"J1": 0.5, "JX": 0.5})
+
+    def test_course_seed_rejected(self):
+        g, labels = self.graph()
+        inp = ScenarioInput(1, career_goal="data engineer")
+        with pytest.raises(QueryError, match="^seed 'C0' is a course, path starts at a job$"):
+            scenario_scores(g, labels, inp, {"J1": 0.5, "C0": 0.5})
+
+    def test_groups_are_checked_in_ascending_community_order(self):
+        # JX (community 5) comes first in the mapping, but C0's group runs first
+        g, labels = self.graph()
+        inp = ScenarioInput(1, career_goal="data engineer")
+        with pytest.raises(QueryError, match="^seed 'C0' is a course, path starts at a job$"):
+            scenario_scores(g, {**labels, "JX": 5}, inp, {"JX": 0.5, "C0": 0.5})
+        with pytest.raises(QueryError, match="^seed 'JX' is not in the graph$"):
+            scenario_scores(g, {**labels, "JX": -1}, inp, {"C0": 0.5, "JX": 0.5})
+
+
 class TestGraphViewCache:
     """The ranker's per-graph array view follows every change to the graph."""
 
@@ -712,6 +776,60 @@ class TestScenarioRoutes:
             seeds = resolve_job_query(g, inp.query_text)
             assert (recommend(g, labels, inp).provenance
                     == scenario_scores(g, labels, inp, seeds)[1])
+
+
+MANY_SEEDS_GOAL = "engineer"
+MANY_SEEDS_INPUTS = (
+    ScenarioInput(1, career_goal=MANY_SEEDS_GOAL),
+    ScenarioInput(2, career_goal=MANY_SEEDS_GOAL, taken_courses=("C024", "C000")),
+    ScenarioInput(3, current_job=MANY_SEEDS_GOAL),
+)
+
+
+class TestManySeeds:
+    """``engineer`` resolves to 107 jobs of the fanned-out corpus, split over
+    15 community groups (every one of its career communities)."""
+
+    GROUP_SIZES = {0: 7, 1: 8, 2: 12, 3: 15, 4: 9, 5: 8, 6: 12, 7: 9, 8: 13, 9: 1,
+                   10: 3, 11: 4, 12: 4, 13: 1, 14: 1}
+
+    def test_resolution_equals_the_scan(self, fanned_out):
+        g, _labels = fanned_out
+        seeds = resolve_job_query(g, MANY_SEEDS_GOAL)
+        want = ref_resolve_job_query(g, MANY_SEEDS_GOAL)
+        assert len(seeds) == 107
+        assert seeds == want
+        assert list(seeds.items()) == list(want.items())
+
+    def test_totals_groups_and_lists_pinned(self, fanned_out):
+        # the sha256 of each total's repr pins every float to the bit and the
+        # key order
+        g, labels = fanned_out
+        expected = [
+            ("a3125fbf040bd1825dbe17d7856ea182268e59f3ac3f4689f926f659bf43b340",
+             "rank,node_id,score\n1,C018,0.00831383717222\n2,C019,0.00621271425\n"
+             "3,C012,0.00558556322978\n4,C054,0.00520732996059\n5,C020,0.00511966433692\n"
+             "6,C030,0.00428498033858\n7,C006,0.00421416763177\n8,C021,0.00393950227994\n"
+             "9,C055,0.00384024097291\n10,C022,0.00373639193925\n"),
+            ("ca5cb74c3d6a29c9b24857a68b9eadd33ed4092aaf9c8064489972f01151e66a",
+             "rank,node_id,score\n1,C027,0.0253295896228\n2,C018,0.00831383717222\n"
+             "3,C019,0.00621271425\n4,C012,0.00558556322978\n5,C054,0.00520732996059\n"
+             "6,C020,0.00511966433692\n7,C030,0.00428498033858\n8,C006,0.00421416763177\n"
+             "9,C021,0.00393950227994\n10,C055,0.00384024097291\n"),
+            ("002e90633e9161e9fa5f973b9006b382f35ac429c6da84831391e73e73dca9e5",
+             "rank,node_id,score\n1,C023,0.00253286485598\n2,C021,0.00242215183781\n"
+             "3,C022,0.00234522149268\n4,C020,0.00221410969104\n5,C035,0.00180833271867\n"
+             "6,C059,0.00171995789431\n7,C016,0.00170089346899\n8,C056,0.00167662075324\n"
+             "9,C057,0.00158847826545\n10,C041,0.00156250106969\n"),
+        ]
+        seeds = resolve_job_query(g, MANY_SEEDS_GOAL)
+        for inp, (digest, text) in zip(MANY_SEEDS_INPUTS, expected):
+            total, prov = scenario_scores(g, labels, inp, seeds)
+            assert hashlib.sha256(repr(total).encode()).hexdigest() == digest, inp
+            assert {c: len(group) for c, group in prov.seeds.items()} == self.GROUP_SIZES
+            ranked = recommend(g, labels, inp, cutoff=10)
+            assert ranked.provenance == prov
+            assert format_ranked_list(ranked) == text
 
 
 def scores_on(g, scores):
