@@ -99,7 +99,7 @@ class RankedList:
     provenance: Provenance | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if any(score <= 0.0 for _n, score in self.entries):
+        if any(not score > 0.0 for _n, score in self.entries):  # also true for NaN
             raise QueryError("ranked list contains a non-positive score")
         if len({n for n, _s in self.entries}) != len(self.entries):
             raise QueryError("ranked list contains a duplicate node")

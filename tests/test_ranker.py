@@ -934,6 +934,15 @@ class TestRankedList:
         with pytest.raises(QueryError):
             RankedList(entries=(("a", 0.0),), query="q", scenario="s")
 
+    def test_nan_score_rejected(self):
+        with pytest.raises(QueryError, match="non-positive score"):
+            RankedList((("a", float("nan")),), "q", "s")
+
+    def test_nan_ahead_of_a_positive_score_rejected(self):
+        # a NaN compares false both ways, so it also passes the order check
+        with pytest.raises(QueryError, match="non-positive score"):
+            RankedList((("a", float("nan")), ("b", 1.0)), "q", "s")
+
     def test_equality_ignores_provenance(self):
         entries = (("C1", 1.0),)
         plain = RankedList(entries, "q", "s")
