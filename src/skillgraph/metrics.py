@@ -226,10 +226,10 @@ def baseline_vector_space(jobs: Sequence[Job], courses: Sequence[Course], query:
         raise EvalError("empty job query")
     matched = match_titles(title_index((i, job.title) for i, job in enumerate(jobs)),
                            title_tokens)
-    if not matched:
+    if not len(matched):
         raise EvalError(f"no job title matches {query!r}")
     query_tokens: list[str] = []
-    for job in (jobs[i] for i in matched):
+    for job in (jobs[i] for i in matched.tolist()):
         query_tokens += tokenize(job.title)
         for sid in sorted(job.skills):
             query_tokens += tokenize(sid)

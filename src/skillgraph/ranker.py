@@ -19,6 +19,14 @@ shared empty ``NO_SCORES`` without allocating or scattering, so a query that
 fans out over many community groups pays only for the walks that can reach
 a course. The rule reads only the graph and the labels.
 
+A query's seeds are index positions with their weights (``Seeds``), from
+the title match to the scatter: the matched titles' jobs come as one
+position array, ``scenario_scores`` splits it by community with one gather
+of each seed's community slot, and ``score_metapath`` checks a seed set's
+node kind once and places its seeds with one indexed write. A caller's
+plain mapping of seeds is converted once, on entry, with the same checks
+and messages, seed by seed.
+
 A route's scores stay one dense vector over the graph's nodes (``Scores``),
 and a scenario adds its routes as vectors in the order a per-node merge
 would, which keeps every bit because adding 0.0 is exact. Node ids are made
@@ -84,6 +92,16 @@ class MetaPath:
                 raise QueryError(
                     f"meta-path breaks: step ends at {a.target_kind.value}, "
                     f"next starts at {b.source_kind.value}")
+        # hashed once: a community gate keys each path's edges by the path
+        object.__setattr__(self, "_hash", hash(self.steps))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, and so hashed again, on unpickling: str hashes, and with
+        # them a Relation's, differ from process to process
+        return MetaPath, (self.steps,)
 
     @property
     def source_kind(self) -> NodeKind:
@@ -150,44 +168,84 @@ def title_contains(title_tokens: list[str], query_tokens: list[str]) -> bool:
 @dataclass(frozen=True)
 class TitleIndex:
     """Job titles as token tuples: ``titles`` maps each distinct one to the
-    ids of its jobs and ``postings`` each token to the titles holding it, so a
-    query checks only its rarest token's titles instead of every job."""
+    sorted positions of its jobs and ``postings`` each token to the titles
+    holding it, so a query checks only its rarest token's titles instead of
+    every job."""
 
-    titles: dict[tuple[str, ...], list]
+    titles: dict[tuple[str, ...], np.ndarray]
     postings: dict[str, list[tuple[str, ...]]]
 
 
-def title_index(jobs: Iterable[tuple[object, str]]) -> TitleIndex:
-    """Index ``(job id, title)`` pairs, tokenizing each distinct title once."""
-    by_raw: dict[str, list] = {}
-    for job_id, title in jobs:
-        by_raw.setdefault(title, []).append(job_id)
-    titles: dict[tuple[str, ...], list] = {}
-    for raw, job_ids in by_raw.items():
-        titles.setdefault(tuple(tokenize(raw)), []).extend(job_ids)
+def title_index(jobs: Iterable[tuple[int, str]]) -> TitleIndex:
+    """Index ``(job position, title)`` pairs, tokenizing each distinct title once."""
+    by_raw: dict[str, list[int]] = {}
+    for position, title in jobs:
+        by_raw.setdefault(title, []).append(position)
+    titles: dict[tuple[str, ...], list[int]] = {}
+    for raw, positions in by_raw.items():
+        titles.setdefault(tuple(tokenize(raw)), []).extend(positions)
     postings: dict[str, list[tuple[str, ...]]] = {}
     for title in titles:
         for token in dict.fromkeys(title):
             postings.setdefault(token, []).append(title)
-    return TitleIndex(titles, postings)
+    arrays = {title: np.sort(np.asarray(positions, dtype=np.int64))
+              for title, positions in titles.items()}
+    for positions in arrays.values():
+        positions.flags.writeable = False  # shared by every query's seeds
+    return TitleIndex(arrays, postings)
 
 
 def job_titles(g: HeteroGraph) -> TitleIndex:
-    """The title index of ``g``'s job nodes; read it as ``g.cached(job_titles)``."""
-    return title_index((job_id, g.node_name(job_id)) for job_id in g.node_ids(NodeKind.JOB))
+    """The title index of ``g``'s job nodes by ``GraphIndex`` position; read
+    it as ``g.cached(job_titles)``."""
+    pos = g.cached(GraphIndex).pos
+    return title_index((pos[job_id], g.node_name(job_id)) for job_id in g.node_ids(NodeKind.JOB))
 
 
-def match_titles(index: TitleIndex, query: list[str]) -> list:
-    """Sorted ids of the jobs whose title holds the ``query`` tokens as a run."""
+def match_titles(index: TitleIndex, query: list[str]) -> np.ndarray:
+    """Sorted positions of the jobs whose title holds the ``query`` tokens as a run."""
     # a matching title holds every query token, so the rarest one's postings
     # hold every match; a token in no title leaves nothing to check
     candidates = min((index.postings.get(token, []) for token in query), key=len)
-    return sorted(job_id for title in candidates if title_contains(list(title), query)
-                  for job_id in index.titles[title])
+    found = [index.titles[title] for title in candidates if title_contains(list(title), query)]
+    if len(found) == 1:
+        return found[0]
+    return np.sort(np.concatenate(found)) if found else np.zeros(0, dtype=np.int64)
 
 
-def resolve_job_query(g: HeteroGraph, text: str) -> dict[str, float]:
-    """Jobs whose title contains the query as a contiguous token run.
+class Seeds(Mapping[str, float]):
+    """Seed weights as positions on ``index``, every seed a ``kind`` node:
+    ``weight[i]`` is the weight of ``index.ids[pos[i]]``, and the keys iterate
+    in ``pos`` order. A community group is a ``Seeds`` over a slice of its
+    set's arrays and keeps the set's kind, so no walk checks a seed's kind."""
+
+    def __init__(self, index: GraphIndex, pos: np.ndarray, weight: np.ndarray,
+                 kind: NodeKind) -> None:
+        self.index = index
+        self.pos = pos
+        self.weight = weight
+        self.kind = kind
+        self._by_id: dict[str, float] | None = None
+
+    def __getitem__(self, node_id: str) -> float:
+        if self._by_id is None:
+            self._by_id = dict(zip(self, self.weight.tolist()))
+        return self._by_id[node_id]
+
+    def __iter__(self) -> Iterator[str]:
+        ids = self.index.ids
+        return (ids[i] for i in self.pos.tolist())
+
+    def __len__(self) -> int:
+        return len(self.pos)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def resolve_job_query(g: HeteroGraph, text: str) -> Seeds:
+    """Jobs whose title contains the query as a contiguous token run, as a
+    read-only mapping from job id to weight, in id order.
 
     Matches share uniform weight. With no match, raises and names up to five
     nearest distinct titles by shared-token count, then by title.
@@ -195,33 +253,41 @@ def resolve_job_query(g: HeteroGraph, text: str) -> dict[str, float]:
     query = tokenize(text)
     if not query:
         raise QueryError("empty job query")
-    index = g.cached(job_titles)
-    matches = match_titles(index, query)
-    if not matches:
+    titles = g.cached(job_titles)
+    matches = match_titles(titles, query)
+    index = g.cached(GraphIndex)
+    if not len(matches):
         qset = set(query)
-        scored = sorted({(-len(qset.intersection(title)), g.node_name(job_id))
-                         for title, job_ids in index.titles.items() for job_id in job_ids})
+        scored = sorted({(-len(qset.intersection(title)), g.node_name(index.ids[i]))
+                         for title, positions in titles.titles.items()
+                         for i in positions.tolist()})
         nearest = [name for _neg, name in scored[:5]]
         raise QueryError(
             f"no job title matches {text!r}; nearest titles: {nearest}")
-    weight = 1.0 / len(matches)
-    return {job_id: weight for job_id in matches}
+    return Seeds(index, matches, np.full(len(matches), 1.0 / len(matches)), NodeKind.JOB)
+
+
+Edges = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class CommunityEdges:
     """Per (relation, direction), the edges stably ordered by the community
     of the node they land on, with each community's bounds; an edge landing
-    on an unlabelled node is in no community's slice. Community ids map to
-    slice numbers through a dict, so any hashable label works. Read it as
-    ``labels.cached(index, CommunityEdges)``; slices are built on first use."""
+    on an unlabelled node is in no community's slice. Slice numbers follow
+    the communities' ascending order: ``communities[k]`` is slice ``k``'s
+    community and ``node_slot`` each node's slice, -1 when unlabelled. Read
+    it as ``labels.cached(index, CommunityEdges)``; slices are built on first
+    use, and each path's gated edges for a community once (``path_edges``)."""
 
     def __init__(self, index: GraphIndex, labels: Labels) -> None:
         self.index = index
-        self.slot: dict[int, int] = {}
-        node_slot = [-1 if c is None else self.slot.setdefault(c, len(self.slot))
-                     for c in map(labels.get, index.ids)]
-        self.node_slot = np.asarray(node_slot, dtype=np.int64)
+        node_labels = list(map(labels.get, index.ids))
+        self.communities = sorted({c for c in node_labels if c is not None})
+        self.slot = {c: k for k, c in enumerate(self.communities)}
+        self.node_slot = np.asarray([-1 if c is None else self.slot[c] for c in node_labels],
+                                    dtype=np.int64)
         self._ordered: dict[tuple[Relation, bool], tuple] = {}
+        self._paths: dict[tuple[MetaPath, int], list[Edges] | None] = {}
 
     def edges(self, step: MetaPathStep,
               community: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -239,8 +305,13 @@ class CommunityEdges:
         lo, hi = (0, 0) if k is None else (bounds[k], bounds[k + 1])
         return src[lo:hi], dst[lo:hi], wgt[lo:hi]
 
-
-Edges = tuple[np.ndarray, np.ndarray, np.ndarray]
+    def path_edges(self, path: MetaPath, community: int) -> list[Edges] | None:
+        """``_path_edges`` of ``path`` gated to ``community``, kept after the
+        first call."""
+        key = (path, community)
+        if key not in self._paths:
+            self._paths[key] = _path_edges(self.index, path, self, community)
+        return self._paths[key]
 
 
 def _path_edges(index: GraphIndex, path: MetaPath, gate: CommunityEdges | None = None,
@@ -312,6 +383,34 @@ def _as_labels(labels: Mapping[str, int]) -> Labels:
     return labels if isinstance(labels, Labels) else Labels(labels)
 
 
+def _wrong_kind(node_id: str, kind: NodeKind, want: NodeKind) -> QueryError:
+    return QueryError(f"seed {node_id!r} is a {kind.value}, path starts at a {want.value}")
+
+
+def _as_seeds(g: HeteroGraph, index: GraphIndex, seeds: Mapping[str, float],
+              kind: NodeKind) -> Seeds:
+    """``seeds`` as ``Seeds`` on ``index`` whose seeds are ``kind`` nodes.
+
+    ``Seeds`` already on ``index`` are checked by the kind they record. Any
+    other mapping is checked seed by seed, in its order: the first seed not
+    in the graph, or not a ``kind`` node, raises.
+    """
+    if isinstance(seeds, Seeds) and seeds.index is index:
+        if len(seeds) and seeds.kind is not kind:
+            raise _wrong_kind(next(iter(seeds)), seeds.kind, kind)
+        return seeds
+    pos = []
+    for node_id in seeds:
+        i = index.pos.get(node_id)
+        if i is None:
+            raise QueryError(f"seed {node_id!r} is not in the graph")
+        if g.node_kind(node_id) is not kind:
+            raise _wrong_kind(node_id, g.node_kind(node_id), kind)
+        pos.append(i)
+    return Seeds(index, np.asarray(pos, dtype=np.int64),
+                 np.asarray(list(seeds.values()), dtype=np.float64), kind)
+
+
 def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Mapping[str, float],
                    labels: Mapping[str, int] | None = None,
                    community: int | None = None) -> Scores:
@@ -320,23 +419,15 @@ def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Mapping[str, float],
         raise QueryError("community gate requested without node labels")
     index = g.cached(GraphIndex)
     gate = None if community is None else _as_labels(labels).cached(index, CommunityEdges)
-    source_kind = path.source_kind
-    for node_id in seeds:
-        if node_id not in index.pos:
-            raise QueryError(f"seed {node_id!r} is not in the graph")
-        if g.node_kind(node_id) is not source_kind:
-            raise QueryError(
-                f"seed {node_id!r} is a {g.node_kind(node_id).value}, "
-                f"path starts at a {source_kind.value}")
-    edges = _path_edges(index, path, gate, community)
+    seeds = _as_seeds(g, index, seeds, path.source_kind)
+    edges = _path_edges(index, path) if gate is None else gate.path_edges(path, community)
     if edges is None:
         return NO_SCORES
     scores = np.zeros(index.n, dtype=np.float64)
-    for node_id, weight in seeds.items():
-        scores[index.pos[node_id]] = weight
+    scores[seeds.pos] = seeds.weight
     # seeds of no negative (or NaN) weight, over positive edge weights, score
     # no node below 0.0; any other seed needs the scores below it set to 0.0
-    kept = scores.min() >= 0.0
+    kept = not len(seeds) or seeds.weight.min() >= 0.0
     scores = _walk(index, edges, scores)
     return Scores(index, scores if kept else np.fmax(scores, 0.0))
 
@@ -391,11 +482,13 @@ def prerequisite_expansion(g: HeteroGraph, base_scores: Scores,
 class Provenance:
     """Per-route score shares of one query, as ``recommend`` attaches them.
 
-    ``seeds`` and ``base`` are keyed by the community each group ran in;
-    ``prereq`` is a single map because that route ignores community gates.
+    ``seeds`` and ``base`` are keyed by the community each group ran in, in
+    ascending order; each group's seeds are a read-only mapping over index
+    positions (``Seeds``), and its base a ``Scores``. ``prereq`` is a single
+    map because that route ignores community gates.
     """
 
-    seeds: dict[int, dict[str, float]] = field(default_factory=dict)
+    seeds: dict[int, Mapping[str, float]] = field(default_factory=dict)
     base: dict[int, Mapping[str, float]] = field(default_factory=dict)
     prereq: Mapping[str, float] = field(default_factory=dict)
 
@@ -412,6 +505,56 @@ def _add(total: np.ndarray | None, part: Scores) -> np.ndarray | None:
     return total
 
 
+def _no_label(node_id: str) -> QueryError:
+    return QueryError(f"job {node_id!r} carries no community label")
+
+
+def _taken_seeds(g: HeteroGraph, index: GraphIndex, taken: tuple[str, ...]) -> Seeds | None:
+    """The taken courses as seeds of equal weight; None when none is taken."""
+    for course in taken:
+        if course not in g or g.node_kind(course) is not NodeKind.COURSE:
+            raise QueryError(f"taken course {course!r} is not in the graph")
+    if not taken:
+        return None
+    return Seeds(index, np.asarray([index.pos[c] for c in taken], dtype=np.int64),
+                 np.full(len(taken), 1.0 / len(taken)), NodeKind.COURSE)
+
+
+def _mapped_seeds(g: HeteroGraph, index: GraphIndex, labels: Labels,
+                  seeds: Mapping[str, float], kind: NodeKind, taken: tuple[str, ...]) -> Seeds:
+    """A caller's seed mapping as ``Seeds``, each problem raised in the order
+    the group loop meets it: every seed labelled, every taken course in the
+    graph, then each group's seeds, communities ascending, in the graph and
+    ``kind`` nodes. Each group keeps the mapping's order."""
+    for node_id in seeds:
+        if labels.get(node_id) is None:
+            raise _no_label(node_id)
+    _taken_seeds(g, index, taken)
+    by_group = sorted(seeds.items(), key=lambda item: labels[item[0]])
+    return _as_seeds(g, index, dict(by_group), kind)
+
+
+def _seed_groups(seeds: Seeds, gate: CommunityEdges) -> list[tuple[int, Seeds]]:
+    """``seeds`` split by community, communities ascending; a group keeps its
+    seeds' order. One gather reads every seed's slot; a set in one community
+    is its own group, and several groups are views of one sorted copy."""
+    if not len(seeds):
+        return []
+    slots = gate.node_slot[seeds.pos]
+    in_order = slots.tolist()
+    first = in_order[0]
+    if first >= 0 and in_order.count(first) == len(in_order):
+        return [(gate.communities[first], seeds)]
+    if min(in_order) < 0:
+        raise _no_label(seeds.index.ids[seeds.pos[in_order.index(-1)]])
+    order = np.argsort(slots, kind="stable")
+    ranked = slots[order].tolist()
+    bounds = [0, *[i for i in range(1, len(ranked)) if ranked[i] != ranked[i - 1]], len(ranked)]
+    pos, weight = seeds.pos[order], seeds.weight[order]
+    return [(gate.communities[ranked[a]], Seeds(seeds.index, pos[a:b], weight[a:b], seeds.kind))
+            for a, b in zip(bounds, bounds[1:])]
+
+
 def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInput,
                     seeds: Mapping[str, float], prereq_depth: int = DEFAULT_PREREQ_DEPTH,
                     ) -> tuple[Scores, Provenance]:
@@ -425,34 +568,28 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
     if prereq_depth < 0:
         raise QueryError(f"prerequisite depth {prereq_depth!r} must be >= 0")
     labels = _as_labels(labels)
-    prov = Provenance()
-    for job_id, weight in seeds.items():
-        community = labels.get(job_id)
-        if community is None:
-            raise QueryError(f"job {job_id!r} carries no community label")
-        prov.seeds.setdefault(community, {})[job_id] = weight
-    for course in inp.taken_courses:
-        if course not in g or g.node_kind(course) is not NodeKind.COURSE:
-            raise QueryError(f"taken course {course!r} is not in the graph")
-    taken_seeds = {c: 1.0 / len(inp.taken_courses) for c in inp.taken_courses}
+    index = g.cached(GraphIndex)
     path = UPSKILL_PATH if inp.scenario == 3 else BASE_PATH
+    if not (isinstance(seeds, Seeds) and seeds.index is index):
+        seeds = _mapped_seeds(g, index, labels, seeds, path.source_kind, inp.taken_courses)
+    prov = Provenance(seeds=dict(_seed_groups(seeds, labels.cached(index, CommunityEdges))))
+    taken = _taken_seeds(g, index, inp.taken_courses)
     total = prereq = None
-    for community, group in sorted(prov.seeds.items()):
+    for community, group in prov.seeds.items():
         base = prov.base[community] = score_metapath(g, path, group, labels, community)
         total = _add(total, base)
         if inp.scenario != 3 and base:
             extra = prerequisite_expansion(g, base, prereq_depth)
             total = _add(total, extra)
             prereq = _add(prereq, extra)
-        if taken_seeds:
-            total = _add(total, score_metapath(g, TAKEN_PATH, taken_seeds, labels, community))
-    index = g.cached(GraphIndex)
+        if taken is not None:
+            total = _add(total, score_metapath(g, TAKEN_PATH, taken, labels, community))
     if prereq is not None:
         prov.prereq = Scores(index, prereq)
     if total is None:
         return NO_SCORES, prov
-    for course in taken_seeds:
-        total[index.pos[course]] = 0.0
+    if taken is not None:
+        total[taken.pos] = 0.0
     return Scores(index, total), prov
 
 

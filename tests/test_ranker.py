@@ -3,6 +3,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +147,18 @@ class TestMetaPath:
     def test_empty_rejected(self):
         with pytest.raises(QueryError):
             MetaPath(())
+
+    def test_unpickled_path_hashes_as_this_process_does(self):
+        # a path's hash is kept, and a str's hash differs between processes
+        script = ("import pickle, sys; from skillgraph.ranker import BASE_PATH; "
+                  "sys.stdout.buffer.write(pickle.dumps(BASE_PATH))")
+        env = {**os.environ, "PYTHONHASHSEED": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(ranker.__file__).parents[1]),
+                                                           os.environ.get("PYTHONPATH")]))}
+        path = pickle.loads(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                           capture_output=True).stdout)
+        assert path == BASE_PATH and hash(path) == hash(BASE_PATH)
+        assert {(BASE_PATH, 0): "edges"}[(path, 0)] == "edges"
 
 
 def single_tour_graph():
@@ -441,6 +458,17 @@ class TestSeedErrors:
         for seeds, unlabelled in (({"JX": 0.5, "J2": 0.5}, "J2"), ({"J1": 0.5, "JY": 0.5}, "JY")):
             with pytest.raises(QueryError, match=f"^job '{unlabelled}' carries no community label$"):
                 scenario_scores(g, labels, inp, seeds)
+
+    def test_unlabelled_resolved_job_raises_first(self):
+        # the same order on the recommend path, where seeds are index positions
+        g, labels = self.graph()
+        g.add_node("J3", NodeKind.JOB, "plumber")
+        for goal, unlabelled in (("data engineer", "J2"), ("plumber", "J3")):
+            for taken in (("C1",), ("CX",)):
+                inp = ScenarioInput(2, career_goal=goal, taken_courses=taken)
+                with pytest.raises(QueryError,
+                                   match=f"^job '{unlabelled}' carries no community label$"):
+                    recommend(g, labels, inp)
 
     def test_bad_taken_course_raises_before_a_seed_missing_from_the_graph(self):
         g, labels = self.graph()
@@ -827,9 +855,34 @@ class TestManySeeds:
             total, prov = scenario_scores(g, labels, inp, seeds)
             assert hashlib.sha256(repr(total).encode()).hexdigest() == digest, inp
             assert {c: len(group) for c, group in prov.seeds.items()} == self.GROUP_SIZES
+            assert all(list(group) == sorted(group) for group in prov.seeds.values())
             ranked = recommend(g, labels, inp, cutoff=10)
             assert ranked.provenance == prov
             assert format_ranked_list(ranked) == text
+
+
+    def test_no_per_seed_lookups(self, fanned_out, monkeypatch):
+        # a query's seeds stay index positions: 107 seeds cost no more label
+        # or kind lookups than 14 do
+        g, labels = fanned_out
+        counts = {"get": 0, "node_kind": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Labels, "get", counted("get", Labels.get))
+        monkeypatch.setattr(HeteroGraph, "node_kind", counted("node_kind", HeteroGraph.node_kind))
+        recommend(g, labels, ScenarioInput(1, career_goal=FANNED_OUT_GOAL))
+        seen = []
+        for goal, size in ((MANY_SEEDS_GOAL, 107), (FANNED_OUT_GOAL, 14)):
+            assert len(resolve_job_query(g, goal)) == size
+            counts.update(get=0, node_kind=0)
+            recommend(g, labels, ScenarioInput(1, career_goal=goal))
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
 
 
 def scores_on(g, scores):
