@@ -19,13 +19,14 @@ shared empty ``NO_SCORES`` without allocating or scattering, so a query that
 fans out over many community groups pays only for the walks that can reach
 a course. The rule reads only the graph and the labels.
 
-A query's seeds are index positions with their weights (``Seeds``), from
-the title match to the scatter: the matched titles' jobs come as one
-position array, ``scenario_scores`` splits it by community with one gather
-of each seed's community slot, and ``score_metapath`` checks a seed set's
-node kind once and places its seeds with one indexed write. A caller's
-plain mapping of seeds is converted once, on entry, with the same checks
-and messages, seed by seed.
+A query resolves to the jobs whose title holds its tokens as a contiguous
+run (``TitleIndex``), and its seeds stay index positions with their weights
+(``Seeds``) from the title match to the scatter: the matched titles' jobs
+come as one position array, ``scenario_scores`` splits it by community with
+one gather of each seed's community slot, and ``score_metapath`` checks a
+seed set's node kind once and places its seeds with one indexed write. A
+caller's plain mapping of seeds is converted once, on entry, with the same
+checks and messages, seed by seed.
 
 A route's scores stay one dense vector over the graph's nodes (``Scores``),
 and a scenario adds its routes as vectors in the order a per-node merge
@@ -134,7 +135,8 @@ class ScenarioInput:
     current_job: str | None = None
 
     def __post_init__(self) -> None:
-        if self.scenario not in (1, 2, 3):
+        # True == 1 and 1.0 == 1, but neither names a scenario
+        if type(self.scenario) is not int or self.scenario not in (1, 2, 3):
             raise QueryError(f"unknown scenario {self.scenario!r}")
         if self.scenario in (1, 2) and not self.career_goal:
             raise QueryError(f"scenario {self.scenario} needs a career goal")
@@ -158,41 +160,39 @@ class ScenarioInput:
         return self.current_job if self.scenario == 3 else self.career_goal  # type: ignore[return-value]
 
 
-def title_contains(title_tokens: list[str], query_tokens: list[str]) -> bool:
-    """True when the query tokens appear as a contiguous run in the title tokens."""
-    k = len(query_tokens)
-    return any(title_tokens[i:i + k] == query_tokens
-               for i in range(len(title_tokens) - k + 1))
-
-
 @dataclass(frozen=True)
 class TitleIndex:
-    """Job titles as token tuples: ``titles`` maps each distinct one to the
-    sorted positions of its jobs and ``postings`` each token to the titles
-    holding it, so a query checks only its rarest token's titles instead of
-    every job."""
+    """Job titles as text: a title's tokens joined and wrapped by single
+    spaces. A token holds no space, so a query's tokens are a contiguous run
+    of a title's exactly when the query's text is a substring of the title's.
+    ``titles`` maps each text to its jobs' sorted positions, ``postings`` each
+    token to the texts holding it (a query tests only its rarest token's) and
+    ``names`` each title as written to its text."""
 
-    titles: dict[tuple[str, ...], np.ndarray]
-    postings: dict[str, list[tuple[str, ...]]]
+    titles: dict[str, np.ndarray]
+    postings: dict[str, list[str]]
+    names: dict[str, str]
+
+
+def _text(tokens: list[str]) -> str:
+    return f" {' '.join(tokens)} "
 
 
 def title_index(jobs: Iterable[tuple[int, str]]) -> TitleIndex:
     """Index ``(job position, title)`` pairs, tokenizing each distinct title once."""
-    by_raw: dict[str, list[int]] = {}
-    for position, title in jobs:
-        by_raw.setdefault(title, []).append(position)
-    titles: dict[tuple[str, ...], list[int]] = {}
-    for raw, positions in by_raw.items():
-        titles.setdefault(tuple(tokenize(raw)), []).extend(positions)
-    postings: dict[str, list[tuple[str, ...]]] = {}
-    for title in titles:
-        for token in dict.fromkeys(title):
-            postings.setdefault(token, []).append(title)
-    arrays = {title: np.sort(np.asarray(positions, dtype=np.int64))
-              for title, positions in titles.items()}
-    for positions in arrays.values():
-        positions.flags.writeable = False  # shared by every query's seeds
-    return TitleIndex(arrays, postings)
+    names: dict[str, str] = {}
+    titles: dict[str, list[int]] = {}
+    for position, name in jobs:
+        if name not in names:
+            names[name] = _text(tokenize(name))
+        titles.setdefault(names[name], []).append(position)
+    postings: dict[str, list[str]] = {}
+    for text in titles:
+        for token in dict.fromkeys(text.split()):
+            postings.setdefault(token, []).append(text)
+    arrays = {text: np.sort(np.asarray(positions, dtype=np.int64))
+              for text, positions in titles.items()}
+    return TitleIndex(arrays, postings, names)
 
 
 def job_titles(g: HeteroGraph) -> TitleIndex:
@@ -207,9 +207,8 @@ def match_titles(index: TitleIndex, query: list[str]) -> np.ndarray:
     # a matching title holds every query token, so the rarest one's postings
     # hold every match; a token in no title leaves nothing to check
     candidates = min((index.postings.get(token, []) for token in query), key=len)
-    found = [index.titles[title] for title in candidates if title_contains(list(title), query)]
-    if len(found) == 1:
-        return found[0]
+    text = _text(query)
+    found = [index.titles[title] for title in candidates if text in title]
     return np.sort(np.concatenate(found)) if found else np.zeros(0, dtype=np.int64)
 
 
@@ -258,12 +257,9 @@ def resolve_job_query(g: HeteroGraph, text: str) -> Seeds:
     index = g.cached(GraphIndex)
     if not len(matches):
         qset = set(query)
-        scored = sorted({(-len(qset.intersection(title)), g.node_name(index.ids[i]))
-                         for title, positions in titles.titles.items()
-                         for i in positions.tolist()})
-        nearest = [name for _neg, name in scored[:5]]
-        raise QueryError(
-            f"no job title matches {text!r}; nearest titles: {nearest}")
+        nearest = sorted(titles.names, key=lambda name: (
+            -len(qset.intersection(titles.names[name].split())), name))[:5]
+        raise QueryError(f"no job title matches {text!r}; nearest titles: {nearest}")
     return Seeds(index, matches, np.full(len(matches), 1.0 / len(matches)), NodeKind.JOB)
 
 
@@ -308,6 +304,7 @@ class CommunityEdges:
     def path_edges(self, path: MetaPath, community: int) -> list[Edges] | None:
         """``_path_edges`` of ``path`` gated to ``community``, kept after the
         first call."""
+        # interleaved A/B: without this cache, query p50 rose 34-43% on fragmented, 6-8% elsewhere
         key = (path, community)
         if key not in self._paths:
             self._paths[key] = _path_edges(self.index, path, self, community)
@@ -543,6 +540,7 @@ def _seed_groups(seeds: Seeds, gate: CommunityEdges) -> list[tuple[int, Seeds]]:
     slots = gate.node_slot[seeds.pos]
     in_order = slots.tolist()
     first = in_order[0]
+    # interleaved A/B: without this path, query p50 rose 13-15% on build-mid and query-m
     if first >= 0 and in_order.count(first) == len(in_order):
         return [(gate.communities[first], seeds)]
     if min(in_order) < 0:

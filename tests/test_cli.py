@@ -205,6 +205,18 @@ class TestPipeline:
             assert code == 0, (stage[0], err)
         assert load_courses(out / "courses.csv")[0].name == "a\rb"
 
+    def test_spaced_taken_list_writes_the_same_list(self, tmp_path, capsys):
+        _data, out = run_pipeline(tmp_path, capsys)
+        lists = []
+        for taken in ("C000,C001", "C000, C001", " C000 ,C001 "):
+            code, stdout, err = run_cli(capsys, "recommend", "--out", str(out), "--scenario", "2",
+                                        "--goal", "topic-0 engineer", "--taken", taken,
+                                        "--top", "5")
+            assert code == 0, (taken, err)
+            lists.append(stdout)
+        assert lists[0].count("\n") > 1
+        assert lists[1] == lists[0] and lists[2] == lists[0]
+
 
 class TestErrors:
     def test_missing_goal_is_usage_error(self, tmp_path, capsys):

@@ -16,7 +16,7 @@ from skillgraph import cli, kernels, ranker
 from skillgraph.community import Labels, read_labels
 from skillgraph.errors import QueryError
 from skillgraph.graph import GraphIndex, HeteroGraph, NodeKind, Relation, read_snapshot
-from skillgraph.ingest import load_jobs
+from skillgraph.ingest import load_jobs, tokenize
 from skillgraph.ranker import (BASE_PATH, TAKEN_PATH, UPSKILL_PATH, MetaPath, MetaPathStep,
                                RankedList, ScenarioInput, format_ranked_list,
                                prerequisite_expansion, recommend, resolve_job_query,
@@ -87,15 +87,21 @@ class TestResolveJobQuery:
     def test_index_matches_scan_on_random_titles(self):
         rng = np.random.default_rng(20)
         # few tokens, so repeats ("a a" in "a a b") and shared titles are common;
-        # "--" and "" tokenize to nothing, "q" is in no title
-        words = ["a", "b", "c", "d", "--", ""]
+        # "ab", "ba" and "10" hold "a", "b" and "1", so a title holding "ab"
+        # does not hold the run "a"; "--" and "" tokenize to nothing, "q" is
+        # in no title
+        words = ["a", "b", "c", "d", "ab", "ba", "1", "10", "--", ""]
         for _trial in range(3000):
             pool = [" ".join(rng.choice(words, size=int(rng.integers(0, 5))))
                     for _ in range(int(rng.integers(1, 5)))]
-            g = job_graph([pool[int(rng.integers(len(pool)))]
-                           for _ in range(int(rng.integers(1, 9)))])
-            query = " ".join(rng.choice(words[:4] + ["q"], size=int(rng.integers(1, 4))))
+            titles = [pool[int(rng.integers(len(pool)))] for _ in range(int(rng.integers(1, 9)))]
+            g = job_graph(titles)
+            query = " ".join(rng.choice(words[:8] + ["q"], size=int(rng.integers(1, 4))))
             expected = ref_resolve_job_query(g, query)
+            # the baseline's index, keyed by input position, through the same matcher
+            by_input = ranker.match_titles(ranker.title_index(enumerate(titles)),
+                                           tokenize(query))
+            assert by_input.tolist() == sorted(int(j[1:]) for j in expected), (pool, query)
             if expected:
                 got = resolve_job_query(g, query)
                 assert list(got.items()) == list(expected.items()), (pool, query)
@@ -104,16 +110,32 @@ class TestResolveJobQuery:
                     resolve_job_query(g, query)
 
     def test_checks_only_rarest_token_titles(self, monkeypatch):
+        # each title key records itself whenever a query tests it for containment
         calls = []
-        real = ranker.title_contains
-        monkeypatch.setattr(ranker, "title_contains",
-                            lambda title, query: calls.append(tuple(title)) or real(title, query))
+
+        class Title(str):
+            def __contains__(self, text):
+                calls.append(str(self))
+                return str.__contains__(self, text)
+
+        real = ranker.job_titles
+
+        def recorded(g):
+            index = real(g)
+            keys = {text: Title(text) for text in index.titles}
+            return ranker.TitleIndex(
+                {keys[text]: positions for text, positions in index.titles.items()},
+                {token: [keys[text] for text in texts]
+                 for token, texts in index.postings.items()},
+                index.names)
+
+        monkeypatch.setattr(ranker, "job_titles", recorded)
         g = job_graph(["data engineer"] * 40 + ["data scientist"] * 40
                       + ["senior data engineer", "big data engineer ii", "engineer data"]
                       + ["plumber"] * 20)
         seeds = resolve_job_query(g, "data engineer")
         assert seeds == ref_resolve_job_query(g, "data engineer")
-        postings = g.cached(ranker.job_titles).postings
+        postings = g.cached(recorded).postings
         assert len(postings["engineer"]) < len(postings["data"])
         assert sorted(calls) == sorted(postings["engineer"])
         assert len(calls) == 4
@@ -370,6 +392,11 @@ class TestScenarios:
             ScenarioInput(scenario=4, career_goal="x")
         with pytest.raises(QueryError, match="taken course 'C1' is listed more than once"):
             ScenarioInput(scenario=2, career_goal="x", taken_courses=("C1", "C0", "C1"))
+
+    @pytest.mark.parametrize("scenario", [True, 1.0])
+    def test_scenario_that_is_no_int_rejected(self, scenario):
+        with pytest.raises(QueryError, match=rf"^unknown scenario {scenario!r}$"):
+            ScenarioInput(scenario=scenario, career_goal="x")
 
     def test_inputs_the_scenario_ignores_are_rejected(self):
         for scenario in (1, 3):
