@@ -152,8 +152,10 @@ def cmd_link(cfg: PipelineConfig, args: argparse.Namespace) -> str:
 
 
 def cmd_recommend(cfg: PipelineConfig, args: argparse.Namespace) -> str:
-    # a course id holds no whitespace, so "C000, C001" names C000 and C001
+    # a course id holds no whitespace or ',', so "C000, C001" names C000 and C001
     taken = tuple(t for t in map(str.strip, (args.taken or "").split(",")) if t)
+    if args.taken is not None and not taken:
+        raise ConfigError(f"--taken {args.taken!r} names no course")
     inp = ranker_mod.ScenarioInput(scenario=args.scenario, career_goal=args.goal,
                                    taken_courses=taken, current_job=args.current_job)
     out = Path(cfg.out_dir)

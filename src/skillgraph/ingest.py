@@ -2,7 +2,7 @@
 
 File formats (UTF-8; the text codec in :mod:`skillgraph.errors`):
 
-* courses:     CSV header ``id,name,description``
+* courses:     CSV header ``id,name,description``; a course id holds no ``,``
 * jobs:        CSV header ``id,title,company,location,skills`` with a
                ``;``-separated skill list; each skill holds a letter or digit
 * skills:      CSV header ``id,name``
@@ -161,6 +161,9 @@ def load_courses(path: str | Path) -> list[Course]:
     seen: set[str] = set()
     for where, rec in _read_rows(path, ("id", "name", "description")):
         cid = _unique(seen, _check_id(rec["id"], "course", where), "course id", where)
+        # ``recommend --taken`` lists course ids joined by ','
+        if "," in cid:
+            raise IngestError(f"{where}: course id {cid!r} contains ','")
         courses.append(Course(id=cid, name=rec["name"], description=rec["description"]))
     return courses
 

@@ -24,9 +24,9 @@ run (``TitleIndex``), and its seeds stay index positions with their weights
 (``Seeds``) from the title match to the scatter: the matched titles' jobs
 come as one position array, ``scenario_scores`` splits it by community with
 one gather of each seed's community slot, and ``score_metapath`` checks a
-seed set's node kind once and places its seeds with one indexed write. A
-caller's plain mapping of seeds is converted once, on entry, with the same
-checks and messages, seed by seed.
+seed set's node kind once and places its seeds with one indexed write. The
+walks read only ``Seeds`` and ``Scores`` made on the graph as it is now, and
+refuse any other; a library caller gets seeds from ``resolve_job_query``.
 
 A route's scores stay one dense vector over the graph's nodes (``Scores``),
 and a scenario adds its routes as vectors in the order a per-node merge
@@ -380,44 +380,23 @@ def _as_labels(labels: Mapping[str, int]) -> Labels:
     return labels if isinstance(labels, Labels) else Labels(labels)
 
 
-def _wrong_kind(node_id: str, kind: NodeKind, want: NodeKind) -> QueryError:
-    return QueryError(f"seed {node_id!r} is a {kind.value}, path starts at a {want.value}")
-
-
-def _as_seeds(g: HeteroGraph, index: GraphIndex, seeds: Mapping[str, float],
-              kind: NodeKind) -> Seeds:
-    """``seeds`` as ``Seeds`` on ``index`` whose seeds are ``kind`` nodes.
-
-    ``Seeds`` already on ``index`` are checked by the kind they record. Any
-    other mapping is checked seed by seed, in its order: the first seed not
-    in the graph, or not a ``kind`` node, raises.
-    """
-    if isinstance(seeds, Seeds) and seeds.index is index:
-        if len(seeds) and seeds.kind is not kind:
-            raise _wrong_kind(next(iter(seeds)), seeds.kind, kind)
-        return seeds
-    pos = []
-    for node_id in seeds:
-        i = index.pos.get(node_id)
-        if i is None:
-            raise QueryError(f"seed {node_id!r} is not in the graph")
-        if g.node_kind(node_id) is not kind:
-            raise _wrong_kind(node_id, g.node_kind(node_id), kind)
-        pos.append(i)
-    return Seeds(index, np.asarray(pos, dtype=np.int64),
-                 np.asarray(list(seeds.values()), dtype=np.float64), kind)
-
-
-def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Mapping[str, float],
-                   labels: Mapping[str, int] | None = None,
-                   community: int | None = None) -> Scores:
-    """Sum-of-tour-products scores for every node reachable along ``path``."""
-    if community is not None and labels is None:
-        raise QueryError("community gate requested without node labels")
+def _current(g: HeteroGraph, made: Seeds | Scores) -> GraphIndex:
+    """``g``'s index, which ``made`` must be on: a walk reads positions."""
     index = g.cached(GraphIndex)
-    gate = None if community is None else _as_labels(labels).cached(index, CommunityEdges)
-    seeds = _as_seeds(g, index, seeds, path.source_kind)
-    edges = _path_edges(index, path) if gate is None else gate.path_edges(path, community)
+    if made.index is not index:
+        raise QueryError("seeds or scores were made on another graph, or before it changed")
+    return index
+
+
+def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Seeds, labels: Mapping[str, int],
+                   community: int) -> Scores:
+    """Sum-of-tour-products scores for every node reachable along ``path``,
+    each restricted step landing only in ``community`` under ``labels``."""
+    index = _current(g, seeds)
+    if len(seeds) and seeds.kind is not path.source_kind:
+        raise QueryError(f"seed {next(iter(seeds))!r} is a {seeds.kind.value}, "
+                         f"path starts at a {path.source_kind.value}")
+    edges = _as_labels(labels).cached(index, CommunityEdges).path_edges(path, community)
     if edges is None:
         return NO_SCORES
     scores = np.zeros(index.n, dtype=np.float64)
@@ -461,9 +440,7 @@ def prerequisite_expansion(g: HeteroGraph, base_scores: Scores,
         raise QueryError(f"prerequisite depth {depth!r} must be >= 0")
     if not base_scores or not depth:
         return NO_SCORES
-    index = g.cached(GraphIndex)
-    if base_scores.index is not index:
-        raise QueryError("base scores were made on another graph, or before it changed")
+    index = _current(g, base_scores)
     edges = _path_edges(index, _PREREQ_HOP)
     if edges is None:
         return NO_SCORES
@@ -502,10 +479,6 @@ def _add(total: np.ndarray | None, part: Scores) -> np.ndarray | None:
     return total
 
 
-def _no_label(node_id: str) -> QueryError:
-    return QueryError(f"job {node_id!r} carries no community label")
-
-
 def _taken_seeds(g: HeteroGraph, index: GraphIndex, taken: tuple[str, ...]) -> Seeds | None:
     """The taken courses as seeds of equal weight; None when none is taken."""
     for course in taken:
@@ -515,20 +488,6 @@ def _taken_seeds(g: HeteroGraph, index: GraphIndex, taken: tuple[str, ...]) -> S
         return None
     return Seeds(index, np.asarray([index.pos[c] for c in taken], dtype=np.int64),
                  np.full(len(taken), 1.0 / len(taken)), NodeKind.COURSE)
-
-
-def _mapped_seeds(g: HeteroGraph, index: GraphIndex, labels: Labels,
-                  seeds: Mapping[str, float], kind: NodeKind, taken: tuple[str, ...]) -> Seeds:
-    """A caller's seed mapping as ``Seeds``, each problem raised in the order
-    the group loop meets it: every seed labelled, every taken course in the
-    graph, then each group's seeds, communities ascending, in the graph and
-    ``kind`` nodes. Each group keeps the mapping's order."""
-    for node_id in seeds:
-        if labels.get(node_id) is None:
-            raise _no_label(node_id)
-    _taken_seeds(g, index, taken)
-    by_group = sorted(seeds.items(), key=lambda item: labels[item[0]])
-    return _as_seeds(g, index, dict(by_group), kind)
 
 
 def _seed_groups(seeds: Seeds, gate: CommunityEdges) -> list[tuple[int, Seeds]]:
@@ -544,7 +503,8 @@ def _seed_groups(seeds: Seeds, gate: CommunityEdges) -> list[tuple[int, Seeds]]:
     if first >= 0 and in_order.count(first) == len(in_order):
         return [(gate.communities[first], seeds)]
     if min(in_order) < 0:
-        raise _no_label(seeds.index.ids[seeds.pos[in_order.index(-1)]])
+        node_id = seeds.index.ids[seeds.pos[in_order.index(-1)]]
+        raise QueryError(f"job {node_id!r} carries no community label")
     order = np.argsort(slots, kind="stable")
     ranked = slots[order].tolist()
     bounds = [0, *[i for i in range(1, len(ranked)) if ranked[i] != ranked[i - 1]], len(ranked)]
@@ -554,22 +514,23 @@ def _seed_groups(seeds: Seeds, gate: CommunityEdges) -> list[tuple[int, Seeds]]:
 
 
 def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInput,
-                    seeds: Mapping[str, float], prereq_depth: int = DEFAULT_PREREQ_DEPTH,
+                    seeds: Seeds, prereq_depth: int = DEFAULT_PREREQ_DEPTH,
                     ) -> tuple[Scores, Provenance]:
-    """Scenario score map before sorting/cutoff; seeds come from job resolution.
+    """Scenario score map before sorting/cutoff; ``seeds`` are
+    ``resolve_job_query``'s on ``g`` as it is now.
 
     Seeds are grouped by merged community; each group runs with its own
     community gate and the score maps add: base, then the prerequisite hop of
-    a non-empty scenario 1/2 base, then the scenario 2 taken-course walk.
+    a non-empty scenario 1/2 base, then the scenario 2 taken-course walk. An
+    unlabelled seed raises first, then a taken course not in the graph, then
+    seeds of the wrong kind.
     """
     # checked here too: a scenario 3 query or an empty base never expands
     if prereq_depth < 0:
         raise QueryError(f"prerequisite depth {prereq_depth!r} must be >= 0")
     labels = _as_labels(labels)
-    index = g.cached(GraphIndex)
+    index = _current(g, seeds)
     path = UPSKILL_PATH if inp.scenario == 3 else BASE_PATH
-    if not (isinstance(seeds, Seeds) and seeds.index is index):
-        seeds = _mapped_seeds(g, index, labels, seeds, path.source_kind, inp.taken_courses)
     prov = Provenance(seeds=dict(_seed_groups(seeds, labels.cached(index, CommunityEdges))))
     taken = _taken_seeds(g, index, inp.taken_courses)
     total = prereq = None

@@ -16,11 +16,12 @@ from collections import deque
 import numpy as np
 
 from skillgraph.errors import IngestError
-from skillgraph.graph import (HeteroGraph, NodeKind, Relation, build_career_graph,
+from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build_career_graph,
                               build_education_graph)
 from skillgraph.ingest import Course, EnrollmentRecord, Job, Skill, tokenize
 from skillgraph.kernels import _plogp
 from skillgraph.linker import Bm25Params, CorpusStats, LinkRecord, SkillDocument, bm25
+from skillgraph.ranker import Scores, Seeds
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +157,7 @@ def set_partitions(n: int):
 # ---------------------------------------------------------------------------
 
 def ref_score_metapath(g: HeteroGraph, steps, seeds: dict[str, float],
-                       labels: dict[str, int] | None = None,
-                       community: int | None = None) -> dict[str, float]:
+                       labels: dict[str, int], community: int) -> dict[str, float]:
     """steps: list of (Relation, reverse: bool, restricted: bool) triples."""
     out: dict[str, float] = {}
     # reverse rows from a full edge scan; sources arrive in sorted order
@@ -172,7 +172,7 @@ def ref_score_metapath(g: HeteroGraph, steps, seeds: dict[str, float],
         relation, reverse, restricted = steps[depth]
         row = into.get((relation, node), []) if reverse else out_edges(g, node, relation)
         for nbr, weight in row:
-            if restricted and community is not None and labels.get(nbr) != community:
+            if restricted and labels.get(nbr) != community:
                 continue
             walk(nbr, depth + 1, prob * weight)
 
@@ -223,6 +223,27 @@ def ref_scenario_scores(g: HeteroGraph, labels: dict[str, int], scenario: int,
         for course in taken:
             total.pop(course, None)
     return {node: score for node, score in total.items() if score > 0.0}
+
+
+# ---------------------------------------------------------------------------
+# walk inputs built by hand on the graph as it is now, with no checks
+# ---------------------------------------------------------------------------
+
+def seeds_on(g: HeteroGraph, weights: dict[str, float], kind: NodeKind) -> Seeds:
+    """``weights`` as ``Seeds`` of ``kind`` nodes on ``g``'s current index, in
+    the mapping's order; neither a seed's kind nor its weight is checked."""
+    index = g.cached(GraphIndex)
+    return Seeds(index, np.asarray([index.pos[node] for node in weights], dtype=np.int64),
+                 np.asarray(list(weights.values()), dtype=np.float64), kind)
+
+
+def scores_on(g: HeteroGraph, scores: dict[str, float]) -> Scores:
+    """``scores`` as ``Scores`` on ``g``'s current index."""
+    index = g.cached(GraphIndex)
+    vector = np.zeros(index.n)
+    for node_id, score in scores.items():
+        vector[index.pos[node_id]] = score
+    return Scores(index, vector)
 
 
 # ---------------------------------------------------------------------------

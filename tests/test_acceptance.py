@@ -24,7 +24,8 @@ from skillgraph.ranker import (BASE_PATH, NO_SCORES, ScenarioInput, recommend, s
                                score_metapath)
 from skillgraph.synth import generate_synthetic_corpus
 
-from oracles import (out_edges, random_hetero_graph, ref_scenario_scores, set_partitions)
+from oracles import (out_edges, random_hetero_graph, ref_scenario_scores, seeds_on,
+                     set_partitions)
 
 
 def verdict(n: int, name: str, ok: bool, detail: str) -> None:
@@ -148,7 +149,7 @@ def _ranking_oracle_gaps(wrap, relabel=None) -> tuple[float, int]:
             inp = ScenarioInput(scenario=scenario, career_goal="q" if scenario != 3 else None,
                                 taken_courses=taken if scenario == 2 else (),
                                 current_job="q" if scenario == 3 else None)
-            got, prov = scenario_scores(g, wrap(labels), inp, seeds)
+            got, prov = scenario_scores(g, wrap(labels), inp, seeds_on(g, seeds, NodeKind.JOB))
             want = ref_scenario_scores(g, labels, scenario, seeds,
                                        taken=taken if scenario == 2 else ())
             assert set(got) == set(want), (seed, scenario)
@@ -191,8 +192,8 @@ def _with_dead_groups(g: HeteroGraph, labels: dict) -> tuple[dict, list[int]]:
 
 def test_criterion_4_holds_with_dead_groups():
     """The same equivalence when some groups cannot reach a course: their
-    walks push nothing, they stay in the provenance, and a bad seed among
-    them is still refused."""
+    walks push nothing, they stay in the provenance, and seeds a walk cannot
+    read are still refused there."""
     _worst, compared = _ranking_oracle_gaps(
         Labels, lambda g, labels: _with_dead_groups(g, labels)[0])
     assert compared > 0
@@ -203,11 +204,13 @@ def test_criterion_4_holds_with_dead_groups():
         by_community = {labels[j]: j for j in g.node_ids(NodeKind.JOB)}
         for community in dead:
             job = by_community[community]
-            assert score_metapath(g, BASE_PATH, {job: 1.0}, labels, community) is NO_SCORES
-            with pytest.raises(QueryError, match="seed 'JX' is not in the graph"):
-                score_metapath(g, BASE_PATH, {job: 1.0, "JX": 1.0}, labels, community)
+            seeds = seeds_on(g, {job: 1.0}, NodeKind.JOB)
+            assert score_metapath(g, BASE_PATH, seeds, labels, community) is NO_SCORES
+            with pytest.raises(QueryError, match="were made on another graph"):
+                score_metapath(g.copy(), BASE_PATH, seeds, labels, community)
             with pytest.raises(QueryError, match="seed 'C0' is a course, path starts at a job"):
-                score_metapath(g, BASE_PATH, {job: 1.0, "C0": 1.0}, labels, community)
+                score_metapath(g, BASE_PATH, seeds_on(g, {"C0": 1.0, job: 1.0}, NodeKind.COURSE),
+                               labels, community)
             dead_groups += 1
     assert dead_groups >= 50
 

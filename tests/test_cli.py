@@ -5,10 +5,14 @@ import json
 
 import pytest
 
+from skillgraph import cli
 from skillgraph.cli import build_parser, main
+from skillgraph.community import read_labels
 from skillgraph.config import ENV_CONFIG, PipelineConfig, load_config, parse_config_text
 from skillgraph.errors import ConfigError
-from skillgraph.ingest import load_courses
+from skillgraph.graph import read_snapshot
+from skillgraph.ingest import load_courses, load_jobs
+from skillgraph.ranker import ScenarioInput, format_ranked_list, recommend
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +221,37 @@ class TestPipeline:
         assert lists[0].count("\n") > 1
         assert lists[1] == lists[0] and lists[2] == lists[0]
 
+    def test_prereq_depth_from_the_config_file_reaches_recommend(self, tmp_path, capsys):
+        # D1 is C000's prerequisite and D2 is D1's; neither covers a skill,
+        # so only a second prerequisite hop from C000 reaches D2
+        argv = ingest_argv(tmp_path, capsys)
+        data, out = tmp_path / "data", tmp_path / "out"
+        courses, enrollments = tmp_path / "courses.csv", tmp_path / "enrollments.csv"
+        courses.write_text((data / "courses.csv").read_text() + "D1,zzqx,zzqx\nD2,zzqy,zzqy\n")
+        enrollments.write_text((data / "enrollments.csv").read_text()
+                               + "SX,D1,1\nSX,C000,2\nSY,D2,1\nSY,D1,2\n")
+        argv[argv.index("--courses") + 1] = str(courses)
+        argv[argv.index("--enrollments") + 1] = str(enrollments)
+        for stage in (argv, ["build", "--out", str(out)],
+                      ["communities", "--out", str(out), "--seed", "3"], ["link", "--out", str(out)]):
+            code, _, err = run_cli(capsys, *stage)
+            assert code == 0, (stage[0], err)
+        cfg_file = tmp_path / "depth.cfg"
+        cfg_file.write_text("prereq_depth = 2\n")
+        query = ["recommend", "--out", str(out), "--scenario", "1", "--goal", "topic-0 engineer",
+                 "--top", "50"]
+        code, one, err = run_cli(capsys, *query)
+        assert code == 0, err
+        code, two, err = run_cli(capsys, *query, "--config", str(cfg_file))
+        assert code == 0, err
+        g = read_snapshot(out / cli.F_LINKED_GRAPH)
+        cli._attach_job_titles(g, load_jobs(out / cli.F_JOBS))
+        labels = read_labels(out / cli.F_LABELS)
+        inp = ScenarioInput(1, career_goal="topic-0 engineer")
+        assert two == format_ranked_list(recommend(g, labels, inp, cutoff=50, prereq_depth=2))
+        assert ",D1," in one and ",D2," not in one
+        assert ",D2," in two
+
 
 class TestErrors:
     def test_missing_goal_is_usage_error(self, tmp_path, capsys):
@@ -224,6 +259,15 @@ class TestErrors:
                                "--scenario", "1", "--top", "5")
         assert code == 1
         assert "career goal" in err
+
+    @pytest.mark.parametrize("taken", [",", " , ", ""])
+    @pytest.mark.parametrize("query", [["--scenario", "1", "--goal", "topic-0"],
+                                       ["--scenario", "2", "--goal", "topic-0"],
+                                       ["--scenario", "3", "--current-job", "topic-0"]])
+    def test_taken_list_naming_no_course_exits_one(self, tmp_path, capsys, query, taken):
+        code, stdout, err = run_cli(capsys, "recommend", "--out", str(tmp_path), *query,
+                                    "--taken", taken)
+        assert (code, stdout, err) == (1, "", f"error: --taken {taken!r} names no course\n")
 
     def test_repeated_taken_course_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "recommend", "--out", str(tmp_path), "--scenario", "2",
@@ -514,6 +558,18 @@ class TestErrors:
         assert code == 1
         assert stdout == ""
         assert "row 1: job 'J1': skill 'odd\\nskill' contains whitespace other than ' '" in err
+
+    def test_course_id_with_comma_exits_one_before_writing(self, tmp_path, capsys):
+        # ``recommend --taken "C,000"`` could never name the course
+        argv = ingest_argv(tmp_path, capsys)
+        courses = tmp_path / "courses.csv"
+        text = (tmp_path / "data" / "courses.csv").read_text()
+        courses.write_text(text.replace("\nC000,", '\n"C,000",', 1))
+        argv[argv.index("--courses") + 1] = str(courses)
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {courses}: row 1: course id 'C,000' contains ','\n"
+        assert not (tmp_path / "out" / "courses.csv").exists()
 
     def test_duplicate_job_id_names_the_jobs_file(self, tmp_path, capsys):
         jobs = tmp_path / "jobs.csv"

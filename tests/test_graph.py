@@ -15,10 +15,10 @@ from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build
                               prereq_counts, read_snapshot, skill_key, snapshot_lines,
                               write_snapshot)
 from skillgraph.ingest import Course, EnrollmentRecord, Job
-from skillgraph.ranker import BASE_PATH, Scores, prerequisite_expansion, score_metapath
+from skillgraph.ranker import BASE_PATH, prerequisite_expansion, score_metapath
 
 from oracles import (edges, out_edges, random_domain_graphs, random_hetero_graph,
-                     ref_build_career_graph, ref_merge_graphs)
+                     ref_build_career_graph, ref_merge_graphs, scores_on, seeds_on)
 
 
 def course(cid, skills=(), name=None):
@@ -368,11 +368,8 @@ def _use_every_view(g, labels):
     map_equation(g, flow, labels)
     detect_communities(g, seed=0)
     map_equation(g, flow, labels)
-    score_metapath(g, BASE_PATH, {"J0": 1.0}, labels, labels["J0"])
-    index = g.cached(GraphIndex)
-    base = np.zeros(index.n)
-    base[index.pos["C0"]] = 1.0
-    prerequisite_expansion(g, Scores(index, base))
+    score_metapath(g, BASE_PATH, seeds_on(g, {"J0": 1.0}, NodeKind.JOB), labels, labels["J0"])
+    prerequisite_expansion(g, scores_on(g, {"C0": 1.0}))
 
 
 def test_index_built_once_per_graph_state(monkeypatch):

@@ -84,6 +84,19 @@ class TestLoadCourses:
             load_courses(p)
         assert str(err.value) == f"{p}: row 1: empty course id"
 
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_id_with_comma_rejected(self, tmp_path, suffix):
+        # ``recommend --taken`` splits its course list on ','
+        p = tmp_path / f"c{suffix}"
+        if suffix == ".json":
+            p.write_text(json.dumps([{"id": "C1", "name": "a", "description": "d"},
+                                     {"id": "C,000", "name": "b", "description": "d"}]))
+        else:
+            p.write_text('id,name,description\nC1,a,d\n"C,000",b,d\n')
+        with pytest.raises(IngestError) as err:
+            load_courses(p)
+        assert str(err.value) == f"{p}: row 2: course id 'C,000' contains ','"
+
     def test_json_top_level_not_an_array_rejected(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"id": "C1", "name": "a", "description": "d"}))

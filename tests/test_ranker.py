@@ -23,7 +23,11 @@ from skillgraph.ranker import (BASE_PATH, TAKEN_PATH, UPSKILL_PATH, MetaPath, Me
                                scenario_scores, score_metapath, to_ranked_list)
 
 from oracles import (edges, random_hetero_graph, ref_resolve_job_query, ref_scenario_scores,
-                     ref_score_metapath)
+                     ref_score_metapath, scores_on, seeds_on)
+
+JOB, COURSE = NodeKind.JOB, NodeKind.COURSE
+# what a walk says of seeds or scores made before the graph changed
+STALE = "^seeds or scores were made on another graph, or before it changed$"
 
 
 def job_graph(titles):
@@ -213,31 +217,26 @@ def two_tour_graph():
 class TestScoreMetapath:
     def test_single_tour_unit_weights(self):
         g, labels = single_tour_graph()
-        scores = score_metapath(g, BASE_PATH, {"J1": 1.0}, labels, community=0)
+        scores = score_metapath(g, BASE_PATH, seeds_on(g, {"J1": 1.0}, JOB), labels, community=0)
         assert scores == {"C1": pytest.approx(1.0)}
 
     def test_two_tours_add(self):
         g = two_tour_graph()
         labels = {n: 0 for n in g.node_ids()}
-        scores = score_metapath(g, BASE_PATH, {"J1": 1.0}, labels, community=0)
+        scores = score_metapath(g, BASE_PATH, seeds_on(g, {"J1": 1.0}, JOB), labels, community=0)
         assert scores["C1"] == pytest.approx(1.0, abs=1e-12)
 
     def test_restriction_blocks_outside_tour(self):
         g = two_tour_graph()
         labels = {n: 0 for n in g.node_ids()}
         labels["S2"] = 1
-        scores = score_metapath(g, BASE_PATH, {"J1": 1.0}, labels, community=0)
+        scores = score_metapath(g, BASE_PATH, seeds_on(g, {"J1": 1.0}, JOB), labels, community=0)
         assert scores["C1"] == pytest.approx(0.5, abs=1e-12)
 
     def test_wrong_seed_kind_rejected(self):
         g, labels = single_tour_graph()
-        with pytest.raises(QueryError, match="path starts at"):
-            score_metapath(g, BASE_PATH, {"C1": 1.0}, labels, community=0)
-
-    def test_seed_not_in_graph_rejected(self):
-        g, labels = single_tour_graph()
-        with pytest.raises(QueryError, match="seed 'J9' is not in the graph"):
-            score_metapath(g, BASE_PATH, {"J9": 1.0}, labels, community=0)
+        with pytest.raises(QueryError, match="^seed 'C1' is a course, path starts at a job$"):
+            score_metapath(g, BASE_PATH, seeds_on(g, {"C1": 1.0}, COURSE), labels, community=0)
 
     def test_matches_dfs_oracle_on_random_graphs(self):
         steps = [(s.relation, s.reverse, s.community_restricted) for s in BASE_PATH.steps]
@@ -245,8 +244,8 @@ class TestScoreMetapath:
             g, labels = random_hetero_graph(np.random.default_rng(seed))
             jobs = g.node_ids(NodeKind.JOB)
             seeds = {j: 1.0 / len(jobs) for j in jobs}
-            for community in (None, 0, 1):
-                got = score_metapath(g, BASE_PATH, seeds, labels, community)
+            for community in (0, 1):
+                got = score_metapath(g, BASE_PATH, seeds_on(g, seeds, JOB), labels, community)
                 want = ref_score_metapath(g, steps, seeds, labels, community)
                 assert set(got) == set(want)
                 for node, score in want.items():
@@ -255,14 +254,14 @@ class TestScoreMetapath:
     def test_removing_edge_never_raises_scores(self):
         g = two_tour_graph()
         labels = {n: 0 for n in g.node_ids()}
-        full = score_metapath(g, BASE_PATH, {"J1": 1.0}, labels, 0)
+        full = score_metapath(g, BASE_PATH, seeds_on(g, {"J1": 1.0}, JOB), labels, 0)
         pruned = HeteroGraph()
         for n in g.node_ids():
             pruned.add_node(n, g.node_kind(n), g.node_name(n))
         for source, relation, target, weight in edges(g):
             if (source, target) != ("S2", "S3"):
                 pruned.add_edge(source, relation, target, weight)
-        less = score_metapath(pruned, BASE_PATH, {"J1": 1.0}, labels, 0)
+        less = score_metapath(pruned, BASE_PATH, seeds_on(pruned, {"J1": 1.0}, JOB), labels, 0)
         for node, score in less.items():
             assert score <= full.get(node, 0.0) + 1e-12
 
@@ -273,7 +272,7 @@ class TestScoreMetapath:
             g, labels = random_hetero_graph(rng)
             jobs = g.node_ids(NodeKind.JOB)
             seeds = {j: 1.0 / len(jobs) for j in jobs}
-            full = score_metapath(g, BASE_PATH, seeds, labels, 0)
+            full = score_metapath(g, BASE_PATH, seeds_on(g, seeds, JOB), labels, 0)
             every = edges(g)
             victim = every[int(rng.integers(len(every)))]
             pruned = HeteroGraph()
@@ -282,14 +281,9 @@ class TestScoreMetapath:
             for edge in every:
                 if edge != victim:
                     pruned.add_edge(*edge)
-            less = score_metapath(pruned, BASE_PATH, seeds, labels, 0)
+            less = score_metapath(pruned, BASE_PATH, seeds_on(pruned, seeds, JOB), labels, 0)
             for node, score in less.items():
                 assert score <= full.get(node, 0.0) + 1e-12
-
-    def test_gate_without_labels_rejected(self):
-        g, _labels = single_tour_graph()
-        with pytest.raises(QueryError, match="without node labels"):
-            score_metapath(g, BASE_PATH, {"J1": 1.0}, labels=None, community=0)
 
     def test_serialization_insertion_order_irrelevant(self):
         g = two_tour_graph()
@@ -308,17 +302,18 @@ class TestScoreMetapath:
         g, labels = single_tour_graph()
         g.add_node("C2", NodeKind.COURSE)
         g.add_edge("C2", Relation.PRE_REQUIRED, "C1", 1.0)
+        seeds = seeds_on(g, {"J1": 1.0}, JOB)
         del labels["S1"]  # C2 carries no label either
-        assert score_metapath(g, BASE_PATH, {"J1": 1.0}, labels, 0) == {}
-        assert score_metapath(g, BASE_PATH, {"J1": 1.0}, labels) == {"C1": 1.0}
+        assert score_metapath(g, BASE_PATH, seeds, labels, 0) == {}
         labels["S1"] = 0
-        upskill = score_metapath(g, ranker.UPSKILL_PATH, {"J1": 1.0}, labels, 0)
+        assert score_metapath(g, BASE_PATH, seeds, labels, 0) == {"C1": 1.0}
+        upskill = score_metapath(g, ranker.UPSKILL_PATH, seeds, labels, 0)
         assert upskill == {"C2": 1.0}
 
     def test_seed_weight_scales_linearly(self):
         g, labels = single_tour_graph()
-        one = score_metapath(g, BASE_PATH, {"J1": 1.0}, labels, 0)
-        three = score_metapath(g, BASE_PATH, {"J1": 3.0}, labels, 0)
+        one = score_metapath(g, BASE_PATH, seeds_on(g, {"J1": 1.0}, JOB), labels, 0)
+        three = score_metapath(g, BASE_PATH, seeds_on(g, {"J1": 3.0}, JOB), labels, 0)
         for node in one:
             assert three[node] == pytest.approx(3.0 * one[node], rel=1e-12)
 
@@ -423,12 +418,32 @@ class TestScenarios:
                 inp = ScenarioInput(scenario=scenario, career_goal="q" if scenario != 3 else None,
                                     taken_courses=taken if scenario == 2 else (),
                                     current_job="q" if scenario == 3 else None)
-                got, _prov = scenario_scores(g, labels, inp, seeds)
+                got, _prov = scenario_scores(g, labels, inp, seeds_on(g, seeds, JOB))
                 want = ref_scenario_scores(g, labels, scenario, seeds,
                                            taken=taken if scenario == 2 else ())
                 assert set(got) == set(want)
                 for node, score in want.items():
                     assert got[node] == pytest.approx(score, abs=1e-12)
+
+    @pytest.mark.parametrize("depth", [0, 2, 3])
+    def test_prerequisite_depths_match_oracle_on_random_graphs(self, depth):
+        compared = 0
+        for seed in range(15):
+            g, labels = random_hetero_graph(np.random.default_rng(seed))
+            jobs = g.node_ids(NodeKind.JOB)
+            seeds = {j: 1.0 / len(jobs) for j in jobs}
+            taken = tuple(g.node_ids(NodeKind.COURSE)[:1])
+            for scenario in (1, 2):
+                inp = ScenarioInput(scenario=scenario, career_goal="q",
+                                    taken_courses=taken if scenario == 2 else ())
+                got, _prov = scenario_scores(g, labels, inp, seeds_on(g, seeds, JOB), depth)
+                want = ref_scenario_scores(g, labels, scenario, seeds, taken=inp.taken_courses,
+                                           depth=depth)
+                assert set(got) == set(want), (seed, scenario)
+                for node, score in want.items():
+                    assert got[node] == pytest.approx(score, abs=1e-12)
+                compared += len(want)
+        assert compared > 50
 
     def test_scenarios_match_oracle_with_seeds_of_any_sign(self):
         # a negative seed cancels mass that others push, and each route keeps
@@ -444,7 +459,7 @@ class TestScenarios:
                 inp = ScenarioInput(scenario=scenario, career_goal="q" if scenario != 3 else None,
                                     taken_courses=taken if scenario == 2 else (),
                                     current_job="q" if scenario == 3 else None)
-                got, _prov = scenario_scores(g, labels, inp, seeds)
+                got, _prov = scenario_scores(g, labels, inp, seeds_on(g, seeds, JOB))
                 want = ref_scenario_scores(g, labels, scenario, seeds,
                                            taken=taken if scenario == 2 else ())
                 assert set(got) == set(want), (seed, scenario)
@@ -466,9 +481,8 @@ class TestScenarios:
 
 
 class TestSeedErrors:
-    """A library caller's seed mapping is checked in one order: every seed
-    labelled, then every taken course in the graph, then each community
-    group's seeds, groups ascending, in the graph and of the path's kind."""
+    """A scenario's inputs are checked in one order: every seed labelled,
+    then every taken course in the graph, then the seeds' kind."""
 
     @staticmethod
     def graph():
@@ -480,11 +494,13 @@ class TestSeedErrors:
     def test_unlabelled_seed_raises_first(self):
         g, labels = self.graph()
         inp = ScenarioInput(2, career_goal="data engineer", taken_courses=("CX",))
-        # JX is labelled but not in the graph; J2 is in the graph, unlabelled
-        labels["JX"] = 0
-        for seeds, unlabelled in (({"JX": 0.5, "J2": 0.5}, "J2"), ({"J1": 0.5, "JY": 0.5}, "JY")):
-            with pytest.raises(QueryError, match=f"^job '{unlabelled}' carries no community label$"):
-                scenario_scores(g, labels, inp, seeds)
+        # J2 is unlabelled; C0 is labelled, but no course starts a job's walk
+        for weights in ({"J1": 0.5, "J2": 0.5}, {"J2": 0.5, "J1": 0.5}):
+            with pytest.raises(QueryError, match="^job 'J2' carries no community label$"):
+                scenario_scores(g, labels, inp, seeds_on(g, weights, JOB))
+        g.add_node("C9", NodeKind.COURSE)
+        with pytest.raises(QueryError, match="^job 'C9' carries no community label$"):
+            scenario_scores(g, labels, inp, seeds_on(g, {"C0": 0.5, "C9": 0.5}, COURSE))
 
     def test_unlabelled_resolved_job_raises_first(self):
         # the same order on the recommend path, where seeds are index positions
@@ -497,34 +513,18 @@ class TestSeedErrors:
                                    match=f"^job '{unlabelled}' carries no community label$"):
                     recommend(g, labels, inp)
 
-    def test_bad_taken_course_raises_before_a_seed_missing_from_the_graph(self):
+    def test_course_seed_rejected(self):
         g, labels = self.graph()
-        inp = ScenarioInput(2, career_goal="data engineer", taken_courses=("C1", "CX"))
-        with pytest.raises(QueryError, match="^taken course 'CX' is not in the graph$"):
-            scenario_scores(g, {**labels, "JX": 0}, inp, {"J1": 0.5, "JX": 0.5})
-
-    def test_labelled_seed_missing_from_the_graph(self):
-        g, labels = self.graph()
+        seeds = seeds_on(g, {"C0": 0.5, "C1": 0.5}, COURSE)
         for scenario in (1, 3):
             inp = ScenarioInput(scenario, career_goal="q" if scenario == 1 else None,
                                 current_job="q" if scenario == 3 else None)
-            with pytest.raises(QueryError, match="^seed 'JX' is not in the graph$"):
-                scenario_scores(g, {**labels, "JX": 0}, inp, {"J1": 0.5, "JX": 0.5})
-
-    def test_course_seed_rejected(self):
-        g, labels = self.graph()
-        inp = ScenarioInput(1, career_goal="data engineer")
-        with pytest.raises(QueryError, match="^seed 'C0' is a course, path starts at a job$"):
-            scenario_scores(g, labels, inp, {"J1": 0.5, "C0": 0.5})
-
-    def test_groups_are_checked_in_ascending_community_order(self):
-        # JX (community 5) comes first in the mapping, but C0's group runs first
-        g, labels = self.graph()
-        inp = ScenarioInput(1, career_goal="data engineer")
-        with pytest.raises(QueryError, match="^seed 'C0' is a course, path starts at a job$"):
-            scenario_scores(g, {**labels, "JX": 5}, inp, {"JX": 0.5, "C0": 0.5})
-        with pytest.raises(QueryError, match="^seed 'JX' is not in the graph$"):
-            scenario_scores(g, {**labels, "JX": -1}, inp, {"C0": 0.5, "JX": 0.5})
+            with pytest.raises(QueryError, match="^seed 'C0' is a course, path starts at a job$"):
+                scenario_scores(g, labels, inp, seeds)
+        # a taken course not in the graph raises before the seeds' kind
+        inp = ScenarioInput(2, career_goal="q", taken_courses=("C1", "CX"))
+        with pytest.raises(QueryError, match="^taken course 'CX' is not in the graph$"):
+            scenario_scores(g, labels, inp, seeds)
 
 
 class TestGraphViewCache:
@@ -544,8 +544,34 @@ class TestGraphViewCache:
             for step in growth[:done]:
                 step(fresh)
             assert recommend(g, labels, inp) == recommend(fresh, dict(labels), inp)
-            assert (score_metapath(g, BASE_PATH, {"J2": 1.0}, labels, 0)
-                    == score_metapath(fresh, BASE_PATH, {"J2": 1.0}, dict(labels), 0))
+            assert (score_metapath(g, BASE_PATH, seeds_on(g, {"J2": 1.0}, JOB), labels, 0)
+                    == score_metapath(fresh, BASE_PATH, seeds_on(fresh, {"J2": 1.0}, JOB),
+                                      dict(labels), 0))
+
+    @pytest.mark.parametrize("change", [
+        lambda g: g.add_node("J2", NodeKind.JOB, "data engineer"),
+        lambda g: g.set_node_name("J1", "data engineer lead"),
+    ])
+    def test_seeds_kept_across_a_change_are_refused(self, change):
+        # a walk reads seeds as index positions, which a change may move
+        g = two_tour_graph()
+        labels = {n: 0 for n in g.node_ids()}
+        labels["J2"] = 0
+        inp = ScenarioInput(scenario=1, career_goal="data engineer")
+        seeds = resolve_job_query(g, "data engineer")
+        base = score_metapath(g, BASE_PATH, seeds, labels, 0)
+        with pytest.raises(QueryError, match=STALE):
+            scenario_scores(HeteroGraph(), labels, inp, seeds)
+        change(g)
+        with pytest.raises(QueryError, match=STALE):
+            score_metapath(g, BASE_PATH, seeds, labels, 0)
+        with pytest.raises(QueryError, match=STALE):
+            scenario_scores(g, labels, inp, seeds)
+        with pytest.raises(QueryError, match=STALE):
+            prerequisite_expansion(g, base)
+        fresh = two_tour_graph()
+        change(fresh)
+        assert recommend(g, labels, inp) == recommend(fresh, labels, inp)
 
     def test_renamed_job_resolves_by_new_title(self):
         g = job_graph(["data engineer"])
@@ -572,9 +598,10 @@ class TestGraphViewCache:
     def test_labels_read_on_every_call(self):
         g = two_tour_graph()
         labels = {n: 0 for n in g.node_ids()}
-        assert score_metapath(g, BASE_PATH, {"J1": 1.0}, labels, 0)["C1"] == pytest.approx(1.0)
+        seeds = seeds_on(g, {"J1": 1.0}, JOB)
+        assert score_metapath(g, BASE_PATH, seeds, labels, 0)["C1"] == pytest.approx(1.0)
         labels["S2"] = 1
-        assert score_metapath(g, BASE_PATH, {"J1": 1.0}, labels, 0)["C1"] == pytest.approx(0.5)
+        assert score_metapath(g, BASE_PATH, seeds, labels, 0)["C1"] == pytest.approx(0.5)
 
     def test_unchanged_graph_indexed_once(self, monkeypatch):
         builds = []
@@ -619,7 +646,7 @@ def full_scatter_then_zero(g, path, seeds, labels, community):
         if step.reverse:
             src, dst = dst, src
         scores = np.bincount(dst, weights=wgt * scores[src], minlength=index.n)
-        if step.community_restricted and community is not None:
+        if step.community_restricted:
             scores[outside] = 0.0
     return {index.ids[i]: scores[i] for i in np.flatnonzero(scores > 0.0).tolist()}
 
@@ -657,16 +684,18 @@ FANNED_OUT_INPUTS = (
 class TestCommunityGate:
     """A restricted step scatters only its community's slice of the edges."""
 
-    COMMUNITIES = (None, -3, 2 ** 70, 7, 99, 12345)
+    COMMUNITIES = (-3, 2 ** 70, 7, 99, 12345)
 
     def test_sliced_scores_equal_oracle_and_full_scatter(self):
+        # every community gated, so a graph yields about five scores: 120 graphs
         checked = 0
-        for seed in range(25):
+        for seed in range(120):
             rng = np.random.default_rng(seed)
             g, plain = random_hetero_graph(rng, n_labels=3)
             labels = awkward_labels(rng, g, plain)
             read_only = Labels(labels)
-            kind_seeds = {kind: {n: 1.0 / len(g.node_ids(kind)) for n in g.node_ids(kind)}
+            kind_seeds = {kind: seeds_on(g, {n: 1.0 / len(g.node_ids(kind))
+                                             for n in g.node_ids(kind)}, kind)
                           for kind in (NodeKind.JOB, NodeKind.COURSE)}
             for path in (BASE_PATH, TAKEN_PATH, UPSKILL_PATH):
                 seeds = kind_seeds[path.source_kind]
@@ -703,7 +732,7 @@ class TestCommunityGate:
                 want = ref_scenario_scores(g, labels, scenario, seeds,
                                            taken=taken if scenario == 2 else ())
                 for given in (labels, Labels(labels)):
-                    got, _prov = scenario_scores(g, given, inp, seeds)
+                    got, _prov = scenario_scores(g, given, inp, seeds_on(g, seeds, JOB))
                     assert set(got) == set(want), (seed, scenario)
                     for node, score in want.items():
                         assert got[node] == pytest.approx(score, abs=1e-12)
@@ -912,15 +941,6 @@ class TestManySeeds:
         assert seen[0] == seen[1]
 
 
-def scores_on(g, scores):
-    """``scores`` as ``ranker.Scores`` on ``g`` as it is now."""
-    index = g.cached(GraphIndex)
-    vector = np.zeros(index.n)
-    for node_id, score in scores.items():
-        vector[index.pos[node_id]] = score
-    return ranker.Scores(index, vector)
-
-
 class TestPrerequisiteExpansion:
     def test_depth_two_chains(self):
         g = HeteroGraph()
@@ -955,10 +975,10 @@ class TestPrerequisiteExpansion:
             g.add_node(c, NodeKind.COURSE)
         g.add_edge("C1", Relation.PRE_REQUIRED, "C0", 1.0)
         base = scores_on(g, {"C1": 1.0})
-        with pytest.raises(QueryError, match="base scores were made on another graph"):
+        with pytest.raises(QueryError, match=STALE):
             prerequisite_expansion(g.copy(), base)
         g.add_node("C2", NodeKind.COURSE)
-        with pytest.raises(QueryError, match="base scores were made on another graph"):
+        with pytest.raises(QueryError, match=STALE):
             prerequisite_expansion(g, base)
         # an empty base pushes nothing, whatever graph it came from
         assert prerequisite_expansion(g, ranker.NO_SCORES) == {}
