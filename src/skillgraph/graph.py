@@ -382,7 +382,8 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
     well-formed node nor a well-formed edge; the second adds each edge,
     parsing each distinct weight text once. So node and line-shape errors
     come first, then edge errors in line order, each as
-    ``{path}: line N: ...``.
+    ``{path}: line N: ...``, then a row whose weights do not sum to 1, as
+    ``{path}: ...``.
     """
     g = HeteroGraph()
     kind_by_value = {k.value: k for k in NodeKind}
@@ -433,7 +434,10 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
     except GraphError as exc:
         raise GraphError(f"{path}: line {lineno}: {exc}") from None
     g._version += 1  # for the edges written straight into their rows
-    g.validate()
+    try:
+        g.validate()
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None
     return g
 
 

@@ -11,13 +11,24 @@ relation's edges are stably ordered by that node's community once per graph
 state and labels (``CommunityEdges``), so the step reads one contiguous slice
 and every node still sums its pushes in the order a full scatter would.
 
+After a restricted step every node outside the query community holds exactly
+0.0, so the unrestricted step that follows one (the reverse prerequisite step
+of upskilling) and the first prerequisite hop from such a base scatter only
+the edges that leave the community: a second stable order of each relation,
+by the community of the node each edge leaves. Each dropped edge would push
+``w * 0.0 = +0.0``, which leaves every sum's bits, and the kept edges reach
+each node in the order a full scatter would. Deeper prerequisite levels
+start from nodes anywhere and take every edge.
+
 A walk with a step that has no edge to push along ends with no mass: a
 restricted step whose slice for the query community is empty (a career
-community that holds no course, say), or any step whose relation has no
-edges. ``score_metapath`` sees this after checking its seeds and returns the
-shared empty ``NO_SCORES`` without allocating or scattering, so a query that
-fans out over many community groups pays only for the walks that can reach
-a course. The rule reads only the graph and the labels.
+community that holds no course, say), an unrestricted step after one whose
+slice of edges leaving the community is empty, or any step whose relation
+has no edges. ``score_metapath`` sees this after checking its seeds and
+returns the shared empty ``NO_SCORES`` without allocating or scattering, so
+a query that fans out over many community groups pays only for the walks
+that can reach a course; ``prerequisite_expansion`` returns it for a hop
+with no edge to take. The rule reads only the graph and the labels.
 
 A query resolves to the jobs whose title holds its tokens as a contiguous
 run (``TitleIndex``), and its seeds stay index positions with their weights
@@ -268,11 +279,12 @@ Edges = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 class CommunityEdges:
     """Per (relation, direction), the edges stably ordered by the community
-    of the node they land on, with each community's bounds; an edge landing
-    on an unlabelled node is in no community's slice. Slice numbers follow
+    of the node they land on, and again by the community of the node they
+    leave, each order with every community's bounds; an edge whose node is
+    unlabelled is in no community's slice of that order. Slice numbers follow
     the communities' ascending order: ``communities[k]`` is slice ``k``'s
     community and ``node_slot`` each node's slice, -1 when unlabelled. Read
-    it as ``labels.cached(index, CommunityEdges)``; slices are built on first
+    it as ``labels.cached(index, CommunityEdges)``; orders are built on first
     use, and each path's gated edges for a community once (``path_edges``)."""
 
     def __init__(self, index: GraphIndex, labels: Labels) -> None:
@@ -282,51 +294,57 @@ class CommunityEdges:
         self.slot = {c: k for k, c in enumerate(self.communities)}
         self.node_slot = np.asarray([-1 if c is None else self.slot[c] for c in node_labels],
                                     dtype=np.int64)
-        self._ordered: dict[tuple[Relation, bool], tuple] = {}
-        self._paths: dict[tuple[MetaPath, int], list[Edges] | None] = {}
+        self._ordered: dict[tuple[Relation, bool, bool], tuple] = {}
+        self._paths: dict[tuple[MetaPath, int, bool], list[Edges] | None] = {}
 
-    def edges(self, step: MetaPathStep,
-              community: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``step``'s edges that land in ``community``, as (from, to, weight)."""
-        key = (step.relation, step.reverse)
+    def edges(self, step: MetaPathStep, community: int,
+              leaving: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``step``'s edges that land in ``community``, or with ``leaving``
+        the ones that leave it, as (from, to, weight)."""
+        key = (step.relation, step.reverse, leaving)
         if key not in self._ordered:
             src, dst, wgt = step.edges(self.index)
-            landing = self.node_slot[dst]
+            end = self.node_slot[src if leaving else dst]
             # stable, so each landing node keeps its edges' order and its sum
-            order = np.argsort(landing, kind="stable")
-            bounds = np.searchsorted(landing[order], np.arange(len(self.slot) + 1))
+            order = np.argsort(end, kind="stable")
+            bounds = np.searchsorted(end[order], np.arange(len(self.slot) + 1))
             self._ordered[key] = (src[order], dst[order], wgt[order], bounds.tolist())
         src, dst, wgt, bounds = self._ordered[key]
         k = self.slot.get(community)
         lo, hi = (0, 0) if k is None else (bounds[k], bounds[k + 1])
         return src[lo:hi], dst[lo:hi], wgt[lo:hi]
 
-    def path_edges(self, path: MetaPath, community: int) -> list[Edges] | None:
+    def path_edges(self, path: MetaPath, community: int,
+                   entered: bool = False) -> list[Edges] | None:
         """``_path_edges`` of ``path`` gated to ``community``, kept after the
-        first call."""
+        first call; ``entered`` when the walk's input lies in ``community``."""
         # interleaved A/B: without this cache, query p50 rose 34-43% on fragmented, 6-8% elsewhere
-        key = (path, community)
+        key = (path, community, entered)
         if key not in self._paths:
-            self._paths[key] = _path_edges(self.index, path, self, community)
+            self._paths[key] = _path_edges(self.index, path, self, community, entered)
         return self._paths[key]
 
 
 def _path_edges(index: GraphIndex, path: MetaPath, gate: CommunityEdges | None = None,
-                community: int | None = None) -> list[Edges] | None:
+                community: int | None = None, entered: bool = False) -> list[Edges] | None:
     """Each step's edges as (from, to, weight), or None as soon as a step has
     none, since a walk that cannot take a step ends with no mass. With a
     ``gate``, a restricted step has only the edges that land in
     ``community``: scattering them equals a full scatter with every node
-    outside it (or unlabelled) zeroed, to the bit."""
+    outside it (or unlabelled) zeroed, to the bit. An unrestricted step
+    after one (or first, when the input has ``entered`` the community) has
+    only the edges that leave ``community``: every other edge starts at a
+    node holding exactly 0.0 and would push +0.0, which leaves a sum's bits."""
     edges = []
     for step in path.steps:
-        if step.community_restricted and gate is not None:
-            step_edges = gate.edges(step, community)
+        if gate is not None and (step.community_restricted or entered):
+            step_edges = gate.edges(step, community, leaving=not step.community_restricted)
         else:
             step_edges = step.edges(index)
         if not len(step_edges[2]):
             return None
         edges.append(step_edges)
+        entered = step.community_restricted
     return edges
 
 
@@ -340,11 +358,15 @@ def _walk(index: GraphIndex, edges: list[Edges], scores: np.ndarray) -> np.ndarr
 class Scores(Mapping[str, float]):
     """Node scores as one dense vector over ``index``, 0.0 where a score is
     not positive; the keys are the nodes with a positive score, in index
-    order. Routes add as vectors, and node ids are made only when read."""
+    order. Routes add as vectors, and node ids are made only when read.
+    ``within`` is the gate and community that hold every score, when a
+    restricted step made the vector last."""
 
-    def __init__(self, index: GraphIndex, vector: np.ndarray) -> None:
+    def __init__(self, index: GraphIndex, vector: np.ndarray,
+                 within: tuple[CommunityEdges, int] | None = None) -> None:
         self.index = index
         self.vector = vector
+        self.within = within
         self._hits: np.ndarray | None = None
 
     @property
@@ -396,7 +418,8 @@ def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Seeds, labels: Mapping
     if len(seeds) and seeds.kind is not path.source_kind:
         raise QueryError(f"seed {next(iter(seeds))!r} is a {seeds.kind.value}, "
                          f"path starts at a {path.source_kind.value}")
-    edges = _as_labels(labels).cached(index, CommunityEdges).path_edges(path, community)
+    gate = _as_labels(labels).cached(index, CommunityEdges)
+    edges = gate.path_edges(path, community)
     if edges is None:
         return NO_SCORES
     scores = np.zeros(index.n, dtype=np.float64)
@@ -405,7 +428,8 @@ def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Seeds, labels: Mapping
     # no node below 0.0; any other seed needs the scores below it set to 0.0
     kept = not len(seeds) or seeds.weight.min() >= 0.0
     scores = _walk(index, edges, scores)
-    return Scores(index, scores if kept else np.fmax(scores, 0.0))
+    within = (gate, community) if path.steps[-1].community_restricted else None
+    return Scores(index, scores if kept else np.fmax(scores, 0.0), within)
 
 
 BASE_PATH = MetaPath((
@@ -434,18 +458,23 @@ def prerequisite_expansion(g: HeteroGraph, base_scores: Scores,
     """Push candidate scores one (or ``depth``) hops down stored prereq edges.
 
     Every level's pushes add up. ``base_scores`` are scores on ``g`` as it
-    is now, such as ``score_metapath`` returns.
+    is now, such as ``score_metapath`` returns. A base held ``within`` one
+    community takes its first hop along only the edges that leave it; the
+    deeper levels take every edge.
     """
     if depth < 0:
         raise QueryError(f"prerequisite depth {depth!r} must be >= 0")
     if not base_scores or not depth:
         return NO_SCORES
     index = _current(g, base_scores)
-    edges = _path_edges(index, _PREREQ_HOP)
-    if edges is None:
+    edges = first = _path_edges(index, _PREREQ_HOP)
+    if base_scores.within is not None:
+        gate, community = base_scores.within
+        first = gate.path_edges(_PREREQ_HOP, community, entered=True)
+    if first is None:
         return NO_SCORES
     # the levels add in order; the first is its own sum, as 0.0 + x is x
-    level = extra = _walk(index, edges, base_scores.vector)
+    level = extra = _walk(index, first, base_scores.vector)
     for _ in range(depth - 1):
         level = _walk(index, edges, level)
         extra = extra + level

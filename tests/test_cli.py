@@ -434,7 +434,7 @@ class TestErrors:
                                     "--scenario", "1", "--goal", "topic-0", "--top", "3")
         assert code == 1
         assert stdout == ""
-        assert f"outgoing r-weights of '{parts[1]}' sum to" in err
+        assert f"{graph}: outgoing r-weights of '{parts[1]}' sum to" in err
 
     def test_evaluate_repeated_run_node_exits_one(self, tmp_path, capsys):
         judgments = tmp_path / "truth.csv"

@@ -651,6 +651,18 @@ def full_scatter_then_zero(g, path, seeds, labels, community):
     return {index.ids[i]: scores[i] for i in np.flatnonzero(scores > 0.0).tolist()}
 
 
+def full_relation_hop(base, depth):
+    """``depth`` prerequisite levels from ``base``'s vector, each a scatter
+    of every prerequisite edge, the levels summed in order."""
+    index = base.index
+    src, dst, wgt = index.rel_edges[Relation.PRE_REQUIRED]
+    level, extra = base.vector, None
+    for _ in range(depth):
+        level = np.bincount(dst, weights=wgt * level[src], minlength=index.n)
+        extra = level if extra is None else extra + level
+    return {index.ids[i]: extra[i] for i in np.flatnonzero(extra > 0.0).tolist()}
+
+
 @pytest.fixture(scope="module")
 def fanned_out(tmp_path_factory):
     """The linked graph and labels of a ``synth --seed 1`` 400/60/600 corpus."""
@@ -737,6 +749,34 @@ class TestCommunityGate:
                     for node, score in want.items():
                         assert got[node] == pytest.approx(score, abs=1e-12)
         assert outside_taken >= 20
+
+    def test_prerequisite_hop_equals_full_relation_hop(self):
+        # a base made by a restricted last step holds mass only in its
+        # community, so its first hop scatters only the edges that leave it:
+        # the same pushes summed in the same order, so equal to the bit
+        checked = empty_slice = landing_outside = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            g, plain = random_hetero_graph(rng, n_labels=3)
+            labels = awkward_labels(rng, g, plain)
+            jobs = g.node_ids(NodeKind.JOB)
+            seeds = seeds_on(g, dict(zip(jobs, rng.normal(size=len(jobs)).tolist())), JOB)
+            for community in self.COMMUNITIES:
+                base = score_metapath(g, BASE_PATH, seeds, labels, community)
+                if not base:
+                    continue
+                assert base.within[1] == community
+                ids = base.index.ids
+                src, dst, _wgt = base.index.rel_edges[Relation.PRE_REQUIRED]
+                leaving = [d for s, d in zip(src.tolist(), dst.tolist())
+                           if labels.get(ids[s]) == community]
+                empty_slice += not leaving
+                landing_outside += any(labels.get(ids[d]) != community for d in leaving)
+                for depth in (1, 2, 3):
+                    got = prerequisite_expansion(g, base, depth)
+                    assert got == full_relation_hop(base, depth), (seed, community, depth)
+                    checked += len(got)
+        assert empty_slice >= 5 and landing_outside >= 30 and checked > 500
 
     def test_slices_built_once_per_graph_state_and_labels(self, monkeypatch):
         builds = []
@@ -853,6 +893,39 @@ class TestScenarioRoutes:
             recommend(g, labels, inp)
             counts.append(len(calls))
         assert counts == [4, 6, 4]
+
+    def test_community_without_prerequisite_edges_ends_its_hops(self):
+        # community 0 sorts first and none of its courses has a prerequisite
+        # edge either way, so its prerequisite hop (scenario 1) and its
+        # upskilling walk (scenario 3) end with no scatter; community 1's
+        # float scores then add to a total that must hold floats too
+        g = HeteroGraph()
+        labels = {}
+        for node, kind, community in (
+                ("J0", JOB, 0), ("S0", NodeKind.SKILL, 0), ("S1", NodeKind.SKILL, 0),
+                ("C0", COURSE, 0), ("J1", JOB, 1), ("S2", NodeKind.SKILL, 1),
+                ("S3", NodeKind.SKILL, 1), ("C1", COURSE, 1), ("C2", COURSE, 1),
+                ("C3", COURSE, 1)):
+            g.add_node(node, kind, "data engineer" if kind is JOB else None)
+            labels[node] = community
+        for source, relation, target in (
+                ("J0", Relation.REQUIRED, "S0"), ("S0", Relation.LINKED, "S1"),
+                ("C0", Relation.COVERED, "S1"), ("J1", Relation.REQUIRED, "S2"),
+                ("S2", Relation.LINKED, "S3"), ("C1", Relation.COVERED, "S3"),
+                ("C1", Relation.PRE_REQUIRED, "C2"), ("C3", Relation.PRE_REQUIRED, "C1")):
+            g.add_edge(source, relation, target, 1.0)
+        for scenario, answer in ((1, ("C0", "C1", "C2")), (3, ("C3",))):
+            inp = ScenarioInput(scenario, career_goal="data engineer" if scenario == 1 else None,
+                                current_job="data engineer" if scenario == 3 else None)
+            want = ref_scenario_scores(g, labels, scenario, {"J0": 0.5, "J1": 0.5})
+            total, prov = scenario_scores(g, labels, inp, resolve_job_query(g, "data engineer"))
+            assert list(prov.seeds) == [0, 1]
+            assert total.vector.dtype == np.float64
+            assert total == want
+            ranked = recommend(g, labels, inp)
+            assert ranked.entries == tuple(sorted(want.items(), key=lambda e: (-e[1], e[0])))
+            assert [node for node, _score in ranked.entries] == list(answer)
+        assert prov.base[0] == {} and prov.base[1] == {"C3": 0.5}
 
     def test_recommend_provenance_is_scenario_scores(self, fanned_out):
         g, labels = fanned_out
