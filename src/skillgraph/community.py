@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Mapping, TypeVar
 import numpy as np
 
 from . import kernels
-from .errors import CommunityError, csv_rows, csv_text, parse_number, write_text
+from .errors import CommunityError, csv_lines, csv_rows, parse_number, write_lines, write_text
 from .graph import GraphIndex, HeteroGraph, NodeKind, union_ids
 
 DEFAULT_TELEPORT = 0.15
@@ -294,7 +294,7 @@ _LABEL_HEADER = ("node_id", "community")
 
 
 def write_labels(path: str | Path, labels: Mapping[str, int]) -> None:
-    write_text(path, csv_text(_LABEL_HEADER, ((n, labels[n]) for n in sorted(labels))))
+    write_lines(path, csv_lines(_LABEL_HEADER, ((n, labels[n]) for n in sorted(labels))))
 
 
 class Labels(Mapping[str, int]):

@@ -6,13 +6,16 @@ CSV with ``\\n`` line ends; a row holding a ``\\r`` has every field quoted, so
 that the row reads back intact. Readers open files with ``newline=""``, as the
 csv module expects, so a quoted ``\\r`` stays a ``\\r`` and ``\\r\\n`` line ends
 still parse. Undecodable or malformed input raises the caller's error class.
+Readers decode a block at a time and writers write a piece at a time, so no
+copy of a whole file is held: a large transient buffer, once freed, raises
+the C allocator's threshold for mapping blocks of its own, and how much free
+memory the heap then keeps resident varies from run to run.
 """
 from __future__ import annotations
 
 import csv
-import io
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 
 class SkillGraphError(Exception):
@@ -55,13 +58,49 @@ def read_text(path: str | Path, error: type[SkillGraphError]) -> str:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+_BLOCK = 1 << 15  # characters a reader decodes at a time
+
+
+def _read_lines(path: str | Path, error: type[SkillGraphError],
+                collect: Callable[[TextIO], list[str]]) -> list[str]:
+    """``collect`` of ``path`` opened as ``read_text`` opens it. A collector
+    that reads by line or by block never holds a copy of the whole file. A
+    read or decode error raises what ``read_text`` would."""
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            return collect(f)
+    except (OSError, UnicodeDecodeError):
+        read_text(path, error)  # the whole file's error, at its byte offset
+        raise
+
+
+def read_lines(path: str | Path, error: type[SkillGraphError]) -> list[str]:
+    """``read_text(path, error).splitlines()``, read a block at a time."""
+    def collect(f: TextIO) -> list[str]:
+        lines, rest = [], ""
+        while block := f.read(_BLOCK):
+            text = rest + block
+            lines += text.splitlines()
+            # a last line that may go on in the next block, or end in a \r
+            # that pairs with a \n there, is split again with that block
+            last = text[-1]
+            if last == "\r":
+                rest = lines.pop() + last
+            elif last.splitlines() == [""]:  # a line end
+                rest = ""
+            else:
+                rest = lines.pop()
+        return lines + rest.splitlines()
+    return _read_lines(path, error, collect)
+
+
 def csv_rows(path: str | Path, header: Sequence[str],
              error: type[SkillGraphError]) -> Iterator[list[str]]:
     """The data rows of the UTF-8 CSV file at ``path``, whose first row must
     be ``header`` and every other row as wide. A bad header or row width, or
     text that does not decode or parse (say, a field over the csv module's
     size limit) raises ``error``; data rows are numbered from 1."""
-    reader = csv.reader(io.StringIO(read_text(path, error), newline=""))
+    reader = csv.reader(_read_lines(path, error, list))
     try:
         first = next(reader, None)
         if first is None:
@@ -97,6 +136,13 @@ def write_text(path: str | Path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """``write_text(path, "".join(lines))``, written a piece at a time: no
+    copy of the whole file is held, in text or in bytes."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.writelines(lines)
+
+
 class _Echo:
     """A file whose ``write`` returns the line, so that ``writerow`` of a
     csv writer on it returns the formatted row."""
@@ -105,8 +151,8 @@ class _Echo:
         return line
 
 
-def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
-    """``header`` and ``rows`` as CSV text with ``\\n`` line ends.
+def csv_lines(header: Sequence[object], rows: Iterable[Sequence[object]]) -> Iterator[str]:
+    """``header`` and ``rows`` as CSV lines, each ending in ``\\n``.
 
     Fields are quoted only where needed, except that a row holding a ``\\r``
     is written with every field quoted: the csv module leaves a ``\\r`` bare
@@ -115,9 +161,12 @@ def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
     """
     minimal = csv.writer(_Echo(), lineterminator="\n")
     quote_all = csv.writer(_Echo(), lineterminator="\n", quoting=csv.QUOTE_ALL)
-    buf = io.StringIO()
-    buf.write(minimal.writerow(header))
+    yield minimal.writerow(header)
     for row in rows:
         line = minimal.writerow(row)
-        buf.write(quote_all.writerow(row) if "\r" in line else line)
-    return buf.getvalue()
+        yield quote_all.writerow(row) if "\r" in line else line
+
+
+def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
+    """``csv_lines`` as one text."""
+    return "".join(csv_lines(header, rows))

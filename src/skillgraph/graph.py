@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import logging
 import math
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import GraphError, parse_number, read_text, write_text
+from .errors import GraphError, parse_number, read_lines, write_lines
 from .ingest import Course, EnrollmentRecord, Job, Skill, tokenize
 
 log = logging.getLogger(__name__)
@@ -345,34 +346,56 @@ def _decode_id(token: str) -> str:
     return token.replace("%20", " ").replace("%25", "%")
 
 
-def snapshot_lines(g: HeteroGraph) -> list[str]:
-    """The snapshot's lines in written order.
+_BATCH_LINES = 1024  # edge lines a snapshot writer sorts and writes at a time
 
-    Each id is encoded, and each distinct weight formatted, once: a graph
-    has far fewer distinct weights than edges.
+
+def _snapshot_text(g: HeteroGraph) -> Iterator[str]:
+    """The snapshot's text in pieces of about ``_BATCH_LINES`` lines, each
+    line ending in ``\\n``.
+
+    The written order is every line sorted as a string. Edge lines (``E``)
+    sort before node lines (``N``). An encoded id holds no space, so no
+    row's head ``E {source} {relation} `` is a prefix of another's, nor any
+    line of another: rows sort as their heads, line ends change no order,
+    and sorting the lines of a run of rows taken in head order puts them in
+    written order. Each id is encoded, and each
+    distinct weight formatted, once: a graph has far fewer distinct weights
+    than edges.
     """
     kinds = g._kind
     code = {node_id: _encode_id(node_id) for node_id in kinds}
-    lines = []
-    for kind in NodeKind:
-        value = kind.value
-        lines.extend(f"N {code[i]} {value}" for i, k in kinds.items() if k is kind)
     text: dict[float, str] = {}
-    for relation, rows in g._out.items():
-        value = relation.value
-        for source, row in rows.items():
-            head = f"E {code[source]} {value} "
-            for target, weight in row.items():
-                w = text.get(weight)
-                if w is None:
-                    w = text[weight] = f"{weight:.17g}"
-                lines.append(f"{head}{code[target]} {w}")
-    lines.sort()  # every line is distinct, so the sort alone fixes the order
-    return lines
+    rows_by_head = {f"E {code[source]} {relation.value} ": row
+                    for relation, rows in g._out.items() for source, row in rows.items()}
+    lines: list[str] = []
+    for head in sorted(rows_by_head):
+        for target, weight in rows_by_head[head].items():
+            w = text.get(weight)
+            if w is None:
+                w = text[weight] = f"{weight:.17g}"
+            lines.append(f"{head}{code[target]} {w}\n")
+        if len(lines) >= _BATCH_LINES:
+            lines.sort()
+            yield "".join(lines)
+            lines = []
+    if lines:
+        lines.sort()
+        yield "".join(lines)
+    yield from sorted(f"N {code[i]} {k.value}\n" for i, k in kinds.items())
+
+
+def snapshot_lines(g: HeteroGraph) -> list[str]:
+    """The snapshot's lines in written order."""
+    # no encoded id holds a line break
+    return [line for piece in _snapshot_text(g) for line in piece.splitlines()]
 
 
 def write_snapshot(g: HeteroGraph, path: str | Path) -> None:
-    write_text(path, "\n".join(snapshot_lines(g)) + "\n")
+    # streamed, so no copy of the whole snapshot is held. Every id is encoded
+    # before the first piece comes, so an id no snapshot can hold leaves no
+    # file; a graph with no node has no line, and its snapshot is one line end
+    pieces = _snapshot_text(g)
+    write_lines(path, itertools.chain([next(pieces, "\n")], pieces))
 
 
 def read_snapshot(path: str | Path) -> HeteroGraph:
@@ -388,7 +411,7 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
     g = HeteroGraph()
     kind_by_value = {k.value: k for k in NodeKind}
     rel_by_value = {r.value: r for r in Relation}
-    lines = read_text(path, GraphError).splitlines()
+    lines = read_lines(path, GraphError)
     try:  # every error names the line of the node or edge at hand
         for lineno, line in enumerate(lines, start=1):
             parts = line.split(" ")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import IngestError, csv_rows, csv_text, parse_number, read_text, write_text
+from .errors import IngestError, csv_lines, csv_rows, parse_number, read_text, write_lines
 
 _TOKEN_SPLIT = re.compile(r"[\W_]+", re.UNICODE)
 # a job skill becomes a graph node id, and the graph snapshot keeps one record
@@ -339,25 +339,25 @@ def apply_skill_matching(courses: Sequence[Course], catalog: Sequence[Skill],
 # ---------------------------------------------------------------------------
 
 def write_courses(path: str | Path, courses: Sequence[Course]) -> None:
-    write_text(path, csv_text(("id", "name", "description"),
-                              ((c.id, c.name, c.description) for c in courses)))
+    write_lines(path, csv_lines(("id", "name", "description"),
+                                ((c.id, c.name, c.description) for c in courses)))
 
 
 def write_course_skills(path: str | Path, courses: Sequence[Course]) -> None:
-    write_text(path, csv_text(("course_id", "skill_id"),
-                              sorted((c.id, sid) for c in courses for sid in c.skills)))
+    write_lines(path, csv_lines(("course_id", "skill_id"),
+                                sorted((c.id, sid) for c in courses for sid in c.skills)))
 
 
 def write_jobs(path: str | Path, jobs: Sequence[Job]) -> None:
-    write_text(path, csv_text(("id", "title", "company", "location", "skills"),
-                              ((j.id, j.title, j.company, j.location, ";".join(sorted(j.skills)))
-                               for j in jobs)))
+    write_lines(path, csv_lines(("id", "title", "company", "location", "skills"),
+                                ((j.id, j.title, j.company, j.location, ";".join(sorted(j.skills)))
+                                 for j in jobs)))
 
 
 def write_skills(path: str | Path, skills: Sequence[Skill]) -> None:
-    write_text(path, csv_text(("id", "name"), ((s.id, s.name) for s in skills)))
+    write_lines(path, csv_lines(("id", "name"), ((s.id, s.name) for s in skills)))
 
 
 def write_enrollments(path: str | Path, records: Sequence[EnrollmentRecord]) -> None:
-    write_text(path, csv_text(("student", "course", "term"),
-                              ((r.student, r.course, r.term) for r in records)))
+    write_lines(path, csv_lines(("student", "course", "term"),
+                                ((r.student, r.course, r.term) for r in records)))

@@ -25,7 +25,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import GraphError, csv_text, write_text
+from .errors import GraphError, csv_lines, write_lines
 from .graph import HeteroGraph, NodeKind, Relation
 from .ingest import tokenize
 
@@ -173,6 +173,6 @@ def link_skills(g: HeteroGraph, communities: Mapping[str, int],
 
 
 def write_link_dump(path: str | Path, records: Sequence[LinkRecord]) -> None:
-    write_text(path, csv_text(("source", "target", "raw_bm25", "weight"),
-                              ((r.source, r.target, f"{r.raw_score:.12g}", f"{r.weight:.12g}")
-                               for r in records)))
+    write_lines(path, csv_lines(("source", "target", "raw_bm25", "weight"),
+                                ((r.source, r.target, f"{r.raw_score:.12g}", f"{r.weight:.12g}")
+                                 for r in records)))

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import EvalError, csv_rows, csv_text, parse_number, write_text
+from .errors import EvalError, csv_lines, csv_rows, parse_number, write_lines
 from .ingest import Course, Job, Skill, tokenize
 from .ranker import RankedList, match_titles, title_index, to_ranked_list
 
@@ -117,10 +117,10 @@ def load_judgments(path: str | Path) -> dict[str, dict[str, bool]]:
 
 
 def write_judgments(path: str | Path, judgments: Mapping[str, Mapping[str, bool]]) -> None:
-    write_text(path, csv_text(_JUDGMENT_HEADER,
-                              ((query, node_id, int(judgments[query][node_id]))
-                               for query in sorted(judgments)
-                               for node_id in sorted(judgments[query]))))
+    write_lines(path, csv_lines(_JUDGMENT_HEADER,
+                                ((query, node_id, int(judgments[query][node_id]))
+                                 for query in sorted(judgments)
+                                 for node_id in sorted(judgments[query]))))
 
 
 def load_runs(path: str | Path) -> dict[str, list[str]]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillgraph.community import compute_flow, detect_communities, map_equation
+from skillgraph import errors
 from skillgraph.errors import GraphError
 from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build_career_graph,
                               build_education_graph, merge_graphs,
@@ -518,6 +519,58 @@ class TestSnapshot:
         p.write_bytes(b"N C1 course\nN caf\xff skill\n")
         with pytest.raises(GraphError, match=r"g\.graph: not UTF-8 text"):
             read_snapshot(p)
+
+    def test_undecodable_byte_past_the_first_block_names_its_file_offset(self, tmp_path,
+                                                                         monkeypatch):
+        monkeypatch.setattr(errors, "_BLOCK", 16)
+        p = tmp_path / "g.graph"
+        head = b"N C1 course\n" * 10
+        p.write_bytes(head + b"N caf\xff skill\n")
+        with pytest.raises(GraphError, match=re.escape(
+                f"g.graph: not UTF-8 text (invalid start byte at byte {len(head) + 5})")):
+            read_snapshot(p)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    def test_lines_split_as_the_whole_text_splits_at_any_block_size(self, tmp_path,
+                                                                   monkeypatch, block):
+        monkeypatch.setattr(errors, "_BLOCK", block)
+        text = "N a skill\r\nN b skill\rN c\x85skill\n\nE x\u2028y\r\r\n\vend\r"
+        p = tmp_path / "g.txt"
+        p.write_bytes(text.encode("utf-8"))
+        assert errors.read_lines(p, GraphError) == text.splitlines()
+
+    def test_written_order_is_every_line_sorted_across_batches(self, tmp_path):
+        # ids where one is a prefix of another, or sorts below a space (a tab,
+        # \x01), and more edge lines than one batch of the streamed writer
+        g = HeteroGraph()
+        jobs = [f"J{i}" for i in range(400)]
+        skills = ["a", "a\tb", "a\x01", "ab", "a%", "a b", "a!", "b"]
+        for j in jobs:
+            g.add_node(j, NodeKind.JOB)
+        for s in skills:
+            g.add_node(s, NodeKind.SKILL)
+        for k, j in enumerate(jobs):
+            picked = skills[k % 3:k % 3 + 5]
+            g.add_row(j, Relation.REQUIRED, {s: 1.0 / len(picked) for s in picked})
+        g.add_row("a", Relation.LINKED, {"a\tb": 0.5, "ab": 0.25, "a b": 0.25})
+        g.add_row("a\tb", Relation.LINKED, {"a": 1.0})
+
+        def enc(node_id):
+            return node_id.replace("%", "%25").replace(" ", "%20")
+        want = sorted([f"N {enc(i)} {g.node_kind(i).value}" for i in g.node_ids()]
+                      + [f"E {enc(s)} {rel.value} {enc(t)} {w:.17g}"
+                         for s, rel, t, w in edges(g)])
+        assert len(want) > 2048
+        p = tmp_path / "g.graph"
+        write_snapshot(g, p)
+        assert p.read_text(encoding="utf-8") == "\n".join(want) + "\n"
+        assert snapshot_lines(g) == want
+
+    def test_empty_graph_snapshot_is_one_line_end(self, tmp_path):
+        p = tmp_path / "g.graph"
+        write_snapshot(HeteroGraph(), p)
+        assert p.read_bytes() == b"\n"
+        assert read_snapshot(p).num_nodes() == 0
 
     @pytest.mark.parametrize("weight", ["abc", "nan", "inf"])
     def test_bad_edge_weight_rejected(self, tmp_path, weight):
