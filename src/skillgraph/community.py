@@ -337,13 +337,17 @@ class Labels(Mapping[str, int]):
 
 def read_labels(path: str | Path) -> Labels:
     out: dict[str, int] = {}
-    for i, row in enumerate(csv_rows(path, _LABEL_HEADER, CommunityError), start=1):
-        if row[0] in out:
-            raise CommunityError(f"{path}: row {i}: node {row[0]!r} is labelled twice")
-        label = parse_number(row[1], int)
+    parsed: dict[str, int] = {}  # each good community text, parsed once
+    for i, (node_id, text) in enumerate(csv_rows(path, _LABEL_HEADER, CommunityError), start=1):
+        if node_id in out:
+            raise CommunityError(f"{path}: row {i}: node {node_id!r} is labelled twice")
+        label = parsed.get(text)
         if label is None:
-            raise CommunityError(f"{path}: row {i}: community {row[1]!r} is not an integer")
-        out[row[0]] = label
+            label = parse_number(text, int)
+            if label is None:
+                raise CommunityError(f"{path}: row {i}: community {text!r} is not an integer")
+            parsed[text] = label
+        out[node_id] = label
     return Labels(out)
 
 

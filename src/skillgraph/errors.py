@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 
 class SkillGraphError(Exception):
@@ -61,14 +61,39 @@ def read_text(path: str | Path, error: type[SkillGraphError]) -> str:
 _BLOCK = 1 << 15  # characters a reader decodes at a time
 
 
-def _read_lines(path: str | Path, error: type[SkillGraphError],
-                collect: Callable[[TextIO], list[str]]) -> list[str]:
-    """``collect`` of ``path`` opened as ``read_text`` opens it. A collector
-    that reads by line or by block never holds a copy of the whole file. A
+def _csv_lines(path: str | Path, error: type[SkillGraphError]) -> list[str]:
+    """The lines of ``path`` opened as ``read_text`` opens it, each with its
+    line end, as the csv module reads them; no whole-file string is held. A
     read or decode error raises what ``read_text`` would."""
     try:
         with open(path, encoding="utf-8", newline="") as f:
-            return collect(f)
+            return list(f)
+    except (OSError, UnicodeDecodeError):
+        read_text(path, error)  # the whole file's error, at its byte offset
+        raise
+
+
+def iter_lines(path: str | Path, error: type[SkillGraphError]) -> Iterator[str]:
+    """The lines of ``read_text(path, error).splitlines()``, decoded a block
+    at a time and given one by one. A read or decode error raises what
+    ``read_text`` would, when the lines before it have been given."""
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            rest = ""
+            while block := f.read(_BLOCK):
+                text = rest + block
+                lines = text.splitlines()
+                # a last line that may go on in the next block, or end in a \r
+                # that pairs with a \n there, is split again with that block
+                last = text[-1]
+                if last == "\r":
+                    rest = lines.pop() + last
+                elif last.splitlines() == [""]:  # a line end
+                    rest = ""
+                else:
+                    rest = lines.pop()
+                yield from lines
+            yield from rest.splitlines()
     except (OSError, UnicodeDecodeError):
         read_text(path, error)  # the whole file's error, at its byte offset
         raise
@@ -76,22 +101,7 @@ def _read_lines(path: str | Path, error: type[SkillGraphError],
 
 def read_lines(path: str | Path, error: type[SkillGraphError]) -> list[str]:
     """``read_text(path, error).splitlines()``, read a block at a time."""
-    def collect(f: TextIO) -> list[str]:
-        lines, rest = [], ""
-        while block := f.read(_BLOCK):
-            text = rest + block
-            lines += text.splitlines()
-            # a last line that may go on in the next block, or end in a \r
-            # that pairs with a \n there, is split again with that block
-            last = text[-1]
-            if last == "\r":
-                rest = lines.pop() + last
-            elif last.splitlines() == [""]:  # a line end
-                rest = ""
-            else:
-                rest = lines.pop()
-        return lines + rest.splitlines()
-    return _read_lines(path, error, collect)
+    return list(iter_lines(path, error))
 
 
 def csv_rows(path: str | Path, header: Sequence[str],
@@ -100,7 +110,7 @@ def csv_rows(path: str | Path, header: Sequence[str],
     be ``header`` and every other row as wide. A bad header or row width, or
     text that does not decode or parse (say, a field over the csv module's
     size limit) raises ``error``; data rows are numbered from 1."""
-    reader = csv.reader(_read_lines(path, error, list))
+    reader = csv.reader(_csv_lines(path, error))
     try:
         first = next(reader, None)
         if first is None:

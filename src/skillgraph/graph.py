@@ -9,6 +9,15 @@ Four relations exist, each fixing its endpoint kinds:
 
 Per node and relation, outgoing weights always sum to 1 when any edge of
 that relation exists.
+
+Graphs are built a row at a time in bulk. ``HeteroGraph.add_rows`` is the
+one entry that the builders, ``merge_graphs``, ``linker.link_skills`` and
+``read_snapshot`` write through: it takes rows in the order ``add_row``
+would, looks up each row's source kind once and each distinct target's
+kind once per call, and writes a row that passes straight in; any other
+row goes through ``add_row``, which raises its message. The builders add
+each distinct node once, in the order a node-at-a-time build adds it, so
+that a clash of ids raises the same first message.
 """
 from __future__ import annotations
 
@@ -18,12 +27,13 @@ import itertools
 import logging
 import math
 from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import GraphError, parse_number, read_lines, write_lines
+from .errors import GraphError, iter_lines, parse_number, write_lines
 from .ingest import Course, EnrollmentRecord, Job, Skill, tokenize
 
 log = logging.getLogger(__name__)
@@ -67,8 +77,8 @@ class HeteroGraph:
     read the array view, ``GraphIndex``). Node payload is a display name
     (course name, job title, skill name) defaulting to the id.
     ``cached`` keeps derived views until the next ``add_node`` (of a new
-    node), ``add_row`` (``add_edge`` is a one-edge row) or ``set_node_name``,
-    each of which bumps a counter.
+    node), ``add_row`` (``add_edge`` is a one-edge row), ``add_rows`` or
+    ``set_node_name``, each of which bumps a counter.
     Every view comes from ``cached``, e.g. ``g.cached(GraphIndex)``, so it is
     built once per graph state and shared.
     """
@@ -122,6 +132,52 @@ class HeteroGraph:
         if row:
             rows.setdefault(source, {}).update(row)
             self._version += 1
+
+    def add_rows(self, rows: Iterable[tuple[str, Relation, dict[str, float]]]) -> None:
+        """``add_row(source, relation, row)`` for each ``(source, relation, row)``
+        in turn, in bulk.
+
+        Each row's source kind is looked up once, and each distinct target's
+        kind once per call. A row that passes every check is written straight
+        in: the dict itself becomes the source's row when it has none yet, so
+        the caller hands each dict over. A row that fails a check goes through
+        ``add_row``, which raises its first bad entry's message; the rows
+        before it stay added.
+        """
+        kinds, out = self._kind, self._out
+        known: dict[NodeKind, set[str]] = {kind: set() for kind in NodeKind}
+        last = None
+        self._version += 1
+        for source, relation, row in rows:
+            if relation is not last:
+                last = relation
+                src_kind, dst_kind = RELATION_SIGNATURE[relation]
+                rel_rows, targets = out[relation], known[dst_kind]
+            if not row:
+                continue
+            weights = row.values()
+            old = rel_rows.get(source)
+            # a positive least weight rules out a weight <= 0 (a NaN can hide
+            # from min, never make it positive); a finite sum then rules out
+            # NaN and infinity
+            if (kinds.get(source) is src_kind and 0.0 < min(weights)
+                    and sum(weights) < math.inf
+                    and (targets.issuperset(row) or self._all_of_kind(row, dst_kind, targets))
+                    and (old is None or old.keys().isdisjoint(row))):
+                if old is None:
+                    rel_rows[source] = row
+                else:
+                    old.update(row)
+            else:
+                self.add_row(source, relation, row)
+
+    def _all_of_kind(self, ids: Iterable[str], kind: NodeKind, known: set[str]) -> bool:
+        """Whether every id is a ``kind`` node; ``known`` gains those that are."""
+        new = [i for i in ids if i not in known]
+        if all(self._kind.get(i) is kind for i in new):
+            known.update(new)
+            return True
+        return False
 
     # -- queries ------------------------------------------------------------
 
@@ -191,18 +247,40 @@ def prereq_counts(enrollments: Sequence[EnrollmentRecord]) -> dict[tuple[str, st
     enrollment in ``cj`` at a strictly earlier term than some enrollment in
     ``ci``. Retakes of the same course never count.
     """
-    spans: dict[str, dict[str, tuple[int, int]]] = {}
+    return {(ci, cj): n for ci, row in _prereq_rows(enrollments).items() for cj, n in row.items()}
+
+
+def _prereq_rows(enrollments: Sequence[EnrollmentRecord]) -> dict[str, dict[str, int]]:
+    """``prereq_counts`` as ``{ci: {cj: count}}``. Every inner dict holds
+    plain strings and ints, so the collector never has to visit them."""
+    first: dict[str, dict[str, int]] = {}  # per student, each course's first term
+    last: dict[str, dict[str, int]] = {}   # and its last
     for rec in enrollments:
-        courses = spans.setdefault(rec.student, {})
-        first, last = courses.get(rec.course, (rec.term, rec.term))
-        courses[rec.course] = (min(first, rec.term), max(last, rec.term))
-    pair: dict[tuple[str, str], int] = {}
-    for courses in spans.values():
-        for ci, (_first, last) in courses.items():
-            for cj, (first, _last) in courses.items():
-                if ci != cj and first < last:
-                    pair[(ci, cj)] = pair.get((ci, cj), 0) + 1
-    return pair
+        student, course, term = rec.student, rec.course, rec.term
+        earliest = first.get(student)
+        if earliest is None:
+            earliest = first[student] = {}
+            latest = last[student] = {}
+        else:
+            latest = last[student]
+        if course not in earliest:
+            earliest[course] = latest[course] = term
+        elif term < earliest[course]:
+            earliest[course] = term
+        elif term > latest[course]:
+            latest[course] = term
+    rows: dict[str, dict[str, int]] = {}
+    for student, earliest in first.items():
+        if len(earliest) < 2:
+            continue
+        for ci, ci_last in last[student].items():
+            for cj, cj_first in earliest.items():
+                if cj_first < ci_last and ci != cj:
+                    row = rows.get(ci)
+                    if row is None:
+                        row = rows[ci] = {}
+                    row[cj] = row.get(cj, 0) + 1
+    return rows
 
 
 def build_education_graph(courses: Sequence[Course], enrollments: Sequence[EnrollmentRecord],
@@ -220,22 +298,33 @@ def build_education_graph(courses: Sequence[Course], enrollments: Sequence[Enrol
     skill_names = {s.id: s.name for s in catalog} if catalog else {}
     for course in courses:
         g.add_node(course.id, NodeKind.COURSE, course.name)
-    for course in courses:
-        skills = sorted(course.skills)
-        for sid in skills:
-            g.add_node(sid, NodeKind.SKILL, skill_names.get(sid))
-        g.add_row(course.id, Relation.COVERED, {sid: 1.0 / len(skills) for sid in skills})
+    kinds = g._kind
+
+    def covered() -> Iterator[tuple[str, Relation, dict[str, float]]]:
+        # each course's skill nodes come just before its row
+        for course in courses:
+            skills = sorted(course.skills)
+            for sid in skills:
+                if kinds.get(sid) is not NodeKind.SKILL:
+                    g.add_node(sid, NodeKind.SKILL, skill_names.get(sid))
+            if skills:
+                yield course.id, Relation.COVERED, dict.fromkeys(skills, 1.0 / len(skills))
+
+    g.add_rows(covered())
     known = set(ids)
     kept = [rec for rec in enrollments if rec.course in known]
     if len(kept) < len(enrollments):
         log.warning("skipped %d enrollment records naming unknown courses",
                     len(enrollments) - len(kept))
-    counts: dict[str, dict[str, int]] = {}
-    for (ci, cj), n in sorted(prereq_counts(kept).items()):
-        counts.setdefault(ci, {})[cj] = n
-    for ci, row in counts.items():
-        total = sum(row.values())
-        g.add_row(ci, Relation.PRE_REQUIRED, {cj: n / total for cj, n in row.items()})
+    counts = _prereq_rows(kept)
+
+    def pre_required() -> Iterator[tuple[str, Relation, dict[str, float]]]:
+        for ci in sorted(counts):
+            row = counts[ci]
+            total = sum(row.values())
+            yield ci, Relation.PRE_REQUIRED, {cj: row[cj] / total for cj in sorted(row)}
+
+    g.add_rows(pre_required())
     g.validate()
     return g
 
@@ -255,22 +344,35 @@ def build_career_graph(jobs: Sequence[Job], aggregate_by_title: bool = False) ->
     bare = next((j.id for j in jobs if not j.skills), None)
     if bare is not None:
         raise GraphError(f"job {bare!r} has no skills")
-    groups: dict[str, tuple[str, list[Job]]] = {}
-    for job in jobs:
-        if aggregate_by_title:
+    if aggregate_by_title:
+        groups: dict[str, tuple[str, list[Job]]] = {}
+        for job in jobs:
             tokens = tokenize(job.title)
             node_id, name = "_".join(tokens) or "untitled", " ".join(tokens) or "untitled"
-        else:
-            node_id, name = job.id, job.title
-        groups.setdefault(node_id, (name, []))[1].append(job)
+            groups.setdefault(node_id, (name, []))[1].append(job)
+        nodes = ((node_id, name, postings) for node_id, (name, postings) in groups.items())
+    else:
+        nodes = ((job.id, job.title, (job,)) for job in jobs)
     g = HeteroGraph()
-    for node_id, (name, postings) in groups.items():
-        g.add_node(node_id, NodeKind.JOB, name)
-        counts = Counter(sid for job in postings for sid in job.skills)
-        total = sum(counts.values())
-        for sid in sorted(counts):
-            g.add_node(sid, NodeKind.SKILL)
-        g.add_row(node_id, Relation.REQUIRED, {sid: n / total for sid, n in sorted(counts.items())})
+    kinds = g._kind
+
+    def required() -> Iterator[tuple[str, Relation, dict[str, float]]]:
+        # each node comes just before its skill nodes and its row
+        for node_id, name, postings in nodes:
+            g.add_node(node_id, NodeKind.JOB, name)
+            if len(postings) == 1:  # each of its d skills has frequency 1/d
+                skills = sorted(postings[0].skills)
+                row = dict.fromkeys(skills, 1 / len(skills))
+            else:
+                counts = Counter(sid for job in postings for sid in job.skills)
+                total = sum(counts.values())
+                row = {sid: n / total for sid, n in sorted(counts.items())}
+            for sid in row:
+                if kinds.get(sid) is not NodeKind.SKILL:
+                    g.add_node(sid, NodeKind.SKILL)
+            yield node_id, Relation.REQUIRED, row
+
+    g.add_rows(required())
     g.validate()
     return g
 
@@ -282,9 +384,10 @@ def union_ids(g: HeteroGraph) -> dict[str, str]:
     both corpora becomes one node; a course or job keeps its own id.
     """
     ids = {}
-    for node_id in g.node_ids():
-        if g.node_kind(node_id) is NodeKind.SKILL:
-            key = skill_key(g.node_name(node_id))
+    kinds = g._kind
+    for node_id in sorted(kinds):  # ids, not (id, kind) pairs: no tuple per node
+        if kinds[node_id] is NodeKind.SKILL:
+            key = skill_key(g._name[node_id])
             if not key:
                 raise GraphError(f"skill {node_id!r} normalizes to an empty key")
             ids[node_id] = key
@@ -305,20 +408,29 @@ def merge_graphs(education: HeteroGraph, career: HeteroGraph) -> HeteroGraph:
     merged = HeteroGraph()
     maps = [(g, union_ids(g)) for g in (education, career)]
     for g, mapping in maps:
+        kinds, names = g._kind, g._name
         for node_id, union_id in mapping.items():
-            kind = g.node_kind(node_id)
-            merged.add_node(union_id, kind,
-                            union_id if kind is NodeKind.SKILL else g.node_name(node_id))
-    for g, mapping in maps:
-        for relation, rows in g._out.items():
-            for source in sorted(rows):
-                row: dict[str, float] = {}
-                for target, weight in sorted(rows[source].items()):
-                    union_target = mapping[target]
-                    row[union_target] = row.get(union_target, 0.0) + weight
-                merged.add_row(mapping[source], relation, row)
+            kind = kinds[node_id]
+            merged.add_node(union_id, kind, union_id if kind is NodeKind.SKILL else names[node_id])
+    merged.add_rows(row for g, mapping in maps for row in _union_rows(g, mapping))
     merged.validate()
     return merged
+
+
+def _union_rows(g: HeteroGraph, mapping: dict[str, str]
+                ) -> Iterator[tuple[str, Relation, dict[str, float]]]:
+    """``g``'s rows renamed by ``mapping``, sources then targets in sorted
+    order; targets the renaming makes one have their weights added."""
+    for relation, rows in g._out.items():
+        for source in sorted(rows):
+            items = sorted(rows[source].items())
+            row = {mapping[target]: weight for target, weight in items}
+            if len(row) < len(items):
+                row = {}
+                for target, weight in items:
+                    union_target = mapping[target]
+                    row[union_target] = row.get(union_target, 0.0) + weight
+            yield mapping[source], relation, row
 
 
 # ---------------------------------------------------------------------------
@@ -398,65 +510,115 @@ def write_snapshot(g: HeteroGraph, path: str | Path) -> None:
     write_lines(path, itertools.chain([next(pieces, "\n")], pieces))
 
 
+@dataclass
+class _EdgeRuns:
+    """A snapshot's edge lines, each run of adjacent lines with one source and
+    relation, and no target twice, gathered into one row. Run ``k`` starts at
+    line ``first_lines[k]``; the runs are parallel lists, not a tuple each,
+    so that the collector has few objects to visit."""
+    first_lines: list[int] = field(default_factory=list)
+    sources: list[str] = field(default_factory=list)
+    relations: list[Relation] = field(default_factory=list)
+    rows: list[dict[str, float]] = field(default_factory=list)
+    # the first line whose weight text is no finite float (its row holds
+    # NaN there), and the text
+    bad_weight: tuple[int, str] | None = None
+
+
+def _read_runs(g: HeteroGraph, path: str | Path) -> _EdgeRuns:
+    """Read the snapshot at ``path`` in one pass, a block at a time, and
+    split each line once. Add each node to ``g``, raise the first line that
+    is neither a well-formed node nor a well-formed edge, and gather the
+    edges into runs. Each distinct id token is decoded, and each distinct
+    weight text parsed, once.
+    """
+    kind_by_value = {k.value: k for k in NodeKind}
+    rel_by_value = {r.value: r for r in Relation}
+    ids: dict[str, str] = {}
+    weights: dict[str, float] = {}
+    runs = _EdgeRuns()
+    source = relation = row = None  # the run at hand; a line of any other kind ends it
+    lines = iter_lines(path, GraphError)
+
+    def fail(lineno: int, problem: str) -> NoReturn:
+        for _rest in lines:  # a read or decode error further on comes first
+            pass
+        raise GraphError(f"{path}: line {lineno}: {problem}")
+
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split(" ")
+        if len(parts) == 5 and parts[0] == "E" and parts[3]:
+            _e, src, rel, token, text = parts
+            target = ids.get(token)
+            if target is None:
+                target = ids[token] = _decode_id(token)
+            if src != source or rel != relation or target in row:
+                if not src or rel not in rel_by_value:
+                    fail(lineno, f"unparseable snapshot line {line!r}")
+                source_id = ids.get(src)
+                if source_id is None:
+                    source_id = ids[src] = _decode_id(src)
+                source, relation, row = src, rel, {}
+                runs.first_lines.append(lineno)
+                runs.sources.append(source_id)
+                runs.relations.append(rel_by_value[rel])
+                runs.rows.append(row)
+            weight = weights.get(text)
+            if weight is None:
+                weight = parse_number(text, float)
+                if weight is None or not math.isfinite(weight):
+                    weight = math.nan
+                    runs.bad_weight = runs.bad_weight or (lineno, text)
+                weights[text] = weight
+            row[target] = weight
+            continue
+        source = None
+        if len(parts) == 3 and parts[0] == "N" and parts[1] and parts[2] in kind_by_value:
+            node_id = ids.get(parts[1])
+            if node_id is None:
+                node_id = ids[parts[1]] = _decode_id(parts[1])
+            try:
+                g.add_node(node_id, kind_by_value[parts[2]])
+            except GraphError as exc:
+                fail(lineno, str(exc))
+        elif line.strip():
+            fail(lineno, f"unparseable snapshot line {line!r}")
+    return runs
+
+
 def read_snapshot(path: str | Path) -> HeteroGraph:
     """Load a snapshot; its lines may come in any order.
 
-    The first pass adds every node and rejects a line that is neither a
-    well-formed node nor a well-formed edge; the second adds each edge,
-    parsing each distinct weight text once. So node and line-shape errors
-    come first, then edge errors in line order, each as
-    ``{path}: line N: ...``, then a row whose weights do not sum to 1, as
-    ``{path}: ...``.
+    One pass adds every node and gathers the edges into rows (``_read_runs``);
+    the rows then go to ``HeteroGraph.add_rows`` in line order. So an
+    undecodable byte anywhere comes first, then node and line-shape errors,
+    then edge errors in line order, each as ``{path}: line N: ...``, then a
+    row whose weights do not sum to 1, as ``{path}: ...``.
     """
     g = HeteroGraph()
-    kind_by_value = {k.value: k for k in NodeKind}
-    rel_by_value = {r.value: r for r in Relation}
-    lines = read_lines(path, GraphError)
-    try:  # every error names the line of the node or edge at hand
-        for lineno, line in enumerate(lines, start=1):
-            parts = line.split(" ")
-            if parts[0] == "N" and len(parts) == 3 and parts[1] and parts[2] in kind_by_value:
-                g.add_node(_decode_id(parts[1]), kind_by_value[parts[2]])
-            elif line.strip() and not (parts[0] == "E" and len(parts) == 5 and parts[1]
-                                       and parts[3] and parts[2] in rel_by_value):
-                raise GraphError(f"unparseable snapshot line {line!r}")
-        # an edge that passes every add_row check is written straight into its
-        # row, and any other goes through add_edge, which raises its message.
-        # Reading every edge through add_edge took perfbench build-mid's
-        # setup_s from 0.646 to 0.697 s and build_s from 1.71 to 1.80 s
-        # (medians of 8 alternating pairs, 2 vCPU, Python 3.11.7). Written
-        # snapshots group a source's edges of one relation, so the row and the
-        # source's kind are looked up once per run of such lines: 8% off a read
-        # of build-mid's linked.graph (medians of 11, 3 processes)
-        kinds = g._kind
-        edge_kinds = {r.value: (r, *RELATION_SIGNATURE[r], g._out[r]) for r in Relation}
-        weights: dict[str, float] = {}  # each distinct text parsed once; only good ones kept
-        last_source = last_relation = None
-        for lineno, line in enumerate(lines, start=1):
-            if line.startswith("E "):  # the first pass checked its shape
-                _e, source, relation, target, text = line.split(" ")
-                if source != last_source or relation != last_relation:
-                    last_source, last_relation = source, relation
-                    rel, src_kind, dst_kind, rows = edge_kinds[relation]
-                    source_id = _decode_id(source) if "%" in source else source
-                    row = (rows.setdefault(source_id, {})
-                           if kinds.get(source_id) is src_kind else None)
-                weight = weights.get(text)
-                if weight is None:
-                    weight = parse_number(text, float)
-                    if weight is None or not math.isfinite(weight):
-                        raise GraphError(f"bad edge weight {text!r}")
-                    weights[text] = weight
-                if "%" in target:
-                    target = _decode_id(target)
-                if (weight > 0.0 and row is not None and kinds.get(target) is dst_kind
-                        and target not in row):
-                    row[target] = weight
-                    continue
-                g.add_edge(source_id, rel, target, weight)
-    except GraphError as exc:
-        raise GraphError(f"{path}: line {lineno}: {exc}") from None
-    g._version += 1  # for the edges written straight into their rows
+    runs = _read_runs(g, path)
+    at = 0  # the run add_rows is at
+
+    def rows() -> Iterator[tuple[str, Relation, dict[str, float]]]:
+        nonlocal at
+        for at, source in enumerate(runs.sources):
+            yield source, runs.relations[at], runs.rows[at]
+
+    try:
+        g.add_rows(rows())
+    except GraphError:
+        # add each edge of the bad run in turn, to name the line that raises
+        source, relation = runs.sources[at], runs.relations[at]
+        for lineno, (target, weight) in enumerate(runs.rows[at].items(),
+                                                  start=runs.first_lines[at]):
+            if runs.bad_weight is not None and lineno == runs.bad_weight[0]:
+                raise GraphError(f"{path}: line {lineno}: bad edge weight "
+                                 f"{runs.bad_weight[1]!r}") from None
+            try:
+                g.add_row(source, relation, {target: weight})
+            except GraphError as exc:
+                raise GraphError(f"{path}: line {lineno}: {exc}") from None
+        raise
     try:
         g.validate()
     except GraphError as exc:

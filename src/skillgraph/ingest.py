@@ -16,6 +16,15 @@ string or number, kept as written; no object gives a key twice). Writers
 always emit CSV, byte-deterministically (sorted skill lists and course-skill
 pairs).
 
+Loaders read each row by position and check it once: each distinct id, job
+skill and term text is checked the first time it appears, and only the ones
+that passed are remembered, while duplicate rows are still caught row by
+row. A row is named (``{path}: row {i}``) only in the message of a check
+that fails, and the first fault in row order is the one raised. CSV rows are
+checked as they are read, with no list of every row held; a check that
+fails first reads the rest of the file, so that a malformed row further on
+is still reported before it, as when every row was read before any check.
+
 Course-skill matching indexes the catalog once per call, by token tuple (a
 dictionary in the spirit of Aho-Corasick, CACM 1975). Each course then costs
 one lookup per stream window and phrase length, plus a sort of its hits,
@@ -26,9 +35,10 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import IngestError, csv_lines, csv_rows, parse_number, read_text, write_lines
 
@@ -63,7 +73,7 @@ class Course:
     skills: frozenset[str] = frozenset()
 
     def with_skills(self, skills: Iterable[str]) -> "Course":
-        return replace(self, skills=frozenset(skills))
+        return Course(self.id, self.name, self.description, frozenset(skills))
 
 
 @dataclass(frozen=True)
@@ -82,18 +92,23 @@ class EnrollmentRecord:
     term: int
 
 
-def _check_id(value: str, what: str, where: str) -> str:
+def _at(path: Path, row: int) -> str:
+    """How a message names data row ``row`` (from 1) of ``path``."""
+    return f"{path}: row {row}"
+
+
+def _check_id(value: str, what: str, path: Path, row: int) -> str:
     if not value:
-        raise IngestError(f"{where}: empty {what} id")
+        raise IngestError(f"{_at(path, row)}: empty {what} id")
     if _WHITESPACE.search(value):
-        raise IngestError(f"{where}: {what} id {value!r} contains whitespace")
+        raise IngestError(f"{_at(path, row)}: {what} id {value!r} contains whitespace")
     return value
 
 
-def _unique(seen: set, key, what: str, where: str):
+def _unique(seen: set, key, what: str, path: Path, row: int):
     """``key``, added to ``seen``; a key already there is a duplicate row."""
     if key in seen:
-        raise IngestError(f"{where}: duplicate {what} {key!r}")
+        raise IngestError(f"{_at(path, row)}: duplicate {what} {key!r}")
     seen.add(key)
     return key
 
@@ -126,106 +141,145 @@ def _json_object(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _read_rows(path: str | Path, columns: Sequence[str],
-               raw: Sequence[str] = ()) -> list[tuple[str, dict]]:
-    """(where, record) pairs from a CSV or JSON file; ``where`` names the file
-    and the 1-based data row. JSON values in ``raw`` columns stay as they are."""
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        text = read_text(path, IngestError)
-        try:
-            # numbers stay the text they were written as
-            data = json.loads(text, object_pairs_hook=_json_object,
-                              parse_int=str, parse_float=str, parse_constant=str)
-        except ValueError as exc:  # a JSONDecodeError, or a key given twice
-            raise IngestError(f"{path}: invalid JSON: {exc}") from exc
-        except RecursionError:
-            raise IngestError(f"{path}: invalid JSON: nested too deeply") from None
-        if not isinstance(data, list):
-            raise IngestError(f"{path}: expected a JSON array of objects")
-        out = []
-        for i, obj in enumerate(data, start=1):
-            where = f"{path}: row {i}"
-            if not isinstance(obj, dict) or set(obj) != set(columns):
-                raise IngestError(f"{where}: expected keys {list(columns)}")
-            # a raw column's string is text all the same
-            out.append((where, {k: obj[k] if k in raw and not isinstance(obj[k], str)
-                                else _json_text(obj[k], where, k) for k in columns}))
-        return out
-    rows = csv_rows(path, columns, IngestError)
-    return [(f"{path}: row {i}", dict(zip(columns, row))) for i, row in enumerate(rows, start=1)]
+def _json_rows(path: Path, columns: Sequence[str], raw: Sequence[str]) -> list[tuple]:
+    """Every data row of a JSON array of objects, each its values in
+    ``columns`` order; values in ``raw`` columns stay as they are."""
+    text = read_text(path, IngestError)
+    try:
+        # numbers stay the text they were written as
+        data = json.loads(text, object_pairs_hook=_json_object,
+                          parse_int=str, parse_float=str, parse_constant=str)
+    except ValueError as exc:  # a JSONDecodeError, or a key given twice
+        raise IngestError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise IngestError(f"{path}: invalid JSON: nested too deeply") from None
+    if not isinstance(data, list):
+        raise IngestError(f"{path}: expected a JSON array of objects")
+    out = []
+    for i, obj in enumerate(data, start=1):
+        where = _at(path, i)
+        if not isinstance(obj, dict) or set(obj) != set(columns):
+            raise IngestError(f"{where}: expected keys {list(columns)}")
+        # a raw column's string is text all the same
+        out.append(tuple(obj[k] if k in raw and not isinstance(obj[k], str)
+                         else _json_text(obj[k], where, k) for k in columns))
+    return out
+
+
+@contextmanager
+def _rows(path: Path, columns: Sequence[str],
+          raw: Sequence[str] = ()) -> Iterator[Iterator[Sequence]]:
+    """The data rows of a CSV or JSON file (numbered from 1), each its values
+    in ``columns`` order, for a loader to check one at a time.
+
+    CSV rows come as they are read, with no list of every row held; a check
+    that fails first reads the rest of the file, so that a malformed row
+    further on is still reported before it, as when every row was read
+    before any was checked. JSON rows are all parsed and checked first.
+    """
+    rows = (csv_rows(path, columns, IngestError) if path.suffix.lower() != ".json"
+            else iter(_json_rows(path, columns, raw)))
+    try:
+        yield rows
+    except IngestError:
+        for _row in rows:
+            pass
+        raise
 
 
 def load_courses(path: str | Path) -> list[Course]:
+    path = Path(path)
     courses: list[Course] = []
     seen: set[str] = set()
-    for where, rec in _read_rows(path, ("id", "name", "description")):
-        cid = _unique(seen, _check_id(rec["id"], "course", where), "course id", where)
-        # ``recommend --taken`` lists course ids joined by ','
-        if "," in cid:
-            raise IngestError(f"{where}: course id {cid!r} contains ','")
-        courses.append(Course(id=cid, name=rec["name"], description=rec["description"]))
+    with _rows(path, ("id", "name", "description")) as rows:
+        for i, (cid, name, description) in enumerate(rows, start=1):
+            _unique(seen, _check_id(cid, "course", path, i), "course id", path, i)
+            # ``recommend --taken`` lists course ids joined by ','
+            if "," in cid:
+                raise IngestError(f"{_at(path, i)}: course id {cid!r} contains ','")
+            courses.append(Course(cid, name, description))
     return courses
 
 
 def load_jobs(path: str | Path) -> list[Job]:
+    path = Path(path)
     jobs: list[Job] = []
     seen: set[str] = set()
     checked: set[str] = set()  # skills that passed; jobs share most skills
-    for where, rec in _read_rows(path, ("id", "title", "company", "location", "skills"),
-                                 raw=("skills",)):
-        jid = _unique(seen, _check_id(rec["id"], "job", where), "job id", where)
-        raw = rec["skills"]
-        if isinstance(raw, str):
-            parts = [s.strip() for s in raw.split(";")]
-        elif isinstance(raw, list):
-            parts = [_json_text(s, where, "skills").strip() for s in raw]
-        else:
-            raise IngestError(f"{where}: bad skills field for job {jid!r}")
-        skills = frozenset(s for s in parts if s)
-        if not skills:
-            raise IngestError(f"{where}: job {jid!r} has an empty skill list")
-        for skill in sorted(skills - checked):
-            if _NON_SPACE_WHITESPACE.search(skill):
-                fault = "contains whitespace other than ' '"
-            # the CSV form joins a job's skills with ';', so a JSON skill must not hold one
-            elif ";" in skill:
-                fault = "contains ';'"
-            # a skill's graph node is keyed by ``skill_key``, its tokens joined
-            elif not tokenize(skill):
-                fault = "has no letters or digits"
+    with _rows(path, ("id", "title", "company", "location", "skills"), raw=("skills",)) as rows:
+        for i, (jid, title, company, location, raw) in enumerate(rows, start=1):
+            _unique(seen, _check_id(jid, "job", path, i), "job id", path, i)
+            if isinstance(raw, str):
+                skills = frozenset(map(str.strip, raw.split(";")))
+            elif isinstance(raw, list):
+                skills = frozenset(_json_text(s, _at(path, i), "skills").strip() for s in raw)
             else:
-                continue
-            raise IngestError(f"{where}: job {jid!r}: skill {skill!r} {fault}")
-        checked |= skills
-        jobs.append(Job(id=jid, title=rec["title"], company=rec["company"],
-                        location=rec["location"], skills=skills))
+                raise IngestError(f"{_at(path, i)}: bad skills field for job {jid!r}")
+            if "" in skills:  # blank entries
+                skills = skills - {""}
+            if not skills:
+                raise IngestError(f"{_at(path, i)}: job {jid!r} has an empty skill list")
+            if not checked.issuperset(skills):
+                for skill in sorted(skills - checked):
+                    if _NON_SPACE_WHITESPACE.search(skill):
+                        fault = "contains whitespace other than ' '"
+                    # the CSV form joins a job's skills with ';', so a JSON skill must not hold one
+                    elif ";" in skill:
+                        fault = "contains ';'"
+                    # a skill's graph node is keyed by ``skill_key``, its tokens joined
+                    elif not tokenize(skill):
+                        fault = "has no letters or digits"
+                    else:
+                        continue
+                    raise IngestError(f"{_at(path, i)}: job {jid!r}: skill {skill!r} {fault}")
+                checked |= skills
+            jobs.append(Job(jid, title, company, location, skills))
     return jobs
 
 
 def load_skills(path: str | Path) -> list[Skill]:
+    path = Path(path)
     skills: list[Skill] = []
     seen: set[str] = set()
-    for where, rec in _read_rows(path, ("id", "name")):
-        sid = _unique(seen, _check_id(rec["id"], "skill", where), "skill id", where)
-        skills.append(Skill(sid, rec["name"]))
+    with _rows(path, ("id", "name")) as rows:
+        for i, (sid, name) in enumerate(rows, start=1):
+            skills.append(Skill(_unique(seen, _check_id(sid, "skill", path, i),
+                                        "skill id", path, i), name))
     return skills
 
 
+def _term(text: str, path: Path, row: int) -> int:
+    term = parse_number(text, int)
+    if term is not None and text.startswith("-"):
+        raise IngestError(f"{_at(path, row)}: negative term {text}")
+    if term is None or len(text) > 18:  # 18 digits always fit a 64-bit integer
+        raise IngestError(f"{_at(path, row)}: term {text!r} is not an integer")
+    return term
+
+
 def load_enrollments(path: str | Path) -> list[EnrollmentRecord]:
+    path = Path(path)
     records: list[EnrollmentRecord] = []
-    seen: set[tuple[str, str, int]] = set()
-    for where, rec in _read_rows(path, ("student", "course", "term")):
-        student = _check_id(rec["student"], "student", where)
-        course = _check_id(rec["course"], "course", where)
-        text = rec["term"]
-        term = parse_number(text, int)
-        if term is not None and text.startswith("-"):
-            raise IngestError(f"{where}: negative term {text}")
-        if term is None or len(text) > 18:  # 18 digits always fit a 64-bit integer
-            raise IngestError(f"{where}: term {text!r} is not an integer")
-        _unique(seen, (student, course, term), "enrollment", where)
-        records.append(EnrollmentRecord(student=student, course=course, term=term))
+    # an id holds no whitespace, so one string keys a (student, course, term)
+    # triple: no tuple per row is kept for the collector to visit
+    seen: set[str] = set()
+    ids: set[str] = set()  # ids that passed _check_id, as a student or a course
+    terms: dict[str, int] = {}  # each good term text, parsed once
+    with _rows(path, ("student", "course", "term")) as rows:
+        for i, (student, course, text) in enumerate(rows, start=1):
+            if student not in ids:
+                ids.add(_check_id(student, "student", path, i))
+            if course not in ids:
+                ids.add(_check_id(course, "course", path, i))
+            term = terms.get(text)
+            if term is None:
+                term = terms[text] = _term(text, path, i)
+            key = f"{student} {course} {term}"
+            if key in seen:
+                raise IngestError(f"{_at(path, i)}: duplicate enrollment "
+                                  f"{(student, course, term)!r}")
+            seen.add(key)
+            records.append(EnrollmentRecord(student, course, term))
     return records
 
 
@@ -240,13 +294,18 @@ class CourseSkillPairs(list):
 
 def load_course_skills(path: str | Path) -> CourseSkillPairs:
     """Pre-matched (course_id, skill_id) pairs, one per row."""
+    path = Path(path)
     pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
-    for where, rec in _read_rows(path, ("course_id", "skill_id")):
-        pair = (_check_id(rec["course_id"], "course", where),
-                _check_id(rec["skill_id"], "skill", where))
-        pairs.append(_unique(seen, pair, "course-skill pair", where))
-    return CourseSkillPairs(pairs, Path(path))
+    ids: set[str] = set()  # ids that passed _check_id, as a course or a skill
+    with _rows(path, ("course_id", "skill_id")) as rows:
+        for i, (cid, sid) in enumerate(rows, start=1):
+            if cid not in ids:
+                ids.add(_check_id(cid, "course", path, i))
+            if sid not in ids:
+                ids.add(_check_id(sid, "skill", path, i))
+            pairs.append(_unique(seen, (cid, sid), "course-skill pair", path, i))
+    return CourseSkillPairs(pairs, path)
 
 
 @dataclass(frozen=True)

@@ -137,8 +137,8 @@ def link_skills(g: HeteroGraph, communities: Mapping[str, int],
     by_community: dict[int, list[str]] = {}
     for sid in skills:
         by_community.setdefault(communities[sid], []).append(sid)
-    linked = g.copy()
     records: list[LinkRecord] = []
+    rows: list[tuple[str, Relation, dict[str, float]]] = []
     for community in sorted(by_community):
         members = by_community[community]
         if len(members) < 2:
@@ -167,7 +167,9 @@ def link_skills(g: HeteroGraph, communities: Mapping[str, int],
                 weight = raw / total
                 row[target] = weight
                 records.append(LinkRecord(source, target, raw, weight))
-            linked.add_row(source, Relation.LINKED, row)
+            rows.append((source, Relation.LINKED, row))
+    linked = g.copy()
+    linked.add_rows(rows)
     linked.validate()
     return linked, records
 

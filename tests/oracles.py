@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
-from skillgraph.errors import IngestError
+from skillgraph.errors import GraphError, IngestError
 from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build_career_graph,
                               build_education_graph)
 from skillgraph.ingest import Course, EnrollmentRecord, Job, Skill, tokenize
@@ -294,6 +295,150 @@ def ref_build_career_graph(jobs, aggregate_by_title: bool = False) -> HeteroGrap
         for sid in sorted(job.skills):
             g.add_node(sid, NodeKind.SKILL, sid)
             g.add_edge(job.id, Relation.REQUIRED, sid, 1.0 / d)
+    return g
+
+
+# ---------------------------------------------------------------------------
+# graph construction one node and one row at a time
+# ---------------------------------------------------------------------------
+# The builders add rows in bulk (``HeteroGraph.add_rows``) and each distinct
+# node once. These add every node and row through ``add_node`` and
+# ``add_row`` alone, in the order the builders document, so that both must
+# give the same snapshot, names and first error message.
+
+def rowwise_education_graph(courses, enrollments, catalog=None) -> HeteroGraph:
+    """Every course node; then per course its skill nodes and covered row
+    (1/d each); then per course, in id order, its pre-required row: for each
+    other course, the share of the distinct students who took it in a
+    strictly earlier term than some term of theirs in this course."""
+    if len({c.id for c in courses}) < len(courses):
+        raise GraphError("duplicate course ids")
+    names = {s.id: s.name for s in catalog or ()}
+    g = HeteroGraph()
+    for c in courses:
+        g.add_node(c.id, NodeKind.COURSE, c.name)
+    for c in courses:
+        for sid in sorted(c.skills):
+            g.add_node(sid, NodeKind.SKILL, names.get(sid))
+        g.add_row(c.id, Relation.COVERED, {sid: 1.0 / len(c.skills) for sid in sorted(c.skills)})
+    known = {c.id for c in courses}
+    before: set[tuple[str, str, str]] = set()  # (student, later course, earlier course)
+    for a in enrollments:
+        for b in enrollments:
+            if (a.student == b.student and a.course != b.course and a.term < b.term
+                    and {a.course, b.course} <= known):
+                before.add((a.student, b.course, a.course))
+    counts: dict[str, dict[str, int]] = {}
+    for _student, later, earlier in before:
+        row = counts.setdefault(later, {})
+        row[earlier] = row.get(earlier, 0) + 1
+    for ci in sorted(counts):
+        total = sum(counts[ci].values())
+        g.add_row(ci, Relation.PRE_REQUIRED,
+                  {cj: n / total for cj, n in sorted(counts[ci].items())})
+    return g
+
+
+def rowwise_career_graph(jobs, aggregate_by_title: bool = False) -> HeteroGraph:
+    """Per posting (or per normalized title, in first-seen order): its node,
+    then its skill nodes in id order, then its required row of skill
+    frequencies."""
+    if len({j.id for j in jobs}) < len(jobs):
+        raise GraphError("duplicate job ids")
+    for j in jobs:
+        if not j.skills:
+            raise GraphError(f"job {j.id!r} has no skills")
+    groups: dict[str, tuple[str, list]] = {}
+    for j in jobs:
+        tokens = tokenize(j.title)
+        key, name = (("_".join(tokens) or "untitled", " ".join(tokens) or "untitled")
+                     if aggregate_by_title else (j.id, j.title))
+        groups.setdefault(key, (name, []))[1].append(j)
+    g = HeteroGraph()
+    for node_id, (name, postings) in groups.items():
+        g.add_node(node_id, NodeKind.JOB, name)
+        counts: dict[str, int] = {}
+        for j in postings:
+            for sid in j.skills:
+                counts[sid] = counts.get(sid, 0) + 1
+        for sid in sorted(counts):
+            g.add_node(sid, NodeKind.SKILL)
+        total = sum(counts.values())
+        g.add_row(node_id, Relation.REQUIRED, {sid: counts[sid] / total for sid in sorted(counts)})
+    return g
+
+
+def rowwise_merge_graphs(education: HeteroGraph, career: HeteroGraph) -> HeteroGraph:
+    """Both graphs' union ids first (a skill is its name's key, which may
+    not be empty), then their nodes in id order, then per graph, relation
+    and source in id order one row whose targets the renaming fuses have
+    their weights added in target order."""
+    union = []
+    for g in (education, career):
+        ids = {}
+        for node_id in g.node_ids():
+            ids[node_id] = _union_id(g, node_id)
+            if not ids[node_id]:
+                raise GraphError(f"skill {node_id!r} normalizes to an empty key")
+        union.append(ids)
+    merged = HeteroGraph()
+    for g, ids in zip((education, career), union):
+        for node_id in g.node_ids():
+            kind = g.node_kind(node_id)
+            merged.add_node(ids[node_id], kind,
+                            ids[node_id] if kind is NodeKind.SKILL else g.node_name(node_id))
+    for g, ids in zip((education, career), union):
+        for relation in Relation:
+            for source in sorted(g._out[relation]):
+                row: dict[str, float] = {}
+                for target, weight in out_edges(g, source, relation):
+                    row[ids[target]] = row.get(ids[target], 0.0) + weight
+                merged.add_row(ids[source], relation, row)
+    return merged
+
+
+def rowwise_read_snapshot(path) -> HeteroGraph:
+    """A snapshot read line by line, twice: nodes and line shapes first, then
+    each edge through ``add_edge``, then the weight sums. Errors name the
+    file and line as ``read_snapshot``'s do."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    kinds = {k.value: k for k in NodeKind}
+    relations = {r.value: r for r in Relation}
+
+    def decode(token: str) -> str:
+        return token.replace("%20", " ").replace("%25", "%")
+
+    g = HeteroGraph()
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split(" ")
+        try:
+            if parts[0] == "N" and len(parts) == 3 and parts[1] and parts[2] in kinds:
+                g.add_node(decode(parts[1]), kinds[parts[2]])
+            elif line.strip() and not (parts[0] == "E" and len(parts) == 5 and parts[1]
+                                       and parts[3] and parts[2] in relations):
+                raise GraphError(f"unparseable snapshot line {line!r}")
+        except GraphError as exc:
+            raise GraphError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split(" ")
+        if parts[0] != "E" or len(parts) != 5:
+            continue
+        try:
+            weight = float(parts[4])
+        except ValueError:
+            weight = math.nan
+        try:
+            text = parts[4]
+            if (not math.isfinite(weight) or not text.isascii() or text != text.strip()
+                    or "_" in text):
+                raise GraphError(f"bad edge weight {parts[4]!r}")
+            g.add_edge(decode(parts[1]), relations[parts[2]], decode(parts[3]), weight)
+        except GraphError as exc:
+            raise GraphError(f"{path}: line {lineno}: {exc}") from None
+    try:
+        g.validate()
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None
     return g
 
 

@@ -607,6 +607,21 @@ def test_non_integer_label_rejected(tmp_path):
         read_labels(path)
 
 
+@pytest.mark.parametrize("rows, row, message", [
+    # a node that passed on row 1 is labelled again on row 4, a community
+    # text parsed on a good row coming back with it
+    (["n1,0", "n2,0", "n3,1", "n1,0", "n5,x"], 4, "node 'n1' is labelled twice"),
+    (["n1,0", "n2,x", "n3,0", "n1,x"], 2, "community 'x' is not an integer"),
+    (["n1,0", "n2,1", "n3", "n2,x"], 3, "expected 2 fields, got 1"),
+])
+def test_first_of_two_label_faults_is_reported(tmp_path, rows, row, message):
+    path = tmp_path / "l.csv"
+    path.write_text("node_id,community\n" + "".join(f"{r}\n" for r in rows))
+    with pytest.raises(CommunityError) as err:
+        read_labels(path)
+    assert str(err.value) == f"{path}: row {row}: {message}"
+
+
 def test_undecodable_labels_rejected(tmp_path):
     path = tmp_path / "l.csv"
     path.write_bytes(b"node_id,community\ncaf\xff,0\n")

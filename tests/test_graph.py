@@ -15,11 +15,13 @@ from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build
                               build_education_graph, merge_graphs,
                               prereq_counts, read_snapshot, skill_key, snapshot_lines,
                               write_snapshot)
-from skillgraph.ingest import Course, EnrollmentRecord, Job
+from skillgraph.ingest import Course, EnrollmentRecord, Job, Skill
 from skillgraph.ranker import BASE_PATH, prerequisite_expansion, score_metapath
 
 from oracles import (edges, out_edges, random_domain_graphs, random_hetero_graph,
-                     ref_build_career_graph, ref_merge_graphs, scores_on, seeds_on)
+                     ref_build_career_graph, ref_merge_graphs, rowwise_career_graph,
+                     rowwise_education_graph, rowwise_merge_graphs, rowwise_read_snapshot,
+                     scores_on, seeds_on)
 
 
 def course(cid, skills=(), name=None):
@@ -235,6 +237,116 @@ class TestMergeGraphs:
                     row = out_edges(merged, node, rel)
                     if row:
                         assert abs(sum(w for _t, w in row) - 1.0) <= 1e-9
+
+
+def built(build, *args):
+    """A built graph's snapshot lines and node names, or the error it raised."""
+    try:
+        g = build(*args)
+    except GraphError as exc:
+        return None, f"GraphError: {exc}"
+    return g, (snapshot_lines(g), [(i, g.node_name(i)) for i in g.node_ids()])
+
+
+def assert_builds_match_rowwise(courses, enrollments, catalog, jobs) -> list[str]:
+    """The bulk builders agree with the one-row-at-a-time oracles on every
+    graph of the corpus; returns the errors they raised."""
+    outcomes = []
+    edu, got = built(build_education_graph, courses, enrollments, catalog)
+    ref_edu, want = built(rowwise_education_graph, courses, enrollments, catalog)
+    assert got == want
+    outcomes.append(got)
+    for aggregate in (False, True):
+        car, got = built(build_career_graph, jobs, aggregate)
+        ref_car, want = built(rowwise_career_graph, jobs, aggregate)
+        assert got == want
+        outcomes.append(got)
+        if edu is not None and car is not None:
+            _merged, got = built(merge_graphs, edu, car)
+            _ref, want = built(rowwise_merge_graphs, ref_edu, ref_car)
+            assert got == want
+            outcomes.append(got)
+    return [outcome for outcome in outcomes if isinstance(outcome, str)]
+
+
+# course, job and skill ids drawn from one pool, so that a job id can equal a
+# skill id or a skill key ("data_base"), a course id a job id, and a skill
+# name can have no key at all ("!!")
+_CLASH_IDS = ["C0", "C1", "J0", "J1", "SK0", "sql", "data_base"]
+_SKILL_NAMES = ["SQL", "sql", "data base", "Data-Base", "python", "!!"]
+
+
+@st.composite
+def small_corpora(draw):
+    catalog = [Skill(f"SK{i}", name) for i, name in
+               enumerate(draw(st.lists(st.sampled_from(_SKILL_NAMES), max_size=4)))]
+    skill_ids = [s.id for s in catalog] + ["J1", "C1", "x"]
+    course_ids = draw(st.lists(st.sampled_from(_CLASH_IDS), min_size=1, max_size=4))
+    courses = [course(cid, draw(st.lists(st.sampled_from(skill_ids), max_size=3)))
+               for cid in course_ids]
+    enrollments = draw(st.lists(st.builds(EnrollmentRecord, st.sampled_from(["s0", "s1", "s2"]),
+                                          st.sampled_from(course_ids + ["CX"]),
+                                          st.integers(0, 3)), max_size=12))
+    job_skills = st.lists(st.sampled_from(_SKILL_NAMES + _CLASH_IDS), max_size=3)
+    jobs = [Job(id=jid, title=draw(st.sampled_from(["engineer", "Senior engineer", "!"])),
+                company="", location="", skills=frozenset(draw(job_skills)))
+            for jid in draw(st.lists(st.sampled_from(_CLASH_IDS), min_size=1, max_size=4))]
+    return courses, enrollments, catalog, jobs
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_corpora())
+def test_bulk_builders_match_the_rowwise_oracles(corpus):
+    assert_builds_match_rowwise(*corpus)
+
+
+def _job(jid, *skills, title="t"):
+    return Job(id=jid, title=title, company="", location="", skills=frozenset(skills))
+
+
+@pytest.mark.parametrize("courses, jobs, message", [
+    # a job id equal to another job's skill id, either way round
+    ([course("C0")], [_job("J0", "sql"), _job("sql", "python")],
+     "node id 'sql' used as both skill and job"),
+    ([course("C0")], [_job("sql", "python"), _job("J0", "sql")],
+     "node id 'sql' used as both job and skill"),
+    # a job id equal to the key of a skill named in either corpus
+    ([course("C0")], [_job("data_base", "python"), _job("J0", "data base")],
+     "node id 'data_base' used as both skill and job"),
+    ([course("C0", ["SK0"])], [_job("sql", "python")],
+     "node id 'sql' used as both skill and job"),
+    # a course id equal to a job id
+    ([course("J0", ["SK0"])], [_job("J0", "python")], "node id 'J0' used as both course and job"),
+])
+def test_id_clashes_raise_the_rowwise_message(courses, jobs, message):
+    errors = assert_builds_match_rowwise(courses, [], [Skill("SK0", "SQL")], jobs)
+    assert errors and all(e == f"GraphError: {message}" for e in errors)
+
+
+_ROW_TARGETS = ["J1", "C1", "S1", "S2", "S3", "ghost"]
+_ROW_WEIGHTS = [0.25, 0.5, 1.0, 0.0, -0.5, math.inf, math.nan, 1e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["J1", "C1", "S1", "ghost"]), st.sampled_from(Relation),
+                          st.dictionaries(st.sampled_from(_ROW_TARGETS),
+                                          st.sampled_from(_ROW_WEIGHTS), max_size=3)),
+                max_size=6))
+def test_add_rows_is_add_row_in_turn(rows):
+    bulk, rowwise = _job_graph(), _job_graph()
+    try:
+        bulk.add_rows([(source, relation, dict(row)) for source, relation, row in rows])
+        got = None
+    except GraphError as exc:
+        got = str(exc)
+    try:
+        for source, relation, row in rows:
+            rowwise.add_row(source, relation, row)
+        want = None
+    except GraphError as exc:
+        want = str(exc)
+    assert got == want
+    assert edges(bulk) == edges(rowwise)
 
 
 def test_add_edge_rejects_duplicates_and_has_no_combine_mode():
@@ -530,6 +642,21 @@ class TestSnapshot:
                 f"g.graph: not UTF-8 text (invalid start byte at byte {len(head) + 5})")):
             read_snapshot(p)
 
+    @pytest.mark.parametrize("bad_line", [b"X junk\n", b"N C1 skill\n"])
+    def test_undecodable_byte_further_on_comes_before_a_bad_line(self, tmp_path, monkeypatch,
+                                                                 bad_line):
+        # lines are read a block at a time, yet an undecodable byte anywhere in
+        # the file is reported before any malformed line or node, as it was
+        # when the whole file was decoded first (past the 8 KiB the text
+        # layer decodes at once)
+        monkeypatch.setattr(errors, "_BLOCK", 16)
+        p = tmp_path / "g.graph"
+        head = b"N C1 course\n" + bad_line + b"N C2 course\n" * 1000
+        p.write_bytes(head + b"N caf\xff skill\n")
+        with pytest.raises(GraphError, match=re.escape(
+                f"g.graph: not UTF-8 text (invalid start byte at byte {len(head) + 5})")):
+            read_snapshot(p)
+
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
     def test_lines_split_as_the_whole_text_splits_at_any_block_size(self, tmp_path,
                                                                    monkeypatch, block):
@@ -684,6 +811,44 @@ class TestSnapshot:
         p = tmp_path / "g.graph"
         write_snapshot(g, p)
         assert edges(read_snapshot(p)) == edges(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_read_snapshot_matches_the_line_by_line_reader(tmp_path_factory, data):
+    # a written snapshot with lines moved, dropped, repeated or broken: the
+    # one-pass reader raises the first error the two-pass line reader does,
+    # or reads the same graph
+    g, _labels = random_hetero_graph(np.random.default_rng(data.draw(st.integers(0, 50))),
+                                     max_nodes=20)
+    lines = snapshot_lines(g)
+    edits = data.draw(st.lists(st.tuples(
+        st.sampled_from(["move", "drop", "repeat", "weight", "blank", "junk", "kind"]),
+        st.integers(0, len(lines) - 1), st.integers(0, len(lines))), max_size=3))
+    for edit, i, j in edits:
+        i %= len(lines)
+        line = lines[i]
+        if edit == "move":
+            lines.insert(j, lines.pop(i))
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(j, line)
+        elif edit == "weight" and line.startswith("E "):
+            lines[i] = line.rsplit(" ", 1)[0] + " " + data.draw(
+                st.sampled_from(["0", "-1", "nan", "x", "1e-400", "0.5", "1_0"]))
+        elif edit == "blank":
+            lines.insert(j, data.draw(st.sampled_from(["", " ", "\t"])))
+        elif edit == "junk":
+            lines.insert(j, data.draw(st.sampled_from(["X y", "E a r", "N a bogus", "E  r b 1"])))
+        elif edit == "kind" and line.startswith("N "):
+            lines[i] = line.rsplit(" ", 1)[0] + " " + data.draw(st.sampled_from(["course", "job",
+                                                                             "skill"]))
+        if not lines:
+            break
+    p = tmp_path_factory.mktemp("snap") / "g.graph"
+    p.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    assert built(read_snapshot, p)[1] == built(rowwise_read_snapshot, p)[1]
 
 
 _ID_PARTS = ["a", "b", "Z", " ", "%", "%20", "%25"]

@@ -330,6 +330,93 @@ def test_row_errors_name_the_file(tmp_path, suffix, loader, row, message):
     assert str(err.value) == f"{p}: row 2: {message}"
 
 
+COURSE = ("id", "name", "description")
+JOB = ("id", "title", "company", "location", "skills")
+SKILL = ("id", "name")
+ENROLLMENT = ("student", "course", "term")
+PAIR = ("course_id", "skill_id")
+
+# Files with two faults. Each loader checks an id, a skill or a term text
+# once and remembers the ones that passed, but still checks every row for
+# duplicates: the first fault in row order is the one reported, whichever
+# of the two a remembered value stands behind.
+TWO_FAULTS = [
+    # an id that passed on row 1 comes back as a duplicate on row 4
+    (load_courses, COURSE, [("C1", "a", "d"), ("C2", "b", "d"), ("C3", "c", "d"),
+                            ("C1", "e", "d"), ("C 5", "f", "d")],
+     4, "duplicate course id 'C1'"),
+    (load_courses, COURSE, [("C1", "a", "d"), ("C 2", "b", "d"), ("C3", "c", "d"),
+                            ("C1", "e", "d")],
+     2, "course id 'C 2' contains whitespace"),
+    (load_jobs, JOB, [("J1", "Dev", "x", "y", "sql;python"), ("J2", "Dev", "x", "y", "sql"),
+                      ("J3", "Ops", "x", "y", "python"), ("J1", "Ops", "x", "y", "sql"),
+                      ("J5", "Ops", "x", "y", "-")],
+     4, "duplicate job id 'J1'"),
+    # a skill that passed on row 1 comes back beside a bad one
+    (load_jobs, JOB, [("J1", "Dev", "x", "y", "sql;python"), ("J2", "Dev", "x", "y", "sql"),
+                      ("J3", "Ops", "x", "y", "sql;-"), ("J1", "Ops", "x", "y", "sql")],
+     3, "job 'J3': skill '-' has no letters or digits"),
+    (load_skills, SKILL, [("SK1", "sql"), ("SK2", "python"), ("SK3", "etl"), ("SK1", "r"),
+                          ("", "go")],
+     4, "duplicate skill id 'SK1'"),
+    (load_skills, SKILL, [("SK1", "sql"), ("", "python"), ("SK3", "etl"), ("SK1", "r")],
+     2, "empty skill id"),
+    # a term text parsed on a good row is repeated in a duplicate enrollment
+    (load_enrollments, ENROLLMENT, [("s1", "C1", "3"), ("s2", "C1", "3"), ("s1", "C2", "4"),
+                                    ("s1", "C1", "3"), ("s3", "C1", "x")],
+     4, "duplicate enrollment ('s1', 'C1', 3)"),
+    (load_enrollments, ENROLLMENT, [("s1", "C1", "3"), ("s2", "C1", "-3"), ("s1", "C1", "3")],
+     2, "negative term -3"),
+    # a bad id first appears in the course column, then in the student column
+    (load_enrollments, ENROLLMENT, [("s1", "C1", "3"), ("s2", "C 9", "3"), ("C 9", "C1", "4")],
+     2, "course id 'C 9' contains whitespace"),
+    (load_enrollments, ENROLLMENT, [("s1", "C1", "3"), ("s 2", "C1", "3"), ("C1", "s 2", "4")],
+     2, "student id 's 2' contains whitespace"),
+    (load_course_skills, PAIR, [("C1", "SK1"), ("C2", "SK1"), ("C1", "SK2"), ("C1", "SK1"),
+                                ("C 5", "SK1")],
+     4, "duplicate course-skill pair ('C1', 'SK1')"),
+    (load_course_skills, PAIR, [("C1", "SK1"), ("C 2", "SK1"), ("C1", "C 2")],
+     2, "course id 'C 2' contains whitespace"),
+]
+
+
+def write_records(path: Path, columns, rows) -> None:
+    """``rows`` as a CSV file, or as a JSON array of objects if ``path`` ends in ``.json``."""
+    if path.suffix == ".json":
+        path.write_text(json.dumps([dict(zip(columns, row)) for row in rows]))
+    else:
+        path.write_text("".join(",".join(line) + "\n" for line in [columns, *rows]))
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("loader, columns, rows, row, message", TWO_FAULTS,
+                         ids=[f"{case[0].__name__}-row{case[3]}" for case in TWO_FAULTS])
+def test_first_of_two_faults_is_reported(tmp_path, suffix, loader, columns, rows, row, message):
+    p = tmp_path / f"records{suffix}"
+    write_records(p, columns, rows)
+    with pytest.raises(IngestError) as err:
+        loader(p)
+    assert str(err.value) == f"{p}: row {row}: {message}"
+
+
+@pytest.mark.parametrize("loader, columns, good, bad", [
+    (load_courses, COURSE, ("C1", "a", "d"), ("C 2", "b", "d")),
+    (load_jobs, JOB, ("J1", "Dev", "x", "y", "sql"), ("J2", "Dev", "x", "y", "-")),
+    (load_skills, SKILL, ("SK1", "sql"), ("", "python")),
+    (load_enrollments, ENROLLMENT, ("s1", "C1", "3"), ("s1", "C2", "x")),
+    (load_course_skills, PAIR, ("C1", "SK1"), ("C1", "C 2")),
+], ids=lambda v: v.__name__ if callable(v) else "")
+def test_row_of_the_wrong_width_further_on_comes_first(tmp_path, loader, columns, good, bad):
+    # rows are checked as they are read, yet a malformed row is still reported
+    # before a bad value on an earlier row
+    p = tmp_path / "records.csv"
+    write_records(p, columns, [good, bad, good[:-1]])
+    with pytest.raises(IngestError) as err:
+        loader(p)
+    assert str(err.value) == (f"{p}: row 3: expected {len(columns)} fields, "
+                              f"got {len(columns) - 1}")
+
+
 class TestJsonText:
     """A JSON text field takes a string or a number, nothing else."""
 
