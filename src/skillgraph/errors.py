@@ -99,11 +99,6 @@ def iter_lines(path: str | Path, error: type[SkillGraphError]) -> Iterator[str]:
         raise
 
 
-def read_lines(path: str | Path, error: type[SkillGraphError]) -> list[str]:
-    """``read_text(path, error).splitlines()``, read a block at a time."""
-    return list(iter_lines(path, error))
-
-
 def csv_rows(path: str | Path, header: Sequence[str],
              error: type[SkillGraphError]) -> Iterator[list[str]]:
     """The data rows of the UTF-8 CSV file at ``path``, whose first row must

@@ -36,7 +36,7 @@ import json
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -73,7 +73,7 @@ class Course:
     skills: frozenset[str] = frozenset()
 
     def with_skills(self, skills: Iterable[str]) -> "Course":
-        return Course(self.id, self.name, self.description, frozenset(skills))
+        return replace(self, skills=frozenset(skills))
 
 
 @dataclass(frozen=True)

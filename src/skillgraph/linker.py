@@ -169,7 +169,7 @@ def link_skills(g: HeteroGraph, communities: Mapping[str, int],
                 records.append(LinkRecord(source, target, raw, weight))
             rows.append((source, Relation.LINKED, row))
     linked = g.copy()
-    linked.add_rows(rows)
+    linked._add_rows(rows)
     linked.validate()
     return linked, records
 

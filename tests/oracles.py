@@ -301,7 +301,7 @@ def ref_build_career_graph(jobs, aggregate_by_title: bool = False) -> HeteroGrap
 # ---------------------------------------------------------------------------
 # graph construction one node and one row at a time
 # ---------------------------------------------------------------------------
-# The builders add rows in bulk (``HeteroGraph.add_rows``) and each distinct
+# The builders add rows in bulk (``HeteroGraph._add_rows``) and each distinct
 # node once. These add every node and row through ``add_node`` and
 # ``add_row`` alone, in the order the builders document, so that both must
 # give the same snapshot, names and first error message.

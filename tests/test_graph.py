@@ -335,7 +335,7 @@ _ROW_WEIGHTS = [0.25, 0.5, 1.0, 0.0, -0.5, math.inf, math.nan, 1e308]
 def test_add_rows_is_add_row_in_turn(rows):
     bulk, rowwise = _job_graph(), _job_graph()
     try:
-        bulk.add_rows([(source, relation, dict(row)) for source, relation, row in rows])
+        bulk._add_rows([(source, relation, dict(row)) for source, relation, row in rows])
         got = None
     except GraphError as exc:
         got = str(exc)
@@ -664,7 +664,7 @@ class TestSnapshot:
         text = "N a skill\r\nN b skill\rN c\x85skill\n\nE x\u2028y\r\r\n\vend\r"
         p = tmp_path / "g.txt"
         p.write_bytes(text.encode("utf-8"))
-        assert errors.read_lines(p, GraphError) == text.splitlines()
+        assert list(errors.iter_lines(p, GraphError)) == text.splitlines()
 
     def test_written_order_is_every_line_sorted_across_batches(self, tmp_path):
         # ids where one is a prefix of another, or sorts below a space (a tab,
