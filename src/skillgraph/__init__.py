@@ -6,7 +6,7 @@ from .community import (CommunityPartition, FlowModel, compute_flow, detect_comm
 from .errors import (CommunityError, ConfigError, EvalError, GraphError, IngestError,
                      QueryError, SkillGraphError)
 from .graph import (HeteroGraph, NodeKind, Relation, build_career_graph, build_education_graph,
-                    merge_graphs, prereq_counts, read_snapshot, skill_key, write_snapshot)
+                    merge_graphs, read_snapshot, skill_key, write_snapshot)
 from .ingest import (Course, EnrollmentRecord, Job, Skill, load_course_skills, load_courses,
                      load_enrollments, load_jobs, load_skills, tokenize)
 from .linker import Bm25Params, CorpusStats, SkillDocument, bm25, link_skills
@@ -28,7 +28,7 @@ __all__ = [
     "compute_flow", "detect_communities", "generate_synthetic_corpus",
     "link_skills", "load_course_skills", "load_courses", "load_enrollments", "load_jobs",
     "load_skills", "map_equation", "merge_graphs",
-    "merge_partitions", "metric_report", "precision", "precision_at", "prereq_counts",
+    "merge_partitions", "metric_report", "precision", "precision_at",
     "read_snapshot", "recommend", "resolve_job_query", "score_metapath", "skill_key",
     "tokenize", "write_snapshot",
 ]

@@ -27,7 +27,8 @@ from typing import Callable, Iterator, Mapping, TypeVar
 import numpy as np
 
 from . import kernels
-from .errors import CommunityError, csv_lines, csv_rows, parse_number, write_lines, write_text
+from .errors import (CommunityError, csv_lines, csv_rows, parse_number, read_through, write_lines,
+                     write_text)
 from .graph import GraphIndex, HeteroGraph, NodeKind, union_ids
 
 DEFAULT_TELEPORT = 0.15
@@ -338,16 +339,17 @@ class Labels(Mapping[str, int]):
 def read_labels(path: str | Path) -> Labels:
     out: dict[str, int] = {}
     parsed: dict[str, int] = {}  # each good community text, parsed once
-    for i, (node_id, text) in enumerate(csv_rows(path, _LABEL_HEADER, CommunityError), start=1):
-        if node_id in out:
-            raise CommunityError(f"{path}: row {i}: node {node_id!r} is labelled twice")
-        label = parsed.get(text)
-        if label is None:
-            label = parse_number(text, int)
+    with read_through(csv_rows(path, _LABEL_HEADER, CommunityError)) as rows:
+        for i, (node_id, text) in enumerate(rows, start=1):
+            if node_id in out:
+                raise CommunityError(f"{path}: row {i}: node {node_id!r} is labelled twice")
+            label = parsed.get(text)
             if label is None:
-                raise CommunityError(f"{path}: row {i}: community {text!r} is not an integer")
-            parsed[text] = label
-        out[node_id] = label
+                label = parse_number(text, int)
+                if label is None:
+                    raise CommunityError(f"{path}: row {i}: community {text!r} is not an integer")
+                parsed[text] = label
+            out[node_id] = label
     return Labels(out)
 
 

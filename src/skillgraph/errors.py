@@ -6,16 +6,25 @@ CSV with ``\\n`` line ends; a row holding a ``\\r`` has every field quoted, so
 that the row reads back intact. Readers open files with ``newline=""``, as the
 csv module expects, so a quoted ``\\r`` stays a ``\\r`` and ``\\r\\n`` line ends
 still parse. Undecodable or malformed input raises the caller's error class.
-Readers decode a block at a time and writers write a piece at a time, so no
-copy of a whole file is held: a large transient buffer, once freed, raises
-the C allocator's threshold for mapping blocks of its own, and how much free
-memory the heap then keeps resident varies from run to run.
+Line and CSV readers decode a block at a time and writers write a piece at a
+time, so no copy of a whole file is held (``read_text`` gives one whole, for
+a JSON document): a large transient buffer, once freed, raises the C
+allocator's threshold for mapping blocks of its own, and how much free
+memory the heap then keeps resident varies from run to run. A reader checks
+each row or line as it is read, inside ``read_through``: a check that fails
+first reads the rest of the file, so that an undecodable byte or a malformed
+row anywhere in it is still raised first, as when the whole file was read
+before any check.
 """
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
+
+
+T = TypeVar("T")
 
 
 class SkillGraphError(Exception):
@@ -61,13 +70,14 @@ def read_text(path: str | Path, error: type[SkillGraphError]) -> str:
 _BLOCK = 1 << 15  # characters a reader decodes at a time
 
 
-def _csv_lines(path: str | Path, error: type[SkillGraphError]) -> list[str]:
+def _csv_lines(path: str | Path, error: type[SkillGraphError]) -> Iterator[str]:
     """The lines of ``path`` opened as ``read_text`` opens it, each with its
-    line end, as the csv module reads them; no whole-file string is held. A
-    read or decode error raises what ``read_text`` would."""
+    line end, given one by one as the csv module reads them. A read or
+    decode error raises what ``read_text`` would, when the lines before it
+    have been given."""
     try:
         with open(path, encoding="utf-8", newline="") as f:
-            return list(f)
+            yield from f
     except (OSError, UnicodeDecodeError):
         read_text(path, error)  # the whole file's error, at its byte offset
         raise
@@ -118,6 +128,20 @@ def csv_rows(path: str | Path, header: Sequence[str],
             yield row
     except csv.Error as exc:
         raise error(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+@contextmanager
+def read_through(items: Iterator[T]) -> Iterator[Iterator[T]]:
+    """``items``, for a reader to check one at a time as they are read. A
+    check that fails first reads the rest of ``items``, so that a read,
+    decode or parse error further on is raised in its place, as when every
+    item was read before any was checked."""
+    try:
+        yield items
+    except SkillGraphError:
+        for _item in items:
+            pass
+        raise
 
 
 # how a message names a value that is not of the kind read (``is not an int``)

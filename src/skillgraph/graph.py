@@ -10,15 +10,19 @@ Four relations exist, each fixing its endpoint kinds:
 Per node and relation, outgoing weights always sum to 1 when any edge of
 that relation exists.
 
-Graphs are built a row at a time in bulk. ``HeteroGraph._add_rows`` is the
-one entry that the builders, ``merge_graphs``, ``linker.link_skills`` and
-``read_snapshot`` write through: it takes rows in the order ``add_row``
-would, looks up each row's source kind once and each distinct target's
-kind once per call, and writes a row that passes straight in (the graph
-keeps the caller's dict, so each row must be a fresh dict); any other
-row goes through ``add_row``, which raises its message. The builders add
-each distinct node once, in the order a node-at-a-time build adds it, so
-that a clash of ids raises the same first message.
+Graphs are built a row at a time. Every row is written through
+``HeteroGraph._add_rows``, the bulk entry of the builders, ``merge_graphs``,
+``linker.link_skills`` and ``read_snapshot``; ``add_row`` is its one-row
+form on a copy of the row, and ``add_edge`` a one-edge row. It looks up each
+row's source kind once and each distinct target's kind once per call, and
+writes a row that passes straight in (the graph keeps the caller's dict, so
+each row must be a fresh dict); a row that fails raises the message
+``_check_row`` makes for its first bad entry. The builders add each
+distinct node once, in the order a node-at-a-time build adds it, so that a
+clash of ids raises the same first message.
+
+``read_snapshot`` reads a snapshot in one pass that keeps nothing to explain
+a fault; when a row fails, it reads the file again to name the line.
 """
 from __future__ import annotations
 
@@ -28,13 +32,12 @@ import itertools
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import GraphError, iter_lines, parse_number, write_lines
+from .errors import GraphError, iter_lines, parse_number, read_through, write_lines
 from .ingest import Course, EnrollmentRecord, Job, Skill, tokenize
 
 log = logging.getLogger(__name__)
@@ -77,9 +80,8 @@ class HeteroGraph:
     its source's forward row; there is no reverse adjacency (reverse walks
     read the array view, ``GraphIndex``). Node payload is a display name
     (course name, job title, skill name) defaulting to the id.
-    ``cached`` keeps derived views until the next ``add_node`` (of a new
-    node), ``add_row`` (``add_edge`` is a one-edge row), ``_add_rows`` or
-    ``set_node_name``, each of which bumps a counter.
+    ``cached`` keeps derived views until the graph next changes: a new node,
+    a row written or a name set bumps a counter.
     Every view comes from ``cached``, e.g. ``g.cached(GraphIndex)``, so it is
     built once per graph state and shared.
     """
@@ -112,44 +114,24 @@ class HeteroGraph:
         Each entry is checked in row order, and each check in this order: a
         positive finite weight, the source's kind, the target's kind, a target
         not yet in ``source``'s row. The first bad entry raises and nothing is
-        added.
+        added. The graph keeps a copy of ``row``.
         """
-        src_kind, dst_kind = RELATION_SIGNATURE[relation]
-        rows, kinds = self._out[relation], self._kind
-        old = rows.get(source, {})
-        source_ok = kinds.get(source) is src_kind
-        for target, weight in row.items():
-            if not 0.0 < weight < math.inf:  # also false for NaN
-                problem = f" has non-positive or non-finite weight {weight!r}"
-            elif not source_ok:
-                problem = f": source is not a {src_kind.value}"
-            elif kinds.get(target) is not dst_kind:
-                problem = f": target is not a {dst_kind.value}"
-            elif target in old:
-                raise GraphError(f"duplicate edge {source}-{relation.value}->{target}")
-            else:
-                continue
-            raise GraphError(f"edge {source}-{relation.value}->{target}{problem}")
-        if row:
-            rows.setdefault(source, {}).update(row)
-            self._version += 1
+        self._add_rows([(source, relation, dict(row))])
 
     def _add_rows(self, rows: Iterable[tuple[str, Relation, dict[str, float]]]) -> None:
         """``add_row(source, relation, row)`` for each ``(source, relation, row)``
         in turn, in bulk, for the package's own builders and readers.
 
         Each row's source kind is looked up once, and each distinct target's
-        kind once per call. A row that passes every check is written straight
-        in: unlike ``add_row``, which copies, the dict itself becomes the
-        source's row when it has none yet, so the caller hands each dict over
-        and must not reuse or change it. A row that fails a check goes through
-        ``add_row``, which raises its first bad entry's message; the rows
+        kind once per call. Unlike ``add_row``, which copies, the dict itself
+        becomes the source's row when it has none yet, so the caller hands
+        each dict over and must not reuse or change it. A row that fails a
+        check raises its first bad entry's message (``_check_row``); the rows
         before it stay added.
         """
         kinds, out = self._kind, self._out
         known: dict[NodeKind, set[str]] = {kind: set() for kind in NodeKind}
         last = None
-        self._version += 1
         for source, relation, row in rows:
             if relation is not last:
                 last = relation
@@ -161,17 +143,35 @@ class HeteroGraph:
             old = rel_rows.get(source)
             # a positive least weight rules out a weight <= 0 (a NaN can hide
             # from min, never make it positive); a finite sum then rules out
-            # NaN and infinity
-            if (kinds.get(source) is src_kind and 0.0 < min(weights)
+            # NaN and infinity, and an infinite one leaves the entries to check
+            if not (kinds.get(source) is src_kind and 0.0 < min(weights)
                     and sum(weights) < math.inf
                     and (targets.issuperset(row) or self._all_of_kind(row, dst_kind, targets))
                     and (old is None or old.keys().isdisjoint(row))):
-                if old is None:
-                    rel_rows[source] = row
-                else:
-                    old.update(row)
+                self._check_row(source, relation, row)
+            if old is None:
+                rel_rows[source] = row
             else:
-                self.add_row(source, relation, row)
+                old.update(row)
+            self._version += 1
+
+    def _check_row(self, source: str, relation: Relation, row: dict[str, float]) -> None:
+        """Raise the message of ``row``'s first bad entry, as ``add_row``
+        orders the checks; return when every entry passes."""
+        src_kind, dst_kind = RELATION_SIGNATURE[relation]
+        kinds, old = self._kind, self._out[relation].get(source, {})
+        for target, weight in row.items():
+            if not 0.0 < weight < math.inf:  # also false for NaN
+                problem = f" has non-positive or non-finite weight {weight!r}"
+            elif kinds.get(source) is not src_kind:
+                problem = f": source is not a {src_kind.value}"
+            elif kinds.get(target) is not dst_kind:
+                problem = f": target is not a {dst_kind.value}"
+            elif target in old:
+                raise GraphError(f"duplicate edge {source}-{relation.value}->{target}")
+            else:
+                continue
+            raise GraphError(f"edge {source}-{relation.value}->{target}{problem}")
 
     def _all_of_kind(self, ids: Iterable[str], kind: NodeKind, known: set[str]) -> bool:
         """Whether every id is a ``kind`` node; ``known`` gains those that are."""
@@ -242,19 +242,14 @@ class HeteroGraph:
                         f"outgoing {rel.value}-weights of {source!r} sum to {total!r}, not 1")
 
 
-def prereq_counts(enrollments: Sequence[EnrollmentRecord]) -> dict[tuple[str, str], int]:
-    """Count who-took-what-first over an enrollment log.
-
-    ``pair[(ci, cj)]`` is the number of distinct students with some
-    enrollment in ``cj`` at a strictly earlier term than some enrollment in
-    ``ci``. Retakes of the same course never count.
-    """
-    return {(ci, cj): n for ci, row in _prereq_rows(enrollments).items() for cj, n in row.items()}
-
-
 def _prereq_rows(enrollments: Sequence[EnrollmentRecord]) -> dict[str, dict[str, int]]:
-    """``prereq_counts`` as ``{ci: {cj: count}}``. Every inner dict holds
-    plain strings and ints, so the collector never has to visit them."""
+    """Who-took-what-first over an enrollment log, as ``{ci: {cj: count}}``.
+
+    ``count`` is the number of distinct students with some enrollment in
+    ``cj`` at a strictly earlier term than some enrollment in ``ci``. Retakes
+    of the same course never count. Every inner dict holds plain strings and
+    ints, so the collector never has to visit them.
+    """
     first: dict[str, dict[str, int]] = {}  # per student, each course's first term
     last: dict[str, dict[str, int]] = {}   # and its last
     for rec in enrollments:
@@ -497,12 +492,6 @@ def _snapshot_text(g: HeteroGraph) -> Iterator[str]:
     yield from sorted(f"N {code[i]} {k.value}\n" for i, k in kinds.items())
 
 
-def snapshot_lines(g: HeteroGraph) -> list[str]:
-    """The snapshot's lines in written order."""
-    # no encoded id holds a line break
-    return [line for piece in _snapshot_text(g) for line in piece.splitlines()]
-
-
 def write_snapshot(g: HeteroGraph, path: str | Path) -> None:
     # streamed, so no copy of the whole snapshot is held. Every id is encoded
     # before the first piece comes, so an id no snapshot can hold leaves no
@@ -511,114 +500,103 @@ def write_snapshot(g: HeteroGraph, path: str | Path) -> None:
     write_lines(path, itertools.chain([next(pieces, "\n")], pieces))
 
 
-@dataclass
-class _EdgeRuns:
-    """A snapshot's edge lines, each run of adjacent lines with one source and
-    relation, and no target twice, gathered into one row. Run ``k`` starts at
-    line ``first_lines[k]``; the runs are parallel lists, not a tuple each,
-    so that the collector has few objects to visit."""
-    first_lines: list[int] = field(default_factory=list)
-    sources: list[str] = field(default_factory=list)
-    relations: list[Relation] = field(default_factory=list)
-    rows: list[dict[str, float]] = field(default_factory=list)
-    # the first line whose weight text is no finite float (its row holds
-    # NaN there), and the text
-    bad_weight: tuple[int, str] | None = None
-
-
-def _read_runs(g: HeteroGraph, path: str | Path) -> _EdgeRuns:
+def _read_rows(g: HeteroGraph, path: str | Path
+               ) -> tuple[list[str], list[Relation], list[dict[str, float]]]:
     """Read the snapshot at ``path`` in one pass, a block at a time, and
     split each line once. Add each node to ``g``, raise the first line that
-    is neither a well-formed node nor a well-formed edge, and gather the
-    edges into runs. Each distinct id token is decoded, and each distinct
-    weight text parsed, once.
+    is neither a well-formed node nor a well-formed edge, and gather each
+    run of adjacent edge lines with one source and relation, and no target
+    twice, into one row: the runs' sources, relations and rows, as parallel
+    lists rather than a tuple each, so that the collector has few objects to
+    visit. A weight text that is no finite float reads as NaN. Each distinct
+    id token is decoded, and each distinct weight text parsed, once.
     """
     kind_by_value = {k.value: k for k in NodeKind}
     rel_by_value = {r.value: r for r in Relation}
     ids: dict[str, str] = {}
     weights: dict[str, float] = {}
-    runs = _EdgeRuns()
+    sources: list[str] = []
+    relations: list[Relation] = []
+    rows: list[dict[str, float]] = []
     source = relation = row = None  # the run at hand; a line of any other kind ends it
-    lines = iter_lines(path, GraphError)
+    with read_through(iter_lines(path, GraphError)) as lines:
+        for lineno, line in enumerate(lines, start=1):
+            parts = line.split(" ")
+            if len(parts) == 5 and parts[0] == "E" and parts[3]:
+                _e, src, rel, token, text = parts
+                target = ids.get(token)
+                if target is None:
+                    target = ids[token] = _decode_id(token)
+                if src != source or rel != relation or target in row:
+                    if not src or rel not in rel_by_value:
+                        raise GraphError(
+                            f"{path}: line {lineno}: unparseable snapshot line {line!r}")
+                    source_id = ids.get(src)
+                    if source_id is None:
+                        source_id = ids[src] = _decode_id(src)
+                    source, relation, row = src, rel, {}
+                    sources.append(source_id)
+                    relations.append(rel_by_value[rel])
+                    rows.append(row)
+                weight = weights.get(text)
+                if weight is None:
+                    weight = parse_number(text, float)
+                    if weight is None or not math.isfinite(weight):
+                        weight = math.nan
+                    weights[text] = weight
+                row[target] = weight
+                continue
+            source = None
+            if len(parts) == 3 and parts[0] == "N" and parts[1] and parts[2] in kind_by_value:
+                node_id = ids.get(parts[1])
+                if node_id is None:
+                    node_id = ids[parts[1]] = _decode_id(parts[1])
+                try:
+                    g.add_node(node_id, kind_by_value[parts[2]])
+                except GraphError as exc:
+                    raise GraphError(f"{path}: line {lineno}: {exc}") from None
+            elif line.strip():
+                raise GraphError(f"{path}: line {lineno}: unparseable snapshot line {line!r}")
+    return sources, relations, rows
 
-    def fail(lineno: int, problem: str) -> NoReturn:
-        for _rest in lines:  # a read or decode error further on comes first
-            pass
-        raise GraphError(f"{path}: line {lineno}: {problem}")
 
-    for lineno, line in enumerate(lines, start=1):
+def _raise_edge_fault(path: str | Path, kinds: dict[str, NodeKind]) -> None:
+    """Read the snapshot at ``path`` again and add its edge lines one at a
+    time, in line order, to a graph of the nodes ``kinds``; raise the first
+    that fails as ``{path}: line N: ...``, and return when none does. Runs,
+    and the entries of each run, reach ``_add_rows`` in line order, so this
+    is the line whose entry made it raise."""
+    g = HeteroGraph()
+    g._kind = kinds
+    for lineno, line in enumerate(iter_lines(path, GraphError), start=1):
         parts = line.split(" ")
-        if len(parts) == 5 and parts[0] == "E" and parts[3]:
-            _e, src, rel, token, text = parts
-            target = ids.get(token)
-            if target is None:
-                target = ids[token] = _decode_id(token)
-            if src != source or rel != relation or target in row:
-                if not src or rel not in rel_by_value:
-                    fail(lineno, f"unparseable snapshot line {line!r}")
-                source_id = ids.get(src)
-                if source_id is None:
-                    source_id = ids[src] = _decode_id(src)
-                source, relation, row = src, rel, {}
-                runs.first_lines.append(lineno)
-                runs.sources.append(source_id)
-                runs.relations.append(rel_by_value[rel])
-                runs.rows.append(row)
-            weight = weights.get(text)
-            if weight is None:
-                weight = parse_number(text, float)
-                if weight is None or not math.isfinite(weight):
-                    weight = math.nan
-                    runs.bad_weight = runs.bad_weight or (lineno, text)
-                weights[text] = weight
-            row[target] = weight
-            continue
-        source = None
-        if len(parts) == 3 and parts[0] == "N" and parts[1] and parts[2] in kind_by_value:
-            node_id = ids.get(parts[1])
-            if node_id is None:
-                node_id = ids[parts[1]] = _decode_id(parts[1])
+        if len(parts) == 5 and parts[0] == "E":  # the first read left no other such line
+            weight = parse_number(parts[4], float)
             try:
-                g.add_node(node_id, kind_by_value[parts[2]])
+                if weight is None or not math.isfinite(weight):
+                    raise GraphError(f"bad edge weight {parts[4]!r}")
+                g.add_edge(_decode_id(parts[1]), Relation(parts[2]), _decode_id(parts[3]), weight)
             except GraphError as exc:
-                fail(lineno, str(exc))
-        elif line.strip():
-            fail(lineno, f"unparseable snapshot line {line!r}")
-    return runs
+                raise GraphError(f"{path}: line {lineno}: {exc}") from None
 
 
 def read_snapshot(path: str | Path) -> HeteroGraph:
     """Load a snapshot; its lines may come in any order.
 
-    One pass adds every node and gathers the edges into rows (``_read_runs``);
-    the rows then go to ``HeteroGraph._add_rows`` in line order. So an
-    undecodable byte anywhere comes first, then node and line-shape errors,
-    then edge errors in line order, each as ``{path}: line N: ...``, then a
-    row whose weights do not sum to 1, as ``{path}: ...``.
+    One pass adds every node and gathers the edges into rows
+    (``_read_rows``); the rows then go to ``HeteroGraph._add_rows`` in line
+    order, and when it raises, a second read names the line
+    (``_raise_edge_fault``). So an undecodable byte anywhere comes first,
+    then node and line-shape errors, then edge errors in line order, each as
+    ``{path}: line N: ...``, then a row whose weights do not sum to 1, as
+    ``{path}: ...``.
     """
     g = HeteroGraph()
-    runs = _read_runs(g, path)
-    at = 0  # the run _add_rows is at
-
-    def rows() -> Iterator[tuple[str, Relation, dict[str, float]]]:
-        nonlocal at
-        for at, source in enumerate(runs.sources):
-            yield source, runs.relations[at], runs.rows[at]
-
+    sources, relations, rows = _read_rows(g, path)
     try:
-        g._add_rows(rows())
+        g._add_rows(zip(sources, relations, rows))
     except GraphError:
-        # add each edge of the bad run in turn, to name the line that raises
-        source, relation = runs.sources[at], runs.relations[at]
-        for lineno, (target, weight) in enumerate(runs.rows[at].items(),
-                                                  start=runs.first_lines[at]):
-            if runs.bad_weight is not None and lineno == runs.bad_weight[0]:
-                raise GraphError(f"{path}: line {lineno}: bad edge weight "
-                                 f"{runs.bad_weight[1]!r}") from None
-            try:
-                g.add_row(source, relation, {target: weight})
-            except GraphError as exc:
-                raise GraphError(f"{path}: line {lineno}: {exc}") from None
+        _raise_edge_fault(path, g._kind)
         raise
     try:
         g.validate()

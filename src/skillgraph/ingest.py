@@ -21,9 +21,10 @@ skill and term text is checked the first time it appears, and only the ones
 that passed are remembered, while duplicate rows are still caught row by
 row. A row is named (``{path}: row {i}``) only in the message of a check
 that fails, and the first fault in row order is the one raised. CSV rows are
-checked as they are read, with no list of every row held; a check that
-fails first reads the rest of the file, so that a malformed row further on
-is still reported before it, as when every row was read before any check.
+checked as they are read, with no list of every row or line held; a check
+that fails first reads the rest of the file (``errors.read_through``), so
+that an undecodable byte or a malformed row further on is still reported
+before it.
 
 Course-skill matching indexes the catalog once per call, by token tuple (a
 dictionary in the spirit of Aho-Corasick, CACM 1975). Each course then costs
@@ -35,12 +36,13 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import IngestError, csv_lines, csv_rows, parse_number, read_text, write_lines
+from .errors import (IngestError, csv_lines, csv_rows, parse_number, read_text, read_through,
+                     write_lines)
 
 _TOKEN_SPLIT = re.compile(r"[\W_]+", re.UNICODE)
 # a job skill becomes a graph node id, and the graph snapshot keeps one record
@@ -166,25 +168,14 @@ def _json_rows(path: Path, columns: Sequence[str], raw: Sequence[str]) -> list[t
     return out
 
 
-@contextmanager
 def _rows(path: Path, columns: Sequence[str],
-          raw: Sequence[str] = ()) -> Iterator[Iterator[Sequence]]:
+          raw: Sequence[str] = ()) -> AbstractContextManager[Iterator[Sequence]]:
     """The data rows of a CSV or JSON file (numbered from 1), each its values
-    in ``columns`` order, for a loader to check one at a time.
-
-    CSV rows come as they are read, with no list of every row held; a check
-    that fails first reads the rest of the file, so that a malformed row
-    further on is still reported before it, as when every row was read
-    before any was checked. JSON rows are all parsed and checked first.
-    """
-    rows = (csv_rows(path, columns, IngestError) if path.suffix.lower() != ".json"
-            else iter(_json_rows(path, columns, raw)))
-    try:
-        yield rows
-    except IngestError:
-        for _row in rows:
-            pass
-        raise
+    in ``columns`` order, for a loader to check one at a time in a ``with``
+    block (``read_through``). CSV rows come as they are read; JSON rows are
+    all parsed and checked first."""
+    return read_through(csv_rows(path, columns, IngestError) if path.suffix.lower() != ".json"
+                        else iter(_json_rows(path, columns, raw)))
 
 
 def load_courses(path: str | Path) -> list[Course]:

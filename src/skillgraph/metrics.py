@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import EvalError, csv_lines, csv_rows, parse_number, write_lines
+from .errors import EvalError, csv_lines, csv_rows, parse_number, read_through, write_lines
 from .ingest import Course, Job, Skill, tokenize
 from .ranker import RankedList, match_titles, title_index, to_ranked_list
 
@@ -106,13 +106,15 @@ _JUDGMENT_HEADER = ("query_id", "node_id", "relevant")
 def load_judgments(path: str | Path) -> dict[str, dict[str, bool]]:
     """CSV ``query_id,node_id,relevant`` with relevant in {0,1}."""
     out: dict[str, dict[str, bool]] = {}
-    for i, row in enumerate(csv_rows(path, _JUDGMENT_HEADER, EvalError), start=1):
-        if row[2] not in ("0", "1"):
-            raise EvalError(f"{path}: row {i}: expected query_id,node_id,relevant(0|1)")
-        judged = out.setdefault(row[0], {})
-        if row[1] in judged:
-            raise EvalError(f"{path}: row {i}: node {row[1]!r} is judged twice for query {row[0]!r}")
-        judged[row[1]] = row[2] == "1"
+    with read_through(csv_rows(path, _JUDGMENT_HEADER, EvalError)) as rows:
+        for i, row in enumerate(rows, start=1):
+            if row[2] not in ("0", "1"):
+                raise EvalError(f"{path}: row {i}: expected query_id,node_id,relevant(0|1)")
+            judged = out.setdefault(row[0], {})
+            if row[1] in judged:
+                raise EvalError(
+                    f"{path}: row {i}: node {row[1]!r} is judged twice for query {row[0]!r}")
+            judged[row[1]] = row[2] == "1"
     return out
 
 
@@ -131,19 +133,20 @@ def load_runs(path: str | Path) -> dict[str, list[str]]:
     """
     staged: dict[str, list[tuple[int, str, float, int]]] = {}
     seen: set[tuple[str, str]] = set()
-    rows = csv_rows(path, ("query_id", "rank", "node_id", "score"), EvalError)
-    for i, row in enumerate(rows, start=1):
-        rank, score = parse_number(row[1], int), parse_number(row[3], float)
-        if rank is None:
-            raise EvalError(f"{path}: row {i}: bad rank {row[1]!r}")
-        if score is None:
-            raise EvalError(f"{path}: row {i}: bad score {row[3]!r}")
-        if not math.isfinite(score):
-            raise EvalError(f"{path}: row {i}: score {row[3]!r} is not finite")
-        if (row[0], row[2]) in seen:
-            raise EvalError(f"{path}: row {i}: node {row[2]!r} is ranked twice for query {row[0]!r}")
-        seen.add((row[0], row[2]))
-        staged.setdefault(row[0], []).append((rank, row[2], score, i))
+    with read_through(csv_rows(path, ("query_id", "rank", "node_id", "score"), EvalError)) as rows:
+        for i, row in enumerate(rows, start=1):
+            rank, score = parse_number(row[1], int), parse_number(row[3], float)
+            if rank is None:
+                raise EvalError(f"{path}: row {i}: bad rank {row[1]!r}")
+            if score is None:
+                raise EvalError(f"{path}: row {i}: bad score {row[3]!r}")
+            if not math.isfinite(score):
+                raise EvalError(f"{path}: row {i}: score {row[3]!r} is not finite")
+            if (row[0], row[2]) in seen:
+                raise EvalError(
+                    f"{path}: row {i}: node {row[2]!r} is ranked twice for query {row[0]!r}")
+            seen.add((row[0], row[2]))
+            staged.setdefault(row[0], []).append((rank, row[2], score, i))
     out: dict[str, list[str]] = {}
     for query, entries in staged.items():
         entries.sort()

@@ -467,17 +467,18 @@ def prerequisite_expansion(g: HeteroGraph, base_scores: Scores,
     if not base_scores or not depth:
         return NO_SCORES
     index = _current(g, base_scores)
-    edges = first = _path_edges(index, _PREREQ_HOP)
-    if base_scores.within is not None:
-        gate, community = base_scores.within
-        first = gate.path_edges(_PREREQ_HOP, community, entered=True)
+    within = base_scores.within
+    first = (_path_edges(index, _PREREQ_HOP) if within is None
+             else within[0].path_edges(_PREREQ_HOP, within[1], entered=True))
     if first is None:
         return NO_SCORES
     # the levels add in order; the first is its own sum, as 0.0 + x is x
     level = extra = _walk(index, first, base_scores.vector)
-    for _ in range(depth - 1):
-        level = _walk(index, edges, level)
-        extra = extra + level
+    if depth > 1:
+        edges = first if within is None else _path_edges(index, _PREREQ_HOP)
+        for _ in range(depth - 1):
+            level = _walk(index, edges, level)
+            extra = extra + level
     return Scores(index, extra)
 
 

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from skillgraph.community import compute_flow, detect_communities, map_equation
 from skillgraph import errors
 from skillgraph.errors import GraphError
-from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build_career_graph,
-                              build_education_graph, merge_graphs,
-                              prereq_counts, read_snapshot, skill_key, snapshot_lines,
-                              write_snapshot)
+from skillgraph import graph
+from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, _prereq_rows,
+                              _snapshot_text, build_career_graph, build_education_graph,
+                              merge_graphs, read_snapshot, skill_key, write_snapshot)
 from skillgraph.ingest import Course, EnrollmentRecord, Job, Skill
 from skillgraph.ranker import BASE_PATH, prerequisite_expansion, score_metapath
 
@@ -22,6 +22,16 @@ from oracles import (edges, out_edges, random_domain_graphs, random_hetero_graph
                      ref_build_career_graph, ref_merge_graphs, rowwise_career_graph,
                      rowwise_education_graph, rowwise_merge_graphs, rowwise_read_snapshot,
                      scores_on, seeds_on)
+
+
+def snapshot_lines(g):
+    """The lines ``write_snapshot`` writes for ``g``, in written order."""
+    return "".join(_snapshot_text(g)).splitlines()
+
+
+def prereq_counts(enrollments):
+    """``_prereq_rows`` as one count per ``(ci, cj)`` pair."""
+    return {(ci, cj): n for ci, row in _prereq_rows(enrollments).items() for cj, n in row.items()}
 
 
 def course(cid, skills=(), name=None):
@@ -737,6 +747,38 @@ class TestSnapshot:
         p.write_text("E J1 r S1 0.5\nE J1 r S1 0.5\nN J1 job\nN S1 skill\n")
         with pytest.raises(GraphError, match=r"g\.graph: line 2: duplicate edge J1-r->S1"):
             read_snapshot(p)
+
+    @pytest.mark.parametrize("text, lineno, tail", [
+        # the first copy is two runs back, a run of another source between
+        ("N J1 job\nN J2 job\nN S1 skill\nN S2 skill\nE J1 r S1 0.5\nE J2 r S1 1\n"
+         "E J1 r S2 0.5\nE J1 r S1 0.5\n", 8, "duplicate edge J1-r->S1"),
+        # a bad weight later in the run of a wrong-kind target
+        ("N J1 job\nN S1 skill\nN C1 course\nE J1 r C1 0.5\nE J1 r S1 x\n", 4,
+         "edge J1-r->C1: target is not a skill"),
+    ])
+    def test_edge_fault_names_its_line_across_runs(self, tmp_path, text, lineno, tail):
+        p = tmp_path / "g.graph"
+        p.write_text(text)
+        with pytest.raises(GraphError) as err:
+            read_snapshot(p)
+        assert str(err.value) == f"{p}: line {lineno}: {tail}"
+        assert built(rowwise_read_snapshot, p)[1] == f"GraphError: {err.value}"
+
+    def test_only_a_faulty_read_reads_the_file_again(self, tmp_path, monkeypatch):
+        reads = []
+
+        def counted(path, error):
+            reads.append(path)
+            return errors.iter_lines(path, error)
+        monkeypatch.setattr(graph, "iter_lines", counted)
+        p = tmp_path / "g.graph"
+        write_snapshot(self._golden_graph(1), p)
+        read_snapshot(p)
+        assert len(reads) == 1
+        p.write_text("N J1 job\nN S1 skill\nE J1 r S1 0\n")
+        with pytest.raises(GraphError, match="line 3: edge J1-r->S1 has non-positive"):
+            read_snapshot(p)
+        assert len(reads) == 3
 
     def test_unnormalised_out_weights_rejected(self, tmp_path):
         p = tmp_path / "g.graph"

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from skillgraph.errors import EvalError
+from skillgraph.community import read_labels
+from skillgraph.errors import CommunityError, EvalError
 from skillgraph.ingest import Course, Job, Skill
 from skillgraph.metrics import (JudgedRun, average_precision, baseline_vector_space,
                                 judged_runs, load_judgments, load_runs, metric_report,
@@ -289,3 +290,37 @@ class TestBaselineVectorSpace:
         ranked = baseline_vector_space(jobs, [course_with, course_without],
                                        "data engineer", catalog=catalog)
         assert ranked.entries[0][0] == "C1"
+
+
+# each loader with a content fault on row 1, then good rows past the 8 KiB
+# the text layer decodes at once
+FAULT_FIRST = [
+    (read_labels, CommunityError, "node_id,community\nn0,x\n", "n1,0\n"),
+    (load_judgments, EvalError, "query_id,node_id,relevant\nq,n0,2\n", "q,n1,1\n"),
+    (load_runs, EvalError, "query_id,rank,node_id,score\nq,x,n0,1\n", "q,1,n1,1\n"),
+]
+
+
+@pytest.mark.parametrize("loader, error, head, good", FAULT_FIRST,
+                         ids=[case[0].__name__ for case in FAULT_FIRST])
+def test_undecodable_byte_further_on_comes_before_a_row_fault(tmp_path, loader, error, head,
+                                                               good):
+    p = tmp_path / "t.csv"
+    text = (head + good * 2000).encode("utf-8")
+    p.write_bytes(text + b"\xff\n")
+    with pytest.raises(error) as err:
+        loader(p)
+    assert str(err.value) == f"{p}: not UTF-8 text (invalid start byte at byte {len(text)})"
+
+
+@pytest.mark.parametrize("loader, error, head, good", FAULT_FIRST,
+                         ids=[case[0].__name__ for case in FAULT_FIRST])
+def test_row_of_the_wrong_width_further_on_comes_first(tmp_path, loader, error, head, good):
+    # rows are checked as they are read, yet a malformed row is still reported
+    # before a bad value on an earlier row
+    p = tmp_path / "t.csv"
+    p.write_text(head + good + "x\n")
+    width = len(head.split("\n")[0].split(","))
+    with pytest.raises(error) as err:
+        loader(p)
+    assert str(err.value) == f"{p}: row 3: expected {width} fields, got 1"
