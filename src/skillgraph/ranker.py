@@ -24,20 +24,29 @@ A walk with a step that has no edge to push along ends with no mass: a
 restricted step whose slice for the query community is empty (a career
 community that holds no course, say), an unrestricted step after one whose
 slice of edges leaving the community is empty, or any step whose relation
-has no edges. ``score_metapath`` sees this after checking its seeds and
-returns the shared empty ``NO_SCORES`` without allocating or scattering, so
-a query that fans out over many community groups pays only for the walks
-that can reach a course; ``prerequisite_expansion`` returns it for a hop
-with no edge to take. The rule reads only the graph and the labels.
+has no edges. The rule reads only the graph and the labels, and each
+path's gated edges are worked out once per community
+(``CommunityEdges.path_edges``), so ``scenario_scores`` skips such a dead
+group before any walk call: its base is the shared empty ``NO_SCORES``, the
+taken-course walk is skipped the same way in each community, and the
+group's seed view is made only when something reads it, such as
+``recommend --debug``. A query that fans out over many community groups
+thus pays only for the walks that can reach a course: on ``fragmented``
+(``perfbench``, seed 1, traced) a query spans 11.2 groups and makes 1.36
+``score_metapath`` calls. Called on its own, ``score_metapath`` returns
+``NO_SCORES`` for a dead community after checking its seeds, without
+allocating or scattering; ``prerequisite_expansion`` returns it for a hop
+with no edge to take.
 
 A query resolves to the jobs whose title holds its tokens as a contiguous
 run (``TitleIndex``), and its seeds stay index positions with their weights
 (``Seeds``) from the title match to the scatter: the matched titles' jobs
 come as one position array, ``scenario_scores`` splits it by community with
-one gather of each seed's community slot, and ``score_metapath`` checks a
-seed set's node kind once and places its seeds with one indexed write. The
-walks read only ``Seeds`` and ``Scores`` made on the graph as it is now, and
-refuse any other; a library caller gets seeds from ``resolve_job_query``.
+one gather of each seed's community slot into one sorted copy and checks the
+set's node kind once, and ``score_metapath`` places a group's seeds with one
+indexed write. The walks read only ``Seeds`` and ``Scores`` made on the
+graph as it is now, and refuse any other; a library caller gets seeds from
+``resolve_job_query``.
 
 A route's scores stay one dense vector over the graph's nodes (``Scores``),
 and a scenario adds its routes as vectors in the order a per-node merge
@@ -95,6 +104,8 @@ class MetaPathStep:
 @dataclass(frozen=True)
 class MetaPath:
     steps: tuple[MetaPathStep, ...]
+    # the kind every seed of a walk along the path must be; set once, as each walk reads it
+    source_kind: NodeKind = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.steps:
@@ -106,6 +117,7 @@ class MetaPath:
                     f"next starts at {b.source_kind.value}")
         # hashed once: a community gate keys each path's edges by the path
         object.__setattr__(self, "_hash", hash(self.steps))
+        object.__setattr__(self, "source_kind", self.steps[0].source_kind)
 
     def __hash__(self) -> int:
         return self._hash
@@ -114,10 +126,6 @@ class MetaPath:
         # rebuilt, and so hashed again, on unpickling: str hashes, and with
         # them a Relation's, differ from process to process
         return MetaPath, (self.steps,)
-
-    @property
-    def source_kind(self) -> NodeKind:
-        return self.steps[0].source_kind
 
 
 @dataclass(frozen=True)
@@ -320,9 +328,11 @@ class CommunityEdges:
         first call; ``entered`` when the walk's input lies in ``community``."""
         # interleaved A/B: without this cache, query p50 rose 34-43% on fragmented, 6-8% elsewhere
         key = (path, community, entered)
-        if key not in self._paths:
-            self._paths[key] = _path_edges(self.index, path, self, community, entered)
-        return self._paths[key]
+        try:
+            return self._paths[key]
+        except KeyError:
+            edges = self._paths[key] = _path_edges(self.index, path, self, community, entered)
+            return edges
 
 
 def _path_edges(index: GraphIndex, path: MetaPath, gate: CommunityEdges | None = None,
@@ -410,14 +420,20 @@ def _current(g: HeteroGraph, made: Seeds | Scores) -> GraphIndex:
     return index
 
 
+def _check_kind(seeds: Seeds, path: MetaPath) -> None:
+    """Refuse non-empty ``seeds`` whose kind ``path`` does not start at,
+    naming the first seed."""
+    if len(seeds.pos) and seeds.kind is not path.source_kind:
+        raise QueryError(f"seed {next(iter(seeds))!r} is a {seeds.kind.value}, "
+                         f"path starts at a {path.source_kind.value}")
+
+
 def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Seeds, labels: Mapping[str, int],
                    community: int) -> Scores:
     """Sum-of-tour-products scores for every node reachable along ``path``,
     each restricted step landing only in ``community`` under ``labels``."""
     index = _current(g, seeds)
-    if len(seeds) and seeds.kind is not path.source_kind:
-        raise QueryError(f"seed {next(iter(seeds))!r} is a {seeds.kind.value}, "
-                         f"path starts at a {path.source_kind.value}")
+    _check_kind(seeds, path)
     gate = _as_labels(labels).cached(index, CommunityEdges)
     edges = gate.path_edges(path, community)
     if edges is None:
@@ -487,12 +503,13 @@ class Provenance:
     """Per-route score shares of one query, as ``recommend`` attaches them.
 
     ``seeds`` and ``base`` are keyed by the community each group ran in, in
-    ascending order; each group's seeds are a read-only mapping over index
-    positions (``Seeds``), and its base a ``Scores``. ``prereq`` is a single
-    map because that route ignores community gates.
+    ascending order. ``seeds`` is a read-only mapping, and each group's seeds
+    a read-only mapping over index positions (``Seeds``); each group's base
+    is a ``Scores``, ``NO_SCORES`` when its walk cannot reach a course.
+    ``prereq`` is a single map because that route ignores community gates.
     """
 
-    seeds: dict[int, Mapping[str, float]] = field(default_factory=dict)
+    seeds: Mapping[int, Mapping[str, float]] = field(default_factory=dict)
     base: dict[int, Mapping[str, float]] = field(default_factory=dict)
     prereq: Mapping[str, float] = field(default_factory=dict)
 
@@ -509,38 +526,65 @@ def _add(total: np.ndarray | None, part: Scores) -> np.ndarray | None:
     return total
 
 
-def _taken_seeds(g: HeteroGraph, index: GraphIndex, taken: tuple[str, ...]) -> Seeds | None:
-    """The taken courses as seeds of equal weight; None when none is taken."""
+def _taken_seeds(g: HeteroGraph, index: GraphIndex, taken: tuple[str, ...]) -> Seeds:
+    """The taken courses, one or more, as seeds of equal weight."""
     for course in taken:
         if course not in g or g.node_kind(course) is not NodeKind.COURSE:
             raise QueryError(f"taken course {course!r} is not in the graph")
-    if not taken:
-        return None
     return Seeds(index, np.asarray([index.pos[c] for c in taken], dtype=np.int64),
                  np.full(len(taken), 1.0 / len(taken)), NodeKind.COURSE)
 
 
-def _seed_groups(seeds: Seeds, gate: CommunityEdges) -> list[tuple[int, Seeds]]:
-    """``seeds`` split by community, communities ascending; a group keeps its
-    seeds' order. One gather reads every seed's slot; a set in one community
-    is its own group, and several groups are views of one sorted copy."""
-    if not len(seeds):
-        return []
-    slots = gate.node_slot[seeds.pos]
-    in_order = slots.tolist()
-    first = in_order[0]
-    # interleaved A/B: without this path, query p50 rose 13-15% on build-mid and query-m
-    if first >= 0 and in_order.count(first) == len(in_order):
-        return [(gate.communities[first], seeds)]
-    if min(in_order) < 0:
-        node_id = seeds.index.ids[seeds.pos[in_order.index(-1)]]
-        raise QueryError(f"job {node_id!r} carries no community label")
-    order = np.argsort(slots, kind="stable")
-    ranked = slots[order].tolist()
-    bounds = [0, *[i for i in range(1, len(ranked)) if ranked[i] != ranked[i - 1]], len(ranked)]
-    pos, weight = seeds.pos[order], seeds.weight[order]
-    return [(gate.communities[ranked[a]], Seeds(seeds.index, pos[a:b], weight[a:b], seeds.kind))
-            for a, b in zip(bounds, bounds[1:])]
+class _SeedGroups(Mapping[int, Seeds]):
+    """``seeds`` split by community, as a read-only mapping from each
+    community, ascending, to its group; a group keeps its seeds' order. One
+    gather reads every seed's slot. A set in one community is its own group;
+    several groups are slices of one sorted copy, ``ordered``, and each is
+    made a ``Seeds`` when first read, so a walk pays only for the groups it
+    reads."""
+
+    def __init__(self, seeds: Seeds, gate: CommunityEdges) -> None:
+        self.ordered = seeds
+        self._bounds: dict[int, tuple[int, int]] = {}
+        self._views: dict[int, Seeds] = {}
+        if not len(seeds):
+            return
+        slots = gate.node_slot[seeds.pos]
+        in_order = slots.tolist()
+        first = in_order[0]
+        # interleaved A/B: without this path, query p50 rose 13-15% on build-mid and query-m
+        if first >= 0 and in_order.count(first) == len(in_order):
+            community = gate.communities[first]
+            self._bounds[community] = (0, len(in_order))
+            self._views[community] = seeds
+            return
+        if min(in_order) < 0:
+            node_id = seeds.index.ids[seeds.pos[in_order.index(-1)]]
+            raise QueryError(f"job {node_id!r} carries no community label")
+        order = np.argsort(slots, kind="stable")
+        ranked = slots[order].tolist()
+        self.ordered = Seeds(seeds.index, seeds.pos[order], seeds.weight[order], seeds.kind)
+        bounds = [0, *[i for i in range(1, len(ranked)) if ranked[i] != ranked[i - 1]], len(ranked)]
+        for a, b in zip(bounds, bounds[1:]):
+            self._bounds[gate.communities[ranked[a]]] = (a, b)
+
+    def __getitem__(self, community: int) -> Seeds:
+        # interleaved A/B against making every view at grouping: p50 fell 13-15% on fragmented
+        view = self._views.get(community)
+        if view is None:
+            a, b = self._bounds[community]
+            s = self.ordered
+            view = self._views[community] = Seeds(s.index, s.pos[a:b], s.weight[a:b], s.kind)
+        return view
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._bounds)
+
+    def __len__(self) -> int:
+        return len(self._bounds)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInput,
@@ -551,9 +595,11 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
 
     Seeds are grouped by merged community; each group runs with its own
     community gate and the score maps add: base, then the prerequisite hop of
-    a non-empty scenario 1/2 base, then the scenario 2 taken-course walk. An
-    unlabelled seed raises first, then a taken course not in the graph, then
-    seeds of the wrong kind.
+    a non-empty scenario 1/2 base, then the scenario 2 taken-course walk. A
+    route whose gated walk has a step with no edge is skipped before any walk
+    call, and a group whose base is skipped is never read. An unlabelled seed
+    raises first, then a taken course not in the graph, then seeds of the
+    wrong kind.
     """
     # checked here too: a scenario 3 query or an empty base never expands
     if prereq_depth < 0:
@@ -561,17 +607,24 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
     labels = _as_labels(labels)
     index = _current(g, seeds)
     path = UPSKILL_PATH if inp.scenario == 3 else BASE_PATH
-    prov = Provenance(seeds=dict(_seed_groups(seeds, labels.cached(index, CommunityEdges))))
-    taken = _taken_seeds(g, index, inp.taken_courses)
+    gate = labels.cached(index, CommunityEdges)
+    groups = _SeedGroups(seeds, gate)
+    taken = _taken_seeds(g, index, inp.taken_courses) if inp.taken_courses else None
+    _check_kind(groups.ordered, path)
+    prov = Provenance(seeds=groups)
     total = prereq = None
-    for community, group in prov.seeds.items():
-        base = prov.base[community] = score_metapath(g, path, group, labels, community)
-        total = _add(total, base)
-        if inp.scenario != 3 and base:
-            extra = prerequisite_expansion(g, base, prereq_depth)
-            total = _add(total, extra)
-            prereq = _add(prereq, extra)
-        if taken is not None:
+    for community in groups:
+        if gate.path_edges(path, community) is None:
+            prov.base[community] = NO_SCORES
+        else:
+            base = prov.base[community] = score_metapath(g, path, groups[community], labels,
+                                                         community)
+            total = _add(total, base)
+            if inp.scenario != 3 and base:
+                extra = prerequisite_expansion(g, base, prereq_depth)
+                total = _add(total, extra)
+                prereq = _add(prereq, extra)
+        if taken is not None and gate.path_edges(TAKEN_PATH, community) is not None:
             total = _add(total, score_metapath(g, TAKEN_PATH, taken, labels, community))
     if prereq is not None:
         prov.prereq = Scores(index, prereq)

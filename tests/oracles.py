@@ -22,7 +22,8 @@ from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build
 from skillgraph.ingest import Course, EnrollmentRecord, Job, Skill, tokenize
 from skillgraph.kernels import _plogp
 from skillgraph.linker import Bm25Params, CorpusStats, LinkRecord, SkillDocument, bm25
-from skillgraph.ranker import Scores, Seeds
+from skillgraph.ranker import (BASE_PATH, NO_SCORES, UPSKILL_PATH, Provenance, ScenarioInput,
+                               Scores, Seeds, prerequisite_expansion, score_metapath)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +225,33 @@ def ref_scenario_scores(g: HeteroGraph, labels: dict[str, int], scenario: int,
         for course in taken:
             total.pop(course, None)
     return {node: score for node, score in total.items() if score > 0.0}
+
+
+def eager_provenance(g: HeteroGraph, labels, inp: ScenarioInput, seeds: Seeds,
+                     depth: int = 1) -> Provenance:
+    """``recommend``'s provenance with every community group walked: seeds
+    grouped one at a time by label, each group a ``Seeds`` of its own, each
+    group's base from ``score_metapath`` whether or not its walk can reach a
+    course, and the prerequisite hops of the non-empty scenario 1/2 bases
+    added in community order."""
+    path = UPSKILL_PATH if inp.scenario == 3 else BASE_PATH
+    members: dict[int, list[int]] = {}
+    for i, node_id in enumerate(seeds):
+        members.setdefault(labels[node_id], []).append(i)
+    prov = Provenance()
+    prereq = None
+    for community in sorted(members):
+        at = np.asarray(members[community], dtype=np.int64)
+        group = prov.seeds[community] = Seeds(seeds.index, seeds.pos[at], seeds.weight[at],
+                                              seeds.kind)
+        base = prov.base[community] = score_metapath(g, path, group, labels, community)
+        if inp.scenario != 3 and base:
+            extra = prerequisite_expansion(g, base, depth)
+            if extra is not NO_SCORES:
+                prereq = extra.vector.copy() if prereq is None else prereq + extra.vector
+    if prereq is not None:
+        prov.prereq = Scores(seeds.index, prereq)
+    return prov
 
 
 # ---------------------------------------------------------------------------

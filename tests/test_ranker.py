@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ from skillgraph.ranker import (BASE_PATH, TAKEN_PATH, UPSKILL_PATH, MetaPath, Me
                                prerequisite_expansion, recommend, resolve_job_query,
                                scenario_scores, score_metapath, to_ranked_list)
 
-from oracles import (edges, random_hetero_graph, ref_resolve_job_query, ref_scenario_scores,
-                     ref_score_metapath, scores_on, seeds_on)
+from oracles import (eager_provenance, edges, random_hetero_graph, ref_resolve_job_query,
+                     ref_scenario_scores, ref_score_metapath, scores_on, seeds_on)
 
 JOB, COURSE = NodeKind.JOB, NodeKind.COURSE
 # what a walk says of seeds or scores made before the graph changed
@@ -513,6 +514,31 @@ class TestSeedErrors:
                                    match=f"^job '{unlabelled}' carries no community label$"):
                     recommend(g, labels, inp)
 
+    def test_order_holds_when_every_group_is_dead(self):
+        # J1 and the course seeds sit in communities no required skill lands
+        # in, so no group can reach a course and no walk runs; the checks
+        # still come in order, and empty seeds of the wrong kind pass
+        g, labels = self.graph()
+        labels = {**labels, "J1": 5, "C0": 6, "C1": 7}
+        jobs = seeds_on(g, {"J1": 0.5, "J2": 0.5}, JOB)
+        courses = seeds_on(g, {"C0": 0.5, "C1": 0.5}, COURSE)
+        for taken in (("CX",), ("C1",)):
+            inp = ScenarioInput(2, career_goal="q", taken_courses=taken)
+            with pytest.raises(QueryError, match="^job 'J2' carries no community label$"):
+                scenario_scores(g, labels, inp, jobs)
+        inp = ScenarioInput(2, career_goal="q", taken_courses=("C1", "CX"))
+        for seeds in (seeds_on(g, {"J1": 1.0}, JOB), courses):
+            with pytest.raises(QueryError, match="^taken course 'CX' is not in the graph$"):
+                scenario_scores(g, labels, inp, seeds)
+        for inp in (ScenarioInput(1, career_goal="q"), ScenarioInput(3, current_job="q"),
+                    ScenarioInput(2, career_goal="q", taken_courses=("C1",))):
+            with pytest.raises(QueryError, match="^seed 'C0' is a course, path starts at a job$"):
+                scenario_scores(g, labels, inp, courses)
+            total, prov = scenario_scores(g, labels, inp, seeds_on(g, {}, COURSE))
+            assert total == {} and prov.seeds == {} and prov.base == {}
+            total, prov = scenario_scores(g, labels, inp, seeds_on(g, {"J1": 1.0}, JOB))
+            assert total == {} and prov.base == {5: {}}
+
     def test_course_seed_rejected(self):
         g, labels = self.graph()
         seeds = seeds_on(g, {"C0": 0.5, "C1": 0.5}, COURSE)
@@ -933,6 +959,64 @@ class TestScenarioRoutes:
             seeds = resolve_job_query(g, inp.query_text)
             assert (recommend(g, labels, inp).provenance
                     == scenario_scores(g, labels, inp, seeds)[1])
+
+    def test_dead_groups_make_no_walk_call(self, fanned_out, monkeypatch):
+        # each route (base, taken) walks once in each community its walk can
+        # reach a course from, and not at all in another; the provenance
+        # still holds every group, as a walk of every group gives it
+        g, labels = fanned_out
+        calls = []
+
+        def counting(graph, path, seeds, labels, community):
+            calls.append((path, community))
+            return score_metapath(graph, path, seeds, labels, community)
+
+        dead = 0
+        for inp in (*FANNED_OUT_INPUTS, *MANY_SEEDS_INPUTS):
+            seeds = resolve_job_query(g, inp.query_text)
+            want = eager_provenance(g, labels, inp, seeds)
+            path = UPSKILL_PATH if inp.scenario == 3 else BASE_PATH
+            live = [(path, c) for c, base in want.base.items() if base is not ranker.NO_SCORES]
+            if inp.scenario == 2:
+                taken = seeds_on(g, dict.fromkeys(inp.taken_courses, 1.0), COURSE)
+                live += [(TAKEN_PATH, c) for c in want.seeds if
+                         score_metapath(g, TAKEN_PATH, taken, labels, c) is not ranker.NO_SCORES]
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(ranker, "score_metapath", counting)
+                prov = recommend(g, labels, inp).provenance
+            assert Counter(calls) == Counter(live), inp
+            routes = len(want.seeds) * (1 + (inp.scenario == 2))
+            assert 0 < len(live) < routes
+            dead += routes - len(live)
+            assert list(prov.seeds) == list(prov.base) == list(want.seeds)
+            assert prov == want
+            assert all((prov.base[c] is ranker.NO_SCORES) == (want.base[c] is ranker.NO_SCORES)
+                       for c in want.base)
+        # (route, group) pairs of the six inputs that no walk ran for
+        assert dead == 40
+
+    def test_a_group_is_made_when_first_read(self, fanned_out, monkeypatch):
+        # one sorted copy of the seeds, then a view per live group: the
+        # other groups' views are made when the provenance is read
+        g, labels = fanned_out
+        made = []
+
+        class CountingSeeds(ranker.Seeds):
+            def __init__(self, *args):
+                made.append(len(args[1]))
+                super().__init__(*args)
+
+        inp = ScenarioInput(1, career_goal=MANY_SEEDS_GOAL)
+        seeds = resolve_job_query(g, inp.query_text)
+        want = eager_provenance(g, labels, inp, seeds)
+        live = [c for c, base in want.base.items() if base is not ranker.NO_SCORES]
+        monkeypatch.setattr(ranker, "Seeds", CountingSeeds)
+        _total, prov = scenario_scores(g, labels, inp, seeds)
+        assert made == [len(seeds), *(len(want.seeds[c]) for c in live)]
+        assert dict(prov.seeds) == want.seeds
+        assert len(made) == 1 + len(want.seeds)
+        assert prov.seeds[live[0]] is prov.seeds[live[0]]
 
 
 MANY_SEEDS_GOAL = "engineer"
