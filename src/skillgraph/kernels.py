@@ -9,26 +9,54 @@ flattened by their owners before calling in. The four kernels:
 * ``propagate_step``    -- one meta-path hop (weighted scatter-add, ungated)
 
 Three are vectorised NumPy. The move pass is sequential and has no
-vectorised form, so it is a plain-Python loop. It copies its arrays to lists,
-runs on those and writes only the labels back: indexing an ndarray from
-Python boxes every element as a numpy scalar, and numpy scalar arithmetic is
-several times slower than the same IEEE double operations on Python floats,
-which give bit-identical results. It also keeps each module's old code
-terms, ``plogp(exit)`` and ``plogp(exit + visit)``, and ``plogp`` of the
-total exit, updating them only on a move, and computes each candidate's new
-terms with ``math.log2`` inline; the floats and their order of addition are
-those of recomputing every term through ``_plogp``, so labels, moves and
-delta keep every bit. ``ACTIVE_BACKEND`` names the build that runs, for
-benchmark reports.
+vectorised form, so it runs as C: ``_move_pass.c``, built on the first move
+pass of a process with the C compiler Python was built with (``sysconfig``'s
+``CC``), ``-O2 -fPIC -shared -ffp-contract=off -lm``, and loaded through
+``ctypes``. The library is cached in ``$XDG_CACHE_HOME/skillgraph`` (default
+``~/.cache/skillgraph``), a directory made with mode 0700 that must belong to
+the user and be writable by no one else; its file name carries the sha256 of
+the source, the compiler flags and the machine type, so a changed source or
+flag builds anew and a later process only loads it. A build goes to a
+temporary file in that directory and is renamed into place, so concurrent
+first runs do not see half a library.
+
+The C pass is the Python pass line for line: the same queue, candidate
+bookkeeping, tie rule and binary64 operations in the same order. No fused
+multiply-add is formed (``-ffp-contract=off``), a platform whose C evaluates
+doubles in wider registers (``FLT_EVAL_METHOD != 0``) fails the build, and
+``log2`` is the libm function that CPython's ``math.log2`` calls, so every
+label, the move count and the summed delta equal the Python pass's bit for
+bit. Where no compiler is found, the build fails or the library does not
+load, the Python pass runs instead, with the same results.
+
+The Python pass copies its arrays to lists, runs on those and writes only the
+labels back: indexing an ndarray from Python boxes every element as a numpy
+scalar, and numpy scalar arithmetic is several times slower than the same
+IEEE double operations on Python floats, which give bit-identical results. It
+also keeps each module's old code terms, ``plogp(exit)`` and
+``plogp(exit + visit)``, and ``plogp`` of the total exit, updating them only
+on a move, and computes each candidate's new terms with ``math.log2``
+inline; the floats and their order of addition are those of recomputing
+every term through ``_plogp``, so labels, moves and delta keep every bit.
+
+``ACTIVE_BACKEND`` names the move pass that runs, for benchmark reports:
+``"c"`` once the compiled pass has loaded, ``"python"`` before the first move
+pass and when it could not.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import platform
+import tempfile
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
-ACTIVE_BACKEND = "numpy"
+ACTIVE_BACKEND = "python"
 
 
 def _plogp(x):
@@ -68,12 +96,61 @@ def local_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps)
     """Greedy single-unit moves from a FIFO queue that starts as ``order``.
 
     ``nbr`` is ``FlowGraph.nbr`` and ``modules`` the ``FlowGraph.module_state``
-    of ``labels``; the pass runs on list copies of both and writes only the
-    final ``labels`` back, in place. A unit that moves to module ``b`` queues
-    each neighbour that is neither queued nor in ``b``; the pass ends when the
+    of ``labels``; the pass works on copies of both and writes only the final
+    ``labels`` back, in place. A unit that moves to module ``b`` queues each
+    neighbour that is neither queued nor in ``b``; the pass ends when the
     queue is empty, which it reaches because every move lowers the cost by
     more than ``eps``. Returns ``(moves, delta_sum)``, the move count and the
-    summed cost change."""
+    summed cost change. Raises ``ValueError`` when an index in ``order``,
+    ``labels`` or ``nbr`` is out of range or the arrays disagree in length,
+    before either pass starts."""
+    _check_move_input(order, labels, visit, tele, size, nbr, modules)
+    compiled = _compiled_move_pass()
+    if compiled is None:
+        return _python_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps)
+    order_c = np.ascontiguousarray(order, dtype=np.int64)
+    labels_c = np.require(labels, np.int64, ["C", "W"])  # the pass writes the labels here
+    units = [np.ascontiguousarray(a, dtype=np.float64) for a in (visit, tele, size)]
+    ptr, idx = (np.ascontiguousarray(a, dtype=np.int64) for a in nbr[:2])
+    flows = [np.ascontiguousarray(a, dtype=np.float64) for a in nbr[2:]]
+    mods = [np.array(a, dtype=np.float64) for a in modules]  # copies the pass updates
+    delta = ctypes.c_double()
+    moves = compiled(
+        labels_c.size, order_c.size,
+        *[a.ctypes.data for a in (order_c, labels_c, *units, ptr, idx, *flows)],
+        len(mods[0]), *[a.ctypes.data for a in mods],
+        float(modules[4].sum()), float(n_orig), float(eps), ctypes.byref(delta))
+    if moves < 0:
+        raise MemoryError("move pass: no memory for its work arrays")
+    if labels_c is not labels:
+        labels[:] = labels_c
+    return moves, delta.value
+
+
+def _check_move_input(order, labels, visit, tele, size, nbr, modules):
+    """Raise ``ValueError`` unless every index the move pass follows is in range."""
+    ptr, idx, out, inflow = nbr
+    n, k = len(labels), len(modules[0])
+    if any(np.ndim(a) != 1 for a in (visit, tele, size, out, inflow, *modules)):
+        raise ValueError("move pass: unit, neighbour and module arrays must be 1-d")
+    if (len(ptr) != n + 1 or any(len(a) != n for a in (visit, tele, size))
+            or any(len(a) != k for a in modules) or len(out) != len(idx)
+            or len(inflow) != len(idx)):
+        raise ValueError("move pass: unit, neighbour or module arrays disagree in length")
+    # each index must lie in [0, stop); a pointer may equal len(idx)
+    for name, a, stop in (("order", order, n), ("labels", labels, min(n, k)),
+                          ("nbr index", idx, n), ("nbr pointer", ptr, len(idx) + 1)):
+        a = np.asarray(a)
+        if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+            raise ValueError(f"move pass: {name} must be a 1-d integer array")
+        if a.size and not (a.min() >= 0 and a.max() < stop):
+            raise ValueError(f"move pass: {name} outside [0, {stop})")
+    if np.any(np.diff(ptr) < 0):
+        raise ValueError("move pass: nbr pointer decreases")
+
+
+def _python_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps):
+    """``local_move_pass`` in Python; it runs on list copies of the arrays."""
     exit_sum = float(modules[4].sum())
     labels_out, labels = labels, labels.tolist()
     mod_visit, mod_tele, mod_size, mod_cross, mod_exit = [a.tolist() for a in modules]
@@ -191,3 +268,96 @@ def local_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps)
                     queue.append(v)
     labels_out[:] = labels
     return moves, delta_sum
+
+
+_SOURCE = Path(__file__).with_name("_move_pass.c")
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_LDLIBS = ("-lm",)
+_ARGTYPES = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_int64]
+             + [ctypes.c_void_p] * 5 + [ctypes.c_double] * 3 + [ctypes.c_void_p])
+
+
+@functools.cache
+def _compiled_move_pass():
+    """The compiled move pass, loaded from the cache or built into it on the
+    first call of the process; ``None`` when it cannot be built or loaded."""
+    global ACTIVE_BACKEND
+    lib = _cached_library()
+    ACTIVE_BACKEND = "python" if lib is None else "c"
+    if lib is None:
+        return None
+    fn = lib.local_move_pass
+    fn.argtypes = _ARGTYPES
+    fn.restype = ctypes.c_int64
+    return fn
+
+
+def _cache_dir():
+    """``$XDG_CACHE_HOME/skillgraph``, made with mode 0700; ``None`` unless it
+    is a directory of this user that no one else can write."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):
+        return None
+    path = os.path.join(base, "skillgraph")
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        st = os.stat(path)
+    except OSError:
+        return None
+    if st.st_uid != os.geteuid() or st.st_mode & 0o022:
+        return None
+    return path
+
+
+def _cached_library():
+    """``_move_pass.c`` as a loaded library, compiled on a cache miss."""
+    # imported here, where a move pass needs it: hashlib maps OpenSSL,
+    # about 3 MB of resident memory that no other stage of the CLI needs
+    import hashlib
+
+    cache = _cache_dir() if os.name == "posix" else None
+    if cache is None:
+        return None
+    try:
+        source = _SOURCE.read_bytes()
+    except OSError:
+        return None
+    flags = " ".join(_CFLAGS + _LDLIBS)
+    key = hashlib.sha256(b"\0".join(
+        [source, flags.encode(), platform.machine().encode()])).hexdigest()
+    path = os.path.join(cache, f"move_pass-{key[:32]}.so")
+    if not os.path.exists(path) and not _build(path):
+        return None
+    try:
+        return ctypes.CDLL(path)
+    except OSError:
+        return None
+
+
+def _build(path):
+    """Compile ``_move_pass.c`` to ``path`` through a temporary file beside
+    it; whether that worked."""
+    import shlex
+    import subprocess
+    import sysconfig
+
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        return False
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".move_pass-", suffix=".so",
+                                   dir=os.path.dirname(path))
+    except OSError:
+        return False
+    os.close(fd)
+    try:
+        subprocess.run([*shlex.split(cc), *_CFLAGS, "-o", tmp, str(_SOURCE), *_LDLIBS],
+                       check=True, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                       stderr=subprocess.DEVNULL, timeout=300)
+        os.replace(tmp, path)
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return True

@@ -562,9 +562,12 @@ class _SeedGroups(Mapping[int, Seeds]):
             node_id = seeds.index.ids[seeds.pos[in_order.index(-1)]]
             raise QueryError(f"job {node_id!r} carries no community label")
         order = np.argsort(slots, kind="stable")
-        ranked = slots[order].tolist()
+        sorted_slots = slots[order]
+        ranked = sorted_slots.tolist()
         self.ordered = Seeds(seeds.index, seeds.pos[order], seeds.weight[order], seeds.kind)
-        bounds = [0, *[i for i in range(1, len(ranked)) if ranked[i] != ranked[i - 1]], len(ranked)]
+        # a group starts where the sorted slot changes
+        starts = ((sorted_slots[1:] != sorted_slots[:-1]).nonzero()[0] + 1).tolist()
+        bounds = [0, *starts, len(ranked)]
         for a, b in zip(bounds, bounds[1:]):
             self._bounds[gate.communities[ranked[a]]] = (a, b)
 

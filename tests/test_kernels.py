@@ -1,11 +1,18 @@
 """Kernel checks that the pipeline-level oracles do not cover."""
 from __future__ import annotations
 
+import os
+import stat
+import subprocess
+import sysconfig
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillgraph import kernels
-from skillgraph.community import FlowGraph, _neighbours
+from skillgraph.community import FlowGraph, _neighbours, detect_communities
 
 from oracles import random_hetero_graph, ref_local_move_pass
 
@@ -25,8 +32,11 @@ def run_move_pass(fg, order, labels=None):
 
 
 def test_active_backend_registered():
-    # the build name perfbench writes into each report
-    assert kernels.ACTIVE_BACKEND == "numpy"
+    # the move pass perfbench names in each report, once one has run
+    fg, _g = flow_fixture()
+    run_move_pass(fg, np.arange(fg.n_units, dtype=np.int64))
+    compiled = kernels._compiled_move_pass() is not None
+    assert kernels.ACTIVE_BACKEND == ("c" if compiled else "python")
 
 
 def test_local_move_delta_matches_cost_difference():
@@ -54,8 +64,29 @@ def random_flow_graph(rng, n):
                      float(sum(kernels._plogp(v) for v in visit)))
 
 
+def move_passes():
+    """The Python pass, the compiled one where it builds here, and the reference."""
+    passes = [kernels._python_move_pass, ref_local_move_pass]
+    if kernels._compiled_move_pass() is not None:
+        passes.append(kernels.local_move_pass)
+    return passes
+
+
+def every_pass(order, labels, fg):
+    """``(labels, moves, delta)`` of each of ``move_passes`` from the same start;
+    each pass gets fresh copies, so no run sees another's writes."""
+    modules = fg.module_state(labels, fg.n_units)
+    runs = []
+    for move_pass in move_passes():
+        out = labels.copy()
+        moves, delta = move_pass(order.copy(), out, fg.visit, fg.tele, fg.size, fg.nbr,
+                                 tuple(m.copy() for m in modules), float(fg.n_orig), 1e-10)
+        runs.append((out.tolist(), moves, delta))
+    return runs
+
+
 def test_local_move_pass_equals_reference_bit_for_bit():
-    # the kernel keeps module code terms between visits; the reference
+    # the kernels keep module code terms between visits; the reference
     # recomputes them, so every label, the move count and the delta agree
     # exactly, at level 0 and after one aggregation. A unit leaving a
     # singleton empties its module, whose exit term takes plogp's 0 branch
@@ -66,16 +97,38 @@ def test_local_move_pass_equals_reference_bit_for_bit():
         level = fg
         for _level in range(2):
             order = rng.permutation(level.n_units).astype(np.int64)
-            runs = []
-            for move_pass in (kernels.local_move_pass, ref_local_move_pass):
-                labels = np.arange(level.n_units, dtype=np.int64)
-                moves, delta = move_pass(
-                    order, labels, level.visit, level.tele, level.size, level.nbr,
-                    level.module_state(labels, level.n_units), float(level.n_orig), 1e-10)
-                runs.append((labels.tolist(), moves, delta))
-            assert runs[0] == runs[1]
+            runs = every_pass(order, np.arange(level.n_units, dtype=np.int64), level)
+            assert all(run == runs[0] for run in runs)
             _, dense = np.unique(runs[0][0], return_inverse=True)
             level = level.aggregate(dense.astype(np.int64), int(dense.max()) + 1)
+
+
+@st.composite
+def flow_graphs(draw):
+    """A small flow graph with some units unvisited and some with no
+    neighbour, start labels, and an order that may be short and repeat units."""
+    n = draw(st.integers(1, 12))
+    visits = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=float)
+    visit = visits / visits.sum() if visits.sum() else np.full(n, 1.0 / n)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.floats(1e-4, 1.0)), max_size=3 * n))
+    pairs = [(a, b, w) for a, b, w in pairs if a != b]
+    src, dst, flow = (np.array(col, dtype=dtype) for col, dtype in zip(
+        zip(*pairs) if pairs else ((), (), ()), (np.int64, np.int64, float)))
+    fg = FlowGraph(visit, 0.15 * visit, np.ones(n), _neighbours(src, dst, 0.1 * flow, n), n,
+                   float(sum(kernels._plogp(v) for v in visit)))
+    labels = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)),
+                      dtype=np.int64)
+    order = np.array(draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=np.int64)
+    return fg, labels, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(flow_graphs())
+def test_move_passes_agree_on_drawn_graphs(case):
+    fg, labels, order = case
+    runs = every_pass(order, labels, fg)
+    assert all(run == runs[0] for run in runs)
 
 
 def test_equal_gains_move_to_lowest_module():
@@ -92,6 +145,19 @@ def test_equal_gains_move_to_lowest_module():
     assert moves == 2
     assert delta < 0.0
     assert labels.tolist() == [0, 0, 0]
+
+
+def test_labels_of_another_dtype_are_written_back():
+    # int32 labels and a strided order give what int64 arrays give
+    fg = path_fixture(5)
+    start = [0, 1, 2, 3, 4]
+    want = move_from(fg, [1, 3], start)
+    labels = np.array(start, dtype=np.int32)
+    moves, _delta = kernels.local_move_pass(
+        np.array([1, 0, 3, 0], dtype=np.int64)[::2], labels, fg.visit, fg.tele, fg.size,
+        fg.nbr, fg.module_state(np.arange(5), 5), 5.0, 1e-10)
+    assert (moves, labels.tolist()) == want
+    assert labels.dtype == np.int32
 
 
 def path_fixture(n=4):
@@ -139,3 +205,94 @@ def test_revisited_unit_weighs_every_neighbouring_module():
     # {3, 4} gains the same, and module 0 must be weighed although no visit
     # in between touched it, so the tie goes to the lower id
     assert move_from(path_fixture(5), [2, 3], [0, 0, 1, 1, 2]) == (2, [0, 0, 0, 2, 2])
+
+
+def bad_inputs():
+    """``(name, args)`` of move-pass calls each with one index out of range."""
+    fg = path_fixture()
+    labels = np.arange(4, dtype=np.int64)
+    ptr, idx, out, inflow = fg.nbr
+
+    def call(order=np.arange(4), labels=labels, nbr=fg.nbr, visit=fg.visit):
+        return (np.asarray(order), labels.copy(), visit, fg.tele, fg.size,
+                nbr, fg.module_state(np.arange(4), 4), 4.0, 1e-10)
+
+    bad_ptr = ptr.copy()
+    bad_ptr[-1] += 1
+    falling = ptr.copy()
+    falling[1], falling[2] = falling[2], falling[1]
+    return [
+        ("order past the units", call(order=[0, 4])),
+        ("negative order", call(order=[-1])),
+        ("label past the units", call(labels=np.array([0, 1, 2, 4]))),
+        ("negative label", call(labels=np.array([0, -1, 2, 3]))),
+        ("neighbour past the units", call(nbr=(ptr, np.where(idx == 3, 9, idx), out, inflow))),
+        ("negative neighbour", call(nbr=(ptr, np.where(idx == 0, -1, idx), out, inflow))),
+        ("pointer past the neighbours", call(nbr=(bad_ptr, idx, out, inflow))),
+        ("falling pointer", call(nbr=(falling, idx, out, inflow))),
+        ("short visit", call(visit=fg.visit[:3])),
+        ("float order", call(order=[0.0, 1.0])),
+    ]
+
+
+@pytest.mark.parametrize("name, args", bad_inputs(), ids=[name for name, _ in bad_inputs()])
+def test_bad_index_raises_before_either_pass(name, args):
+    with pytest.raises(ValueError, match="move pass"):
+        kernels.local_move_pass(*args)
+
+
+@pytest.fixture
+def fresh_build(monkeypatch, tmp_path):
+    """The move pass resolved anew, with its cache under ``tmp_path``;
+    yields the cache directory."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(kernels, "ACTIVE_BACKEND", kernels.ACTIVE_BACKEND)
+    kernels._compiled_move_pass.cache_clear()
+    yield tmp_path / "skillgraph"
+    kernels._compiled_move_pass.cache_clear()
+
+
+def fails_if_run(*args, **kwargs):
+    raise AssertionError(f"compiler ran: {args[0]!r}")
+
+
+def test_without_compiler_python_pass_runs(fresh_build, monkeypatch, tmp_path):
+    g, _ = random_hetero_graph(np.random.default_rng(11))
+    fg = FlowGraph.from_graph(g, 0.15)
+    order = np.random.default_rng(1).permutation(fg.n_units).astype(np.int64)
+
+    def outputs():
+        moves, labels, delta = run_move_pass(fg, order)
+        return detect_communities(g, seed=3), moves, labels.tolist(), delta
+
+    before = outputs()
+    # an empty cache, and a compiler that cannot be found
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+    kernels._compiled_move_pass.cache_clear()
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: "/nonexistent/cc" if name == "CC" else config_var(name))
+    assert outputs() == before
+    assert kernels.ACTIVE_BACKEND == "python"
+    assert os.listdir(tmp_path / "empty" / "skillgraph") == []  # the failed build leaves no file
+
+
+def test_second_resolution_loads_without_compiling(fresh_build, monkeypatch):
+    if kernels._compiled_move_pass() is None:
+        pytest.skip("the move pass does not build here")
+    assert stat.S_IMODE(os.stat(fresh_build).st_mode) == 0o700
+    built = os.listdir(fresh_build)
+    assert len(built) == 1 and built[0].endswith(".so")
+    kernels._compiled_move_pass.cache_clear()
+    monkeypatch.setattr(subprocess, "run", fails_if_run)
+    assert kernels._compiled_move_pass() is not None
+    assert kernels.ACTIVE_BACKEND == "c"
+    assert os.listdir(fresh_build) == built
+
+
+def test_cache_others_can_write_is_not_used(fresh_build, monkeypatch):
+    fresh_build.mkdir()
+    fresh_build.chmod(0o777)
+    monkeypatch.setattr(subprocess, "run", fails_if_run)
+    assert kernels._compiled_move_pass() is None
+    assert kernels.ACTIVE_BACKEND == "python"
