@@ -144,11 +144,11 @@ def cmd_link(cfg: PipelineConfig, args: argparse.Namespace) -> str:
     merged = graph_mod.read_snapshot(out / F_MERGED_GRAPH)
     labels = community_mod.read_labels(out / F_LABELS)
     params = linker_mod.Bm25Params(k1=cfg.bm25_k1, b=cfg.bm25_b)
-    linked, records = linker_mod.link_skills(merged, labels, params, top_k=cfg.link_top_k)
+    linked, links = linker_mod.link_skills(merged, labels, params, top_k=cfg.link_top_k)
     graph_mod.write_snapshot(linked, out / F_LINKED_GRAPH)
     if args.dump_links:
-        linker_mod.write_link_dump(out / F_LINK_DUMP, records)
-    return f"link: added {len(records)} skill links -> {out / F_LINKED_GRAPH}"
+        linker_mod.write_link_dump(out / F_LINK_DUMP, links)
+    return f"link: added {len(links)} skill links -> {out / F_LINKED_GRAPH}"
 
 
 def cmd_recommend(cfg: PipelineConfig, args: argparse.Namespace) -> str:

@@ -6,22 +6,24 @@ computed per community, so identical names in different communities never
 link. Kept links are the per-source top-k positive scores, renormalized to
 sum to 1.
 
-Scoring goes through an inverted index (Robertson & Zaragoza, "The
-Probabilistic Relevance Framework: BM25 and Beyond", 2009): each community
-maps a token to the members whose names hold it, and a source is scored only
-against the members that share a token with it. Skipping the rest changes
-nothing: BM25 adds a term only for a query token the document holds, so a
-pair that shares no token scores exactly 0, and a zero score is never kept.
-Every idf is positive, so each pair that shares a token scores above 0.
-Each community's ``CorpusStats`` computes every token's idf once, and
-``bm25`` reads it for each pair it scores.
+Links are evaluated term at a time over term postings (Robertson &
+Zaragoza, "The Probabilistic Relevance Framework: BM25 and Beyond", 2009).
+A BM25 term ``idf(t) * (f * (k1 + 1)) / (f + norm(d))`` depends on the token
+and the document, never on the query. So each community computes its
+postings once: each token maps to the members whose names hold it, each with
+its term for that token. ``bm25`` is called once per source, and adds the
+postings of the source's tokens in query order, duplicates included, into
+one score per member. Each score is the same float sum, in the same order,
+as a per-pair evaluation that skips the query tokens its document lacks. A
+member that shares no token with the source gets no score (BM25 adds a term
+only for a query token the document holds), and is never kept. Every idf is
+positive, so each member that shares a token scores above 0.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -31,23 +33,10 @@ from .ingest import tokenize
 
 DEFAULT_TOP_K = 10
 
-
-@dataclass(frozen=True)
-class SkillDocument:
-    skill: str
-    tokens: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.tokens:
-            raise GraphError(f"skill {self.skill!r} has no tokens")
-
-    @cached_property
-    def length(self) -> int:
-        return len(self.tokens)
-
-    @cached_property
-    def term_counts(self) -> Counter[str]:
-        return Counter(self.tokens)
+Postings = dict[str, list[tuple[str, float]]]
+# a kept link as (source, target, raw_score, weight): a plain tuple, which
+# the collector stops tracking, as it holds only strings and floats
+Link = tuple[str, str, float, float]
 
 
 @dataclass(frozen=True)
@@ -62,71 +51,58 @@ class Bm25Params:
             raise GraphError(f"b must be in [0, 1], got {self.b!r}")
 
 
-def _idf(n_docs: int, df: int) -> float:
-    """The +1-inside-log idf, so it is never negative."""
-    return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+def term_postings(docs: Mapping[str, Sequence[str]],
+                  params: Bm25Params = Bm25Params()) -> Postings:
+    """Each token's ``(member, term)`` pairs over one community's documents,
+    members in ``docs`` order.
+
+    A member's term for a token it holds ``f`` times is the BM25 term with
+    the +1-inside-log idf, so it is never negative."""
+    n_docs = len(docs)
+    df: Counter[str] = Counter()
+    for tokens in docs.values():
+        df.update(set(tokens))
+    avgdl = sum(len(tokens) for tokens in docs.values()) / n_docs
+    idf = {token: math.log(1.0 + (n_docs - n + 0.5) / (n + 0.5)) for token, n in df.items()}
+    k1, b = params.k1, params.b
+    postings: Postings = {}
+    for member, tokens in docs.items():
+        norm = k1 * (1.0 - b + b * len(tokens) / avgdl)
+        for token, f in Counter(tokens).items():
+            term = idf[token] * (f * (k1 + 1.0)) / (f + norm)
+            postings.setdefault(token, []).append((member, term))
+    return postings
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    n_docs: int
-    df: Mapping[str, int]
-    avgdl: float
-
-    @classmethod
-    def from_documents(cls, docs: Sequence[SkillDocument]) -> "CorpusStats":
-        df: Counter[str] = Counter()
-        for doc in docs:
-            df.update(set(doc.tokens))
-        avgdl = sum(d.length for d in docs) / len(docs)
-        return cls(n_docs=len(docs), df=dict(df), avgdl=avgdl)
-
-    @cached_property
-    def idf(self) -> dict[str, float]:
-        """Each corpus token's idf, computed once for every pair scored."""
-        return {token: _idf(self.n_docs, df) for token, df in self.df.items()}
-
-
-def bm25(query: Sequence[str], doc: SkillDocument, stats: CorpusStats,
-         params: Bm25Params = Bm25Params()) -> float:
-    """Okapi score with the +1-inside-log idf, so results are never negative.
-
-    A token outside the corpus takes the idf of ``df = 0``."""
-    tf = doc.term_counts
-    idfs = stats.idf
-    norm = params.k1 * (1.0 - params.b + params.b * doc.length / stats.avgdl)
-    score = 0.0
+def bm25(query: Sequence[str], postings: Postings) -> dict[str, float]:
+    """Each member's BM25 score for ``query``, for the members that hold one
+    of its tokens: their terms added in query order, duplicates included."""
+    scores: dict[str, float] = {}
+    get = scores.get
     for token in query:
-        f = tf.get(token, 0)
-        if f == 0:
-            continue
-        idf = idfs.get(token)
-        if idf is None:
-            idf = _idf(stats.n_docs, 0)
-        score += idf * (f * (params.k1 + 1.0)) / (f + norm)
-    return score
-
-
-@dataclass(frozen=True)
-class LinkRecord:
-    source: str
-    target: str
-    raw_score: float
-    weight: float
+        for member, term in postings.get(token, ()):
+            scores[member] = get(member, 0.0) + term
+    return scores
 
 
 def _skill_tokens(g: HeteroGraph, skill_id: str) -> tuple[str, ...]:
     # tokenize splits on '_', so identity-key names from snapshots work too
-    return tuple(tokenize(g.node_name(skill_id)))
+    tokens = tuple(tokenize(g.node_name(skill_id)))
+    if not tokens:
+        raise GraphError(f"skill {skill_id!r} has no tokens")
+    return tokens
 
 
 def link_skills(g: HeteroGraph, communities: Mapping[str, int],
                 params: Bm25Params = Bm25Params(), top_k: int = DEFAULT_TOP_K,
-                ) -> tuple[HeteroGraph, list[LinkRecord]]:
-    """Return a copy of ``g`` with linked edges added, plus the kept links.
+                ) -> tuple[HeteroGraph, list[Link]]:
+    """Return a copy of ``g`` with linked edges added, plus the kept links:
+    communities in label order, sources in id order, each source's links
+    best first.
 
-    Self-links are forbidden, and only same-community pairs that share a
-    token are scored.
+    Self-links are forbidden. ``bm25`` runs once per skill of each community
+    of at least two, and scores the same-community skills that share a token
+    with it.
     """
     if top_k < 1:
         raise GraphError(f"top_k must be >= 1, got {top_k!r}")
@@ -137,44 +113,31 @@ def link_skills(g: HeteroGraph, communities: Mapping[str, int],
     by_community: dict[int, list[str]] = {}
     for sid in skills:
         by_community.setdefault(communities[sid], []).append(sid)
-    records: list[LinkRecord] = []
+    links: list[Link] = []
     rows: list[tuple[str, Relation, dict[str, float]]] = []
     for community in sorted(by_community):
         members = by_community[community]
         if len(members) < 2:
             continue
-        docs = {sid: SkillDocument(sid, _skill_tokens(g, sid)) for sid in members}
-        stats = CorpusStats.from_documents([docs[sid] for sid in members])
-        postings: dict[str, list[str]] = {}
-        for sid in members:
-            for token in docs[sid].term_counts:
-                postings.setdefault(token, []).append(sid)
-        for source in members:
-            query = docs[source].tokens
-            targets = {t for token in docs[source].term_counts for t in postings[token]}
-            targets.discard(source)
-            scored = []
-            for target in targets:
-                raw = bm25(query, docs[target], stats, params)
-                if raw > 0.0:
-                    scored.append((-raw, target))
-            scored.sort()
-            kept = scored[:top_k]
+        docs = {sid: _skill_tokens(g, sid) for sid in members}
+        postings = term_postings(docs, params)
+        for source, query in docs.items():
+            scores = bm25(query, postings)
+            del scores[source]
+            kept = sorted([(-raw, target) for target, raw in scores.items()])[:top_k]
             total = math.fsum(-neg for neg, _ in kept)
             row = {}
             for neg, target in kept:
-                raw = -neg
-                weight = raw / total
-                row[target] = weight
-                records.append(LinkRecord(source, target, raw, weight))
+                row[target] = weight = -neg / total
+                links.append((source, target, -neg, weight))
             rows.append((source, Relation.LINKED, row))
     linked = g.copy()
     linked._add_rows(rows)
     linked.validate()
-    return linked, records
+    return linked, links
 
 
-def write_link_dump(path: str | Path, records: Sequence[LinkRecord]) -> None:
+def write_link_dump(path: str | Path, links: Sequence[Link]) -> None:
     write_lines(path, csv_lines(("source", "target", "raw_bm25", "weight"),
-                                ((r.source, r.target, f"{r.raw_score:.12g}", f"{r.weight:.12g}")
-                                 for r in records)))
+                                ((source, target, f"{raw:.12g}", f"{weight:.12g}")
+                                 for source, target, raw, weight in links)))

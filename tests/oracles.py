@@ -11,7 +11,9 @@ must match its bits.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build
                               build_education_graph)
 from skillgraph.ingest import Course, EnrollmentRecord, Job, Skill, tokenize
 from skillgraph.kernels import _plogp
-from skillgraph.linker import Bm25Params, CorpusStats, LinkRecord, SkillDocument, bm25
+from skillgraph.linker import Bm25Params
 from skillgraph.ranker import (BASE_PATH, NO_SCORES, UPSKILL_PATH, Provenance, ScenarioInput,
                                Scores, Seeds, prerequisite_expansion, score_metapath)
 
@@ -563,10 +565,56 @@ def ref_match_course_skills(course, catalog) -> set[str]:
     return matched
 
 
+def _ref_idf(n_docs: int, df: int) -> float:
+    """The +1-inside-log idf, so it is never negative."""
+    return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+
+
+@dataclass(frozen=True)
+class RefCorpusStats:
+    """One community's BM25 statistics over its members' token tuples."""
+    n_docs: int
+    df: dict[str, int]
+    avgdl: float
+
+    @classmethod
+    def from_documents(cls, docs: list[tuple[str, ...]]) -> "RefCorpusStats":
+        df: Counter[str] = Counter()
+        for doc in docs:
+            df.update(set(doc))
+        return cls(n_docs=len(docs), df=dict(df), avgdl=sum(len(d) for d in docs) / len(docs))
+
+    @cached_property
+    def idf(self) -> dict[str, float]:
+        return {token: _ref_idf(self.n_docs, df) for token, df in self.df.items()}
+
+
+def ref_bm25(query, doc: tuple[str, ...], stats: RefCorpusStats,
+             params: Bm25Params = Bm25Params()) -> float:
+    """Okapi score of one document for one query, with the +1-inside-log
+    idf, so results are never negative.
+
+    A token outside the corpus takes the idf of ``df = 0``."""
+    tf = Counter(doc)
+    idfs = stats.idf
+    norm = params.k1 * (1.0 - params.b + params.b * len(doc) / stats.avgdl)
+    score = 0.0
+    for token in query:
+        f = tf.get(token, 0)
+        if f == 0:
+            continue
+        idf = idfs.get(token)
+        if idf is None:
+            idf = _ref_idf(stats.n_docs, 0)
+        score += idf * (f * (params.k1 + 1.0)) / (f + norm)
+    return score
+
+
 def ref_link_skills(g: HeteroGraph, communities: dict[str, int], params=None,
-                    top_k: int = 10) -> list:
-    """Score every ordered pair of distinct same-community skills with BM25
-    and keep each source's top-k positive scores, renormalised."""
+                    top_k: int = 10) -> list[tuple[str, str, float, float]]:
+    """Score every ordered pair of distinct same-community skills with
+    ``ref_bm25`` and keep each source's top-k positive scores, renormalised,
+    as (source, target, raw_score, weight)."""
     params = params or Bm25Params()
     by_community: dict[int, list[str]] = {}
     for sid in g.node_ids(NodeKind.SKILL):
@@ -576,20 +624,20 @@ def ref_link_skills(g: HeteroGraph, communities: dict[str, int], params=None,
         members = by_community[community]
         if len(members) < 2:
             continue
-        docs = {sid: SkillDocument(sid, tuple(tokenize(g.node_name(sid)))) for sid in members}
-        stats = CorpusStats.from_documents([docs[sid] for sid in members])
+        docs = {sid: tuple(tokenize(g.node_name(sid))) for sid in members}
+        stats = RefCorpusStats.from_documents([docs[sid] for sid in members])
         for source in members:
             scored = []
             for target in members:
                 if target == source:
                     continue
-                raw = bm25(docs[source].tokens, docs[target], stats, params)
+                raw = ref_bm25(docs[source], docs[target], stats, params)
                 if raw > 0.0:
                     scored.append((-raw, target))
             scored.sort()
             kept = scored[:top_k]
             total = math.fsum(-neg for neg, _ in kept)
-            records.extend(LinkRecord(source, target, -neg, -neg / total) for neg, target in kept)
+            records.extend((source, target, -neg, -neg / total) for neg, target in kept)
     return records
 
 

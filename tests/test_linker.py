@@ -1,67 +1,57 @@
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skillgraph import cli, linker
+from skillgraph.community import read_labels
 from skillgraph.errors import GraphError
-from skillgraph.graph import HeteroGraph, NodeKind, Relation
-from skillgraph import linker
+from skillgraph.graph import HeteroGraph, NodeKind, Relation, read_snapshot
 from skillgraph.ingest import tokenize
-from skillgraph.linker import (Bm25Params, CorpusStats, SkillDocument, bm25, link_skills,
-                               write_link_dump)
+from skillgraph.linker import Bm25Params, bm25, link_skills, term_postings, write_link_dump
 
-from oracles import edges, out_edges, ref_link_skills
+from oracles import RefCorpusStats, edges, out_edges, ref_bm25, ref_link_skills
 
 
-def doc(skill, text):
-    return SkillDocument(skill, tuple(text.split()))
+def docs_of(*texts):
+    return {f"s{i + 1}": tuple(text.split()) for i, text in enumerate(texts)}
 
 
 class TestBm25:
     def test_two_identical_one_token_docs(self):
         # N=2, df=2, avgdl=1: idf=ln(1.2), tf term = 2.2/2.2 = 1
-        docs = [doc("s1", "sql"), doc("s2", "sql")]
-        stats = CorpusStats.from_documents(docs)
-        score = bm25(("sql",), docs[0], stats)
-        assert score == pytest.approx(math.log(1.2), abs=1e-12)
-        assert score == pytest.approx(0.1823215567939546, abs=1e-9)
+        scores = bm25(("sql",), term_postings(docs_of("sql", "sql")))
+        assert scores.keys() == {"s1", "s2"}
+        assert scores["s1"] == scores["s2"] == pytest.approx(math.log(1.2), abs=1e-12)
+        assert scores["s1"] == pytest.approx(0.1823215567939546, abs=1e-9)
 
     def test_disjoint_query_scores_zero(self):
-        docs = [doc("s1", "sql server")]
-        stats = CorpusStats.from_documents(docs)
-        assert bm25(("python",), docs[0], stats) == 0.0
+        assert bm25(("python",), term_postings(docs_of("sql server"))) == {}
 
     def test_self_corpus_positive(self):
-        d = doc("s1", "machine learning")
-        stats = CorpusStats.from_documents([d])
-        score = bm25(d.tokens, d, stats)
-        assert score > 0.0
+        docs = docs_of("machine learning")
+        scores = bm25(docs["s1"], term_postings(docs))
         # idf = ln(1 + 0.5/1.5) per token; doc length equals avgdl so the
         # tf factor is (1*2.2)/(1+1.2) = 1
-        assert score == pytest.approx(2 * math.log(4 / 3), abs=1e-12)
+        assert scores == {"s1": pytest.approx(2 * math.log(4 / 3), abs=1e-12)}
 
     def test_never_negative_even_for_common_terms(self):
-        docs = [doc(f"s{i}", "sql") for i in range(50)]
-        stats = CorpusStats.from_documents(docs)
-        assert bm25(("sql",), docs[0], stats) > 0.0
-
-    def test_token_outside_the_corpus_takes_the_idf_of_df_zero(self):
-        # a document scored against another corpus's statistics: N=1, avgdl=1
-        stats = CorpusStats.from_documents([doc("s1", "sql")])
-        score = bm25(("python",), doc("s2", "python"), stats)
-        assert score == pytest.approx(math.log(1.0 + 1.5 / 0.5), abs=1e-12)
+        scores = bm25(("sql",), term_postings(docs_of(*["sql"] * 50)))
+        assert len(scores) == 50
+        assert all(score > 0.0 for score in scores.values())
 
     def test_parameter_validation(self):
         with pytest.raises(GraphError):
             Bm25Params(k1=-1.0)
         with pytest.raises(GraphError):
             Bm25Params(b=1.5)
-        with pytest.raises(GraphError):
-            SkillDocument("s", ())
 
     @pytest.mark.parametrize("k1", [math.nan, math.inf])
     def test_non_finite_k1_rejected(self, k1):
@@ -70,13 +60,29 @@ class TestBm25:
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(["sql", "python", "data", "etl"]), min_size=1, max_size=5),
-           st.sampled_from(["spark", "hadoop", "graphs"]))
+           st.sampled_from(["spark", "hadoop", "graphs", "pipelines", "etl", "data"]))
     def test_extra_query_token_never_decreases_score(self, query, extra):
-        docs = [doc("s1", "sql data pipelines"), doc("s2", "python etl data")]
-        stats = CorpusStats.from_documents(docs)
-        for d in docs:
-            base = bm25(tuple(query), d, stats)
-            assert bm25(tuple(query) + (extra,), d, stats) >= base - 1e-15
+        postings = term_postings(docs_of("sql data pipelines", "python etl data"))
+        base = bm25(tuple(query), postings)
+        more = bm25(tuple(query) + (extra,), postings)
+        assert base.keys() <= more.keys()
+        assert all(more[member] >= score for member, score in base.items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["sql", "data", "mining", "graph", "stream"]),
+                             min_size=1, max_size=4), min_size=1, max_size=6),
+           st.lists(st.sampled_from(["sql", "data", "mining", "graph", "stream"]), max_size=5),
+           st.sampled_from([0.0, 0.5, 1.2, 2.0]), st.sampled_from([0.0, 0.3, 0.75, 1.0]))
+    def test_each_score_is_the_per_pair_sum_bit_for_bit(self, names, query, k1, b):
+        # the pair-at-a-time oracle adds the same terms in the same order,
+        # so every score is the same float, and a member that holds no query
+        # token gets none
+        docs = {f"s{i}": tuple(name) for i, name in enumerate(names)}
+        params = Bm25Params(k1=k1, b=b)
+        stats = RefCorpusStats.from_documents(list(docs.values()))
+        scores = bm25(tuple(query), term_postings(docs, params))
+        assert scores == {member: ref_bm25(tuple(query), doc, stats, params)
+                          for member, doc in docs.items() if set(doc) & set(query)}
 
 
 def skill_graph(names, labels):
@@ -107,7 +113,7 @@ class TestLinkSkills:
         linked, records = link_skills(g, labels)
         for source in labels:
             row = out_edges(linked, source, Relation.LINKED)
-            raws = {r.target: r.raw_score for r in records if r.source == source}
+            raws = {target: raw for s, target, raw, _w in records if s == source}
             total = sum(raws.values())
             for target, weight in row:
                 assert weight == pytest.approx(raws[target] / total, abs=1e-12)
@@ -156,8 +162,8 @@ class TestLinkSkills:
         names = [f"skill number{i}" for i in range(9)]
         g, labels = skill_graph(names, [i % 3 for i in range(9)])
         linked, records = link_skills(g, labels)
-        for rec in records:
-            assert labels[rec.source] == labels[rec.target]
+        for source, target, _raw, _weight in records:
+            assert labels[source] == labels[target]
 
     def test_dump_format(self, tmp_path):
         g, labels = skill_graph(["data mining", "data analysis"], [0, 0])
@@ -200,10 +206,9 @@ class TestLinkOracle:
             top_k = rng.randint(1, 4)
             linked, records = link_skills(g, labels, params, top_k)
             expected = ref_link_skills(g, labels, params, top_k)
+            # tuple equality compares each raw_score and weight as a float
             assert records == expected
-            assert [(r.raw_score, r.weight) for r in records] == \
-                [(r.raw_score, r.weight) for r in expected]
-            assert linked_rows(linked) == sorted((r.source, r.target, r.weight) for r in expected)
+            assert linked_rows(linked) == sorted((s, t, w) for s, t, _raw, w in expected)
 
     def test_tied_scores_at_the_top_k_cut(self):
         # every target shares only "sql" with the source, so all four tie
@@ -214,9 +219,9 @@ class TestLinkOracle:
         labels = {f"S{i}": 0 for i in range(len(names))}
         _linked, records = link_skills(g, labels, top_k=2)
         assert records == ref_link_skills(g, labels, top_k=2)
-        kept = [r for r in records if r.source == "S0"]
-        assert [r.target for r in kept] == ["S1", "S2"]
-        assert kept[0].raw_score == kept[1].raw_score
+        kept = [(target, raw) for source, target, raw, _w in records if source == "S0"]
+        assert [target for target, _raw in kept] == ["S1", "S2"]
+        assert kept[0][1] == kept[1][1]
 
     def test_shared_token_across_communities_does_not_link(self):
         g = HeteroGraph()
@@ -227,20 +232,64 @@ class TestLinkOracle:
         assert records == [] == ref_link_skills(g, labels)
 
 
-def test_bm25_runs_once_per_same_community_pair_sharing_a_token(monkeypatch):
+def test_bm25_runs_once_per_source_over_the_skills_sharing_a_token(monkeypatch):
+    # one call per skill of each community of at least two; the call scores
+    # exactly the source and the same-community skills that share a token
+    # with it, which link_skills then ranks without the source
     rng = random.Random(5)
     original = linker.bm25
     for _ in range(50):
         g, labels = random_skill_graph(rng)
-        calls = []
+        calls = Counter()
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(query, postings):
+            scores = original(query, postings)
+            calls[tuple(query), frozenset(scores)] += 1
+            return scores
 
         monkeypatch.setattr(linker, "bm25", counting)
         link_skills(g, labels)
-        tokens = {sid: set(tokenize(g.node_name(sid))) for sid in labels}
-        expected = sum(1 for s in labels for t in labels
-                       if s != t and labels[s] == labels[t] and tokens[s] & tokens[t])
-        assert len(calls) == expected
+        tokens = {sid: tuple(tokenize(g.node_name(sid))) for sid in labels}
+        sizes = Counter(labels.values())
+        expected = Counter(
+            (tokens[s], frozenset(t for t in labels
+                                  if labels[t] == labels[s] and set(tokens[s]) & set(tokens[t])))
+            for s in labels if sizes[labels[s]] >= 2)
+        assert calls == expected
+
+
+def test_skill_without_tokens_rejected():
+    g = HeteroGraph()
+    g.add_node("S1", NodeKind.SKILL, name="data mining")
+    g.add_node("S2", NodeKind.SKILL, name="!!!")
+    with pytest.raises(GraphError, match="skill 'S2' has no tokens"):
+        link_skills(g, {"S1": 0, "S2": 0})
+
+
+def test_query_m_shaped_corpus_matches_the_oracle_and_its_dump(tmp_path):
+    # the synth corpus of the query-m benchmark shape, through the CLI: the
+    # links of the merged graph and the dump link writes must equal the
+    # all-pairs oracle's, bit for bit and in the dump's format
+    data, out = tmp_path / "data", tmp_path / "out"
+    for argv in (
+        ["synth", "--seed", "3", "--jobs", "2000", "--courses", "300", "--skills", "800",
+         "--alignment", "0.3", "--out", str(data)],
+        ["ingest", "--courses", str(data / "courses.csv"), "--jobs", str(data / "jobs.csv"),
+         "--skills", str(data / "skills.csv"), "--enrollments", str(data / "enrollments.csv"),
+         "--out", str(out)],
+        ["build", "--out", str(out)],
+        ["communities", "--out", str(out), "--seed", "3"],
+        ["link", "--out", str(out), "--dump-links"],
+    ):
+        assert cli.main(argv) == 0, argv
+    merged = read_snapshot(out / cli.F_MERGED_GRAPH)
+    labels = read_labels(out / cli.F_LABELS)
+    _linked, records = link_skills(merged, labels)
+    expected = ref_link_skills(merged, labels)
+    assert len(expected) > 1000
+    assert records == expected
+    dump = io.StringIO(newline="")
+    writer = csv.writer(dump, lineterminator="\n")
+    writer.writerow(["source", "target", "raw_bm25", "weight"])
+    writer.writerows([s, t, format(raw, ".12g"), format(w, ".12g")] for s, t, raw, w in expected)
+    assert (out / cli.F_LINK_DUMP).read_text(encoding="utf-8") == dump.getvalue()
