@@ -18,7 +18,9 @@ the user and be writable by no one else; its file name carries the sha256 of
 the source, the compiler flags and the machine type, so a changed source or
 flag builds anew and a later process only loads it. A build goes to a
 temporary file in that directory and is renamed into place, so concurrent
-first runs do not see half a library.
+first runs do not see half a library. A build then removes the directory's
+other ``move_pass-*.so`` files, so an edited source or flag leaves one
+library behind, not one per edit.
 
 The C pass is the Python pass line for line: the same queue, candidate
 bookkeeping, tie rule and binary64 operations in the same order. No fused
@@ -360,4 +362,26 @@ def _build(path):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _remove_stale(path)
     return True
+
+
+def _remove_stale(path):
+    """Remove every ``move_pass-*.so`` in ``path``'s directory but ``path``:
+    libraries of another source, flags or machine type, which no process of
+    this version loads. A process that mapped one keeps its mapping; one of
+    another version that finds its library gone builds it again, or runs the
+    Python pass, with the same results."""
+    import fnmatch
+
+    cache, keep = os.path.split(path)
+    try:
+        names = os.listdir(cache)
+    except OSError:
+        return
+    for name in names:
+        if name != keep and fnmatch.fnmatchcase(name, "move_pass-*.so"):
+            try:
+                os.unlink(os.path.join(cache, name))
+            except OSError:
+                pass

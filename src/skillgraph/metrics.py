@@ -12,6 +12,7 @@ Conventions, pinned so every number is unambiguous:
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -21,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .errors import EvalError, csv_lines, csv_rows, parse_number, read_through, write_lines
 from .ingest import Course, Job, Skill, tokenize
-from .ranker import RankedList, match_titles, title_index, to_ranked_list
+from .ranker import RankedList, TitleIndex, match_titles, title_index, to_ranked_list
 
 
 @dataclass(frozen=True)
@@ -190,12 +191,15 @@ def _tfidf_vector(tokens: Sequence[str], idf: Mapping[str, float]) -> dict[str, 
     return vec
 
 
-def _cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
+def _norm(vec: Mapping[str, float]) -> float:
+    return math.sqrt(math.fsum(v * v for v in vec.values()))
+
+
+def _cosine(a: Mapping[str, float], na: float, b: Mapping[str, float], nb: float) -> float:
+    """Cosine of ``a`` and ``b``, whose norms are ``na`` and ``nb``."""
     if not a or not b:
         return 0.0
     dot = math.fsum(v * b[t] for t, v in a.items() if t in b)
-    na = math.sqrt(math.fsum(v * v for v in a.values()))
-    nb = math.sqrt(math.fsum(v * v for v in b.values()))
     return dot / (na * nb) if dot else 0.0
 
 
@@ -204,6 +208,37 @@ def course_text_tokens(course: Course, skill_names: Mapping[str, str]) -> list[s
     for sid in sorted(course.skills):
         tokens += tokenize(skill_names.get(sid, sid))
     return tokens
+
+
+@dataclass(frozen=True)
+class _BaselineCorpus:
+    """What the baseline derives from its corpora alone: the idf, each
+    course's vector and norm in id order, and the job title index."""
+
+    idf: dict[str, float]
+    ids: list[str]
+    vectors: list[dict[str, float]]
+    norms: list[float]
+    titles: TitleIndex
+
+
+@functools.lru_cache(maxsize=1)
+def _baseline_corpus(jobs: tuple[Job, ...], courses: tuple[Course, ...],
+                     catalog: tuple[Skill, ...]) -> _BaselineCorpus:
+    """The baseline's corpus-wide parts, built once per distinct value of
+    the three corpora and kept until another value comes."""
+    skill_names = {s.id: s.name for s in catalog}
+    docs = {c.id: course_text_tokens(c, skill_names) for c in courses}
+    df: Counter[str] = Counter()
+    for tokens in docs.values():
+        df.update(set(tokens))
+    n = len(courses)
+    idf = {t: math.log(n / d) for t, d in df.items()}
+    ids = sorted(docs)
+    vectors = [_tfidf_vector(docs[cid], idf) for cid in ids]
+    # the ranker's matcher, keyed by input position to keep the input order
+    titles = title_index((i, job.title) for i, job in enumerate(jobs))
+    return _BaselineCorpus(idf, ids, vectors, [_norm(v) for v in vectors], titles)
 
 
 def baseline_vector_space(jobs: Sequence[Job], courses: Sequence[Course], query: str,
@@ -216,19 +251,11 @@ def baseline_vector_space(jobs: Sequence[Job], courses: Sequence[Course], query:
     """
     if not jobs or not courses:
         raise EvalError("baseline needs non-empty corpora")
-    skill_names = {s.id: s.name for s in catalog} if catalog else {}
-    docs = {c.id: course_text_tokens(c, skill_names) for c in courses}
-    df: Counter[str] = Counter()
-    for tokens in docs.values():
-        df.update(set(tokens))
-    n = len(courses)
-    idf = {t: math.log(n / d) for t, d in df.items()}
-    # the ranker's matcher, keyed by input position to keep the input order
     title_tokens = tokenize(query)
     if not title_tokens:
         raise EvalError("empty job query")
-    matched = match_titles(title_index((i, job.title) for i, job in enumerate(jobs)),
-                           title_tokens)
+    corpus = _baseline_corpus(tuple(jobs), tuple(courses), tuple(catalog or ()))
+    matched = match_titles(corpus.titles, title_tokens)
     if not len(matched):
         raise EvalError(f"no job title matches {query!r}")
     query_tokens: list[str] = []
@@ -236,7 +263,7 @@ def baseline_vector_space(jobs: Sequence[Job], courses: Sequence[Course], query:
         query_tokens += tokenize(job.title)
         for sid in sorted(job.skills):
             query_tokens += tokenize(sid)
-    qvec = _tfidf_vector(query_tokens, idf)
-    ids = sorted(docs)
-    scores = [_cosine(qvec, _tfidf_vector(docs[cid], idf)) for cid in ids]
-    return to_ranked_list(ids, scores, query, "baseline-vector-space", cutoff)
+    qvec = _tfidf_vector(query_tokens, corpus.idf)
+    qnorm = _norm(qvec)
+    scores = [_cosine(qvec, qnorm, vec, norm) for vec, norm in zip(corpus.vectors, corpus.norms)]
+    return to_ranked_list(corpus.ids, scores, query, "baseline-vector-space", cutoff)

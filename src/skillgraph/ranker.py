@@ -6,52 +6,71 @@ steps traverse stored edges target-to-source with the stored forward weight.
 Steps flagged as community-restricted only land on nodes carrying the query
 community's merged label. Scoring is layered sparse propagation, one weighted
 scatter per step, which equals explicit tour enumeration. A restricted step
-scatters only the edges whose landing node is in the query community: each
-relation's edges are stably ordered by that node's community once per graph
-state and labels (``CommunityEdges``), so the step reads one contiguous slice
-and every node still sums its pushes in the order a full scatter would.
+scatters only the edges whose landing node is in the query community, taken
+in edge order, so every node still sums its pushes in the order a full
+scatter would.
 
 After a restricted step every node outside the query community holds exactly
 0.0, so the unrestricted step that follows one (the reverse prerequisite step
 of upskilling) and the first prerequisite hop from such a base scatter only
-the edges that leave the community: a second stable order of each relation,
-by the community of the node each edge leaves. Each dropped edge would push
+the edges that leave the community. Each dropped edge would push
 ``w * 0.0 = +0.0``, which leaves every sum's bits, and the kept edges reach
 each node in the order a full scatter would. Deeper prerequisite levels
 start from nodes anywhere and take every edge.
 
+Each community has a frame (``Frame``), made once per graph state and labels
+(``CommunityEdges.frame``): the sorted index positions of its members, of
+every node with an edge landing in it and of every node that an edge
+leaving it lands on. A walk whose every step lands in the community or
+leaves it (``MetaPath.framed``; every built-in route and the first
+prerequisite hop) touches only those nodes, so it seeds, scatters
+(``kernels.propagate_step`` with ``n`` the frame's length), adds and tests
+for candidates on frame-length vectors, its edges stored as frame
+positions. The bits are those of a walk over the whole graph: each landing
+node receives the same non-zero pushes in the same order, and the frame
+leaves out only nodes that would hold exactly 0.0. Any other walk (deeper
+prerequisite levels, a path whose first step is unrestricted) runs in the
+whole-graph frame, on vectors over every node. On ``build-mid`` a frame
+holds about 1,000 of the graph's 9,985 nodes.
+
 A walk with a step that has no edge to push along ends with no mass: a
-restricted step whose slice for the query community is empty (a career
-community that holds no course, say), an unrestricted step after one whose
-slice of edges leaving the community is empty, or any step whose relation
-has no edges. The rule reads only the graph and the labels, and each
-path's gated edges are worked out once per community
-(``CommunityEdges.path_edges``), so ``scenario_scores`` skips such a dead
-group before any walk call: its base is the shared empty ``NO_SCORES``, the
-taken-course walk is skipped the same way in each community, and the
-group's seed view is made only when something reads it, such as
-``recommend --debug``. A query that fans out over many community groups
-thus pays only for the walks that can reach a course: on ``fragmented``
-(``perfbench``, seed 1, traced) a query spans 11.2 groups and makes 1.36
-``score_metapath`` calls. Called on its own, ``score_metapath`` returns
-``NO_SCORES`` for a dead community after checking its seeds, without
-allocating or scattering; ``prerequisite_expansion`` returns it for a hop
-with no edge to take.
+restricted step with no edge into the query community (a career community
+that holds no course, say), an unrestricted step after one with no edge
+leaving it, or any step whose relation has no edges. The rule reads only
+the graph and the labels: per-community edge counts, made once per graph
+state and labels, say whether each built-in route can reach a course, so
+``scenario_scores`` skips such a dead group with one lookup of the
+community's frame (``Frame.route``) before any walk call, and a frame makes
+its nodes and a route's edges only when a live route is first asked for. A dead
+group's base is the shared empty ``NO_SCORES``, the taken-course walk is skipped
+the same way in each community, and the group's seed view is made only when
+something reads it, such as ``recommend --debug``. A query that fans out over
+many community groups thus pays only for the walks that can reach a course:
+on ``fragmented`` (``perfbench``, seed 1, traced) a query spans 11.2 groups
+and makes 1.36 ``score_metapath`` calls. Called on its own,
+``score_metapath`` returns ``NO_SCORES`` for a dead community after checking
+its seeds, without allocating or scattering; ``prerequisite_expansion``
+returns it for a hop with no edge to take.
 
 A query resolves to the jobs whose title holds its tokens as a contiguous
 run (``TitleIndex``), and its seeds stay index positions with their weights
 (``Seeds``) from the title match to the scatter: the matched titles' jobs
 come as one position array, ``scenario_scores`` splits it by community with
 one gather of each seed's community slot into one sorted copy and checks the
-set's node kind once, and ``score_metapath`` places a group's seeds with one
-indexed write. The walks read only ``Seeds`` and ``Scores`` made on the
-graph as it is now, and refuse any other; a library caller gets seeds from
-``resolve_job_query``.
+set's node kind once, and ``score_metapath`` places a group's seeds in the
+frame with one gather and one indexed write. The walks read only ``Seeds``
+and ``Scores`` made on the graph as it is now, and refuse any other; a
+library caller gets seeds from ``resolve_job_query``.
 
-A route's scores stay one dense vector over the graph's nodes (``Scores``),
-and a scenario adds its routes as vectors in the order a per-node merge
-would, which keeps every bit because adding 0.0 is exact. Node ids are made
-only for the ranked list, and for the provenance when it is read.
+A route's scores are one vector over its frame (``Scores``). A scenario adds
+its routes in route order (base, prerequisite hop, taken walk, group
+by group): in place while every route shares one frame, else each route in
+turn into one vector over the whole graph. Nothing is summed per group
+first, as float addition does not reassociate; a node outside a route's
+frame gets no addition where a dense sum would add +0.0, and neither
+changes its bits. Node ids are made only for the ranked list, which maps
+only the entries it keeps, and for the provenance when it is read;
+``Scores.vector``, a dense view for library callers, is made on first read.
 
 Three course-recommendation scenarios are wired on top:
 
@@ -65,6 +84,7 @@ Three course-recommendation scenarios are wired on top:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -101,11 +121,25 @@ class MetaPathStep:
         return (dst, src, wgt) if self.reverse else (src, dst, wgt)
 
 
+def _framed(steps: Sequence[MetaPathStep]) -> bool:
+    """Whether each step lands in the community or leaves it, that is, is
+    restricted or follows a restricted step. Only such a walk stays in the
+    community's frame."""
+    entered = False
+    for step in steps:
+        if not (step.community_restricted or entered):
+            return False
+        entered = step.community_restricted
+    return True
+
+
 @dataclass(frozen=True)
 class MetaPath:
     steps: tuple[MetaPathStep, ...]
     # the kind every seed of a walk along the path must be; set once, as each walk reads it
     source_kind: NodeKind = field(init=False, repr=False, compare=False)
+    # whether a gated walk along the path runs in its community's frame
+    framed: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.steps:
@@ -118,6 +152,7 @@ class MetaPath:
         # hashed once: a community gate keys each path's edges by the path
         object.__setattr__(self, "_hash", hash(self.steps))
         object.__setattr__(self, "source_kind", self.steps[0].source_kind)
+        object.__setattr__(self, "framed", _framed(self.steps))
 
     def __hash__(self) -> int:
         return self._hash
@@ -235,14 +270,17 @@ class Seeds(Mapping[str, float]):
     """Seed weights as positions on ``index``, every seed a ``kind`` node:
     ``weight[i]`` is the weight of ``index.ids[pos[i]]``, and the keys iterate
     in ``pos`` order. A community group is a ``Seeds`` over a slice of its
-    set's arrays and keeps the set's kind, so no walk checks a seed's kind."""
+    set's arrays and keeps the set's kind, so no walk checks a seed's kind;
+    it also names the ``community`` every seed is in, so a walk in that
+    community places its seeds in the frame with one gather."""
 
     def __init__(self, index: GraphIndex, pos: np.ndarray, weight: np.ndarray,
-                 kind: NodeKind) -> None:
+                 kind: NodeKind, community: int | None = None) -> None:
         self.index = index
         self.pos = pos
         self.weight = weight
         self.kind = kind
+        self.community = community
         self._by_id: dict[str, float] | None = None
 
     def __getitem__(self, node_id: str) -> float:
@@ -286,14 +324,12 @@ Edges = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class CommunityEdges:
-    """Per (relation, direction), the edges stably ordered by the community
-    of the node they land on, and again by the community of the node they
-    leave, each order with every community's bounds; an edge whose node is
-    unlabelled is in no community's slice of that order. Slice numbers follow
-    the communities' ascending order: ``communities[k]`` is slice ``k``'s
-    community and ``node_slot`` each node's slice, -1 when unlabelled. Read
-    it as ``labels.cached(index, CommunityEdges)``; orders are built on first
-    use, and each path's gated edges for a community once (``path_edges``)."""
+    """A community gate on ``index``: each node's community slot, and each
+    community's ``Frame``. Slot numbers follow the communities' ascending
+    order: ``communities[k]`` is slot ``k``'s community and ``node_slot``
+    each node's slot, -1 when unlabelled. Read it as
+    ``labels.cached(index, CommunityEdges)``; a community's frame is made on
+    its first use (``frame``)."""
 
     def __init__(self, index: GraphIndex, labels: Labels) -> None:
         self.index = index
@@ -302,50 +338,130 @@ class CommunityEdges:
         self.slot = {c: k for k, c in enumerate(self.communities)}
         self.node_slot = np.asarray([-1 if c is None else self.slot[c] for c in node_labels],
                                     dtype=np.int64)
-        self._ordered: dict[tuple[Relation, bool, bool], tuple] = {}
-        self._paths: dict[tuple[MetaPath, int, bool], list[Edges] | None] = {}
+        # per relation, each slot's count of edges whose source, and whose
+        # target, is in it; slot k at k + 1, unlabelled at 0
+        self._counts = {relation: tuple(np.bincount(self.node_slot[end] + 1,
+                                                    minlength=len(self.slot) + 1).tolist()
+                                        for end in (src, dst))
+                        for relation, (src, dst, _wgt) in index.rel_edges.items()}
+        # each member's position in its community's frame, once its nodes are made
+        self.home = np.zeros(index.n, dtype=np.int64)
+        self._frames: dict[int, Frame] = {}
 
-    def edges(self, step: MetaPathStep, community: int,
-              leaving: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``step``'s edges that land in ``community``, or with ``leaving``
-        the ones that leave it, as (from, to, weight)."""
-        key = (step.relation, step.reverse, leaving)
-        if key not in self._ordered:
-            src, dst, wgt = step.edges(self.index)
-            end = self.node_slot[src if leaving else dst]
-            # stable, so each landing node keeps its edges' order and its sum
-            order = np.argsort(end, kind="stable")
-            bounds = np.searchsorted(end[order], np.arange(len(self.slot) + 1))
-            self._ordered[key] = (src[order], dst[order], wgt[order], bounds.tolist())
-        src, dst, wgt, bounds = self._ordered[key]
+    def members(self, community: int) -> np.ndarray:
+        """Whether each node is in ``community``, as one boolean per position."""
         k = self.slot.get(community)
-        lo, hi = (0, 0) if k is None else (bounds[k], bounds[k + 1])
-        return src[lo:hi], dst[lo:hi], wgt[lo:hi]
+        return np.zeros(self.index.n, dtype=bool) if k is None else self.node_slot == k
 
-    def path_edges(self, path: MetaPath, community: int,
-                   entered: bool = False) -> list[Edges] | None:
-        """``_path_edges`` of ``path`` gated to ``community``, kept after the
-        first call; ``entered`` when the walk's input lies in ``community``."""
-        # interleaved A/B: without this cache, query p50 rose 34-43% on fragmented, 6-8% elsewhere
-        key = (path, community, entered)
+    def frame(self, community: int) -> Frame:
+        """``community``'s frame, made on the first call."""
+        frame = self._frames.get(community)
+        if frame is None:
+            frame = self._frames[community] = Frame(self, community)
+        return frame
+
+    def reaches(self, path: MetaPath, community: int) -> bool:
+        """Whether each step of ``path`` has an edge that lands in
+        ``community`` (a restricted step) or leaves it (any other step)."""
+        k = self.slot.get(community)
+        # a forward step lands on the target and leaves the source
+        return k is not None and all(
+            self._counts[step.relation][step.reverse != step.community_restricted][k + 1]
+            for step in path.steps)
+
+    def edges(self, step: MetaPathStep, community: int, leaving: bool = False) -> Edges:
+        """``step``'s edges that land in ``community``, or with ``leaving``
+        the ones that leave it, as (from, to, weight) in edge order."""
+        frm, to, wgt = step.edges(self.index)
+        at = np.flatnonzero(self.members(community)[frm if leaving else to])
+        return frm[at], to[at], wgt[at]
+
+
+class Frame:
+    """One community's frame on a ``GraphIndex``: ``nodes`` holds the sorted
+    positions of the community's members, of every node with an edge landing
+    in it and of every node that an edge leaving it lands on. A framed walk
+    (``MetaPath.framed``) pushes only along such edges, so it runs on vectors
+    as long as ``nodes``, its edges given as positions in ``nodes``. As
+    ``nodes`` ascends, frame positions order as index positions do.
+
+    A path's edges are made when first asked for and kept (``route``). A
+    built-in route with a step that has no edge is known to be dead from the
+    gate's edge counts, so a community whose routes are all dead makes
+    neither nodes nor edges. ``hop`` is the first prerequisite hop from
+    scores that a restricted step left in the community."""
+
+    def __init__(self, gate: CommunityEdges, community: int) -> None:
+        self.gate = gate
+        self.community = community
+        self._routes: dict[MetaPath, list[Edges] | None] = {
+            path: None for path in (BASE_PATH, TAKEN_PATH, UPSKILL_PATH)
+            if not gate.reaches(path, community)}
+        # each (relation, direction, leaving)'s edges, which paths share
+        self._steps: dict[tuple[Relation, bool, bool], Edges] = {}
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        """The frame's index positions, ascending; made on first read."""
+        index, inside = self.gate.index, self.gate.members(self.community)
+        in_frame = inside.copy()
+        for src, dst, _wgt in index.rel_edges.values():
+            in_frame[dst[inside[src]]] = True
+            in_frame[src[inside[dst]]] = True
+        nodes = in_frame.nonzero()[0]
+        members = inside.nonzero()[0]
+        self.gate.home[members] = nodes.searchsorted(members)
+        return nodes
+
+    @functools.cached_property
+    def hop(self) -> list[Edges] | None:
+        """The edges of the first prerequisite hop, which leave the community."""
+        return self._path_edges(_PREREQ_HOP)
+
+    def route(self, path: MetaPath) -> list[Edges] | None:
+        """The edges of ``path``, which must be framed, in this frame; None
+        when a step has none."""
         try:
-            return self._paths[key]
+            return self._routes[path]
         except KeyError:
-            edges = self._paths[key] = _path_edges(self.index, path, self, community, entered)
+            edges = self._routes[path] = self._path_edges(path)
             return edges
+
+    def _path_edges(self, path: MetaPath) -> list[Edges] | None:
+        """Each step's edges as positions in ``nodes``, or None as soon as a
+        step has none: a restricted step's that land in the community, any
+        other step's that leave it, in edge order."""
+        edges = []
+        for step in path.steps:
+            leaving = not step.community_restricted
+            key = (step.relation, step.reverse, leaving)
+            if key not in self._steps:
+                frm, to, wgt = self.gate.edges(step, self.community, leaving)
+                self._steps[key] = (self.nodes.searchsorted(frm), self.nodes.searchsorted(to), wgt)
+            if not len(self._steps[key][2]):
+                return None
+            edges.append(self._steps[key])
+        return edges
+
+    def where(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where the index positions ``pos`` would sit in ``nodes``, and
+        whether each is there."""
+        at = self.nodes.searchsorted(pos)
+        return at, self.nodes.take(at, mode="clip") == pos
 
 
 def _path_edges(index: GraphIndex, path: MetaPath, gate: CommunityEdges | None = None,
-                community: int | None = None, entered: bool = False) -> list[Edges] | None:
-    """Each step's edges as (from, to, weight), or None as soon as a step has
-    none, since a walk that cannot take a step ends with no mass. With a
-    ``gate``, a restricted step has only the edges that land in
-    ``community``: scattering them equals a full scatter with every node
-    outside it (or unlabelled) zeroed, to the bit. An unrestricted step
-    after one (or first, when the input has ``entered`` the community) has
-    only the edges that leave ``community``: every other edge starts at a
-    node holding exactly 0.0 and would push +0.0, which leaves a sum's bits."""
+                community: int | None = None) -> list[Edges] | None:
+    """Each step's edges as (from, to, weight) over the whole graph, or None
+    as soon as a step has none, since a walk that cannot take a step ends
+    with no mass. With a ``gate``, a restricted step has only the edges that
+    land in ``community``: scattering them equals a full scatter with every
+    node outside it (or unlabelled) zeroed, to the bit. An unrestricted step
+    after one has only the edges that leave ``community``: every other edge
+    starts at a node holding exactly 0.0 and would push +0.0, which leaves a
+    sum's bits."""
     edges = []
+    entered = False
     for step in path.steps:
         if gate is not None and (step.community_restricted or entered):
             step_edges = gate.edges(step, community, leaving=not step.community_restricted)
@@ -358,32 +474,53 @@ def _path_edges(index: GraphIndex, path: MetaPath, gate: CommunityEdges | None =
     return edges
 
 
-def _walk(index: GraphIndex, edges: list[Edges], scores: np.ndarray) -> np.ndarray:
-    """Push ``scores`` along each step's ``edges``, one kernel call per step."""
+def _walk(edges: list[Edges], scores: np.ndarray) -> np.ndarray:
+    """Push ``scores`` along each step's ``edges``, one kernel call per step,
+    in the frame ``scores`` is in."""
+    n = len(scores)
     for src, dst, wgt in edges:
-        scores = kernels.propagate_step(scores, src, dst, wgt, index.n)
+        scores = kernels.propagate_step(scores, src, dst, wgt, n)
     return scores
 
 
-class Scores(Mapping[str, float]):
-    """Node scores as one dense vector over ``index``, 0.0 where a score is
-    not positive; the keys are the nodes with a positive score, in index
-    order. Routes add as vectors, and node ids are made only when read.
-    ``within`` is the gate and community that hold every score, when a
-    restricted step made the vector last."""
+def _dense(values: np.ndarray, frame: Frame, n: int) -> np.ndarray:
+    """``values`` in ``frame`` as one vector over all ``n`` index positions."""
+    vector = np.zeros(n)
+    vector[frame.nodes] = values
+    return vector
 
-    def __init__(self, index: GraphIndex, vector: np.ndarray,
+
+class Scores(Mapping[str, float]):
+    """Node scores in a frame of ``index``, 0.0 where a score is not
+    positive: ``values[i]`` is the score of position ``frame.nodes[i]``, or
+    of position ``i`` when ``frame`` is None, the whole graph. The keys are
+    the nodes with a positive score, in index order; node ids are made only
+    when read. ``within`` is the gate and community that hold every score,
+    when a restricted step of a framed walk made the values last."""
+
+    def __init__(self, index: GraphIndex, values: np.ndarray, frame: Frame | None = None,
                  within: tuple[CommunityEdges, int] | None = None) -> None:
         self.index = index
-        self.vector = vector
+        self.values = values
+        self.frame = frame
         self.within = within
         self._hits: np.ndarray | None = None
+        self._vector: np.ndarray | None = None
+
+    @property
+    def vector(self) -> np.ndarray:
+        """The scores as one dense vector over ``index``, made on first read."""
+        if self._vector is None:
+            self._vector = (self.values if self.frame is None
+                            else _dense(self.values, self.frame, self.index.n))
+        return self._vector
 
     @property
     def hits(self) -> np.ndarray:
         """Index positions of the keys, ascending."""
         if self._hits is None:
-            self._hits = np.flatnonzero(self.vector > 0.0)
+            hits = (self.values > 0.0).nonzero()[0]
+            self._hits = hits if self.frame is None else self.frame.nodes[hits]
         return self._hits
 
     def __getitem__(self, node_id: str) -> float:
@@ -431,21 +568,36 @@ def _check_kind(seeds: Seeds, path: MetaPath) -> None:
 def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Seeds, labels: Mapping[str, int],
                    community: int) -> Scores:
     """Sum-of-tour-products scores for every node reachable along ``path``,
-    each restricted step landing only in ``community`` under ``labels``."""
+    each restricted step landing only in ``community`` under ``labels``. A
+    framed path walks in the community's frame, any other in the whole graph."""
     index = _current(g, seeds)
     _check_kind(seeds, path)
     gate = _as_labels(labels).cached(index, CommunityEdges)
-    edges = gate.path_edges(path, community)
+    if path.framed:
+        frame = gate.frame(community)
+        edges = frame.route(path)
+    else:
+        frame, edges = None, _path_edges(index, path, gate, community)
     if edges is None:
         return NO_SCORES
-    scores = np.zeros(index.n, dtype=np.float64)
-    scores[seeds.pos] = seeds.weight
+    if frame is None:
+        scores = np.zeros(index.n, dtype=np.float64)
+        scores[seeds.pos] = seeds.weight
+    elif seeds.community == community:
+        scores = np.zeros(len(frame.nodes), dtype=np.float64)
+        scores[gate.home[seeds.pos]] = seeds.weight
+    else:
+        # a seed outside the frame has no edge into the community: it pushes nothing
+        scores = np.zeros(len(frame.nodes), dtype=np.float64)
+        at, inside = frame.where(seeds.pos)
+        scores[at[inside]] = seeds.weight[inside]
     # seeds of no negative (or NaN) weight, over positive edge weights, score
     # no node below 0.0; any other seed needs the scores below it set to 0.0
     kept = not len(seeds) or seeds.weight.min() >= 0.0
-    scores = _walk(index, edges, scores)
-    within = (gate, community) if path.steps[-1].community_restricted else None
-    return Scores(index, scores if kept else np.fmax(scores, 0.0), within)
+    scores = _walk(edges, scores)
+    held = frame is not None and path.steps[-1].community_restricted
+    within = (gate, community) if held else None
+    return Scores(index, scores if kept else np.fmax(scores, 0.0), frame, within)
 
 
 BASE_PATH = MetaPath((
@@ -475,27 +627,33 @@ def prerequisite_expansion(g: HeteroGraph, base_scores: Scores,
 
     Every level's pushes add up. ``base_scores`` are scores on ``g`` as it
     is now, such as ``score_metapath`` returns. A base held ``within`` one
-    community takes its first hop along only the edges that leave it; the
-    deeper levels take every edge.
+    community takes its first hop in its frame, along only the edges that
+    leave the community; the deeper levels take every edge, in the whole
+    graph.
     """
     if depth < 0:
         raise QueryError(f"prerequisite depth {depth!r} must be >= 0")
     if not base_scores or not depth:
         return NO_SCORES
     index = _current(g, base_scores)
-    within = base_scores.within
-    first = (_path_edges(index, _PREREQ_HOP) if within is None
-             else within[0].path_edges(_PREREQ_HOP, within[1], entered=True))
+    if base_scores.within is None:
+        frame, first, values = None, _path_edges(index, _PREREQ_HOP), base_scores.vector
+    else:
+        frame = base_scores.frame
+        first, values = frame.hop, base_scores.values
     if first is None:
         return NO_SCORES
     # the levels add in order; the first is its own sum, as 0.0 + x is x
-    level = extra = _walk(index, first, base_scores.vector)
+    level = extra = _walk(first, values)
     if depth > 1:
-        edges = first if within is None else _path_edges(index, _PREREQ_HOP)
+        if frame is not None:
+            level = extra = _dense(extra, frame, index.n)
+            frame = None
+        edges = _path_edges(index, _PREREQ_HOP)
         for _ in range(depth - 1):
-            level = _walk(index, edges, level)
+            level = _walk(edges, level)
             extra = extra + level
-    return Scores(index, extra)
+    return Scores(index, extra, frame)
 
 
 @dataclass
@@ -505,8 +663,9 @@ class Provenance:
     ``seeds`` and ``base`` are keyed by the community each group ran in, in
     ascending order. ``seeds`` is a read-only mapping, and each group's seeds
     a read-only mapping over index positions (``Seeds``); each group's base
-    is a ``Scores``, ``NO_SCORES`` when its walk cannot reach a course.
-    ``prereq`` is a single map because that route ignores community gates.
+    is a ``Scores`` in its community's frame, ``NO_SCORES`` when its walk
+    cannot reach a course. ``prereq`` is a single map because that route
+    ignores community gates.
     """
 
     seeds: Mapping[int, Mapping[str, float]] = field(default_factory=dict)
@@ -514,16 +673,28 @@ class Provenance:
     prereq: Mapping[str, float] = field(default_factory=dict)
 
 
-def _add(total: np.ndarray | None, part: Scores) -> np.ndarray | None:
-    """``total`` plus ``part``'s vector, in place; ``NO_SCORES`` adds nothing.
-    Adding 0.0 leaves a score's bits, so this sums each node's routes in the
-    order a per-node merge would."""
+def _add(total: tuple[np.ndarray, Frame | None] | None,
+         part: Scores) -> tuple[np.ndarray, Frame | None] | None:
+    """``total``, values and their frame, plus ``part``, in place where it
+    can be; ``NO_SCORES`` adds nothing. A part in another frame than the total
+    moves the total to the whole graph first. Each node's routes add in
+    route order: a node outside a part's frame gets nothing where a dense
+    add gave it +0.0, and neither changes a score's bits."""
     if part is NO_SCORES:
         return total
     if total is None:
-        return part.vector.copy()
-    total += part.vector
-    return total
+        return part.values.copy(), part.frame
+    values, frame = total
+    if frame is part.frame:
+        values += part.values
+        return total
+    if frame is not None:
+        values = _dense(values, frame, part.index.n)
+    if part.frame is None:
+        values += part.values
+    else:
+        values[part.frame.nodes] += part.values
+    return values, None
 
 
 def _taken_seeds(g: HeteroGraph, index: GraphIndex, taken: tuple[str, ...]) -> Seeds:
@@ -556,7 +727,8 @@ class _SeedGroups(Mapping[int, Seeds]):
         if first >= 0 and in_order.count(first) == len(in_order):
             community = gate.communities[first]
             self._bounds[community] = (0, len(in_order))
-            self._views[community] = seeds
+            self._views[community] = Seeds(seeds.index, seeds.pos, seeds.weight, seeds.kind,
+                                           community)
             return
         if min(in_order) < 0:
             node_id = seeds.index.ids[seeds.pos[in_order.index(-1)]]
@@ -577,7 +749,8 @@ class _SeedGroups(Mapping[int, Seeds]):
         if view is None:
             a, b = self._bounds[community]
             s = self.ordered
-            view = self._views[community] = Seeds(s.index, s.pos[a:b], s.weight[a:b], s.kind)
+            view = self._views[community] = Seeds(s.index, s.pos[a:b], s.weight[a:b], s.kind,
+                                                  community)
         return view
 
     def __iter__(self) -> Iterator[int]:
@@ -600,9 +773,10 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
     community gate and the score maps add: base, then the prerequisite hop of
     a non-empty scenario 1/2 base, then the scenario 2 taken-course walk. A
     route whose gated walk has a step with no edge is skipped before any walk
-    call, and a group whose base is skipped is never read. An unlabelled seed
-    raises first, then a taken course not in the graph, then seeds of the
-    wrong kind.
+    call, and a group whose base is skipped is never read. The total stays
+    in one community's frame while every route it adds is in that frame. An
+    unlabelled seed raises first, then a taken course not in the graph, then
+    seeds of the wrong kind.
     """
     # checked here too: a scenario 3 query or an empty base never expands
     if prereq_depth < 0:
@@ -617,7 +791,8 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
     prov = Provenance(seeds=groups)
     total = prereq = None
     for community in groups:
-        if gate.path_edges(path, community) is None:
+        group_frame = gate.frame(community)
+        if group_frame.route(path) is None:
             prov.base[community] = NO_SCORES
         else:
             base = prov.base[community] = score_metapath(g, path, groups[community], labels,
@@ -627,32 +802,41 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
                 extra = prerequisite_expansion(g, base, prereq_depth)
                 total = _add(total, extra)
                 prereq = _add(prereq, extra)
-        if taken is not None and gate.path_edges(TAKEN_PATH, community) is not None:
+        if taken is not None and group_frame.route(TAKEN_PATH) is not None:
             total = _add(total, score_metapath(g, TAKEN_PATH, taken, labels, community))
     if prereq is not None:
-        prov.prereq = Scores(index, prereq)
+        prov.prereq = Scores(index, *prereq)
     if total is None:
         return NO_SCORES, prov
+    values, frame = total
     if taken is not None:
-        total[taken.pos] = 0.0
-    return Scores(index, total), prov
+        if frame is None:
+            values[taken.pos] = 0.0
+        else:
+            # a taken course outside the frame already holds 0.0
+            at, inside = frame.where(taken.pos)
+            values[at[inside]] = 0.0
+    return Scores(index, values, frame), prov
 
 
 def to_ranked_list(ids: Sequence[str], scores: Sequence[float] | np.ndarray, query: str,
                    scenario: str, cutoff: int | None = None,
-                   provenance: Provenance | None = None) -> RankedList:
+                   provenance: Provenance | None = None,
+                   nodes: np.ndarray | None = None) -> RankedList:
     """The ids of a positive score, highest score first, cut at ``cutoff``.
 
-    ``scores[i]`` is the score of ``ids[i]``, and ``ids`` must be in
-    ascending order, as a ``GraphIndex``'s are: a stable sort then breaks
-    ties by id. Only the entries kept are paired with their ids.
+    ``scores[i]`` is the score of ``ids[i]``, or with ``nodes`` (a frame's)
+    of ``ids[nodes[i]]``. ``ids`` must be in ascending order, as a
+    ``GraphIndex``'s are, and ``nodes`` too: a stable sort then breaks ties
+    by id. Only the entries kept are paired with their ids.
     """
     if cutoff is not None and cutoff < 0:
         raise QueryError(f"list cutoff {cutoff} is negative")
     scores = np.asarray(scores, dtype=np.float64)
-    hits = np.flatnonzero(scores > 0.0)
-    kept = hits[np.argsort(-scores[hits], kind="stable")][:cutoff].tolist()
-    return RankedList(tuple(zip([ids[i] for i in kept], scores[kept].tolist())),
+    hits = (scores > 0.0).nonzero()[0]
+    kept = hits[np.argsort(-scores[hits], kind="stable")][:cutoff]
+    at = kept if nodes is None else nodes[kept]
+    return RankedList(tuple(zip([ids[i] for i in at.tolist()], scores[kept].tolist())),
                       query, scenario, provenance)
 
 
@@ -661,8 +845,9 @@ def recommend(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInput,
     """Rank candidate courses for one scenario input, with per-route ``provenance``."""
     seeds = resolve_job_query(g, inp.query_text)
     scores, prov = scenario_scores(g, labels, inp, seeds, prereq_depth)
-    return to_ranked_list(scores.index.ids, scores.vector, inp.query_text,
-                          f"scenario-{inp.scenario}", cutoff, prov)
+    return to_ranked_list(scores.index.ids, scores.values, inp.query_text,
+                          f"scenario-{inp.scenario}", cutoff, prov,
+                          None if scores.frame is None else scores.frame.nodes)
 
 
 def format_ranked_list(ranked: RankedList) -> str:

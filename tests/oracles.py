@@ -2,8 +2,9 @@
 
 Everything here is written from definitions, by a deliberately different
 route than the package: dense matrices instead of sparse flows, recursive
-tour enumeration instead of layered propagation, and plain entropy formulas
-instead of the plogp decomposition. Keep it that way. The one exception is
+tour enumeration instead of layered propagation, walks over vectors of the
+whole graph instead of community frames, and plain entropy formulas instead
+of the plogp decomposition. Keep it that way. The one exception is
 ``ref_local_move_pass``, the greedy move pass with every code term
 recomputed: its moves have no closed form to check against, and the kernel
 must match its bits.
@@ -24,8 +25,9 @@ from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build
 from skillgraph.ingest import Course, EnrollmentRecord, Job, Skill, tokenize
 from skillgraph.kernels import _plogp
 from skillgraph.linker import Bm25Params
-from skillgraph.ranker import (BASE_PATH, NO_SCORES, UPSKILL_PATH, Provenance, ScenarioInput,
-                               Scores, Seeds, prerequisite_expansion, score_metapath)
+from skillgraph.ranker import (BASE_PATH, NO_SCORES, TAKEN_PATH, UPSKILL_PATH, MetaPath,
+                               MetaPathStep, Provenance, ScenarioInput, Scores, Seeds,
+                               prerequisite_expansion, score_metapath)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +256,100 @@ def eager_provenance(g: HeteroGraph, labels, inp: ScenarioInput, seeds: Seeds,
     if prereq is not None:
         prov.prereq = Scores(seeds.index, prereq)
     return prov
+
+
+# ---------------------------------------------------------------------------
+# the query path over dense vectors: every walk scatters into the whole graph
+# ---------------------------------------------------------------------------
+
+def dense_gated_edges(index: GraphIndex, labels, path, community: int,
+                      entered: bool = False):
+    """Each step's edges over the whole graph as (from, to, weight) in edge
+    order, None as soon as a step has none: a restricted step's that land in
+    ``community``, an unrestricted step's after one (or first, when the input
+    has ``entered`` it) that leave it, any other step's all."""
+    inside = np.array([labels.get(node) == community for node in index.ids], dtype=bool)
+    out = []
+    for step in path.steps:
+        src, dst, wgt = index.rel_edges[step.relation]
+        frm, to = (dst, src) if step.reverse else (src, dst)
+        if step.community_restricted or entered:
+            keep = inside[to] if step.community_restricted else inside[frm]
+            frm, to, wgt = frm[keep], to[keep], wgt[keep]
+        if not len(wgt):
+            return None
+        out.append((frm, to, wgt))
+        entered = step.community_restricted
+    return out
+
+
+def dense_walk(index: GraphIndex, steps, vector: np.ndarray) -> np.ndarray:
+    for frm, to, wgt in steps:
+        vector = np.bincount(to, weights=wgt * vector[frm], minlength=index.n)
+    return vector
+
+
+@dataclass
+class DenseQuery:
+    """``scenario_scores`` as dense vectors over the index: the total, each
+    group's base (None when its walk cannot reach a course) and the summed
+    prerequisite hops (None when no hop ran)."""
+
+    total: np.ndarray | None
+    base: dict[int, np.ndarray | None]
+    prereq: np.ndarray | None
+
+
+def dense_scenario_scores(g: HeteroGraph, labels, inp: ScenarioInput, seeds: Seeds,
+                          depth: int = 1) -> DenseQuery:
+    """The scenario scores with every walk, hop and sum over n-length
+    vectors of the whole graph, where the package uses community frames:
+    groups by label in ascending order, each group's routes added in the order
+    base, prerequisite hop, taken-course walk, and the taken courses zeroed
+    last. The first prerequisite hop leaves the group's community, the
+    deeper levels take every edge."""
+    index = seeds.index
+    path = UPSKILL_PATH if inp.scenario == 3 else BASE_PATH
+    members: dict[int, list[int]] = {}
+    for i, node_id in enumerate(seeds):
+        members.setdefault(labels[node_id], []).append(i)
+    taken = [index.pos[course] for course in inp.taken_courses]
+    hop = MetaPath((MetaPathStep(Relation.PRE_REQUIRED),))
+    every_prereq = [index.rel_edges[Relation.PRE_REQUIRED]]
+    total = prereq = None
+    bases: dict[int, np.ndarray | None] = {}
+
+    def add(acc, part):
+        return part.copy() if acc is None else acc + part
+
+    for community in sorted(members):
+        at = np.asarray(members[community], dtype=np.int64)
+        steps = dense_gated_edges(index, labels, path, community)
+        bases[community] = None
+        if steps is not None:
+            vector = np.zeros(index.n)
+            vector[seeds.pos[at]] = seeds.weight[at]
+            base = dense_walk(index, steps, vector)
+            if not seeds.weight[at].min() >= 0.0:
+                base = np.fmax(base, 0.0)
+            bases[community] = base
+            total = add(total, base)
+            first = dense_gated_edges(index, labels, hop, community, entered=True)
+            if inp.scenario != 3 and (base > 0.0).any() and depth and first is not None:
+                level = extra = dense_walk(index, first, base)
+                for _ in range(depth - 1):
+                    level = dense_walk(index, every_prereq, level)
+                    extra = extra + level
+                total = add(total, extra)
+                prereq = add(prereq, extra)
+        steps = dense_gated_edges(index, labels, TAKEN_PATH, community) if taken else None
+        if steps is not None:
+            vector = np.zeros(index.n)
+            vector[taken] = 1.0 / len(taken)
+            total = add(total, dense_walk(index, steps, vector))
+    if total is not None and taken:
+        total[taken] = 0.0
+    return DenseQuery(total, bases, prereq)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from skillgraph.ranker import (BASE_PATH, TAKEN_PATH, UPSKILL_PATH, MetaPath, Me
                                prerequisite_expansion, recommend, resolve_job_query,
                                scenario_scores, score_metapath, to_ranked_list)
 
-from oracles import (eager_provenance, edges, random_hetero_graph, ref_resolve_job_query,
+from oracles import (dense_gated_edges, dense_scenario_scores, dense_walk, eager_provenance,
+                     edges, out_edges, random_hetero_graph, ref_resolve_job_query,
                      ref_scenario_scores, ref_score_metapath, scores_on, seeds_on)
 
 JOB, COURSE = NodeKind.JOB, NodeKind.COURSE
@@ -1096,6 +1097,169 @@ class TestManySeeds:
             recommend(g, labels, ScenarioInput(1, career_goal=goal))
             seen.append(dict(counts))
         assert seen[0] == seen[1]
+
+
+@pytest.fixture(scope="module")
+def query_m(tmp_path_factory):
+    """The linked graph and labels of a corpus shaped as perfbench's
+    ``query-m``: ``synth --seed 3`` 2000/300/800, alignment 0.3,
+    ``communities --seed 3``."""
+    tmp = tmp_path_factory.mktemp("query_m")
+    data, out = tmp / "data", tmp / "out"
+    stages = [["synth", "--seed", "3", "--jobs", "2000", "--courses", "300",
+               "--skills", "800", "--alignment", "0.3", "--out", str(data)],
+              ["ingest", "--courses", str(data / "courses.csv"), "--jobs",
+               str(data / "jobs.csv"), "--skills", str(data / "skills.csv"),
+               "--enrollments", str(data / "enrollments.csv"), "--out", str(out)],
+              ["build", "--out", str(out)],
+              ["communities", "--out", str(out), "--seed", "3"],
+              ["link", "--out", str(out)]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in stages:
+            assert cli.main(argv) == 0
+    g = read_snapshot(out / cli.F_LINKED_GRAPH)
+    labels = read_labels(out / cli.F_LABELS)
+    cli._attach_job_titles(g, load_jobs(out / cli.F_JOBS))
+    return g, labels
+
+
+def assert_equals_dense(g, labels, inp, depth=ranker.DEFAULT_PREREQ_DEPTH):
+    """``scenario_scores`` and ``recommend`` on ``inp`` equal the dense
+    scorer's vectors and list to the bit; returns the framed total and
+    provenance."""
+    seeds = resolve_job_query(g, inp.query_text)
+    total, prov = scenario_scores(g, labels, inp, seeds, depth)
+    want = dense_scenario_scores(g, labels, inp, seeds, depth)
+    if want.total is None:
+        assert total is ranker.NO_SCORES
+    else:
+        assert total.vector.tobytes() == want.total.tobytes(), inp
+    assert list(prov.base) == list(want.base)
+    for community, base in want.base.items():
+        if base is None:
+            assert prov.base[community] is ranker.NO_SCORES
+        else:
+            assert prov.base[community].vector.tobytes() == base.tobytes(), (inp, community)
+    if want.prereq is None:
+        assert prov.prereq == {}
+    else:
+        assert prov.prereq.vector.tobytes() == want.prereq.tobytes(), inp
+    ranked = recommend(g, labels, inp, cutoff=None, prereq_depth=depth)
+    index = seeds.index
+    assert ranked == to_ranked_list(index.ids, np.zeros(index.n) if want.total is None
+                                    else want.total, inp.query_text, f"scenario-{inp.scenario}")
+    return total, prov
+
+
+class TestFrames:
+    """A gated walk runs on vectors over its community's frame, and every
+    score, list and provenance entry equals the dense scorer's to the bit."""
+
+    def test_fanned_out_inputs_equal_the_dense_scorer(self, fanned_out):
+        g, labels = fanned_out
+        for inp in (*FANNED_OUT_INPUTS, *MANY_SEEDS_INPUTS):
+            for depth in (0, 1, 2):
+                assert_equals_dense(g, labels, inp, depth)
+
+    def test_query_m_goals_equal_the_dense_scorer(self, query_m):
+        g, labels = query_m
+        goals = sorted({" ".join(g.node_name(job).split()[:2]) for job in g.node_ids(JOB)})
+        assert len(goals) == 40
+        framed = outside_taken = 0
+        for goal in goals:
+            first = recommend(g, labels, ScenarioInput(1, career_goal=goal), cutoff=1)
+            community = labels[next(iter(resolve_job_query(g, goal)))]
+            # one taken course the walk ranks, and one outside the goal's community
+            away = next(c for c in g.node_ids(COURSE) if labels.get(c) != community)
+            taken = tuple(dict.fromkeys([*(n for n, _s in first.entries), away]))
+            outside_taken += len(taken) == 2
+            for inp in (ScenarioInput(1, career_goal=goal),
+                        ScenarioInput(2, career_goal=goal, taken_courses=taken),
+                        ScenarioInput(3, current_job=goal)):
+                total, _prov = assert_equals_dense(g, labels, inp)
+                framed += total.frame is not None
+        # query-m keeps a goal in one community group, so each total stays framed
+        assert framed == 120 and outside_taken == 40
+
+    def test_multi_group_query_whose_hop_lands_in_another_group(self, query_m):
+        # "engineer" spans every career community; this corpus keeps each
+        # prerequisite in its topic, so one prerequisite of a course the
+        # first live group reaches is moved to the second group's community
+        g, plain = query_m
+        goal = "engineer"
+        _total, prov = scenario_scores(g, plain, ScenarioInput(1, career_goal=goal),
+                                       resolve_job_query(g, goal))
+        first, second = [c for c, base in prov.base.items() if base][:2]
+        course, prereq = next((c, p) for c in prov.base[first]
+                              for p, _w in out_edges(g, c, Relation.PRE_REQUIRED))
+        labels = Labels({**plain, prereq: second})
+        provs = {}
+        for inp in (ScenarioInput(1, career_goal=goal),
+                    ScenarioInput(2, career_goal=goal, taken_courses=(course, prereq)),
+                    ScenarioInput(3, current_job=goal)):
+            total, provs[inp.scenario] = assert_equals_dense(g, labels, inp)
+            assert len([base for base in provs[inp.scenario].base.values() if base]) > 1
+            assert total.frame is None
+        # the first group's hop, in its own frame, reaches a member of the second's
+        hop = prerequisite_expansion(g, provs[1].base[first])
+        assert prereq in hop and hop.frame is provs[1].base[first].frame
+        assert labels[prereq] == second and prereq in provs[1].prereq
+
+    def test_gated_walk_holds_a_frame_length_array(self, fanned_out):
+        g, labels = fanned_out
+        seeds = resolve_job_query(g, FANNED_OUT_GOAL)
+        _total, prov = scenario_scores(g, labels, FANNED_OUT_INPUTS[0], seeds)
+        (community, base), = ((c, b) for c, b in prov.base.items() if b)
+        index = seeds.index
+        frame = base.frame
+        assert len(base.values) == len(frame.nodes) < index.n
+        assert np.all(np.diff(frame.nodes) > 0)
+        gate = Labels(labels).cached(index, ranker.CommunityEdges)
+        members = np.flatnonzero(gate.members(community))
+        assert np.isin(members, frame.nodes).all()
+        # the dense view is made when read, equal to the scores by id
+        assert base._vector is None
+        assert {index.ids[i]: base.vector[i] for i in np.flatnonzero(base.vector)} == dict(base)
+
+    def test_walk_calls_scatter_only_frame_length_vectors(self, fanned_out, monkeypatch):
+        # every kernel call of a query that stays in one group, a single
+        # prerequisite level, reads and writes vectors of its frame
+        g, labels = fanned_out
+        lengths = []
+
+        def counting(scores, src, dst, wgt, n):
+            lengths.append((len(scores), n))
+            return propagate_step(scores, src, dst, wgt, n)
+
+        propagate_step = kernels.propagate_step
+        monkeypatch.setattr(kernels, "propagate_step", counting)
+        for inp in FANNED_OUT_INPUTS:
+            recommend(g, labels, inp)
+        index = g.cached(GraphIndex)
+        assert len(lengths) == 14
+        assert all(a == b < index.n for a, b in lengths)
+
+    def test_paths_of_a_library_caller(self, fanned_out):
+        # a path of the caller's own scores as the dense scorer does: in the
+        # community's frame when framed, in the whole graph when not
+        g, labels = fanned_out
+        seeds = resolve_job_query(g, FANNED_OUT_GOAL)
+        vector = np.zeros(seeds.index.n)
+        vector[seeds.pos] = seeds.weight
+        _total, prov = scenario_scores(g, labels, FANNED_OUT_INPUTS[0], seeds)
+        (community,) = (c for c, base in prov.base.items() if base)
+        for steps in ((MetaPathStep(Relation.REQUIRED, community_restricted=True),
+                       MetaPathStep(Relation.REQUIRED, reverse=True)),
+                      (MetaPathStep(Relation.REQUIRED),
+                       MetaPathStep(Relation.LINKED, community_restricted=True))):
+            path = MetaPath(steps)
+            got = score_metapath(g, path, seeds, labels, community)
+            steps_edges = dense_gated_edges(seeds.index, labels, path, community)
+            want = dense_walk(seeds.index, steps_edges, vector)
+            assert (want > 0.0).any()
+            assert got.vector.tobytes() == want.tobytes()
+            assert (got.frame is not None) == path.framed == (steps[0].community_restricted)
+            assert score_metapath(g, path, seeds, labels, community) == got
 
 
 class TestPrerequisiteExpansion:
