@@ -31,14 +31,16 @@ node receives the same non-zero pushes in the same order, and the frame
 leaves out only nodes that would hold exactly 0.0. Any other walk (deeper
 prerequisite levels, a path whose first step is unrestricted) runs in the
 whole-graph frame, on vectors over every node. On ``build-mid`` a frame
-holds about 1,000 of the graph's 9,985 nodes.
+holds about 1,000 of the graph's 9,985 nodes. The gate sorts the members
+and each relation's edges by community once, stably, so a frame is made
+from its own slices and costs its own size, not the graph's.
 
 A walk with a step that has no edge to push along ends with no mass: a
 restricted step with no edge into the query community (a career community
 that holds no course, say), an unrestricted step after one with no edge
 leaving it, or any step whose relation has no edges. The rule reads only
-the graph and the labels: per-community edge counts, made once per graph
-state and labels, say whether each built-in route can reach a course, so
+the graph and the labels: per-community edge counts, read from those
+orders, say whether each built-in route can reach a course, so
 ``scenario_scores`` skips such a dead group with one lookup of the
 community's frame (``Frame.route``) before any walk call, and a frame makes
 its nodes and a route's edges only when a live route is first asked for. A dead
@@ -57,8 +59,10 @@ run (``TitleIndex``), and its seeds stay index positions with their weights
 (``Seeds``) from the title match to the scatter: the matched titles' jobs
 come as one position array, ``scenario_scores`` splits it by community with
 one gather of each seed's community slot into one sorted copy and checks the
-set's node kind once, and ``score_metapath`` places a group's seeds in the
-frame with one gather and one indexed write. The walks read only ``Seeds``
+set's node kind once. ``score_metapath`` places a group's seeds in its own
+community's frame with two gathers (each member's rank among the members,
+then the members' places in the frame), and any other seeds with one binary
+search (``Frame.where``). The walks read only ``Seeds``
 and ``Scores`` made on the graph as it is now, and refuse any other; a
 library caller gets seeds from ``resolve_job_query``.
 
@@ -270,17 +274,18 @@ class Seeds(Mapping[str, float]):
     """Seed weights as positions on ``index``, every seed a ``kind`` node:
     ``weight[i]`` is the weight of ``index.ids[pos[i]]``, and the keys iterate
     in ``pos`` order. A community group is a ``Seeds`` over a slice of its
-    set's arrays and keeps the set's kind, so no walk checks a seed's kind;
-    it also names the ``community`` every seed is in, so a walk in that
-    community places its seeds in the frame with one gather."""
+    set's arrays and keeps the set's kind, so no walk checks a seed's kind.
+    Its ``group`` is the frame of the community that holds every seed, on
+    the gate that grouped them, so a walk in that very frame places the
+    seeds without a search; any other walk searches for them."""
 
     def __init__(self, index: GraphIndex, pos: np.ndarray, weight: np.ndarray,
-                 kind: NodeKind, community: int | None = None) -> None:
+                 kind: NodeKind, group: Frame | None = None) -> None:
         self.index = index
         self.pos = pos
         self.weight = weight
         self.kind = kind
-        self.community = community
+        self.group = group
         self._by_id: dict[str, float] | None = None
 
     def __getitem__(self, node_id: str) -> float:
@@ -323,13 +328,26 @@ def resolve_job_query(g: HeteroGraph, text: str) -> Seeds:
 Edges = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+def _by_slot(slots: np.ndarray, n_slots: int) -> tuple[np.ndarray, list[int]]:
+    """The positions of ``slots`` stably ordered by slot, as int32 for half
+    the memory, and where each slot starts: slot ``k``'s positions,
+    ascending, are ``order[starts[k + 1]:starts[k + 2]]``, the unlabelled
+    (-1) ones first."""
+    counts = np.bincount(slots + 1, minlength=n_slots + 1)
+    order = np.argsort(slots, kind="stable").astype(np.int32)
+    return order, [0, *np.cumsum(counts).tolist()]
+
+
 class CommunityEdges:
-    """A community gate on ``index``: each node's community slot, and each
-    community's ``Frame``. Slot numbers follow the communities' ascending
-    order: ``communities[k]`` is slot ``k``'s community and ``node_slot``
-    each node's slot, -1 when unlabelled. Read it as
-    ``labels.cached(index, CommunityEdges)``; a community's frame is made on
-    its first use (``frame``)."""
+    """A community gate on ``index``: each node's community slot, each
+    slot's members, each relation's edges stably ordered by the slot of
+    their source and again of their target, and each community's ``Frame``.
+    Slot numbers follow the communities' ascending order: ``communities[k]``
+    is slot ``k``'s community, ``node_slot`` each node's slot, -1 when
+    unlabelled, and ``rank`` each node's place among its slot's members in
+    index order. Read it as ``labels.cached(index, CommunityEdges)``; a
+    community's frame is made on its first use (``frame``), from its slices
+    of the orders, so it costs its own size, not the graph's."""
 
     def __init__(self, index: GraphIndex, labels: Labels) -> None:
         self.index = index
@@ -338,20 +356,28 @@ class CommunityEdges:
         self.slot = {c: k for k, c in enumerate(self.communities)}
         self.node_slot = np.asarray([-1 if c is None else self.slot[c] for c in node_labels],
                                     dtype=np.int64)
-        # per relation, each slot's count of edges whose source, and whose
-        # target, is in it; slot k at k + 1, unlabelled at 0
-        self._counts = {relation: tuple(np.bincount(self.node_slot[end] + 1,
-                                                    minlength=len(self.slot) + 1).tolist()
-                                        for end in (src, dst))
-                        for relation, (src, dst, _wgt) in index.rel_edges.items()}
-        # each member's position in its community's frame, once its nodes are made
-        self.home = np.zeros(index.n, dtype=np.int64)
+        n_slots = len(self.communities)
+        self._members = order, starts = _by_slot(self.node_slot, n_slots)
+        self.rank = np.empty(index.n, dtype=np.int64)
+        self.rank[order] = np.arange(index.n) - np.repeat(starts[:-1], np.diff(starts))
+        # per relation, the edges by their source's slot, then by their target's
+        self._ends = {relation: tuple(_by_slot(self.node_slot[end], n_slots) for end in (src, dst))
+                      for relation, (src, dst, _wgt) in index.rel_edges.items()}
         self._frames: dict[int, Frame] = {}
 
     def members(self, community: int) -> np.ndarray:
-        """Whether each node is in ``community``, as one boolean per position."""
-        k = self.slot.get(community)
-        return np.zeros(self.index.n, dtype=bool) if k is None else self.node_slot == k
+        """The index positions of ``community``'s nodes, ascending."""
+        return self._slice(self._members, self.slot.get(community))
+
+    def ends_in(self, relation: Relation, target: bool, community: int) -> np.ndarray:
+        """The positions in ``relation``'s edges of the ones whose source, or
+        with ``target`` whose target, is in ``community``, ascending."""
+        return self._slice(self._ends[relation][target], self.slot.get(community))
+
+    @staticmethod
+    def _slice(ordered: tuple[np.ndarray, list[int]], k: int | None) -> np.ndarray:
+        order, starts = ordered
+        return order[:0] if k is None else order[starts[k + 1]:starts[k + 2]]
 
     def frame(self, community: int) -> Frame:
         """``community``'s frame, made on the first call."""
@@ -364,16 +390,20 @@ class CommunityEdges:
         """Whether each step of ``path`` has an edge that lands in
         ``community`` (a restricted step) or leaves it (any other step)."""
         k = self.slot.get(community)
+        if k is None:
+            return False
         # a forward step lands on the target and leaves the source
-        return k is not None and all(
-            self._counts[step.relation][step.reverse != step.community_restricted][k + 1]
-            for step in path.steps)
+        for step in path.steps:
+            _order, starts = self._ends[step.relation][step.reverse != step.community_restricted]
+            if starts[k + 1] == starts[k + 2]:
+                return False
+        return True
 
     def edges(self, step: MetaPathStep, community: int, leaving: bool = False) -> Edges:
         """``step``'s edges that land in ``community``, or with ``leaving``
         the ones that leave it, as (from, to, weight) in edge order."""
         frm, to, wgt = step.edges(self.index)
-        at = np.flatnonzero(self.members(community)[frm if leaving else to])
+        at = self.ends_in(step.relation, leaving == step.reverse, community)
         return frm[at], to[at], wgt[at]
 
 
@@ -403,15 +433,19 @@ class Frame:
     @functools.cached_property
     def nodes(self) -> np.ndarray:
         """The frame's index positions, ascending; made on first read."""
-        index, inside = self.gate.index, self.gate.members(self.community)
-        in_frame = inside.copy()
-        for src, dst, _wgt in index.rel_edges.values():
-            in_frame[dst[inside[src]]] = True
-            in_frame[src[inside[dst]]] = True
-        nodes = in_frame.nonzero()[0]
-        members = inside.nonzero()[0]
-        self.gate.home[members] = nodes.searchsorted(members)
-        return nodes
+        gate, community = self.gate, self.community
+        parts = [gate.members(community)]
+        for relation, (src, dst, _wgt) in gate.index.rel_edges.items():
+            parts.append(dst[gate.ends_in(relation, False, community)])
+            parts.append(src[gate.ends_in(relation, True, community)])
+        nodes = np.sort(np.concatenate(parts))
+        # each run of one position keeps its first; np.unique's first call imports numpy.ma
+        return nodes[np.concatenate(([True], nodes[1:] != nodes[:-1]))]
+
+    @functools.cached_property
+    def member_at(self) -> np.ndarray:
+        """Where each of the community's members, ascending, sits in ``nodes``."""
+        return self.nodes.searchsorted(self.gate.members(self.community))
 
     @functools.cached_property
     def hop(self) -> list[Edges] | None:
@@ -495,11 +529,11 @@ class Scores(Mapping[str, float]):
     positive: ``values[i]`` is the score of position ``frame.nodes[i]``, or
     of position ``i`` when ``frame`` is None, the whole graph. The keys are
     the nodes with a positive score, in index order; node ids are made only
-    when read. ``within`` is the gate and community that hold every score,
-    when a restricted step of a framed walk made the values last."""
+    when read. ``within`` is whether a restricted step of a framed walk
+    made the values last, so that every score is in ``frame.community``."""
 
     def __init__(self, index: GraphIndex, values: np.ndarray, frame: Frame | None = None,
-                 within: tuple[CommunityEdges, int] | None = None) -> None:
+                 within: bool = False) -> None:
         self.index = index
         self.values = values
         self.frame = frame
@@ -583,20 +617,22 @@ def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Seeds, labels: Mapping
     if frame is None:
         scores = np.zeros(index.n, dtype=np.float64)
         scores[seeds.pos] = seeds.weight
-    elif seeds.community == community:
-        scores = np.zeros(len(frame.nodes), dtype=np.float64)
-        scores[gate.home[seeds.pos]] = seeds.weight
     else:
-        # a seed outside the frame has no edge into the community: it pushes nothing
         scores = np.zeros(len(frame.nodes), dtype=np.float64)
-        at, inside = frame.where(seeds.pos)
-        scores[at[inside]] = seeds.weight[inside]
+        if seeds.group is frame:
+            # every seed is a member, placed by its rank among them; interleaved A/B
+            # against frame.where: query p50 fell 7.7% on build-mid, 7.2% on query-m
+            # (perfbench, 10 rotations each, lower in 9)
+            scores[frame.member_at[gate.rank[seeds.pos]]] = seeds.weight
+        else:
+            # a seed outside the frame has no edge into the community: it pushes nothing
+            at, inside = frame.where(seeds.pos)
+            scores[at[inside]] = seeds.weight[inside]
     # seeds of no negative (or NaN) weight, over positive edge weights, score
     # no node below 0.0; any other seed needs the scores below it set to 0.0
     kept = not len(seeds) or seeds.weight.min() >= 0.0
     scores = _walk(edges, scores)
-    held = frame is not None and path.steps[-1].community_restricted
-    within = (gate, community) if held else None
+    within = frame is not None and path.steps[-1].community_restricted
     return Scores(index, scores if kept else np.fmax(scores, 0.0), frame, within)
 
 
@@ -626,17 +662,17 @@ def prerequisite_expansion(g: HeteroGraph, base_scores: Scores,
     """Push candidate scores one (or ``depth``) hops down stored prereq edges.
 
     Every level's pushes add up. ``base_scores`` are scores on ``g`` as it
-    is now, such as ``score_metapath`` returns. A base held ``within`` one
-    community takes its first hop in its frame, along only the edges that
-    leave the community; the deeper levels take every edge, in the whole
-    graph.
+    is now, such as ``score_metapath`` returns. A base held ``within`` its
+    frame's community takes its first hop in that frame, along only the
+    edges that leave the community; the deeper levels take every edge, in
+    the whole graph.
     """
     if depth < 0:
         raise QueryError(f"prerequisite depth {depth!r} must be >= 0")
     if not base_scores or not depth:
         return NO_SCORES
     index = _current(g, base_scores)
-    if base_scores.within is None:
+    if not base_scores.within:
         frame, first, values = None, _path_edges(index, _PREREQ_HOP), base_scores.vector
     else:
         frame = base_scores.frame
@@ -709,13 +745,15 @@ def _taken_seeds(g: HeteroGraph, index: GraphIndex, taken: tuple[str, ...]) -> S
 class _SeedGroups(Mapping[int, Seeds]):
     """``seeds`` split by community, as a read-only mapping from each
     community, ascending, to its group; a group keeps its seeds' order. One
-    gather reads every seed's slot. A set in one community is its own group;
-    several groups are slices of one sorted copy, ``ordered``, and each is
-    made a ``Seeds`` when first read, so a walk pays only for the groups it
-    reads."""
+    gather reads every seed's slot. A set in one community is one group over
+    the set's arrays; several groups are slices of one sorted copy,
+    ``ordered``, and each is made a ``Seeds`` when first read, so a walk pays
+    only for the groups it reads. Each group names its community's frame on
+    ``gate`` (``Seeds.group``)."""
 
     def __init__(self, seeds: Seeds, gate: CommunityEdges) -> None:
         self.ordered = seeds
+        self._gate = gate
         self._bounds: dict[int, tuple[int, int]] = {}
         self._views: dict[int, Seeds] = {}
         if not len(seeds):
@@ -728,7 +766,7 @@ class _SeedGroups(Mapping[int, Seeds]):
             community = gate.communities[first]
             self._bounds[community] = (0, len(in_order))
             self._views[community] = Seeds(seeds.index, seeds.pos, seeds.weight, seeds.kind,
-                                           community)
+                                           gate.frame(community))
             return
         if min(in_order) < 0:
             node_id = seeds.index.ids[seeds.pos[in_order.index(-1)]]
@@ -750,7 +788,7 @@ class _SeedGroups(Mapping[int, Seeds]):
             a, b = self._bounds[community]
             s = self.ordered
             view = self._views[community] = Seeds(s.index, s.pos[a:b], s.weight[a:b], s.kind,
-                                                  community)
+                                                  self._gate.frame(community))
         return view
 
     def __iter__(self) -> Iterator[int]:

@@ -792,7 +792,7 @@ class TestCommunityGate:
                 base = score_metapath(g, BASE_PATH, seeds, labels, community)
                 if not base:
                     continue
-                assert base.within[1] == community
+                assert base.within and base.frame.community == community
                 ids = base.index.ids
                 src, dst, _wgt = base.index.rel_edges[Relation.PRE_REQUIRED]
                 leaving = [d for s, d in zip(src.tolist(), dst.tolist())
@@ -1215,7 +1215,8 @@ class TestFrames:
         assert len(base.values) == len(frame.nodes) < index.n
         assert np.all(np.diff(frame.nodes) > 0)
         gate = Labels(labels).cached(index, ranker.CommunityEdges)
-        members = np.flatnonzero(gate.members(community))
+        members = gate.members(community)
+        assert np.all(np.diff(members) > 0)
         assert np.isin(members, frame.nodes).all()
         # the dense view is made when read, equal to the scores by id
         assert base._vector is None
@@ -1260,6 +1261,37 @@ class TestFrames:
             assert got.vector.tobytes() == want.tobytes()
             assert (got.frame is not None) == path.framed == (steps[0].community_restricted)
             assert score_metapath(g, path, seeds, labels, community) == got
+
+    def test_provenance_group_under_any_labels(self, fanned_out):
+        # a group's seeds read from the provenance equal the dense walk under
+        # the labels that grouped them, in their own community's frame and in
+        # another's, and under labels that move one of them to that other one
+        g, plain = fanned_out
+        labels = Labels(plain)
+        _total, prov = scenario_scores(g, labels, FANNED_OUT_INPUTS[0],
+                                       resolve_job_query(g, FANNED_OUT_GOAL))
+        (community,) = (c for c, base in prov.base.items() if base)
+        group = prov.seeds[community]
+        index = group.index
+        assert group.group is labels.cached(index, ranker.CommunityEdges).frame(community)
+        moved = next(iter(group))
+        vector = np.zeros(index.n)
+        vector[group.pos] = group.weight
+        for away in sorted(set(plain.values()) - {community}):
+            others = Labels({**plain, moved: away})
+            for given in (labels, others):
+                for path in (BASE_PATH, UPSKILL_PATH):
+                    for walked in (community, away):
+                        got = score_metapath(g, path, group, given, walked)
+                        steps = dense_gated_edges(index, given, path, walked)
+                        want = (np.zeros(index.n) if steps is None
+                                else dense_walk(index, steps, vector))
+                        got = np.zeros(index.n) if got is ranker.NO_SCORES else got.vector
+                        assert got.tobytes() == want.tobytes(), (away, path, walked)
+                        assert want.any() or walked == away
+            # the moved seed still reaches the group's community through its edges
+            alone = ranker.Seeds(index, group.pos[:1], group.weight[:1], JOB)
+            assert score_metapath(g, BASE_PATH, alone, others, community)
 
 
 class TestPrerequisiteExpansion:
