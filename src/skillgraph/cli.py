@@ -16,11 +16,23 @@ runs. Every stage command takes ``(cfg, args)``: the config, with each flag
 whose ``dest`` is a config key already applied, and the parsed flags. Only
 ``cmd_synth`` takes ``(args)`` alone, so that it never reads a config file.
 
+``main`` pauses the cyclic garbage collector for the whole command, and
+switches it back on at the end only if it was on when ``main`` was entered.
+The stages build rows, records and arrays that hold no reference cycles, so
+reference counting alone frees them, and a collector pass during a stage
+walks the live objects only to find nothing: 8-11% of a benchmark build's
+time went to such passes. The one cycle a call leaves is its own argparse
+parser, which the first collection after ``main`` returns takes.
+``TestCollectorPause`` in ``tests/test_cli.py`` pins the invariant that
+makes the pause safe: the garbage a stage or ``recommend`` call leaves is
+the same at two corpus sizes, so no stage makes a cycle per record.
+
 Exit codes: 0 success, 1 user error, 2 internal error.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -270,6 +282,8 @@ def _config_from(args: argparse.Namespace) -> PipelineConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    collecting = gc.isenabled()
+    gc.disable()  # the stages make no cycles; see the module docstring
     try:
         args = build_parser().parse_args(argv)
         command = globals()[f"cmd_{args.command}"]
@@ -280,6 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

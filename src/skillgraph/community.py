@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
@@ -324,6 +324,11 @@ class Labels(Mapping[str, int]):
 
     def get(self, node_id: str, default=None):
         return self._labels.get(node_id, default)
+
+    def of(self, node_ids: Iterable[str]) -> list[int | None]:
+        """Each id's label, None when unlabelled, read by the dict's own
+        ``get``: no Python-level call per id."""
+        return list(map(self._labels.get, node_ids))
 
     def __repr__(self) -> str:
         return f"Labels({self._labels!r})"

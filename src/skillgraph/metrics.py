@@ -12,7 +12,6 @@ Conventions, pinned so every number is unambiguous:
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from collections import Counter
@@ -222,11 +221,25 @@ class _BaselineCorpus:
     titles: TitleIndex
 
 
-@functools.lru_cache(maxsize=1)
+# the last call's three corpora and what was built from them
+_baseline_last: tuple[tuple, _BaselineCorpus] | None = None
+
+
 def _baseline_corpus(jobs: tuple[Job, ...], courses: tuple[Course, ...],
                      catalog: tuple[Skill, ...]) -> _BaselineCorpus:
     """The baseline's corpus-wide parts, built once per distinct value of
-    the three corpora and kept until another value comes."""
+    the three corpora and kept until another value comes. The corpora are
+    compared with the last call's by tuple ``==``, which tests identity
+    first, so a repeated call hashes no record."""
+    global _baseline_last
+    key = (jobs, courses, catalog)
+    if _baseline_last is None or _baseline_last[0] != key:
+        _baseline_last = (key, _build_baseline_corpus(*key))
+    return _baseline_last[1]
+
+
+def _build_baseline_corpus(jobs: tuple[Job, ...], courses: tuple[Course, ...],
+                           catalog: tuple[Skill, ...]) -> _BaselineCorpus:
     skill_names = {s.id: s.name for s in catalog}
     docs = {c.id: course_text_tokens(c, skill_names) for c in courses}
     df: Counter[str] = Counter()

@@ -89,6 +89,7 @@ Three course-recommendation scenarios are wired on top:
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -351,11 +352,11 @@ class CommunityEdges:
 
     def __init__(self, index: GraphIndex, labels: Labels) -> None:
         self.index = index
-        node_labels = list(map(labels.get, index.ids))
-        self.communities = sorted({c for c in node_labels if c is not None})
+        node_labels = labels.of(index.ids)
+        self.communities = sorted(set(node_labels) - {None})
         self.slot = {c: k for k, c in enumerate(self.communities)}
-        self.node_slot = np.asarray([-1 if c is None else self.slot[c] for c in node_labels],
-                                    dtype=np.int64)
+        self.node_slot = np.fromiter(map(self.slot.get, node_labels, itertools.repeat(-1)),
+                                     dtype=np.int64, count=index.n)
         n_slots = len(self.communities)
         self._members = order, starts = _by_slot(self.node_slot, n_slots)
         self.rank = np.empty(index.n, dtype=np.int64)

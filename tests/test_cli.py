@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 
@@ -705,3 +706,77 @@ class TestConfig:
     def test_missing_config_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             load_config(tmp_path / "absent.cfg")
+
+
+@pytest.fixture
+def collector_state():
+    """Put the cyclic collector back as it was after a test that sets it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector, which is safe only while no stage
+    makes a cycle per record: the garbage a call leaves for ``gc.collect`` is
+    its argparse parser, whatever the corpus size."""
+
+    @staticmethod
+    def garbage_per_call(tmp_path, capsys, jobs, courses, skills):
+        data, out = tmp_path / f"data-{jobs}", tmp_path / f"out-{jobs}"
+        code, _, err = run_cli(capsys, "synth", "--seed", "7", "--jobs", str(jobs),
+                               "--courses", str(courses), "--skills", str(skills),
+                               "--alignment", "0.3", "--out", str(data))
+        assert code == 0, err
+        calls = {
+            "ingest": ["ingest", "--out", str(out)] + [
+                arg for name in ("courses", "jobs", "skills", "enrollments")
+                for arg in (f"--{name}", str(data / f"{name}.csv"))],
+            "build": ["build", "--out", str(out)],
+            "communities": ["communities", "--out", str(out), "--seed", "3"],
+            "link": ["link", "--out", str(out)],
+            "recommend 1": ["recommend", "--out", str(out), "--scenario", "1",
+                            "--goal", "topic-0 engineer"],
+            "recommend 2": ["recommend", "--out", str(out), "--scenario", "2",
+                            "--goal", "topic-0 engineer", "--taken", "C000,C001"],
+            "recommend 3": ["recommend", "--out", str(out), "--scenario", "3",
+                            "--current-job", "topic-1 analyst"],
+        }
+        gc.collect()
+        found = {}
+        for name, argv in calls.items():
+            code, stdout, err = run_cli(capsys, *argv)
+            assert code == 0, (argv, err)
+            assert not name.startswith("recommend") or len(stdout.splitlines()) > 1, argv
+            found[name] = gc.collect()
+        return found
+
+    def test_no_stage_makes_a_cycle_per_record(self, tmp_path, capsys, collector_state):
+        gc.disable()
+        # a process's first calls may import or build a cache once (the
+        # compiled move pass), so the counts compared are the later calls'
+        self.garbage_per_call(tmp_path / "warm", capsys, 60, 20, 40)
+        small = self.garbage_per_call(tmp_path, capsys, 60, 20, 40)
+        large = self.garbage_per_call(tmp_path, capsys, 600, 90, 200)
+        assert small == large
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_collector_paused_while_a_command_runs(self, tmp_path, capsys, monkeypatch,
+                                                    collector_state, enabled, code):
+        seen = []
+
+        def cmd_build(cfg, args):
+            seen.append(gc.isenabled())
+            if code == 2:
+                raise RuntimeError("boom")
+            return ""
+
+        monkeypatch.setattr(cli, "cmd_build", cmd_build)
+        argv = ["build", "--out", str(tmp_path)]
+        if code == 1:
+            argv.append("--no-such-flag")  # the parser raises ConfigError
+        (gc.enable if enabled else gc.disable)()
+        assert run_cli(capsys, *argv)[0] == code
+        assert seen == ([] if code == 1 else [False])
+        assert gc.isenabled() is enabled

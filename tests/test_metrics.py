@@ -282,30 +282,38 @@ class TestBaselineVectorSpace:
                                        catalog=corpus.skills)
         assert list(ranked.entries) == want
 
-    def test_corpora_built_once_per_distinct_value(self, tmp_path):
+    def test_corpora_built_once_per_distinct_value(self, tmp_path, monkeypatch):
         corpus = generate_synthetic_corpus(3, n_jobs=60, n_courses=20, n_skills=40,
                                            alignment=0.3, out_dir=tmp_path)
-        built = metrics._baseline_corpus
-        built.cache_clear()
+        build, builds = metrics._build_baseline_corpus, []
+
+        def counted(*corpora):
+            builds.append(corpora)
+            return build(*corpora)
+
+        monkeypatch.setattr(metrics, "_build_baseline_corpus", counted)
+        monkeypatch.setattr(metrics, "_baseline_last", None)
         queries = [f"topic-{t} engineer" for t in range(3)]
 
         def lists(jobs, courses, catalog):
             return [baseline_vector_space(jobs, courses, q, catalog=catalog) for q in queries]
 
         first = lists(corpus.jobs, corpus.courses, corpus.skills)
-        assert built.cache_info().misses == 1
+        assert len(builds) == 1
         # equal records in new containers, each record a new object, reuse the build
         assert lists(tuple(corpus.jobs), [replace(c) for c in corpus.courses],
                      list(corpus.skills)) == first
-        assert built.cache_info().misses == 1
+        assert len(builds) == 1
         # a changed course, no catalog, or other jobs build again, and each
         # list equals the one a fresh build makes
         changed = [*corpus.courses[:-1], replace(corpus.courses[-1], description="engineer")]
         for jobs, courses, catalog in ((corpus.jobs, changed, corpus.skills),
                                        (corpus.jobs, corpus.courses, None),
                                        (corpus.jobs[::-1], corpus.courses, corpus.skills)):
+            before = len(builds)
             cached = lists(jobs, courses, catalog)
-            built.cache_clear()
+            assert len(builds) == before + 1
+            monkeypatch.setattr(metrics, "_baseline_last", None)
             assert cached == lists(jobs, courses, catalog)
         assert first[0] != lists(corpus.jobs, changed, corpus.skills)[0]
 
