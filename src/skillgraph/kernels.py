@@ -22,8 +22,8 @@ first runs do not see half a library. A build then removes the directory's
 other ``move_pass-*.so`` files, so an edited source or flag leaves one
 library behind, not one per edit.
 
-The C pass is the Python pass line for line: the same queue, candidate
-bookkeeping, tie rule and binary64 operations in the same order. No fused
+The C pass and the Python pass add the same floats in the same order: the
+same queue, candidate bookkeeping, tie rule and binary64 operations. No fused
 multiply-add is formed (``-ffp-contract=off``), a platform whose C evaluates
 doubles in wider registers (``FLT_EVAL_METHOD != 0``) fails the build, and
 ``log2`` is the libm function that CPython's ``math.log2`` calls, so every
@@ -31,15 +31,15 @@ label, the move count and the summed delta equal the Python pass's bit for
 bit. Where no compiler is found, the build fails or the library does not
 load, the Python pass runs instead, with the same results.
 
-The Python pass copies its arrays to lists, runs on those and writes only the
-labels back: indexing an ndarray from Python boxes every element as a numpy
-scalar, and numpy scalar arithmetic is several times slower than the same
-IEEE double operations on Python floats, which give bit-identical results. It
-also keeps each module's old code terms, ``plogp(exit)`` and
+The two passes are written in two forms, so each checks the other. The C
+pass keeps each module's old code terms, ``plogp(exit)`` and
 ``plogp(exit + visit)``, and ``plogp`` of the total exit, updating them only
-on a move, and computes each candidate's new terms with ``math.log2``
-inline; the floats and their order of addition are those of recomputing
-every term through ``_plogp``, so labels, moves and delta keep every bit.
+on a move. The Python pass recomputes every term of every candidate through
+``_plogp``; it copies its arrays to lists, runs on those and writes only the
+labels back, because indexing an ndarray from Python boxes every element as
+a numpy scalar, and numpy scalar arithmetic is several times slower than the
+same IEEE double operations on Python floats, which give bit-identical
+results.
 
 ``ACTIVE_BACKEND`` names the move pass that runs, for benchmark reports:
 ``"c"`` once the compiled pass has loaded, ``"python"`` before the first move
@@ -152,15 +152,11 @@ def _check_move_input(order, labels, visit, tele, size, nbr, modules):
 
 
 def _python_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps):
-    """``local_move_pass`` in Python; it runs on list copies of the arrays."""
+    """``local_move_pass`` in Python; it runs on list copies of the arrays and
+    recomputes every code term of every candidate through ``_plogp``."""
     exit_sum = float(modules[4].sum())
     labels_out, labels = labels, labels.tolist()
     mod_visit, mod_tele, mod_size, mod_cross, mod_exit = [a.tolist() for a in modules]
-    # each module's old code terms, kept up to date by every move
-    mod_pq = [_plogp(q) for q in mod_exit]
-    mod_pqv = [_plogp(q + v) for q, v in zip(mod_exit, mod_visit)]
-    plogp_exit = _plogp(exit_sum)
-    log2 = math.log2
     visit, tele, size = visit.tolist(), tele.tolist(), size.tolist()
     nbr_ptr, nbr_idx, nbr_out, nbr_in = [a.tolist() for a in nbr]
     n_units = len(labels)
@@ -201,6 +197,7 @@ def _python_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, ep
         tele_u = tele[u]
         size_u = size[u]
         visit_u = visit[u]
+        plogp_exit = _plogp(exit_sum)
         ca_out = conn_out[a] if mark[a] == visits else 0.0
         ca_in = conn_in[a] if mark[a] == visits else 0.0
         t_a = mod_tele[a] - tele_u
@@ -209,17 +206,13 @@ def _python_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, ep
         x_a = mod_cross[a] - (sout - ca_out) + ca_in
         q_a_new = t_a * (n_orig - s_a) / n_orig + x_a
         q_a_old = mod_exit[a]
-        qv_a = q_a_new + v_a
-        # _plogp, inline here and below: the call costs more than the arithmetic
-        pq_a = q_a_new * log2(q_a_new) if q_a_new > 0.0 else 0.0
-        pqv_a = qv_a * log2(qv_a) if qv_a > 0.0 else 0.0
-        base_a = (pq_a - mod_pq[a]) * -2.0 + (pqv_a - mod_pqv[a])
+        base_a = (_plogp(q_a_new) - _plogp(q_a_old)) * -2.0 + (
+            _plogp(q_a_new + v_a) - _plogp(q_a_old + mod_visit[a]))
         best_dl = -eps
         best = -1
         best_q_b = 0.0
         best_x_b = 0.0
         best_exit = 0.0
-        best_terms = (0.0, 0.0, 0.0)
         for ci in range(ncand):
             b = cand[ci]
             if b == a:
@@ -231,12 +224,10 @@ def _python_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, ep
             x_b = mod_cross[b] - conn_in[b] + (sout - conn_out[b])
             q_b_new = t_b * (n_orig - s_b) / n_orig + x_b
             exit_new = exit_sum - q_a_old - q_b_old + q_a_new + q_b_new
-            qv_b = q_b_new + v_b
-            pq_exit = exit_new * log2(exit_new) if exit_new > 0.0 else 0.0
-            pq_b = q_b_new * log2(q_b_new) if q_b_new > 0.0 else 0.0
-            pqv_b = qv_b * log2(qv_b) if qv_b > 0.0 else 0.0
-            dl = (pq_exit - plogp_exit - 2.0 * (pq_b - mod_pq[b])
-                  + (pqv_b - mod_pqv[b]) + base_a)
+            dl = (_plogp(exit_new) - plogp_exit
+                  - 2.0 * (_plogp(q_b_new) - _plogp(q_b_old))
+                  + (_plogp(q_b_new + v_b) - _plogp(q_b_old + mod_visit[b]))
+                  + base_a)
             # equal gains resolve to the lowest module id
             if dl < best_dl or (dl == best_dl and b < best):
                 best_dl = dl
@@ -244,7 +235,6 @@ def _python_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, ep
                 best_q_b = q_b_new
                 best_x_b = x_b
                 best_exit = exit_new
-                best_terms = (pq_exit, pq_b, pqv_b)
         if best >= 0:
             labels[u] = best
             mod_tele[a] = t_a
@@ -252,14 +242,11 @@ def _python_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, ep
             mod_visit[a] = v_a
             mod_cross[a] = x_a
             mod_exit[a] = q_a_new
-            mod_pq[a] = pq_a
-            mod_pqv[a] = pqv_a
             mod_tele[best] += tele[u]
             mod_size[best] += size[u]
             mod_visit[best] += visit[u]
             mod_cross[best] = best_x_b
             mod_exit[best] = best_q_b
-            plogp_exit, mod_pq[best], mod_pqv[best] = best_terms
             exit_sum = best_exit
             moves += 1
             delta_sum += best_dl
