@@ -5,18 +5,23 @@ declared step sequence of the product of traversed edge weights; reverse
 steps traverse stored edges target-to-source with the stored forward weight.
 Steps flagged as community-restricted only land on nodes carrying the query
 community's merged label. Scoring is layered sparse propagation, one weighted
-scatter per step, which equals explicit tour enumeration. A restricted step
-scatters only the edges whose landing node is in the query community, taken
-in edge order, so every node still sums its pushes in the order a full
-scatter would.
+scatter per step, which equals explicit tour enumeration.
 
-After a restricted step every node outside the query community holds exactly
-0.0, so the unrestricted step that follows one (the reverse prerequisite step
-of upskilling) and the first prerequisite hop from such a base scatter only
-the edges that leave the community. Each dropped edge would push
-``w * 0.0 = +0.0``, which leaves every sum's bits, and the kept edges reach
-each node in the order a full scatter would. Deeper prerequisite levels
-start from nodes anywhere and take every edge.
+One function, ``_path_edges``, says which edges each step of a gated walk
+takes, and so whether the walk can take them all. A restricted step takes
+the edges that land in the query community. An unrestricted step takes the
+edges that leave it when it follows a restricted step (the reverse
+prerequisite step of upskilling), or when it comes first in a walk that
+starts from scores a restricted step left in the community (the first
+prerequisite hop). Any other step, such as a deeper prerequisite level,
+takes every edge. The rule is exact. Edges are kept in edge order, so every
+node sums its pushes in the order a full scatter would, and after a
+restricted step every node outside the community holds exactly 0.0, so each
+edge that does not leave it would push ``w * 0.0 = +0.0``, which leaves
+every sum's bits. The function reads each step's edge count from the
+gate's orders before it gathers any edge, and a walk with a step that has
+none is dead: it ends with no mass, as a restricted step into a career
+community that holds no course does.
 
 Each community has a frame (``Frame``), made once per graph state and labels
 (``CommunityEdges.frame``): the sorted index positions of its members, of
@@ -35,24 +40,19 @@ holds about 1,000 of the graph's 9,985 nodes. The gate sorts the members
 and each relation's edges by community once, stably, so a frame is made
 from its own slices and costs its own size, not the graph's.
 
-A walk with a step that has no edge to push along ends with no mass: a
-restricted step with no edge into the query community (a career community
-that holds no course, say), an unrestricted step after one with no edge
-leaving it, or any step whose relation has no edges. The rule reads only
-the graph and the labels: per-community edge counts, read from those
-orders, say whether each built-in route can reach a course, so
-``scenario_scores`` skips such a dead group with one lookup of the
-community's frame (``Frame.route``) before any walk call, and a frame makes
-its nodes and a route's edges only when a live route is first asked for. A dead
-group's base is the shared empty ``NO_SCORES``, the taken-course walk is skipped
-the same way in each community, and the group's seed view is made only when
-something reads it, such as ``recommend --debug``. A query that fans out over
-many community groups thus pays only for the walks that can reach a course:
-on ``fragmented`` (``perfbench``, seed 1, traced) a query spans 11.2 groups
-and makes 1.36 ``score_metapath`` calls. Called on its own,
+A frame asks ``_path_edges`` once per path and keeps the answer, a dead
+route's None included (``Frame.route``). So ``scenario_scores`` skips a dead
+group with one lookup of its community's frame before any walk call, and a
+frame makes its nodes only when a live route is first asked for. A dead
+group's base is the shared empty ``NO_SCORES``, the taken-course walk is
+skipped the same way in each community, and the group's seed view is made
+only when something reads it, such as ``recommend --debug``. A query that
+fans out over many community groups thus pays only for the walks that can
+reach a course: on ``fragmented`` (``perfbench``, seed 1, traced) a query
+spans 11.2 groups and makes 1.36 ``score_metapath`` calls. Called on its own,
 ``score_metapath`` returns ``NO_SCORES`` for a dead community after checking
-its seeds, without allocating or scattering; ``prerequisite_expansion``
-returns it for a hop with no edge to take.
+its seeds, without allocating or scattering, and ``prerequisite_expansion``
+for a hop with no edge to take.
 
 A query resolves to the jobs whose title holds its tokens as a contiguous
 run (``TitleIndex``), and its seeds stay index positions with their weights
@@ -346,9 +346,11 @@ class CommunityEdges:
     Slot numbers follow the communities' ascending order: ``communities[k]``
     is slot ``k``'s community, ``node_slot`` each node's slot, -1 when
     unlabelled, and ``rank`` each node's place among its slot's members in
-    index order. Read it as ``labels.cached(index, CommunityEdges)``; a
-    community's frame is made on its first use (``frame``), from its slices
-    of the orders, so it costs its own size, not the graph's."""
+    index order. Read it as ``labels.cached(index, CommunityEdges)``. A
+    community's slices of the orders (``ends_in``) are the edges that land
+    in it or leave it, their lengths the counts ``_path_edges`` reads first;
+    its frame is made from them on first use (``frame``), so it costs its
+    own size, not the graph's."""
 
     def __init__(self, index: GraphIndex, labels: Labels) -> None:
         self.index = index
@@ -387,26 +389,6 @@ class CommunityEdges:
             frame = self._frames[community] = Frame(self, community)
         return frame
 
-    def reaches(self, path: MetaPath, community: int) -> bool:
-        """Whether each step of ``path`` has an edge that lands in
-        ``community`` (a restricted step) or leaves it (any other step)."""
-        k = self.slot.get(community)
-        if k is None:
-            return False
-        # a forward step lands on the target and leaves the source
-        for step in path.steps:
-            _order, starts = self._ends[step.relation][step.reverse != step.community_restricted]
-            if starts[k + 1] == starts[k + 2]:
-                return False
-        return True
-
-    def edges(self, step: MetaPathStep, community: int, leaving: bool = False) -> Edges:
-        """``step``'s edges that land in ``community``, or with ``leaving``
-        the ones that leave it, as (from, to, weight) in edge order."""
-        frm, to, wgt = step.edges(self.index)
-        at = self.ends_in(step.relation, leaving == step.reverse, community)
-        return frm[at], to[at], wgt[at]
-
 
 class Frame:
     """One community's frame on a ``GraphIndex``: ``nodes`` holds the sorted
@@ -416,19 +398,16 @@ class Frame:
     as long as ``nodes``, its edges given as positions in ``nodes``. As
     ``nodes`` ascends, frame positions order as index positions do.
 
-    A path's edges are made when first asked for and kept (``route``). A
-    built-in route with a step that has no edge is known to be dead from the
-    gate's edge counts, so a community whose routes are all dead makes
-    neither nodes nor edges. ``hop`` is the first prerequisite hop from
-    scores that a restricted step left in the community."""
+    A path's edges are ``_path_edges``' for a walk whose mass starts in the
+    community, made when first asked for and kept, a dead path's None
+    included (``route``). A dead path gathers no edge and reads no
+    ``nodes``, so a community whose routes are all dead makes no nodes."""
 
     def __init__(self, gate: CommunityEdges, community: int) -> None:
         self.gate = gate
         self.community = community
-        self._routes: dict[MetaPath, list[Edges] | None] = {
-            path: None for path in (BASE_PATH, TAKEN_PATH, UPSKILL_PATH)
-            if not gate.reaches(path, community)}
-        # each (relation, direction, leaving)'s edges, which paths share
+        self._routes: dict[MetaPath, list[Edges] | None] = {}
+        # each (relation, direction, restricted)'s edges, which paths share
         self._steps: dict[tuple[Relation, bool, bool], Edges] = {}
 
     @functools.cached_property
@@ -448,35 +427,24 @@ class Frame:
         """Where each of the community's members, ascending, sits in ``nodes``."""
         return self.nodes.searchsorted(self.gate.members(self.community))
 
-    @functools.cached_property
-    def hop(self) -> list[Edges] | None:
-        """The edges of the first prerequisite hop, which leave the community."""
-        return self._path_edges(_PREREQ_HOP)
-
     def route(self, path: MetaPath) -> list[Edges] | None:
-        """The edges of ``path``, which must be framed, in this frame; None
-        when a step has none."""
+        """The edges of ``path`` as positions in ``nodes``, None when a step
+        has none. ``path`` must stay in the frame: framed, or the first
+        prerequisite hop from scores a restricted step left in the community."""
         try:
             return self._routes[path]
         except KeyError:
-            edges = self._routes[path] = self._path_edges(path)
+            edges = _path_edges(self.gate.index, path, self.gate, self.community, entered=True)
+            if edges is not None:
+                for i, step in enumerate(path.steps):
+                    key = (step.relation, step.reverse, step.community_restricted)
+                    if key not in self._steps:
+                        frm, to, wgt = edges[i]
+                        self._steps[key] = (self.nodes.searchsorted(frm),
+                                            self.nodes.searchsorted(to), wgt)
+                    edges[i] = self._steps[key]
+            self._routes[path] = edges
             return edges
-
-    def _path_edges(self, path: MetaPath) -> list[Edges] | None:
-        """Each step's edges as positions in ``nodes``, or None as soon as a
-        step has none: a restricted step's that land in the community, any
-        other step's that leave it, in edge order."""
-        edges = []
-        for step in path.steps:
-            leaving = not step.community_restricted
-            key = (step.relation, step.reverse, leaving)
-            if key not in self._steps:
-                frm, to, wgt = self.gate.edges(step, self.community, leaving)
-                self._steps[key] = (self.nodes.searchsorted(frm), self.nodes.searchsorted(to), wgt)
-            if not len(self._steps[key][2]):
-                return None
-            edges.append(self._steps[key])
-        return edges
 
     def where(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where the index positions ``pos`` would sit in ``nodes``, and
@@ -486,26 +454,30 @@ class Frame:
 
 
 def _path_edges(index: GraphIndex, path: MetaPath, gate: CommunityEdges | None = None,
-                community: int | None = None) -> list[Edges] | None:
-    """Each step's edges as (from, to, weight) over the whole graph, or None
-    as soon as a step has none, since a walk that cannot take a step ends
-    with no mass. With a ``gate``, a restricted step has only the edges that
-    land in ``community``: scattering them equals a full scatter with every
-    node outside it (or unlabelled) zeroed, to the bit. An unrestricted step
-    after one has only the edges that leave ``community``: every other edge
-    starts at a node holding exactly 0.0 and would push +0.0, which leaves a
-    sum's bits."""
-    edges = []
-    entered = False
+                community: int | None = None, entered: bool = False) -> list[Edges] | None:
+    """Each step's edges as (from, to, weight) in edge order, or None at the
+    first step that has none, as a walk that cannot take a step ends with no
+    mass. With a ``gate``, a restricted step takes the edges that land in
+    ``community`` (an unlabelled node is in none); an unrestricted step takes
+    the ones that leave it after a restricted step, or first when the walk
+    has ``entered`` it; any other step takes every edge. Every step's count
+    is read from the gate's orders before any edge is gathered."""
+    picks = []
     for step in path.steps:
         if gate is not None and (step.community_restricted or entered):
-            step_edges = gate.edges(step, community, leaving=not step.community_restricted)
+            # a forward step lands on its target and leaves its source
+            at = gate.ends_in(step.relation, step.reverse != step.community_restricted, community)
+            count = len(at)
         else:
-            step_edges = step.edges(index)
-        if not len(step_edges[2]):
+            at, count = None, len(index.rel_edges[step.relation][2])
+        if not count:
             return None
-        edges.append(step_edges)
+        picks.append(at)
         entered = step.community_restricted
+    edges = []
+    for step, at in zip(path.steps, picks):
+        frm, to, wgt = step.edges(index)
+        edges.append((frm, to, wgt) if at is None else (frm[at], to[at], wgt[at]))
     return edges
 
 
@@ -677,7 +649,7 @@ def prerequisite_expansion(g: HeteroGraph, base_scores: Scores,
         frame, first, values = None, _path_edges(index, _PREREQ_HOP), base_scores.vector
     else:
         frame = base_scores.frame
-        first, values = frame.hop, base_scores.values
+        first, values = frame.route(_PREREQ_HOP), base_scores.values
     if first is None:
         return NO_SCORES
     # the levels add in order; the first is its own sum, as 0.0 + x is x

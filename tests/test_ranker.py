@@ -805,6 +805,29 @@ class TestCommunityGate:
                     checked += len(got)
         assert empty_slice >= 5 and landing_outside >= 30 and checked > 500
 
+    def test_unrestricted_step_after_an_unrestricted_one_takes_every_edge(self):
+        # J0 -r-> S0 <-c- C0 -p-> C1: the covered step leaves community 0 for
+        # C0 in community 1, so the prerequisite step after it must take every
+        # edge, not only the ones leaving community 0 (there are none)
+        g = HeteroGraph()
+        for node, kind in (("J0", JOB), ("S0", NodeKind.SKILL), ("C0", COURSE), ("C1", COURSE)):
+            g.add_node(node, kind)
+        g.add_edge("J0", Relation.REQUIRED, "S0", 1.0)
+        g.add_edge("C0", Relation.COVERED, "S0", 1.0)
+        g.add_edge("C0", Relation.PRE_REQUIRED, "C1", 1.0)
+        labels = Labels({"J0": 0, "S0": 0, "C0": 1, "C1": 1})
+        path = MetaPath((MetaPathStep(Relation.REQUIRED, community_restricted=True),
+                         MetaPathStep(Relation.COVERED, reverse=True),
+                         MetaPathStep(Relation.PRE_REQUIRED)))
+        assert not path.framed
+        seeds = seeds_on(g, {"J0": 1.0}, JOB)
+        got = score_metapath(g, path, seeds, labels, 0)
+        assert got == {"C1": 1.0}
+        vector = np.zeros(seeds.index.n)
+        vector[seeds.pos] = seeds.weight
+        want = dense_walk(seeds.index, dense_gated_edges(seeds.index, labels, path, 0), vector)
+        assert got.vector.tobytes() == want.tobytes()
+
     def test_slices_built_once_per_graph_state_and_labels(self, monkeypatch):
         builds = []
 
@@ -1292,6 +1315,30 @@ class TestFrames:
             # the moved seed still reaches the group's community through its edges
             alone = ranker.Seeds(index, group.pos[:1], group.weight[:1], JOB)
             assert score_metapath(g, BASE_PATH, alone, others, community)
+
+    def test_dead_frames_make_no_nodes_and_live_routes_share_steps(self, fanned_out):
+        # a frame whose built-in routes all have a step with no edge never
+        # makes its nodes; a frame's base and upskilling routes share their
+        # three restricted steps' arrays
+        g, plain = fanned_out
+        labels = Labels(plain)
+        for inp in (*FANNED_OUT_INPUTS, *MANY_SEEDS_INPUTS):
+            recommend(g, labels, inp)
+        index = g.cached(GraphIndex)
+        frames = labels.cached(index, ranker.CommunityEdges)._frames.values()
+        dead = shared = 0
+        for frame in frames:
+            if all(dense_gated_edges(index, labels, path, frame.community) is None
+                   for path in (BASE_PATH, TAKEN_PATH, UPSKILL_PATH)):
+                assert "nodes" not in vars(frame), frame.community
+                dead += 1
+        for frame in frames:
+            base, upskill = frame.route(BASE_PATH), frame.route(UPSKILL_PATH)
+            if base is not None and upskill is not None:
+                assert all(a is b for a, b in zip(base, upskill[:3]))
+                shared += 1
+        # the fifteen groups of "engineer": five dead, ten with both routes live
+        assert (len(frames), dead, shared) == (15, 5, 10)
 
 
 class TestPrerequisiteExpansion:
