@@ -13,8 +13,11 @@ into supernodes, and the cycle repeats until an aggregation level stops
 merging. Each level makes one queue pass: every unit is queued once in a
 seeded shuffled order, and a move queues the mover's neighbours outside its
 new community (the fast local move of Leiden, Traag, Waltman & van Eck 2019).
-As in Leiden, the result need not be free of single improving moves. On a
-connected graph the one-community partition is taken when it codes shorter.
+As in Leiden, the result need not be free of single improving moves, and
+on a graph of several connected components the levels can stall above
+them. So the last check takes the components (one community when the graph
+is connected) when they code shorter, as Infomap's one-level check does for
+one community (Rosvall & Bergstrom 2008).
 """
 from __future__ import annotations
 
@@ -180,20 +183,24 @@ def _renumber(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return dense.astype(np.int64), int(dense.max()) + 1
 
 
-def _connected(fg: FlowGraph) -> bool:
-    """Whether ``fg.nbr`` links every unit to every other (it lists each edge
-    both ways, so one search from unit 0 finds the component)."""
+def _components(fg: FlowGraph) -> tuple[np.ndarray, int]:
+    """Each unit's connected component in ``fg.nbr``, numbered by its lowest
+    unit, and their count (``nbr`` lists each edge both ways)."""
     ptr, idx = fg.nbr[0].tolist(), fg.nbr[1].tolist()
-    seen = [False] * fg.n_units
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in idx[ptr[u]:ptr[u + 1]]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return all(seen)
+    comp = [-1] * fg.n_units
+    k = 0
+    for start in range(fg.n_units):
+        if comp[start] < 0:
+            comp[start] = k
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                for v in idx[ptr[u]:ptr[u + 1]]:
+                    if comp[v] < 0:
+                        comp[v] = k
+                        stack.append(v)
+            k += 1
+    return np.asarray(comp, dtype=np.int64), k
 
 
 def detect_communities(g: HeteroGraph, seed: int = 0,
@@ -202,11 +209,11 @@ def detect_communities(g: HeteroGraph, seed: int = 0,
 
     One local-move queue pass per level, communities aggregate into
     supernodes, and the cycle repeats until an aggregation level produces no
-    further merge; then, if the graph is connected and one community codes
-    shorter, that is the result. Deterministic for a fixed seed: node
-    numbering is sorted-id based, the starting queue order comes from a
-    seeded generator, zero-gain moves are rejected, and gain ties resolve to
-    the lowest community index.
+    further merge; then, if the graph's connected components (one community
+    on a connected graph) code shorter, they are the result. Deterministic
+    for a fixed seed: node numbering is sorted-id based, the starting queue
+    order comes from a seeded generator, zero-gain moves are rejected, and
+    gain ties resolve to the lowest community index.
     """
     if seed < 0:
         raise CommunityError(f"seed {seed!r} must be >= 0")
@@ -232,13 +239,13 @@ def detect_communities(g: HeteroGraph, seed: int = 0,
     if abs(recomputed - tracked) > 1e-6:
         raise CommunityError(
             f"incremental cost tracking drifted: {tracked!r} vs {recomputed!r}")
-    if level.n_units > 1 and _connected(level):
-        # moves can always reach one module on a connected graph; take it
-        # when it codes shorter, as Infomap's one-level check does
-        one = np.zeros(fg.n_units, dtype=np.int64)
-        one_cost = fg.partition_cost(one)
-        if one_cost < recomputed:
-            final, recomputed = one, one_cost
+    comp, k = _components(level)
+    if k < level.n_units:
+        # moves can always reach the components, each a union of modules
+        comp = comp[final]
+        comp_cost = fg.partition_cost(comp)
+        if comp_cost < recomputed:
+            final, recomputed = comp, comp_cost
     # canonical labels: first appearance over sorted node ids
     relabel: dict[int, int] = {}
     assignment: dict[str, int] = {}

@@ -8,20 +8,19 @@ community's merged label. Scoring is layered sparse propagation, one weighted
 scatter per step, which equals explicit tour enumeration.
 
 One function, ``_path_edges``, says which edges each step of a gated walk
-takes, and so whether the walk can take them all. A restricted step takes
-the edges that land in the query community. An unrestricted step takes the
-edges that leave it when it follows a restricted step (the reverse
-prerequisite step of upskilling), or when it comes first in a walk that
-starts from scores a restricted step left in the community (the first
-prerequisite hop). Any other step, such as a deeper prerequisite level,
-takes every edge. The rule is exact. Edges are kept in edge order, so every
-node sums its pushes in the order a full scatter would, and after a
-restricted step every node outside the community holds exactly 0.0, so each
-edge that does not leave it would push ``w * 0.0 = +0.0``, which leaves
-every sum's bits. The function reads each step's edge count from the
-gate's orders before it gathers any edge, and a walk with a step that has
-none is dead: it ends with no mass, as a restricted step into a career
-community that holds no course does.
+takes. A restricted step takes the edges that land in the query community.
+An unrestricted step takes the edges that leave it when it follows a
+restricted step (the reverse prerequisite step of upskilling), or when it
+comes first in a walk that starts from scores a restricted step left in the
+community (the first prerequisite hop). Any other step, such as a deeper
+prerequisite level, takes every edge. The rule is exact. Edges are kept in
+edge order, so every node sums its pushes in the order a full scatter
+would, and after a restricted step every node outside the community holds
+exactly 0.0, so each edge that does not leave it would push
+``w * 0.0 = +0.0``, which leaves every sum's bits. A walk with a step that
+has no edge to take, such as a restricted step into a career community that
+holds no course, scatters nothing from there on and ends with every score
+0.0.
 
 Each community has a frame (``Frame``), made once per graph state and labels
 (``CommunityEdges.frame``): the sorted index positions of its members, of
@@ -40,26 +39,20 @@ holds about 1,000 of the graph's 9,985 nodes. The gate sorts the members
 and each relation's edges by community once, stably, so a frame is made
 from its own slices and costs its own size, not the graph's.
 
-A frame asks ``_path_edges`` once per path and keeps the answer, a dead
-route's None included (``Frame.route``). So ``scenario_scores`` skips a dead
-group with one lookup of its community's frame before any walk call, and a
-frame makes its nodes only when a live route is first asked for. A dead
-group's base is the shared empty ``NO_SCORES``, the taken-course walk is
-skipped the same way in each community, and the group's seed view is made
-only when something reads it, such as ``recommend --debug``. A query that
-fans out over many community groups thus pays only for the walks that can
-reach a course: on ``fragmented`` (``perfbench``, seed 1, traced) a query
-spans 11.2 groups and makes 1.36 ``score_metapath`` calls. Called on its own,
-``score_metapath`` returns ``NO_SCORES`` for a dead community after checking
-its seeds, without allocating or scattering, and ``prerequisite_expansion``
-for a hop with no edge to take.
+A frame asks ``_path_edges`` once per path and keeps the answer
+(``Frame.route``), and paths that share a step share its arrays. A query
+whose jobs span several communities walks every route of every group. That
+is rare: detection takes each side's connected components when they code
+shorter than the partition its moves found, so a topic's jobs are not split
+over stalled fragments, and on each ``perfbench`` workload (seed 1, traced)
+a query spans one community group.
 
 A query resolves to the jobs whose title holds its tokens as a contiguous
 run (``TitleIndex``), and its seeds stay index positions with their weights
 (``Seeds``) from the title match to the scatter: the matched titles' jobs
 come as one position array, ``scenario_scores`` splits it by community with
-one gather of each seed's community slot into one sorted copy and checks the
-set's node kind once. ``score_metapath`` places a group's seeds in its own
+one gather of each seed's community slot, and the first group's walk checks
+the set's node kind. ``score_metapath`` places a group's seeds in its own
 community's frame with two gathers (each member's rank among the members,
 then the members' places in the frame), and any other seeds with one binary
 search (``Frame.where``). The walks read only ``Seeds``
@@ -348,9 +341,8 @@ class CommunityEdges:
     unlabelled, and ``rank`` each node's place among its slot's members in
     index order. Read it as ``labels.cached(index, CommunityEdges)``. A
     community's slices of the orders (``ends_in``) are the edges that land
-    in it or leave it, their lengths the counts ``_path_edges`` reads first;
-    its frame is made from them on first use (``frame``), so it costs its
-    own size, not the graph's."""
+    in it or leave it; its frame is made from them on first use
+    (``frame``), so it costs its own size, not the graph's."""
 
     def __init__(self, index: GraphIndex, labels: Labels) -> None:
         self.index = index
@@ -399,14 +391,12 @@ class Frame:
     ``nodes`` ascends, frame positions order as index positions do.
 
     A path's edges are ``_path_edges``' for a walk whose mass starts in the
-    community, made when first asked for and kept, a dead path's None
-    included (``route``). A dead path gathers no edge and reads no
-    ``nodes``, so a community whose routes are all dead makes no nodes."""
+    community, made when first asked for and kept (``route``)."""
 
     def __init__(self, gate: CommunityEdges, community: int) -> None:
         self.gate = gate
         self.community = community
-        self._routes: dict[MetaPath, list[Edges] | None] = {}
+        self._routes: dict[MetaPath, list[Edges]] = {}
         # each (relation, direction, restricted)'s edges, which paths share
         self._steps: dict[tuple[Relation, bool, bool], Edges] = {}
 
@@ -420,64 +410,55 @@ class Frame:
             parts.append(src[gate.ends_in(relation, True, community)])
         nodes = np.sort(np.concatenate(parts))
         # each run of one position keeps its first; np.unique's first call imports numpy.ma
-        return nodes[np.concatenate(([True], nodes[1:] != nodes[:-1]))]
+        return np.concatenate((nodes[:1], nodes[1:][nodes[1:] != nodes[:-1]]))
 
     @functools.cached_property
     def member_at(self) -> np.ndarray:
         """Where each of the community's members, ascending, sits in ``nodes``."""
         return self.nodes.searchsorted(self.gate.members(self.community))
 
-    def route(self, path: MetaPath) -> list[Edges] | None:
-        """The edges of ``path`` as positions in ``nodes``, None when a step
-        has none. ``path`` must stay in the frame: framed, or the first
-        prerequisite hop from scores a restricted step left in the community."""
-        try:
-            return self._routes[path]
-        except KeyError:
+    def route(self, path: MetaPath) -> list[Edges]:
+        """The edges of ``path`` as positions in ``nodes``. ``path`` must stay
+        in the frame: framed, or the first prerequisite hop from scores a
+        restricted step left in the community."""
+        edges = self._routes.get(path)
+        if edges is None:
             edges = _path_edges(self.gate.index, path, self.gate, self.community, entered=True)
-            if edges is not None:
-                for i, step in enumerate(path.steps):
-                    key = (step.relation, step.reverse, step.community_restricted)
-                    if key not in self._steps:
-                        frm, to, wgt = edges[i]
-                        self._steps[key] = (self.nodes.searchsorted(frm),
-                                            self.nodes.searchsorted(to), wgt)
-                    edges[i] = self._steps[key]
+            for i, step in enumerate(path.steps):
+                key = (step.relation, step.reverse, step.community_restricted)
+                if key not in self._steps:
+                    frm, to, wgt = edges[i]
+                    self._steps[key] = (self.nodes.searchsorted(frm),
+                                        self.nodes.searchsorted(to), wgt)
+                edges[i] = self._steps[key]
             self._routes[path] = edges
-            return edges
+        return edges
 
     def where(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where the index positions ``pos`` would sit in ``nodes``, and
         whether each is there."""
         at = self.nodes.searchsorted(pos)
-        return at, self.nodes.take(at, mode="clip") == pos
+        inside = at < len(self.nodes)  # a frame may hold no node
+        inside[inside] = self.nodes[at[inside]] == pos[inside]
+        return at, inside
 
 
 def _path_edges(index: GraphIndex, path: MetaPath, gate: CommunityEdges | None = None,
-                community: int | None = None, entered: bool = False) -> list[Edges] | None:
-    """Each step's edges as (from, to, weight) in edge order, or None at the
-    first step that has none, as a walk that cannot take a step ends with no
-    mass. With a ``gate``, a restricted step takes the edges that land in
-    ``community`` (an unlabelled node is in none); an unrestricted step takes
-    the ones that leave it after a restricted step, or first when the walk
-    has ``entered`` it; any other step takes every edge. Every step's count
-    is read from the gate's orders before any edge is gathered."""
-    picks = []
+                community: int | None = None, entered: bool = False) -> list[Edges]:
+    """Each step's edges as (from, to, weight) in edge order. With a
+    ``gate``, a restricted step takes the edges that land in ``community``
+    (an unlabelled node is in none); an unrestricted step takes the ones that
+    leave it after a restricted step, or first when the walk has ``entered``
+    it; any other step takes every edge."""
+    edges = []
     for step in path.steps:
+        frm, to, wgt = step.edges(index)
         if gate is not None and (step.community_restricted or entered):
             # a forward step lands on its target and leaves its source
             at = gate.ends_in(step.relation, step.reverse != step.community_restricted, community)
-            count = len(at)
-        else:
-            at, count = None, len(index.rel_edges[step.relation][2])
-        if not count:
-            return None
-        picks.append(at)
+            frm, to, wgt = frm[at], to[at], wgt[at]
+        edges.append((frm, to, wgt))
         entered = step.community_restricted
-    edges = []
-    for step, at in zip(path.steps, picks):
-        frm, to, wgt = step.edges(index)
-        edges.append((frm, to, wgt) if at is None else (frm[at], to[at], wgt[at]))
     return edges
 
 
@@ -547,7 +528,7 @@ class Scores(Mapping[str, float]):
         return repr(dict(self.items()))
 
 
-# what a walk that can carry no mass returns; shared, so it creates nothing
+# what a query with no seeds, or a hop from no scores, returns; shared, so it creates nothing
 NO_SCORES = Scores(GraphIndex(HeteroGraph()), np.zeros(0))
 
 
@@ -585,8 +566,6 @@ def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Seeds, labels: Mapping
         edges = frame.route(path)
     else:
         frame, edges = None, _path_edges(index, path, gate, community)
-    if edges is None:
-        return NO_SCORES
     if frame is None:
         scores = np.zeros(index.n, dtype=np.float64)
         scores[seeds.pos] = seeds.weight
@@ -650,8 +629,6 @@ def prerequisite_expansion(g: HeteroGraph, base_scores: Scores,
     else:
         frame = base_scores.frame
         first, values = frame.route(_PREREQ_HOP), base_scores.values
-    if first is None:
-        return NO_SCORES
     # the levels add in order; the first is its own sum, as 0.0 + x is x
     level = extra = _walk(first, values)
     if depth > 1:
@@ -670,27 +647,25 @@ class Provenance:
     """Per-route score shares of one query, as ``recommend`` attaches them.
 
     ``seeds`` and ``base`` are keyed by the community each group ran in, in
-    ascending order. ``seeds`` is a read-only mapping, and each group's seeds
-    a read-only mapping over index positions (``Seeds``); each group's base
-    is a ``Scores`` in its community's frame, ``NO_SCORES`` when its walk
-    cannot reach a course. ``prereq`` is a single map because that route
-    ignores community gates.
+    ascending order. Each group's seeds are a read-only mapping over index
+    positions (``Seeds``); each group's base
+    is a ``Scores`` in its community's frame, empty when its walk cannot
+    reach a course. ``prereq`` is a single map because that route ignores
+    community gates.
     """
 
-    seeds: Mapping[int, Mapping[str, float]] = field(default_factory=dict)
+    seeds: dict[int, Mapping[str, float]] = field(default_factory=dict)
     base: dict[int, Mapping[str, float]] = field(default_factory=dict)
     prereq: Mapping[str, float] = field(default_factory=dict)
 
 
 def _add(total: tuple[np.ndarray, Frame | None] | None,
-         part: Scores) -> tuple[np.ndarray, Frame | None] | None:
+         part: Scores) -> tuple[np.ndarray, Frame | None]:
     """``total``, values and their frame, plus ``part``, in place where it
-    can be; ``NO_SCORES`` adds nothing. A part in another frame than the total
-    moves the total to the whole graph first. Each node's routes add in
-    route order: a node outside a part's frame gets nothing where a dense
-    add gave it +0.0, and neither changes a score's bits."""
-    if part is NO_SCORES:
-        return total
+    can be. A part in another frame than the total moves the total to the
+    whole graph first. Each node's routes add in route order: a node outside
+    a part's frame gets nothing where a dense add gave it +0.0, and neither
+    changes a score's bits."""
     if total is None:
         return part.values.copy(), part.frame
     values, frame = total
@@ -715,63 +690,30 @@ def _taken_seeds(g: HeteroGraph, index: GraphIndex, taken: tuple[str, ...]) -> S
                  np.full(len(taken), 1.0 / len(taken)), NodeKind.COURSE)
 
 
-class _SeedGroups(Mapping[int, Seeds]):
-    """``seeds`` split by community, as a read-only mapping from each
-    community, ascending, to its group; a group keeps its seeds' order. One
-    gather reads every seed's slot. A set in one community is one group over
-    the set's arrays; several groups are slices of one sorted copy,
-    ``ordered``, and each is made a ``Seeds`` when first read, so a walk pays
-    only for the groups it reads. Each group names its community's frame on
-    ``gate`` (``Seeds.group``)."""
-
-    def __init__(self, seeds: Seeds, gate: CommunityEdges) -> None:
-        self.ordered = seeds
-        self._gate = gate
-        self._bounds: dict[int, tuple[int, int]] = {}
-        self._views: dict[int, Seeds] = {}
-        if not len(seeds):
-            return
-        slots = gate.node_slot[seeds.pos]
-        in_order = slots.tolist()
-        first = in_order[0]
-        # interleaved A/B: without this path, query p50 rose 13-15% on build-mid and query-m
-        if first >= 0 and in_order.count(first) == len(in_order):
-            community = gate.communities[first]
-            self._bounds[community] = (0, len(in_order))
-            self._views[community] = Seeds(seeds.index, seeds.pos, seeds.weight, seeds.kind,
-                                           gate.frame(community))
-            return
-        if min(in_order) < 0:
-            node_id = seeds.index.ids[seeds.pos[in_order.index(-1)]]
-            raise QueryError(f"job {node_id!r} carries no community label")
-        order = np.argsort(slots, kind="stable")
-        sorted_slots = slots[order]
-        ranked = sorted_slots.tolist()
-        self.ordered = Seeds(seeds.index, seeds.pos[order], seeds.weight[order], seeds.kind)
-        # a group starts where the sorted slot changes
-        starts = ((sorted_slots[1:] != sorted_slots[:-1]).nonzero()[0] + 1).tolist()
-        bounds = [0, *starts, len(ranked)]
-        for a, b in zip(bounds, bounds[1:]):
-            self._bounds[gate.communities[ranked[a]]] = (a, b)
-
-    def __getitem__(self, community: int) -> Seeds:
-        # interleaved A/B against making every view at grouping: p50 fell 13-15% on fragmented
-        view = self._views.get(community)
-        if view is None:
-            a, b = self._bounds[community]
-            s = self.ordered
-            view = self._views[community] = Seeds(s.index, s.pos[a:b], s.weight[a:b], s.kind,
-                                                  self._gate.frame(community))
-        return view
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._bounds)
-
-    def __len__(self) -> int:
-        return len(self._bounds)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
+def _seed_groups(seeds: Seeds, gate: CommunityEdges) -> dict[int, Seeds]:
+    """``seeds`` split by community, from each community, ascending, to its
+    group; a group keeps its seeds' order and names its community's frame on
+    ``gate`` (``Seeds.group``). One gather reads every seed's slot."""
+    if not len(seeds):
+        return {}
+    slots = gate.node_slot[seeds.pos]
+    in_order = slots.tolist()
+    first = in_order[0]
+    # interleaved A/B: without this path, query p50 rose 13-15% on build-mid and query-m
+    if first >= 0 and in_order.count(first) == len(in_order):
+        community = gate.communities[first]
+        return {community: Seeds(seeds.index, seeds.pos, seeds.weight, seeds.kind,
+                                 gate.frame(community))}
+    if min(in_order) < 0:
+        node_id = seeds.index.ids[seeds.pos[in_order.index(-1)]]
+        raise QueryError(f"job {node_id!r} carries no community label")
+    groups = {}
+    for slot in sorted(set(in_order)):
+        at = (slots == slot).nonzero()[0]
+        community = gate.communities[slot]
+        groups[community] = Seeds(seeds.index, seeds.pos[at], seeds.weight[at], seeds.kind,
+                                  gate.frame(community))
+    return groups
 
 
 def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInput,
@@ -782,12 +724,10 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
 
     Seeds are grouped by merged community; each group runs with its own
     community gate and the score maps add: base, then the prerequisite hop of
-    a non-empty scenario 1/2 base, then the scenario 2 taken-course walk. A
-    route whose gated walk has a step with no edge is skipped before any walk
-    call, and a group whose base is skipped is never read. The total stays
-    in one community's frame while every route it adds is in that frame. An
-    unlabelled seed raises first, then a taken course not in the graph, then
-    seeds of the wrong kind.
+    a non-empty scenario 1/2 base, then the scenario 2 taken-course walk. The
+    total stays in one community's frame while every route it adds is in that
+    frame. An unlabelled seed raises first, then a taken course not in the
+    graph, then seeds of the wrong kind (the first group's walk checks them).
     """
     # checked here too: a scenario 3 query or an empty base never expands
     if prereq_depth < 0:
@@ -796,24 +736,18 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
     index = _current(g, seeds)
     path = UPSKILL_PATH if inp.scenario == 3 else BASE_PATH
     gate = labels.cached(index, CommunityEdges)
-    groups = _SeedGroups(seeds, gate)
+    groups = _seed_groups(seeds, gate)
     taken = _taken_seeds(g, index, inp.taken_courses) if inp.taken_courses else None
-    _check_kind(groups.ordered, path)
     prov = Provenance(seeds=groups)
     total = prereq = None
-    for community in groups:
-        group_frame = gate.frame(community)
-        if group_frame.route(path) is None:
-            prov.base[community] = NO_SCORES
-        else:
-            base = prov.base[community] = score_metapath(g, path, groups[community], labels,
-                                                         community)
-            total = _add(total, base)
-            if inp.scenario != 3 and base:
-                extra = prerequisite_expansion(g, base, prereq_depth)
-                total = _add(total, extra)
-                prereq = _add(prereq, extra)
-        if taken is not None and group_frame.route(TAKEN_PATH) is not None:
+    for community, group in groups.items():
+        base = prov.base[community] = score_metapath(g, path, group, labels, community)
+        total = _add(total, base)
+        if inp.scenario != 3 and prereq_depth and base:
+            extra = prerequisite_expansion(g, base, prereq_depth)
+            total = _add(total, extra)
+            prereq = _add(prereq, extra)
+        if taken is not None:
             total = _add(total, score_metapath(g, TAKEN_PATH, taken, labels, community))
     if prereq is not None:
         prov.prereq = Scores(index, *prereq)

@@ -750,6 +750,29 @@ def flow_isolated_nodes(g: HeteroGraph) -> list[str]:
     return [node for node in g.node_ids() if node not in touched]
 
 
+def ref_components(g: HeteroGraph) -> dict[str, int]:
+    """Each node's connected component over every edge, either direction,
+    numbered by first appearance over sorted node ids."""
+    adjacent: dict[str, set[str]] = {node: set() for node in g.node_ids()}
+    for source, _relation, target, _weight in edges(g):
+        adjacent[source].add(target)
+        adjacent[target].add(source)
+    component: dict[str, int] = {}
+    count = 0
+    for start in sorted(adjacent):
+        if start in component:
+            continue
+        label = component[start] = count
+        count += 1
+        stack = [start]
+        while stack:
+            for node in adjacent[stack.pop()]:
+                if node not in component:
+                    component[node] = label
+                    stack.append(node)
+    return component
+
+
 # skill names whose keys collide ("SQL" and "sql" are both ``sql``)
 COLLIDING_SKILL_NAMES = ["SQL", "sql", "Sql", "data-base", "Data_Base", "data base",
                          "python", "Python!", "ML-Ops", "ml ops", "r", "R"]

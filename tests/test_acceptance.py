@@ -20,7 +20,7 @@ from skillgraph.errors import QueryError
 from skillgraph.graph import (HeteroGraph, NodeKind, Relation, build_career_graph,
                               build_education_graph, merge_graphs)
 from skillgraph.linker import link_skills
-from skillgraph.ranker import (BASE_PATH, NO_SCORES, ScenarioInput, recommend, scenario_scores,
+from skillgraph.ranker import (BASE_PATH, ScenarioInput, recommend, scenario_scores,
                                score_metapath)
 from skillgraph.synth import generate_synthetic_corpus
 
@@ -205,7 +205,7 @@ def test_criterion_4_holds_with_dead_groups():
         for community in dead:
             job = by_community[community]
             seeds = seeds_on(g, {job: 1.0}, NodeKind.JOB)
-            assert score_metapath(g, BASE_PATH, seeds, labels, community) is NO_SCORES
+            assert score_metapath(g, BASE_PATH, seeds, labels, community) == {}
             with pytest.raises(QueryError, match="were made on another graph"):
                 score_metapath(g.copy(), BASE_PATH, seeds, labels, community)
             with pytest.raises(QueryError, match="seed 'C0' is a course, path starts at a job"):

@@ -18,7 +18,8 @@ from skillgraph.ingest import apply_skill_matching
 from skillgraph.synth import generate_synthetic_corpus
 
 from oracles import (edges, flow_isolated_nodes, random_domain_graphs, random_hetero_graph,
-                     ref_map_equation, ref_merge_partitions, ref_stationary, set_partitions)
+                     ref_components, ref_map_equation, ref_merge_partitions, ref_stationary,
+                     set_partitions)
 
 
 def linked_cycle(ids):
@@ -45,6 +46,33 @@ def clique_pair_graph():
         for j in targets:
             g.add_edge(f"s{i}", Relation.LINKED, f"s{j}", 1.0 / len(targets))
     return g
+
+
+def disjoint_union(graphs):
+    """The graphs side by side, each one's node ids prefixed by its place."""
+    out = HeteroGraph()
+    for i, g in enumerate(graphs):
+        for node in g.node_ids():
+            out.add_node(f"{i}:{node}", g.node_kind(node), g.node_name(node))
+        for source, relation, target, weight in edges(g):
+            out.add_edge(f"{i}:{source}", relation, f"{i}:{target}", weight)
+    return out
+
+
+def synth_graphs(out_dir, seed, jobs, courses, skills):
+    """The education and career graphs of a ``synth`` corpus, alignment 0.3."""
+    corpus = generate_synthetic_corpus(seed, n_jobs=jobs, n_courses=courses, n_skills=skills,
+                                       alignment=0.3, out_dir=out_dir)
+    matched = apply_skill_matching(corpus.courses, corpus.skills)
+    return {"education": build_education_graph(matched, corpus.enrollments,
+                                                catalog=corpus.skills),
+            "career": build_career_graph(corpus.jobs)}
+
+
+@pytest.fixture(scope="module")
+def golden_graphs(tmp_path_factory):
+    """Both graphs of the 1000/150/1500 corpus of ``synth --seed 5``."""
+    return synth_graphs(tmp_path_factory.mktemp("golden"), 5, 1000, 150, 1500)
 
 
 def disconnected_triangles():
@@ -347,16 +375,36 @@ class TestDetectCommunities:
                 all_one = map_equation(g, flow, {n: 0 for n in g.node_ids()})
                 assert part.description_length <= all_one + 1e-9
 
-    def test_connected_graph_never_worse_than_one_module(self):
-        # a connected graph can always be moved into one module, so detection
-        # takes it whenever it codes shorter, whatever the move order
+    def test_connected_graph_never_worse_than_one_module(self, tmp_path):
+        # moves can always reach the graph's connected components (one module
+        # when it is connected), so detection takes them whenever they code
+        # shorter, whatever the move order: on a connected random graph, on
+        # random graphs of two to four disjoint parts, and on both sides of
+        # the 400/60/600 corpus of ``synth --seed 1``, whose career side
+        # stalls above its components without that last check
         g, _ = random_hetero_graph(np.random.default_rng(0))
         flow = compute_flow(g, 0.15)
         assert not flow_isolated_nodes(g)
+        assert set(ref_components(g).values()) == {0}
         all_one = map_equation(g, flow, {n: 0 for n in g.node_ids()})
         for seed in range(40):
             part = detect_communities(g, seed=seed, teleport=0.15)
             assert part.description_length <= all_one + 1e-9
+        cases = []
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            parts = int(rng.integers(2, 5))
+            cases.append((disjoint_union([random_hetero_graph(rng)[0] for _ in range(parts)]),
+                          seed))
+        cases += [(g, 3) for g in synth_graphs(tmp_path, 1, 400, 60, 600).values()]
+        split = 0
+        for g, seed in cases:
+            components = ref_components(g)
+            split += len(set(components.values())) > 1
+            bound = map_equation(g, compute_flow(g, 0.15), components)
+            part = detect_communities(g, seed=seed, teleport=0.15)
+            assert part.description_length <= bound + 1e-9, seed
+        assert split == len(cases)
 
     def test_small_graphs_hit_exhaustive_optimum(self):
         checked = 0
@@ -398,28 +446,38 @@ class TestDetectCommunities:
         assert a.assignment == b.assignment
         assert a.description_length == b.description_length
 
-    def test_golden_synth_partitions(self, tmp_path):
-        # pinned output of both graphs of one seeded corpus: a stalled career
-        # partition (k far above the planted 10) is sensitive to every
-        # tie-break and to the last bit of each gain, so this also pins the
-        # move sweep's arithmetic and its order end to end
-        corpus = generate_synthetic_corpus(5, n_jobs=1000, n_courses=150, n_skills=1500,
-                                           alignment=0.3, out_dir=tmp_path)
-        courses = apply_skill_matching(corpus.courses, corpus.skills)
-        graphs = {"education": build_education_graph(courses, corpus.enrollments,
-                                                     catalog=corpus.skills),
-                  "career": build_career_graph(corpus.jobs)}
+    def test_golden_synth_partitions(self, golden_graphs):
+        # pinned output of both graphs of one seeded corpus; the career side
+        # takes its ten connected components, which code shorter than the
+        # partition its moves reach
         expected = {
             "education": ("10.087784647393462", 12,
                           "90984ab7391c8acda3c9076a115a6935c4954f9284a71a54417af53f08448eb9"),
-            "career": ("11.719914957795217", 128,
-                       "0066f248bc52cb664139274d1ea6229fa36afc8e42991a3f704b019ef9179421"),
+            "career": ("11.704369028513222", 10,
+                       "ba3f83160151493164f88ee519f703c50b2bb14f84c89b6080c51a8233b38870"),
         }
-        for name, g in graphs.items():
+        for name, g in golden_graphs.items():
             part = detect_communities(g, seed=1)
             rows = "".join(f"{node},{c}\n" for node, c in sorted(part.assignment.items()))
             digest = hashlib.sha256(rows.encode()).hexdigest()
             assert (repr(part.description_length), part.num_communities, digest) == expected[name]
+
+    @pytest.mark.parametrize("move_pass", ["python", "active"])
+    def test_golden_synth_move_pass(self, golden_graphs, move_pass):
+        # the first level's move pass on the career graph, as detection runs
+        # it with seed 1: 2,066 moves from 2,430 singletons, each gain to the
+        # last bit and each tie-break, pinned for the Python pass and for the
+        # pass the kernel runs (the compiled one where it builds)
+        fg = FlowGraph.from_graph(golden_graphs["career"], 0.15)
+        order = np.random.default_rng(1).permutation(fg.n_units).astype(np.int64)
+        labels = np.arange(fg.n_units, dtype=np.int64)
+        run = kernels._python_move_pass if move_pass == "python" else kernels.local_move_pass
+        moves, delta = run(order, labels, fg.visit, fg.tele, fg.size, fg.nbr,
+                           fg.module_state(labels, fg.n_units), float(fg.n_orig), 1e-10)
+        digest = hashlib.sha256(",".join(map(str, labels.tolist())).encode()).hexdigest()
+        assert (moves, repr(delta), digest) == (
+            2066, "-1.1855949945211752",
+            "2ad09c04f7234ccd32306624ec0642b26b96136419c51142486e21f16ff0ec6a")
 
     @pytest.mark.parametrize("corpus_seed", [7, 8])
     def test_m_size_career_recovers_planted_topics(self, tmp_path, corpus_seed):

@@ -7,7 +7,6 @@ import os
 import pickle
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -692,7 +691,12 @@ def full_relation_hop(base, depth):
 
 @pytest.fixture(scope="module")
 def fanned_out(tmp_path_factory):
-    """The linked graph and labels of a ``synth --seed 1`` 400/60/600 corpus."""
+    """The linked graph of a ``synth --seed 1`` 400/60/600 corpus, and its
+    merged labels split three ways: a node's community is its merged label
+    times 3 plus its place among the sorted node ids mod 3. Detection finds
+    one community per topic here, so a split is what makes a query's jobs
+    fan out over several community groups, some of whose walks cannot reach
+    a course."""
     tmp = tmp_path_factory.mktemp("fanned_out")
     data, out = tmp / "data", tmp / "out"
     stages = [["synth", "--seed", "1", "--jobs", "400", "--courses", "60",
@@ -707,9 +711,9 @@ def fanned_out(tmp_path_factory):
         for argv in stages:
             assert cli.main(argv) == 0
     g = read_snapshot(out / cli.F_LINKED_GRAPH)
-    labels = read_labels(out / cli.F_LABELS)
+    merged = read_labels(out / cli.F_LABELS)
     cli._attach_job_titles(g, load_jobs(out / cli.F_JOBS))
-    return g, labels
+    return g, Labels({node: merged[node] * 3 + i % 3 for i, node in enumerate(sorted(merged))})
 
 
 FANNED_OUT_GOAL = "topic-4 engineer"
@@ -856,55 +860,55 @@ class TestCommunityGate:
         assert len(builds) == 5
 
     def test_ranked_lists_pinned_on_fanned_out_corpus(self, fanned_out):
-        # "topic-4 engineer" jobs sit in six merged communities of this corpus;
-        # one holds the courses, so a gate that reads another community's
+        # "topic-4 engineer" jobs sit in three communities of this corpus,
+        # and each reaches courses, so a gate that reads another community's
         # slice, or drops one, changes these bytes
         g, labels = fanned_out
         goal = FANNED_OUT_GOAL
         expected = {
             ScenarioInput(1, career_goal=goal): (
-                "rank,node_id,score\n1,C024,0.0059526105713\n2,C026,0.00474812272039\n"
-                "3,C025,0.0039739488626\n4,C029,0.00296194790619\n"
-                "5,C027,0.00251900640317\n6,C028,0.00197297005825\n"),
+                "rank,node_id,score\n1,C028,0.00291490157272\n2,C024,0.00263188725698\n"
+                "3,C026,0.00125755590836\n4,C025,0.00106901545095\n"
+                "5,C027,0.000896826485564\n6,C029,0.000607725760198\n"),
             ScenarioInput(2, career_goal=goal, taken_courses=("C024", "C000")): (
-                "rank,node_id,score\n1,C027,0.0275190064032\n2,C026,0.00474812272039\n"
-                "3,C025,0.0039739488626\n4,C029,0.00296194790619\n"
-                "5,C028,0.00197297005825\n"),
+                "rank,node_id,score\n1,C028,0.00291490157272\n2,C026,0.00125755590836\n"
+                "3,C025,0.00106901545095\n4,C027,0.000896826485564\n"
+                "5,C029,0.000607725760198\n"),
             ScenarioInput(3, current_job=goal): (
-                "rank,node_id,score\n1,C027,0.00205357142857\n2,C028,0.00169104230558\n"
-                "3,C029,0.00161491605622\n4,C026,0.00109853487468\n"
-                "5,C025,0.00098868138721\n"),
+                "rank,node_id,score\n1,C025,0.00136029655263\n2,C029,0.000921889458691\n"
+                "3,C026,0.00090686436842\n4,C027,0.000567971298232\n"
+                "5,C028,0.000484290899407\n"),
         }
         for inp, text in expected.items():
             ranked = recommend(g, labels, inp, cutoff=10)
-            assert len(ranked.provenance.seeds) == 6
+            assert len(ranked.provenance.seeds) == 3
             assert format_ranked_list(ranked) == text
 
 
 class TestScenarioRoutes:
     """Each route runs once per community group, in the order base ->
-    prerequisite hop -> taken walk, on a goal that fans out over six groups
-    of which only one reaches a course."""
+    prerequisite hop -> taken walk, on a goal that fans out over three
+    groups."""
 
     def test_raw_totals_pinned(self, fanned_out):
         # the full repr pins every float to the bit and the key order, so a
         # change in which route merges first, or in summation order, shows
         g, labels = fanned_out
         expected = [
-            "{'C024': 0.0059526105713012135, 'C025': 0.003973948862595526, "
-            "'C026': 0.004748122720385534, 'C027': 0.0025190064031740084, "
-            "'C028': 0.0019729700582511627, 'C029': 0.0029619479061939276}",
-            "{'C025': 0.003973948862595526, 'C026': 0.004748122720385534, "
-            "'C027': 0.02751900640317401, 'C028': 0.0019729700582511627, "
-            "'C029': 0.0029619479061939276}",
-            "{'C025': 0.0009886813872099207, 'C026': 0.0010985348746776896, "
-            "'C027': 0.0020535714285714285, 'C028': 0.0016910423055751156, "
-            "'C029': 0.0016149160562215902}",
+            "{'C024': 0.0026318872569821845, 'C025': 0.0010690154509534558, "
+            "'C026': 0.0012575559083636081, 'C027': 0.0008968264855640164, "
+            "'C028': 0.0029149015727190203, 'C029': 0.0006077257601980215}",
+            "{'C025': 0.0010690154509534558, 'C026': 0.0012575559083636081, "
+            "'C027': 0.0008968264855640164, 'C028': 0.0029149015727190203, "
+            "'C029': 0.0006077257601980215}",
+            "{'C025': 0.0013602965526293882, 'C026': 0.0009068643684195921, "
+            "'C027': 0.0005679712982316051, 'C028': 0.00048429089940744117, "
+            "'C029': 0.0009218894586914641}",
         ]
         for inp, want in zip(FANNED_OUT_INPUTS, expected):
             seeds = resolve_job_query(g, inp.query_text)
             total, prov = scenario_scores(g, labels, inp, seeds)
-            assert len(prov.seeds) == 6
+            assert len(prov.seeds) == 3
             assert repr(total) == want
 
     def test_prerequisite_hop_runs_once_per_nonempty_base(self, fanned_out, monkeypatch):
@@ -920,29 +924,26 @@ class TestScenarioRoutes:
             bases.clear()
             prov = recommend(g, labels, inp).provenance
             nonempty = [base for base in prov.base.values() if base]
-            assert len(prov.base) == 6 and len(nonempty) == 1
+            assert len(prov.base) == len(nonempty) == 3
             assert bases == (nonempty if inp.scenario != 3 else [])
 
-    def test_walks_that_cannot_reach_a_course_push_nothing(self, fanned_out, monkeypatch):
-        # five of the six groups are career communities with no course, so
-        # their gated walks end before a scatter: only the live group's base
-        # (3 steps, or 4 for upskilling), its prerequisite hop and its
-        # taken-course walk (2 steps) call the kernel
+    def test_walks_that_cannot_reach_a_course_push_nothing(self, fanned_out):
+        # some groups of "engineer" have a walk that cannot reach a course:
+        # their bases are empty, and each total equals, to the bit, the one
+        # of the other groups' seeds alone
         g, labels = fanned_out
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return propagate_step(*args)
-
-        propagate_step = kernels.propagate_step
-        monkeypatch.setattr(kernels, "propagate_step", counting)
+        seeds = resolve_job_query(g, MANY_SEEDS_GOAL)
         counts = []
-        for inp in FANNED_OUT_INPUTS:
-            calls.clear()
-            recommend(g, labels, inp)
-            counts.append(len(calls))
-        assert counts == [4, 6, 4]
+        for inp in (MANY_SEEDS_INPUTS[0], MANY_SEEDS_INPUTS[2]):
+            total, prov = scenario_scores(g, labels, inp, seeds)
+            dead = [c for c, base in prov.base.items() if not base]
+            keep = ~np.isin(seeds.pos, np.concatenate([prov.seeds[c].pos for c in dead]))
+            live = ranker.Seeds(seeds.index, seeds.pos[keep], seeds.weight[keep], JOB)
+            alone, alone_prov = scenario_scores(g, labels, inp, live)
+            assert list(alone_prov.base) == [c for c in prov.base if c not in dead]
+            assert alone.vector.tobytes() == total.vector.tobytes()
+            counts.append(len(dead))
+        assert counts == [9, 11]
 
     def test_community_without_prerequisite_edges_ends_its_hops(self):
         # community 0 sorts first and none of its courses has a prerequisite
@@ -978,69 +979,16 @@ class TestScenarioRoutes:
         assert prov.base[0] == {} and prov.base[1] == {"C3": 0.5}
 
     def test_recommend_provenance_is_scenario_scores(self, fanned_out):
+        # and each group's seeds, base and the summed hops are those of
+        # grouping the seeds one at a time and walking each group on its own
         g, labels = fanned_out
-        for inp in FANNED_OUT_INPUTS:
-            seeds = resolve_job_query(g, inp.query_text)
-            assert (recommend(g, labels, inp).provenance
-                    == scenario_scores(g, labels, inp, seeds)[1])
-
-    def test_dead_groups_make_no_walk_call(self, fanned_out, monkeypatch):
-        # each route (base, taken) walks once in each community its walk can
-        # reach a course from, and not at all in another; the provenance
-        # still holds every group, as a walk of every group gives it
-        g, labels = fanned_out
-        calls = []
-
-        def counting(graph, path, seeds, labels, community):
-            calls.append((path, community))
-            return score_metapath(graph, path, seeds, labels, community)
-
-        dead = 0
         for inp in (*FANNED_OUT_INPUTS, *MANY_SEEDS_INPUTS):
             seeds = resolve_job_query(g, inp.query_text)
-            want = eager_provenance(g, labels, inp, seeds)
-            path = UPSKILL_PATH if inp.scenario == 3 else BASE_PATH
-            live = [(path, c) for c, base in want.base.items() if base is not ranker.NO_SCORES]
-            if inp.scenario == 2:
-                taken = seeds_on(g, dict.fromkeys(inp.taken_courses, 1.0), COURSE)
-                live += [(TAKEN_PATH, c) for c in want.seeds if
-                         score_metapath(g, TAKEN_PATH, taken, labels, c) is not ranker.NO_SCORES]
-            calls.clear()
-            with monkeypatch.context() as m:
-                m.setattr(ranker, "score_metapath", counting)
-                prov = recommend(g, labels, inp).provenance
-            assert Counter(calls) == Counter(live), inp
-            routes = len(want.seeds) * (1 + (inp.scenario == 2))
-            assert 0 < len(live) < routes
-            dead += routes - len(live)
-            assert list(prov.seeds) == list(prov.base) == list(want.seeds)
-            assert prov == want
-            assert all((prov.base[c] is ranker.NO_SCORES) == (want.base[c] is ranker.NO_SCORES)
-                       for c in want.base)
-        # (route, group) pairs of the six inputs that no walk ran for
-        assert dead == 40
+            prov = recommend(g, labels, inp).provenance
+            assert prov == scenario_scores(g, labels, inp, seeds)[1]
+            assert prov == eager_provenance(g, labels, inp, seeds)
+            assert list(prov.seeds) == list(prov.base) == sorted(prov.seeds)
 
-    def test_a_group_is_made_when_first_read(self, fanned_out, monkeypatch):
-        # one sorted copy of the seeds, then a view per live group: the
-        # other groups' views are made when the provenance is read
-        g, labels = fanned_out
-        made = []
-
-        class CountingSeeds(ranker.Seeds):
-            def __init__(self, *args):
-                made.append(len(args[1]))
-                super().__init__(*args)
-
-        inp = ScenarioInput(1, career_goal=MANY_SEEDS_GOAL)
-        seeds = resolve_job_query(g, inp.query_text)
-        want = eager_provenance(g, labels, inp, seeds)
-        live = [c for c, base in want.base.items() if base is not ranker.NO_SCORES]
-        monkeypatch.setattr(ranker, "Seeds", CountingSeeds)
-        _total, prov = scenario_scores(g, labels, inp, seeds)
-        assert made == [len(seeds), *(len(want.seeds[c]) for c in live)]
-        assert dict(prov.seeds) == want.seeds
-        assert len(made) == 1 + len(want.seeds)
-        assert prov.seeds[live[0]] is prov.seeds[live[0]]
 
 
 MANY_SEEDS_GOAL = "engineer"
@@ -1053,10 +1001,11 @@ MANY_SEEDS_INPUTS = (
 
 class TestManySeeds:
     """``engineer`` resolves to 107 jobs of the fanned-out corpus, split over
-    15 community groups (every one of its career communities)."""
+    30 community groups (every community its jobs are in)."""
 
-    GROUP_SIZES = {0: 7, 1: 8, 2: 12, 3: 15, 4: 9, 5: 8, 6: 12, 7: 9, 8: 13, 9: 1,
-                   10: 3, 11: 4, 12: 4, 13: 1, 14: 1}
+    GROUP_SIZES = {0: 3, 1: 3, 2: 1, 3: 1, 4: 2, 5: 5, 6: 6, 7: 3, 8: 3, 9: 5, 10: 5, 11: 5,
+                   12: 7, 13: 4, 14: 3, 15: 6, 16: 2, 17: 5, 18: 2, 19: 5, 20: 2, 21: 4, 22: 2,
+                   23: 2, 24: 3, 25: 4, 26: 2, 27: 5, 28: 3, 29: 4}
 
     def test_resolution_equals_the_scan(self, fanned_out):
         g, _labels = fanned_out
@@ -1071,21 +1020,21 @@ class TestManySeeds:
         # key order
         g, labels = fanned_out
         expected = [
-            ("a3125fbf040bd1825dbe17d7856ea182268e59f3ac3f4689f926f659bf43b340",
-             "rank,node_id,score\n1,C018,0.00831383717222\n2,C019,0.00621271425\n"
-             "3,C012,0.00558556322978\n4,C054,0.00520732996059\n5,C020,0.00511966433692\n"
-             "6,C030,0.00428498033858\n7,C006,0.00421416763177\n8,C021,0.00393950227994\n"
-             "9,C055,0.00384024097291\n10,C022,0.00373639193925\n"),
-            ("ca5cb74c3d6a29c9b24857a68b9eadd33ed4092aaf9c8064489972f01151e66a",
-             "rank,node_id,score\n1,C027,0.0253295896228\n2,C018,0.00831383717222\n"
-             "3,C019,0.00621271425\n4,C012,0.00558556322978\n5,C054,0.00520732996059\n"
-             "6,C020,0.00511966433692\n7,C030,0.00428498033858\n8,C006,0.00421416763177\n"
-             "9,C021,0.00393950227994\n10,C055,0.00384024097291\n"),
-            ("002e90633e9161e9fa5f973b9006b382f35ac429c6da84831391e73e73dca9e5",
-             "rank,node_id,score\n1,C023,0.00253286485598\n2,C021,0.00242215183781\n"
-             "3,C022,0.00234522149268\n4,C020,0.00221410969104\n5,C035,0.00180833271867\n"
-             "6,C059,0.00171995789431\n7,C016,0.00170089346899\n8,C056,0.00167662075324\n"
-             "9,C057,0.00158847826545\n10,C041,0.00156250106969\n"),
+            ("1cb87a36f52ded438f9ecaf72aee862166805160c84217ccea435243b32b7e56",
+             "rank,node_id,score\n1,C018,0.000539324511947\n2,C020,0.000480347797027\n"
+             "3,C019,0.00046970287833\n4,C028,0.000381388990823\n5,C024,0.000344359080353\n"
+             "6,C012,0.000261708837709\n7,C000,0.000180538789388\n8,C051,0.000175038459853\n"
+             "9,C023,0.000171923237142\n10,C001,0.000166085619743\n"),
+            ("34bd0e887768a124f9a1f8ae07fa1bb40071c922b72504de3b006761f4b41905",
+             "rank,node_id,score\n1,C018,0.000539324511947\n2,C020,0.000480347797027\n"
+             "3,C019,0.00046970287833\n4,C028,0.000381388990823\n5,C012,0.000261708837709\n"
+             "6,C051,0.000175038459853\n7,C023,0.000171923237142\n8,C001,0.000166085619743\n"
+             "9,C026,0.000164540025393\n10,C004,0.00015898486609\n"),
+            ("ceeff9019434683fa44eb220b1b9bd3c3ea4700587e96702e7b6fca9f3ccc3e7",
+             "rank,node_id,score\n1,C021,0.000241710548627\n2,C025,0.000177982726512\n"
+             "3,C022,0.000171670062191\n4,C023,0.000141307342158\n5,C029,0.00012062105067\n"
+             "6,C026,0.000118655151008\n7,C013,0.000111451490056\n8,C020,0.000107010725762\n"
+             "9,C014,0.000101732524688\n10,C015,0.000100517383038\n"),
         ]
         seeds = resolve_job_query(g, MANY_SEEDS_GOAL)
         for inp, (digest, text) in zip(MANY_SEEDS_INPUTS, expected):
@@ -1151,24 +1100,20 @@ def assert_equals_dense(g, labels, inp, depth=ranker.DEFAULT_PREREQ_DEPTH):
     scorer's vectors and list to the bit; returns the framed total and
     provenance."""
     seeds = resolve_job_query(g, inp.query_text)
+    index = seeds.index
     total, prov = scenario_scores(g, labels, inp, seeds, depth)
     want = dense_scenario_scores(g, labels, inp, seeds, depth)
-    if want.total is None:
-        assert total is ranker.NO_SCORES
-    else:
-        assert total.vector.tobytes() == want.total.tobytes(), inp
+    dead = np.zeros(index.n)  # what a walk that cannot reach a course leaves
+    assert total.vector.tobytes() == (dead if want.total is None else want.total).tobytes(), inp
     assert list(prov.base) == list(want.base)
     for community, base in want.base.items():
-        if base is None:
-            assert prov.base[community] is ranker.NO_SCORES
-        else:
-            assert prov.base[community].vector.tobytes() == base.tobytes(), (inp, community)
+        got = prov.base[community].vector.tobytes()
+        assert got == (dead if base is None else base).tobytes(), (inp, community)
     if want.prereq is None:
         assert prov.prereq == {}
     else:
         assert prov.prereq.vector.tobytes() == want.prereq.tobytes(), inp
     ranked = recommend(g, labels, inp, cutoff=None, prereq_depth=depth)
-    index = seeds.index
     assert ranked == to_ranked_list(index.ids, np.zeros(index.n) if want.total is None
                                     else want.total, inp.query_text, f"scenario-{inp.scenario}")
     return total, prov
@@ -1232,7 +1177,7 @@ class TestFrames:
         g, labels = fanned_out
         seeds = resolve_job_query(g, FANNED_OUT_GOAL)
         _total, prov = scenario_scores(g, labels, FANNED_OUT_INPUTS[0], seeds)
-        (community, base), = ((c, b) for c, b in prov.base.items() if b)
+        community, base = next((c, b) for c, b in prov.base.items() if b)
         index = seeds.index
         frame = base.frame
         assert len(base.values) == len(frame.nodes) < index.n
@@ -1246,8 +1191,8 @@ class TestFrames:
         assert {index.ids[i]: base.vector[i] for i in np.flatnonzero(base.vector)} == dict(base)
 
     def test_walk_calls_scatter_only_frame_length_vectors(self, fanned_out, monkeypatch):
-        # every kernel call of a query that stays in one group, a single
-        # prerequisite level, reads and writes vectors of its frame
+        # every kernel call of a query whose groups each walk in their own
+        # frame, a single prerequisite level, reads and writes vectors of it
         g, labels = fanned_out
         lengths = []
 
@@ -1260,7 +1205,8 @@ class TestFrames:
         for inp in FANNED_OUT_INPUTS:
             recommend(g, labels, inp)
         index = g.cached(GraphIndex)
-        assert len(lengths) == 14
+        # three groups, each walking 3 + 1, 3 + 1 + 2 and 4 steps
+        assert len(lengths) == 42
         assert all(a == b < index.n for a, b in lengths)
 
     def test_paths_of_a_library_caller(self, fanned_out):
@@ -1271,7 +1217,7 @@ class TestFrames:
         vector = np.zeros(seeds.index.n)
         vector[seeds.pos] = seeds.weight
         _total, prov = scenario_scores(g, labels, FANNED_OUT_INPUTS[0], seeds)
-        (community,) = (c for c, base in prov.base.items() if base)
+        community = next(c for c, base in prov.base.items() if base)
         for steps in ((MetaPathStep(Relation.REQUIRED, community_restricted=True),
                        MetaPathStep(Relation.REQUIRED, reverse=True)),
                       (MetaPathStep(Relation.REQUIRED),
@@ -1293,11 +1239,16 @@ class TestFrames:
         labels = Labels(plain)
         _total, prov = scenario_scores(g, labels, FANNED_OUT_INPUTS[0],
                                        resolve_job_query(g, FANNED_OUT_GOAL))
-        (community,) = (c for c, base in prov.base.items() if base)
+        community = next(c for c, base in prov.base.items() if base)
         group = prov.seeds[community]
         index = group.index
         assert group.group is labels.cached(index, ranker.CommunityEdges).frame(community)
-        moved = next(iter(group))
+        # a seed whose walk reaches a course on its own
+        alone = next(single for single in (ranker.Seeds(index, group.pos[i:i + 1],
+                                                         group.weight[i:i + 1], JOB)
+                                           for i in range(len(group)))
+                     if score_metapath(g, BASE_PATH, single, labels, community))
+        moved = next(iter(alone))
         vector = np.zeros(index.n)
         vector[group.pos] = group.weight
         for away in sorted(set(plain.values()) - {community}):
@@ -1309,36 +1260,25 @@ class TestFrames:
                         steps = dense_gated_edges(index, given, path, walked)
                         want = (np.zeros(index.n) if steps is None
                                 else dense_walk(index, steps, vector))
-                        got = np.zeros(index.n) if got is ranker.NO_SCORES else got.vector
-                        assert got.tobytes() == want.tobytes(), (away, path, walked)
+                        assert got.vector.tobytes() == want.tobytes(), (away, path, walked)
                         assert want.any() or walked == away
             # the moved seed still reaches the group's community through its edges
-            alone = ranker.Seeds(index, group.pos[:1], group.weight[:1], JOB)
             assert score_metapath(g, BASE_PATH, alone, others, community)
 
-    def test_dead_frames_make_no_nodes_and_live_routes_share_steps(self, fanned_out):
-        # a frame whose built-in routes all have a step with no edge never
-        # makes its nodes; a frame's base and upskilling routes share their
-        # three restricted steps' arrays
+    def test_routes_share_steps(self, fanned_out):
+        # a frame's base and upskilling routes share their three restricted
+        # steps' arrays
         g, plain = fanned_out
         labels = Labels(plain)
         for inp in (*FANNED_OUT_INPUTS, *MANY_SEEDS_INPUTS):
             recommend(g, labels, inp)
         index = g.cached(GraphIndex)
         frames = labels.cached(index, ranker.CommunityEdges)._frames.values()
-        dead = shared = 0
-        for frame in frames:
-            if all(dense_gated_edges(index, labels, path, frame.community) is None
-                   for path in (BASE_PATH, TAKEN_PATH, UPSKILL_PATH)):
-                assert "nodes" not in vars(frame), frame.community
-                dead += 1
         for frame in frames:
             base, upskill = frame.route(BASE_PATH), frame.route(UPSKILL_PATH)
-            if base is not None and upskill is not None:
-                assert all(a is b for a, b in zip(base, upskill[:3]))
-                shared += 1
-        # the fifteen groups of "engineer": five dead, ten with both routes live
-        assert (len(frames), dead, shared) == (15, 5, 10)
+            assert all(a is b for a, b in zip(base, upskill[:3]))
+        # every group of "engineer"
+        assert len(frames) == 30
 
 
 class TestPrerequisiteExpansion:
