@@ -25,19 +25,21 @@ holds no course, scatters nothing from there on and ends with every score
 Each community has a frame (``Frame``), made once per graph state and labels
 (``CommunityEdges.frame``): the sorted index positions of its members, of
 every node with an edge landing in it and of every node that an edge
-leaving it lands on. A walk whose every step lands in the community or
-leaves it (``MetaPath.framed``; every built-in route and the first
-prerequisite hop) touches only those nodes, so it seeds, scatters
-(``kernels.propagate_step`` with ``n`` the frame's length), adds and tests
-for candidates on frame-length vectors, its edges stored as frame
-positions. The bits are those of a walk over the whole graph: each landing
-node receives the same non-zero pushes in the same order, and the frame
-leaves out only nodes that would hold exactly 0.0. Any other walk (deeper
-prerequisite levels, a path whose first step is unrestricted) runs in the
-whole-graph frame, on vectors over every node. On ``build-mid`` a frame
-holds about 1,000 of the graph's 9,985 nodes. The gate sorts the members
-and each relation's edges by community once, stably, so a frame is made
-from its own slices and costs its own size, not the graph's.
+leaving it lands on. The whole graph is the frame of no community,
+``frame(None)``: it holds every position and gates no edge. A walk whose
+every step lands in the community or leaves it (``MetaPath.framed``; every
+built-in route and the first prerequisite hop) touches only the nodes of
+its community's frame, so it seeds, scatters (``kernels.propagate_step``
+with ``n`` the frame's length), adds and tests for candidates on
+frame-length vectors, its edges stored as frame positions. The bits are
+those of a walk over the whole graph: each landing node receives the same
+non-zero pushes in the same order, and the frame leaves out only nodes that
+would hold exactly 0.0. Any other walk (deeper prerequisite levels, a path
+whose first step is unrestricted) runs in the frame of no community, with
+the same code. On ``build-mid`` a community's frame holds about 1,000 of the
+graph's 9,985 nodes. The gate sorts the members and each relation's edges
+by community once, stably, so a frame is made from its own slices and
+costs its own size, not the graph's.
 
 A frame asks ``_path_edges`` once per path and keeps the answer
 (``Frame.route``), and paths that share a step share its arrays. A query
@@ -59,13 +61,14 @@ search (``Frame.where``). The walks read only ``Seeds``
 and ``Scores`` made on the graph as it is now, and refuse any other; a
 library caller gets seeds from ``resolve_job_query``.
 
-A route's scores are one vector over its frame (``Scores``). A scenario adds
+Every score vector is one vector over a frame (``Scores``). A scenario adds
 its routes in route order (base, prerequisite hop, taken walk, group
 by group): in place while every route shares one frame, else each route in
-turn into one vector over the whole graph. Nothing is summed per group
-first, as float addition does not reassociate; a node outside a route's
-frame gets no addition where a dense sum would add +0.0, and neither
-changes its bits. Node ids are made only for the ranked list, which maps
+turn into the frame of no community. Nothing is summed per group first, as
+float addition does not reassociate; a node outside a route's frame gets no
+addition where a dense sum would add +0.0, and neither changes its bits. A
+query with no seeds, or a hop from no scores, answers zeros over the whole
+graph as it is now. Node ids are made only for the ranked list, which maps
 only the entries it keeps, and for the provenance when it is read;
 ``Scores.vector``, a dense view for library callers, is made on first read.
 
@@ -374,18 +377,20 @@ class CommunityEdges:
         order, starts = ordered
         return order[:0] if k is None else order[starts[k + 1]:starts[k + 2]]
 
-    def frame(self, community: int) -> Frame:
-        """``community``'s frame, made on the first call."""
-        frame = self._frames.get(community)
-        if frame is None:
-            frame = self._frames[community] = Frame(self, community)
-        return frame
+    def frame(self, community: int | None) -> Frame:
+        """``community``'s frame, made on the first call; ``frame(None)`` is
+        the whole graph's, the frame of no community."""
+        if community not in self._frames:
+            self._frames[community] = Frame(self, community)
+        return self._frames[community]
 
 
 class Frame:
     """One community's frame on a ``GraphIndex``: ``nodes`` holds the sorted
     positions of the community's members, of every node with an edge landing
-    in it and of every node that an edge leaving it lands on. A framed walk
+    in it and of every node that an edge leaving it lands on. The whole graph
+    is the frame of no community (``community`` None): its ``nodes`` are
+    every position, and it gates no edge. A framed walk
     (``MetaPath.framed``) pushes only along such edges, so it runs on vectors
     as long as ``nodes``, its edges given as positions in ``nodes``. As
     ``nodes`` ascends, frame positions order as index positions do.
@@ -393,7 +398,7 @@ class Frame:
     A path's edges are ``_path_edges``' for a walk whose mass starts in the
     community, made when first asked for and kept (``route``)."""
 
-    def __init__(self, gate: CommunityEdges, community: int) -> None:
+    def __init__(self, gate: CommunityEdges, community: int | None) -> None:
         self.gate = gate
         self.community = community
         self._routes: dict[MetaPath, list[Edges]] = {}
@@ -404,6 +409,8 @@ class Frame:
     def nodes(self) -> np.ndarray:
         """The frame's index positions, ascending; made on first read."""
         gate, community = self.gate, self.community
+        if community is None:
+            return np.arange(gate.index.n)
         parts = [gate.members(community)]
         for relation, (src, dst, _wgt) in gate.index.rel_edges.items():
             parts.append(dst[gate.ends_in(relation, False, community)])
@@ -418,12 +425,13 @@ class Frame:
         return self.nodes.searchsorted(self.gate.members(self.community))
 
     def route(self, path: MetaPath) -> list[Edges]:
-        """The edges of ``path`` as positions in ``nodes``. ``path`` must stay
-        in the frame: framed, or the first prerequisite hop from scores a
-        restricted step left in the community."""
+        """The edges of ``path`` as positions in ``nodes``. In a community's
+        frame ``path`` must stay in it: framed, or the first prerequisite hop
+        from scores a restricted step left in the community. The frame of no
+        community takes every edge of any path."""
         edges = self._routes.get(path)
         if edges is None:
-            edges = _path_edges(self.gate.index, path, self.gate, self.community, entered=True)
+            edges = _path_edges(path, self.gate, self.community, entered=True)
             for i, step in enumerate(path.steps):
                 key = (step.relation, step.reverse, step.community_restricted)
                 if key not in self._steps:
@@ -443,17 +451,18 @@ class Frame:
         return at, inside
 
 
-def _path_edges(index: GraphIndex, path: MetaPath, gate: CommunityEdges | None = None,
-                community: int | None = None, entered: bool = False) -> list[Edges]:
-    """Each step's edges as (from, to, weight) in edge order. With a
-    ``gate``, a restricted step takes the edges that land in ``community``
-    (an unlabelled node is in none); an unrestricted step takes the ones that
+def _path_edges(path: MetaPath, gate: CommunityEdges, community: int | None,
+                entered: bool = False) -> list[Edges]:
+    """Each step's edges on ``gate``'s index as (from, to, weight) in edge
+    order. A restricted step takes the edges that land in ``community`` (an
+    unlabelled node is in none); an unrestricted step takes the ones that
     leave it after a restricted step, or first when the walk has ``entered``
-    it; any other step takes every edge."""
+    it; any other step takes every edge. ``community`` None is the whole
+    graph, so every step takes every edge."""
     edges = []
     for step in path.steps:
-        frm, to, wgt = step.edges(index)
-        if gate is not None and (step.community_restricted or entered):
+        frm, to, wgt = step.edges(gate.index)
+        if community is not None and (step.community_restricted or entered):
             # a forward step lands on its target and leaves its source
             at = gate.ends_in(step.relation, step.reverse != step.community_restricted, community)
             frm, to, wgt = frm[at], to[at], wgt[at]
@@ -471,24 +480,25 @@ def _walk(edges: list[Edges], scores: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _dense(values: np.ndarray, frame: Frame, n: int) -> np.ndarray:
-    """``values`` in ``frame`` as one vector over all ``n`` index positions."""
-    vector = np.zeros(n)
+def _dense(values: np.ndarray, frame: Frame) -> np.ndarray:
+    """``values`` in ``frame`` as one vector over every index position."""
+    vector = np.zeros(frame.gate.index.n)
     vector[frame.nodes] = values
     return vector
 
 
 class Scores(Mapping[str, float]):
-    """Node scores in a frame of ``index``, 0.0 where a score is not
-    positive: ``values[i]`` is the score of position ``frame.nodes[i]``, or
-    of position ``i`` when ``frame`` is None, the whole graph. The keys are
-    the nodes with a positive score, in index order; node ids are made only
-    when read. ``within`` is whether a restricted step of a framed walk
-    made the values last, so that every score is in ``frame.community``."""
+    """Node scores in a frame on ``index``, its gate's index, 0.0 where a
+    score is not positive: ``values[i]`` is the score of position
+    ``frame.nodes[i]``. Scores over the whole graph are in the frame of no
+    community, whose ``nodes`` are every position. The keys are the nodes
+    with a positive score, in index order; node ids are made only when read.
+    ``within`` is whether a restricted step made the values last, so that
+    every score is in the walk's community and a prerequisite hop from them
+    may run in ``frame``."""
 
-    def __init__(self, index: GraphIndex, values: np.ndarray, frame: Frame | None = None,
-                 within: bool = False) -> None:
-        self.index = index
+    def __init__(self, values: np.ndarray, frame: Frame, within: bool = False) -> None:
+        self.index = frame.gate.index
         self.values = values
         self.frame = frame
         self.within = within
@@ -499,16 +509,14 @@ class Scores(Mapping[str, float]):
     def vector(self) -> np.ndarray:
         """The scores as one dense vector over ``index``, made on first read."""
         if self._vector is None:
-            self._vector = (self.values if self.frame is None
-                            else _dense(self.values, self.frame, self.index.n))
+            self._vector = _dense(self.values, self.frame)
         return self._vector
 
     @property
     def hits(self) -> np.ndarray:
         """Index positions of the keys, ascending."""
         if self._hits is None:
-            hits = (self.values > 0.0).nonzero()[0]
-            self._hits = hits if self.frame is None else self.frame.nodes[hits]
+            self._hits = self.frame.nodes[(self.values > 0.0).nonzero()[0]]
         return self._hits
 
     def __getitem__(self, node_id: str) -> float:
@@ -528,8 +536,11 @@ class Scores(Mapping[str, float]):
         return repr(dict(self.items()))
 
 
-# what a query with no seeds, or a hop from no scores, returns; shared, so it creates nothing
-NO_SCORES = Scores(GraphIndex(HeteroGraph()), np.zeros(0))
+def whole_frame(g: HeteroGraph) -> Frame:
+    """The frame of no community, the whole graph's, on ``g`` as it is now
+    and on a gate with no labels: the frame of an empty answer, or of a
+    library caller's own scores. Read it as ``g.cached(whole_frame)``."""
+    return CommunityEdges(g.cached(GraphIndex), Labels({})).frame(None)
 
 
 def _as_labels(labels: Mapping[str, int]) -> Labels:
@@ -557,7 +568,8 @@ def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Seeds, labels: Mapping
                    community: int) -> Scores:
     """Sum-of-tour-products scores for every node reachable along ``path``,
     each restricted step landing only in ``community`` under ``labels``. A
-    framed path walks in the community's frame, any other in the whole graph."""
+    framed path walks in the community's frame, any other in the frame of no
+    community, the whole graph's, its restricted steps gated all the same."""
     index = _current(g, seeds)
     _check_kind(seeds, path)
     gate = _as_labels(labels).cached(index, CommunityEdges)
@@ -565,27 +577,23 @@ def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Seeds, labels: Mapping
         frame = gate.frame(community)
         edges = frame.route(path)
     else:
-        frame, edges = None, _path_edges(index, path, gate, community)
-    if frame is None:
-        scores = np.zeros(index.n, dtype=np.float64)
-        scores[seeds.pos] = seeds.weight
+        frame, edges = gate.frame(None), _path_edges(path, gate, community)
+    scores = np.zeros(len(frame.nodes), dtype=np.float64)
+    if seeds.group is frame:
+        # every seed is a member, placed by its rank among them; interleaved A/B
+        # against frame.where: query p50 fell 7.7% on build-mid, 7.2% on query-m
+        # (perfbench, 10 rotations each, lower in 9)
+        scores[frame.member_at[gate.rank[seeds.pos]]] = seeds.weight
     else:
-        scores = np.zeros(len(frame.nodes), dtype=np.float64)
-        if seeds.group is frame:
-            # every seed is a member, placed by its rank among them; interleaved A/B
-            # against frame.where: query p50 fell 7.7% on build-mid, 7.2% on query-m
-            # (perfbench, 10 rotations each, lower in 9)
-            scores[frame.member_at[gate.rank[seeds.pos]]] = seeds.weight
-        else:
-            # a seed outside the frame has no edge into the community: it pushes nothing
-            at, inside = frame.where(seeds.pos)
-            scores[at[inside]] = seeds.weight[inside]
+        # a seed outside the frame has no edge into the community: it pushes nothing
+        at, inside = frame.where(seeds.pos)
+        scores[at[inside]] = seeds.weight[inside]
     # seeds of no negative (or NaN) weight, over positive edge weights, score
     # no node below 0.0; any other seed needs the scores below it set to 0.0
     kept = not len(seeds) or seeds.weight.min() >= 0.0
     scores = _walk(edges, scores)
-    within = frame is not None and path.steps[-1].community_restricted
-    return Scores(index, scores if kept else np.fmax(scores, 0.0), frame, within)
+    within = path.steps[-1].community_restricted
+    return Scores(scores if kept else np.fmax(scores, 0.0), frame, within)
 
 
 BASE_PATH = MetaPath((
@@ -615,31 +623,30 @@ def prerequisite_expansion(g: HeteroGraph, base_scores: Scores,
 
     Every level's pushes add up. ``base_scores`` are scores on ``g`` as it
     is now, such as ``score_metapath`` returns. A base held ``within`` its
-    frame's community takes its first hop in that frame, along only the
-    edges that leave the community; the deeper levels take every edge, in
-    the whole graph.
+    community takes its first hop in its own frame, along only the edges
+    that leave the community; any other base, and every deeper level, takes
+    every edge in the frame of no community, the whole graph's. An empty
+    base, or ``depth`` 0, pushes nothing: the answer is zeros over ``g`` as
+    it is now, whatever graph the base came from.
     """
     if depth < 0:
         raise QueryError(f"prerequisite depth {depth!r} must be >= 0")
     if not base_scores or not depth:
-        return NO_SCORES
-    index = _current(g, base_scores)
+        frame = g.cached(whole_frame)
+        return Scores(np.zeros(len(frame.nodes)), frame)
+    _current(g, base_scores)
+    frame, values = base_scores.frame, base_scores.values
     if not base_scores.within:
-        frame, first, values = None, _path_edges(index, _PREREQ_HOP), base_scores.vector
-    else:
-        frame = base_scores.frame
-        first, values = frame.route(_PREREQ_HOP), base_scores.values
+        frame, values = frame.gate.frame(None), base_scores.vector
     # the levels add in order; the first is its own sum, as 0.0 + x is x
-    level = extra = _walk(first, values)
+    level = extra = _walk(frame.route(_PREREQ_HOP), values)
     if depth > 1:
-        if frame is not None:
-            level = extra = _dense(extra, frame, index.n)
-            frame = None
-        edges = _path_edges(index, _PREREQ_HOP)
+        level = extra = _dense(extra, frame)
+        frame = frame.gate.frame(None)
         for _ in range(depth - 1):
-            level = _walk(edges, level)
+            level = _walk(frame.route(_PREREQ_HOP), level)
             extra = extra + level
-    return Scores(index, extra, frame)
+    return Scores(extra, frame)
 
 
 @dataclass
@@ -659,26 +666,23 @@ class Provenance:
     prereq: Mapping[str, float] = field(default_factory=dict)
 
 
-def _add(total: tuple[np.ndarray, Frame | None] | None,
-         part: Scores) -> tuple[np.ndarray, Frame | None]:
-    """``total``, values and their frame, plus ``part``, in place where it
-    can be. A part in another frame than the total moves the total to the
-    whole graph first. Each node's routes add in route order: a node outside
-    a part's frame gets nothing where a dense add gave it +0.0, and neither
-    changes a score's bits."""
+def _add(total: tuple[np.ndarray, Frame] | None, part: Scores) -> tuple[np.ndarray, Frame]:
+    """``total``, values and their frame, plus ``part``, in place when both
+    share a frame. A part in another frame moves the total to the frame of
+    no community, the whole graph's, and adds there. Each node's routes add
+    in route order: a node outside a part's frame gets nothing where a dense
+    add gave it +0.0, and neither changes a score's bits."""
     if total is None:
         return part.values.copy(), part.frame
     values, frame = total
     if frame is part.frame:
         values += part.values
         return total
-    if frame is not None:
-        values = _dense(values, frame, part.index.n)
-    if part.frame is None:
-        values += part.values
-    else:
-        values[part.frame.nodes] += part.values
-    return values, None
+    whole = frame.gate.frame(None)
+    if frame is not whole:
+        values = _dense(values, frame)
+    values[part.frame.nodes] += part.values
+    return values, whole
 
 
 def _taken_seeds(g: HeteroGraph, index: GraphIndex, taken: tuple[str, ...]) -> Seeds:
@@ -726,7 +730,8 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
     community gate and the score maps add: base, then the prerequisite hop of
     a non-empty scenario 1/2 base, then the scenario 2 taken-course walk. The
     total stays in one community's frame while every route it adds is in that
-    frame. An unlabelled seed raises first, then a taken course not in the
+    frame, and else moves to the frame of no community, the whole graph's;
+    with no seeds it is zeros there. An unlabelled seed raises first, then a taken course not in the
     graph, then seeds of the wrong kind (the first group's walk checks them).
     """
     # checked here too: a scenario 3 query or an empty base never expands
@@ -750,18 +755,13 @@ def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInpu
         if taken is not None:
             total = _add(total, score_metapath(g, TAKEN_PATH, taken, labels, community))
     if prereq is not None:
-        prov.prereq = Scores(index, *prereq)
-    if total is None:
-        return NO_SCORES, prov
-    values, frame = total
+        prov.prereq = Scores(*prereq)
+    values, frame = (np.zeros(index.n), gate.frame(None)) if total is None else total
     if taken is not None:
-        if frame is None:
-            values[taken.pos] = 0.0
-        else:
-            # a taken course outside the frame already holds 0.0
-            at, inside = frame.where(taken.pos)
-            values[at[inside]] = 0.0
-    return Scores(index, values, frame), prov
+        # a taken course outside the frame already holds 0.0
+        at, inside = frame.where(taken.pos)
+        values[at[inside]] = 0.0
+    return Scores(values, frame), prov
 
 
 def to_ranked_list(ids: Sequence[str], scores: Sequence[float] | np.ndarray, query: str,
@@ -791,8 +791,7 @@ def recommend(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInput,
     seeds = resolve_job_query(g, inp.query_text)
     scores, prov = scenario_scores(g, labels, inp, seeds, prereq_depth)
     return to_ranked_list(scores.index.ids, scores.values, inp.query_text,
-                          f"scenario-{inp.scenario}", cutoff, prov,
-                          None if scores.frame is None else scores.frame.nodes)
+                          f"scenario-{inp.scenario}", cutoff, prov, scores.frame.nodes)
 
 
 def format_ranked_list(ranked: RankedList) -> str:

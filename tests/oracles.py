@@ -21,9 +21,9 @@ from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build
                               build_education_graph)
 from skillgraph.ingest import Course, EnrollmentRecord, Job, Skill, tokenize
 from skillgraph.linker import Bm25Params
-from skillgraph.ranker import (BASE_PATH, NO_SCORES, TAKEN_PATH, UPSKILL_PATH, MetaPath,
-                               MetaPathStep, Provenance, ScenarioInput, Scores, Seeds,
-                               prerequisite_expansion, score_metapath)
+from skillgraph.ranker import (BASE_PATH, TAKEN_PATH, UPSKILL_PATH, MetaPath, MetaPathStep,
+                               Provenance, ScenarioInput, Scores, Seeds, prerequisite_expansion,
+                               score_metapath, whole_frame)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +246,10 @@ def eager_provenance(g: HeteroGraph, labels, inp: ScenarioInput, seeds: Seeds,
                                               seeds.kind)
         base = prov.base[community] = score_metapath(g, path, group, labels, community)
         if inp.scenario != 3 and base:
-            extra = prerequisite_expansion(g, base, depth)
-            if extra is not NO_SCORES:
-                prereq = extra.vector.copy() if prereq is None else prereq + extra.vector
+            extra = prerequisite_expansion(g, base, depth).vector
+            prereq = extra.copy() if prereq is None else prereq + extra
     if prereq is not None:
-        prov.prereq = Scores(seeds.index, prereq)
+        prov.prereq = Scores(prereq, g.cached(whole_frame))
     return prov
 
 
@@ -361,12 +360,13 @@ def seeds_on(g: HeteroGraph, weights: dict[str, float], kind: NodeKind) -> Seeds
 
 
 def scores_on(g: HeteroGraph, scores: dict[str, float]) -> Scores:
-    """``scores`` as ``Scores`` on ``g``'s current index."""
+    """``scores`` as ``Scores`` on ``g``'s current index, in its whole-graph
+    frame (the frame of no community)."""
     index = g.cached(GraphIndex)
     vector = np.zeros(index.n)
     for node_id, score in scores.items():
         vector[index.pos[node_id]] = score
-    return Scores(index, vector)
+    return Scores(vector, g.cached(whole_frame))
 
 
 # ---------------------------------------------------------------------------

@@ -1145,7 +1145,7 @@ class TestFrames:
                         ScenarioInput(2, career_goal=goal, taken_courses=taken),
                         ScenarioInput(3, current_job=goal)):
                 total, _prov = assert_equals_dense(g, labels, inp)
-                framed += total.frame is not None
+                framed += total.frame.community is not None
         # query-m keeps a goal in one community group, so each total stays framed
         assert framed == 120 and outside_taken == 40
 
@@ -1167,7 +1167,7 @@ class TestFrames:
                     ScenarioInput(3, current_job=goal)):
             total, provs[inp.scenario] = assert_equals_dense(g, labels, inp)
             assert len([base for base in provs[inp.scenario].base.values() if base]) > 1
-            assert total.frame is None
+            assert total.frame.community is None
         # the first group's hop, in its own frame, reaches a member of the second's
         hop = prerequisite_expansion(g, provs[1].base[first])
         assert prereq in hop and hop.frame is provs[1].base[first].frame
@@ -1228,7 +1228,7 @@ class TestFrames:
             want = dense_walk(seeds.index, steps_edges, vector)
             assert (want > 0.0).any()
             assert got.vector.tobytes() == want.tobytes()
-            assert (got.frame is not None) == path.framed == (steps[0].community_restricted)
+            assert (got.frame.community is not None) == path.framed == steps[0].community_restricted
             assert score_metapath(g, path, seeds, labels, community) == got
 
     def test_provenance_group_under_any_labels(self, fanned_out):
@@ -1273,12 +1273,85 @@ class TestFrames:
         for inp in (*FANNED_OUT_INPUTS, *MANY_SEEDS_INPUTS):
             recommend(g, labels, inp)
         index = g.cached(GraphIndex)
-        frames = labels.cached(index, ranker.CommunityEdges)._frames.values()
+        frames = [frame for frame in labels.cached(index, ranker.CommunityEdges)._frames.values()
+                  if frame.community is not None]
         for frame in frames:
             base, upskill = frame.route(BASE_PATH), frame.route(UPSKILL_PATH)
             assert all(a is b for a, b in zip(base, upskill[:3]))
         # every group of "engineer"
         assert len(frames) == 30
+
+    def test_whole_graph_is_the_frame_of_no_community(self, fanned_out):
+        # frame(None) holds every position and gates no edge; the totals of a
+        # query whose groups walk in several frames, and every hop below the
+        # first prerequisite level, end in it
+        g, plain = fanned_out
+        labels = Labels(plain)
+        index = g.cached(GraphIndex)
+        whole = labels.cached(index, ranker.CommunityEdges).frame(None)
+        assert whole.community is None
+        assert np.array_equal(whole.nodes, np.arange(index.n))
+        (hop,) = whole.route(ranker._PREREQ_HOP)
+        for got, want in zip(hop, index.rel_edges[Relation.PRE_REQUIRED]):
+            assert np.array_equal(got, want)
+        for inp in FANNED_OUT_INPUTS:
+            seeds = resolve_job_query(g, inp.query_text)
+            total, prov = scenario_scores(g, labels, inp, seeds)
+            assert len(prov.seeds) == 3 and total.frame is whole
+            if inp.scenario == 3:
+                continue
+            deep, deep_prov = scenario_scores(g, labels, inp, seeds, prereq_depth=2)
+            assert deep.frame is whole and deep_prov.prereq.frame is whole
+            base = next(base for base in prov.base.values() if base)
+            assert prerequisite_expansion(g, base, depth=1).frame is base.frame
+            assert prerequisite_expansion(g, base, depth=2).frame is whole
+
+
+class TestEveryAnswerInAFrame:
+    """Every ``Scores`` a walk, hop or scenario returns is in a frame of the
+    graph as it is now, empty answers too, and its dense view covers every
+    node of that graph."""
+
+    @staticmethod
+    def assert_current(g, scores):
+        index = g.cached(GraphIndex)
+        assert scores.index is index and scores.frame.gate.index is index
+        assert len(scores.vector) == index.n
+
+    def test_walks_and_hops(self):
+        g, labels = single_tour_graph()
+        g.add_node("C0", NodeKind.COURSE)
+        g.add_edge("C1", Relation.PRE_REQUIRED, "C0", 1.0)
+        labels = {**labels, "C0": 0}
+        seeds = seeds_on(g, {"J1": 1.0}, JOB)
+        none = seeds_on(g, {}, JOB)
+        unframed = MetaPath((MetaPathStep(Relation.REQUIRED),
+                             MetaPathStep(Relation.LINKED, community_restricted=True)))
+        base = score_metapath(g, BASE_PATH, seeds, labels, 0)
+        assert base == {"C1": 1.0}
+        walks = [base, score_metapath(g, BASE_PATH, none, labels, 0),
+                 score_metapath(g, unframed, seeds, labels, 0),
+                 score_metapath(g, unframed, none, labels, 0)]
+        hops = [prerequisite_expansion(g, base), prerequisite_expansion(g, base, depth=2),
+                prerequisite_expansion(g, base, depth=0), prerequisite_expansion(g, walks[1]),
+                prerequisite_expansion(g, scores_on(HeteroGraph(), {}))]
+        assert hops[0] == hops[1] == {"C0": 1.0}
+        assert not any(hops[2:]) and not any(walks[1::2])
+        for scores in (*walks, *hops):
+            self.assert_current(g, scores)
+
+    def test_scenarios(self):
+        g, labels = single_tour_graph()
+        for inp in (ScenarioInput(1, career_goal="data engineer"),
+                    ScenarioInput(2, career_goal="data engineer", taken_courses=("C1",)),
+                    ScenarioInput(3, current_job="data engineer")):
+            for seeds in (resolve_job_query(g, inp.query_text), seeds_on(g, {}, JOB)):
+                for depth in (0, 1, 2):
+                    total, prov = scenario_scores(g, labels, inp, seeds, depth)
+                    assert bool(total) == (len(seeds) > 0 and inp.scenario == 1)
+                    self.assert_current(g, total)
+                    for base in prov.base.values():
+                        self.assert_current(g, base)
 
 
 class TestPrerequisiteExpansion:
@@ -1321,7 +1394,7 @@ class TestPrerequisiteExpansion:
         with pytest.raises(QueryError, match=STALE):
             prerequisite_expansion(g, base)
         # an empty base pushes nothing, whatever graph it came from
-        assert prerequisite_expansion(g, ranker.NO_SCORES) == {}
+        assert prerequisite_expansion(g, scores_on(HeteroGraph(), {})) == {}
 
     def test_depth_two_sums_levels_over_branching_chain(self):
         g = HeteroGraph()
