@@ -9,7 +9,7 @@ from .graph import (HeteroGraph, NodeKind, Relation, build_career_graph, build_e
                     merge_graphs, read_snapshot, skill_key, write_snapshot)
 from .ingest import (Course, EnrollmentRecord, Job, Skill, load_course_skills, load_courses,
                      load_enrollments, load_jobs, load_skills, tokenize)
-from .linker import Bm25Params, bm25, link_skills, term_postings
+from .linker import Bm25Params, Postings, bm25, link_skills, term_postings
 from .metrics import (JudgedRun, MetricReport, average_precision, baseline_vector_space,
                       metric_report, precision, precision_at)
 from .ranker import (MetaPath, MetaPathStep, RankedList, ScenarioInput, recommend,
@@ -22,8 +22,8 @@ __all__ = [
     "Bm25Params", "CommunityError", "CommunityPartition", "ConfigError",
     "Course", "EnrollmentRecord", "EvalError", "FlowModel", "GraphError",
     "HeteroGraph", "IngestError", "Job", "JudgedRun", "MetaPath",
-    "MetaPathStep", "MetricReport", "NodeKind", "QueryError", "RankedList", "Relation",
-    "ScenarioInput", "Skill", "SkillGraphError", "average_precision",
+    "MetaPathStep", "MetricReport", "NodeKind", "Postings", "QueryError", "RankedList",
+    "Relation", "ScenarioInput", "Skill", "SkillGraphError", "average_precision",
     "baseline_vector_space", "bm25", "build_career_graph", "build_education_graph",
     "compute_flow", "detect_communities", "generate_synthetic_corpus",
     "link_skills", "load_course_skills", "load_courses", "load_enrollments", "load_jobs",

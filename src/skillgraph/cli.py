@@ -114,6 +114,9 @@ def cmd_build(cfg: PipelineConfig, args: argparse.Namespace) -> str:
         out / F_COURSES, out / F_COURSE_SKILLS, out / F_SKILLS, out / F_JOBS, out / F_ENROLLMENTS)
     education = graph_mod.build_education_graph(courses, enrollments, catalog=skills)
     career = graph_mod.build_career_graph(jobs, aggregate_by_title=cfg.aggregate_jobs_by_title)
+    # the graphs hold no record, so the records, the stage's largest
+    # objects, go before the merge and the three snapshot writes
+    del courses, jobs, skills, enrollments
     merged = graph_mod.merge_graphs(education, career)
     graph_mod.write_snapshot(education, out / F_EDU_GRAPH)
     graph_mod.write_snapshot(career, out / F_CAR_GRAPH)

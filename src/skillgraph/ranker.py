@@ -338,7 +338,9 @@ def _by_slot(slots: np.ndarray, n_slots: int) -> tuple[np.ndarray, list[int]]:
 class CommunityEdges:
     """A community gate on ``index``: each node's community slot, each
     slot's members, each relation's edges stably ordered by the slot of
-    their source and again of their target, and each community's ``Frame``.
+    their source and again of their target (made when ``ends_in`` first
+    reads the relation, so a gate whose frames gate no edge, such as
+    ``whole_frame``'s, orders none), and each community's ``Frame``.
     Slot numbers follow the communities' ascending order: ``communities[k]``
     is slot ``k``'s community, ``node_slot`` each node's slot, -1 when
     unlabelled, and ``rank`` each node's place among its slot's members in
@@ -358,9 +360,9 @@ class CommunityEdges:
         self._members = order, starts = _by_slot(self.node_slot, n_slots)
         self.rank = np.empty(index.n, dtype=np.int64)
         self.rank[order] = np.arange(index.n) - np.repeat(starts[:-1], np.diff(starts))
-        # per relation, the edges by their source's slot, then by their target's
-        self._ends = {relation: tuple(_by_slot(self.node_slot[end], n_slots) for end in (src, dst))
-                      for relation, (src, dst, _wgt) in index.rel_edges.items()}
+        # per relation, the edges by their source's slot, then by their
+        # target's, made on the first ``ends_in`` that reads the relation
+        self._ends: dict[Relation, tuple[tuple[np.ndarray, list[int]], ...]] = {}
         self._frames: dict[int, Frame] = {}
 
     def members(self, community: int) -> np.ndarray:
@@ -370,7 +372,13 @@ class CommunityEdges:
     def ends_in(self, relation: Relation, target: bool, community: int) -> np.ndarray:
         """The positions in ``relation``'s edges of the ones whose source, or
         with ``target`` whose target, is in ``community``, ascending."""
-        return self._slice(self._ends[relation][target], self.slot.get(community))
+        ends = self._ends.get(relation)
+        if ends is None:
+            src, dst, _wgt = self.index.rel_edges[relation]
+            n_slots = len(self.communities)
+            ends = self._ends[relation] = tuple(_by_slot(self.node_slot[end], n_slots)
+                                                for end in (src, dst))
+        return self._slice(ends[target], self.slot.get(community))
 
     @staticmethod
     def _slice(ordered: tuple[np.ndarray, list[int]], k: int | None) -> np.ndarray:

@@ -24,26 +24,34 @@ def docs_of(*texts):
     return {f"s{i + 1}": tuple(text.split()) for i, text in enumerate(texts)}
 
 
+def scores_of(query, docs, params=Bm25Params()):
+    """``bm25`` of one query over ``docs`` as ``{member name: score}``."""
+    names = list(docs)
+    queries, members, scores = bm25([query], term_postings(list(docs.values()), params))
+    assert not queries.any()
+    return {names[m]: score for m, score in zip(members.tolist(), scores.tolist())}
+
+
 class TestBm25:
     def test_two_identical_one_token_docs(self):
         # N=2, df=2, avgdl=1: idf=ln(1.2), tf term = 2.2/2.2 = 1
-        scores = bm25(("sql",), term_postings(docs_of("sql", "sql")))
+        scores = scores_of(("sql",), docs_of("sql", "sql"))
         assert scores.keys() == {"s1", "s2"}
         assert scores["s1"] == scores["s2"] == pytest.approx(math.log(1.2), abs=1e-12)
         assert scores["s1"] == pytest.approx(0.1823215567939546, abs=1e-9)
 
     def test_disjoint_query_scores_zero(self):
-        assert bm25(("python",), term_postings(docs_of("sql server"))) == {}
+        assert scores_of(("python",), docs_of("sql server")) == {}
 
     def test_self_corpus_positive(self):
         docs = docs_of("machine learning")
-        scores = bm25(docs["s1"], term_postings(docs))
+        scores = scores_of(docs["s1"], docs)
         # idf = ln(1 + 0.5/1.5) per token; doc length equals avgdl so the
         # tf factor is (1*2.2)/(1+1.2) = 1
         assert scores == {"s1": pytest.approx(2 * math.log(4 / 3), abs=1e-12)}
 
     def test_never_negative_even_for_common_terms(self):
-        scores = bm25(("sql",), term_postings(docs_of(*["sql"] * 50)))
+        scores = scores_of(("sql",), docs_of(*["sql"] * 50))
         assert len(scores) == 50
         assert all(score > 0.0 for score in scores.values())
 
@@ -58,31 +66,44 @@ class TestBm25:
         with pytest.raises(GraphError, match="finite"):
             Bm25Params(k1=k1)
 
+    @pytest.mark.parametrize("n_docs, df", [(29, 29), (57, 48), (100, 2), (108, 107)])
+    def test_each_idf_rounds_as_math_log(self, n_docs, df):
+        # a vectorised log rounds some of these idfs differently from
+        # math.log, and the scores must be the oracle's to the bit
+        docs = [("sql", "data") if i < df else ("data",) for i in range(n_docs)]
+        stats = RefCorpusStats.from_documents(docs)
+        _queries, member, score = bm25([("sql", "data")], term_postings(docs))
+        assert list(map(float.hex, score.tolist())) == [
+            ref_bm25(("sql", "data"), docs[m], stats).hex() for m in member.tolist()]
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(["sql", "python", "data", "etl"]), min_size=1, max_size=5),
            st.sampled_from(["spark", "hadoop", "graphs", "pipelines", "etl", "data"]))
     def test_extra_query_token_never_decreases_score(self, query, extra):
-        postings = term_postings(docs_of("sql data pipelines", "python etl data"))
-        base = bm25(tuple(query), postings)
-        more = bm25(tuple(query) + (extra,), postings)
+        docs = docs_of("sql data pipelines", "python etl data")
+        base = scores_of(tuple(query), docs)
+        more = scores_of(tuple(query) + (extra,), docs)
         assert base.keys() <= more.keys()
         assert all(more[member] >= score for member, score in base.items())
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(["sql", "data", "mining", "graph", "stream"]),
                              min_size=1, max_size=4), min_size=1, max_size=6),
-           st.lists(st.sampled_from(["sql", "data", "mining", "graph", "stream"]), max_size=5),
+           st.lists(st.lists(st.sampled_from(["sql", "data", "mining", "graph", "stream", "etl"]),
+                             max_size=5), max_size=4),
            st.sampled_from([0.0, 0.5, 1.2, 2.0]), st.sampled_from([0.0, 0.3, 0.75, 1.0]))
-    def test_each_score_is_the_per_pair_sum_bit_for_bit(self, names, query, k1, b):
+    def test_each_score_is_the_per_pair_sum_bit_for_bit(self, names, queries, k1, b):
         # the pair-at-a-time oracle adds the same terms in the same order,
         # so every score is the same float, and a member that holds no query
-        # token gets none
-        docs = {f"s{i}": tuple(name) for i, name in enumerate(names)}
+        # token gets none; one call scores every query, by query then member
+        docs = [tuple(name) for name in names]
         params = Bm25Params(k1=k1, b=b)
-        stats = RefCorpusStats.from_documents(list(docs.values()))
-        scores = bm25(tuple(query), term_postings(docs, params))
-        assert scores == {member: ref_bm25(tuple(query), doc, stats, params)
-                          for member, doc in docs.items() if set(doc) & set(query)}
+        stats = RefCorpusStats.from_documents(docs)
+        query_at, member, score = bm25([tuple(q) for q in queries], term_postings(docs, params))
+        assert list(zip(query_at.tolist(), member.tolist(), map(float.hex, score.tolist()))) == [
+            (q, m, ref_bm25(tuple(query), doc, stats, params).hex())
+            for q, query in enumerate(queries) for m, doc in enumerate(docs)
+            if set(doc) & set(query)]
 
 
 def skill_graph(names, labels):
@@ -232,30 +253,103 @@ class TestLinkOracle:
         assert records == [] == ref_link_skills(g, labels)
 
 
-def test_bm25_runs_once_per_source_over_the_skills_sharing_a_token(monkeypatch):
-    # one call per skill of each community of at least two; the call scores
-    # exactly the source and the same-community skills that share a token
-    # with it, which link_skills then ranks without the source
+def test_bm25_runs_once_per_chunk_of_each_community(monkeypatch):
+    # each community of at least two scores its skills, in id order, in
+    # chunks: a chunk takes sources while the postings their tokens expand
+    # (each query token's document frequency) stay within the pair budget,
+    # and takes at least one; each call scores exactly its sources against
+    # the same-community skills that share a token, by source then member
     rng = random.Random(5)
     original = linker.bm25
-    for _ in range(50):
-        g, labels = random_skill_graph(rng)
-        calls = Counter()
+    calls = []
 
-        def counting(query, postings):
-            scores = original(query, postings)
-            calls[tuple(query), frozenset(scores)] += 1
-            return scores
+    def recording(queries, postings):
+        result = original(queries, postings)
+        calls.append((list(queries), result))
+        return result
 
-        monkeypatch.setattr(linker, "bm25", counting)
-        link_skills(g, labels)
-        tokens = {sid: tuple(tokenize(g.node_name(sid))) for sid in labels}
-        sizes = Counter(labels.values())
-        expected = Counter(
-            (tokens[s], frozenset(t for t in labels
-                                  if labels[t] == labels[s] and set(tokens[s]) & set(tokens[t])))
-            for s in labels if sizes[labels[s]] >= 2)
-        assert calls == expected
+    monkeypatch.setattr(linker, "bm25", recording)
+    for budget in (1, 6, 20, linker._BATCH_PAIRS):
+        monkeypatch.setattr(linker, "_BATCH_PAIRS", budget)
+        for _ in range(30):
+            g, labels = random_skill_graph(rng)
+            calls.clear()
+            link_skills(g, labels)
+            expected = []
+            for community in sorted(set(labels.values())):
+                members = sorted(s for s in labels if labels[s] == community)
+                docs = [tuple(tokenize(g.node_name(s))) for s in members]
+                df = Counter(token for doc in docs for token in set(doc))
+                cost = [sum(df[token] for token in doc) for doc in docs]
+                lo = 0
+                while len(docs) >= 2 and lo < len(docs):
+                    hi, total = lo + 1, cost[lo]
+                    while hi < len(docs) and total + cost[hi] <= budget:
+                        total += cost[hi]
+                        hi += 1
+                    expected.append((docs[lo:hi], [
+                        (i - lo, j) for i in range(lo, hi) for j in range(len(docs))
+                        if set(docs[i]) & set(docs[j])]))
+                    lo = hi
+            assert [(queries, list(zip(source.tolist(), member.tolist())))
+                    for queries, (source, member, _scores) in calls] == expected
+
+
+def hex_links(links):
+    """Links with each raw score and weight as its exact hex form."""
+    return [(source, target, raw.hex(), weight.hex()) for source, target, raw, weight in links]
+
+
+def counting_bm25_calls(monkeypatch) -> Counter:
+    calls = Counter()
+    original = linker.bm25
+
+    def counting(queries, postings):
+        calls["bm25"] += 1
+        return original(queries, postings)
+
+    monkeypatch.setattr(linker, "bm25", counting)
+    return calls
+
+
+def test_a_community_over_the_pair_budget_matches_the_oracle(monkeypatch):
+    # n skills that all hold "data": each source expands at least n
+    # postings, so the community's n * n or more take more than one call
+    n = math.isqrt(linker._BATCH_PAIRS) + 50
+    rng = random.Random(7)
+    vocab = ("sql", "mining", "graph", "stream", "cloud", "lake", "etl", "spark")
+    g = HeteroGraph()
+    for i in range(n):
+        g.add_node(f"S{i:03d}", NodeKind.SKILL,
+                   name=" ".join(["data", *rng.sample(vocab, rng.randint(0, 3))]))
+    labels = dict.fromkeys(g.node_ids(), 0)
+    calls = counting_bm25_calls(monkeypatch)
+    _linked, records = link_skills(g, labels)
+    assert calls["bm25"] > 1
+    assert hex_links(records) == hex_links(ref_link_skills(g, labels))
+
+
+def test_one_community_of_every_skill_matches_the_oracle(monkeypatch, tmp_path):
+    # ungated linking: every skill of a synth corpus's merged graph in one
+    # community, scored in one call
+    data, out = tmp_path / "data", tmp_path / "out"
+    for argv in (
+        ["synth", "--seed", "7", "--jobs", "300", "--courses", "60", "--skills", "200",
+         "--alignment", "0.3", "--out", str(data)],
+        ["ingest", "--courses", str(data / "courses.csv"), "--jobs", str(data / "jobs.csv"),
+         "--skills", str(data / "skills.csv"), "--enrollments", str(data / "enrollments.csv"),
+         "--out", str(out)],
+        ["build", "--out", str(out)],
+    ):
+        assert cli.main(argv) == 0, argv
+    merged = read_snapshot(out / cli.F_MERGED_GRAPH)
+    labels = dict.fromkeys(merged.node_ids(NodeKind.SKILL), 0)
+    calls = counting_bm25_calls(monkeypatch)
+    _linked, records = link_skills(merged, labels)
+    expected = ref_link_skills(merged, labels)
+    assert calls["bm25"] == 1
+    assert len(expected) > 1000
+    assert hex_links(records) == hex_links(expected)
 
 
 def test_skill_without_tokens_rejected():

@@ -1366,6 +1366,29 @@ class TestPrerequisiteExpansion:
         assert prerequisite_expansion(g, base, depth=2) == {"C1": 1.0, "C0": 1.0}
         assert prerequisite_expansion(g, base, depth=0) == {}
 
+    def test_an_empty_answer_orders_no_edges(self, monkeypatch):
+        # the frame of no community gates no edge, so the whole frames made
+        # here order only nodes by slot (g's three, then the empty graph's
+        # none), never g's two edges
+        g = HeteroGraph()
+        for c in ("C2", "C1", "C0"):
+            g.add_node(c, NodeKind.COURSE)
+        g.add_edge("C2", Relation.PRE_REQUIRED, "C1", 1.0)
+        g.add_edge("C1", Relation.PRE_REQUIRED, "C0", 1.0)
+        ordered = []
+        original = ranker._by_slot
+
+        def recording(slots, n_slots):
+            ordered.append(len(slots))
+            return original(slots, n_slots)
+
+        monkeypatch.setattr(ranker, "_by_slot", recording)
+        assert prerequisite_expansion(g, scores_on(g, {"C2": 1.0}), depth=0) == {}
+        assert prerequisite_expansion(g, scores_on(HeteroGraph(), {})) == {}
+        assert prerequisite_expansion(g, scores_on(g, {"C2": 1.0}), depth=2) == {
+            "C1": 1.0, "C0": 1.0}
+        assert ordered == [3, 0]
+
     def test_negative_depth_rejected(self):
         g = HeteroGraph()
         g.add_node("C0", NodeKind.COURSE)
