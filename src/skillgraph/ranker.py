@@ -37,9 +37,12 @@ non-zero pushes in the same order, and the frame leaves out only nodes that
 would hold exactly 0.0. Any other walk (deeper prerequisite levels, a path
 whose first step is unrestricted) runs in the frame of no community, with
 the same code. On ``build-mid`` a community's frame holds about 1,000 of the
-graph's 9,985 nodes. The gate sorts the members and each relation's edges
-by community once, stably, so a frame is made from its own slices and
-costs its own size, not the graph's.
+graph's 9,985 nodes. The gate keeps each node's community slot, and a frame
+is made from scans of it: once over the nodes for the members, and once
+over each relation's sources and targets for the edges that land in the
+community or leave it. A frame's place map (``Frame.place``) gives each
+index position its place in the frame, and every position outside it the
+sink slot just past the frame's last.
 
 A frame asks ``_path_edges`` once per path and keeps the answer
 (``Frame.route``), and paths that share a step share its arrays. A query
@@ -54,12 +57,13 @@ run (``TitleIndex``), and its seeds stay index positions with their weights
 (``Seeds``) from the title match to the scatter: the matched titles' jobs
 come as one position array, ``scenario_scores`` splits it by community with
 one gather of each seed's community slot, and the first group's walk checks
-the set's node kind. ``score_metapath`` places a group's seeds in its own
-community's frame with two gathers (each member's rank among the members,
-then the members' places in the frame), and any other seeds with one binary
-search (``Frame.where``). The walks read only ``Seeds``
-and ``Scores`` made on the graph as it is now, and refuse any other; a
-library caller gets seeds from ``resolve_job_query``.
+the set's node kind. ``score_metapath`` places every seed set, a group in
+its own community's frame or any other, with one gather of the frame's
+place map: a seed outside the frame has no edge into the community and
+pushes nothing, so it lands in the sink slot, which is dropped before the
+walk. The walks read only ``Seeds`` and ``Scores`` made on the graph as it
+is now, and refuse any other; a library caller gets seeds from
+``resolve_job_query``.
 
 Every score vector is one vector over a frame (``Scores``). A scenario adds
 its routes in route order (base, prerequisite hop, taken walk, group
@@ -270,19 +274,16 @@ def match_titles(index: TitleIndex, query: list[str]) -> np.ndarray:
 class Seeds(Mapping[str, float]):
     """Seed weights as positions on ``index``, every seed a ``kind`` node:
     ``weight[i]`` is the weight of ``index.ids[pos[i]]``, and the keys iterate
-    in ``pos`` order. A community group is a ``Seeds`` over a slice of its
-    set's arrays and keeps the set's kind, so no walk checks a seed's kind.
-    Its ``group`` is the frame of the community that holds every seed, on
-    the gate that grouped them, so a walk in that very frame places the
-    seeds without a search; any other walk searches for them."""
+    in ``pos`` order. A community group is a ``Seeds`` over its set's arrays,
+    or a gather of them, and keeps the set's kind, so no walk checks a seed's
+    kind."""
 
     def __init__(self, index: GraphIndex, pos: np.ndarray, weight: np.ndarray,
-                 kind: NodeKind, group: Frame | None = None) -> None:
+                 kind: NodeKind) -> None:
         self.index = index
         self.pos = pos
         self.weight = weight
         self.kind = kind
-        self.group = group
         self._by_id: dict[str, float] | None = None
 
     def __getitem__(self, node_id: str) -> float:
@@ -325,29 +326,16 @@ def resolve_job_query(g: HeteroGraph, text: str) -> Seeds:
 Edges = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _by_slot(slots: np.ndarray, n_slots: int) -> tuple[np.ndarray, list[int]]:
-    """The positions of ``slots`` stably ordered by slot, as int32 for half
-    the memory, and where each slot starts: slot ``k``'s positions,
-    ascending, are ``order[starts[k + 1]:starts[k + 2]]``, the unlabelled
-    (-1) ones first."""
-    counts = np.bincount(slots + 1, minlength=n_slots + 1)
-    order = np.argsort(slots, kind="stable").astype(np.int32)
-    return order, [0, *np.cumsum(counts).tolist()]
-
-
 class CommunityEdges:
-    """A community gate on ``index``: each node's community slot, each
-    slot's members, each relation's edges stably ordered by the slot of
-    their source and again of their target (made when ``ends_in`` first
-    reads the relation, so a gate whose frames gate no edge, such as
-    ``whole_frame``'s, orders none), and each community's ``Frame``.
-    Slot numbers follow the communities' ascending order: ``communities[k]``
-    is slot ``k``'s community, ``node_slot`` each node's slot, -1 when
-    unlabelled, and ``rank`` each node's place among its slot's members in
-    index order. Read it as ``labels.cached(index, CommunityEdges)``. A
-    community's slices of the orders (``ends_in``) are the edges that land
-    in it or leave it; its frame is made from them on first use
-    (``frame``), so it costs its own size, not the graph's."""
+    """A community gate on ``index``: each node's community slot and each
+    community's ``Frame``. Slot numbers follow the communities' ascending
+    order: ``communities[k]`` is slot ``k``'s community and ``node_slot``
+    each node's slot, -1 when unlabelled. Read it as
+    ``labels.cached(index, CommunityEdges)``. A community's members and the
+    edges that land in it or leave it (``ends_in``) are scans of
+    ``node_slot``; its frame is made from them on first use (``frame``), so a
+    gate whose frames gate no edge, such as ``whole_frame``'s, reads no
+    edge."""
 
     def __init__(self, index: GraphIndex, labels: Labels) -> None:
         self.index = index
@@ -356,34 +344,21 @@ class CommunityEdges:
         self.slot = {c: k for k, c in enumerate(self.communities)}
         self.node_slot = np.fromiter(map(self.slot.get, node_labels, itertools.repeat(-1)),
                                      dtype=np.int64, count=index.n)
-        n_slots = len(self.communities)
-        self._members = order, starts = _by_slot(self.node_slot, n_slots)
-        self.rank = np.empty(index.n, dtype=np.int64)
-        self.rank[order] = np.arange(index.n) - np.repeat(starts[:-1], np.diff(starts))
-        # per relation, the edges by their source's slot, then by their
-        # target's, made on the first ``ends_in`` that reads the relation
-        self._ends: dict[Relation, tuple[tuple[np.ndarray, list[int]], ...]] = {}
-        self._frames: dict[int, Frame] = {}
+        self._frames: dict[int | None, Frame] = {}
 
     def members(self, community: int) -> np.ndarray:
         """The index positions of ``community``'s nodes, ascending."""
-        return self._slice(self._members, self.slot.get(community))
+        return self._in(self.node_slot, community)
 
     def ends_in(self, relation: Relation, target: bool, community: int) -> np.ndarray:
         """The positions in ``relation``'s edges of the ones whose source, or
         with ``target`` whose target, is in ``community``, ascending."""
-        ends = self._ends.get(relation)
-        if ends is None:
-            src, dst, _wgt = self.index.rel_edges[relation]
-            n_slots = len(self.communities)
-            ends = self._ends[relation] = tuple(_by_slot(self.node_slot[end], n_slots)
-                                                for end in (src, dst))
-        return self._slice(ends[target], self.slot.get(community))
+        src, dst, _wgt = self.index.rel_edges[relation]
+        return self._in(self.node_slot[dst if target else src], community)
 
-    @staticmethod
-    def _slice(ordered: tuple[np.ndarray, list[int]], k: int | None) -> np.ndarray:
-        order, starts = ordered
-        return order[:0] if k is None else order[starts[k + 1]:starts[k + 2]]
+    def _in(self, slots: np.ndarray, community: int) -> np.ndarray:
+        # a community no node carries takes the slot past the last, which no node holds
+        return np.flatnonzero(slots == self.slot.get(community, len(self.communities)))
 
     def frame(self, community: int | None) -> Frame:
         """``community``'s frame, made on the first call; ``frame(None)`` is
@@ -402,6 +377,8 @@ class Frame:
     (``MetaPath.framed``) pushes only along such edges, so it runs on vectors
     as long as ``nodes``, its edges given as positions in ``nodes``. As
     ``nodes`` ascends, frame positions order as index positions do.
+    ``place`` maps each index position to its frame position, and every
+    position outside the frame to ``len(nodes)``.
 
     A path's edges are ``_path_edges``' for a walk whose mass starts in the
     community, made when first asked for and kept (``route``)."""
@@ -428,9 +405,12 @@ class Frame:
         return np.concatenate((nodes[:1], nodes[1:][nodes[1:] != nodes[:-1]]))
 
     @functools.cached_property
-    def member_at(self) -> np.ndarray:
-        """Where each of the community's members, ascending, sits in ``nodes``."""
-        return self.nodes.searchsorted(self.gate.members(self.community))
+    def place(self) -> np.ndarray:
+        """Each index position's place in ``nodes``, ``len(nodes)`` outside
+        the frame; made on first read."""
+        place = np.full(self.gate.index.n, len(self.nodes))
+        place[self.nodes] = np.arange(len(self.nodes))
+        return place
 
     def route(self, path: MetaPath) -> list[Edges]:
         """The edges of ``path`` as positions in ``nodes``. In a community's
@@ -444,19 +424,16 @@ class Frame:
                 key = (step.relation, step.reverse, step.community_restricted)
                 if key not in self._steps:
                     frm, to, wgt = edges[i]
-                    self._steps[key] = (self.nodes.searchsorted(frm),
-                                        self.nodes.searchsorted(to), wgt)
+                    self._steps[key] = (self.place[frm], self.place[to], wgt)
                 edges[i] = self._steps[key]
             self._routes[path] = edges
         return edges
 
     def where(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Where the index positions ``pos`` would sit in ``nodes``, and
-        whether each is there."""
-        at = self.nodes.searchsorted(pos)
-        inside = at < len(self.nodes)  # a frame may hold no node
-        inside[inside] = self.nodes[at[inside]] == pos[inside]
-        return at, inside
+        """Where the index positions ``pos`` sit in ``nodes``
+        (``len(nodes)`` when outside), and whether each is there."""
+        at = self.place[pos]
+        return at, at < len(self.nodes)
 
 
 def _path_edges(path: MetaPath, gate: CommunityEdges, community: int | None,
@@ -586,16 +563,13 @@ def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Seeds, labels: Mapping
         edges = frame.route(path)
     else:
         frame, edges = gate.frame(None), _path_edges(path, gate, community)
-    scores = np.zeros(len(frame.nodes), dtype=np.float64)
-    if seeds.group is frame:
-        # every seed is a member, placed by its rank among them; interleaved A/B
-        # against frame.where: query p50 fell 7.7% on build-mid, 7.2% on query-m
-        # (perfbench, 10 rotations each, lower in 9)
-        scores[frame.member_at[gate.rank[seeds.pos]]] = seeds.weight
-    else:
-        # a seed outside the frame has no edge into the community: it pushes nothing
-        at, inside = frame.where(seeds.pos)
-        scores[at[inside]] = seeds.weight[inside]
+    # a seed outside the frame has no edge into the community: it lands in
+    # the sink slot past the frame's last, dropped before the walk; interleaved
+    # A/B against masking such seeds out: query p50 fell 3.0-4.4% on all three
+    # workloads (perfbench, 10 pairs each, lower in 9-10)
+    scores = np.zeros(len(frame.nodes) + 1)
+    scores[frame.place[seeds.pos]] = seeds.weight
+    scores = scores[:-1]
     # seeds of no negative (or NaN) weight, over positive edge weights, score
     # no node below 0.0; any other seed needs the scores below it set to 0.0
     kept = not len(seeds) or seeds.weight.min() >= 0.0
@@ -704,8 +678,8 @@ def _taken_seeds(g: HeteroGraph, index: GraphIndex, taken: tuple[str, ...]) -> S
 
 def _seed_groups(seeds: Seeds, gate: CommunityEdges) -> dict[int, Seeds]:
     """``seeds`` split by community, from each community, ascending, to its
-    group; a group keeps its seeds' order and names its community's frame on
-    ``gate`` (``Seeds.group``). One gather reads every seed's slot."""
+    group; a group keeps its seeds' order, and seeds in one community are
+    their own group. One gather reads every seed's slot."""
     if not len(seeds):
         return {}
     slots = gate.node_slot[seeds.pos]
@@ -713,18 +687,15 @@ def _seed_groups(seeds: Seeds, gate: CommunityEdges) -> dict[int, Seeds]:
     first = in_order[0]
     # interleaved A/B: without this path, query p50 rose 13-15% on build-mid and query-m
     if first >= 0 and in_order.count(first) == len(in_order):
-        community = gate.communities[first]
-        return {community: Seeds(seeds.index, seeds.pos, seeds.weight, seeds.kind,
-                                 gate.frame(community))}
+        return {gate.communities[first]: seeds}
     if min(in_order) < 0:
         node_id = seeds.index.ids[seeds.pos[in_order.index(-1)]]
         raise QueryError(f"job {node_id!r} carries no community label")
     groups = {}
     for slot in sorted(set(in_order)):
         at = (slots == slot).nonzero()[0]
-        community = gate.communities[slot]
-        groups[community] = Seeds(seeds.index, seeds.pos[at], seeds.weight[at], seeds.kind,
-                                  gate.frame(community))
+        groups[gate.communities[slot]] = Seeds(seeds.index, seeds.pos[at], seeds.weight[at],
+                                               seeds.kind)
     return groups
 
 

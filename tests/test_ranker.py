@@ -17,6 +17,7 @@ from skillgraph.community import Labels, read_labels
 from skillgraph.errors import QueryError
 from skillgraph.graph import GraphIndex, HeteroGraph, NodeKind, Relation, read_snapshot
 from skillgraph.ingest import load_jobs, tokenize
+from skillgraph.synth import generate_synthetic_corpus
 from skillgraph.ranker import (BASE_PATH, TAKEN_PATH, UPSKILL_PATH, MetaPath, MetaPathStep,
                                RankedList, ScenarioInput, format_ranked_list,
                                prerequisite_expansion, recommend, resolve_job_query,
@@ -755,6 +756,42 @@ class TestCommunityGate:
                     checked += len(want)
         assert checked > 500
 
+    def test_each_frame_places_its_nodes(self):
+        # under labels with absent communities, 2**70, -3 and unlabelled
+        # nodes, each frame's place map sends its nodes to 0, 1, ... and
+        # every other position to the sink slot len(nodes)
+        absent = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            g, plain = random_hetero_graph(rng, n_labels=3)
+            labels = Labels(awkward_labels(rng, g, plain))
+            index = g.cached(GraphIndex)
+            gate = labels.cached(index, ranker.CommunityEdges)
+            everywhere = np.arange(index.n)
+            whole = gate.frame(None)
+            assert np.array_equal(whole.place, everywhere)
+            kind_seeds = {kind: seeds_on(g, {n: 1.0 for n in g.node_ids(kind)}, kind)
+                          for kind in (NodeKind.JOB, NodeKind.COURSE)}
+            for frame in (whole, *map(gate.frame, self.COMMUNITIES)):
+                nodes = frame.nodes
+                assert np.array_equal(frame.place[nodes], np.arange(len(nodes)))
+                outside = np.setdiff1d(everywhere, nodes)
+                assert (frame.place[outside] == len(nodes)).all()
+                at, inside = frame.where(everywhere)
+                assert np.array_equal(inside, np.isin(everywhere, nodes))
+                assert np.array_equal(at, frame.place)
+                if frame.community is None or frame.community in gate.slot:
+                    continue
+                # a community no node carries frames nothing, and walks to nothing
+                absent += 1
+                assert len(nodes) == 0
+                for path in (BASE_PATH, TAKEN_PATH, UPSKILL_PATH):
+                    got = score_metapath(g, path, kind_seeds[path.source_kind], labels,
+                                         frame.community)
+                    assert got.frame is frame and len(got.values) == len(nodes)
+                    assert not got.values.any()
+        assert absent >= 80
+
     def test_scenarios_equal_oracle_with_awkward_labels(self):
         outside_taken = 0
         for seed in range(25):
@@ -1095,6 +1132,13 @@ def query_m(tmp_path_factory):
     return g, labels
 
 
+@pytest.fixture(scope="module")
+def query_m_course_topics(tmp_path_factory):
+    """Each course's topic in the ``query_m`` corpus, from its generator."""
+    corpus = generate_synthetic_corpus(3, 2000, 300, 800, 0.3, tmp_path_factory.mktemp("topics"))
+    return corpus.course_topic
+
+
 def assert_equals_dense(g, labels, inp, depth=ranker.DEFAULT_PREREQ_DEPTH):
     """``scenario_scores`` and ``recommend`` on ``inp`` equal the dense
     scorer's vectors and list to the bit; returns the framed total and
@@ -1148,6 +1192,35 @@ class TestFrames:
                 framed += total.frame.community is not None
         # query-m keeps a goal in one community group, so each total stays framed
         assert framed == 120 and outside_taken == 40
+
+    def test_query_m_goals_equal_the_tour_enumeration(self, query_m, query_m_course_topics):
+        # criterion 4 at a benchmark shape: every topic goal, scenarios 1-3,
+        # against the DFS tour enumeration (about 5 s of this suite)
+        g, labels = query_m
+        topic_courses = {}
+        for course, topic in sorted(query_m_course_topics.items()):
+            if course in g:
+                topic_courses.setdefault(topic, []).append(course)
+        goals = sorted({" ".join(g.node_name(job).split()[:2]) for job in g.node_ids(JOB)})
+        assert len(goals) == 40
+        compared = 0
+        for goal in goals:
+            seeds = resolve_job_query(g, goal)
+            topic = int(goal.split()[0].removeprefix("topic-"))
+            # one course of the goal's topic and one of another topic
+            taken = (topic_courses[topic][0],
+                     topic_courses[(topic + 1) % len(topic_courses)][0])
+            for inp in (ScenarioInput(1, career_goal=goal),
+                        ScenarioInput(2, career_goal=goal, taken_courses=taken),
+                        ScenarioInput(3, current_job=goal)):
+                got, _prov = scenario_scores(g, labels, inp, seeds)
+                want = ref_scenario_scores(g, labels, inp.scenario, dict(seeds),
+                                           taken=inp.taken_courses)
+                assert set(got) == set(want), inp
+                for node, score in want.items():
+                    assert abs(got[node] - score) <= 1e-12, (inp, node)
+                compared += len(want)
+        assert compared > 1000
 
     def test_multi_group_query_whose_hop_lands_in_another_group(self, query_m):
         # "engineer" spans every career community; this corpus keeps each
@@ -1242,7 +1315,6 @@ class TestFrames:
         community = next(c for c, base in prov.base.items() if base)
         group = prov.seeds[community]
         index = group.index
-        assert group.group is labels.cached(index, ranker.CommunityEdges).frame(community)
         # a seed whose walk reaches a course on its own
         alone = next(single for single in (ranker.Seeds(index, group.pos[i:i + 1],
                                                          group.weight[i:i + 1], JOB)
@@ -1368,26 +1440,25 @@ class TestPrerequisiteExpansion:
 
     def test_an_empty_answer_orders_no_edges(self, monkeypatch):
         # the frame of no community gates no edge, so the whole frames made
-        # here order only nodes by slot (g's three, then the empty graph's
-        # none), never g's two edges
+        # here never scan g's two edges for a community's ends
         g = HeteroGraph()
         for c in ("C2", "C1", "C0"):
             g.add_node(c, NodeKind.COURSE)
         g.add_edge("C2", Relation.PRE_REQUIRED, "C1", 1.0)
         g.add_edge("C1", Relation.PRE_REQUIRED, "C0", 1.0)
-        ordered = []
-        original = ranker._by_slot
+        scans = []
+        original = ranker.CommunityEdges.ends_in
 
-        def recording(slots, n_slots):
-            ordered.append(len(slots))
-            return original(slots, n_slots)
+        def recording(gate, relation, target, community):
+            scans.append(relation)
+            return original(gate, relation, target, community)
 
-        monkeypatch.setattr(ranker, "_by_slot", recording)
+        monkeypatch.setattr(ranker.CommunityEdges, "ends_in", recording)
         assert prerequisite_expansion(g, scores_on(g, {"C2": 1.0}), depth=0) == {}
         assert prerequisite_expansion(g, scores_on(HeteroGraph(), {})) == {}
         assert prerequisite_expansion(g, scores_on(g, {"C2": 1.0}), depth=2) == {
             "C1": 1.0, "C0": 1.0}
-        assert ordered == [3, 0]
+        assert scans == []
 
     def test_negative_depth_rejected(self):
         g = HeteroGraph()
