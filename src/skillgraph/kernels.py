@@ -18,9 +18,10 @@ the user and be writable by no one else; its file name carries the sha256 of
 the source, the compiler flags and the machine type, so a changed source or
 flag builds anew and a later process only loads it. A build goes to a
 temporary file in that directory and is renamed into place, so concurrent
-first runs do not see half a library. A build then removes the directory's
-other ``move_pass-*.so`` files, so an edited source or flag leaves one
-library behind, not one per edit.
+first runs do not see half a library. A built library stays until the user
+deletes it: each source, flag set and machine type keeps its own file of
+about 16 KB, so versions that share the cache never rebuild each other's
+library, and deleting the directory reclaims the space.
 
 The C pass and the Python pass add the same floats in the same order: the
 same queue, candidate bookkeeping, tie rule and binary64 operations. No fused
@@ -268,16 +269,35 @@ _ARGTYPES = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_int64]
 
 @functools.cache
 def _compiled_move_pass():
-    """The compiled move pass, loaded from the cache or built into it on the
-    first call of the process; ``None`` when it cannot be built or loaded."""
+    """``_move_pass.c``'s move pass, loaded from the cache or built into it on
+    the first call of the process; ``None`` when it cannot be built or loaded.
+    Sets ``ACTIVE_BACKEND`` to the pass that runs."""
+    # imported here, where a move pass needs it: hashlib maps OpenSSL,
+    # about 3 MB of resident memory that no other stage of the CLI needs
+    import hashlib
+
     global ACTIVE_BACKEND
-    lib = _cached_library()
-    ACTIVE_BACKEND = "python" if lib is None else "c"
-    if lib is None:
+    ACTIVE_BACKEND = "python"
+    cache = _cache_dir() if os.name == "posix" else None
+    if cache is None:
         return None
-    fn = lib.local_move_pass
+    try:
+        source = _SOURCE.read_bytes()
+    except OSError:
+        return None
+    flags = " ".join(_CFLAGS + _LDLIBS)
+    key = hashlib.sha256(b"\0".join(
+        [source, flags.encode(), platform.machine().encode()])).hexdigest()
+    path = os.path.join(cache, f"move_pass-{key[:32]}.so")
+    if not os.path.exists(path) and not _build(path):
+        return None
+    try:
+        fn = ctypes.CDLL(path).local_move_pass
+    except OSError:
+        return None
     fn.argtypes = _ARGTYPES
     fn.restype = ctypes.c_int64
+    ACTIVE_BACKEND = "c"
     return fn
 
 
@@ -296,31 +316,6 @@ def _cache_dir():
     if st.st_uid != os.geteuid() or st.st_mode & 0o022:
         return None
     return path
-
-
-def _cached_library():
-    """``_move_pass.c`` as a loaded library, compiled on a cache miss."""
-    # imported here, where a move pass needs it: hashlib maps OpenSSL,
-    # about 3 MB of resident memory that no other stage of the CLI needs
-    import hashlib
-
-    cache = _cache_dir() if os.name == "posix" else None
-    if cache is None:
-        return None
-    try:
-        source = _SOURCE.read_bytes()
-    except OSError:
-        return None
-    flags = " ".join(_CFLAGS + _LDLIBS)
-    key = hashlib.sha256(b"\0".join(
-        [source, flags.encode(), platform.machine().encode()])).hexdigest()
-    path = os.path.join(cache, f"move_pass-{key[:32]}.so")
-    if not os.path.exists(path) and not _build(path):
-        return None
-    try:
-        return ctypes.CDLL(path)
-    except OSError:
-        return None
 
 
 def _build(path):
@@ -349,26 +344,4 @@ def _build(path):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    _remove_stale(path)
     return True
-
-
-def _remove_stale(path):
-    """Remove every ``move_pass-*.so`` in ``path``'s directory but ``path``:
-    libraries of another source, flags or machine type, which no process of
-    this version loads. A process that mapped one keeps its mapping; one of
-    another version that finds its library gone builds it again, or runs the
-    Python pass, with the same results."""
-    import fnmatch
-
-    cache, keep = os.path.split(path)
-    try:
-        names = os.listdir(cache)
-    except OSError:
-        return
-    for name in names:
-        if name != keep and fnmatch.fnmatchcase(name, "move_pass-*.so"):
-            try:
-                os.unlink(os.path.join(cache, name))
-            except OSError:
-                pass

@@ -175,6 +175,9 @@ def link_skills(g: HeteroGraph, communities: Mapping[str, int],
     if top_k < 1:
         raise GraphError(f"top_k must be >= 1, got {top_k!r}")
     skills = g.node_ids(NodeKind.SKILL)
+    # no source has more candidates than there are skills, and the cap keeps
+    # top_k inside int64 for the array work below
+    top_k = min(top_k, len(skills))
     missing = [s for s in skills if s not in communities]
     if missing:
         raise GraphError(f"skill {missing[0]!r} has no community label")

@@ -158,14 +158,20 @@ def set_partitions(n: int):
 # meta-path scoring by explicit depth-first tour enumeration
 # ---------------------------------------------------------------------------
 
+def reverse_rows(g: HeteroGraph) -> dict[tuple[Relation, str], list[tuple[str, float]]]:
+    """Each (relation, target)'s in-edges as (source, weight), from a full
+    edge scan, so sources arrive in sorted order."""
+    into: dict[tuple[Relation, str], list[tuple[str, float]]] = {}
+    for source, relation, target, weight in edges(g):
+        into.setdefault((relation, target), []).append((source, weight))
+    return into
+
+
 def ref_score_metapath(g: HeteroGraph, steps, seeds: dict[str, float],
                        labels: dict[str, int], community: int) -> dict[str, float]:
     """steps: list of (Relation, reverse: bool, restricted: bool) triples."""
     out: dict[str, float] = {}
-    # reverse rows from a full edge scan; sources arrive in sorted order
-    into: dict[tuple[Relation, str], list[tuple[str, float]]] = {}
-    for source, relation, target, weight in edges(g):
-        into.setdefault((relation, target), []).append((source, weight))
+    into = g.cached(reverse_rows)
 
     def walk(node: str, depth: int, prob: float) -> None:
         if depth == len(steps):

@@ -174,6 +174,21 @@ class TestPipeline:
         assert code == 0
         assert (out / "links_dump.csv").read_text().startswith("source,target,raw_bm25,weight")
 
+    def test_top_k_past_int64_links_like_any_top_k_over_the_skills(self, tmp_path, capsys):
+        # a top_k no int64 holds, from the flag or the config key, keeps
+        # every candidate, as a top_k past the skill count does
+        _data, out = run_pipeline(tmp_path, capsys)
+        linked = out / cli.F_LINKED_GRAPH
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text(f"link_top_k = {2**70}\n")
+        written = []
+        for extra in (["--top-k", "100000"], ["--top-k", "9" * 23], ["--config", str(cfg_file)]):
+            linked.unlink()
+            code, _, err = run_cli(capsys, "link", "--out", str(out), *extra)
+            assert code == 0, (extra, err)
+            written.append(linked.read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
+
     def test_aggregate_jobs_by_title(self, tmp_path, capsys):
         _data, out = run_pipeline(tmp_path, capsys)
         plain = (out / "career.graph").read_text()

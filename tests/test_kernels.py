@@ -298,25 +298,25 @@ def test_second_resolution_loads_without_compiling(fresh_build, monkeypatch):
     assert os.listdir(fresh_build) == built
 
 
-def test_build_removes_stale_libraries(fresh_build, monkeypatch):
-    # libraries of another source or flags go; a concurrent build's
-    # temporary file and files of another name stay
-    fresh_build.mkdir(mode=0o700)
-    stale = ["move_pass-" + "0" * 32 + ".so", "move_pass-old.so"]
-    kept = [".move_pass-abc123.so", "move_pass-notes.txt", "other.so"]
-    for name in stale + kept:
-        (fresh_build / name).write_bytes(b"")
+def test_versions_sharing_a_cache_keep_their_libraries(fresh_build, monkeypatch, tmp_path):
+    # two sources built into one cache: no build removes the other's library,
+    # so a later process of either version loads it without compiling
     if kernels._compiled_move_pass() is None:
         pytest.skip("the move pass does not build here")
-    built = sorted(set(os.listdir(fresh_build)) - set(kept))
-    assert len(built) == 1 and built[0] not in stale
-    assert sorted(os.listdir(fresh_build)) == sorted(built + kept)
-    # a process that only loads the library removes nothing
-    (fresh_build / stale[0]).write_bytes(b"")
+    real, edited = kernels._SOURCE, tmp_path / "_move_pass.c"
+    edited.write_bytes(real.read_bytes() + b"/* another version */\n")
+    monkeypatch.setattr(kernels, "_SOURCE", edited)
     kernels._compiled_move_pass.cache_clear()
-    monkeypatch.setattr(subprocess, "run", fails_if_run)
     assert kernels._compiled_move_pass() is not None
-    assert (fresh_build / stale[0]).exists()
+    built = sorted(os.listdir(fresh_build))
+    assert len(built) == 2 and all(name.endswith(".so") for name in built)
+    monkeypatch.setattr(subprocess, "run", fails_if_run)
+    for source in (real, edited):
+        monkeypatch.setattr(kernels, "_SOURCE", source)
+        kernels._compiled_move_pass.cache_clear()
+        assert kernels._compiled_move_pass() is not None
+        assert kernels.ACTIVE_BACKEND == "c"
+    assert sorted(os.listdir(fresh_build)) == built
 
 
 def test_cache_others_can_write_is_not_used(fresh_build, monkeypatch):

@@ -147,6 +147,14 @@ class TestLinkSkills:
         for n in names:
             assert len(out_edges(linked, n, Relation.LINKED)) <= 3
 
+    def test_top_k_past_int64_keeps_every_candidate(self):
+        names = [f"data skill{i}" for i in range(8)]
+        g, labels = skill_graph(names, [0] * 5 + [1] * 3)
+        huge_graph, huge = link_skills(g, labels, top_k=2**70)
+        every_graph, every = link_skills(g, labels, top_k=len(names))
+        assert huge == every and len(every) == 5 * 4 + 3 * 2
+        assert edges(huge_graph) == edges(every_graph)
+
     def test_no_self_links(self):
         g, labels = skill_graph(["sql", "sql server"], [0, 0])
         linked, _ = link_skills(g, labels)

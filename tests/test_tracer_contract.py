@@ -77,6 +77,9 @@ def test_traced_batch_stages_record_every_load_build_and_snapshot(tmp_path):
               ["communities", "--out", str(out), "--seed", "3"],
               ["link", "--out", str(out)]]
     tracer_mod = load_tracer()
+    # the process's first move pass sets kernels.ACTIVE_BACKEND; resolve it
+    # here, so that the snapshot below sees only what the tracer patches
+    kernels._compiled_move_pass()
     before = [dict(vars(owner)) for owner in PATCHED]
     tracer = tracer_mod.Tracer()
     try:
