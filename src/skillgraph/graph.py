@@ -610,15 +610,19 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
 # ---------------------------------------------------------------------------
 
 class GraphIndex:
-    """Stable array numbering of a graph (sorted ids) plus per-relation COO.
+    """Stable array numbering of a graph (sorted ids), each node's kind by
+    position, plus per-relation COO.
 
     Read it as ``g.cached(GraphIndex)``: every caller shares one build per
-    graph state, so none may write to its arrays.
+    graph state, so its edge arrays are read-only and ``kinds`` a tuple. A
+    walk reads seeds and scores on the index they were made on, which keeps
+    that graph state after the graph changes.
     """
 
     def __init__(self, g: HeteroGraph) -> None:
         self.ids: list[str] = g.node_ids()
         self.pos: dict[str, int] = {node_id: i for i, node_id in enumerate(self.ids)}
+        self.kinds: tuple[NodeKind, ...] = tuple(map(g._kind.__getitem__, self.ids))
         self.n = len(self.ids)
         self.rel_edges: dict[Relation, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for rel, rows in g._out.items():
@@ -628,9 +632,11 @@ class GraphIndex:
                     src.append(self.pos[source])
                     dst.append(self.pos[target])
                     wgt.append(weight)
-            self.rel_edges[rel] = (np.asarray(src, dtype=np.int64),
-                                   np.asarray(dst, dtype=np.int64),
-                                   np.asarray(wgt, dtype=np.float64))
+            arrays = (np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
+                      np.asarray(wgt, dtype=np.float64))
+            for array in arrays:
+                array.setflags(write=False)
+            self.rel_edges[rel] = arrays
 
     @functools.cached_property
     def walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -61,8 +61,9 @@ the set's node kind. ``score_metapath`` places every seed set, a group in
 its own community's frame or any other, with one gather of the frame's
 place map: a seed outside the frame has no edge into the community and
 pushes nothing, so it lands in the sink slot, which is dropped before the
-walk. The walks read only ``Seeds`` and ``Scores`` made on the graph as it
-is now, and refuse any other; a library caller gets seeds from
+walk. The walks take no graph: each reads the index its ``Seeds`` or
+``Scores`` were made on, so seeds kept across a change to the graph walk
+the graph as it was when they were made; a library caller gets seeds from
 ``resolve_job_query``.
 
 Every score vector is one vector over a frame (``Scores``). A scenario adds
@@ -71,10 +72,11 @@ by group): in place while every route shares one frame, else each route in
 turn into the frame of no community. Nothing is summed per group first, as
 float addition does not reassociate; a node outside a route's frame gets no
 addition where a dense sum would add +0.0, and neither changes its bits. A
-query with no seeds, or a hop from no scores, answers zeros over the whole
-graph as it is now. Node ids are made only for the ranked list, which maps
-only the entries it keeps, and for the provenance when it is read;
-``Scores.vector``, a dense view for library callers, is made on first read.
+query with no seeds, or a hop from no scores, answers zeros in the frame of
+no community of its seeds' or scores' index. Node ids are made only for the
+ranked list, which maps only the entries it keeps, and for the provenance
+when it is read; ``Scores.vector``, a dense view for library callers, is
+made on first read.
 
 Three course-recommendation scenarios are wired on top:
 
@@ -334,8 +336,8 @@ class CommunityEdges:
     ``labels.cached(index, CommunityEdges)``. A community's members and the
     edges that land in it or leave it (``ends_in``) are scans of
     ``node_slot``; its frame is made from them on first use (``frame``), so a
-    gate whose frames gate no edge, such as ``whole_frame``'s, reads no
-    edge."""
+    gate asked only for the frame of no community, which gates no edge, reads
+    no edge."""
 
     def __init__(self, index: GraphIndex, labels: Labels) -> None:
         self.index = index
@@ -521,24 +523,9 @@ class Scores(Mapping[str, float]):
         return repr(dict(self.items()))
 
 
-def whole_frame(g: HeteroGraph) -> Frame:
-    """The frame of no community, the whole graph's, on ``g`` as it is now
-    and on a gate with no labels: the frame of an empty answer, or of a
-    library caller's own scores. Read it as ``g.cached(whole_frame)``."""
-    return CommunityEdges(g.cached(GraphIndex), Labels({})).frame(None)
-
-
 def _as_labels(labels: Mapping[str, int]) -> Labels:
     """``labels`` itself when it is ``Labels``; else a copy, read now."""
     return labels if isinstance(labels, Labels) else Labels(labels)
-
-
-def _current(g: HeteroGraph, made: Seeds | Scores) -> GraphIndex:
-    """``g``'s index, which ``made`` must be on: a walk reads positions."""
-    index = g.cached(GraphIndex)
-    if made.index is not index:
-        raise QueryError("seeds or scores were made on another graph, or before it changed")
-    return index
 
 
 def _check_kind(seeds: Seeds, path: MetaPath) -> None:
@@ -549,15 +536,15 @@ def _check_kind(seeds: Seeds, path: MetaPath) -> None:
                          f"path starts at a {path.source_kind.value}")
 
 
-def score_metapath(g: HeteroGraph, path: MetaPath, seeds: Seeds, labels: Mapping[str, int],
+def score_metapath(path: MetaPath, seeds: Seeds, labels: Mapping[str, int],
                    community: int) -> Scores:
-    """Sum-of-tour-products scores for every node reachable along ``path``,
-    each restricted step landing only in ``community`` under ``labels``. A
-    framed path walks in the community's frame, any other in the frame of no
-    community, the whole graph's, its restricted steps gated all the same."""
-    index = _current(g, seeds)
+    """Sum-of-tour-products scores for every node reachable along ``path``
+    on ``seeds.index``, each restricted step landing only in ``community``
+    under ``labels``. A framed path walks in the community's frame, any other
+    in the frame of no community, the whole graph's, its restricted steps
+    gated all the same."""
     _check_kind(seeds, path)
-    gate = _as_labels(labels).cached(index, CommunityEdges)
+    gate = _as_labels(labels).cached(seeds.index, CommunityEdges)
     if path.framed:
         frame = gate.frame(community)
         edges = frame.route(path)
@@ -599,25 +586,24 @@ UPSKILL_PATH = MetaPath((
 _PREREQ_HOP = MetaPath((MetaPathStep(Relation.PRE_REQUIRED),))
 
 
-def prerequisite_expansion(g: HeteroGraph, base_scores: Scores,
-                           depth: int = DEFAULT_PREREQ_DEPTH) -> Scores:
-    """Push candidate scores one (or ``depth``) hops down stored prereq edges.
+def prerequisite_expansion(base_scores: Scores, depth: int = DEFAULT_PREREQ_DEPTH) -> Scores:
+    """Push candidate scores one (or ``depth``) hops down stored prereq edges
+    of the base's index.
 
-    Every level's pushes add up. ``base_scores`` are scores on ``g`` as it
-    is now, such as ``score_metapath`` returns. A base held ``within`` its
-    community takes its first hop in its own frame, along only the edges
-    that leave the community; any other base, and every deeper level, takes
-    every edge in the frame of no community, the whole graph's. An empty
-    base, or ``depth`` 0, pushes nothing: the answer is zeros over ``g`` as
-    it is now, whatever graph the base came from.
+    Every level's pushes add up. ``base_scores`` are scores such as
+    ``score_metapath`` returns. A base held ``within`` its community takes
+    its first hop in its own frame, along only the edges that leave the
+    community; any other base, and every deeper level, takes every edge in
+    the frame of no community, the whole graph's. An empty base, or
+    ``depth`` 0, pushes nothing: the answer is zeros in the frame of no
+    community of the base's gate.
     """
     if depth < 0:
         raise QueryError(f"prerequisite depth {depth!r} must be >= 0")
-    if not base_scores or not depth:
-        frame = g.cached(whole_frame)
-        return Scores(np.zeros(len(frame.nodes)), frame)
-    _current(g, base_scores)
     frame, values = base_scores.frame, base_scores.values
+    if not base_scores or not depth:
+        frame = frame.gate.frame(None)
+        return Scores(np.zeros(len(frame.nodes)), frame)
     if not base_scores.within:
         frame, values = frame.gate.frame(None), base_scores.vector
     # the levels add in order; the first is its own sum, as 0.0 + x is x
@@ -667,12 +653,15 @@ def _add(total: tuple[np.ndarray, Frame] | None, part: Scores) -> tuple[np.ndarr
     return values, whole
 
 
-def _taken_seeds(g: HeteroGraph, index: GraphIndex, taken: tuple[str, ...]) -> Seeds:
+def _taken_seeds(index: GraphIndex, taken: tuple[str, ...]) -> Seeds:
     """The taken courses, one or more, as seeds of equal weight."""
-    for course in taken:
-        if course not in g or g.node_kind(course) is not NodeKind.COURSE:
+    pos = [index.pos.get(course) for course in taken]
+    for course, i in zip(taken, pos):
+        if i is None:
             raise QueryError(f"taken course {course!r} is not in the graph")
-    return Seeds(index, np.asarray([index.pos[c] for c in taken], dtype=np.int64),
+        if index.kinds[i] is not NodeKind.COURSE:
+            raise QueryError(f"taken course {course!r} is a {index.kinds[i].value}, not a course")
+    return Seeds(index, np.asarray(pos, dtype=np.int64),
                  np.full(len(taken), 1.0 / len(taken)), NodeKind.COURSE)
 
 
@@ -699,40 +688,39 @@ def _seed_groups(seeds: Seeds, gate: CommunityEdges) -> dict[int, Seeds]:
     return groups
 
 
-def scenario_scores(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInput,
-                    seeds: Seeds, prereq_depth: int = DEFAULT_PREREQ_DEPTH,
-                    ) -> tuple[Scores, Provenance]:
-    """Scenario score map before sorting/cutoff; ``seeds`` are
-    ``resolve_job_query``'s on ``g`` as it is now.
+def scenario_scores(labels: Mapping[str, int], inp: ScenarioInput, seeds: Seeds,
+                    prereq_depth: int = DEFAULT_PREREQ_DEPTH) -> tuple[Scores, Provenance]:
+    """Scenario score map, before sorting and cutoff, on ``seeds.index``;
+    ``seeds`` are such as ``resolve_job_query`` returns.
 
     Seeds are grouped by merged community; each group runs with its own
     community gate and the score maps add: base, then the prerequisite hop of
     a non-empty scenario 1/2 base, then the scenario 2 taken-course walk. The
     total stays in one community's frame while every route it adds is in that
     frame, and else moves to the frame of no community, the whole graph's;
-    with no seeds it is zeros there. An unlabelled seed raises first, then a taken course not in the
-    graph, then seeds of the wrong kind (the first group's walk checks them).
+    with no seeds it is zeros there. An unlabelled seed raises first, then a
+    taken id that is not in the graph or names a job or skill, then seeds of
+    the wrong kind (the first group's walk checks them).
     """
     # checked here too: a scenario 3 query or an empty base never expands
     if prereq_depth < 0:
         raise QueryError(f"prerequisite depth {prereq_depth!r} must be >= 0")
-    labels = _as_labels(labels)
-    index = _current(g, seeds)
+    labels, index = _as_labels(labels), seeds.index
     path = UPSKILL_PATH if inp.scenario == 3 else BASE_PATH
     gate = labels.cached(index, CommunityEdges)
     groups = _seed_groups(seeds, gate)
-    taken = _taken_seeds(g, index, inp.taken_courses) if inp.taken_courses else None
+    taken = _taken_seeds(index, inp.taken_courses) if inp.taken_courses else None
     prov = Provenance(seeds=groups)
     total = prereq = None
     for community, group in groups.items():
-        base = prov.base[community] = score_metapath(g, path, group, labels, community)
+        base = prov.base[community] = score_metapath(path, group, labels, community)
         total = _add(total, base)
         if inp.scenario != 3 and prereq_depth and base:
-            extra = prerequisite_expansion(g, base, prereq_depth)
+            extra = prerequisite_expansion(base, prereq_depth)
             total = _add(total, extra)
             prereq = _add(prereq, extra)
         if taken is not None:
-            total = _add(total, score_metapath(g, TAKEN_PATH, taken, labels, community))
+            total = _add(total, score_metapath(TAKEN_PATH, taken, labels, community))
     if prereq is not None:
         prov.prereq = Scores(*prereq)
     values, frame = (np.zeros(index.n), gate.frame(None)) if total is None else total
@@ -768,7 +756,7 @@ def recommend(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInput,
               cutoff: int = 10, prereq_depth: int = DEFAULT_PREREQ_DEPTH) -> RankedList:
     """Rank candidate courses for one scenario input, with per-route ``provenance``."""
     seeds = resolve_job_query(g, inp.query_text)
-    scores, prov = scenario_scores(g, labels, inp, seeds, prereq_depth)
+    scores, prov = scenario_scores(labels, inp, seeds, prereq_depth)
     return to_ranked_list(scores.index.ids, scores.values, inp.query_text,
                           f"scenario-{inp.scenario}", cutoff, prov, scores.frame.nodes)
 

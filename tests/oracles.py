@@ -16,14 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
+from skillgraph.community import Labels
 from skillgraph.errors import GraphError, IngestError
 from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build_career_graph,
                               build_education_graph)
 from skillgraph.ingest import Course, EnrollmentRecord, Job, Skill, tokenize
 from skillgraph.linker import Bm25Params
 from skillgraph.ranker import (BASE_PATH, TAKEN_PATH, UPSKILL_PATH, MetaPath, MetaPathStep,
-                               Provenance, ScenarioInput, Scores, Seeds, prerequisite_expansion,
-                               score_metapath, whole_frame)
+                               CommunityEdges, Provenance, ScenarioInput, Scores, Seeds,
+                               prerequisite_expansion, score_metapath)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +234,7 @@ def ref_scenario_scores(g: HeteroGraph, labels: dict[str, int], scenario: int,
     return {node: score for node, score in total.items() if score > 0.0}
 
 
-def eager_provenance(g: HeteroGraph, labels, inp: ScenarioInput, seeds: Seeds,
-                     depth: int = 1) -> Provenance:
+def eager_provenance(labels, inp: ScenarioInput, seeds: Seeds, depth: int = 1) -> Provenance:
     """``recommend``'s provenance with every community group walked: seeds
     grouped one at a time by label, each group a ``Seeds`` of its own, each
     group's base from ``score_metapath`` whether or not its walk can reach a
@@ -250,12 +250,12 @@ def eager_provenance(g: HeteroGraph, labels, inp: ScenarioInput, seeds: Seeds,
         at = np.asarray(members[community], dtype=np.int64)
         group = prov.seeds[community] = Seeds(seeds.index, seeds.pos[at], seeds.weight[at],
                                               seeds.kind)
-        base = prov.base[community] = score_metapath(g, path, group, labels, community)
+        base = prov.base[community] = score_metapath(path, group, labels, community)
         if inp.scenario != 3 and base:
-            extra = prerequisite_expansion(g, base, depth).vector
+            extra = prerequisite_expansion(base, depth).vector
             prereq = extra.copy() if prereq is None else prereq + extra
     if prereq is not None:
-        prov.prereq = Scores(prereq, g.cached(whole_frame))
+        prov.prereq = Scores(prereq, CommunityEdges(seeds.index, Labels({})).frame(None))
     return prov
 
 
@@ -301,7 +301,7 @@ class DenseQuery:
     prereq: np.ndarray | None
 
 
-def dense_scenario_scores(g: HeteroGraph, labels, inp: ScenarioInput, seeds: Seeds,
+def dense_scenario_scores(labels, inp: ScenarioInput, seeds: Seeds,
                           depth: int = 1) -> DenseQuery:
     """The scenario scores with every walk, hop and sum over n-length
     vectors of the whole graph, where the package uses community frames:
@@ -372,7 +372,7 @@ def scores_on(g: HeteroGraph, scores: dict[str, float]) -> Scores:
     vector = np.zeros(index.n)
     for node_id, score in scores.items():
         vector[index.pos[node_id]] = score
-    return Scores(vector, g.cached(whole_frame))
+    return Scores(vector, CommunityEdges(index, Labels({})).frame(None))
 
 
 # ---------------------------------------------------------------------------

@@ -491,8 +491,8 @@ def _use_every_view(g, labels):
     map_equation(g, flow, labels)
     detect_communities(g, seed=0)
     map_equation(g, flow, labels)
-    score_metapath(g, BASE_PATH, seeds_on(g, {"J0": 1.0}, NodeKind.JOB), labels, labels["J0"])
-    prerequisite_expansion(g, scores_on(g, {"C0": 1.0}))
+    score_metapath(BASE_PATH, seeds_on(g, {"J0": 1.0}, NodeKind.JOB), labels, labels["J0"])
+    prerequisite_expansion(scores_on(g, {"C0": 1.0}))
 
 
 def test_index_built_once_per_graph_state(monkeypatch):
@@ -934,3 +934,19 @@ def test_normalization_invariant_on_random_graphs(seed):
             row = out_edges(g, node, rel)
             if row:
                 assert abs(sum(w for _t, w in row) - 1.0) <= 1e-9
+
+
+def test_index_is_read_only():
+    # every caller shares one index per graph state, and a walk trusts the
+    # index its seeds or scores carry, so no caller may write to it
+    for seed in range(3):
+        g, _labels = random_hetero_graph(np.random.default_rng(seed))
+        index = g.cached(GraphIndex)
+        assert type(index.kinds) is tuple
+        assert index.kinds == tuple(g.node_kind(node_id) for node_id in index.ids)
+        for rel in Relation:
+            for array in index.rel_edges[rel]:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+                with pytest.raises(ValueError, match="read-only"):
+                    np.multiply(array, 2, out=array)

@@ -28,8 +28,6 @@ from oracles import (dense_gated_edges, dense_scenario_scores, dense_walk, eager
                      ref_scenario_scores, ref_score_metapath, scores_on, seeds_on)
 
 JOB, COURSE = NodeKind.JOB, NodeKind.COURSE
-# what a walk says of seeds or scores made before the graph changed
-STALE = "^seeds or scores were made on another graph, or before it changed$"
 
 
 def job_graph(titles):
@@ -219,26 +217,26 @@ def two_tour_graph():
 class TestScoreMetapath:
     def test_single_tour_unit_weights(self):
         g, labels = single_tour_graph()
-        scores = score_metapath(g, BASE_PATH, seeds_on(g, {"J1": 1.0}, JOB), labels, community=0)
+        scores = score_metapath(BASE_PATH, seeds_on(g, {"J1": 1.0}, JOB), labels, community=0)
         assert scores == {"C1": pytest.approx(1.0)}
 
     def test_two_tours_add(self):
         g = two_tour_graph()
         labels = {n: 0 for n in g.node_ids()}
-        scores = score_metapath(g, BASE_PATH, seeds_on(g, {"J1": 1.0}, JOB), labels, community=0)
+        scores = score_metapath(BASE_PATH, seeds_on(g, {"J1": 1.0}, JOB), labels, community=0)
         assert scores["C1"] == pytest.approx(1.0, abs=1e-12)
 
     def test_restriction_blocks_outside_tour(self):
         g = two_tour_graph()
         labels = {n: 0 for n in g.node_ids()}
         labels["S2"] = 1
-        scores = score_metapath(g, BASE_PATH, seeds_on(g, {"J1": 1.0}, JOB), labels, community=0)
+        scores = score_metapath(BASE_PATH, seeds_on(g, {"J1": 1.0}, JOB), labels, community=0)
         assert scores["C1"] == pytest.approx(0.5, abs=1e-12)
 
     def test_wrong_seed_kind_rejected(self):
         g, labels = single_tour_graph()
         with pytest.raises(QueryError, match="^seed 'C1' is a course, path starts at a job$"):
-            score_metapath(g, BASE_PATH, seeds_on(g, {"C1": 1.0}, COURSE), labels, community=0)
+            score_metapath(BASE_PATH, seeds_on(g, {"C1": 1.0}, COURSE), labels, community=0)
 
     def test_matches_dfs_oracle_on_random_graphs(self):
         steps = [(s.relation, s.reverse, s.community_restricted) for s in BASE_PATH.steps]
@@ -247,7 +245,7 @@ class TestScoreMetapath:
             jobs = g.node_ids(NodeKind.JOB)
             seeds = {j: 1.0 / len(jobs) for j in jobs}
             for community in (0, 1):
-                got = score_metapath(g, BASE_PATH, seeds_on(g, seeds, JOB), labels, community)
+                got = score_metapath(BASE_PATH, seeds_on(g, seeds, JOB), labels, community)
                 want = ref_score_metapath(g, steps, seeds, labels, community)
                 assert set(got) == set(want)
                 for node, score in want.items():
@@ -256,14 +254,14 @@ class TestScoreMetapath:
     def test_removing_edge_never_raises_scores(self):
         g = two_tour_graph()
         labels = {n: 0 for n in g.node_ids()}
-        full = score_metapath(g, BASE_PATH, seeds_on(g, {"J1": 1.0}, JOB), labels, 0)
+        full = score_metapath(BASE_PATH, seeds_on(g, {"J1": 1.0}, JOB), labels, 0)
         pruned = HeteroGraph()
         for n in g.node_ids():
             pruned.add_node(n, g.node_kind(n), g.node_name(n))
         for source, relation, target, weight in edges(g):
             if (source, target) != ("S2", "S3"):
                 pruned.add_edge(source, relation, target, weight)
-        less = score_metapath(pruned, BASE_PATH, seeds_on(pruned, {"J1": 1.0}, JOB), labels, 0)
+        less = score_metapath(BASE_PATH, seeds_on(pruned, {"J1": 1.0}, JOB), labels, 0)
         for node, score in less.items():
             assert score <= full.get(node, 0.0) + 1e-12
 
@@ -274,7 +272,7 @@ class TestScoreMetapath:
             g, labels = random_hetero_graph(rng)
             jobs = g.node_ids(NodeKind.JOB)
             seeds = {j: 1.0 / len(jobs) for j in jobs}
-            full = score_metapath(g, BASE_PATH, seeds_on(g, seeds, JOB), labels, 0)
+            full = score_metapath(BASE_PATH, seeds_on(g, seeds, JOB), labels, 0)
             every = edges(g)
             victim = every[int(rng.integers(len(every)))]
             pruned = HeteroGraph()
@@ -283,7 +281,7 @@ class TestScoreMetapath:
             for edge in every:
                 if edge != victim:
                     pruned.add_edge(*edge)
-            less = score_metapath(pruned, BASE_PATH, seeds_on(pruned, seeds, JOB), labels, 0)
+            less = score_metapath(BASE_PATH, seeds_on(pruned, seeds, JOB), labels, 0)
             for node, score in less.items():
                 assert score <= full.get(node, 0.0) + 1e-12
 
@@ -306,16 +304,16 @@ class TestScoreMetapath:
         g.add_edge("C2", Relation.PRE_REQUIRED, "C1", 1.0)
         seeds = seeds_on(g, {"J1": 1.0}, JOB)
         del labels["S1"]  # C2 carries no label either
-        assert score_metapath(g, BASE_PATH, seeds, labels, 0) == {}
+        assert score_metapath(BASE_PATH, seeds, labels, 0) == {}
         labels["S1"] = 0
-        assert score_metapath(g, BASE_PATH, seeds, labels, 0) == {"C1": 1.0}
-        upskill = score_metapath(g, ranker.UPSKILL_PATH, seeds, labels, 0)
+        assert score_metapath(BASE_PATH, seeds, labels, 0) == {"C1": 1.0}
+        upskill = score_metapath(ranker.UPSKILL_PATH, seeds, labels, 0)
         assert upskill == {"C2": 1.0}
 
     def test_seed_weight_scales_linearly(self):
         g, labels = single_tour_graph()
-        one = score_metapath(g, BASE_PATH, seeds_on(g, {"J1": 1.0}, JOB), labels, 0)
-        three = score_metapath(g, BASE_PATH, seeds_on(g, {"J1": 3.0}, JOB), labels, 0)
+        one = score_metapath(BASE_PATH, seeds_on(g, {"J1": 1.0}, JOB), labels, 0)
+        three = score_metapath(BASE_PATH, seeds_on(g, {"J1": 3.0}, JOB), labels, 0)
         for node in one:
             assert three[node] == pytest.approx(3.0 * one[node], rel=1e-12)
 
@@ -350,6 +348,14 @@ class TestScenarios:
         g, labels = single_tour_graph()
         inp = ScenarioInput(scenario=2, career_goal="data engineer", taken_courses=("CX",))
         with pytest.raises(QueryError, match="CX"):
+            recommend(g, labels, inp)
+
+    @pytest.mark.parametrize("node, kind", [("J1", "job"), ("S1", "skill")])
+    def test_scenario2_taken_node_of_another_kind_named_by_kind(self, node, kind):
+        # the node is in the graph, so the message names what it is
+        g, labels = single_tour_graph()
+        inp = ScenarioInput(scenario=2, career_goal="data engineer", taken_courses=("C1", node))
+        with pytest.raises(QueryError, match=f"^taken course '{node}' is a {kind}, not a course$"):
             recommend(g, labels, inp)
 
     def test_scenario3_walks_to_advanced_courses(self):
@@ -420,7 +426,7 @@ class TestScenarios:
                 inp = ScenarioInput(scenario=scenario, career_goal="q" if scenario != 3 else None,
                                     taken_courses=taken if scenario == 2 else (),
                                     current_job="q" if scenario == 3 else None)
-                got, _prov = scenario_scores(g, labels, inp, seeds_on(g, seeds, JOB))
+                got, _prov = scenario_scores(labels, inp, seeds_on(g, seeds, JOB))
                 want = ref_scenario_scores(g, labels, scenario, seeds,
                                            taken=taken if scenario == 2 else ())
                 assert set(got) == set(want)
@@ -438,7 +444,7 @@ class TestScenarios:
             for scenario in (1, 2):
                 inp = ScenarioInput(scenario=scenario, career_goal="q",
                                     taken_courses=taken if scenario == 2 else ())
-                got, _prov = scenario_scores(g, labels, inp, seeds_on(g, seeds, JOB), depth)
+                got, _prov = scenario_scores(labels, inp, seeds_on(g, seeds, JOB), depth)
                 want = ref_scenario_scores(g, labels, scenario, seeds, taken=inp.taken_courses,
                                            depth=depth)
                 assert set(got) == set(want), (seed, scenario)
@@ -461,7 +467,7 @@ class TestScenarios:
                 inp = ScenarioInput(scenario=scenario, career_goal="q" if scenario != 3 else None,
                                     taken_courses=taken if scenario == 2 else (),
                                     current_job="q" if scenario == 3 else None)
-                got, _prov = scenario_scores(g, labels, inp, seeds_on(g, seeds, JOB))
+                got, _prov = scenario_scores(labels, inp, seeds_on(g, seeds, JOB))
                 want = ref_scenario_scores(g, labels, scenario, seeds,
                                            taken=taken if scenario == 2 else ())
                 assert set(got) == set(want), (seed, scenario)
@@ -499,10 +505,10 @@ class TestSeedErrors:
         # J2 is unlabelled; C0 is labelled, but no course starts a job's walk
         for weights in ({"J1": 0.5, "J2": 0.5}, {"J2": 0.5, "J1": 0.5}):
             with pytest.raises(QueryError, match="^job 'J2' carries no community label$"):
-                scenario_scores(g, labels, inp, seeds_on(g, weights, JOB))
+                scenario_scores(labels, inp, seeds_on(g, weights, JOB))
         g.add_node("C9", NodeKind.COURSE)
         with pytest.raises(QueryError, match="^job 'C9' carries no community label$"):
-            scenario_scores(g, labels, inp, seeds_on(g, {"C0": 0.5, "C9": 0.5}, COURSE))
+            scenario_scores(labels, inp, seeds_on(g, {"C0": 0.5, "C9": 0.5}, COURSE))
 
     def test_unlabelled_resolved_job_raises_first(self):
         # the same order on the recommend path, where seeds are index positions
@@ -526,18 +532,18 @@ class TestSeedErrors:
         for taken in (("CX",), ("C1",)):
             inp = ScenarioInput(2, career_goal="q", taken_courses=taken)
             with pytest.raises(QueryError, match="^job 'J2' carries no community label$"):
-                scenario_scores(g, labels, inp, jobs)
+                scenario_scores(labels, inp, jobs)
         inp = ScenarioInput(2, career_goal="q", taken_courses=("C1", "CX"))
         for seeds in (seeds_on(g, {"J1": 1.0}, JOB), courses):
             with pytest.raises(QueryError, match="^taken course 'CX' is not in the graph$"):
-                scenario_scores(g, labels, inp, seeds)
+                scenario_scores(labels, inp, seeds)
         for inp in (ScenarioInput(1, career_goal="q"), ScenarioInput(3, current_job="q"),
                     ScenarioInput(2, career_goal="q", taken_courses=("C1",))):
             with pytest.raises(QueryError, match="^seed 'C0' is a course, path starts at a job$"):
-                scenario_scores(g, labels, inp, courses)
-            total, prov = scenario_scores(g, labels, inp, seeds_on(g, {}, COURSE))
+                scenario_scores(labels, inp, courses)
+            total, prov = scenario_scores(labels, inp, seeds_on(g, {}, COURSE))
             assert total == {} and prov.seeds == {} and prov.base == {}
-            total, prov = scenario_scores(g, labels, inp, seeds_on(g, {"J1": 1.0}, JOB))
+            total, prov = scenario_scores(labels, inp, seeds_on(g, {"J1": 1.0}, JOB))
             assert total == {} and prov.base == {5: {}}
 
     def test_course_seed_rejected(self):
@@ -547,11 +553,11 @@ class TestSeedErrors:
             inp = ScenarioInput(scenario, career_goal="q" if scenario == 1 else None,
                                 current_job="q" if scenario == 3 else None)
             with pytest.raises(QueryError, match="^seed 'C0' is a course, path starts at a job$"):
-                scenario_scores(g, labels, inp, seeds)
+                scenario_scores(labels, inp, seeds)
         # a taken course not in the graph raises before the seeds' kind
         inp = ScenarioInput(2, career_goal="q", taken_courses=("C1", "CX"))
         with pytest.raises(QueryError, match="^taken course 'CX' is not in the graph$"):
-            scenario_scores(g, labels, inp, seeds)
+            scenario_scores(labels, inp, seeds)
 
 
 class TestGraphViewCache:
@@ -571,32 +577,42 @@ class TestGraphViewCache:
             for step in growth[:done]:
                 step(fresh)
             assert recommend(g, labels, inp) == recommend(fresh, dict(labels), inp)
-            assert (score_metapath(g, BASE_PATH, seeds_on(g, {"J2": 1.0}, JOB), labels, 0)
-                    == score_metapath(fresh, BASE_PATH, seeds_on(fresh, {"J2": 1.0}, JOB),
+            assert (score_metapath(BASE_PATH, seeds_on(g, {"J2": 1.0}, JOB), labels, 0)
+                    == score_metapath(BASE_PATH, seeds_on(fresh, {"J2": 1.0}, JOB),
                                       dict(labels), 0))
 
     @pytest.mark.parametrize("change", [
         lambda g: g.add_node("J2", NodeKind.JOB, "data engineer"),
         lambda g: g.set_node_name("J1", "data engineer lead"),
     ])
-    def test_seeds_kept_across_a_change_are_refused(self, change):
-        # a walk reads seeds as index positions, which a change may move
+    def test_seeds_kept_across_a_change_walk_the_index_they_were_made_on(self, change):
+        # a walk reads seeds and scores on their own index, which a change to
+        # the graph leaves as it was: they walk the graph before the change
         g = two_tour_graph()
+        g.add_node("C0", NodeKind.COURSE)
+        g.add_edge("C1", Relation.PRE_REQUIRED, "C0", 1.0)
         labels = {n: 0 for n in g.node_ids()}
         labels["J2"] = 0
         inp = ScenarioInput(scenario=1, career_goal="data engineer")
+        before = g.copy()
         seeds = resolve_job_query(g, "data engineer")
-        base = score_metapath(g, BASE_PATH, seeds, labels, 0)
-        with pytest.raises(QueryError, match=STALE):
-            scenario_scores(HeteroGraph(), labels, inp, seeds)
+        base = score_metapath(BASE_PATH, seeds, labels, 0)
         change(g)
-        with pytest.raises(QueryError, match=STALE):
-            score_metapath(g, BASE_PATH, seeds, labels, 0)
-        with pytest.raises(QueryError, match=STALE):
-            scenario_scores(g, labels, inp, seeds)
-        with pytest.raises(QueryError, match=STALE):
-            prerequisite_expansion(g, base)
+        assert g.cached(GraphIndex) is not seeds.index
+        kept = resolve_job_query(before, "data engineer")
+        want = score_metapath(BASE_PATH, kept, labels, 0)
+        got = score_metapath(BASE_PATH, seeds, labels, 0)
+        assert got.index is seeds.index and got.vector.tobytes() == want.vector.tobytes()
+        hop = prerequisite_expansion(base)
+        assert hop.index is seeds.index
+        assert hop.vector.tobytes() == prerequisite_expansion(want).vector.tobytes()
+        assert hop == {"C0": 1.0}
+        (got, got_prov), (want, want_prov) = (scenario_scores(labels, inp, made)
+                                              for made in (seeds, kept))
+        assert got.vector.tobytes() == want.vector.tobytes() and got_prov == want_prov
         fresh = two_tour_graph()
+        fresh.add_node("C0", NodeKind.COURSE)
+        fresh.add_edge("C1", Relation.PRE_REQUIRED, "C0", 1.0)
         change(fresh)
         assert recommend(g, labels, inp) == recommend(fresh, labels, inp)
 
@@ -626,9 +642,9 @@ class TestGraphViewCache:
         g = two_tour_graph()
         labels = {n: 0 for n in g.node_ids()}
         seeds = seeds_on(g, {"J1": 1.0}, JOB)
-        assert score_metapath(g, BASE_PATH, seeds, labels, 0)["C1"] == pytest.approx(1.0)
+        assert score_metapath(BASE_PATH, seeds, labels, 0)["C1"] == pytest.approx(1.0)
         labels["S2"] = 1
-        assert score_metapath(g, BASE_PATH, seeds, labels, 0)["C1"] == pytest.approx(0.5)
+        assert score_metapath(BASE_PATH, seeds, labels, 0)["C1"] == pytest.approx(0.5)
 
     def test_unchanged_graph_indexed_once(self, monkeypatch):
         builds = []
@@ -745,10 +761,10 @@ class TestCommunityGate:
                 seeds = kind_seeds[path.source_kind]
                 steps = [(s.relation, s.reverse, s.community_restricted) for s in path.steps]
                 for community in self.COMMUNITIES:
-                    got = score_metapath(g, path, seeds, read_only, community)
+                    got = score_metapath(path, seeds, read_only, community)
                     # the same tours summed in the same order: equal to the bit
                     assert got == full_scatter_then_zero(g, path, seeds, labels, community)
-                    assert score_metapath(g, path, seeds, labels, community) == got
+                    assert score_metapath(path, seeds, labels, community) == got
                     want = ref_score_metapath(g, steps, seeds, labels, community)
                     assert set(got) == set(want), (seed, path, community)
                     for node, score in want.items():
@@ -786,7 +802,7 @@ class TestCommunityGate:
                 absent += 1
                 assert len(nodes) == 0
                 for path in (BASE_PATH, TAKEN_PATH, UPSKILL_PATH):
-                    got = score_metapath(g, path, kind_seeds[path.source_kind], labels,
+                    got = score_metapath(path, kind_seeds[path.source_kind], labels,
                                          frame.community)
                     assert got.frame is frame and len(got.values) == len(nodes)
                     assert not got.values.any()
@@ -812,7 +828,7 @@ class TestCommunityGate:
                 want = ref_scenario_scores(g, labels, scenario, seeds,
                                            taken=taken if scenario == 2 else ())
                 for given in (labels, Labels(labels)):
-                    got, _prov = scenario_scores(g, given, inp, seeds_on(g, seeds, JOB))
+                    got, _prov = scenario_scores(given, inp, seeds_on(g, seeds, JOB))
                     assert set(got) == set(want), (seed, scenario)
                     for node, score in want.items():
                         assert got[node] == pytest.approx(score, abs=1e-12)
@@ -830,7 +846,7 @@ class TestCommunityGate:
             jobs = g.node_ids(NodeKind.JOB)
             seeds = seeds_on(g, dict(zip(jobs, rng.normal(size=len(jobs)).tolist())), JOB)
             for community in self.COMMUNITIES:
-                base = score_metapath(g, BASE_PATH, seeds, labels, community)
+                base = score_metapath(BASE_PATH, seeds, labels, community)
                 if not base:
                     continue
                 assert base.within and base.frame.community == community
@@ -841,7 +857,7 @@ class TestCommunityGate:
                 empty_slice += not leaving
                 landing_outside += any(labels.get(ids[d]) != community for d in leaving)
                 for depth in (1, 2, 3):
-                    got = prerequisite_expansion(g, base, depth)
+                    got = prerequisite_expansion(base, depth)
                     assert got == full_relation_hop(base, depth), (seed, community, depth)
                     checked += len(got)
         assert empty_slice >= 5 and landing_outside >= 30 and checked > 500
@@ -862,7 +878,7 @@ class TestCommunityGate:
                          MetaPathStep(Relation.PRE_REQUIRED)))
         assert not path.framed
         seeds = seeds_on(g, {"J0": 1.0}, JOB)
-        got = score_metapath(g, path, seeds, labels, 0)
+        got = score_metapath(path, seeds, labels, 0)
         assert got == {"C1": 1.0}
         vector = np.zeros(seeds.index.n)
         vector[seeds.pos] = seeds.weight
@@ -944,7 +960,7 @@ class TestScenarioRoutes:
         ]
         for inp, want in zip(FANNED_OUT_INPUTS, expected):
             seeds = resolve_job_query(g, inp.query_text)
-            total, prov = scenario_scores(g, labels, inp, seeds)
+            total, prov = scenario_scores(labels, inp, seeds)
             assert len(prov.seeds) == 3
             assert repr(total) == want
 
@@ -952,9 +968,9 @@ class TestScenarioRoutes:
         g, labels = fanned_out
         bases = []
 
-        def counting(graph, base_scores, depth=ranker.DEFAULT_PREREQ_DEPTH):
+        def counting(base_scores, depth=ranker.DEFAULT_PREREQ_DEPTH):
             bases.append(dict(base_scores))
-            return prerequisite_expansion(graph, base_scores, depth)
+            return prerequisite_expansion(base_scores, depth)
 
         monkeypatch.setattr(ranker, "prerequisite_expansion", counting)
         for inp in FANNED_OUT_INPUTS:
@@ -972,11 +988,11 @@ class TestScenarioRoutes:
         seeds = resolve_job_query(g, MANY_SEEDS_GOAL)
         counts = []
         for inp in (MANY_SEEDS_INPUTS[0], MANY_SEEDS_INPUTS[2]):
-            total, prov = scenario_scores(g, labels, inp, seeds)
+            total, prov = scenario_scores(labels, inp, seeds)
             dead = [c for c, base in prov.base.items() if not base]
             keep = ~np.isin(seeds.pos, np.concatenate([prov.seeds[c].pos for c in dead]))
             live = ranker.Seeds(seeds.index, seeds.pos[keep], seeds.weight[keep], JOB)
-            alone, alone_prov = scenario_scores(g, labels, inp, live)
+            alone, alone_prov = scenario_scores(labels, inp, live)
             assert list(alone_prov.base) == [c for c in prov.base if c not in dead]
             assert alone.vector.tobytes() == total.vector.tobytes()
             counts.append(len(dead))
@@ -1006,7 +1022,7 @@ class TestScenarioRoutes:
             inp = ScenarioInput(scenario, career_goal="data engineer" if scenario == 1 else None,
                                 current_job="data engineer" if scenario == 3 else None)
             want = ref_scenario_scores(g, labels, scenario, {"J0": 0.5, "J1": 0.5})
-            total, prov = scenario_scores(g, labels, inp, resolve_job_query(g, "data engineer"))
+            total, prov = scenario_scores(labels, inp, resolve_job_query(g, "data engineer"))
             assert list(prov.seeds) == [0, 1]
             assert total.vector.dtype == np.float64
             assert total == want
@@ -1022,8 +1038,8 @@ class TestScenarioRoutes:
         for inp in (*FANNED_OUT_INPUTS, *MANY_SEEDS_INPUTS):
             seeds = resolve_job_query(g, inp.query_text)
             prov = recommend(g, labels, inp).provenance
-            assert prov == scenario_scores(g, labels, inp, seeds)[1]
-            assert prov == eager_provenance(g, labels, inp, seeds)
+            assert prov == scenario_scores(labels, inp, seeds)[1]
+            assert prov == eager_provenance(labels, inp, seeds)
             assert list(prov.seeds) == list(prov.base) == sorted(prov.seeds)
 
 
@@ -1075,7 +1091,7 @@ class TestManySeeds:
         ]
         seeds = resolve_job_query(g, MANY_SEEDS_GOAL)
         for inp, (digest, text) in zip(MANY_SEEDS_INPUTS, expected):
-            total, prov = scenario_scores(g, labels, inp, seeds)
+            total, prov = scenario_scores(labels, inp, seeds)
             assert hashlib.sha256(repr(total).encode()).hexdigest() == digest, inp
             assert {c: len(group) for c, group in prov.seeds.items()} == self.GROUP_SIZES
             assert all(list(group) == sorted(group) for group in prov.seeds.values())
@@ -1145,8 +1161,8 @@ def assert_equals_dense(g, labels, inp, depth=ranker.DEFAULT_PREREQ_DEPTH):
     provenance."""
     seeds = resolve_job_query(g, inp.query_text)
     index = seeds.index
-    total, prov = scenario_scores(g, labels, inp, seeds, depth)
-    want = dense_scenario_scores(g, labels, inp, seeds, depth)
+    total, prov = scenario_scores(labels, inp, seeds, depth)
+    want = dense_scenario_scores(labels, inp, seeds, depth)
     dead = np.zeros(index.n)  # what a walk that cannot reach a course leaves
     assert total.vector.tobytes() == (dead if want.total is None else want.total).tobytes(), inp
     assert list(prov.base) == list(want.base)
@@ -1213,7 +1229,7 @@ class TestFrames:
             for inp in (ScenarioInput(1, career_goal=goal),
                         ScenarioInput(2, career_goal=goal, taken_courses=taken),
                         ScenarioInput(3, current_job=goal)):
-                got, _prov = scenario_scores(g, labels, inp, seeds)
+                got, _prov = scenario_scores(labels, inp, seeds)
                 want = ref_scenario_scores(g, labels, inp.scenario, dict(seeds),
                                            taken=inp.taken_courses)
                 assert set(got) == set(want), inp
@@ -1228,7 +1244,7 @@ class TestFrames:
         # first live group reaches is moved to the second group's community
         g, plain = query_m
         goal = "engineer"
-        _total, prov = scenario_scores(g, plain, ScenarioInput(1, career_goal=goal),
+        _total, prov = scenario_scores(plain, ScenarioInput(1, career_goal=goal),
                                        resolve_job_query(g, goal))
         first, second = [c for c, base in prov.base.items() if base][:2]
         course, prereq = next((c, p) for c in prov.base[first]
@@ -1242,14 +1258,14 @@ class TestFrames:
             assert len([base for base in provs[inp.scenario].base.values() if base]) > 1
             assert total.frame.community is None
         # the first group's hop, in its own frame, reaches a member of the second's
-        hop = prerequisite_expansion(g, provs[1].base[first])
+        hop = prerequisite_expansion(provs[1].base[first])
         assert prereq in hop and hop.frame is provs[1].base[first].frame
         assert labels[prereq] == second and prereq in provs[1].prereq
 
     def test_gated_walk_holds_a_frame_length_array(self, fanned_out):
         g, labels = fanned_out
         seeds = resolve_job_query(g, FANNED_OUT_GOAL)
-        _total, prov = scenario_scores(g, labels, FANNED_OUT_INPUTS[0], seeds)
+        _total, prov = scenario_scores(labels, FANNED_OUT_INPUTS[0], seeds)
         community, base = next((c, b) for c, b in prov.base.items() if b)
         index = seeds.index
         frame = base.frame
@@ -1289,20 +1305,20 @@ class TestFrames:
         seeds = resolve_job_query(g, FANNED_OUT_GOAL)
         vector = np.zeros(seeds.index.n)
         vector[seeds.pos] = seeds.weight
-        _total, prov = scenario_scores(g, labels, FANNED_OUT_INPUTS[0], seeds)
+        _total, prov = scenario_scores(labels, FANNED_OUT_INPUTS[0], seeds)
         community = next(c for c, base in prov.base.items() if base)
         for steps in ((MetaPathStep(Relation.REQUIRED, community_restricted=True),
                        MetaPathStep(Relation.REQUIRED, reverse=True)),
                       (MetaPathStep(Relation.REQUIRED),
                        MetaPathStep(Relation.LINKED, community_restricted=True))):
             path = MetaPath(steps)
-            got = score_metapath(g, path, seeds, labels, community)
+            got = score_metapath(path, seeds, labels, community)
             steps_edges = dense_gated_edges(seeds.index, labels, path, community)
             want = dense_walk(seeds.index, steps_edges, vector)
             assert (want > 0.0).any()
             assert got.vector.tobytes() == want.tobytes()
             assert (got.frame.community is not None) == path.framed == steps[0].community_restricted
-            assert score_metapath(g, path, seeds, labels, community) == got
+            assert score_metapath(path, seeds, labels, community) == got
 
     def test_provenance_group_under_any_labels(self, fanned_out):
         # a group's seeds read from the provenance equal the dense walk under
@@ -1310,7 +1326,7 @@ class TestFrames:
         # another's, and under labels that move one of them to that other one
         g, plain = fanned_out
         labels = Labels(plain)
-        _total, prov = scenario_scores(g, labels, FANNED_OUT_INPUTS[0],
+        _total, prov = scenario_scores(labels, FANNED_OUT_INPUTS[0],
                                        resolve_job_query(g, FANNED_OUT_GOAL))
         community = next(c for c, base in prov.base.items() if base)
         group = prov.seeds[community]
@@ -1319,7 +1335,7 @@ class TestFrames:
         alone = next(single for single in (ranker.Seeds(index, group.pos[i:i + 1],
                                                          group.weight[i:i + 1], JOB)
                                            for i in range(len(group)))
-                     if score_metapath(g, BASE_PATH, single, labels, community))
+                     if score_metapath(BASE_PATH, single, labels, community))
         moved = next(iter(alone))
         vector = np.zeros(index.n)
         vector[group.pos] = group.weight
@@ -1328,14 +1344,14 @@ class TestFrames:
             for given in (labels, others):
                 for path in (BASE_PATH, UPSKILL_PATH):
                     for walked in (community, away):
-                        got = score_metapath(g, path, group, given, walked)
+                        got = score_metapath(path, group, given, walked)
                         steps = dense_gated_edges(index, given, path, walked)
                         want = (np.zeros(index.n) if steps is None
                                 else dense_walk(index, steps, vector))
                         assert got.vector.tobytes() == want.tobytes(), (away, path, walked)
                         assert want.any() or walked == away
             # the moved seed still reaches the group's community through its edges
-            assert score_metapath(g, BASE_PATH, alone, others, community)
+            assert score_metapath(BASE_PATH, alone, others, community)
 
     def test_routes_share_steps(self, fanned_out):
         # a frame's base and upskilling routes share their three restricted
@@ -1368,25 +1384,24 @@ class TestFrames:
             assert np.array_equal(got, want)
         for inp in FANNED_OUT_INPUTS:
             seeds = resolve_job_query(g, inp.query_text)
-            total, prov = scenario_scores(g, labels, inp, seeds)
+            total, prov = scenario_scores(labels, inp, seeds)
             assert len(prov.seeds) == 3 and total.frame is whole
             if inp.scenario == 3:
                 continue
-            deep, deep_prov = scenario_scores(g, labels, inp, seeds, prereq_depth=2)
+            deep, deep_prov = scenario_scores(labels, inp, seeds, prereq_depth=2)
             assert deep.frame is whole and deep_prov.prereq.frame is whole
             base = next(base for base in prov.base.values() if base)
-            assert prerequisite_expansion(g, base, depth=1).frame is base.frame
-            assert prerequisite_expansion(g, base, depth=2).frame is whole
+            assert prerequisite_expansion(base, depth=1).frame is base.frame
+            assert prerequisite_expansion(base, depth=2).frame is whole
 
 
 class TestEveryAnswerInAFrame:
     """Every ``Scores`` a walk, hop or scenario returns is in a frame of the
-    graph as it is now, empty answers too, and its dense view covers every
-    node of that graph."""
+    index its seeds or base were made on, empty answers too, and its dense
+    view covers every node of that index."""
 
     @staticmethod
-    def assert_current(g, scores):
-        index = g.cached(GraphIndex)
+    def assert_on(index, scores):
         assert scores.index is index and scores.frame.gate.index is index
         assert len(scores.vector) == index.n
 
@@ -1399,18 +1414,19 @@ class TestEveryAnswerInAFrame:
         none = seeds_on(g, {}, JOB)
         unframed = MetaPath((MetaPathStep(Relation.REQUIRED),
                              MetaPathStep(Relation.LINKED, community_restricted=True)))
-        base = score_metapath(g, BASE_PATH, seeds, labels, 0)
+        base = score_metapath(BASE_PATH, seeds, labels, 0)
         assert base == {"C1": 1.0}
-        walks = [base, score_metapath(g, BASE_PATH, none, labels, 0),
-                 score_metapath(g, unframed, seeds, labels, 0),
-                 score_metapath(g, unframed, none, labels, 0)]
-        hops = [prerequisite_expansion(g, base), prerequisite_expansion(g, base, depth=2),
-                prerequisite_expansion(g, base, depth=0), prerequisite_expansion(g, walks[1]),
-                prerequisite_expansion(g, scores_on(HeteroGraph(), {}))]
+        walks = [base, score_metapath(BASE_PATH, none, labels, 0),
+                 score_metapath(unframed, seeds, labels, 0),
+                 score_metapath(unframed, none, labels, 0)]
+        hops = [prerequisite_expansion(base), prerequisite_expansion(base, depth=2),
+                prerequisite_expansion(base, depth=0), prerequisite_expansion(walks[1])]
         assert hops[0] == hops[1] == {"C0": 1.0}
         assert not any(hops[2:]) and not any(walks[1::2])
         for scores in (*walks, *hops):
-            self.assert_current(g, scores)
+            self.assert_on(g.cached(GraphIndex), scores)
+        other = scores_on(HeteroGraph(), {})
+        self.assert_on(other.index, prerequisite_expansion(other))
 
     def test_scenarios(self):
         g, labels = single_tour_graph()
@@ -1419,11 +1435,11 @@ class TestEveryAnswerInAFrame:
                     ScenarioInput(3, current_job="data engineer")):
             for seeds in (resolve_job_query(g, inp.query_text), seeds_on(g, {}, JOB)):
                 for depth in (0, 1, 2):
-                    total, prov = scenario_scores(g, labels, inp, seeds, depth)
+                    total, prov = scenario_scores(labels, inp, seeds, depth)
                     assert bool(total) == (len(seeds) > 0 and inp.scenario == 1)
-                    self.assert_current(g, total)
+                    self.assert_on(g.cached(GraphIndex), total)
                     for base in prov.base.values():
-                        self.assert_current(g, base)
+                        self.assert_on(g.cached(GraphIndex), base)
 
 
 class TestPrerequisiteExpansion:
@@ -1434,9 +1450,9 @@ class TestPrerequisiteExpansion:
         g.add_edge("C2", Relation.PRE_REQUIRED, "C1", 1.0)
         g.add_edge("C1", Relation.PRE_REQUIRED, "C0", 1.0)
         base = scores_on(g, {"C2": 1.0})
-        assert prerequisite_expansion(g, base, depth=1) == {"C1": 1.0}
-        assert prerequisite_expansion(g, base, depth=2) == {"C1": 1.0, "C0": 1.0}
-        assert prerequisite_expansion(g, base, depth=0) == {}
+        assert prerequisite_expansion(base, depth=1) == {"C1": 1.0}
+        assert prerequisite_expansion(base, depth=2) == {"C1": 1.0, "C0": 1.0}
+        assert prerequisite_expansion(base, depth=0) == {}
 
     def test_an_empty_answer_orders_no_edges(self, monkeypatch):
         # the frame of no community gates no edge, so the whole frames made
@@ -1454,9 +1470,9 @@ class TestPrerequisiteExpansion:
             return original(gate, relation, target, community)
 
         monkeypatch.setattr(ranker.CommunityEdges, "ends_in", recording)
-        assert prerequisite_expansion(g, scores_on(g, {"C2": 1.0}), depth=0) == {}
-        assert prerequisite_expansion(g, scores_on(HeteroGraph(), {})) == {}
-        assert prerequisite_expansion(g, scores_on(g, {"C2": 1.0}), depth=2) == {
+        assert prerequisite_expansion(scores_on(g, {"C2": 1.0}), depth=0) == {}
+        assert prerequisite_expansion(scores_on(HeteroGraph(), {})) == {}
+        assert prerequisite_expansion(scores_on(g, {"C2": 1.0}), depth=2) == {
             "C1": 1.0, "C0": 1.0}
         assert scans == []
 
@@ -1464,7 +1480,7 @@ class TestPrerequisiteExpansion:
         g = HeteroGraph()
         g.add_node("C0", NodeKind.COURSE)
         with pytest.raises(QueryError, match="depth -1 must be >= 0"):
-            prerequisite_expansion(g, scores_on(g, {"C0": 1.0}), depth=-1)
+            prerequisite_expansion(scores_on(g, {"C0": 1.0}), depth=-1)
 
     def test_shared_prerequisite_adds_pushes(self):
         g = HeteroGraph()
@@ -1474,21 +1490,27 @@ class TestPrerequisiteExpansion:
         g.add_edge("C1", Relation.PRE_REQUIRED, "C3", 0.5)
         g.add_edge("C2", Relation.PRE_REQUIRED, "C0", 1.0)
         base = scores_on(g, {"C2": 0.5, "C1": 0.25})
-        assert prerequisite_expansion(g, base) == {"C0": 0.625, "C3": 0.125}
+        assert prerequisite_expansion(base) == {"C0": 0.625, "C3": 0.125}
 
-    def test_base_from_another_graph_state_rejected(self):
+    def test_base_kept_across_a_change_hops_on_its_own_index(self):
+        # A0 sorts first, so the change moves every course's index position
         g = HeteroGraph()
         for c in ("C0", "C1"):
             g.add_node(c, NodeKind.COURSE)
         g.add_edge("C1", Relation.PRE_REQUIRED, "C0", 1.0)
-        base = scores_on(g, {"C1": 1.0})
-        with pytest.raises(QueryError, match=STALE):
-            prerequisite_expansion(g.copy(), base)
-        g.add_node("C2", NodeKind.COURSE)
-        with pytest.raises(QueryError, match=STALE):
-            prerequisite_expansion(g, base)
-        # an empty base pushes nothing, whatever graph it came from
-        assert prerequisite_expansion(g, scores_on(HeteroGraph(), {})) == {}
+        before = g.copy()
+        base, empty = scores_on(g, {"C1": 1.0}), scores_on(g, {})
+        g.add_node("A0", NodeKind.COURSE)
+        g.add_edge("C0", Relation.PRE_REQUIRED, "A0", 1.0)
+        for depth in (1, 2):
+            hop = prerequisite_expansion(base, depth)
+            want = prerequisite_expansion(scores_on(before, {"C1": 1.0}), depth)
+            assert hop.index is base.index and hop.vector.tobytes() == want.vector.tobytes()
+            assert hop == {"C0": 1.0}
+        # an empty base, or depth 0, answers zeros over the base's own index
+        for hop in (prerequisite_expansion(empty), prerequisite_expansion(base, depth=0)):
+            assert hop == {} and hop.index is base.index
+            assert hop.vector.tobytes() == np.zeros(2).tobytes()
 
     def test_depth_two_sums_levels_over_branching_chain(self):
         g = HeteroGraph()
@@ -1499,10 +1521,10 @@ class TestPrerequisiteExpansion:
         g.add_edge("C2", Relation.PRE_REQUIRED, "C0", 1.0)
         g.add_edge("C3", Relation.PRE_REQUIRED, "C0", 0.75)
         g.add_edge("C3", Relation.PRE_REQUIRED, "C1", 0.25)
-        assert prerequisite_expansion(g, scores_on(g, {"C4": 1.0}), depth=2) == {
+        assert prerequisite_expansion(scores_on(g, {"C4": 1.0}), depth=2) == {
             "C0": 0.875, "C1": 0.125, "C2": 0.5, "C3": 0.5}
         # C0 is pushed at both levels: 1.0 from C2, then 0.5 + 0.375 through C2 and C3
-        assert prerequisite_expansion(g, scores_on(g, {"C4": 1.0, "C2": 1.0}), depth=2) == {
+        assert prerequisite_expansion(scores_on(g, {"C4": 1.0, "C2": 1.0}), depth=2) == {
             "C0": 1.875, "C1": 0.125, "C2": 0.5, "C3": 0.5}
 
 
