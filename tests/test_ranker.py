@@ -616,6 +616,28 @@ class TestGraphViewCache:
         change(fresh)
         assert recommend(g, labels, inp) == recommend(fresh, labels, inp)
 
+    @pytest.mark.parametrize("change", [
+        lambda g: g.add_node("C2", NodeKind.COURSE),
+        lambda g: (g.add_node("C2", NodeKind.COURSE), g.add_edge("C2", Relation.COVERED, "S3", 1.0)),
+    ])
+    def test_seeds_kept_across_a_change_are_refused(self, change):
+        # seeds kept across a change know only the nodes of the graph they
+        # were made on: a taken course the change added is refused against
+        # them, and accepted against seeds resolved on the changed graph
+        g = two_tour_graph()
+        labels = {n: 0 for n in g.node_ids()}
+        labels["C2"] = 0
+        inp = ScenarioInput(2, career_goal="data engineer", taken_courses=("C2",))
+        seeds = resolve_job_query(g, "data engineer")
+        change(g)
+        with pytest.raises(QueryError, match="^taken course 'C2' is not in the graph$"):
+            scenario_scores(labels, inp, seeds)
+        total, _ = scenario_scores(labels, inp, resolve_job_query(g, "data engineer"))
+        assert "C2" not in total and total["C1"] > 0.0
+        fresh = two_tour_graph()
+        change(fresh)
+        assert recommend(g, labels, inp) == recommend(fresh, labels, inp)
+
     def test_renamed_job_resolves_by_new_title(self):
         g = job_graph(["data engineer"])
         assert resolve_job_query(g, "data engineer") == {"J0": 1.0}
