@@ -5,8 +5,8 @@ from .community import (CommunityPartition, FlowModel, compute_flow, detect_comm
                         map_equation, merge_partitions)
 from .errors import (CommunityError, ConfigError, EvalError, GraphError, IngestError,
                      QueryError, SkillGraphError)
-from .graph import (HeteroGraph, NodeKind, Relation, build_career_graph, build_education_graph,
-                    merge_graphs, read_snapshot, skill_key, write_snapshot)
+from .graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build_career_graph,
+                    build_education_graph, merge_graphs, read_snapshot, skill_key, write_snapshot)
 from .ingest import (Course, EnrollmentRecord, Job, Skill, load_course_skills, load_courses,
                      load_enrollments, load_jobs, load_skills, tokenize)
 from .linker import Bm25Params, Postings, bm25, link_skills, term_postings
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bm25Params", "CommunityError", "CommunityPartition", "ConfigError",
-    "Course", "EnrollmentRecord", "EvalError", "FlowModel", "GraphError",
+    "Course", "EnrollmentRecord", "EvalError", "FlowModel", "GraphError", "GraphIndex",
     "HeteroGraph", "IngestError", "Job", "JudgedRun", "MetaPath",
     "MetaPathStep", "MetricReport", "NodeKind", "Postings", "QueryError", "RankedList",
     "Relation", "ScenarioInput", "Skill", "SkillGraphError", "average_precision",

@@ -32,6 +32,7 @@ import itertools
 import logging
 import math
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -606,23 +607,71 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
 
 
 # ---------------------------------------------------------------------------
-# array view used by the kernels
+# array view used by the kernels and the query
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class TitleIndex:
+    """Job titles as text: a title's tokens joined and wrapped by single
+    spaces. A token holds no space, so a query's tokens are a contiguous run
+    of a title's exactly when the query's text is a substring of the title's.
+    ``titles`` maps each text to its jobs' sorted positions, ``postings`` each
+    token to the texts holding it (a query tests only its rarest token's) and
+    ``names`` each title as written to its text."""
+
+    titles: dict[str, np.ndarray]
+    postings: dict[str, list[str]]
+    names: dict[str, str]
+
+
+def _text(tokens: list[str]) -> str:
+    return f" {' '.join(tokens)} "
+
+
+def title_index(jobs: Iterable[tuple[int, str]]) -> TitleIndex:
+    """Index ``(job position, title)`` pairs, tokenizing each distinct title once."""
+    names: dict[str, str] = {}
+    titles: dict[str, list[int]] = {}
+    for position, name in jobs:
+        if name not in names:
+            names[name] = _text(tokenize(name))
+        titles.setdefault(names[name], []).append(position)
+    postings: dict[str, list[str]] = {}
+    for text in titles:
+        for token in dict.fromkeys(text.split()):
+            postings.setdefault(token, []).append(text)
+    arrays = {text: np.sort(np.asarray(positions, dtype=np.int64))
+              for text, positions in titles.items()}
+    return TitleIndex(arrays, postings, names)
+
+
+def match_titles(index: TitleIndex, query: list[str]) -> np.ndarray:
+    """Sorted positions of the jobs whose title holds the ``query`` tokens as a run."""
+    # a matching title holds every query token, so the rarest one's postings
+    # hold every match; a token in no title leaves nothing to check
+    candidates = min((index.postings.get(token, []) for token in query), key=len)
+    text = _text(query)
+    found = [index.titles[title] for title in candidates if text in title]
+    return np.sort(np.concatenate(found)) if found else np.zeros(0, dtype=np.int64)
+
+
 class GraphIndex:
-    """Stable array numbering of a graph (sorted ids), each node's kind by
-    position, plus per-relation COO.
+    """Stable array numbering of a graph (sorted ids), each node's kind and
+    display name by position, per-relation COO, and the job title index
+    (``titles``): everything a query reads.
 
     Read it as ``g.cached(GraphIndex)``: every caller shares one build per
-    graph state, so its edge arrays are read-only and ``kinds`` a tuple. A
-    walk reads seeds and scores on the index they were made on, which keeps
-    that graph state after the graph changes.
+    graph state, so its edge arrays are read-only and ``kinds`` and
+    ``names`` tuples. A query resolves on an index and walks the index its
+    seeds and scores were made on, which keeps that graph state, names
+    included, after the graph changes.
     """
 
     def __init__(self, g: HeteroGraph) -> None:
         self.ids: list[str] = g.node_ids()
         self.pos: dict[str, int] = {node_id: i for i, node_id in enumerate(self.ids)}
         self.kinds: tuple[NodeKind, ...] = tuple(map(g._kind.__getitem__, self.ids))
+        self.names: tuple[str, ...] = tuple(map(g._name.__getitem__, self.ids))
         self.n = len(self.ids)
         self.rel_edges: dict[Relation, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for rel, rows in g._out.items():
@@ -637,6 +686,11 @@ class GraphIndex:
             for array in arrays:
                 array.setflags(write=False)
             self.rel_edges[rel] = arrays
+
+    @functools.cached_property
+    def titles(self) -> TitleIndex:
+        """The title index of the job nodes, by position; made on first read."""
+        return title_index((i, n) for i, n in enumerate(self.names) if self.kinds[i] is NodeKind.JOB)
 
     @functools.cached_property
     def walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -105,8 +105,13 @@ def term_postings(docs: Sequence[Sequence[str]],
     idf = np.array([math.log(1.0 + (n_docs - n + 0.5) / (n + 0.5)) for n in df.tolist()])
     avgdl = int(lengths.sum()) / n_docs
     k1, b = params.k1, params.b
-    norm = k1 * ((1.0 - b) + (b * lengths) / avgdl)
-    terms = (idf[token] * (f * (k1 + 1.0))) / (f + norm[member])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        norm = k1 * ((1.0 - b) + (b * lengths) / avgdl)
+        terms = (idf[token] * (f * (k1 + 1.0))) / (f + norm[member])
+    # every idf is positive, so only a k1 too large for floats makes a term
+    # infinite, NaN or 0.0
+    if not np.all((terms > 0.0) & (terms < math.inf)):
+        raise GraphError(f"k1 {k1!r} is too large: a BM25 term overflows")
     return Postings(n_docs, vocab, np.concatenate(([0], np.cumsum(df))), member, terms)
 
 

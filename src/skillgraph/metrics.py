@@ -21,7 +21,8 @@ from typing import Mapping, Sequence
 
 from .errors import EvalError, csv_lines, csv_rows, parse_number, read_through, write_lines
 from .ingest import Course, Job, Skill, tokenize
-from .ranker import RankedList, TitleIndex, match_titles, title_index, to_ranked_list
+from .graph import TitleIndex, match_titles, title_index
+from .ranker import RankedList, to_ranked_list
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,12 @@ shorter than the partition its moves found, so a topic's jobs are not split
 over stalled fragments, and on each ``perfbench`` workload (seed 1, traced)
 a query spans one community group.
 
-A query resolves to the jobs whose title holds its tokens as a contiguous
-run (``TitleIndex``), and its seeds stay index positions with their weights
+A query reads one index, a ``GraphIndex``: ids, positions, node kinds and
+names, edges, and the job title index (``GraphIndex.titles``). It resolves
+on it (``resolve_job_query(index, text)``) to the jobs whose title holds its
+tokens as a contiguous run, and walks it. ``recommend`` is the one function
+here that takes a ``HeteroGraph``, and it reads only ``g.cached(GraphIndex)``.
+The seeds stay index positions with their weights
 (``Seeds``) from the title match to the scatter: the matched titles' jobs
 come as one position array, ``scenario_scores`` splits it by community with
 one gather of each seed's community slot, and the first group's walk checks
@@ -62,9 +66,9 @@ its own community's frame or any other, with one gather of the frame's
 place map: a seed outside the frame has no edge into the community and
 pushes nothing, so it lands in the sink slot, which is dropped before the
 walk. The walks take no graph: each reads the index its ``Seeds`` or
-``Scores`` were made on, so seeds kept across a change to the graph walk
-the graph as it was when they were made; a library caller gets seeds from
-``resolve_job_query``.
+``Scores`` were made on, so seeds kept across a change to the graph, a
+rename included, walk the graph as it was when they were made; a library
+caller gets seeds from ``resolve_job_query(g.cached(GraphIndex), text)``.
 
 Every score vector is one vector over a frame (``Scores``). A scenario adds
 its routes in route order (base, prerequisite hop, taken walk, group
@@ -93,14 +97,14 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import kernels
 from .community import Labels
 from .errors import QueryError, csv_text
-from .graph import RELATION_SIGNATURE, GraphIndex, HeteroGraph, NodeKind, Relation
+from .graph import RELATION_SIGNATURE, GraphIndex, HeteroGraph, NodeKind, Relation, match_titles
 from .ingest import tokenize
 
 DEFAULT_PREREQ_DEPTH = 1
@@ -221,58 +225,6 @@ class ScenarioInput:
         return self.current_job if self.scenario == 3 else self.career_goal  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class TitleIndex:
-    """Job titles as text: a title's tokens joined and wrapped by single
-    spaces. A token holds no space, so a query's tokens are a contiguous run
-    of a title's exactly when the query's text is a substring of the title's.
-    ``titles`` maps each text to its jobs' sorted positions, ``postings`` each
-    token to the texts holding it (a query tests only its rarest token's) and
-    ``names`` each title as written to its text."""
-
-    titles: dict[str, np.ndarray]
-    postings: dict[str, list[str]]
-    names: dict[str, str]
-
-
-def _text(tokens: list[str]) -> str:
-    return f" {' '.join(tokens)} "
-
-
-def title_index(jobs: Iterable[tuple[int, str]]) -> TitleIndex:
-    """Index ``(job position, title)`` pairs, tokenizing each distinct title once."""
-    names: dict[str, str] = {}
-    titles: dict[str, list[int]] = {}
-    for position, name in jobs:
-        if name not in names:
-            names[name] = _text(tokenize(name))
-        titles.setdefault(names[name], []).append(position)
-    postings: dict[str, list[str]] = {}
-    for text in titles:
-        for token in dict.fromkeys(text.split()):
-            postings.setdefault(token, []).append(text)
-    arrays = {text: np.sort(np.asarray(positions, dtype=np.int64))
-              for text, positions in titles.items()}
-    return TitleIndex(arrays, postings, names)
-
-
-def job_titles(g: HeteroGraph) -> TitleIndex:
-    """The title index of ``g``'s job nodes by ``GraphIndex`` position; read
-    it as ``g.cached(job_titles)``."""
-    pos = g.cached(GraphIndex).pos
-    return title_index((pos[job_id], g.node_name(job_id)) for job_id in g.node_ids(NodeKind.JOB))
-
-
-def match_titles(index: TitleIndex, query: list[str]) -> np.ndarray:
-    """Sorted positions of the jobs whose title holds the ``query`` tokens as a run."""
-    # a matching title holds every query token, so the rarest one's postings
-    # hold every match; a token in no title leaves nothing to check
-    candidates = min((index.postings.get(token, []) for token in query), key=len)
-    text = _text(query)
-    found = [index.titles[title] for title in candidates if text in title]
-    return np.sort(np.concatenate(found)) if found else np.zeros(0, dtype=np.int64)
-
-
 class Seeds(Mapping[str, float]):
     """Seed weights as positions on ``index``, every seed a ``kind`` node:
     ``weight[i]`` is the weight of ``index.ids[pos[i]]``, and the keys iterate
@@ -304,9 +256,9 @@ class Seeds(Mapping[str, float]):
         return repr(dict(self.items()))
 
 
-def resolve_job_query(g: HeteroGraph, text: str) -> Seeds:
-    """Jobs whose title contains the query as a contiguous token run, as a
-    read-only mapping from job id to weight, in id order.
+def resolve_job_query(index: GraphIndex, text: str) -> Seeds:
+    """Jobs of ``index`` whose title contains the query as a contiguous token
+    run, as a read-only mapping from job id to weight, in id order.
 
     Matches share uniform weight. With no match, raises and names up to five
     nearest distinct titles by shared-token count, then by title.
@@ -314,13 +266,11 @@ def resolve_job_query(g: HeteroGraph, text: str) -> Seeds:
     query = tokenize(text)
     if not query:
         raise QueryError("empty job query")
-    titles = g.cached(job_titles)
-    matches = match_titles(titles, query)
-    index = g.cached(GraphIndex)
+    matches = match_titles(index.titles, query)
     if not len(matches):
-        qset = set(query)
-        nearest = sorted(titles.names, key=lambda name: (
-            -len(qset.intersection(titles.names[name].split())), name))[:5]
+        qset, names = set(query), index.titles.names
+        nearest = sorted(names, key=lambda name: (
+            -len(qset.intersection(names[name].split())), name))[:5]
         raise QueryError(f"no job title matches {text!r}; nearest titles: {nearest}")
     return Seeds(index, matches, np.full(len(matches), 1.0 / len(matches)), NodeKind.JOB)
 
@@ -383,34 +333,44 @@ class Frame:
     position outside the frame to ``len(nodes)``.
 
     A path's edges are ``_path_edges``' for a walk whose mass starts in the
-    community, made when first asked for and kept (``route``)."""
+    community, made when first asked for and kept (``route``).
+
+    A frame keeps what it reads of its gate, never the gate, which keeps its
+    frames: its ``index``, its community's edge scans (``ends``, None in the
+    frame of no community) and the frame of no community (``whole``). So no
+    frame is in a reference cycle, and an index goes when the last gate,
+    frame, score or seed set on it goes, with no wait for the collector."""
 
     def __init__(self, gate: CommunityEdges, community: int | None) -> None:
-        self.gate = gate
+        self.index = gate.index
         self.community = community
         self._routes: dict[MetaPath, list[Edges]] = {}
         # each (relation, direction, restricted)'s edges, which paths share
         self._steps: dict[tuple[Relation, bool, bool], Edges] = {}
-
-    @functools.cached_property
-    def nodes(self) -> np.ndarray:
-        """The frame's index positions, ascending; made on first read."""
-        gate, community = self.gate, self.community
         if community is None:
-            return np.arange(gate.index.n)
+            self.ends, self._whole, self.nodes = None, None, np.arange(self.index.n)
+            return
+        # each relation's edges whose source (False) or target (True) is in the community
+        self.ends = {(relation, target): gate.ends_in(relation, target, community)
+                     for relation in Relation for target in (False, True)}
+        self._whole = gate.frame(None)
         parts = [gate.members(community)]
-        for relation, (src, dst, _wgt) in gate.index.rel_edges.items():
-            parts.append(dst[gate.ends_in(relation, False, community)])
-            parts.append(src[gate.ends_in(relation, True, community)])
+        for relation, (src, dst, _wgt) in self.index.rel_edges.items():
+            parts += (dst[self.ends[relation, False]], src[self.ends[relation, True]])
         nodes = np.sort(np.concatenate(parts))
         # each run of one position keeps its first; np.unique's first call imports numpy.ma
-        return np.concatenate((nodes[:1], nodes[1:][nodes[1:] != nodes[:-1]]))
+        self.nodes = np.concatenate((nodes[:1], nodes[1:][nodes[1:] != nodes[:-1]]))
+
+    @property
+    def whole(self) -> Frame:
+        """The frame of no community on ``index``: this one, or its gate's."""
+        return self._whole or self
 
     @functools.cached_property
     def place(self) -> np.ndarray:
         """Each index position's place in ``nodes``, ``len(nodes)`` outside
         the frame; made on first read."""
-        place = np.full(self.gate.index.n, len(self.nodes))
+        place = np.full(self.index.n, len(self.nodes))
         place[self.nodes] = np.arange(len(self.nodes))
         return place
 
@@ -421,7 +381,7 @@ class Frame:
         community takes every edge of any path."""
         edges = self._routes.get(path)
         if edges is None:
-            edges = _path_edges(path, self.gate, self.community, entered=True)
+            edges = _path_edges(path, self.index, self.ends, entered=True)
             for i, step in enumerate(path.steps):
                 key = (step.relation, step.reverse, step.community_restricted)
                 if key not in self._steps:
@@ -438,20 +398,22 @@ class Frame:
         return at, at < len(self.nodes)
 
 
-def _path_edges(path: MetaPath, gate: CommunityEdges, community: int | None,
+def _path_edges(path: MetaPath, index: GraphIndex,
+                ends: dict[tuple[Relation, bool], np.ndarray] | None,
                 entered: bool = False) -> list[Edges]:
-    """Each step's edges on ``gate``'s index as (from, to, weight) in edge
-    order. A restricted step takes the edges that land in ``community`` (an
+    """Each step's edges on ``index`` as (from, to, weight) in edge order,
+    gated by a community's edge scans ``ends`` (``Frame.ends``). A
+    restricted step takes the edges that land in the community (an
     unlabelled node is in none); an unrestricted step takes the ones that
     leave it after a restricted step, or first when the walk has ``entered``
-    it; any other step takes every edge. ``community`` None is the whole
-    graph, so every step takes every edge."""
+    it; any other step takes every edge. ``ends`` None is the whole graph,
+    so every step takes every edge."""
     edges = []
     for step in path.steps:
-        frm, to, wgt = step.edges(gate.index)
-        if community is not None and (step.community_restricted or entered):
+        frm, to, wgt = step.edges(index)
+        if ends is not None and (step.community_restricted or entered):
             # a forward step lands on its target and leaves its source
-            at = gate.ends_in(step.relation, step.reverse != step.community_restricted, community)
+            at = ends[step.relation, step.reverse != step.community_restricted]
             frm, to, wgt = frm[at], to[at], wgt[at]
         edges.append((frm, to, wgt))
         entered = step.community_restricted
@@ -469,13 +431,13 @@ def _walk(edges: list[Edges], scores: np.ndarray) -> np.ndarray:
 
 def _dense(values: np.ndarray, frame: Frame) -> np.ndarray:
     """``values`` in ``frame`` as one vector over every index position."""
-    vector = np.zeros(frame.gate.index.n)
+    vector = np.zeros(frame.index.n)
     vector[frame.nodes] = values
     return vector
 
 
 class Scores(Mapping[str, float]):
-    """Node scores in a frame on ``index``, its gate's index, 0.0 where a
+    """Node scores in a frame on ``index``, the frame's index, 0.0 where a
     score is not positive: ``values[i]`` is the score of position
     ``frame.nodes[i]``. Scores over the whole graph are in the frame of no
     community, whose ``nodes`` are every position. The keys are the nodes
@@ -485,23 +447,22 @@ class Scores(Mapping[str, float]):
     may run in ``frame``."""
 
     def __init__(self, values: np.ndarray, frame: Frame, within: bool = False) -> None:
-        self.index = frame.gate.index
+        self.index = frame.index
         self.values = values
         self.frame = frame
         self.within = within
         self._hits: np.ndarray | None = None
-        self._vector: np.ndarray | None = None
 
-    @property
+    @functools.cached_property
     def vector(self) -> np.ndarray:
         """The scores as one dense vector over ``index``, made on first read."""
-        if self._vector is None:
-            self._vector = _dense(self.values, self.frame)
-        return self._vector
+        return _dense(self.values, self.frame)
 
     @property
     def hits(self) -> np.ndarray:
         """Index positions of the keys, ascending."""
+        # not a cached_property, whose first read takes a lock on Python
+        # 3.11: a query reads the hits of each base it walks
         if self._hits is None:
             self._hits = self.frame.nodes[(self.values > 0.0).nonzero()[0]]
         return self._hits
@@ -528,28 +489,22 @@ def _as_labels(labels: Mapping[str, int]) -> Labels:
     return labels if isinstance(labels, Labels) else Labels(labels)
 
 
-def _check_kind(seeds: Seeds, path: MetaPath) -> None:
-    """Refuse non-empty ``seeds`` whose kind ``path`` does not start at,
-    naming the first seed."""
-    if len(seeds.pos) and seeds.kind is not path.source_kind:
-        raise QueryError(f"seed {next(iter(seeds))!r} is a {seeds.kind.value}, "
-                         f"path starts at a {path.source_kind.value}")
-
-
 def score_metapath(path: MetaPath, seeds: Seeds, labels: Mapping[str, int],
                    community: int) -> Scores:
     """Sum-of-tour-products scores for every node reachable along ``path``
     on ``seeds.index``, each restricted step landing only in ``community``
     under ``labels``. A framed path walks in the community's frame, any other
     in the frame of no community, the whole graph's, its restricted steps
-    gated all the same."""
-    _check_kind(seeds, path)
-    gate = _as_labels(labels).cached(seeds.index, CommunityEdges)
+    gated all the same. Non-empty ``seeds`` of a kind that ``path`` does
+    not start at are refused, naming the first seed."""
+    if len(seeds.pos) and seeds.kind is not path.source_kind:
+        raise QueryError(f"seed {next(iter(seeds))!r} is a {seeds.kind.value}, "
+                         f"path starts at a {path.source_kind.value}")
+    frame = _as_labels(labels).cached(seeds.index, CommunityEdges).frame(community)
     if path.framed:
-        frame = gate.frame(community)
         edges = frame.route(path)
     else:
-        frame, edges = gate.frame(None), _path_edges(path, gate, community)
+        frame, edges = frame.whole, _path_edges(path, seeds.index, frame.ends)
     # a seed outside the frame has no edge into the community: it lands in
     # the sink slot past the frame's last, dropped before the walk; interleaved
     # A/B against masking such seeds out: query p50 fell 3.0-4.4% on all three
@@ -596,21 +551,20 @@ def prerequisite_expansion(base_scores: Scores, depth: int = DEFAULT_PREREQ_DEPT
     community; any other base, and every deeper level, takes every edge in
     the frame of no community, the whole graph's. An empty base, or
     ``depth`` 0, pushes nothing: the answer is zeros in the frame of no
-    community of the base's gate.
+    community of the base's index.
     """
     if depth < 0:
         raise QueryError(f"prerequisite depth {depth!r} must be >= 0")
     frame, values = base_scores.frame, base_scores.values
     if not base_scores or not depth:
-        frame = frame.gate.frame(None)
-        return Scores(np.zeros(len(frame.nodes)), frame)
+        return Scores(np.zeros(frame.index.n), frame.whole)
     if not base_scores.within:
-        frame, values = frame.gate.frame(None), base_scores.vector
+        frame, values = frame.whole, base_scores.vector
     # the levels add in order; the first is its own sum, as 0.0 + x is x
     level = extra = _walk(frame.route(_PREREQ_HOP), values)
     if depth > 1:
         level = extra = _dense(extra, frame)
-        frame = frame.gate.frame(None)
+        frame = frame.whole
         for _ in range(depth - 1):
             level = _walk(frame.route(_PREREQ_HOP), level)
             extra = extra + level
@@ -646,11 +600,10 @@ def _add(total: tuple[np.ndarray, Frame] | None, part: Scores) -> tuple[np.ndarr
     if frame is part.frame:
         values += part.values
         return total
-    whole = frame.gate.frame(None)
-    if frame is not whole:
+    if frame.community is not None:
         values = _dense(values, frame)
     values[part.frame.nodes] += part.values
-    return values, whole
+    return values, frame.whole
 
 
 def _taken_seeds(index: GraphIndex, taken: tuple[str, ...]) -> Seeds:
@@ -755,7 +708,7 @@ def to_ranked_list(ids: Sequence[str], scores: Sequence[float] | np.ndarray, que
 def recommend(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInput,
               cutoff: int = 10, prereq_depth: int = DEFAULT_PREREQ_DEPTH) -> RankedList:
     """Rank candidate courses for one scenario input, with per-route ``provenance``."""
-    seeds = resolve_job_query(g, inp.query_text)
+    seeds = resolve_job_query(g.cached(GraphIndex), inp.query_text)
     scores, prov = scenario_scores(labels, inp, seeds, prereq_depth)
     return to_ranked_list(scores.index.ids, scores.values, inp.query_text,
                           f"scenario-{inp.scenario}", cutoff, prov, scores.frame.nodes)

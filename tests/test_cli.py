@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -318,6 +319,20 @@ class TestErrors:
         assert code == 1
         assert stdout == ""
         assert message in err
+
+    def test_k1_too_large_for_a_term_exits_one_naming_k1(self, tmp_path, capsys):
+        # 1e308 is finite, so the parameter checks pass, but f * (k1 + 1)
+        # overflows; the stage names k1, not the NaN weight an edge got
+        _data, out = run_pipeline(tmp_path, capsys)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run_cli(capsys, "link", "--out", str(out), "--k1", "1e308")
+            assert (code, stdout) == (1, "")
+            assert err == "error: k1 1e+308 is too large: a BM25 term overflows\n"
+            # a k1 near the limit whose terms stay finite still links
+            code, _, err = run_cli(capsys, "link", "--out", str(out), "--k1", "1e300", "--b", "1")
+            assert code == 0, err
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("argv, config, message", [
         (["link"], "bm25_b = 2\n", "error: bm25_b 2.0 outside [0, 1]\n"),

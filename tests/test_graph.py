@@ -941,9 +941,13 @@ def test_index_is_read_only():
     # index its seeds or scores carry, so no caller may write to it
     for seed in range(3):
         g, _labels = random_hetero_graph(np.random.default_rng(seed))
+        for node_id in g.node_ids()[::2]:
+            g.set_node_name(node_id, f"name of {node_id}")
         index = g.cached(GraphIndex)
         assert type(index.kinds) is tuple
         assert index.kinds == tuple(g.node_kind(node_id) for node_id in index.ids)
+        assert type(index.names) is tuple
+        assert index.names == tuple(g.node_name(node_id) for node_id in index.ids) != tuple(index.ids)
         for rel in Relation:
             for array in index.rel_edges[rel]:
                 with pytest.raises(ValueError, match="read-only"):

@@ -4,6 +4,8 @@ import csv
 import io
 import math
 import random
+import re
+import warnings
 from collections import Counter
 
 import pytest
@@ -65,6 +67,16 @@ class TestBm25:
     def test_non_finite_k1_rejected(self, k1):
         with pytest.raises(GraphError, match="finite"):
             Bm25Params(k1=k1)
+
+    @pytest.mark.parametrize("k1, b", [(1e308, 0.75), (1.7e308, 0.0), (1e308, 1.0)])
+    def test_k1_whose_term_overflows_rejected(self, k1, b):
+        # a finite k1 passes Bm25Params, but f * (k1 + 1) or k1 * norm
+        # overflows: the postings name k1 instead of handing on a NaN or 0.0
+        docs = [("sql", "sql", "data"), ("data",), ("sql", "etl", "data", "ml")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphError, match="^" + re.escape(f"k1 {k1!r} is too large")):
+                term_postings(docs, Bm25Params(k1=k1, b=b))
 
     @pytest.mark.parametrize("n_docs, df", [(29, 29), (57, 48), (100, 2), (108, 107)])
     def test_each_idf_rounds_as_math_log(self, n_docs, df):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import os
@@ -15,7 +16,8 @@ import pytest
 from skillgraph import cli, kernels, ranker
 from skillgraph.community import Labels, read_labels
 from skillgraph.errors import QueryError
-from skillgraph.graph import GraphIndex, HeteroGraph, NodeKind, Relation, read_snapshot
+from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, TitleIndex,
+                              match_titles, read_snapshot, title_index)
 from skillgraph.ingest import load_jobs, tokenize
 from skillgraph.synth import generate_synthetic_corpus
 from skillgraph.ranker import (BASE_PATH, TAKEN_PATH, UPSKILL_PATH, MetaPath, MetaPathStep,
@@ -40,28 +42,28 @@ def job_graph(titles):
 class TestResolveJobQuery:
     def test_single_containment(self):
         g = job_graph(["Senior Data Scientist", "Java Developer"])
-        assert resolve_job_query(g, "data scientist") == {"J0": 1.0}
+        assert resolve_job_query(g.cached(GraphIndex), "data scientist") == {"J0": 1.0}
 
     def test_uniform_split_over_matches(self):
         g = job_graph(["data engineer", "senior data engineer", "lead data engineer",
                        "data engineer ii", "plumber"])
-        seeds = resolve_job_query(g, "data engineer")
+        seeds = resolve_job_query(g.cached(GraphIndex), "data engineer")
         assert seeds == {f"J{i}": 0.25 for i in range(4)}
 
     def test_tokens_must_be_contiguous(self):
         g = job_graph(["data software engineer"])
         with pytest.raises(QueryError):
-            resolve_job_query(g, "data engineer")
+            resolve_job_query(g.cached(GraphIndex), "data engineer")
 
     def test_no_match_lists_nearest(self):
         g = job_graph(["database administrator", "data scientist", "java developer"])
         with pytest.raises(QueryError) as err:
-            resolve_job_query(g, "quantum plumber")
+            resolve_job_query(g.cached(GraphIndex), "quantum plumber")
         assert "nearest titles" in str(err.value)
 
     def test_empty_query_rejected(self):
         with pytest.raises(QueryError):
-            resolve_job_query(job_graph(["x"]), "  ,, ")
+            resolve_job_query(job_graph(["x"]).cached(GraphIndex), "  ,, ")
 
     def test_no_match_message_pinned(self):
         # five nearest distinct titles: most shared tokens first, then by title
@@ -69,7 +71,7 @@ class TestResolveJobQuery:
                        "java developer", "plumber", "Data Analyst", "engineer in training",
                        "zoo keeper"])
         with pytest.raises(QueryError) as err:
-            resolve_job_query(g, "quantum data engineer")
+            resolve_job_query(g.cached(GraphIndex), "quantum data engineer")
         assert str(err.value) == (
             "no job title matches 'quantum data engineer'; nearest titles: "
             "['data engineer', 'senior data engineer', 'Data Analyst', 'data scientist', "
@@ -78,7 +80,7 @@ class TestResolveJobQuery:
     def test_nearest_titles_are_distinct(self):
         g = job_graph(["topic-3 engineer"] * 6 + ["topic-3 analyst", "Engineer", "plumber"])
         with pytest.raises(QueryError) as err:
-            resolve_job_query(g, "engineer topic-3")
+            resolve_job_query(g.cached(GraphIndex), "engineer topic-3")
         assert str(err.value).endswith(
             "nearest titles: ['topic-3 engineer', 'topic-3 analyst', 'Engineer', 'plumber']")
 
@@ -86,7 +88,7 @@ class TestResolveJobQuery:
         g = job_graph([f"role {c}" for c in "fedcba"] * 2 + ["x"])
         with pytest.raises(QueryError, match=r"nearest titles: \['role a', 'role b', "
                                              r"'role c', 'role d', 'role e'\]$"):
-            resolve_job_query(g, "role z")
+            resolve_job_query(g.cached(GraphIndex), "role z")
 
     def test_index_matches_scan_on_random_titles(self):
         rng = np.random.default_rng(20)
@@ -103,15 +105,14 @@ class TestResolveJobQuery:
             query = " ".join(rng.choice(words[:8] + ["q"], size=int(rng.integers(1, 4))))
             expected = ref_resolve_job_query(g, query)
             # the baseline's index, keyed by input position, through the same matcher
-            by_input = ranker.match_titles(ranker.title_index(enumerate(titles)),
-                                           tokenize(query))
+            by_input = match_titles(title_index(enumerate(titles)), tokenize(query))
             assert by_input.tolist() == sorted(int(j[1:]) for j in expected), (pool, query)
             if expected:
-                got = resolve_job_query(g, query)
+                got = resolve_job_query(g.cached(GraphIndex), query)
                 assert list(got.items()) == list(expected.items()), (pool, query)
             else:
                 with pytest.raises(QueryError, match="no job title matches"):
-                    resolve_job_query(g, query)
+                    resolve_job_query(g.cached(GraphIndex), query)
 
     def test_checks_only_rarest_token_titles(self, monkeypatch):
         # each title key records itself whenever a query tests it for containment
@@ -122,24 +123,26 @@ class TestResolveJobQuery:
                 calls.append(str(self))
                 return str.__contains__(self, text)
 
-        real = ranker.job_titles
+        real = GraphIndex.titles.func
 
-        def recorded(g):
-            index = real(g)
-            keys = {text: Title(text) for text in index.titles}
-            return ranker.TitleIndex(
-                {keys[text]: positions for text, positions in index.titles.items()},
+        def recorded(index):
+            titles = real(index)
+            keys = {text: Title(text) for text in titles.titles}
+            return TitleIndex(
+                {keys[text]: positions for text, positions in titles.titles.items()},
                 {token: [keys[text] for text in texts]
-                 for token, texts in index.postings.items()},
-                index.names)
+                 for token, texts in titles.postings.items()},
+                titles.names)
 
-        monkeypatch.setattr(ranker, "job_titles", recorded)
+        wrapped = functools.cached_property(recorded)
+        wrapped.__set_name__(GraphIndex, "titles")
+        monkeypatch.setattr(GraphIndex, "titles", wrapped)
         g = job_graph(["data engineer"] * 40 + ["data scientist"] * 40
                       + ["senior data engineer", "big data engineer ii", "engineer data"]
                       + ["plumber"] * 20)
-        seeds = resolve_job_query(g, "data engineer")
+        seeds = resolve_job_query(g.cached(GraphIndex), "data engineer")
         assert seeds == ref_resolve_job_query(g, "data engineer")
-        postings = g.cached(recorded).postings
+        postings = g.cached(GraphIndex).titles.postings
         assert len(postings["engineer"]) < len(postings["data"])
         assert sorted(calls) == sorted(postings["engineer"])
         assert len(calls) == 4
@@ -147,18 +150,18 @@ class TestResolveJobQuery:
         # a renamed or added job reaches the next query through a rebuilt index
         g.set_node_name("J99", "lead data engineer")
         calls.clear()
-        assert "J99" in resolve_job_query(g, "data engineer")
+        assert "J99" in resolve_job_query(g.cached(GraphIndex), "data engineer")
         assert len(calls) == 5
         g.add_node("J200", NodeKind.JOB, "data engineer")
         calls.clear()
-        assert list(resolve_job_query(g, "data engineer")) == list(
+        assert list(resolve_job_query(g.cached(GraphIndex), "data engineer")) == list(
             ref_resolve_job_query(g, "data engineer"))
         assert "J200" in ref_resolve_job_query(g, "data engineer")
         assert len(calls) == 5
 
         calls.clear()
         with pytest.raises(QueryError):
-            resolve_job_query(g, "data plumber quantum")
+            resolve_job_query(g.cached(GraphIndex), "data plumber quantum")
         assert calls == []
 
 
@@ -595,11 +598,11 @@ class TestGraphViewCache:
         labels["J2"] = 0
         inp = ScenarioInput(scenario=1, career_goal="data engineer")
         before = g.copy()
-        seeds = resolve_job_query(g, "data engineer")
+        seeds = resolve_job_query(g.cached(GraphIndex), "data engineer")
         base = score_metapath(BASE_PATH, seeds, labels, 0)
         change(g)
         assert g.cached(GraphIndex) is not seeds.index
-        kept = resolve_job_query(before, "data engineer")
+        kept = resolve_job_query(before.cached(GraphIndex), "data engineer")
         want = score_metapath(BASE_PATH, kept, labels, 0)
         got = score_metapath(BASE_PATH, seeds, labels, 0)
         assert got.index is seeds.index and got.vector.tobytes() == want.vector.tobytes()
@@ -628,11 +631,12 @@ class TestGraphViewCache:
         labels = {n: 0 for n in g.node_ids()}
         labels["C2"] = 0
         inp = ScenarioInput(2, career_goal="data engineer", taken_courses=("C2",))
-        seeds = resolve_job_query(g, "data engineer")
+        seeds = resolve_job_query(g.cached(GraphIndex), "data engineer")
         change(g)
         with pytest.raises(QueryError, match="^taken course 'C2' is not in the graph$"):
             scenario_scores(labels, inp, seeds)
-        total, _ = scenario_scores(labels, inp, resolve_job_query(g, "data engineer"))
+        after = resolve_job_query(g.cached(GraphIndex), "data engineer")
+        total, _ = scenario_scores(labels, inp, after)
         assert "C2" not in total and total["C1"] > 0.0
         fresh = two_tour_graph()
         change(fresh)
@@ -640,11 +644,28 @@ class TestGraphViewCache:
 
     def test_renamed_job_resolves_by_new_title(self):
         g = job_graph(["data engineer"])
-        assert resolve_job_query(g, "data engineer") == {"J0": 1.0}
+        assert resolve_job_query(g.cached(GraphIndex), "data engineer") == {"J0": 1.0}
         g.set_node_name("J0", "plumber")
-        assert resolve_job_query(g, "plumber") == {"J0": 1.0}
+        assert resolve_job_query(g.cached(GraphIndex), "plumber") == {"J0": 1.0}
         with pytest.raises(QueryError, match="nearest titles: \\['plumber'\\]"):
-            resolve_job_query(g, "data engineer")
+            resolve_job_query(g.cached(GraphIndex), "data engineer")
+
+    def test_index_keeps_the_names_it_was_built_with(self):
+        # an index built before a rename resolves the old title; recommend,
+        # which reads the graph's index, resolves the new one
+        g, labels = single_tour_graph()
+        index = g.cached(GraphIndex)
+        g.set_node_name("J1", "plumber")
+        assert index.names == ("C1", "data engineer", "S1", "S2")
+        seeds = resolve_job_query(index, "data engineer")
+        assert seeds == {"J1": 1.0} and seeds.index is index
+        with pytest.raises(QueryError, match="nearest titles: \\['data engineer'\\]"):
+            resolve_job_query(index, "plumber")
+        assert recommend(g, labels, ScenarioInput(1, career_goal="plumber")).entries == (
+            ("C1", 1.0),)
+        with pytest.raises(QueryError, match="nearest titles: \\['plumber'\\]"):
+            recommend(g, labels, ScenarioInput(1, career_goal="data engineer"))
+        assert g.cached(GraphIndex) is not index
 
     def test_mutating_copy_leaves_original(self):
         g, labels = single_tour_graph()
@@ -981,7 +1002,7 @@ class TestScenarioRoutes:
             "'C029': 0.0009218894586914641}",
         ]
         for inp, want in zip(FANNED_OUT_INPUTS, expected):
-            seeds = resolve_job_query(g, inp.query_text)
+            seeds = resolve_job_query(g.cached(GraphIndex), inp.query_text)
             total, prov = scenario_scores(labels, inp, seeds)
             assert len(prov.seeds) == 3
             assert repr(total) == want
@@ -1007,7 +1028,7 @@ class TestScenarioRoutes:
         # their bases are empty, and each total equals, to the bit, the one
         # of the other groups' seeds alone
         g, labels = fanned_out
-        seeds = resolve_job_query(g, MANY_SEEDS_GOAL)
+        seeds = resolve_job_query(g.cached(GraphIndex), MANY_SEEDS_GOAL)
         counts = []
         for inp in (MANY_SEEDS_INPUTS[0], MANY_SEEDS_INPUTS[2]):
             total, prov = scenario_scores(labels, inp, seeds)
@@ -1044,7 +1065,8 @@ class TestScenarioRoutes:
             inp = ScenarioInput(scenario, career_goal="data engineer" if scenario == 1 else None,
                                 current_job="data engineer" if scenario == 3 else None)
             want = ref_scenario_scores(g, labels, scenario, {"J0": 0.5, "J1": 0.5})
-            total, prov = scenario_scores(labels, inp, resolve_job_query(g, "data engineer"))
+            seeds = resolve_job_query(g.cached(GraphIndex), "data engineer")
+            total, prov = scenario_scores(labels, inp, seeds)
             assert list(prov.seeds) == [0, 1]
             assert total.vector.dtype == np.float64
             assert total == want
@@ -1058,7 +1080,7 @@ class TestScenarioRoutes:
         # grouping the seeds one at a time and walking each group on its own
         g, labels = fanned_out
         for inp in (*FANNED_OUT_INPUTS, *MANY_SEEDS_INPUTS):
-            seeds = resolve_job_query(g, inp.query_text)
+            seeds = resolve_job_query(g.cached(GraphIndex), inp.query_text)
             prov = recommend(g, labels, inp).provenance
             assert prov == scenario_scores(labels, inp, seeds)[1]
             assert prov == eager_provenance(labels, inp, seeds)
@@ -1084,7 +1106,7 @@ class TestManySeeds:
 
     def test_resolution_equals_the_scan(self, fanned_out):
         g, _labels = fanned_out
-        seeds = resolve_job_query(g, MANY_SEEDS_GOAL)
+        seeds = resolve_job_query(g.cached(GraphIndex), MANY_SEEDS_GOAL)
         want = ref_resolve_job_query(g, MANY_SEEDS_GOAL)
         assert len(seeds) == 107
         assert seeds == want
@@ -1111,7 +1133,7 @@ class TestManySeeds:
              "6,C026,0.000118655151008\n7,C013,0.000111451490056\n8,C020,0.000107010725762\n"
              "9,C014,0.000101732524688\n10,C015,0.000100517383038\n"),
         ]
-        seeds = resolve_job_query(g, MANY_SEEDS_GOAL)
+        seeds = resolve_job_query(g.cached(GraphIndex), MANY_SEEDS_GOAL)
         for inp, (digest, text) in zip(MANY_SEEDS_INPUTS, expected):
             total, prov = scenario_scores(labels, inp, seeds)
             assert hashlib.sha256(repr(total).encode()).hexdigest() == digest, inp
@@ -1139,7 +1161,7 @@ class TestManySeeds:
         recommend(g, labels, ScenarioInput(1, career_goal=FANNED_OUT_GOAL))
         seen = []
         for goal, size in ((MANY_SEEDS_GOAL, 107), (FANNED_OUT_GOAL, 14)):
-            assert len(resolve_job_query(g, goal)) == size
+            assert len(resolve_job_query(g.cached(GraphIndex), goal)) == size
             counts.update(get=0, node_kind=0)
             recommend(g, labels, ScenarioInput(1, career_goal=goal))
             seen.append(dict(counts))
@@ -1181,7 +1203,7 @@ def assert_equals_dense(g, labels, inp, depth=ranker.DEFAULT_PREREQ_DEPTH):
     """``scenario_scores`` and ``recommend`` on ``inp`` equal the dense
     scorer's vectors and list to the bit; returns the framed total and
     provenance."""
-    seeds = resolve_job_query(g, inp.query_text)
+    seeds = resolve_job_query(g.cached(GraphIndex), inp.query_text)
     index = seeds.index
     total, prov = scenario_scores(labels, inp, seeds, depth)
     want = dense_scenario_scores(labels, inp, seeds, depth)
@@ -1218,7 +1240,7 @@ class TestFrames:
         framed = outside_taken = 0
         for goal in goals:
             first = recommend(g, labels, ScenarioInput(1, career_goal=goal), cutoff=1)
-            community = labels[next(iter(resolve_job_query(g, goal)))]
+            community = labels[next(iter(resolve_job_query(g.cached(GraphIndex), goal)))]
             # one taken course the walk ranks, and one outside the goal's community
             away = next(c for c in g.node_ids(COURSE) if labels.get(c) != community)
             taken = tuple(dict.fromkeys([*(n for n, _s in first.entries), away]))
@@ -1243,7 +1265,7 @@ class TestFrames:
         assert len(goals) == 40
         compared = 0
         for goal in goals:
-            seeds = resolve_job_query(g, goal)
+            seeds = resolve_job_query(g.cached(GraphIndex), goal)
             topic = int(goal.split()[0].removeprefix("topic-"))
             # one course of the goal's topic and one of another topic
             taken = (topic_courses[topic][0],
@@ -1267,7 +1289,7 @@ class TestFrames:
         g, plain = query_m
         goal = "engineer"
         _total, prov = scenario_scores(plain, ScenarioInput(1, career_goal=goal),
-                                       resolve_job_query(g, goal))
+                                       resolve_job_query(g.cached(GraphIndex), goal))
         first, second = [c for c, base in prov.base.items() if base][:2]
         course, prereq = next((c, p) for c in prov.base[first]
                               for p, _w in out_edges(g, c, Relation.PRE_REQUIRED))
@@ -1286,7 +1308,7 @@ class TestFrames:
 
     def test_gated_walk_holds_a_frame_length_array(self, fanned_out):
         g, labels = fanned_out
-        seeds = resolve_job_query(g, FANNED_OUT_GOAL)
+        seeds = resolve_job_query(g.cached(GraphIndex), FANNED_OUT_GOAL)
         _total, prov = scenario_scores(labels, FANNED_OUT_INPUTS[0], seeds)
         community, base = next((c, b) for c, b in prov.base.items() if b)
         index = seeds.index
@@ -1298,7 +1320,7 @@ class TestFrames:
         assert np.all(np.diff(members) > 0)
         assert np.isin(members, frame.nodes).all()
         # the dense view is made when read, equal to the scores by id
-        assert base._vector is None
+        assert "vector" not in vars(base)
         assert {index.ids[i]: base.vector[i] for i in np.flatnonzero(base.vector)} == dict(base)
 
     def test_walk_calls_scatter_only_frame_length_vectors(self, fanned_out, monkeypatch):
@@ -1324,7 +1346,7 @@ class TestFrames:
         # a path of the caller's own scores as the dense scorer does: in the
         # community's frame when framed, in the whole graph when not
         g, labels = fanned_out
-        seeds = resolve_job_query(g, FANNED_OUT_GOAL)
+        seeds = resolve_job_query(g.cached(GraphIndex), FANNED_OUT_GOAL)
         vector = np.zeros(seeds.index.n)
         vector[seeds.pos] = seeds.weight
         _total, prov = scenario_scores(labels, FANNED_OUT_INPUTS[0], seeds)
@@ -1349,7 +1371,7 @@ class TestFrames:
         g, plain = fanned_out
         labels = Labels(plain)
         _total, prov = scenario_scores(labels, FANNED_OUT_INPUTS[0],
-                                       resolve_job_query(g, FANNED_OUT_GOAL))
+                                       resolve_job_query(g.cached(GraphIndex), FANNED_OUT_GOAL))
         community = next(c for c, base in prov.base.items() if base)
         group = prov.seeds[community]
         index = group.index
@@ -1405,7 +1427,7 @@ class TestFrames:
         for got, want in zip(hop, index.rel_edges[Relation.PRE_REQUIRED]):
             assert np.array_equal(got, want)
         for inp in FANNED_OUT_INPUTS:
-            seeds = resolve_job_query(g, inp.query_text)
+            seeds = resolve_job_query(g.cached(GraphIndex), inp.query_text)
             total, prov = scenario_scores(labels, inp, seeds)
             assert len(prov.seeds) == 3 and total.frame is whole
             if inp.scenario == 3:
@@ -1424,7 +1446,7 @@ class TestEveryAnswerInAFrame:
 
     @staticmethod
     def assert_on(index, scores):
-        assert scores.index is index and scores.frame.gate.index is index
+        assert scores.index is index and scores.frame.index is index
         assert len(scores.vector) == index.n
 
     def test_walks_and_hops(self):
@@ -1455,7 +1477,8 @@ class TestEveryAnswerInAFrame:
         for inp in (ScenarioInput(1, career_goal="data engineer"),
                     ScenarioInput(2, career_goal="data engineer", taken_courses=("C1",)),
                     ScenarioInput(3, current_job="data engineer")):
-            for seeds in (resolve_job_query(g, inp.query_text), seeds_on(g, {}, JOB)):
+            for seeds in (resolve_job_query(g.cached(GraphIndex), inp.query_text),
+                          seeds_on(g, {}, JOB)):
                 for depth in (0, 1, 2):
                     total, prov = scenario_scores(labels, inp, seeds, depth)
                     assert bool(total) == (len(seeds) > 0 and inp.scenario == 1)
