@@ -1,9 +1,12 @@
 /* The community move pass of kernels.local_move_pass, compiled.
  *
- * A line-for-line port of the Python pass: the same FIFO queue, the same
- * mark/candidate bookkeeping, the same binary64 operations in the same order
- * and the same tie rule, so every label, the move count and the summed delta
- * equal the Python pass's bit for bit. That needs plain IEEE double
+ * The pass is written in two forms, so that each checks the other: this one
+ * keeps each module's old code terms and updates them only on a move, where
+ * kernels._python_move_pass recomputes every term of every candidate. Both
+ * run the same FIFO queue, the same mark/candidate bookkeeping and the same
+ * tie rule, and compute every term with the same binary64 operations in the
+ * same order, so every label, the move count and the summed delta equal the
+ * Python pass's bit for bit. That needs plain IEEE double
  * arithmetic: kernels.py builds this file with -ffp-contract=off (no fused
  * multiply-add), a platform that evaluates doubles in wider registers fails
  * the check below and so falls back to the Python pass, and log2 is libm's,

@@ -1,0 +1,705 @@
+/* The snapshot codec of graph.read_snapshot and graph.write_snapshot, compiled
+ * as a CPython extension; kernels.snapshot_codec builds and loads it.
+ *
+ * scan(path, kind_by_value, relation_by_value) reads a snapshot a line at a
+ * time and returns (node ids, node kinds, sources, relations, rows): the node
+ * lines' ids and kinds in line order, then what graph._read_rows gathers, by
+ * the same rule for where a run of edge lines ends. write(path, kind, out,
+ * value) writes the bytes graph._snapshot_text gives for the graph whose node
+ * kinds are ``kind`` and rows ``out``, ``value`` naming each kind and relation.
+ *
+ * Each takes only input that it handles as the Python codec does, bit for
+ * bit: every line a well-formed E or N line of printable ASCII ending in \n,
+ * with no % that the encoder did not write and every weight a finite float;
+ * every id printable ASCII and every weight a positive finite float. On
+ * anything else scan returns None and write False, having written nothing,
+ * so that the Python codec runs and raises its own messages. Weights are
+ * parsed and formatted by the functions float() and format(w, ".17g") call.
+ * Neither holds a whole file or text: scan reads a line at a time and write
+ * writes a row at a time. */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
+#include <stdint.h>
+#include <stdio.h>
+#include <string.h>
+#include <sys/mman.h>
+
+/* --- work arrays ---------------------------------------------------------- */
+
+/* A zeroed work array of size bytes, mapped from the system and given back
+ * by unmap; NULL with an error set when there is no memory. The writer takes
+ * its work arrays so, one phase at a time, rather than from the C allocator,
+ * whose heap kept them resident once freed: with them taken from it, a
+ * `build` of a 20000-job corpus peaked 2.7 MB above the Python writer's
+ * (glibc 2.36, 2-vCPU VM), and mapped, 0.1 MB. */
+static void *map(size_t size)
+{
+    void *p = mmap(NULL, size ? size : 1, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                   -1, 0);
+    if (p == MAP_FAILED) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    return p;
+}
+
+static void unmap(void *p, size_t size)
+{
+    if (p != NULL)
+        munmap(p, size ? size : 1);
+}
+
+/* --- a table from byte strings to objects, for ids and weight texts ------- */
+
+/* A slot of a table: value, and the bytes it is found by, which are key (a
+ * bytes object) or, where key is NULL, the snapshot token of value, an id. */
+typedef struct {
+    uint64_t hash;
+    PyObject *key;    /* an owned reference, or NULL */
+    PyObject *value;  /* an owned reference; NULL in an empty slot */
+} Slot;
+
+typedef struct {
+    Slot *slots;
+    size_t mask;      /* the slot count less one; the count is a power of two */
+    size_t used;
+} Table;
+
+static uint64_t hash_bytes(const char *s, Py_ssize_t len)
+{
+    uint64_t h = 14695981039346656037ULL;  /* FNV-1a */
+    for (Py_ssize_t i = 0; i < len; i++) {
+        h ^= (unsigned char)s[i];
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+static int table_init(Table *t)
+{
+    t->mask = 255;
+    t->used = 0;
+    t->slots = PyMem_Calloc(t->mask + 1, sizeof(Slot));
+    if (t->slots == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+static void table_free(Table *t)
+{
+    if (t->slots == NULL)
+        return;
+    for (size_t i = 0; i <= t->mask; i++)
+        if (t->slots[i].value != NULL) {
+            Py_XDECREF(t->slots[i].key);
+            Py_DECREF(t->slots[i].value);
+        }
+    PyMem_Free(t->slots);
+    t->slots = NULL;
+}
+
+/* Whether token is the snapshot token of id, an ASCII string: each space
+ * written '%20' and each '%' written '%25'. */
+static int encodes(PyObject *id, const char *token, Py_ssize_t len)
+{
+    const Py_UCS1 *c = PyUnicode_1BYTE_DATA(id);
+    Py_ssize_t n = PyUnicode_GET_LENGTH(id), j = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (c[i] == ' ' || c[i] == '%') {
+            if (len - j < 3 || token[j] != '%' || token[j + 1] != '2'
+                    || token[j + 2] != (c[i] == ' ' ? '0' : '5'))
+                return 0;
+            j += 3;
+        } else if (j == len || token[j++] != (char)c[i]) {
+            return 0;
+        }
+    }
+    return j == len;
+}
+
+/* The slot holding the bytes text, or the empty slot where they go. */
+static Slot *table_find(Table *t, const char *text, Py_ssize_t len, uint64_t hash)
+{
+    for (size_t i = (size_t)hash & t->mask;; i = (i + 1) & t->mask) {
+        Slot *s = &t->slots[i];
+        if (s->value == NULL)
+            return s;
+        if (s->hash != hash)
+            continue;
+        if (s->key == NULL ? encodes(s->value, text, len)
+                : PyBytes_GET_SIZE(s->key) == len
+                  && memcmp(PyBytes_AS_STRING(s->key), text, len) == 0)
+            return s;
+    }
+}
+
+/* Fills the empty slot s with key (NULL for an id) and value, references the
+ * table takes over; -1 with an error set when there is no memory. The table
+ * stays at most two thirds full, as a dict does. */
+static int table_put(Table *t, Slot *s, uint64_t hash, PyObject *key, PyObject *value)
+{
+    s->hash = hash;
+    s->key = key;
+    s->value = value;
+    if (3 * ++t->used <= 2 * t->mask)
+        return 0;
+    size_t mask = 2 * t->mask + 1;
+    Slot *grown = PyMem_Calloc(mask + 1, sizeof(Slot));
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (size_t i = 0; i <= t->mask; i++)
+        if (t->slots[i].value != NULL) {
+            size_t j = (size_t)t->slots[i].hash & mask;
+            while (grown[j].value != NULL)
+                j = (j + 1) & mask;
+            grown[j] = t->slots[i];
+        }
+    PyMem_Free(t->slots);
+    t->slots = grown;
+    t->mask = mask;
+    return 0;
+}
+
+/* --- kinds and relations by their values ---------------------------------- */
+
+typedef struct {
+    const char *text;
+    Py_ssize_t len;
+} Text;
+
+typedef struct {
+    PyObject *member;
+    Text value;
+} Named;
+
+#define MAX_NAMED 16
+
+/* The entries of a dict from value texts to members (by_value) or from
+ * members to value texts; -1 with an error set when one is not such. */
+static int read_named(PyObject *dict, int by_value, Named *named, int *count)
+{
+    PyObject *key, *item;
+    Py_ssize_t pos = 0;
+    *count = 0;
+    while (PyDict_Next(dict, &pos, &key, &item)) {
+        PyObject *text = by_value ? key : item;
+        if (*count == MAX_NAMED || !PyUnicode_Check(text)) {
+            PyErr_SetString(PyExc_TypeError, "snapshot codec: bad kind or relation values");
+            return -1;
+        }
+        named[*count].member = by_value ? item : key;
+        named[*count].value.text = PyUnicode_AsUTF8AndSize(text, &named[*count].value.len);
+        if (named[*count].value.text == NULL)
+            return -1;
+        ++*count;
+    }
+    return 0;
+}
+
+static PyObject *member_of(const Named *named, int count, const char *text, Py_ssize_t len)
+{
+    for (int i = 0; i < count; i++)
+        if (named[i].value.len == len && memcmp(named[i].value.text, text, len) == 0)
+            return named[i].member;
+    return NULL;
+}
+
+static const Text *value_of(const Named *named, int count, PyObject *member)
+{
+    for (int i = 0; i < count; i++)
+        if (named[i].member == member)
+            return &named[i].value;
+    return NULL;
+}
+
+/* --- scan ----------------------------------------------------------------- */
+
+/* The id that a token encodes, '%20' a space and '%25' a '%'; NULL with no
+ * error set when a '%' starts neither. */
+static PyObject *decode_id(const char *token, Py_ssize_t len)
+{
+    Py_ssize_t escapes = 0;
+    for (Py_ssize_t i = 0; i < len; i++)
+        if (token[i] == '%') {
+            if (len - i < 3 || token[i + 1] != '2' || (token[i + 2] != '0' && token[i + 2] != '5'))
+                return NULL;
+            escapes++;
+            i += 2;
+        }
+    PyObject *id = PyUnicode_New(len - 2 * escapes, 127);
+    if (id == NULL)
+        return NULL;
+    Py_UCS1 *out = PyUnicode_1BYTE_DATA(id);
+    for (Py_ssize_t i = 0; i < len; i++) {
+        if (token[i] == '%') {
+            *out++ = token[i + 2] == '0' ? ' ' : '%';
+            i += 2;
+        } else {
+            *out++ = (Py_UCS1)token[i];
+        }
+    }
+    return id;
+}
+
+/* The id of a token, decoded once per distinct token (a borrowed reference);
+ * NULL, with no error set when the token is not one the encoder writes. */
+static PyObject *read_id(Table *ids, const char *token, Py_ssize_t len)
+{
+    uint64_t hash = hash_bytes(token, len);
+    Slot *s = table_find(ids, token, len, hash);
+    if (s->value != NULL)
+        return s->value;
+    PyObject *id = decode_id(token, len);
+    if (id == NULL || table_put(ids, s, hash, NULL, id) < 0)
+        return NULL;
+    return id;
+}
+
+/* The weight a NUL-terminated text holds, parsed once per distinct text (a
+ * borrowed reference); NULL, with no error set, unless it is a finite float
+ * as float() reads one without '_'. */
+static PyObject *read_weight(Table *weights, const char *text, Py_ssize_t len)
+{
+    uint64_t hash = hash_bytes(text, len);
+    Slot *s = table_find(weights, text, len, hash);
+    if (s->value != NULL)
+        return s->value;
+    if (memchr(text, '_', len) != NULL)
+        return NULL;
+    double w = PyOS_string_to_double(text, NULL, NULL);
+    if (w == -1.0 && PyErr_Occurred()) {
+        if (PyErr_ExceptionMatches(PyExc_ValueError))
+            PyErr_Clear();
+        return NULL;
+    }
+    if (!Py_IS_FINITE(w))
+        return NULL;
+    PyObject *key = PyBytes_FromStringAndSize(text, len);
+    PyObject *weight = key ? PyFloat_FromDouble(w) : NULL;
+    if (weight == NULL) {
+        Py_XDECREF(key);
+        return NULL;
+    }
+    if (table_put(weights, s, hash, key, weight) < 0)
+        return NULL;
+    return weight;
+}
+
+static PyObject *codec_scan(PyObject *self, PyObject *args)
+{
+    PyObject *path, *kind_by_value, *rel_by_value, *fspath;
+    Named kinds[MAX_NAMED], rels[MAX_NAMED];
+    int n_kinds, n_rels;
+    if (!PyArg_ParseTuple(args, "OO!O!:scan", &path, &PyDict_Type, &kind_by_value,
+                          &PyDict_Type, &rel_by_value)
+            || read_named(kind_by_value, 1, kinds, &n_kinds) < 0
+            || read_named(rel_by_value, 1, rels, &n_rels) < 0)
+        return NULL;
+    if (!PyUnicode_FSConverter(path, &fspath)) {
+        PyErr_Clear();
+        Py_RETURN_NONE;
+    }
+    FILE *f = fopen(PyBytes_AS_STRING(fspath), "rb");
+    Py_DECREF(fspath);
+    if (f == NULL)
+        Py_RETURN_NONE;
+
+    PyObject *lists[5] = {PyList_New(0), PyList_New(0), PyList_New(0), PyList_New(0),
+                          PyList_New(0)};
+    PyObject *node_ids = lists[0], *node_kinds = lists[1], *sources = lists[2],
+             *relations = lists[3], *rows = lists[4];
+    PyObject *result = NULL;
+    Table ids = {NULL, 0, 0}, weights = {NULL, 0, 0};
+    char *line = NULL;
+    size_t cap = 0;
+    ssize_t n;
+    /* the run at hand, borrowed; a node line ends it */
+    PyObject *source = NULL, *relation = NULL, *row = NULL;
+    for (int i = 0; i < 5; i++)
+        if (lists[i] == NULL)
+            goto done;
+    if (table_init(&ids) < 0 || table_init(&weights) < 0)
+        goto done;
+    while ((n = getline(&line, &cap, f)) > 0) {
+        const char *field[5];
+        Py_ssize_t len[5];
+        int fields = 0;
+        if (n == 1 || line[n - 1] != '\n')
+            goto bail;
+        line[--n] = '\0';
+        const char *start = line;
+        for (ssize_t i = 0; i <= n; i++) {
+            if (i == n || line[i] == ' ') {
+                if (fields == 5 || line + i == start)
+                    goto bail;
+                field[fields] = start;
+                len[fields++] = line + i - start;
+                start = line + i + 1;
+            } else if ((unsigned char)line[i] < 0x21 || (unsigned char)line[i] > 0x7e) {
+                goto bail;
+            }
+        }
+        if (fields == 5 && len[0] == 1 && field[0][0] == 'E') {
+            PyObject *rel = member_of(rels, n_rels, field[2], len[2]);
+            if (rel == NULL)
+                goto bail;
+            PyObject *src = read_id(&ids, field[1], len[1]);
+            PyObject *dst = src ? read_id(&ids, field[3], len[3]) : NULL;
+            /* the weight is the last field, so it ends where the line did */
+            PyObject *weight = dst ? read_weight(&weights, field[4], len[4]) : NULL;
+            if (weight == NULL)
+                goto bail;
+            if (row != NULL && src == source && rel == relation) {
+                Py_ssize_t size = PyDict_GET_SIZE(row);
+                if (PyDict_SetDefault(row, dst, weight) == NULL)
+                    goto done;
+                if (PyDict_GET_SIZE(row) > size)
+                    continue;
+                /* a target the run already holds starts a new run */
+            }
+            row = PyDict_New();
+            if (row == NULL)
+                goto done;
+            int failed = PyList_Append(rows, row);
+            Py_DECREF(row);  /* rows keeps it */
+            if (failed || PyList_Append(sources, src) < 0 || PyList_Append(relations, rel) < 0
+                    || PyDict_SetItem(row, dst, weight) < 0)
+                goto done;
+            source = src;
+            relation = rel;
+        } else if (fields == 3 && len[0] == 1 && field[0][0] == 'N') {
+            PyObject *kind = member_of(kinds, n_kinds, field[2], len[2]);
+            PyObject *id = kind ? read_id(&ids, field[1], len[1]) : NULL;
+            if (id == NULL)
+                goto bail;
+            if (PyList_Append(node_ids, id) < 0 || PyList_Append(node_kinds, kind) < 0)
+                goto done;
+            row = NULL;
+        } else {
+            goto bail;
+        }
+    }
+    if (ferror(f) || !feof(f))  /* a read error, or no memory for a line */
+        goto bail;
+    result = PyTuple_Pack(5, node_ids, node_kinds, sources, relations, rows);
+    goto done;
+bail:
+    if (!PyErr_Occurred())
+        result = Py_NewRef(Py_None);
+done:
+    free(line);
+    fclose(f);
+    table_free(&ids);
+    table_free(&weights);
+    for (int i = 0; i < 5; i++)
+        Py_XDECREF(lists[i]);
+    return result;
+}
+
+/* --- write ---------------------------------------------------------------- */
+
+/* A node's line, tagged with its kind, or the head of a row's lines, tagged
+ * with its relation; code is the id's token and obj the id or the row. */
+typedef struct {
+    Text code;
+    const Text *tag;
+    PyObject *obj;
+} Line;
+
+/* Text order, as Python compares ASCII strings. */
+static int compare_text(const Text *a, const Text *b)
+{
+    int c = memcmp(a->text, b->text, a->len < b->len ? a->len : b->len);
+    return c ? c : (a->len > b->len) - (a->len < b->len);
+}
+
+/* The order of "{code} {tag} " texts. A code holds no byte below '!', so a
+ * code that is a prefix of another sorts first there, as it does here. */
+static int compare_lines(const void *x, const void *y)
+{
+    const Line *a = x, *b = y;
+    int c = compare_text(&a->code, &b->code);
+    return c ? c : compare_text(a->tag, b->tag);
+}
+
+typedef struct {
+    Text code;
+    Text weight;
+} Entry;
+
+static int compare_entries(const void *x, const void *y)
+{
+    return compare_text(&((const Entry *)x)->code, &((const Entry *)y)->code);
+}
+
+typedef struct {
+    FILE *f;
+    char *buf;
+    size_t used, cap;
+} Out;
+
+static void emit(Out *out, const char *text, size_t len)
+{
+    if (out->used + len > out->cap) {
+        fwrite(out->buf, 1, out->used, out->f);
+        out->used = 0;
+        if (len > out->cap) {
+            fwrite(text, 1, len, out->f);
+            return;
+        }
+    }
+    memcpy(out->buf + out->used, text, len);
+    out->used += len;
+}
+
+static void emit_line(Out *out, char lead, const Text *code, const Text *tag, const Entry *entry)
+{
+    char head[2] = {lead, ' '};
+    emit(out, head, 2);
+    emit(out, code->text, code->len);
+    emit(out, " ", 1);
+    emit(out, tag->text, tag->len);
+    if (entry != NULL) {
+        emit(out, " ", 1);
+        emit(out, entry->code.text, entry->code.len);
+        emit(out, " ", 1);
+        emit(out, entry->weight.text, entry->weight.len);
+    }
+    emit(out, "\n", 1);
+}
+
+/* The formatted text of a weight, a positive finite float, formatted once per
+ * distinct value; NULL, with no error set, when the weight is not such. */
+static PyObject *weight_text(Table *texts, PyObject *weight)
+{
+    if (!PyFloat_CheckExact(weight))
+        return NULL;
+    double w = PyFloat_AS_DOUBLE(weight);
+    if (!(w > 0.0 && Py_IS_FINITE(w)))
+        return NULL;
+    uint64_t hash = hash_bytes((const char *)&w, sizeof w);
+    Slot *s = table_find(texts, (const char *)&w, sizeof w, hash);
+    if (s->value != NULL)
+        return s->value;
+    char *formatted = PyOS_double_to_string(w, 'g', 17, 0, NULL);
+    if (formatted == NULL)
+        return NULL;
+    PyObject *text = PyBytes_FromString(formatted);
+    PyMem_Free(formatted);
+    PyObject *key = text ? PyBytes_FromStringAndSize((const char *)&w, sizeof w) : NULL;
+    if (key == NULL) {
+        Py_XDECREF(text);
+        return NULL;
+    }
+    if (table_put(texts, s, hash, key, text) < 0)
+        return NULL;
+    return text;
+}
+
+/* The length of the snapshot token of id, a printable ASCII string. */
+static Py_ssize_t token_len(PyObject *id)
+{
+    const Py_UCS1 *c = PyUnicode_1BYTE_DATA(id);
+    Py_ssize_t len = PyUnicode_GET_LENGTH(id), n = len;
+    for (Py_ssize_t i = 0; i < len; i++)
+        n += 2 * (c[i] == ' ' || c[i] == '%');
+    return n;
+}
+
+/* Writes the snapshot token of id, a printable ASCII string, at *at, which
+ * it moves past the token, and returns the token. */
+static Text encode_id(PyObject *id, char **at)
+{
+    const Py_UCS1 *c = PyUnicode_1BYTE_DATA(id);
+    char *start = *at, *out = *at;
+    for (Py_ssize_t i = 0; i < PyUnicode_GET_LENGTH(id); i++) {
+        if (c[i] == ' ' || c[i] == '%') {
+            memcpy(out, c[i] == ' ' ? "%20" : "%25", 3);
+            out += 3;
+        } else {
+            *out++ = (char)c[i];
+        }
+    }
+    *at = out;
+    return (Text){start, out - start};
+}
+
+/* Whether obj is a node of the graph whose node kinds are kind; -1 with an
+ * error set when the lookup fails. */
+static int is_node(PyObject *kind, PyObject *obj)
+{
+    return PyUnicode_CheckExact(obj) ? PyDict_Contains(kind, obj) : 0;
+}
+
+static PyObject *codec_write(PyObject *self, PyObject *args)
+{
+    PyObject *path, *kind, *out, *value, *fspath = NULL, *id, *item, *rel, *rel_rows, *source,
+             *row;
+    Named values[MAX_NAMED];
+    int n_values;
+    if (!PyArg_ParseTuple(args, "OO!O!O!:write", &path, &PyDict_Type, &kind, &PyDict_Type, &out,
+                          &PyDict_Type, &value)
+            || read_named(value, 0, values, &n_values) < 0)
+        return NULL;
+    Py_ssize_t n_nodes = PyDict_GET_SIZE(kind), n_heads = 0, max_row = 0, node_chars = 0,
+               head_chars = 0, max_row_chars = 0, pos, h, i;
+    /* the work arrays, each mapped only while its lines are written */
+    Line *lines = NULL;
+    Entry *entries = NULL;
+    char *chars = NULL, *row_chars = NULL;
+    size_t lines_size = 0, chars_size = 0;
+    Table texts = {NULL, 0, 0};
+    Out dest = {NULL, NULL, 0, 1 << 16};
+    PyObject *result = NULL;
+    if (table_init(&texts) < 0)
+        goto done;
+
+    /* every id printable ASCII with a kind, every row's source and targets
+     * nodes, every weight formatted, before the file is opened */
+    for (pos = 0; PyDict_Next(kind, &pos, &id, &item);) {
+        if (!PyUnicode_CheckExact(id) || !PyUnicode_IS_ASCII(id) || PyUnicode_GET_LENGTH(id) == 0
+                || value_of(values, n_values, item) == NULL)
+            goto bail;
+        const Py_UCS1 *c = PyUnicode_1BYTE_DATA(id);
+        for (i = 0; i < PyUnicode_GET_LENGTH(id); i++)
+            if (c[i] < 0x20 || c[i] > 0x7e)
+                goto bail;
+        node_chars += token_len(id);
+    }
+    for (pos = 0; PyDict_Next(out, &pos, &rel, &rel_rows);) {
+        if (!PyDict_CheckExact(rel_rows) || value_of(values, n_values, rel) == NULL)
+            goto bail;
+        for (Py_ssize_t rpos = 0; PyDict_Next(rel_rows, &rpos, &source, &row);) {
+            if (is_node(kind, source) != 1 || !PyDict_CheckExact(row))
+                goto bail;
+            n_heads++;
+            head_chars += token_len(source);
+            Py_ssize_t row_chars_len = 0;
+            for (Py_ssize_t epos = 0; PyDict_Next(row, &epos, &id, &item);) {
+                if (is_node(kind, id) != 1 || weight_text(&texts, item) == NULL)
+                    goto bail;
+                row_chars_len += token_len(id);
+            }
+            if (PyDict_GET_SIZE(row) > max_row)
+                max_row = PyDict_GET_SIZE(row);
+            if (row_chars_len > max_row_chars)
+                max_row_chars = row_chars_len;
+        }
+    }
+
+    if (!PyUnicode_FSConverter(path, &fspath)) {
+        PyErr_Clear();
+        goto bail;
+    }
+    if ((dest.buf = map(dest.cap)) == NULL)
+        goto done;
+    dest.f = fopen(PyBytes_AS_STRING(fspath), "wb");
+    if (dest.f == NULL)
+        goto bail;
+
+    /* the edge lines: rows in head order, each row's lines sorted, which
+     * puts every line in order */
+    lines_size = (size_t)n_heads * sizeof(Line);
+    chars_size = (size_t)head_chars;
+    if ((lines = map(lines_size)) == NULL || (chars = map(chars_size)) == NULL
+            || (entries = map((size_t)max_row * sizeof(Entry))) == NULL
+            || (row_chars = map((size_t)max_row_chars)) == NULL)
+        goto done;
+    char *at = chars;
+    h = 0;
+    for (pos = 0; PyDict_Next(out, &pos, &rel, &rel_rows);)
+        for (Py_ssize_t rpos = 0; PyDict_Next(rel_rows, &rpos, &source, &row); h++) {
+            if (h == n_heads || at - chars + token_len(source) > head_chars)
+                goto changed;
+            lines[h] = (Line){encode_id(source, &at), value_of(values, n_values, rel), row};
+        }
+    if (h != n_heads)
+        goto changed;
+    qsort(lines, (size_t)n_heads, sizeof(Line), compare_lines);
+    for (h = 0; h < n_heads; h++) {
+        Py_ssize_t n = 0;
+        char *row_at = row_chars;
+        for (Py_ssize_t epos = 0; PyDict_Next(lines[h].obj, &epos, &id, &item); n++) {
+            PyObject *text = weight_text(&texts, item);
+            if (text == NULL || n == max_row || !PyUnicode_CheckExact(id)
+                    || row_at - row_chars + token_len(id) > max_row_chars)
+                goto changed;
+            entries[n].code = encode_id(id, &row_at);
+            entries[n].weight = (Text){PyBytes_AS_STRING(text), PyBytes_GET_SIZE(text)};
+        }
+        qsort(entries, (size_t)n, sizeof(Entry), compare_entries);
+        for (Py_ssize_t e = 0; e < n; e++)
+            emit_line(&dest, 'E', &lines[h].code, lines[h].tag, &entries[e]);
+    }
+    unmap(lines, lines_size);
+    unmap(chars, chars_size);
+    lines = NULL;
+    chars = NULL;
+
+    /* the node lines */
+    lines_size = (size_t)n_nodes * sizeof(Line);
+    chars_size = (size_t)node_chars;
+    if ((lines = map(lines_size)) == NULL || (chars = map(chars_size)) == NULL)
+        goto done;
+    at = chars;
+    i = 0;
+    for (pos = 0; PyDict_Next(kind, &pos, &id, &item); i++) {
+        if (i == n_nodes || at - chars + token_len(id) > node_chars)
+            goto changed;
+        lines[i] = (Line){encode_id(id, &at), value_of(values, n_values, item), id};
+    }
+    qsort(lines, (size_t)n_nodes, sizeof(Line), compare_lines);
+    for (i = 0; i < n_nodes; i++)
+        emit_line(&dest, 'N', &lines[i].code, lines[i].tag, NULL);
+    if (n_nodes == 0)
+        emit(&dest, "\n", 1);
+    fwrite(dest.buf, 1, dest.used, dest.f);
+    /* a write that fails leaves the file to the Python writer, which writes
+     * it again and raises the error */
+    int failed = ferror(dest.f);
+    failed |= fclose(dest.f);
+    dest.f = NULL;
+    result = Py_NewRef(failed ? Py_False : Py_True);
+    goto done;
+changed:
+    /* only a graph changed since the checks above gets here */
+    if (!PyErr_Occurred())
+        PyErr_SetString(PyExc_RuntimeError, "snapshot write: the graph changed while written");
+    goto done;
+bail:
+    if (!PyErr_Occurred())
+        result = Py_NewRef(Py_False);
+done:
+    if (dest.f != NULL)
+        fclose(dest.f);
+    Py_XDECREF(fspath);
+    unmap(lines, lines_size);
+    unmap(chars, chars_size);
+    unmap(entries, (size_t)max_row * sizeof(Entry));
+    unmap(row_chars, (size_t)max_row_chars);
+    unmap(dest.buf, dest.cap);
+    table_free(&texts);
+    return result;
+}
+
+static PyMethodDef methods[] = {
+    {"scan", codec_scan, METH_VARARGS,
+     "scan(path, kind_by_value, relation_by_value): a snapshot's node ids, node kinds,\n"
+     "sources, relations and rows, or None"},
+    {"write", codec_write, METH_VARARGS,
+     "write(path, kind, out, value): write a graph's snapshot; False, having written\n"
+     "nothing, when the Python writer must"},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_snapshot", NULL, -1, methods};
+
+PyMODINIT_FUNC PyInit__snapshot(void)
+{
+    return PyModule_Create(&module);
+}

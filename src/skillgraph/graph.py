@@ -22,7 +22,9 @@ distinct node once, in the order a node-at-a-time build adds it, so that a
 clash of ids raises the same first message.
 
 ``read_snapshot`` reads a snapshot in one pass that keeps nothing to explain
-a fault; when a row fails, it reads the file again to name the line.
+a fault; when a row fails, it reads the file again to name the line. The
+pass and ``write_snapshot`` run as C where the compiled codec loads
+(``kernels.snapshot_codec``), with the same results.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
+from . import kernels
 from .errors import GraphError, iter_lines, parse_number, read_through, write_lines
 from .ingest import Course, EnrollmentRecord, Job, Skill, tokenize
 
@@ -438,6 +441,20 @@ def _union_rows(g: HeteroGraph, mapping: dict[str, str]
 # sorted lexicographically and read in any order. Ids are percent-encoded
 # (space and '%' only) so the line format stays space-delimited; an id must
 # be non-empty and hold no character ``str.splitlines`` breaks on.
+#
+# Two codecs read and write this text. The compiled one, ``_snapshot.c``
+# (``kernels.snapshot_codec``), runs whenever it loads: its ``scan`` returns
+# what ``_read_rows`` gathers, the node lines' ids and kinds first, and its
+# ``write`` writes the bytes of ``_snapshot_text``. It takes only snapshots
+# whose every line is a well-formed ``E`` or ``N`` line of printable ASCII
+# ending in ``\n``, and graphs whose every id is printable ASCII and every
+# weight a positive finite float. On anything else (CRLF line ends, a blank
+# line, a last line with no line end, an id beyond printable ASCII, a '%'
+# the encoder did not write, a weight text that is no finite float or holds
+# '_', a path that cannot be opened) it returns None or False, having
+# written nothing, and the Python codec below runs, so every error message,
+# line number and error order is the Python reader's. Neither codec holds a
+# whole file or text.
 
 def _encode_id(node_id: str) -> str:
     if node_id.splitlines() != [node_id]:  # also true for ''
@@ -493,7 +510,15 @@ def _snapshot_text(g: HeteroGraph) -> Iterator[str]:
     yield from sorted(f"N {code[i]} {k.value}\n" for i, k in kinds.items())
 
 
+_KIND_BY_VALUE = {k.value: k for k in NodeKind}
+_RELATION_BY_VALUE = {r.value: r for r in Relation}
+_VALUE = {member: member.value for member in (*NodeKind, *Relation)}
+
+
 def write_snapshot(g: HeteroGraph, path: str | Path) -> None:
+    codec = kernels.snapshot_codec()
+    if codec is not None and codec.write(path, g._kind, g._out, _VALUE):
+        return
     # streamed, so no copy of the whole snapshot is held. Every id is encoded
     # before the first piece comes, so an id no snapshot can hold leaves no
     # file; a graph with no node has no line, and its snapshot is one line end
@@ -512,8 +537,7 @@ def _read_rows(g: HeteroGraph, path: str | Path
     visit. A weight text that is no finite float reads as NaN. Each distinct
     id token is decoded, and each distinct weight text parsed, once.
     """
-    kind_by_value = {k.value: k for k in NodeKind}
-    rel_by_value = {r.value: r for r in Relation}
+    kind_by_value, rel_by_value = _KIND_BY_VALUE, _RELATION_BY_VALUE
     ids: dict[str, str] = {}
     weights: dict[str, float] = {}
     sources: list[str] = []
@@ -585,15 +609,28 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
     """Load a snapshot; its lines may come in any order.
 
     One pass adds every node and gathers the edges into rows
-    (``_read_rows``); the rows then go to ``HeteroGraph._add_rows`` in line
-    order, and when it raises, a second read names the line
-    (``_raise_edge_fault``). So an undecodable byte anywhere comes first,
-    then node and line-shape errors, then edge errors in line order, each as
-    ``{path}: line N: ...``, then a row whose weights do not sum to 1, as
-    ``{path}: ...``.
+    (``_read_rows``, or the compiled codec's ``scan``, whose nodes are then
+    added in line order; a node that fails there has ``_read_rows`` read the
+    file again to name its line). The rows then go to
+    ``HeteroGraph._add_rows`` in line order, and when it raises, a second
+    read names the line (``_raise_edge_fault``). So an undecodable byte
+    anywhere comes first, then node and line-shape errors, then edge errors
+    in line order, each as ``{path}: line N: ...``, then a row whose weights
+    do not sum to 1, as ``{path}: ...``.
     """
     g = HeteroGraph()
-    sources, relations, rows = _read_rows(g, path)
+    codec = kernels.snapshot_codec()
+    scanned = codec and codec.scan(path, _KIND_BY_VALUE, _RELATION_BY_VALUE)
+    if not scanned:
+        sources, relations, rows = _read_rows(g, path)
+    else:
+        node_ids, kinds, sources, relations, rows = scanned
+        try:
+            for node_id, kind in zip(node_ids, kinds):
+                g.add_node(node_id, kind)
+        except GraphError:
+            _read_rows(HeteroGraph(), path)  # raises naming the line
+            raise
     try:
         g._add_rows(zip(sources, relations, rows))
     except GraphError:

@@ -1,4 +1,4 @@
-"""Hot numeric kernels, one build each.
+"""Hot numeric kernels, one build each, and the compiled snapshot codec.
 
 Everything here works on plain int64/float64 arrays; graph/flow objects are
 flattened by their owners before calling in. The four kernels:
@@ -9,19 +9,31 @@ flattened by their owners before calling in. The four kernels:
 * ``propagate_step``    -- one meta-path hop (weighted scatter-add, ungated)
 
 Three are vectorised NumPy. The move pass is sequential and has no
-vectorised form, so it runs as C: ``_move_pass.c``, built on the first move
-pass of a process with the C compiler Python was built with (``sysconfig``'s
-``CC``), ``-O2 -fPIC -shared -ffp-contract=off -lm``, and loaded through
-``ctypes``. The library is cached in ``$XDG_CACHE_HOME/skillgraph`` (default
-``~/.cache/skillgraph``), a directory made with mode 0700 that must belong to
-the user and be writable by no one else; its file name carries the sha256 of
-the source, the compiler flags and the machine type, so a changed source or
-flag builds anew and a later process only loads it. A build goes to a
-temporary file in that directory and is renamed into place, so concurrent
-first runs do not see half a library. A built library stays until the user
-deletes it: each source, flag set and machine type keeps its own file of
-about 16 KB, so versions that share the cache never rebuild each other's
-library, and deleting the directory reclaims the space.
+vectorised form, so it runs as C: ``_move_pass.c``, loaded through
+``ctypes``. ``snapshot_codec`` is the other compiled source, ``_snapshot.c``:
+a CPython extension whose ``scan`` and ``write`` the snapshot reader and
+writer of ``graph`` try first, loaded through
+``importlib.machinery.ExtensionFileLoader``.
+
+Both are built by one path (``_compiled``), on the first use in a process,
+with the C compiler Python was built with (``sysconfig``'s ``CC``) and
+``-O2 -fPIC -shared``: the move pass adds ``-ffp-contract=off -lm``, and the codec
+``-I`` with the Python header directories. Each library is cached in
+``$XDG_CACHE_HOME/skillgraph`` (default ``~/.cache/skillgraph``), a
+directory made with mode 0700 that must belong to the user and be writable
+by no one else. Its file name carries a BLAKE2b digest of the source, the
+flags and the machine type, and for the codec the interpreter's
+``EXT_SUFFIX`` in place of its header directories (an extension is tied to
+the one ABI that the suffix names), so a changed source or flag builds anew
+and a later process only loads it, with no ``sysconfig``. The digest comes
+from CPython's own BLAKE2 module, not ``hashlib``, whose import maps
+OpenSSL: about 3.4 MB of resident memory in every process that keys a
+library. The compiler reads the very bytes that were keyed, and writes a
+temporary file in the cache that is renamed into place, so concurrent first
+runs do not see half a library. A built library stays until the user deletes
+it: each source, flag set, machine type and ABI keeps its own file of
+16-32 KB, so versions that share the cache never rebuild each other's library, and
+deleting the directory reclaims the space.
 
 The C pass and the Python pass add the same floats in the same order: the
 same queue, candidate bookkeeping, tie rule and binary64 operations. No fused
@@ -44,12 +56,16 @@ results.
 
 ``ACTIVE_BACKEND`` names the move pass that runs, for benchmark reports:
 ``"c"`` once the compiled pass has loaded, ``"python"`` before the first move
-pass and when it could not.
+pass and when it could not. ``ACTIVE_CODEC`` names the snapshot codec the
+same way: ``"c"`` once ``_snapshot.c`` has loaded, ``"python"`` before the
+first snapshot read or write and when it could not. The codec runs whenever
+it loads; on input it does not take, the Python codec runs in its place.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
 import math
 import os
 import platform
@@ -60,6 +76,7 @@ from pathlib import Path
 import numpy as np
 
 ACTIVE_BACKEND = "python"
+ACTIVE_CODEC = "python"
 
 
 def _plogp(x):
@@ -261,8 +278,8 @@ def _python_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, ep
 
 
 _SOURCE = Path(__file__).with_name("_move_pass.c")
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-_LDLIBS = ("-lm",)
+_CODEC_SOURCE = Path(__file__).with_name("_snapshot.c")
+_CFLAGS = ("-O2", "-fPIC", "-shared")
 _ARGTYPES = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_int64]
              + [ctypes.c_void_p] * 5 + [ctypes.c_double] * 3 + [ctypes.c_void_p])
 
@@ -272,33 +289,73 @@ def _compiled_move_pass():
     """``_move_pass.c``'s move pass, loaded from the cache or built into it on
     the first call of the process; ``None`` when it cannot be built or loaded.
     Sets ``ACTIVE_BACKEND`` to the pass that runs."""
-    # imported here, where a move pass needs it: hashlib maps OpenSSL,
-    # about 3 MB of resident memory that no other stage of the CLI needs
-    import hashlib
-
     global ACTIVE_BACKEND
     ACTIVE_BACKEND = "python"
-    cache = _cache_dir() if os.name == "posix" else None
-    if cache is None:
+    lib = _compiled(_SOURCE, ("-ffp-contract=off",), ("-lm",), ctypes.CDLL)
+    if lib is None:
         return None
-    try:
-        source = _SOURCE.read_bytes()
-    except OSError:
-        return None
-    flags = " ".join(_CFLAGS + _LDLIBS)
-    key = hashlib.sha256(b"\0".join(
-        [source, flags.encode(), platform.machine().encode()])).hexdigest()
-    path = os.path.join(cache, f"move_pass-{key[:32]}.so")
-    if not os.path.exists(path) and not _build(path):
-        return None
-    try:
-        fn = ctypes.CDLL(path).local_move_pass
-    except OSError:
-        return None
+    fn = lib.local_move_pass
     fn.argtypes = _ARGTYPES
     fn.restype = ctypes.c_int64
     ACTIVE_BACKEND = "c"
     return fn
+
+
+@functools.cache
+def snapshot_codec():
+    """The ``_snapshot.c`` extension module, whose ``scan`` and ``write`` the
+    snapshot reader and writer try first, loaded from the cache or built into
+    it on the first call of the process; ``None`` when it cannot be built or
+    loaded. Sets ``ACTIVE_CODEC`` to the codec that runs."""
+    global ACTIVE_CODEC
+    ACTIVE_CODEC = "python"
+    module = _compiled(_CODEC_SOURCE, (), (), _load_extension, extension=True)
+    if module is not None:
+        ACTIVE_CODEC = "c"
+    return module
+
+
+def _load_extension(path):
+    from importlib.util import module_from_spec, spec_from_file_location
+
+    name = f"{__package__}._snapshot"
+    spec = spec_from_file_location(name, path,
+                                   loader=importlib.machinery.ExtensionFileLoader(name, path))
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _compiled(source_path, cflags, ldlibs, load, extension=False):
+    """``load(path)`` of the library built from ``source_path`` with
+    ``_CFLAGS + cflags`` and ``ldlibs``, built into the cache first unless it
+    is there; ``None`` when it cannot be built or loaded. An ``extension``
+    is built against the Python headers, and its key carries the
+    interpreter's extension suffix (``EXT_SUFFIX``), as it is tied to one
+    ABI; a load reads neither, so it imports no ``sysconfig``."""
+    try:  # hashlib's BLAKE2 without hashlib, which maps OpenSSL when imported
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
+    cache = _cache_dir() if os.name == "posix" else None
+    if cache is None:
+        return None
+    try:
+        source = source_path.read_bytes()
+    except OSError:
+        return None
+    flags = (*_CFLAGS, *cflags, *ldlibs)
+    abi = importlib.machinery.EXTENSION_SUFFIXES[0] if extension else ""
+    key = blake2b(b"\0".join([source, " ".join(flags).encode(), platform.machine().encode(),
+                              abi.encode()]), digest_size=16).hexdigest()
+    stem = source_path.stem.lstrip("_")
+    path = os.path.join(cache, f"{stem}-{key}.so")
+    if not os.path.exists(path) and not _build(path, stem, source, cflags, ldlibs, extension):
+        return None
+    try:
+        return load(path)
+    except (OSError, ImportError):
+        return None
 
 
 def _cache_dir():
@@ -318,9 +375,9 @@ def _cache_dir():
     return path
 
 
-def _build(path):
-    """Compile ``_move_pass.c`` to ``path`` through a temporary file beside
-    it; whether that worked."""
+def _build(path, stem, source, cflags, ldlibs, extension):
+    """Compile the C ``source`` (bytes, read from standard input) to ``path``
+    through a temporary file beside it; whether that worked."""
     import shlex
     import subprocess
     import sysconfig
@@ -328,15 +385,18 @@ def _build(path):
     cc = sysconfig.get_config_var("CC")
     if not cc:
         return False
+    if extension:
+        paths = sysconfig.get_paths()
+        cflags = (*cflags, *(f"-I{p}" for p in dict.fromkeys(
+            (paths["include"], paths["platinclude"]))))
     try:
-        fd, tmp = tempfile.mkstemp(prefix=".move_pass-", suffix=".so",
-                                   dir=os.path.dirname(path))
+        fd, tmp = tempfile.mkstemp(prefix=f".{stem}-", suffix=".so", dir=os.path.dirname(path))
     except OSError:
         return False
     os.close(fd)
     try:
-        subprocess.run([*shlex.split(cc), *_CFLAGS, "-o", tmp, str(_SOURCE), *_LDLIBS],
-                       check=True, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        subprocess.run([*shlex.split(cc), *_CFLAGS, *cflags, "-o", tmp, "-x", "c", "-", *ldlibs],
+                       input=source, check=True, stdout=subprocess.DEVNULL,
                        stderr=subprocess.DEVNULL, timeout=300)
         os.replace(tmp, path)
     except (OSError, subprocess.SubprocessError):

@@ -7,8 +7,9 @@ Steps flagged as community-restricted only land on nodes carrying the query
 community's merged label. Scoring is layered sparse propagation, one weighted
 scatter per step, which equals explicit tour enumeration.
 
-One function, ``_path_edges``, says which edges each step of a gated walk
-takes. A restricted step takes the edges that land in the query community.
+One function, ``_step_edges``, gives the edges a gated step takes, and
+``_path_edges`` and ``Frame.route`` say which steps of a walk are gated. A
+restricted step takes the edges that land in the query community.
 An unrestricted step takes the edges that leave it when it follows a
 restricted step (the reverse prerequisite step of upskilling), or when it
 comes first in a walk that starts from scores a restricted step left in the
@@ -44,9 +45,10 @@ community or leave it. A frame's place map (``Frame.place``) gives each
 index position its place in the frame, and every position outside it the
 sink slot just past the frame's last.
 
-A frame asks ``_path_edges`` once per path and keeps the answer
-(``Frame.route``), and paths that share a step share its arrays. A query
-whose jobs span several communities walks every route of every group. That
+A frame gates each step's edges once, when a route first takes the step,
+and keeps each route (``Frame.route``), so paths that share a step share
+its arrays. A query whose jobs span several communities walks every route
+of every group. That
 is rare: detection takes each side's connected components when they code
 shorter than the partition its moves found, so a topic's jobs are not split
 over stalled fragments, and on each ``perfbench`` workload (seed 1, traced)
@@ -283,11 +285,9 @@ class CommunityEdges:
     community's ``Frame``. Slot numbers follow the communities' ascending
     order: ``communities[k]`` is slot ``k``'s community and ``node_slot``
     each node's slot, -1 when unlabelled. Read it as
-    ``labels.cached(index, CommunityEdges)``. A community's members and the
-    edges that land in it or leave it (``ends_in``) are scans of
-    ``node_slot``; its frame is made from them on first use (``frame``), so a
-    gate asked only for the frame of no community, which gates no edge, reads
-    no edge."""
+    ``labels.cached(index, CommunityEdges)``. A community's frame is made on
+    first use (``frame``) from scans of ``node_slot``, so a gate asked only
+    for the frame of no community, which gates no edge, reads no edge."""
 
     def __init__(self, index: GraphIndex, labels: Labels) -> None:
         self.index = index
@@ -298,19 +298,14 @@ class CommunityEdges:
                                      dtype=np.int64, count=index.n)
         self._frames: dict[int | None, Frame] = {}
 
+    def slot_of(self, community: int) -> int:
+        """``community``'s slot; a community no node carries takes the slot
+        past the last, which no node holds."""
+        return self.slot.get(community, len(self.communities))
+
     def members(self, community: int) -> np.ndarray:
         """The index positions of ``community``'s nodes, ascending."""
-        return self._in(self.node_slot, community)
-
-    def ends_in(self, relation: Relation, target: bool, community: int) -> np.ndarray:
-        """The positions in ``relation``'s edges of the ones whose source, or
-        with ``target`` whose target, is in ``community``, ascending."""
-        src, dst, _wgt = self.index.rel_edges[relation]
-        return self._in(self.node_slot[dst if target else src], community)
-
-    def _in(self, slots: np.ndarray, community: int) -> np.ndarray:
-        # a community no node carries takes the slot past the last, which no node holds
-        return np.flatnonzero(slots == self.slot.get(community, len(self.communities)))
+        return np.flatnonzero(self.node_slot == self.slot_of(community))
 
     def frame(self, community: int | None) -> Frame:
         """``community``'s frame, made on the first call; ``frame(None)`` is
@@ -332,12 +327,16 @@ class Frame:
     ``place`` maps each index position to its frame position, and every
     position outside the frame to ``len(nodes)``.
 
-    A path's edges are ``_path_edges``' for a walk whose mass starts in the
-    community, made when first asked for and kept (``route``).
+    A route is a walk whose mass starts in the community, so each of its
+    steps is gated (``_step_edges``): a framed path's steps each land in the
+    community or leave it, and so does the first prerequisite hop from
+    scores a restricted step left there. Each step's edges, as positions in
+    ``nodes``, are made when a route first takes the step and shared by the
+    routes that take it; each route's list is kept (``route``).
 
     A frame keeps what it reads of its gate, never the gate, which keeps its
-    frames: its ``index``, its community's edge scans (``ends``, None in the
-    frame of no community) and the frame of no community (``whole``). So no
+    frames: its ``index``, the gate's node slots with its community's slot
+    (which ``ends`` scans) and the frame of no community (``whole``). So no
     frame is in a reference cycle, and an index goes when the last gate,
     frame, score or seed set on it goes, with no wait for the collector."""
 
@@ -348,18 +347,22 @@ class Frame:
         # each (relation, direction, restricted)'s edges, which paths share
         self._steps: dict[tuple[Relation, bool, bool], Edges] = {}
         if community is None:
-            self.ends, self._whole, self.nodes = None, None, np.arange(self.index.n)
+            self._whole, self.nodes = None, np.arange(self.index.n)
             return
-        # each relation's edges whose source (False) or target (True) is in the community
-        self.ends = {(relation, target): gate.ends_in(relation, target, community)
-                     for relation in Relation for target in (False, True)}
+        self._slots, self._slot = gate.node_slot, gate.slot_of(community)
         self._whole = gate.frame(None)
         parts = [gate.members(community)]
         for relation, (src, dst, _wgt) in self.index.rel_edges.items():
-            parts += (dst[self.ends[relation, False]], src[self.ends[relation, True]])
+            parts += (dst[self.ends(relation, False)], src[self.ends(relation, True)])
         nodes = np.sort(np.concatenate(parts))
         # each run of one position keeps its first; np.unique's first call imports numpy.ma
         self.nodes = np.concatenate((nodes[:1], nodes[1:][nodes[1:] != nodes[:-1]]))
+
+    def ends(self, relation: Relation, target: bool) -> np.ndarray:
+        """The positions in ``relation``'s edges of the ones whose source, or
+        with ``target`` whose target, is in the community, ascending."""
+        src, dst, _wgt = self.index.rel_edges[relation]
+        return np.flatnonzero(self._slots[dst if target else src] == self._slot)
 
     @property
     def whole(self) -> Frame:
@@ -381,13 +384,13 @@ class Frame:
         community takes every edge of any path."""
         edges = self._routes.get(path)
         if edges is None:
-            edges = _path_edges(path, self.index, self.ends, entered=True)
-            for i, step in enumerate(path.steps):
+            edges = []
+            for step in path.steps:
                 key = (step.relation, step.reverse, step.community_restricted)
                 if key not in self._steps:
-                    frm, to, wgt = edges[i]
+                    frm, to, wgt = _step_edges(step, self, gated=True)
                     self._steps[key] = (self.place[frm], self.place[to], wgt)
-                edges[i] = self._steps[key]
+                edges.append(self._steps[key])
             self._routes[path] = edges
         return edges
 
@@ -398,24 +401,29 @@ class Frame:
         return at, at < len(self.nodes)
 
 
-def _path_edges(path: MetaPath, index: GraphIndex,
-                ends: dict[tuple[Relation, bool], np.ndarray] | None,
-                entered: bool = False) -> list[Edges]:
-    """Each step's edges on ``index`` as (from, to, weight) in edge order,
-    gated by a community's edge scans ``ends`` (``Frame.ends``). A
-    restricted step takes the edges that land in the community (an
-    unlabelled node is in none); an unrestricted step takes the ones that
-    leave it after a restricted step, or first when the walk has ``entered``
-    it; any other step takes every edge. ``ends`` None is the whole graph,
-    so every step takes every edge."""
+def _step_edges(step: MetaPathStep, frame: Frame, gated: bool) -> Edges:
+    """``step``'s edges on ``frame.index`` as (from, to, weight) in edge
+    order; ``gated``, in a community's frame, only those that land in the
+    community when ``step`` is restricted, else those that leave it."""
+    frm, to, wgt = step.edges(frame.index)
+    if gated and frame.community is not None:
+        # a forward step lands on its target and leaves its source
+        at = frame.ends(step.relation, step.reverse != step.community_restricted)
+        frm, to, wgt = frm[at], to[at], wgt[at]
+    return frm, to, wgt
+
+
+def _path_edges(path: MetaPath, frame: Frame) -> list[Edges]:
+    """Each step's edges on ``frame.index``, gated by ``frame``'s community
+    for a walk that starts outside it. A restricted step takes the edges
+    that land in the community (an unlabelled node is in none); an
+    unrestricted step takes the ones that leave it after a restricted step;
+    any other step takes every edge. In the frame of no community every step
+    takes every edge."""
     edges = []
+    entered = False
     for step in path.steps:
-        frm, to, wgt = step.edges(index)
-        if ends is not None and (step.community_restricted or entered):
-            # a forward step lands on its target and leaves its source
-            at = ends[step.relation, step.reverse != step.community_restricted]
-            frm, to, wgt = frm[at], to[at], wgt[at]
-        edges.append((frm, to, wgt))
+        edges.append(_step_edges(step, frame, step.community_restricted or entered))
         entered = step.community_restricted
     return edges
 
@@ -504,7 +512,7 @@ def score_metapath(path: MetaPath, seeds: Seeds, labels: Mapping[str, int],
     if path.framed:
         edges = frame.route(path)
     else:
-        frame, edges = frame.whole, _path_edges(path, seeds.index, frame.ends)
+        frame, edges = frame.whole, _path_edges(path, frame)
     # a seed outside the frame has no edge into the community: it lands in
     # the sink slot past the frame's last, dropped before the walk; interleaved
     # A/B against masking such seeds out: query p50 fell 3.0-4.4% on all three

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillgraph.community import compute_flow, detect_communities, map_equation
-from skillgraph import errors
+from skillgraph import errors, kernels
 from skillgraph.errors import GraphError
 from skillgraph import graph
 from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, _prereq_rows,
@@ -765,12 +766,21 @@ class TestSnapshot:
         assert built(rowwise_read_snapshot, p)[1] == f"GraphError: {err.value}"
 
     def test_only_a_faulty_read_reads_the_file_again(self, tmp_path, monkeypatch):
+        # a read opens the file through the compiled codec's scan, where it
+        # loads, or through iter_lines; both are counted
         reads = []
 
         def counted(path, error):
             reads.append(path)
             return errors.iter_lines(path, error)
         monkeypatch.setattr(graph, "iter_lines", counted)
+        codec = kernels.snapshot_codec()
+        if codec is not None:
+            def scan(path, *args):
+                reads.append(path)
+                return codec.scan(path, *args)
+            counted_codec = types.SimpleNamespace(scan=scan, write=codec.write)
+            monkeypatch.setattr(kernels, "snapshot_codec", lambda: counted_codec)
         p = tmp_path / "g.graph"
         write_snapshot(self._golden_graph(1), p)
         read_snapshot(p)

@@ -4,7 +4,9 @@ from __future__ import annotations
 import os
 import stat
 import subprocess
+import sys
 import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from skillgraph import kernels
 from skillgraph.community import FlowGraph, _neighbours, detect_communities
+from skillgraph.graph import HeteroGraph, NodeKind, Relation, read_snapshot, write_snapshot
 
 from oracles import random_hetero_graph
 
@@ -325,3 +328,70 @@ def test_cache_others_can_write_is_not_used(fresh_build, monkeypatch):
     monkeypatch.setattr(subprocess, "run", fails_if_run)
     assert kernels._compiled_move_pass() is None
     assert kernels.ACTIVE_BACKEND == "python"
+
+
+@pytest.fixture
+def fresh_codec(monkeypatch, tmp_path):
+    """The snapshot codec resolved anew, with its cache under ``tmp_path``;
+    yields the cache directory."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(kernels, "ACTIVE_CODEC", kernels.ACTIVE_CODEC)
+    kernels.snapshot_codec.cache_clear()
+    yield tmp_path / "skillgraph"
+    kernels.snapshot_codec.cache_clear()
+
+
+def round_trip(tmp_path):
+    """A small graph written and read back: the snapshot's bytes and the graph."""
+    g = HeteroGraph()
+    for node_id, kind in (("J1", NodeKind.JOB), ("a b", NodeKind.SKILL),
+                          ("100%", NodeKind.SKILL)):
+        g.add_node(node_id, kind)
+    g.add_row("J1", Relation.REQUIRED, {"a b": 2 / 3, "100%": 1 / 3})
+    path = tmp_path / "g.graph"
+    write_snapshot(g, path)
+    back = read_snapshot(path)
+    rows = back._out[Relation.REQUIRED]
+    return path.read_bytes(), [(source, list(row.items())) for source, row in rows.items()]
+
+
+ROUND_TRIP = (b"E J1 r 100%25 0.33333333333333331\nE J1 r a%20b 0.66666666666666663\n"
+              b"N 100%25 skill\nN J1 job\nN a%20b skill\n",
+              [("J1", [("100%", 1 / 3), ("a b", 2 / 3)])])
+
+
+def test_codec_builds_once_and_loads_after(fresh_codec, monkeypatch, tmp_path):
+    if kernels.snapshot_codec() is None:
+        pytest.skip("the snapshot codec does not build here")
+    assert kernels.ACTIVE_CODEC == "c"
+    built = os.listdir(fresh_codec)
+    assert len(built) == 1 and built[0].startswith("snapshot-") and built[0].endswith(".so")
+    kernels.snapshot_codec.cache_clear()
+    monkeypatch.setattr(subprocess, "run", fails_if_run)
+    assert kernels.snapshot_codec() is not None
+    assert kernels.ACTIVE_CODEC == "c"
+    assert os.listdir(fresh_codec) == built
+    assert round_trip(tmp_path) == ROUND_TRIP
+
+
+def test_without_compiler_python_codec_runs(fresh_codec, monkeypatch, tmp_path):
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: "/nonexistent/cc" if name == "CC" else config_var(name))
+    assert kernels.snapshot_codec() is None
+    assert kernels.ACTIVE_CODEC == "python"
+    assert round_trip(tmp_path) == ROUND_TRIP
+    assert os.listdir(fresh_codec) == []  # the failed build leaves no file
+
+
+def test_resolving_both_libraries_maps_no_openssl():
+    # importing hashlib imports _hashlib, which maps OpenSSL's libcrypto
+    # (about 3.4 MB resident) into every process that keys a library; the
+    # cache key needs neither, so a fresh interpreter never imports it
+    code = ("import sys; from skillgraph import kernels; kernels._compiled_move_pass(); "
+            "kernels.snapshot_codec(); print('_hashlib' in sys.modules)")
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=300)
+    assert run.stdout.split() == ["False"]

@@ -1508,13 +1508,13 @@ class TestPrerequisiteExpansion:
         g.add_edge("C2", Relation.PRE_REQUIRED, "C1", 1.0)
         g.add_edge("C1", Relation.PRE_REQUIRED, "C0", 1.0)
         scans = []
-        original = ranker.CommunityEdges.ends_in
+        original = ranker.Frame.ends
 
-        def recording(gate, relation, target, community):
+        def recording(frame, relation, target):
             scans.append(relation)
-            return original(gate, relation, target, community)
+            return original(frame, relation, target)
 
-        monkeypatch.setattr(ranker.CommunityEdges, "ends_in", recording)
+        monkeypatch.setattr(ranker.Frame, "ends", recording)
         assert prerequisite_expansion(scores_on(g, {"C2": 1.0}), depth=0) == {}
         assert prerequisite_expansion(scores_on(HeteroGraph(), {})) == {}
         assert prerequisite_expansion(scores_on(g, {"C2": 1.0}), depth=2) == {

@@ -79,9 +79,11 @@ def test_traced_batch_stages_record_every_load_build_and_snapshot(tmp_path):
               ["communities", "--out", str(out), "--seed", "3"],
               ["link", "--out", str(out)]]
     tracer_mod = load_tracer()
-    # the process's first move pass sets kernels.ACTIVE_BACKEND; resolve it
-    # here, so that the snapshot below sees only what the tracer patches
+    # the process's first move pass sets kernels.ACTIVE_BACKEND, and its
+    # first snapshot read or write kernels.ACTIVE_CODEC; resolve both here,
+    # so that the snapshot below sees only what the tracer patches
     kernels._compiled_move_pass()
+    kernels.snapshot_codec()
     before = [dict(vars(owner)) for owner in PATCHED]
     tracer = tracer_mod.Tracer()
     try:
