@@ -6,15 +6,15 @@ CSV with ``\\n`` line ends; a row holding a ``\\r`` has every field quoted, so
 that the row reads back intact. Readers open files with ``newline=""``, as the
 csv module expects, so a quoted ``\\r`` stays a ``\\r`` and ``\\r\\n`` line ends
 still parse. Undecodable or malformed input raises the caller's error class.
-Line and CSV readers decode a block at a time and writers write a piece at a
-time, so no copy of a whole file is held (``read_text`` gives one whole, for
-a JSON document): a large transient buffer, once freed, raises the C
-allocator's threshold for mapping blocks of its own, and how much free
-memory the heap then keeps resident varies from run to run. A reader checks
-each row or line as it is read, inside ``read_through``: a check that fails
-first reads the rest of the file, so that an undecodable byte or a malformed
-row anywhere in it is still raised first, as when the whole file was read
-before any check.
+Readers read a line at a time and writers write a piece at a time, so no
+copy of a whole file is held (``read_text`` gives one whole, for a JSON
+document): a large transient buffer, once freed, raises the C allocator's
+threshold for mapping blocks of its own, and how much free memory the heap
+then keeps resident varies from run to run. A reader checks each row or
+line as it is read, inside ``read_through``: a check that fails first reads
+the rest of the file, so that an undecodable byte or a malformed row
+anywhere in it is still raised first, as when the whole file was read before
+any check.
 """
 from __future__ import annotations
 
@@ -67,14 +67,11 @@ def read_text(path: str | Path, error: type[SkillGraphError]) -> str:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-_BLOCK = 1 << 15  # characters a reader decodes at a time
-
-
 def _csv_lines(path: str | Path, error: type[SkillGraphError]) -> Iterator[str]:
     """The lines of ``path`` opened as ``read_text`` opens it, each with its
-    line end, given one by one as the csv module reads them. A read or
-    decode error raises what ``read_text`` would, when the lines before it
-    have been given."""
+    line end (``\\n``, ``\\r`` or ``\\r\\n``), given one by one as the csv
+    module reads them. A read or decode error raises what ``read_text``
+    would, when the lines before it have been given."""
     try:
         with open(path, encoding="utf-8", newline="") as f:
             yield from f
@@ -84,29 +81,13 @@ def _csv_lines(path: str | Path, error: type[SkillGraphError]) -> Iterator[str]:
 
 
 def iter_lines(path: str | Path, error: type[SkillGraphError]) -> Iterator[str]:
-    """The lines of ``read_text(path, error).splitlines()``, decoded a block
-    at a time and given one by one. A read or decode error raises what
-    ``read_text`` would, when the lines before it have been given."""
-    try:
-        with open(path, encoding="utf-8", newline="") as f:
-            rest = ""
-            while block := f.read(_BLOCK):
-                text = rest + block
-                lines = text.splitlines()
-                # a last line that may go on in the next block, or end in a \r
-                # that pairs with a \n there, is split again with that block
-                last = text[-1]
-                if last == "\r":
-                    rest = lines.pop() + last
-                elif last.splitlines() == [""]:  # a line end
-                    rest = ""
-                else:
-                    rest = lines.pop()
-                yield from lines
-            yield from rest.splitlines()
-    except (OSError, UnicodeDecodeError):
-        read_text(path, error)  # the whole file's error, at its byte offset
-        raise
+    """The lines of ``read_text(path, error).splitlines()``, given one by one,
+    and its error when the lines before it have been given. Each line of
+    ``_csv_lines`` ends at a line end, and the text layer never splits a
+    ``\\r\\n``, so splitting each one apart finds the line ends that
+    ``str.splitlines`` finds in the whole text."""
+    for line in _csv_lines(path, error):
+        yield from line.splitlines()
 
 
 def csv_rows(path: str | Path, header: Sequence[str],

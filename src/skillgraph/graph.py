@@ -187,19 +187,10 @@ class HeteroGraph:
 
     # -- queries ------------------------------------------------------------
 
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self._kind
-
     def node_ids(self, kind: NodeKind | None = None) -> list[str]:
         if kind is None:
             return sorted(self._kind)
         return sorted(i for i, k in self._kind.items() if k is kind)
-
-    def node_kind(self, node_id: str) -> NodeKind:
-        try:
-            return self._kind[node_id]
-        except KeyError:
-            raise GraphError(f"unknown node {node_id!r}") from None
 
     def node_name(self, node_id: str) -> str:
         return self._name[node_id]
@@ -445,16 +436,11 @@ def _union_rows(g: HeteroGraph, mapping: dict[str, str]
 # Two codecs read and write this text. The compiled one, ``_snapshot.c``
 # (``kernels.snapshot_codec``), runs whenever it loads: its ``scan`` returns
 # what ``_read_rows`` gathers, the node lines' ids and kinds first, and its
-# ``write`` writes the bytes of ``_snapshot_text``. It takes only snapshots
-# whose every line is a well-formed ``E`` or ``N`` line of printable ASCII
-# ending in ``\n``, and graphs whose every id is printable ASCII and every
-# weight a positive finite float. On anything else (CRLF line ends, a blank
-# line, a last line with no line end, an id beyond printable ASCII, a '%'
-# the encoder did not write, a weight text that is no finite float or holds
-# '_', a path that cannot be opened) it returns None or False, having
-# written nothing, and the Python codec below runs, so every error message,
-# line number and error order is the Python reader's. Neither codec holds a
-# whole file or text.
+# ``write`` writes the bytes of ``_snapshot_text``. On any input outside
+# what it takes (listed in the header of ``_snapshot.c``) it writes nothing
+# and hands over to the Python codec below, so every error message, line
+# number and error order is the Python reader's. Both codecs read a line,
+# and write a row, at a time: neither holds a whole file or text.
 
 def _encode_id(node_id: str) -> str:
     if node_id.splitlines() != [node_id]:  # also true for ''
@@ -472,39 +458,29 @@ def _decode_id(token: str) -> str:
     return token.replace("%20", " ").replace("%25", "%")
 
 
-_BATCH_LINES = 1024  # edge lines a snapshot writer sorts and writes at a time
-
-
 def _snapshot_text(g: HeteroGraph) -> Iterator[str]:
-    """The snapshot's text in pieces of about ``_BATCH_LINES`` lines, each
-    line ending in ``\\n``.
+    """The snapshot's text a row at a time, each line ending in ``\\n``.
 
     The written order is every line sorted as a string. Edge lines (``E``)
     sort before node lines (``N``). An encoded id holds no space, so no
     row's head ``E {source} {relation} `` is a prefix of another's, nor any
     line of another: rows sort as their heads, line ends change no order,
-    and sorting the lines of a run of rows taken in head order puts them in
-    written order. Each id is encoded, and each
-    distinct weight formatted, once: a graph has far fewer distinct weights
-    than edges.
+    and the rows taken in head order, each with its lines sorted, are in
+    written order. Each id is encoded, and each distinct weight formatted,
+    once: a graph has far fewer distinct weights than edges.
     """
     kinds = g._kind
     code = {node_id: _encode_id(node_id) for node_id in kinds}
     text: dict[float, str] = {}
     rows_by_head = {f"E {code[source]} {relation.value} ": row
                     for relation, rows in g._out.items() for source, row in rows.items()}
-    lines: list[str] = []
     for head in sorted(rows_by_head):
+        lines = []
         for target, weight in rows_by_head[head].items():
             w = text.get(weight)
             if w is None:
                 w = text[weight] = f"{weight:.17g}"
             lines.append(f"{head}{code[target]} {w}\n")
-        if len(lines) >= _BATCH_LINES:
-            lines.sort()
-            yield "".join(lines)
-            lines = []
-    if lines:
         lines.sort()
         yield "".join(lines)
     yield from sorted(f"N {code[i]} {k.value}\n" for i, k in kinds.items())
@@ -528,7 +504,7 @@ def write_snapshot(g: HeteroGraph, path: str | Path) -> None:
 
 def _read_rows(g: HeteroGraph, path: str | Path
                ) -> tuple[list[str], list[Relation], list[dict[str, float]]]:
-    """Read the snapshot at ``path`` in one pass, a block at a time, and
+    """Read the snapshot at ``path`` in one pass, a line at a time, and
     split each line once. Add each node to ``g``, raise the first line that
     is neither a well-formed node nor a well-formed edge, and gather each
     run of adjacent edge lines with one source and relation, and no target

@@ -512,7 +512,7 @@ def rowwise_merge_graphs(education: HeteroGraph, career: HeteroGraph) -> HeteroG
     merged = HeteroGraph()
     for g, ids in zip((education, career), union):
         for node_id in g.node_ids():
-            kind = g.node_kind(node_id)
+            kind = g._kind[node_id]
             merged.add_node(ids[node_id], kind,
                             ids[node_id] if kind is NodeKind.SKILL else g.node_name(node_id))
     for g, ids in zip((education, career), union):
@@ -575,7 +575,7 @@ def rowwise_read_snapshot(path) -> HeteroGraph:
 # ---------------------------------------------------------------------------
 
 def _union_id(g: HeteroGraph, node_id: str) -> str:
-    if g.node_kind(node_id) is NodeKind.SKILL:
+    if g._kind[node_id] is NodeKind.SKILL:
         return "_".join(tokenize(g.node_name(node_id)))
     return node_id
 
@@ -589,7 +589,7 @@ def ref_merge_graphs(education: HeteroGraph, career: HeteroGraph) -> HeteroGraph
     for g in (education, career):
         for node_id in g.node_ids():
             union_id = _union_id(g, node_id)
-            kind = g.node_kind(node_id)
+            kind = g._kind[node_id]
             merged.add_node(union_id, kind,
                             union_id if kind is NodeKind.SKILL else g.node_name(node_id))
     for g in (education, career):

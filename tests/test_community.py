@@ -53,7 +53,7 @@ def disjoint_union(graphs):
     out = HeteroGraph()
     for i, g in enumerate(graphs):
         for node in g.node_ids():
-            out.add_node(f"{i}:{node}", g.node_kind(node), g.node_name(node))
+            out.add_node(f"{i}:{node}", g._kind[node], g.node_name(node))
         for source, relation, target, weight in edges(g):
             out.add_edge(f"{i}:{source}", relation, f"{i}:{target}", weight)
     return out
@@ -438,7 +438,7 @@ class TestDetectCommunities:
         g = clique_pair_graph()
         shuffled = HeteroGraph()
         for node in reversed(g.node_ids()):
-            shuffled.add_node(node, g.node_kind(node), g.node_name(node))
+            shuffled.add_node(node, g._kind[node], g.node_name(node))
         for edge in reversed(edges(g)):
             shuffled.add_edge(*edge)
         a = detect_communities(g, seed=7)

@@ -6,7 +6,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillgraph.community import compute_flow, detect_communities, map_equation
@@ -23,6 +23,11 @@ from oracles import (edges, out_edges, random_domain_graphs, random_hetero_graph
                      ref_build_career_graph, ref_merge_graphs, rowwise_career_graph,
                      rowwise_education_graph, rowwise_merge_graphs, rowwise_read_snapshot,
                      scores_on, seeds_on)
+
+
+# every line end ``str.splitlines`` knows, and a \r\n pair
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029"]
 
 
 def snapshot_lines(g):
@@ -56,14 +61,14 @@ class TestEducationGraph:
 
     def test_zero_skill_course_kept(self):
         g = build_education_graph([course("C1")], [])
-        assert "C1" in g
+        assert g.node_ids(NodeKind.COURSE) == ["C1"]
 
     def test_unknown_enrollment_course_skipped(self, caplog):
         recs = [EnrollmentRecord("s1", "C1", 0), EnrollmentRecord("s1", "CX", 1)]
         with caplog.at_level("WARNING"):
             g = build_education_graph([course("C1")], recs)
         assert "skipped 1" in caplog.text
-        assert "CX" not in g
+        assert g.node_ids() == ["C1"]
 
 
     def test_duplicate_course_ids_rejected(self):
@@ -456,14 +461,12 @@ def test_kind_discipline_enforced():
         g.add_edge("J1", Relation.REQUIRED, "C1", 0.0)
 
 
-def test_unknown_node_rejected_by_kind_and_name_lookups():
+def test_unknown_node_rejected_by_set_node_name():
     g = HeteroGraph()
     g.add_node("J1", NodeKind.JOB)
     with pytest.raises(GraphError, match="unknown node 'J9'"):
-        g.node_kind("J9")
-    with pytest.raises(GraphError, match="unknown node 'J9'"):
         g.set_node_name("J9", "ops")
-    assert "J9" not in g
+    assert g.node_ids() == ["J1"]
 
 
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])
@@ -643,24 +646,21 @@ class TestSnapshot:
         with pytest.raises(GraphError, match=r"g\.graph: not UTF-8 text"):
             read_snapshot(p)
 
-    def test_undecodable_byte_past_the_first_block_names_its_file_offset(self, tmp_path,
-                                                                         monkeypatch):
-        monkeypatch.setattr(errors, "_BLOCK", 16)
+    def test_undecodable_byte_past_the_first_block_names_its_file_offset(self, tmp_path):
+        # past the 8 KiB the text layer reads and decodes at once
         p = tmp_path / "g.graph"
-        head = b"N C1 course\n" * 10
+        head = b"N C1 course\n" * 1000
         p.write_bytes(head + b"N caf\xff skill\n")
         with pytest.raises(GraphError, match=re.escape(
                 f"g.graph: not UTF-8 text (invalid start byte at byte {len(head) + 5})")):
             read_snapshot(p)
 
     @pytest.mark.parametrize("bad_line", [b"X junk\n", b"N C1 skill\n"])
-    def test_undecodable_byte_further_on_comes_before_a_bad_line(self, tmp_path, monkeypatch,
-                                                                 bad_line):
-        # lines are read a block at a time, yet an undecodable byte anywhere in
+    def test_undecodable_byte_further_on_comes_before_a_bad_line(self, tmp_path, bad_line):
+        # lines are read one at a time, yet an undecodable byte anywhere in
         # the file is reported before any malformed line or node, as it was
         # when the whole file was decoded first (past the 8 KiB the text
         # layer decodes at once)
-        monkeypatch.setattr(errors, "_BLOCK", 16)
         p = tmp_path / "g.graph"
         head = b"N C1 course\n" + bad_line + b"N C2 course\n" * 1000
         p.write_bytes(head + b"N caf\xff skill\n")
@@ -671,15 +671,37 @@ class TestSnapshot:
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
     def test_lines_split_as_the_whole_text_splits_at_any_block_size(self, tmp_path,
                                                                    monkeypatch, block):
-        monkeypatch.setattr(errors, "_BLOCK", block)
+        # the text layer reads ``block`` bytes at a time, so that a \r\n and
+        # a character of several bytes straddle its reads
+        def small_reads(*args, **kwargs):
+            f = open(*args, **kwargs)
+            f._CHUNK_SIZE = block
+            return f
+
+        monkeypatch.setattr(errors, "open", small_reads, raising=False)
         text = "N a skill\r\nN b skill\rN c\x85skill\n\nE x\u2028y\r\r\n\vend\r"
         p = tmp_path / "g.txt"
         p.write_bytes(text.encode("utf-8"))
         assert list(errors.iter_lines(p, GraphError)) == text.splitlines()
 
+    @settings(max_examples=300, deadline=None)
+    @given(pieces=st.lists(st.one_of(st.sampled_from(LINE_BREAKS),
+                                     st.text(st.sampled_from("Nab %\xe9\u20ac\U0001f600"),
+                                             max_size=6)), max_size=30),
+           pad=st.sampled_from([0, 8186, 8189, 8190, 8191]))
+    @example(pieces=["\r\n", "a"], pad=8191)  # a \r\n across the text layer's first read
+    @example(pieces=["\r", "\n", "\r"], pad=8191)
+    def test_lines_split_as_the_whole_text_splits(self, tmp_path_factory, pieces, pad):
+        # ``pad`` characters first, so that a \r\n or a character of several
+        # bytes may straddle the 8 KiB the text layer reads at once
+        text = "x" * pad + "".join(pieces)
+        p = tmp_path_factory.mktemp("lines") / "g.txt"
+        p.write_bytes(text.encode("utf-8"))
+        assert list(errors.iter_lines(p, GraphError)) == text.splitlines()
+
     def test_written_order_is_every_line_sorted_across_batches(self, tmp_path):
         # ids where one is a prefix of another, or sorts below a space (a tab,
-        # \x01), and more edge lines than one batch of the streamed writer
+        # \x01), over the many rows the streamed writer writes one at a time
         g = HeteroGraph()
         jobs = [f"J{i}" for i in range(400)]
         skills = ["a", "a\tb", "a\x01", "ab", "a%", "a b", "a!", "b"]
@@ -695,7 +717,7 @@ class TestSnapshot:
 
         def enc(node_id):
             return node_id.replace("%", "%25").replace(" ", "%20")
-        want = sorted([f"N {enc(i)} {g.node_kind(i).value}" for i in g.node_ids()]
+        want = sorted([f"N {enc(i)} {g._kind[i].value}" for i in g.node_ids()]
                       + [f"E {enc(s)} {rel.value} {enc(t)} {w:.17g}"
                          for s, rel, t, w in edges(g)])
         assert len(want) > 2048
@@ -955,7 +977,7 @@ def test_index_is_read_only():
             g.set_node_name(node_id, f"name of {node_id}")
         index = g.cached(GraphIndex)
         assert type(index.kinds) is tuple
-        assert index.kinds == tuple(g.node_kind(node_id) for node_id in index.ids)
+        assert index.kinds == tuple(g._kind[node_id] for node_id in index.ids)
         assert type(index.names) is tuple
         assert index.names == tuple(g.node_name(node_id) for node_id in index.ids) != tuple(index.ids)
         for rel in Relation:

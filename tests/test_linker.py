@@ -380,22 +380,11 @@ def test_skill_without_tokens_rejected():
         link_skills(g, {"S1": 0, "S2": 0})
 
 
-def test_query_m_shaped_corpus_matches_the_oracle_and_its_dump(tmp_path):
+def test_query_m_shaped_corpus_matches_the_oracle_and_its_dump(query_m_pipeline):
     # the synth corpus of the query-m benchmark shape, through the CLI: the
     # links of the merged graph and the dump link writes must equal the
     # all-pairs oracle's, bit for bit and in the dump's format
-    data, out = tmp_path / "data", tmp_path / "out"
-    for argv in (
-        ["synth", "--seed", "3", "--jobs", "2000", "--courses", "300", "--skills", "800",
-         "--alignment", "0.3", "--out", str(data)],
-        ["ingest", "--courses", str(data / "courses.csv"), "--jobs", str(data / "jobs.csv"),
-         "--skills", str(data / "skills.csv"), "--enrollments", str(data / "enrollments.csv"),
-         "--out", str(out)],
-        ["build", "--out", str(out)],
-        ["communities", "--out", str(out), "--seed", "3"],
-        ["link", "--out", str(out), "--dump-links"],
-    ):
-        assert cli.main(argv) == 0, argv
+    out = query_m_pipeline.out
     merged = read_snapshot(out / cli.F_MERGED_GRAPH)
     labels = read_labels(out / cli.F_LABELS)
     _linked, records = link_skills(merged, labels)

@@ -19,7 +19,6 @@ from skillgraph.errors import QueryError
 from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, TitleIndex,
                               match_titles, read_snapshot, title_index)
 from skillgraph.ingest import load_jobs, tokenize
-from skillgraph.synth import generate_synthetic_corpus
 from skillgraph.ranker import (BASE_PATH, TAKEN_PATH, UPSKILL_PATH, MetaPath, MetaPathStep,
                                RankedList, ScenarioInput, format_ranked_list,
                                prerequisite_expansion, recommend, resolve_job_query,
@@ -260,7 +259,7 @@ class TestScoreMetapath:
         full = score_metapath(BASE_PATH, seeds_on(g, {"J1": 1.0}, JOB), labels, 0)
         pruned = HeteroGraph()
         for n in g.node_ids():
-            pruned.add_node(n, g.node_kind(n), g.node_name(n))
+            pruned.add_node(n, g._kind[n], g.node_name(n))
         for source, relation, target, weight in edges(g):
             if (source, target) != ("S2", "S3"):
                 pruned.add_edge(source, relation, target, weight)
@@ -280,7 +279,7 @@ class TestScoreMetapath:
             victim = every[int(rng.integers(len(every)))]
             pruned = HeteroGraph()
             for n in g.node_ids():
-                pruned.add_node(n, g.node_kind(n), g.node_name(n))
+                pruned.add_node(n, g._kind[n], g.node_name(n))
             for edge in every:
                 if edge != victim:
                     pruned.add_edge(*edge)
@@ -293,7 +292,7 @@ class TestScoreMetapath:
         labels = {n: 0 for n in g.node_ids()}
         shuffled = HeteroGraph()
         for n in reversed(g.node_ids()):
-            shuffled.add_node(n, g.node_kind(n), g.node_name(n))
+            shuffled.add_node(n, g._kind[n], g.node_name(n))
         for edge in reversed(edges(g)):
             shuffled.add_edge(*edge)
         inp = ScenarioInput(scenario=1, career_goal="data engineer")
@@ -713,7 +712,7 @@ def awkward_labels(rng, g, labels):
     in the graph, one with a community no graph node carries."""
     codes = {0: -3, 1: 2 ** 70, 2: 7}
     out = {node: codes[c] for node, c in labels.items()
-           if g.node_kind(node) is NodeKind.JOB or rng.random() > 0.2}
+           if g._kind[node] is NodeKind.JOB or rng.random() > 0.2}
     out["ghost-a"] = -3
     out["ghost-b"] = 99
     return out
@@ -1146,9 +1145,9 @@ class TestManySeeds:
 
     def test_no_per_seed_lookups(self, fanned_out, monkeypatch):
         # a query's seeds stay index positions: 107 seeds cost no more label
-        # or kind lookups than 14 do
+        # lookups than 14 do
         g, labels = fanned_out
-        counts = {"get": 0, "node_kind": 0}
+        counts = {"get": 0}
 
         def counted(name, real):
             def wrapper(*args, **kwargs):
@@ -1157,46 +1156,25 @@ class TestManySeeds:
             return wrapper
 
         monkeypatch.setattr(Labels, "get", counted("get", Labels.get))
-        monkeypatch.setattr(HeteroGraph, "node_kind", counted("node_kind", HeteroGraph.node_kind))
         recommend(g, labels, ScenarioInput(1, career_goal=FANNED_OUT_GOAL))
         seen = []
         for goal, size in ((MANY_SEEDS_GOAL, 107), (FANNED_OUT_GOAL, 14)):
             assert len(resolve_job_query(g.cached(GraphIndex), goal)) == size
-            counts.update(get=0, node_kind=0)
+            counts.update(get=0)
             recommend(g, labels, ScenarioInput(1, career_goal=goal))
             seen.append(dict(counts))
         assert seen[0] == seen[1]
 
 
 @pytest.fixture(scope="module")
-def query_m(tmp_path_factory):
-    """The linked graph and labels of a corpus shaped as perfbench's
-    ``query-m``: ``synth --seed 3`` 2000/300/800, alignment 0.3,
-    ``communities --seed 3``."""
-    tmp = tmp_path_factory.mktemp("query_m")
-    data, out = tmp / "data", tmp / "out"
-    stages = [["synth", "--seed", "3", "--jobs", "2000", "--courses", "300",
-               "--skills", "800", "--alignment", "0.3", "--out", str(data)],
-              ["ingest", "--courses", str(data / "courses.csv"), "--jobs",
-               str(data / "jobs.csv"), "--skills", str(data / "skills.csv"),
-               "--enrollments", str(data / "enrollments.csv"), "--out", str(out)],
-              ["build", "--out", str(out)],
-              ["communities", "--out", str(out), "--seed", "3"],
-              ["link", "--out", str(out)]]
-    with contextlib.redirect_stdout(io.StringIO()):
-        for argv in stages:
-            assert cli.main(argv) == 0
+def query_m(query_m_pipeline):
+    """The linked graph and labels of the ``query_m_pipeline`` corpus,
+    shaped as perfbench's ``query-m``."""
+    out = query_m_pipeline.out
     g = read_snapshot(out / cli.F_LINKED_GRAPH)
     labels = read_labels(out / cli.F_LABELS)
     cli._attach_job_titles(g, load_jobs(out / cli.F_JOBS))
     return g, labels
-
-
-@pytest.fixture(scope="module")
-def query_m_course_topics(tmp_path_factory):
-    """Each course's topic in the ``query_m`` corpus, from its generator."""
-    corpus = generate_synthetic_corpus(3, 2000, 300, 800, 0.3, tmp_path_factory.mktemp("topics"))
-    return corpus.course_topic
 
 
 def assert_equals_dense(g, labels, inp, depth=ranker.DEFAULT_PREREQ_DEPTH):
@@ -1253,13 +1231,13 @@ class TestFrames:
         # query-m keeps a goal in one community group, so each total stays framed
         assert framed == 120 and outside_taken == 40
 
-    def test_query_m_goals_equal_the_tour_enumeration(self, query_m, query_m_course_topics):
+    def test_query_m_goals_equal_the_tour_enumeration(self, query_m, query_m_pipeline):
         # criterion 4 at a benchmark shape: every topic goal, scenarios 1-3,
         # against the DFS tour enumeration (about 5 s of this suite)
         g, labels = query_m
         topic_courses = {}
-        for course, topic in sorted(query_m_course_topics.items()):
-            if course in g:
+        for course, topic in sorted(query_m_pipeline.course_topic.items()):
+            if course in g._kind:
                 topic_courses.setdefault(topic, []).append(course)
         goals = sorted({" ".join(g.node_name(job).split()[:2]) for job in g.node_ids(JOB)})
         assert len(goals) == 40
