@@ -1,11 +1,13 @@
-"""Exit 1 unless community detection runs the named move pass and a snapshot
-write and read run the named snapshot codec.
+"""Exit 1 unless graph rows go in through the named snapshot codec, and
+community detection runs the named move pass and a snapshot write and read
+the named codec.
 
-Detects communities on a five-node graph, writes its snapshot to a
-temporary directory and reads it back, then compares
-``kernels.ACTIVE_BACKEND`` and ``kernels.ACTIVE_CODEC`` with the first
-argument: ``c`` for the compiled move pass and codec, ``python`` for the
-Python ones:
+Adds a five-node graph's rows and compares ``kernels.ACTIVE_CODEC`` with the
+first argument, before anything else loads the codec; then detects
+communities on the graph, writes its snapshot to a temporary directory and
+reads it back, and compares ``kernels.ACTIVE_BACKEND`` and
+``kernels.ACTIVE_CODEC`` with it. The argument is ``c`` for the compiled
+move pass and codec, ``python`` for the Python ones:
 
     python .github/scripts/compiled_backends.py c
 """
@@ -30,6 +32,9 @@ for node in ("S0", "S1", "S2"):
 g.add_row("C0", Relation.COVERED, {"S0": 0.5, "S1": 0.5})
 g.add_row("C1", Relation.COVERED, {"S1": 0.5, "S2": 0.5})
 g.add_row("S0", Relation.LINKED, {"S1": 1.0})
+if kernels.ACTIVE_CODEC != expected:
+    sys.exit(f"graph rows went in through the {kernels.ACTIVE_CODEC!r} codec, "
+             f"not the {NAMES[expected]} one")
 detect_communities(g, seed=3)
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "g.graph"

@@ -1,5 +1,6 @@
-/* The snapshot codec of graph.read_snapshot and graph.write_snapshot, compiled
- * as a CPython extension; kernels.snapshot_codec builds and loads it.
+/* The snapshot codec of graph.read_snapshot and graph.write_snapshot, and the
+ * row installer of graph.HeteroGraph._add_rows, compiled as a CPython
+ * extension; kernels.snapshot_codec builds and loads it.
  *
  * scan(path, kind_by_value, relation_by_value) reads a snapshot a line at a
  * time and returns (node ids, node kinds, sources, relations, rows): the node
@@ -16,7 +17,19 @@
  * so that the Python codec runs and raises its own messages. Weights are
  * parsed and formatted by the functions float() and format(w, ".17g") call.
  * Neither holds a whole file or text: scan reads a line at a time and write
- * writes a row at a time. */
+ * writes a row at a time.
+ *
+ * add_rows(kind, out, rows, signature) pulls (source, relation, row) items
+ * from the iterator rows and installs each into out[relation], as the row of
+ * source or added to it, while it takes them: an exact 3-tuple whose row is
+ * an exact dict, empty (it adds nothing) or with every weight a float w with
+ * 0 < w < inf, whose source is a str node of the relation's source kind in
+ * signature and every target a str node of its target kind, and no target
+ * already in source's row. It returns (rows installed, (the first item it
+ * does not take,)), which graph._add_rows_python then adds or raises on
+ * before add_rows goes on with the same iterator, or (rows installed, None)
+ * at the end. An error that the iterator raises comes back in place of the
+ * 1-tuple, so that the rows installed before it are counted. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
@@ -687,6 +700,122 @@ done:
     return result;
 }
 
+/* --- add_rows ------------------------------------------------------------- */
+
+/* Whether row, an exact dict, goes in as source's row of a relation from
+ * src_kind to dst_kind nodes, by the rule in the header, old being source's
+ * row so far (NULL for none); a lookup that fails leaves its error set. */
+static int takes(PyObject *kind, PyObject *source, PyObject *row, PyObject *old,
+                 PyObject *src_kind, PyObject *dst_kind)
+{
+    PyObject *target, *weight;
+    if (!PyUnicode_CheckExact(source) || PyDict_GetItemWithError(kind, source) != src_kind)
+        return 0;
+    for (Py_ssize_t pos = 0; PyDict_Next(row, &pos, &target, &weight);) {
+        if (!PyFloat_CheckExact(weight) || !(PyFloat_AS_DOUBLE(weight) > 0.0)
+                || !Py_IS_FINITE(PyFloat_AS_DOUBLE(weight)) || !PyUnicode_CheckExact(target)
+                || PyDict_GetItemWithError(kind, target) != dst_kind
+                || (old != NULL && PyDict_Contains(old, target) != 0))
+            return 0;
+    }
+    return 1;
+}
+
+/* The error that the iterator raised, taken off the error indicator, its
+ * traceback attached; an error set when that fails. */
+static PyObject *take_error(void)
+{
+#if PY_VERSION_HEX >= 0x030C0000
+    return PyErr_GetRaisedException();
+#else
+    PyObject *type, *value, *tb;
+    PyErr_Fetch(&type, &value, &tb);
+    PyErr_NormalizeException(&type, &value, &tb);
+    if (tb != NULL && value != NULL)
+        PyException_SetTraceback(value, tb);
+    Py_XDECREF(type);
+    Py_XDECREF(tb);
+    return value;
+#endif
+}
+
+static PyObject *codec_add_rows(PyObject *self, PyObject *args)
+{
+    PyObject *kind, *out, *rows, *signature, *item;
+    if (!PyArg_ParseTuple(args, "O!O!OO!:add_rows", &PyDict_Type, &kind, &PyDict_Type, &out,
+                          &rows, &PyDict_Type, &signature))
+        return NULL;
+    if (!PyIter_Check(rows)) {
+        PyErr_SetString(PyExc_TypeError, "add_rows: rows must be an iterator");
+        return NULL;
+    }
+    /* the relation at hand, its rows and its kinds: strong references, as the
+     * iterator may run code (a generator adds nodes between rows) */
+    PyObject *relation = NULL, *rel_rows = NULL, *src_kind = NULL, *dst_kind = NULL;
+    PyObject *rest = NULL;  /* the item not taken, then a 1-tuple of it; or an error */
+    Py_ssize_t installed = 0;
+    while ((item = PyIter_Next(rows)) != NULL) {
+        if (!PyTuple_CheckExact(item) || PyTuple_GET_SIZE(item) != 3) {
+            rest = item;
+            break;
+        }
+        PyObject *source = PyTuple_GET_ITEM(item, 0), *rel = PyTuple_GET_ITEM(item, 1),
+                 *row = PyTuple_GET_ITEM(item, 2);
+        if (rel != relation) {
+            PyObject *kinds = PyDict_GetItemWithError(signature, rel), *found = NULL;
+            if (kinds != NULL && PyTuple_CheckExact(kinds) && PyTuple_GET_SIZE(kinds) == 2) {
+                Py_XSETREF(src_kind, Py_NewRef(PyTuple_GET_ITEM(kinds, 0)));
+                Py_XSETREF(dst_kind, Py_NewRef(PyTuple_GET_ITEM(kinds, 1)));
+                found = PyDict_GetItemWithError(out, rel);
+            }
+            if (found == NULL || !PyDict_CheckExact(found)) {
+                PyErr_Clear();
+                rest = item;
+                break;
+            }
+            Py_XSETREF(relation, Py_NewRef(rel));
+            Py_XSETREF(rel_rows, Py_NewRef(found));
+        }
+        if (!PyDict_CheckExact(row)) {
+            rest = item;
+            break;
+        }
+        if (PyDict_GET_SIZE(row) == 0) {  /* an empty row adds nothing */
+            Py_DECREF(item);
+            continue;
+        }
+        /* source's row so far, held, as a lookup may run code */
+        PyObject *old = PyUnicode_CheckExact(source)
+                        ? Py_XNewRef(PyDict_GetItemWithError(rel_rows, source)) : NULL;
+        if (PyErr_Occurred() || (old != NULL && !PyDict_CheckExact(old))
+                || !takes(kind, source, row, old, src_kind, dst_kind)) {
+            PyErr_Clear();
+            Py_XDECREF(old);
+            rest = item;
+            break;
+        }
+        int failed = old == NULL ? PyDict_SetItem(rel_rows, source, row) : PyDict_Update(old, row);
+        Py_XDECREF(old);
+        Py_DECREF(item);
+        if (failed)
+            break;
+        installed++;
+    }
+    if (rest != NULL)
+        Py_SETREF(rest, PyTuple_Pack(1, rest));
+    /* an error that the iterator or an install raised comes back in place of
+     * the rest, so that the rows installed before it are counted */
+    if (rest == NULL && PyErr_Occurred())
+        rest = take_error();
+    Py_XDECREF(relation);
+    Py_XDECREF(rel_rows);
+    Py_XDECREF(src_kind);
+    Py_XDECREF(dst_kind);
+    PyObject *result = Py_BuildValue("(nO)", installed, rest ? rest : Py_None);
+    Py_XDECREF(rest);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"scan", codec_scan, METH_VARARGS,
      "scan(path, kind_by_value, relation_by_value): a snapshot's node ids, node kinds,\n"
@@ -694,6 +823,9 @@ static PyMethodDef methods[] = {
     {"write", codec_write, METH_VARARGS,
      "write(path, kind, out, value): write a graph's snapshot; False, having written\n"
      "nothing, when the Python writer must"},
+    {"add_rows", codec_add_rows, METH_VARARGS,
+     "add_rows(kind, out, rows, signature): install the rows of the iterator rows up to\n"
+     "one it does not take; (rows installed, (that row,) or an error raised or None)"},
     {NULL, NULL, 0, NULL},
 };
 

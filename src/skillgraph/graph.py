@@ -13,13 +13,16 @@ that relation exists.
 Graphs are built a row at a time. Every row is written through
 ``HeteroGraph._add_rows``, the bulk entry of the builders, ``merge_graphs``,
 ``linker.link_skills`` and ``read_snapshot``; ``add_row`` is its one-row
-form on a copy of the row, and ``add_edge`` a one-edge row. It looks up each
-row's source kind once and each distinct target's kind once per call, and
-writes a row that passes straight in (the graph keeps the caller's dict, so
+form on a copy of the row, and ``add_edge`` a one-edge row. A row that
+passes every check goes straight in (the graph keeps the caller's dict, so
 each row must be a fresh dict); a row that fails raises the message
-``_check_row`` makes for its first bad entry. The builders add each
-distinct node once, in the order a node-at-a-time build adds it, so that a
-clash of ids raises the same first message.
+``_check_row`` makes for its first bad entry. Where the compiled codec loads
+(``kernels.snapshot_codec``), its ``add_rows`` checks and installs the rows
+in C; a row it does not take, a faulty one or one with a weight that is no
+float, goes through the Python check, ``_add_rows_python``, which checks
+every row where the codec does not load. The builders add each distinct
+node once, in the order a node-at-a-time build adds it, so that a clash of
+ids raises the same first message.
 
 ``read_snapshot`` reads a snapshot in one pass that keeps nothing to explain
 a fault; when a row fails, it reads the file again to name the line. The
@@ -126,13 +129,37 @@ class HeteroGraph:
         """``add_row(source, relation, row)`` for each ``(source, relation, row)``
         in turn, in bulk, for the package's own builders and readers.
 
-        Each row's source kind is looked up once, and each distinct target's
-        kind once per call. Unlike ``add_row``, which copies, the dict itself
-        becomes the source's row when it has none yet, so the caller hands
-        each dict over and must not reuse or change it. A row that fails a
-        check raises its first bad entry's message (``_check_row``); the rows
-        before it stay added.
+        Unlike ``add_row``, which copies, the dict itself becomes the source's
+        row when it has none yet, so the caller hands each dict over and must
+        not reuse or change it. A row that fails a check raises its first bad
+        entry's message (``_check_row``); the rows before it stay added.
+
+        Where the compiled codec loads, its ``add_rows`` checks and installs
+        the rows it takes: those of float weights and string ids that pass
+        every check (the header of ``_snapshot.c`` lists them). It hands back
+        any other row, which ``_add_rows_python`` adds or raises on, and then
+        goes on with the same iterator. So the messages, the rows kept before
+        a fault, the insertion order and the version are those of
+        ``_add_rows_python`` alone, which adds every row where the codec does
+        not load.
         """
+        codec = kernels.snapshot_codec()
+        if codec is None:
+            self._add_rows_python(rows)
+            return
+        rows = iter(rows)
+        while True:
+            installed, rest = codec.add_rows(self._kind, self._out, rows, RELATION_SIGNATURE)
+            self._version += installed
+            if rest is None:
+                return
+            if isinstance(rest, BaseException):  # the iterator raised it
+                raise rest
+            self._add_rows_python(rest)  # the one row add_rows did not take
+
+    def _add_rows_python(self, rows: Iterable[tuple[str, Relation, dict[str, float]]]) -> None:
+        """``_add_rows`` in Python. Each row's source kind is looked up once,
+        and each distinct target's kind once per call."""
         kinds, out = self._kind, self._out
         known: dict[NodeKind, set[str]] = {kind: set() for kind in NodeKind}
         last = None

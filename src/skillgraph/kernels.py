@@ -12,8 +12,8 @@ Three are vectorised NumPy. The move pass is sequential and has no
 vectorised form, so it runs as C: ``_move_pass.c``, loaded through
 ``ctypes``. ``snapshot_codec`` is the other compiled source, ``_snapshot.c``:
 a CPython extension whose ``scan`` and ``write`` the snapshot reader and
-writer of ``graph`` try first, loaded through
-``importlib.machinery.ExtensionFileLoader``.
+writer of ``graph`` try first, and whose ``add_rows`` installs the graph rows
+it takes, loaded through ``importlib.machinery.ExtensionFileLoader``.
 
 Both are built by one path (``_compiled``), on the first use in a process,
 with the C compiler Python was built with (``sysconfig``'s ``CC``) and
@@ -58,8 +58,10 @@ results.
 ``"c"`` once the compiled pass has loaded, ``"python"`` before the first move
 pass and when it could not. ``ACTIVE_CODEC`` names the snapshot codec the
 same way: ``"c"`` once ``_snapshot.c`` has loaded, ``"python"`` before the
-first snapshot read or write and when it could not. The codec runs whenever
-it loads; on input it does not take, the Python codec runs in its place.
+first graph row, snapshot read or snapshot write and when it could not. The
+codec runs whenever it loads; on input it does not take, the Python codec
+runs in its place, and a graph row it does not take goes through the Python
+check.
 """
 from __future__ import annotations
 
@@ -304,9 +306,11 @@ def _compiled_move_pass():
 @functools.cache
 def snapshot_codec():
     """The ``_snapshot.c`` extension module, whose ``scan`` and ``write`` the
-    snapshot reader and writer try first, loaded from the cache or built into
-    it on the first call of the process; ``None`` when it cannot be built or
-    loaded. Sets ``ACTIVE_CODEC`` to the codec that runs."""
+    snapshot reader and writer try first and whose ``add_rows`` installs every
+    graph row it takes (any other goes through the Python check), loaded from
+    the cache or built into it on the first call of the process; ``None``
+    when it cannot be built or loaded. Sets ``ACTIVE_CODEC`` to the codec
+    that runs."""
     global ACTIVE_CODEC
     ACTIVE_CODEC = "python"
     module = _compiled(_CODEC_SOURCE, (), (), _load_extension, extension=True)

@@ -1,26 +1,29 @@
 """The compiled snapshot codec against the Python one.
 
 ``kernels.snapshot_codec`` loads ``_snapshot.c``, whose ``scan`` and
-``write`` the snapshot reader and writer try first. Where it runs, it must
-give what the Python codec gives: the same bytes, the same node order, the
-same rows in the same insertion order and the same float bits. On input it
-does not take, it returns None (or False), having written nothing, and the
-Python codec runs, so every message is the Python reader's. Tests that call
-the compiled functions themselves are skipped where the codec does not load.
+``write`` the snapshot reader and writer try first, and whose ``add_rows``
+installs every graph row it takes. Where it runs, it must give what the
+Python codec gives: the same bytes, the same node order, the same rows in
+the same insertion order and the same float bits. On input it does not
+take, it returns None (or False), having written nothing, or hands the row
+back, and the Python codec runs, so every message is the Python one's.
+Tests that call the compiled functions themselves are skipped where the
+codec does not load.
 """
 from __future__ import annotations
 
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from skillgraph import cli, graph, kernels, synth
 from skillgraph.errors import GraphError
-from skillgraph.graph import (HeteroGraph, NodeKind, Relation, _read_rows, _snapshot_text,
-                              read_snapshot, write_snapshot)
+from skillgraph.graph import (RELATION_SIGNATURE, HeteroGraph, NodeKind, Relation, _read_rows,
+                              _snapshot_text, read_snapshot, write_snapshot)
 
 CODEC = kernels.snapshot_codec()
 needs_codec = pytest.mark.skipif(CODEC is None, reason="the snapshot codec does not build here")
@@ -39,9 +42,10 @@ def python_codec(monkeypatch):
 
 
 def state(g: HeteroGraph):
-    """Everything a read leaves in ``g``, in insertion order, weights as bits."""
+    """Everything a read leaves in ``g``, in insertion order, with each row's
+    and weight's type and each weight's bits."""
     return (list(g._kind.items()), list(g._name.items()),
-            [(rel, [(source, [(t, w.hex()) for t, w in row.items()])
+            [(rel, [(source, type(row), [(t, type(w), float(w).hex()) for t, w in row.items()])
                     for source, row in rows.items()]) for rel, rows in g._out.items()])
 
 
@@ -308,3 +312,185 @@ def test_weight_text_matches_format_on_drawn_doubles(tmp_path):
     assert CODEC.write(p, g._kind, g._out, graph._VALUE) is True
     lines = p.read_text().splitlines()[:len(weights)]
     assert lines == [f"E J r S{i:04d} {w:.17g}" for i, w in enumerate(weights)]
+
+
+# ---------------------------------------------------------------------------
+# graph rows: the compiled add_rows against HeteroGraph._add_rows_python
+# ---------------------------------------------------------------------------
+
+class Row(dict):
+    """A row that is not an exact dict, which the compiled add_rows hands back."""
+
+
+def graph_of(nodes) -> HeteroGraph:
+    g = HeteroGraph()
+    for node_id, kind in nodes:
+        g.add_node(node_id, kind)
+    return g
+
+
+def rows_of(batch):
+    """The rows of ``batch``, each a fresh dict (or ``Row``), made as pulled."""
+    return ((source, relation, make(entries)) for source, relation, entries, make in batch)
+
+
+def added(nodes, batch):
+    """A graph of ``nodes`` after ``_add_rows`` of ``batch``: its state or the
+    error, then its state and version either way, so that a fault shows the
+    rows kept before it."""
+    g = graph_of(nodes)
+
+    def add(rows):
+        g._add_rows(rows)
+        return g
+    return outcome(add, rows_of(batch)), state(g), g._version
+
+
+_POOL = ["C0", "C1", "J0", "J1", "S0", "S1", "S2", "a b"]
+_FAULTS = {
+    "zero": 0.0, "negative": -0.5, "nan": math.nan, "inf": math.inf, "int": 1, "int zero": 0,
+    "bool": True, "numpy": np.float64(0.5), "overflowing sum": 1e308,
+}
+
+
+@st.composite
+def batches(draw):
+    """Nodes, and a batch of rows that mixes good rows with each fault: a bad
+    weight or one of another type, a source or target of the wrong kind or no
+    node, a target already in its source's row, an empty row and a dict
+    subclass."""
+    nodes = draw(st.lists(st.tuples(st.sampled_from(_POOL), st.sampled_from(NodeKind)),
+                          min_size=2, max_size=8, unique_by=lambda node: node[0]))
+    batch = []
+    for _ in range(draw(st.integers(1, 8))):
+        relation = draw(st.sampled_from(Relation))
+        src_kind, dst_kind = RELATION_SIGNATURE[relation]
+        of_kind = {kind: [i for i, k in nodes if k is kind] or ["ghost"] for kind in NodeKind}
+        source = draw(st.sampled_from(of_kind[src_kind]))
+        targets = draw(st.lists(st.sampled_from(of_kind[dst_kind]), min_size=1, max_size=3,
+                                unique=True))
+        entries = [(t, draw(st.floats(0.01, 1.0))) for t in targets]
+        make = dict
+        fault = draw(st.sampled_from([None] * 6 + [*_FAULTS, "source kind", "target kind",
+                                                    "unknown", "repeat", "empty", "subclass"]))
+        at = draw(st.integers(0, len(entries) - 1))
+        if fault in _FAULTS:
+            entries[at] = (entries[at][0], _FAULTS[fault])
+        elif fault == "source kind":
+            source = draw(st.sampled_from([i for i, k in nodes if k is not src_kind] or ["ghost"]))
+        elif fault == "target kind":
+            wrong = [i for i, k in nodes if k is not dst_kind and i not in targets] or ["ghost"]
+            entries.insert(at, (draw(st.sampled_from(wrong)), 0.5))
+        elif fault == "unknown":
+            entries[at] = ("ghost", entries[at][1])
+        elif fault == "repeat" and batch:
+            source, relation, earlier, _make = draw(st.sampled_from(batch))
+            entries = earlier[:1] + [e for e in entries if e[0] != earlier[0][0]] if earlier else []
+        elif fault == "empty":
+            entries = []
+        elif fault == "subclass":
+            make = Row
+        batch.append((source, relation, entries, make))
+    return nodes, batch
+
+
+class TestAddRows:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=batches())
+    def test_drawn_batches_add_alike(self, python_codec, drawn):
+        nodes, batch = drawn
+        assert added(nodes, batch) == python_codec(added, nodes, batch)
+
+    @needs_codec
+    @pytest.mark.parametrize("fault, row", [
+        *[(name, {"S0": 0.5, "S1": w}) for name, w in _FAULTS.items() if name != "overflowing sum"],
+        ("source kind", {"S0": 1.0}), ("target kind", {"J1": 1.0}), ("unknown", {"ghost": 1.0}),
+        ("repeat", {"S0": 0.5, "S1": 0.5}), ("subclass", Row(S1=1.0)),
+    ])
+    def test_each_fault_is_handed_back(self, fault, row):
+        # J1's row goes in; the next row, J0's (S0's for a wrong source kind
+        # and J1's for a repeat), is handed back, and the rows after it go in
+        # on the next call
+        g = graph_of([(f"J{i}", NodeKind.JOB) for i in range(3)]
+                     + [("S0", NodeKind.SKILL), ("S1", NodeKind.SKILL)])
+        source = {"source kind": "S0", "repeat": "J1"}.get(fault, "J0")
+        rows = iter([("J1", Relation.REQUIRED, {"S1": 1.0}), (source, Relation.REQUIRED, row),
+                     ("J2", Relation.REQUIRED, {"S0": 1.0})])
+        installed, back = CODEC.add_rows(g._kind, g._out, rows, RELATION_SIGNATURE)
+        assert installed == 1 and back == ((source, Relation.REQUIRED, row),)
+        assert CODEC.add_rows(g._kind, g._out, rows, RELATION_SIGNATURE) == (1, None)
+        assert g._out[Relation.REQUIRED] == {"J1": {"S1": 1.0}, "J2": {"S0": 1.0}}
+
+    @pytest.mark.parametrize("item", [
+        ["J0", Relation.REQUIRED, {"S0": 1.0}], ("J0", Relation.REQUIRED), ("J0", "r", {"S0": 1.0}),
+        None, GraphError("not a row"),
+    ])
+    def test_an_empty_row_and_items_of_other_shapes(self, python_codec, item):
+        # an empty row adds nothing; a list, a short tuple, an unknown
+        # relation, None and an error object are handed back, and the Python
+        # body adds or raises on them
+        nodes = [("J0", NodeKind.JOB), ("S0", NodeKind.SKILL)]
+        if CODEC is not None:
+            g = graph_of(nodes)
+            rows = iter([("J0", Relation.REQUIRED, {}), item])
+            assert CODEC.add_rows(g._kind, g._out, rows, RELATION_SIGNATURE) == (0, (item,))
+            assert g._out[Relation.REQUIRED] == {}
+
+        def add(rows):
+            g = graph_of(nodes)
+            g._add_rows(rows)
+            return g
+        got = outcome(add, [("J0", Relation.REQUIRED, {}), item])
+        assert got == python_codec(outcome, add, [("J0", Relation.REQUIRED, {}), item])
+
+    def test_a_valid_row_handed_back_mid_batch_goes_in_and_the_rest_follow(self, python_codec):
+        nodes = [(f"J{i}", NodeKind.JOB) for i in range(4)] + [("S0", NodeKind.SKILL),
+                                                                ("S1", NodeKind.SKILL)]
+        batch = [("J0", Relation.REQUIRED, [("S0", 0.5), ("S1", 0.5)], dict),
+                 ("J1", Relation.REQUIRED, [("S1", 1)], dict),
+                 ("J2", Relation.REQUIRED, [("S1", 0.25), ("S0", 0.75)], dict),
+                 ("J3", Relation.REQUIRED, [("S0", 1.0)], dict)]
+        if CODEC is not None:
+            g = graph_of(nodes)
+            rows = rows_of(batch)
+            installed, back = CODEC.add_rows(g._kind, g._out, rows, RELATION_SIGNATURE)
+            assert installed == 1 and back == (("J1", Relation.REQUIRED, {"S1": 1}),)
+        got = added(nodes, batch)
+        assert got == python_codec(added, nodes, batch)
+        assert got[2] == graph_of(nodes)._version + 4
+        assert [(source, [(t, tp) for t, tp, _bits in row]) for source, _type, row
+                in got[1][2][2][1]] == [("J0", [("S0", float), ("S1", float)]),
+                                        ("J1", [("S1", int)]),
+                                        ("J2", [("S1", float), ("S0", float)]),
+                                        ("J3", [("S0", float)])]
+
+    @pytest.mark.parametrize("clash", [False, True])
+    def test_a_generator_that_adds_nodes_between_rows(self, python_codec, clash):
+        # as build_education_graph's covered() does: each course's skill nodes
+        # come just before its row. With a clash, adding a node raises inside
+        # the generator; the rows before it stay, and the version counts them
+        def build():
+            g = HeteroGraph()
+
+            def rows():
+                for i in range(5):
+                    g.add_node(f"C{i}", NodeKind.COURSE)
+                    skills = [f"S{i}", f"S{i + 1}"]
+                    for sid in skills:
+                        if g._kind.get(sid) is not NodeKind.SKILL:
+                            g.add_node(sid, NodeKind.SKILL)
+                    if clash and i == 3:
+                        g.add_node("C0", NodeKind.SKILL)
+                    yield f"C{i}", Relation.COVERED, dict.fromkeys(skills, 0.5)
+            try:
+                g._add_rows(rows())
+                error = None
+            except GraphError as exc:
+                error = str(exc)
+            return error, state(g), g._version
+
+        got = build()
+        assert got == python_codec(build)
+        assert got[0] == ("node id 'C0' used as both course and skill" if clash else None)
+        assert len(got[1][2][1][1]) == (3 if clash else 5)

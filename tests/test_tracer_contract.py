@@ -43,9 +43,11 @@ def small_graph():
 
 def test_traced_recommend_records_spans_and_restores():
     tracer_mod = load_tracer()
+    # the graph's first row sets kernels.ACTIVE_CODEC, so the graph comes
+    # first and the snapshot below sees only what the tracer patches
+    g, labels = small_graph()
     before = [dict(vars(owner)) for owner in PATCHED]
     tracer = tracer_mod.Tracer()
-    g, labels = small_graph()
     try:
         tracer_mod.instrument(tracer)
         ranked = ranker.recommend(g, labels,
@@ -80,7 +82,7 @@ def test_traced_batch_stages_record_every_load_build_and_snapshot(tmp_path):
               ["link", "--out", str(out)]]
     tracer_mod = load_tracer()
     # the process's first move pass sets kernels.ACTIVE_BACKEND, and its
-    # first snapshot read or write kernels.ACTIVE_CODEC; resolve both here,
+    # first graph row or snapshot kernels.ACTIVE_CODEC; resolve both here,
     # so that the snapshot below sees only what the tracer patches
     kernels._compiled_move_pass()
     kernels.snapshot_codec()
