@@ -1,23 +1,28 @@
-"""Exit 1 unless graph rows go in through the named snapshot codec, and
+"""Exit 1 unless graph rows go in through the named snapshot codec,
 community detection runs the named move pass and a snapshot write and read
-the named codec.
+the named codec, and a query scatters and cuts its list through it.
 
-Adds a five-node graph's rows and compares ``kernels.ACTIVE_CODEC`` with the
+Adds a six-node graph's rows and compares ``kernels.ACTIVE_CODEC`` with the
 first argument, before anything else loads the codec; then detects
 communities on the graph, writes its snapshot to a temporary directory and
 reads it back, and compares ``kernels.ACTIVE_BACKEND`` and
-``kernels.ACTIVE_CODEC`` with it. The argument is ``c`` for the compiled
-move pass and codec, ``python`` for the Python ones:
+``kernels.ACTIVE_CODEC`` with it. Last it runs one ``recommend`` on the
+graph: its entries must be the same on either codec, and on the compiled one
+a counting wrapper on the codec's ``scatter`` and ``top`` must see calls.
+The argument is ``c`` for the compiled move pass and codec, ``python`` for
+the Python ones:
 
     python .github/scripts/compiled_backends.py c
 """
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from skillgraph import kernels
 from skillgraph.community import detect_communities
 from skillgraph.graph import HeteroGraph, NodeKind, Relation, read_snapshot, write_snapshot
+from skillgraph.ranker import ScenarioInput, recommend
 
 NAMES = {"c": "compiled", "python": "Python"}
 
@@ -29,6 +34,8 @@ for node in ("C0", "C1"):
     g.add_node(node, NodeKind.COURSE)
 for node in ("S0", "S1", "S2"):
     g.add_node(node, NodeKind.SKILL)
+g.add_node("J0", NodeKind.JOB, "data engineer")
+g.add_row("J0", Relation.REQUIRED, {"S0": 1.0})
 g.add_row("C0", Relation.COVERED, {"S0": 0.5, "S1": 0.5})
 g.add_row("C1", Relation.COVERED, {"S1": 0.5, "S2": 0.5})
 g.add_row("S0", Relation.LINKED, {"S1": 1.0})
@@ -45,3 +52,18 @@ if kernels.ACTIVE_BACKEND != expected:
     sys.exit(f"detection ran the {kernels.ACTIVE_BACKEND!r} move pass, not the {NAMES[expected]} one")
 if kernels.ACTIVE_CODEC != expected:
     sys.exit(f"the snapshot ran the {kernels.ACTIVE_CODEC!r} codec, not the {NAMES[expected]} one")
+
+codec = kernels.snapshot_codec()
+calls = Counter()
+for name in ("scatter", "top") if codec is not None else ():
+    def counting(*args, _name=name, _call=getattr(codec, name)):
+        calls[_name] += 1
+        return _call(*args)
+    setattr(codec, name, counting)
+one_community = dict.fromkeys(g.node_ids(), 0)
+ranked = recommend(g, one_community, ScenarioInput(1, career_goal="data engineer"))
+if ranked.entries != (("C0", 0.5), ("C1", 0.5)):
+    sys.exit(f"recommend on the {NAMES[expected]} codec ranked {ranked.entries}")
+if expected == "c" and not (calls["scatter"] and calls["top"]):
+    sys.exit(f"recommend called the compiled scatter {calls['scatter']} and top "
+             f"{calls['top']} times")

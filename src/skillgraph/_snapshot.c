@@ -1,5 +1,6 @@
-/* The snapshot codec of graph.read_snapshot and graph.write_snapshot, and the
- * row installer of graph.HeteroGraph._add_rows, compiled as a CPython
+/* The snapshot codec of graph.read_snapshot and graph.write_snapshot, the
+ * row installer of graph.HeteroGraph._add_rows, and the query loops of
+ * kernels.propagate_step and ranker.to_ranked_list, compiled as a CPython
  * extension; kernels.snapshot_codec builds and loads it.
  *
  * scan(path, kind_by_value, relation_by_value) reads a snapshot a line at a
@@ -29,14 +30,45 @@
  * does not take,)), which graph._add_rows_python then adds or raises on
  * before add_rows goes on with the same iterator, or (rows installed, None)
  * at the end. An error that the iterator raises comes back in place of the
- * 1-tuple, so that the rows installed before it are counted. */
+ * 1-tuple, so that the rows installed before it are counted.
+ *
+ * scatter and top are the two array loops of a ranker query.
+ * scatter(out, scores, src, dst, wgt) is kernels.propagate_step's scatter:
+ * out[dst[e]] += wgt[e] * scores[src[e]] for each edge e in edge order, the
+ * sums np.bincount(dst, weights=wgt * scores[src], minlength=len(out)) gives
+ * from out's zeros. top(scores, cutoff, nodes) is ranker.to_ranked_list's
+ * cut: the positions of the cutoff highest positive scores (all of them for
+ * None), highest first and equal scores by position, mapped through nodes
+ * unless it is None, and their scores, as two lists. Each takes, by the same
+ * rule as the codec, only input that it handles as the NumPy lines do, bit
+ * for bit: exact numpy.ndarray vectors, 1-d and C-contiguous, of native
+ * float64 (out, scores, wgt) and int64 (src, dst, nodes); src, dst and wgt of
+ * one length, and nodes of scores'; every src below len(scores) and every
+ * dst below len(out), none negative; out writable and sharing no memory with
+ * the others; products and sums that raise no floating-point flag (NumPy's
+ * multiply warns or raises on one, as its error state says) and leave no NaN
+ * in out (its payload is the hardware's choice); a cutoff that is None or an
+ * index of at least 0. On anything else scatter returns False, with out as
+ * it was, and top None, so that the NumPy line runs and gives its own result
+ * or error. The multiply-add is two binary64 roundings, as NumPy's multiply
+ * and then bincount's add: this file is built with -ffp-contract=off, so no
+ * fused multiply-add is formed, and a platform that evaluates doubles in
+ * wider registers fails the check below, and so runs every caller's Python
+ * line. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <fenv.h>
+#include <float.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 #include <sys/mman.h>
+
+#if FLT_EVAL_METHOD != 0
+#error "doubles must be evaluated as binary64 for results equal to NumPy's"
+#endif
 
 /* --- work arrays ---------------------------------------------------------- */
 
@@ -816,6 +848,229 @@ static PyObject *codec_add_rows(PyObject *self, PyObject *args)
     return result;
 }
 
+/* --- scatter and top ------------------------------------------------------ */
+
+static PyObject *ndarray;  /* numpy.ndarray, looked up at the first call that needs it */
+
+/* Whether obj is an exact numpy.ndarray holding a 1-d C-contiguous vector of
+ * native 8-byte items of type code, 'd' (float64) or 'q' (int64), writable if
+ * asked; its buffer is then held in view. Otherwise 0, with no error set and
+ * no buffer held, or -1 with an error set when numpy.ndarray cannot be found. */
+static int vector(PyObject *obj, char code, int writable, Py_buffer *view)
+{
+    if (ndarray == NULL) {
+        PyObject *numpy = PyImport_ImportModule("numpy");
+        if (numpy == NULL)
+            return -1;
+        ndarray = PyObject_GetAttrString(numpy, "ndarray");
+        Py_DECREF(numpy);
+        if (ndarray == NULL)
+            return -1;
+    }
+    if ((PyObject *)Py_TYPE(obj) != ndarray)
+        return 0;
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, view, flags) < 0) {
+        PyErr_Clear();
+        return 0;
+    }
+    const char *f = view->format;
+    /* int64 is 'l' where a C long holds 8 bytes, else 'q' */
+    if (view->ndim == 1 && view->itemsize == 8 && f != NULL && f[0] != '\0' && f[1] == '\0'
+            && (f[0] == code || (code == 'q' && f[0] == 'l')))
+        return 1;
+    PyBuffer_Release(view);
+    return 0;
+}
+
+static int overlaps(const Py_buffer *a, const Py_buffer *b)
+{
+    uintptr_t a0 = (uintptr_t)a->buf, b0 = (uintptr_t)b->buf;
+    return a0 < b0 + (uintptr_t)b->len && b0 < a0 + (uintptr_t)a->len;
+}
+
+/* out's values before a scatter, so that one that meets input it does not
+ * take puts them back; held on the stack up to this many */
+#define KEPT_ON_STACK 1024
+
+static PyObject *codec_scatter(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char codes[5] = {'d', 'd', 'q', 'q', 'd'};  /* out, scores, src, dst, wgt */
+    Py_buffer view[5];
+    int held = 0, got = 1, copied = 0;
+    double stack[KEPT_ON_STACK], *kept = stack;
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError, "scatter takes 5 arguments (out, scores, src, dst, wgt)");
+        return NULL;
+    }
+    while (held < 5 && (got = vector(args[held], codes[held], held == 0, &view[held])) == 1)
+        held++;
+    int taken = held == 5;
+    if (taken) {
+        double *out = view[0].buf;
+        const double *scores = view[1].buf, *wgt = view[4].buf;
+        const int64_t *src = view[2].buf, *dst = view[3].buf;
+        uint64_t n_out = (uint64_t)(view[0].len / 8), n_scores = (uint64_t)(view[1].len / 8);
+        Py_ssize_t m = view[2].len / 8;
+        taken = view[3].len == view[2].len && view[4].len == view[2].len;
+        for (int k = 1; taken && k < 5; k++)
+            taken = !overlaps(&view[0], &view[k]);
+        if (taken && n_out > KEPT_ON_STACK && (kept = PyMem_Malloc(view[0].len)) == NULL) {
+            PyErr_NoMemory();
+            got = -1;
+            taken = 0;
+        }
+        if (taken) {
+            memcpy(kept, out, view[0].len);
+            copied = 1;
+        }
+        /* NumPy's multiply warns or raises, as its error state says, on a
+         * product that raises a floating-point flag, so a scatter whose
+         * products or sums raise one goes back to it (bincount's sums raise
+         * no warning, so that is more than needed), and so does one that
+         * leaves a NaN, whose payload the hardware and the operand order
+         * choose. A negative index turns into one past every length. */
+        feclearexcept(FE_ALL_EXCEPT);
+        for (Py_ssize_t e = 0; taken && e < m; e++) {
+            uint64_t from = (uint64_t)src[e], to = (uint64_t)dst[e];
+            if (from >= n_scores || to >= n_out) {
+                taken = 0;
+                break;
+            }
+            out[to] += wgt[e] * scores[from];
+        }
+        if (taken && fetestexcept(FE_DIVBYZERO | FE_INVALID | FE_OVERFLOW | FE_UNDERFLOW))
+            taken = 0;
+        int nan = 0;
+        for (uint64_t i = 0; taken && i < n_out; i++)
+            nan |= out[i] != out[i];
+        taken &= !nan;
+        if (!taken && copied)
+            memcpy(out, kept, view[0].len);
+    }
+    if (kept != stack)
+        PyMem_Free(kept);
+    while (held > 0)
+        PyBuffer_Release(&view[--held]);
+    if (got < 0)
+        return NULL;
+    return PyBool_FromLong(taken);
+}
+
+typedef struct {
+    double score;
+    Py_ssize_t pos;
+} Hit;
+
+/* the order of a ranked list: higher score first, then lower position */
+static int compare_hits(const void *x, const void *y)
+{
+    const Hit *a = x, *b = y;
+    if (a->score != b->score)
+        return a->score > b->score ? -1 : 1;
+    return (a->pos > b->pos) - (a->pos < b->pos);
+}
+
+/* A cutoff up to this is kept in order while the scores are read; a higher
+ * one sorts every hit. */
+#define SHORT_LIST 64
+
+static PyObject *codec_top(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer scores_view, nodes_view;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "top takes 3 arguments (scores, cutoff, nodes)");
+        return NULL;
+    }
+    int got = vector(args[0], 'd', 0, &scores_view);
+    if (got <= 0)
+        return got < 0 ? NULL : Py_NewRef(Py_None);
+    const double *scores = scores_view.buf;
+    Py_ssize_t n = scores_view.len / 8, cutoff = n;
+    const int64_t *nodes = NULL;
+    PyObject *result = NULL;
+    Hit *hits = NULL, shortlist[SHORT_LIST];
+    int has_nodes = args[2] != Py_None;
+    if (has_nodes) {
+        got = vector(args[2], 'q', 0, &nodes_view);
+        if (got <= 0 || nodes_view.len != scores_view.len) {
+            if (got > 0)
+                PyBuffer_Release(&nodes_view);
+            PyBuffer_Release(&scores_view);
+            return got < 0 ? NULL : Py_NewRef(Py_None);
+        }
+        nodes = nodes_view.buf;
+    }
+    if (args[1] != Py_None) {
+        /* as a slice reads its stop: an index, clamped to Py_ssize_t */
+        Py_ssize_t c = PyNumber_AsSsize_t(args[1], NULL);
+        if ((c == -1 && PyErr_Occurred()) || c < 0) {
+            PyErr_Clear();
+            result = Py_NewRef(Py_None);
+            goto done;
+        }
+        if (c < cutoff)
+            cutoff = c;
+    }
+    Py_ssize_t count = 0;
+    if (cutoff <= SHORT_LIST) {
+        hits = shortlist;
+        for (Py_ssize_t i = 0; cutoff > 0 && i < n; i++) {
+            double s = scores[i];
+            if (!(s > 0.0))  /* also true for NaN */
+                continue;
+            Py_ssize_t j;
+            if (count < cutoff)
+                j = count++;
+            else if (s > hits[cutoff - 1].score)
+                j = cutoff - 1;
+            else
+                continue;
+            /* a hit of equal score read earlier has the lower position */
+            for (; j > 0 && hits[j - 1].score < s; j--)
+                hits[j] = hits[j - 1];
+            hits[j] = (Hit){s, i};
+        }
+    }
+    else {
+        hits = PyMem_Malloc((size_t)n * sizeof(Hit));
+        if (hits == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        for (Py_ssize_t i = 0; i < n; i++)
+            if (scores[i] > 0.0)
+                hits[count++] = (Hit){scores[i], i};
+        qsort(hits, (size_t)count, sizeof(Hit), compare_hits);
+        if (count > cutoff)
+            count = cutoff;
+    }
+    PyObject *at = PyList_New(count), *values = PyList_New(count);
+    for (Py_ssize_t k = 0; at != NULL && values != NULL && k < count; k++) {
+        PyObject *pos = PyLong_FromLongLong(has_nodes ? nodes[hits[k].pos] : hits[k].pos);
+        PyObject *score = PyFloat_FromDouble(hits[k].score);
+        if (pos == NULL || score == NULL) {
+            Py_XDECREF(pos);
+            Py_XDECREF(score);
+            Py_CLEAR(at);
+            break;
+        }
+        PyList_SET_ITEM(at, k, pos);
+        PyList_SET_ITEM(values, k, score);
+    }
+    if (at != NULL && values != NULL)
+        result = PyTuple_Pack(2, at, values);
+    Py_XDECREF(at);
+    Py_XDECREF(values);
+done:
+    if (hits != shortlist)
+        PyMem_Free(hits);
+    if (has_nodes)
+        PyBuffer_Release(&nodes_view);
+    PyBuffer_Release(&scores_view);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"scan", codec_scan, METH_VARARGS,
      "scan(path, kind_by_value, relation_by_value): a snapshot's node ids, node kinds,\n"
@@ -826,6 +1081,12 @@ static PyMethodDef methods[] = {
     {"add_rows", codec_add_rows, METH_VARARGS,
      "add_rows(kind, out, rows, signature): install the rows of the iterator rows up to\n"
      "one it does not take; (rows installed, (that row,) or an error raised or None)"},
+    {"scatter", (PyCFunction)(void (*)(void))codec_scatter, METH_FASTCALL,
+     "scatter(out, scores, src, dst, wgt): out[dst[e]] += wgt[e] * scores[src[e]] in edge\n"
+     "order; False, having written nothing, when the NumPy line must"},
+    {"top", (PyCFunction)(void (*)(void))codec_top, METH_FASTCALL,
+     "top(scores, cutoff, nodes): the cutoff highest positive scores' positions (through\n"
+     "nodes) and scores, highest first, ties by position; None when the NumPy line must"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -8,17 +8,23 @@ flattened by their owners before calling in. The four kernels:
 * ``local_move_pass``   -- greedy single-unit community moves from a FIFO queue
 * ``propagate_step``    -- one meta-path hop (weighted scatter-add, ungated)
 
-Three are vectorised NumPy. The move pass is sequential and has no
+Two are vectorised NumPy. The move pass is sequential and has no
 vectorised form, so it runs as C: ``_move_pass.c``, loaded through
 ``ctypes``. ``snapshot_codec`` is the other compiled source, ``_snapshot.c``:
 a CPython extension whose ``scan`` and ``write`` the snapshot reader and
-writer of ``graph`` try first, and whose ``add_rows`` installs the graph rows
-it takes, loaded through ``importlib.machinery.ExtensionFileLoader``.
+writer of ``graph`` try first, whose ``add_rows`` installs the graph rows
+it takes, and whose ``scatter`` and ``top`` run the two array loops of a
+query: ``propagate_step``'s scatter-add and ``ranker.to_ranked_list``'s
+top-k cut. It is loaded through ``importlib.machinery.ExtensionFileLoader``.
+``propagate_step`` runs its NumPy line (a gather, a multiply and a
+``bincount``) where the codec does not load and on input ``scatter`` hands
+back; the scatter gives that line's bits, and is still called once per
+step.
 
 Both are built by one path (``_compiled``), on the first use in a process,
 with the C compiler Python was built with (``sysconfig``'s ``CC``) and
-``-O2 -fPIC -shared``: the move pass adds ``-ffp-contract=off -lm``, and the codec
-``-I`` with the Python header directories. Each library is cached in
+``-O2 -fPIC -shared -ffp-contract=off -lm``, the codec also with ``-I`` and
+the Python header directories. Each library is cached in
 ``$XDG_CACHE_HOME/skillgraph`` (default ``~/.cache/skillgraph``), a
 directory made with mode 0700 that must belong to the user and be writable
 by no one else. Its file name carries a BLAKE2b digest of the source, the
@@ -37,8 +43,10 @@ deleting the directory reclaims the space.
 
 The C pass and the Python pass add the same floats in the same order: the
 same queue, candidate bookkeeping, tie rule and binary64 operations. No fused
-multiply-add is formed (``-ffp-contract=off``), a platform whose C evaluates
-doubles in wider registers (``FLT_EVAL_METHOD != 0``) fails the build, and
+multiply-add is formed (``-ffp-contract=off``, which the codec's scatter
+needs too: it rounds each product and each sum, as NumPy's multiply and
+``bincount`` do), a platform whose C evaluates doubles in wider registers
+(``FLT_EVAL_METHOD != 0``) fails either build, and
 ``log2`` is the libm function that CPython's ``math.log2`` calls, so every
 label, the move count and the summed delta equal the Python pass's bit for
 bit. Where no compiler is found, the build fails or the library does not
@@ -58,10 +66,10 @@ results.
 ``"c"`` once the compiled pass has loaded, ``"python"`` before the first move
 pass and when it could not. ``ACTIVE_CODEC`` names the snapshot codec the
 same way: ``"c"`` once ``_snapshot.c`` has loaded, ``"python"`` before the
-first graph row, snapshot read or snapshot write and when it could not. The
-codec runs whenever it loads; on input it does not take, the Python codec
-runs in its place, and a graph row it does not take goes through the Python
-check.
+first graph row, snapshot read or write, scatter or ranked list of a process
+and when it could not. The codec runs whenever it loads; on input it does
+not take, the Python codec or the NumPy line runs in its place, and a graph
+row it does not take goes through the Python check.
 """
 from __future__ import annotations
 
@@ -111,6 +119,15 @@ def partition_cost(mod_visit, mod_exit, node_plogp_sum):
 
 
 def propagate_step(scores, esrc, edst, eweight, n):
+    """``scores`` pushed along the edges ``esrc -> edst`` weighted by
+    ``eweight``, summed per target in edge order into ``n`` slots: the
+    compiled scatter where it takes the input, else the NumPy line, whose
+    result and errors it gives bit for bit."""
+    codec = snapshot_codec()
+    if codec is not None and type(n) is int and n >= 0:
+        out = np.zeros(n)
+        if codec.scatter(out, scores, esrc, edst, eweight):
+            return out
     return np.bincount(edst, weights=eweight * scores[esrc], minlength=n)
 
 
@@ -281,7 +298,10 @@ def _python_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, ep
 
 _SOURCE = Path(__file__).with_name("_move_pass.c")
 _CODEC_SOURCE = Path(__file__).with_name("_snapshot.c")
-_CFLAGS = ("-O2", "-fPIC", "-shared")
+# no fused multiply-add, which would round a product and a sum once where
+# the Python pass and NumPy round twice; both sources call libm
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_LDLIBS = ("-lm",)
 _ARGTYPES = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_int64]
              + [ctypes.c_void_p] * 5 + [ctypes.c_double] * 3 + [ctypes.c_void_p])
 
@@ -293,7 +313,7 @@ def _compiled_move_pass():
     Sets ``ACTIVE_BACKEND`` to the pass that runs."""
     global ACTIVE_BACKEND
     ACTIVE_BACKEND = "python"
-    lib = _compiled(_SOURCE, ("-ffp-contract=off",), ("-lm",), ctypes.CDLL)
+    lib = _compiled(_SOURCE, ctypes.CDLL)
     if lib is None:
         return None
     fn = lib.local_move_pass
@@ -306,14 +326,15 @@ def _compiled_move_pass():
 @functools.cache
 def snapshot_codec():
     """The ``_snapshot.c`` extension module, whose ``scan`` and ``write`` the
-    snapshot reader and writer try first and whose ``add_rows`` installs every
-    graph row it takes (any other goes through the Python check), loaded from
-    the cache or built into it on the first call of the process; ``None``
-    when it cannot be built or loaded. Sets ``ACTIVE_CODEC`` to the codec
-    that runs."""
+    snapshot reader and writer try first, whose ``add_rows`` installs every
+    graph row it takes (any other goes through the Python check) and whose
+    ``scatter`` and ``top`` ``propagate_step`` and ``ranker.to_ranked_list``
+    try first, loaded from the cache or built into it on the first call of
+    the process; ``None`` when it cannot be built or loaded. Sets
+    ``ACTIVE_CODEC`` to the codec that runs."""
     global ACTIVE_CODEC
     ACTIVE_CODEC = "python"
-    module = _compiled(_CODEC_SOURCE, (), (), _load_extension, extension=True)
+    module = _compiled(_CODEC_SOURCE, _load_extension, extension=True)
     if module is not None:
         ACTIVE_CODEC = "c"
     return module
@@ -330,9 +351,9 @@ def _load_extension(path):
     return module
 
 
-def _compiled(source_path, cflags, ldlibs, load, extension=False):
+def _compiled(source_path, load, extension=False):
     """``load(path)`` of the library built from ``source_path`` with
-    ``_CFLAGS + cflags`` and ``ldlibs``, built into the cache first unless it
+    ``_CFLAGS`` and ``_LDLIBS``, built into the cache first unless it
     is there; ``None`` when it cannot be built or loaded. An ``extension``
     is built against the Python headers, and its key carries the
     interpreter's extension suffix (``EXT_SUFFIX``), as it is tied to one
@@ -348,13 +369,13 @@ def _compiled(source_path, cflags, ldlibs, load, extension=False):
         source = source_path.read_bytes()
     except OSError:
         return None
-    flags = (*_CFLAGS, *cflags, *ldlibs)
+    flags = (*_CFLAGS, *_LDLIBS)
     abi = importlib.machinery.EXTENSION_SUFFIXES[0] if extension else ""
     key = blake2b(b"\0".join([source, " ".join(flags).encode(), platform.machine().encode(),
                               abi.encode()]), digest_size=16).hexdigest()
     stem = source_path.stem.lstrip("_")
     path = os.path.join(cache, f"{stem}-{key}.so")
-    if not os.path.exists(path) and not _build(path, stem, source, cflags, ldlibs, extension):
+    if not os.path.exists(path) and not _build(path, stem, source, extension):
         return None
     try:
         return load(path)
@@ -379,7 +400,7 @@ def _cache_dir():
     return path
 
 
-def _build(path, stem, source, cflags, ldlibs, extension):
+def _build(path, stem, source, extension):
     """Compile the C ``source`` (bytes, read from standard input) to ``path``
     through a temporary file beside it; whether that worked."""
     import shlex
@@ -389,6 +410,7 @@ def _build(path, stem, source, cflags, ldlibs, extension):
     cc = sysconfig.get_config_var("CC")
     if not cc:
         return False
+    cflags = _CFLAGS
     if extension:
         paths = sysconfig.get_paths()
         cflags = (*cflags, *(f"-I{p}" for p in dict.fromkeys(
@@ -399,7 +421,7 @@ def _build(path, stem, source, cflags, ldlibs, extension):
         return False
     os.close(fd)
     try:
-        subprocess.run([*shlex.split(cc), *_CFLAGS, *cflags, "-o", tmp, "-x", "c", "-", *ldlibs],
+        subprocess.run([*shlex.split(cc), *cflags, "-o", tmp, "-x", "c", "-", *_LDLIBS],
                        input=source, check=True, stdout=subprocess.DEVNULL,
                        stderr=subprocess.DEVNULL, timeout=300)
         os.replace(tmp, path)

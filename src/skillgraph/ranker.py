@@ -72,6 +72,13 @@ walk. The walks take no graph: each reads the index its ``Seeds`` or
 rename included, walk the graph as it was when they were made; a library
 caller gets seeds from ``resolve_job_query(g.cached(GraphIndex), text)``.
 
+Both array loops of a query run in the compiled extension of
+``kernels.snapshot_codec`` where it loads: each step's scatter-add
+(``kernels.propagate_step``, still called once per step) and the ranked
+list's top-k cut (``to_ranked_list``, which the TF-IDF baseline uses too).
+Each takes only input it handles as the NumPy line does, bit for bit, and
+hands any other back to that line, so the lists are the same on either.
+
 Every score vector is one vector over a frame (``Scores``). A scenario adds
 its routes in route order (base, prerequisite hop, taken walk, group
 by group): in place while every route shares one frame, else each route in
@@ -700,17 +707,24 @@ def to_ranked_list(ids: Sequence[str], scores: Sequence[float] | np.ndarray, que
 
     ``scores[i]`` is the score of ``ids[i]``, or with ``nodes`` (a frame's)
     of ``ids[nodes[i]]``. ``ids`` must be in ascending order, as a
-    ``GraphIndex``'s are, and ``nodes`` too: a stable sort then breaks ties
-    by id. Only the entries kept are paired with their ids.
+    ``GraphIndex``'s are, and ``nodes`` too: equal scores then go by
+    position, which is by id. Only the entries kept are paired with their
+    ids. The compiled ``top`` of ``kernels.snapshot_codec`` makes the cut
+    where it takes the input (a float64 vector, ``nodes`` an int64 one of
+    its length, an index or None for ``cutoff``); any other goes through the
+    NumPy line, a stable ``argsort``, with the same entries or errors.
     """
     if cutoff is not None and cutoff < 0:
         raise QueryError(f"list cutoff {cutoff} is negative")
     scores = np.asarray(scores, dtype=np.float64)
-    hits = (scores > 0.0).nonzero()[0]
-    kept = hits[np.argsort(-scores[hits], kind="stable")][:cutoff]
-    at = kept if nodes is None else nodes[kept]
-    return RankedList(tuple(zip([ids[i] for i in at.tolist()], scores[kept].tolist())),
-                      query, scenario, provenance)
+    codec = kernels.snapshot_codec()
+    kept = None if codec is None else codec.top(scores, cutoff, nodes)
+    if kept is None:
+        hits = (scores > 0.0).nonzero()[0]
+        cut = hits[np.argsort(-scores[hits], kind="stable")][:cutoff]
+        kept = (cut if nodes is None else nodes[cut]).tolist(), scores[cut].tolist()
+    at, values = kept
+    return RankedList(tuple(zip([ids[i] for i in at], values)), query, scenario, provenance)
 
 
 def recommend(g: HeteroGraph, labels: Mapping[str, int], inp: ScenarioInput,

@@ -1,7 +1,9 @@
 """Kernel checks that the pipeline-level oracles do not cover."""
 from __future__ import annotations
 
+import importlib.machinery
 import os
+import platform
 import stat
 import subprocess
 import sys
@@ -384,6 +386,34 @@ def test_without_compiler_python_codec_runs(fresh_codec, monkeypatch, tmp_path):
     assert os.listdir(fresh_codec) == []  # the failed build leaves no file
 
 
+def test_codec_is_built_and_keyed_without_fused_multiply_add(fresh_codec, monkeypatch):
+    # a fused multiply-add would round the scatter's w * s + out once, where
+    # NumPy rounds twice; the flag is in the compiler command, and in the key,
+    # so no library built without it is loaded in its place
+    commands = []
+    run = subprocess.run
+
+    def recording(command, **kwargs):
+        commands.append(command)
+        return run(command, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", recording)
+    if kernels.snapshot_codec() is None:
+        pytest.skip("the snapshot codec does not build here")
+    [command] = commands
+    assert "-ffp-contract=off" in command
+    try:
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
+    flags = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-lm")
+    key = blake2b(b"\0".join([kernels._CODEC_SOURCE.read_bytes(), " ".join(flags).encode(),
+                              platform.machine().encode(),
+                              importlib.machinery.EXTENSION_SUFFIXES[0].encode()]),
+                  digest_size=16).hexdigest()
+    assert os.listdir(fresh_codec) == [f"snapshot-{key}.so"]
+
+
 def test_resolving_both_libraries_maps_no_openssl():
     # importing hashlib imports _hashlib, which maps OpenSSL's libcrypto
     # (about 3.4 MB resident) into every process that keys a library; the
@@ -395,3 +425,181 @@ def test_resolving_both_libraries_maps_no_openssl():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=300)
     assert run.stdout.split() == ["False"]
+
+
+CODEC = kernels.snapshot_codec()
+needs_codec = pytest.mark.skipif(CODEC is None, reason="the snapshot codec does not build here")
+
+
+def numpy_step(scores, esrc, edst, eweight, n):
+    """``propagate_step``'s NumPy line."""
+    return np.bincount(edst, weights=eweight * scores[esrc], minlength=n)
+
+
+def numpy_warns(scores, esrc, eweight):
+    """Whether NumPy's multiply in ``propagate_step`` raises a floating-point
+    flag, on which it warns or raises as its error state says."""
+    with np.errstate(all="raise"):
+        try:
+            eweight * scores[esrc]
+        except FloatingPointError:
+            return True
+    return False
+
+
+def outcome(step, *args):
+    """What ``step`` gives: the result's dtype and bytes, or the error's type and text."""
+    try:
+        out = step(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+    return out.dtype, out.tobytes()
+
+
+DOUBLES = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]))
+
+
+@st.composite
+def scatter_cases(draw):
+    """A scatter's input: ``n`` targets (0 included), scores, and edges whose
+    targets repeat, each index in range."""
+    n = draw(st.integers(0, 6))
+    scores = np.array(draw(st.lists(DOUBLES, max_size=6)), dtype=np.float64)
+    m = draw(st.integers(0, 24)) if n and len(scores) else 0
+    src = np.array(draw(st.lists(st.integers(0, max(len(scores) - 1, 0)), min_size=m,
+                                 max_size=m)), dtype=np.int64)
+    dst = np.array(draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=m, max_size=m)),
+                   dtype=np.int64)
+    wgt = np.array(draw(st.lists(DOUBLES, min_size=m, max_size=m)), dtype=np.float64)
+    return scores, src, dst, wgt, n
+
+
+@needs_codec
+@settings(max_examples=500, deadline=None)
+@given(scatter_cases())
+def test_compiled_scatter_equals_bincount(case):
+    # the compiled scatter gives bincount's bits; it takes every drawn input
+    # whose products are normal and whose sums stay finite, and none on whose
+    # products NumPy warns or that makes a NaN
+    scores, src, dst, wgt, n = case
+    with np.errstate(all="ignore"):
+        want = numpy_step(scores, src, dst, wgt, n)
+        assert kernels.propagate_step(scores, src, dst, wgt, n).tobytes() == want.tobytes()
+        products = np.abs(wgt * scores[src])
+    out = np.zeros(n)
+    taken = CODEC.scatter(out, scores, src, dst, wgt)
+    normal = (products >= np.finfo(np.float64).tiny) & (products <= np.finfo(np.float64).max)
+    if normal.all() and np.isfinite(want).all():
+        assert taken
+    if numpy_warns(scores, src, wgt) or np.isnan(want).any():
+        assert not taken
+    assert out.tobytes() == (want if taken else np.zeros(n)).tobytes()
+
+
+SIGNALLING_NAN = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)[0]
+
+
+@needs_codec
+@pytest.mark.parametrize("weight, score", [
+    (np.inf, 0.0), (1e300, 1e300), (1e-200, 1e-200), (1.0, SIGNALLING_NAN), (np.nan, 1.0)],
+    ids=["invalid", "overflow", "underflow", "signalling NaN", "quiet NaN"])
+def test_a_product_that_is_nan_or_raises_a_flag_goes_back_to_numpy(weight, score):
+    args = (np.array([score, 1.0]), np.array([0, 1], dtype=np.int64),
+            np.array([1, 1], dtype=np.int64), np.array([weight, 0.5]), 2)
+    assert CODEC.scatter(np.zeros(2), *args[:4]) is False
+    with np.errstate(all="raise"):
+        assert outcome(kernels.propagate_step, *args) == outcome(numpy_step, *args)
+    with np.errstate(all="ignore"):
+        assert outcome(kernels.propagate_step, *args) == outcome(numpy_step, *args)
+
+
+@needs_codec
+def test_a_sum_that_overflows_goes_back_to_numpy():
+    # bincount's sums raise no warning, so NumPy's line gives inf; the
+    # compiled scatter, which reads the flags of its sums too, hands it back
+    args = (np.array([1e308]), np.array([0, 0], dtype=np.int64), np.array([0, 0], dtype=np.int64),
+            np.array([1.0, 1.0]), 1)
+    assert CODEC.scatter(np.zeros(1), *args[:4]) is False
+    with np.errstate(all="raise"):
+        assert outcome(kernels.propagate_step, *args) == outcome(numpy_step, *args)
+        assert kernels.propagate_step(*args).tolist() == [np.inf]
+
+
+def scatter_input(n=4):
+    """Scores over 3 nodes and 4 edges into ``n`` targets, two into one."""
+    return (np.array([0.5, 1.5, 2.0]), np.array([0, 1, 2, 1], dtype=np.int64),
+            np.array([3, 0, 3, 1], dtype=np.int64), np.array([0.25, 1.0, 3.0, 0.1]), n)
+
+
+def replaced(position, value):
+    args = list(scatter_input())
+    args[position] = value(args[position])
+    return tuple(args)
+
+
+@needs_codec
+@pytest.mark.parametrize("args", [
+    replaced(0, lambda a: a.astype(np.float32)),
+    replaced(1, lambda a: a.astype(np.int32)),
+    replaced(2, lambda a: a.astype(np.int32)),
+    replaced(3, lambda a: a.astype(np.float32)),
+    replaced(0, lambda a: np.repeat(a, 2)[::2]),      # a non-contiguous view
+    replaced(3, lambda a: np.repeat(a, 2)[::2]),
+    replaced(0, lambda a: a.astype(">f8")),           # not native byte order
+    replaced(0, lambda a: a.view(type("Sub", (np.ndarray,), {}))),
+    replaced(0, list),
+    replaced(1, lambda a: a[:3]),                     # lengths that disagree
+    replaced(2, lambda a: a[:3]),
+    replaced(3, lambda a: np.append(a, 1.0)),
+    replaced(1, lambda a: np.array([0, 1, 3, 1])),    # a source past the scores
+    replaced(1, lambda a: np.array([0, -1, 2, 1])),   # a negative source, read from the end
+    replaced(2, lambda a: np.array([3, 0, -1, 1])),   # a negative target
+    replaced(2, lambda a: np.array([3, 0, 6, 1])),    # a target past n: a longer vector
+    replaced(4, lambda n: 2),
+    replaced(4, lambda n: -1),
+    replaced(4, np.int64),
+], ids=["float32 scores", "int32 sources", "int32 targets", "float32 weights",
+        "strided scores", "strided weights", "big-endian scores", "subclass scores",
+        "list scores", "short sources", "short targets", "long weights", "source past the scores",
+        "negative source", "negative target", "target past n", "target past a short n",
+        "negative n", "numpy n"])
+def test_scatter_hands_back_what_numpy_must_answer(args):
+    scores, src, dst, wgt, n = args
+    assert outcome(kernels.propagate_step, *args) == outcome(numpy_step, *args)
+    if type(n) is int and n >= 0:
+        out = np.zeros(n)
+        assert CODEC.scatter(out, scores, src, dst, wgt) is False
+        assert not out.any()  # nothing written
+
+
+@needs_codec
+def test_scatter_hands_back_an_out_that_is_read_only_or_shares_memory():
+    scores, src, dst, wgt, n = scatter_input()
+    frozen = np.zeros(n)
+    frozen.flags.writeable = False
+    assert CODEC.scatter(frozen, scores, src, dst, wgt) is False
+    shared = np.zeros(n + 3)
+    assert CODEC.scatter(shared[:n], shared[n - 1:], src, dst, wgt) is False
+    assert CODEC.scatter(shared[:n], shared[n:], src, dst, wgt) is True
+    assert CODEC.scatter(np.zeros(n), scores, src, dst, wgt) is True
+
+
+@needs_codec
+@pytest.mark.parametrize("size", [4, 5000], ids=["short out", "long out"])
+def test_a_scatter_handed_back_late_leaves_out_as_it_was(size):
+    # the last edge's source is past the scores, after the others were added
+    scores, src, dst, wgt, _n = scatter_input()
+    out = np.random.default_rng(3).normal(size=size)
+    before = out.tobytes()
+    assert CODEC.scatter(out, scores, np.array([0, 1, 2, 3]), dst, wgt) is False
+    assert CODEC.scatter(out, scores, src, dst, np.array([0.25, 1.0, 3.0, np.nan])) is False
+    assert out.tobytes() == before
+    assert CODEC.scatter(out, scores, src, dst, wgt) is True
+    assert out.tobytes() != before
+
+
+@needs_codec
+def test_scatter_takes_five_arguments():
+    with pytest.raises(TypeError, match="5 arguments"):
+        CODEC.scatter(np.zeros(1))

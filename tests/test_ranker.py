@@ -1561,18 +1561,93 @@ class TestRankedList:
         assert ranked.entries == (("b", 1.0),)
         assert to_ranked_list(["b"], [1.0], "q", "s", cutoff=0).entries == ()
 
-    def test_matches_a_sort_by_score_then_id(self):
-        # the routine's reference: sort every positive entry by (-score, id), then cut
+    def test_matches_a_sort_by_score_then_id(self, monkeypatch):
+        # the routine's reference: sort every positive entry by (-score, id),
+        # then cut; on the compiled top and on the NumPy line
         rng = np.random.default_rng(5)
         pool = [0.25, 0.5, 1.0, 2.0, 0.0, -0.0, -1.0, np.nan, np.inf, 1e-300]
-        for size in (0, 1, 7, 40):
+        cases = []
+        for size in (0, 1, 7, 40, 200):
             ids = sorted(f"n{i:03d}" for i in rng.choice(1000, size=size, replace=False))
-            scores = rng.choice(pool, size=size).tolist()
-            for cutoff in (None, 0, 3, 50):
-                want = sorted(((n, s) for n, s in zip(ids, scores) if s > 0.0),
-                              key=lambda item: (-item[1], item[0]))[:cutoff]
-                got = to_ranked_list(ids, scores, "q", "s", cutoff).entries
-                assert got == tuple(want), (size, cutoff)
+            cases.append((ids, rng.choice(pool, size=size).tolist()))
+        for codec in dict.fromkeys([kernels.snapshot_codec(), None]):
+            monkeypatch.setattr(kernels, "snapshot_codec", lambda: codec)
+            for ids, scores in cases:
+                for cutoff in (None, 0, 3, 50, 100):
+                    want = sorted(((n, s) for n, s in zip(ids, scores) if s > 0.0),
+                                  key=lambda item: (-item[1], item[0]))[:cutoff]
+                    got = to_ranked_list(ids, scores, "q", "s", cutoff).entries
+                    assert got == tuple(want), (len(ids), cutoff, codec)
+
+    @pytest.mark.parametrize("cutoff", [np.int64(3), True, 0, None, 7, 2**70],
+                             ids=["int64", "True", "0", "None", "past the hits", "past ssize_t"])
+    @pytest.mark.parametrize("nodes", [None, np.array([1, 2, 4, 5, 6, 7])],
+                             ids=["no nodes", "nodes"])
+    @pytest.mark.parametrize("scores", [[0.5, 0.0, 2.0, 0.5, -1.0, 2.0], [0.0] * 6],
+                             ids=["scores", "all zero"])
+    def test_compiled_top_takes_and_equals_the_numpy_line(self, monkeypatch, cutoff, nodes,
+                                                          scores):
+        ids = [f"n{i}" for i in range(8)]
+        codec = kernels.snapshot_codec()
+        if codec is not None:
+            assert codec.top(np.array(scores), cutoff, nodes) is not None
+        got = to_ranked_list(ids, scores, "q", "s", cutoff, nodes=nodes)
+        monkeypatch.setattr(kernels, "snapshot_codec", lambda: None)
+        assert to_ranked_list(ids, scores, "q", "s", cutoff, nodes=nodes) == got
+        at = range(6) if nodes is None else nodes.tolist()
+        want = sorted(((ids[i], s) for i, s in zip(at, scores) if s > 0.0),
+                      key=lambda item: (-item[1], item[0]))
+        assert got.entries == tuple(want[:None if cutoff is None else int(cutoff)])
+
+    @pytest.mark.parametrize("scores, cutoff, nodes", [
+        (np.array([0.5, 2.0, 1.0, 3.0])[::2], 1, None),        # a non-contiguous view
+        (np.array([[0.5, 2.0]]), 1, None),                     # 2-d
+        (np.array([0.5, 2.0]), 1.5, None),                     # no index
+        (np.array([0.5, 2.0]), 1, np.array([0, 1], dtype=np.int32)),
+        (np.array([0.5, 2.0]), 1, np.array([0])),              # nodes shorter
+        (np.array([0.5, 2.0]), 1, [0, 1]),                     # nodes no array
+    ], ids=["strided", "2-d", "float cutoff", "int32 nodes", "short nodes", "list nodes"])
+    def test_compiled_top_hands_back_what_numpy_must_answer(self, monkeypatch, scores, cutoff,
+                                                            nodes):
+        def outcome():
+            try:
+                return to_ranked_list(["a", "b"], scores, "q", "s", cutoff, nodes=nodes)
+            except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+                return type(exc), str(exc)
+
+        codec = kernels.snapshot_codec()
+        if codec is not None:
+            assert codec.top(scores, cutoff, nodes) is None
+        got = outcome()
+        monkeypatch.setattr(kernels, "snapshot_codec", lambda: None)
+        assert outcome() == got
+
+    def test_query_m_lists_equal_on_both_paths(self, query_m, query_m_pipeline, monkeypatch):
+        # queries shaped as perfbench's stream (every topic goal, scenarios
+        # 1-3, two taken courses of the goal's topic) give the same entries,
+        # score bits included, with the compiled scatter and top and with
+        # the NumPy lines
+        g, labels = query_m
+        chains = {}
+        for course, topic in sorted(query_m_pipeline.course_topic.items()):
+            chains.setdefault(topic, []).append(course)
+        goals = sorted({" ".join(g.node_name(job).split()[:2]) for job in g.node_ids(JOB)})
+        inputs = []
+        for goal in goals:
+            taken = tuple(chains[int(goal.split()[0].removeprefix("topic-"))][:2])
+            inputs += [ScenarioInput(1, career_goal=goal),
+                       ScenarioInput(2, career_goal=goal, taken_courses=taken),
+                       ScenarioInput(3, current_job=goal)]
+
+        def lists():
+            return [[(node, score.hex()) for node, score in
+                     recommend(g, labels, inp, cutoff=cutoff).entries]
+                    for inp in inputs for cutoff in (10, None)]
+
+        compiled = lists()
+        monkeypatch.setattr(kernels, "snapshot_codec", lambda: None)
+        assert lists() == compiled
+        assert sum(map(bool, compiled)) == 2 * len(inputs) == 240
 
     def test_negative_cutoff_rejected(self):
         with pytest.raises(QueryError, match="cutoff -1 is negative"):
