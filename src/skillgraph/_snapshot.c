@@ -1,7 +1,8 @@
 /* The snapshot codec of graph.read_snapshot and graph.write_snapshot, the
- * row installer of graph.HeteroGraph._add_rows, and the query loops of
- * kernels.propagate_step and ranker.to_ranked_list, compiled as a CPython
- * extension; kernels.snapshot_codec builds and loads it.
+ * row installer of graph.HeteroGraph._add_rows, the query loops of
+ * kernels.propagate_step and ranker.to_ranked_list, and the community move
+ * pass of kernels.local_move_pass, compiled as a CPython extension;
+ * kernels.snapshot_codec builds and loads it.
  *
  * scan(path, kind_by_value, relation_by_value) reads a snapshot a line at a
  * time and returns (node ids, node kinds, sources, relations, rows): the node
@@ -54,12 +55,24 @@
  * and then bincount's add: this file is built with -ffp-contract=off, so no
  * fused multiply-add is formed, and a platform that evaluates doubles in
  * wider registers fails the check below, and so runs every caller's Python
- * line. */
+ * line.
+ *
+ * move_pass(order, labels, ..., eps) is kernels.local_move_pass's pass: it
+ * writes the final labels into labels, leaves the module arrays as the moves
+ * leave them and returns (moves, summed cost change), each bit equal to
+ * kernels._python_move_pass's, which is written apart so that each checks
+ * the other; log2 is libm's, as CPython's math.log2. It takes, by scatter's
+ * rule, exact int64 (order, labels, nbr_ptr, nbr_idx) and float64 vectors,
+ * labels and the module arrays writable, and three floats; on anything else
+ * it returns None, having written nothing. The caller checks every length
+ * and index first, as kernels._check_move_input does; the pass runs without
+ * the GIL. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 #include <fenv.h>
 #include <float.h>
+#include <math.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -67,7 +80,7 @@
 #include <sys/mman.h>
 
 #if FLT_EVAL_METHOD != 0
-#error "doubles must be evaluated as binary64 for results equal to NumPy's"
+#error "doubles must be evaluated as binary64 for results equal to NumPy's and Python's"
 #endif
 
 /* --- work arrays ---------------------------------------------------------- */
@@ -1071,6 +1084,203 @@ done:
     return result;
 }
 
+/* --- move_pass ------------------------------------------------------------ */
+
+static double plogp(double x)
+{
+    return x > 0.0 ? x * log2(x) : 0.0;
+}
+
+/* Returns the number of moves and sets *delta_sum, or returns -1 when the
+ * work arrays cannot be allocated. */
+static int64_t local_move_pass(
+    int64_t n_units, int64_t n_order, const int64_t *order, int64_t *labels,
+    const double *visit, const double *tele, const double *size,
+    const int64_t *nbr_ptr, const int64_t *nbr_idx, const double *nbr_out, const double *nbr_in,
+    int64_t n_modules, double *mod_visit, double *mod_tele, double *mod_size,
+    double *mod_cross, double *mod_exit, double exit_sum, double n_orig, double eps,
+    double *delta_sum)
+{
+    /* the queue never holds more than n_order + n_units entries: an appended
+     * unit is queued again only after one of its entries from order is popped */
+    int64_t cap = n_order + n_units;
+    double *conn_out = malloc(sizeof(double) * (size_t)(n_units + 1));
+    double *conn_in = malloc(sizeof(double) * (size_t)(n_units + 1));
+    double *mod_pq = malloc(sizeof(double) * (size_t)(n_modules + 1));
+    double *mod_pqv = malloc(sizeof(double) * (size_t)(n_modules + 1));
+    int64_t *mark = calloc((size_t)(n_units + 1), sizeof(int64_t));
+    int64_t *cand = malloc(sizeof(int64_t) * (size_t)(n_units + 1));
+    int64_t *queue = malloc(sizeof(int64_t) * (size_t)(cap + 1));
+    unsigned char *queued = calloc((size_t)(n_units + 1), 1);
+    int64_t moves = -1;
+    if (!conn_out || !conn_in || !mod_pq || !mod_pqv || !mark || !cand || !queue || !queued)
+        goto done;
+
+    /* each module's old code terms, kept up to date by every move */
+    for (int64_t m = 0; m < n_modules; m++) {
+        mod_pq[m] = plogp(mod_exit[m]);
+        mod_pqv[m] = plogp(mod_exit[m] + mod_visit[m]);
+    }
+    double plogp_exit = plogp(exit_sum);
+    for (int64_t i = 0; i < n_order; i++) {
+        queue[i] = order[i];
+        queued[order[i]] = 1;
+    }
+    int64_t head = 0, count = n_order;
+    double delta = 0.0;
+    int64_t visits = 0;
+    moves = 0;
+    while (count > 0) {
+        int64_t u = queue[head];
+        head = head + 1 == cap ? 0 : head + 1;
+        count--;
+        queued[u] = 0;
+        visits++;
+        int64_t a = labels[u];
+        int64_t ncand = 0;
+        double sout = 0.0; /* the unit's own exit flow */
+        for (int64_t e = nbr_ptr[u]; e < nbr_ptr[u + 1]; e++) {
+            int64_t m = labels[nbr_idx[e]];
+            if (mark[m] != visits) {
+                mark[m] = visits;
+                conn_out[m] = 0.0;
+                conn_in[m] = 0.0;
+                cand[ncand++] = m;
+            }
+            double w_out = nbr_out[e];
+            conn_out[m] += w_out;
+            conn_in[m] += nbr_in[e];
+            sout += w_out;
+        }
+        if (ncand == 0)
+            continue;
+        double tele_u = tele[u], size_u = size[u], visit_u = visit[u];
+        double ca_out = mark[a] == visits ? conn_out[a] : 0.0;
+        double ca_in = mark[a] == visits ? conn_in[a] : 0.0;
+        double t_a = mod_tele[a] - tele_u;
+        double s_a = mod_size[a] - size_u;
+        double v_a = mod_visit[a] - visit_u;
+        double x_a = mod_cross[a] - (sout - ca_out) + ca_in;
+        double q_a_new = t_a * (n_orig - s_a) / n_orig + x_a;
+        double q_a_old = mod_exit[a];
+        double pq_a = plogp(q_a_new);
+        double pqv_a = plogp(q_a_new + v_a);
+        double base_a = (pq_a - mod_pq[a]) * -2.0 + (pqv_a - mod_pqv[a]);
+        double best_dl = -eps;
+        int64_t best = -1;
+        double best_q_b = 0.0, best_x_b = 0.0, best_exit = 0.0;
+        double best_pq_exit = 0.0, best_pq_b = 0.0, best_pqv_b = 0.0;
+        for (int64_t ci = 0; ci < ncand; ci++) {
+            int64_t b = cand[ci];
+            if (b == a)
+                continue;
+            double q_b_old = mod_exit[b];
+            double t_b = mod_tele[b] + tele_u;
+            double s_b = mod_size[b] + size_u;
+            double v_b = mod_visit[b] + visit_u;
+            double x_b = mod_cross[b] - conn_in[b] + (sout - conn_out[b]);
+            double q_b_new = t_b * (n_orig - s_b) / n_orig + x_b;
+            double exit_new = exit_sum - q_a_old - q_b_old + q_a_new + q_b_new;
+            double pq_exit = plogp(exit_new);
+            double pq_b = plogp(q_b_new);
+            double pqv_b = plogp(q_b_new + v_b);
+            double dl = (pq_exit - plogp_exit - 2.0 * (pq_b - mod_pq[b])
+                         + (pqv_b - mod_pqv[b]) + base_a);
+            /* equal gains resolve to the lowest module id */
+            if (dl < best_dl || (dl == best_dl && b < best)) {
+                best_dl = dl;
+                best = b;
+                best_q_b = q_b_new;
+                best_x_b = x_b;
+                best_exit = exit_new;
+                best_pq_exit = pq_exit;
+                best_pq_b = pq_b;
+                best_pqv_b = pqv_b;
+            }
+        }
+        if (best >= 0) {
+            labels[u] = best;
+            mod_tele[a] = t_a;
+            mod_size[a] = s_a;
+            mod_visit[a] = v_a;
+            mod_cross[a] = x_a;
+            mod_exit[a] = q_a_new;
+            mod_pq[a] = pq_a;
+            mod_pqv[a] = pqv_a;
+            mod_tele[best] += tele_u;
+            mod_size[best] += size_u;
+            mod_visit[best] += visit_u;
+            mod_cross[best] = best_x_b;
+            mod_exit[best] = best_q_b;
+            plogp_exit = best_pq_exit;
+            mod_pq[best] = best_pq_b;
+            mod_pqv[best] = best_pqv_b;
+            exit_sum = best_exit;
+            moves++;
+            delta += best_dl;
+            for (int64_t e = nbr_ptr[u]; e < nbr_ptr[u + 1]; e++) {
+                int64_t v = nbr_idx[e];
+                if (!queued[v] && labels[v] != best) {
+                    int64_t tail = head + count;
+                    queued[v] = 1;
+                    queue[tail >= cap ? tail - cap : tail] = v;
+                    count++;
+                }
+            }
+        }
+    }
+    *delta_sum = delta;
+done:
+    free(conn_out);
+    free(conn_in);
+    free(mod_pq);
+    free(mod_pqv);
+    free(mark);
+    free(cand);
+    free(queue);
+    free(queued);
+    return moves;
+}
+
+static PyObject *codec_move_pass(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* order, labels, visit, tele, size, nbr_ptr, nbr_idx, nbr_out, nbr_in and
+     * the five module arrays, of which labels and the module arrays are written */
+    static const char codes[] = "qqdddqqddddddd";
+    Py_buffer v[14];
+    int held = 0, got = 1;
+    if (nargs != 17) {
+        PyErr_SetString(PyExc_TypeError, "move_pass takes 17 arguments (14 vectors, exit_sum, "
+                        "n_orig, eps)");
+        return NULL;
+    }
+    while (held < 14
+           && (got = vector(args[held], codes[held], held == 1 || held >= 9, &v[held])) == 1)
+        held++;
+    int taken = held == 14 && PyFloat_CheckExact(args[14]) && PyFloat_CheckExact(args[15])
+                && PyFloat_CheckExact(args[16]);
+    int64_t moves = 0;
+    double delta = 0.0;
+    if (taken) {  /* the caller has checked every length and index */
+        Py_BEGIN_ALLOW_THREADS
+        moves = local_move_pass(v[1].len / 8, v[0].len / 8, v[0].buf, v[1].buf, v[2].buf,
+                                v[3].buf, v[4].buf, v[5].buf, v[6].buf, v[7].buf, v[8].buf,
+                                v[9].len / 8, v[9].buf, v[10].buf, v[11].buf, v[12].buf,
+                                v[13].buf, PyFloat_AS_DOUBLE(args[14]),
+                                PyFloat_AS_DOUBLE(args[15]), PyFloat_AS_DOUBLE(args[16]), &delta);
+        Py_END_ALLOW_THREADS
+    }
+    while (held > 0)
+        PyBuffer_Release(&v[--held]);
+    if (got < 0)
+        return NULL;
+    if (!taken)
+        Py_RETURN_NONE;
+    if (moves < 0)
+        return PyErr_Format(PyExc_MemoryError, "move pass: no memory for its work arrays");
+    return Py_BuildValue("(Ld)", (long long)moves, delta);
+}
+
 static PyMethodDef methods[] = {
     {"scan", codec_scan, METH_VARARGS,
      "scan(path, kind_by_value, relation_by_value): a snapshot's node ids, node kinds,\n"
@@ -1087,6 +1297,9 @@ static PyMethodDef methods[] = {
     {"top", (PyCFunction)(void (*)(void))codec_top, METH_FASTCALL,
      "top(scores, cutoff, nodes): the cutoff highest positive scores' positions (through\n"
      "nodes) and scores, highest first, ties by position; None when the NumPy line must"},
+    {"move_pass", (PyCFunction)(void (*)(void))codec_move_pass, METH_FASTCALL,
+     "move_pass(order, labels, ..., exit_sum, n_orig, eps): the community move pass;\n"
+     "(moves, delta), or None, having written nothing, when the Python pass must"},
     {NULL, NULL, 0, NULL},
 };
 

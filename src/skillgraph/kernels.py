@@ -1,4 +1,4 @@
-"""Hot numeric kernels, one build each, and the compiled snapshot codec.
+"""Hot numeric kernels, one build each, and the build of the one compiled library.
 
 Everything here works on plain int64/float64 arrays; graph/flow objects are
 flattened by their owners before calling in. The four kernels:
@@ -8,49 +8,48 @@ flattened by their owners before calling in. The four kernels:
 * ``local_move_pass``   -- greedy single-unit community moves from a FIFO queue
 * ``propagate_step``    -- one meta-path hop (weighted scatter-add, ungated)
 
-Two are vectorised NumPy. The move pass is sequential and has no
-vectorised form, so it runs as C: ``_move_pass.c``, loaded through
-``ctypes``. ``snapshot_codec`` is the other compiled source, ``_snapshot.c``:
-a CPython extension whose ``scan`` and ``write`` the snapshot reader and
-writer of ``graph`` try first, whose ``add_rows`` installs the graph rows
-it takes, and whose ``scatter`` and ``top`` run the two array loops of a
-query: ``propagate_step``'s scatter-add and ``ranker.to_ranked_list``'s
-top-k cut. It is loaded through ``importlib.machinery.ExtensionFileLoader``.
-``propagate_step`` runs its NumPy line (a gather, a multiply and a
-``bincount``) where the codec does not load and on input ``scatter`` hands
-back; the scatter gives that line's bits, and is still called once per
-step.
+Two are vectorised NumPy. The other two run in ``_snapshot.c``, the one
+compiled source: a CPython extension, loaded by ``snapshot_codec`` through
+``importlib.machinery.ExtensionFileLoader``. The move pass is sequential and
+has no vectorised form, so its C form, the extension's ``move_pass``, runs
+wherever the extension loads. ``propagate_step`` tries the extension's
+``scatter`` first and runs its NumPy line (a gather, a multiply and a
+``bincount``) where the extension does not load and on input ``scatter``
+hands back; the scatter gives that line's bits, and is still called once per
+step. The extension also holds the snapshot codec: the ``scan`` and
+``write`` that the snapshot reader and writer of ``graph`` try first, the
+``add_rows`` that installs the graph rows it takes, and ``top``,
+``ranker.to_ranked_list``'s top-k cut.
 
-Both are built by one path (``_compiled``), on the first use in a process,
-with the C compiler Python was built with (``sysconfig``'s ``CC``) and
-``-O2 -fPIC -shared -ffp-contract=off -lm``, the codec also with ``-I`` and
-the Python header directories. Each library is cached in
+It is built on the first use in a process, with the C compiler Python was
+built with (``sysconfig``'s ``CC``), ``-O2 -fPIC -shared -ffp-contract=off
+-lm`` and ``-I`` with the Python header directories. The library is cached in
 ``$XDG_CACHE_HOME/skillgraph`` (default ``~/.cache/skillgraph``), a
 directory made with mode 0700 that must belong to the user and be writable
 by no one else. Its file name carries a BLAKE2b digest of the source, the
-flags and the machine type, and for the codec the interpreter's
-``EXT_SUFFIX`` in place of its header directories (an extension is tied to
-the one ABI that the suffix names), so a changed source or flag builds anew
-and a later process only loads it, with no ``sysconfig``. The digest comes
-from CPython's own BLAKE2 module, not ``hashlib``, whose import maps
-OpenSSL: about 3.4 MB of resident memory in every process that keys a
-library. The compiler reads the very bytes that were keyed, and writes a
-temporary file in the cache that is renamed into place, so concurrent first
-runs do not see half a library. A built library stays until the user deletes
-it: each source, flag set, machine type and ABI keeps its own file of
-16-32 KB, so versions that share the cache never rebuild each other's library, and
-deleting the directory reclaims the space.
+flags, the machine type and the interpreter's ``EXT_SUFFIX`` in place of its
+header directories (an extension is tied to the one ABI that the suffix
+names), so a changed source or flag builds anew and a later process only
+loads it, with no ``sysconfig``. The digest comes from CPython's own BLAKE2
+module, not ``hashlib``, whose import maps OpenSSL: about 3.4 MB of resident
+memory in every process that keys a library. The compiler reads the very
+bytes that were keyed, and writes a temporary file in the cache that is
+renamed into place, so concurrent first runs do not see half a library. A
+built library stays until the user deletes it: each source, flag set,
+machine type and ABI keeps its own file of about 50 KB, so versions that
+share the cache never rebuild each other's library, and deleting the
+directory reclaims the space.
 
 The C pass and the Python pass add the same floats in the same order: the
 same queue, candidate bookkeeping, tie rule and binary64 operations. No fused
-multiply-add is formed (``-ffp-contract=off``, which the codec's scatter
-needs too: it rounds each product and each sum, as NumPy's multiply and
-``bincount`` do), a platform whose C evaluates doubles in wider registers
-(``FLT_EVAL_METHOD != 0``) fails either build, and
-``log2`` is the libm function that CPython's ``math.log2`` calls, so every
-label, the move count and the summed delta equal the Python pass's bit for
-bit. Where no compiler is found, the build fails or the library does not
-load, the Python pass runs instead, with the same results.
+multiply-add is formed (``-ffp-contract=off``, which the scatter needs too:
+it rounds each product and each sum, as NumPy's multiply and ``bincount``
+do), a platform whose C evaluates doubles in wider registers
+(``FLT_EVAL_METHOD != 0``) fails the build, and ``log2`` is the libm
+function that CPython's ``math.log2`` calls, so every label, the move count
+and the summed delta equal the Python pass's bit for bit. Where no compiler
+or no ``Python.h`` is found, the build fails or the library does not load,
+every Python path runs instead, with the same results.
 
 The two passes are written in two forms, so each checks the other. The C
 pass keeps each module's old code terms, ``plogp(exit)`` and
@@ -62,18 +61,16 @@ a numpy scalar, and numpy scalar arithmetic is several times slower than the
 same IEEE double operations on Python floats, which give bit-identical
 results.
 
-``ACTIVE_BACKEND`` names the move pass that runs, for benchmark reports:
-``"c"`` once the compiled pass has loaded, ``"python"`` before the first move
-pass and when it could not. ``ACTIVE_CODEC`` names the snapshot codec the
-same way: ``"c"`` once ``_snapshot.c`` has loaded, ``"python"`` before the
-first graph row, snapshot read or write, scatter or ranked list of a process
-and when it could not. The codec runs whenever it loads; on input it does
-not take, the Python codec or the NumPy line runs in its place, and a graph
-row it does not take goes through the Python check.
+``ACTIVE_BACKEND`` names the library that runs, for benchmark reports:
+``"c"`` once ``snapshot_codec`` has loaded the extension, ``"python"``
+before the first move pass, graph row, snapshot read or write, scatter or
+ranked list of a process and when it could not. The extension runs whenever
+it loads; on input it does not take, the Python pass, the Python codec or
+the NumPy line runs in its place, and a graph row it does not take goes
+through the Python check.
 """
 from __future__ import annotations
 
-import ctypes
 import functools
 import importlib.machinery
 import math
@@ -86,7 +83,6 @@ from pathlib import Path
 import numpy as np
 
 ACTIVE_BACKEND = "python"
-ACTIVE_CODEC = "python"
 
 
 def _plogp(x):
@@ -144,26 +140,21 @@ def local_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps)
     ``labels`` or ``nbr`` is out of range or the arrays disagree in length,
     before either pass starts."""
     _check_move_input(order, labels, visit, tele, size, nbr, modules)
-    compiled = _compiled_move_pass()
-    if compiled is None:
-        return _python_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps)
-    order_c = np.ascontiguousarray(order, dtype=np.int64)
-    labels_c = np.require(labels, np.int64, ["C", "W"])  # the pass writes the labels here
-    units = [np.ascontiguousarray(a, dtype=np.float64) for a in (visit, tele, size)]
-    ptr, idx = (np.ascontiguousarray(a, dtype=np.int64) for a in nbr[:2])
-    flows = [np.ascontiguousarray(a, dtype=np.float64) for a in nbr[2:]]
-    mods = [np.array(a, dtype=np.float64) for a in modules]  # copies the pass updates
-    delta = ctypes.c_double()
-    moves = compiled(
-        labels_c.size, order_c.size,
-        *[a.ctypes.data for a in (order_c, labels_c, *units, ptr, idx, *flows)],
-        len(mods[0]), *[a.ctypes.data for a in mods],
-        float(modules[4].sum()), float(n_orig), float(eps), ctypes.byref(delta))
-    if moves < 0:
-        raise MemoryError("move pass: no memory for its work arrays")
-    if labels_c is not labels:
-        labels[:] = labels_c
-    return moves, delta.value
+    codec = snapshot_codec()
+    if codec is not None:
+        labels_c = np.require(labels, np.int64, ["C", "W"])  # the pass writes the labels here
+        done = codec.move_pass(
+            np.ascontiguousarray(order, dtype=np.int64), labels_c,
+            *[np.ascontiguousarray(a, dtype=np.float64) for a in (visit, tele, size)],
+            *[np.ascontiguousarray(a, dtype=np.int64) for a in nbr[:2]],
+            *[np.ascontiguousarray(a, dtype=np.float64) for a in nbr[2:]],
+            *[np.array(a, dtype=np.float64) for a in modules],  # copies the pass updates
+            float(modules[4].sum()), float(n_orig), float(eps))
+        if done is not None:
+            if labels_c is not labels:
+                labels[:] = labels_c
+            return done
+    return _python_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps)
 
 
 def _check_move_input(order, labels, visit, tele, size, nbr, modules):
@@ -296,68 +287,25 @@ def _python_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, ep
     return moves, delta_sum
 
 
-_SOURCE = Path(__file__).with_name("_move_pass.c")
 _CODEC_SOURCE = Path(__file__).with_name("_snapshot.c")
 # no fused multiply-add, which would round a product and a sum once where
-# the Python pass and NumPy round twice; both sources call libm
+# the Python pass and NumPy round twice; the source calls libm
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _LDLIBS = ("-lm",)
-_ARGTYPES = ([ctypes.c_int64] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_int64]
-             + [ctypes.c_void_p] * 5 + [ctypes.c_double] * 3 + [ctypes.c_void_p])
-
-
-@functools.cache
-def _compiled_move_pass():
-    """``_move_pass.c``'s move pass, loaded from the cache or built into it on
-    the first call of the process; ``None`` when it cannot be built or loaded.
-    Sets ``ACTIVE_BACKEND`` to the pass that runs."""
-    global ACTIVE_BACKEND
-    ACTIVE_BACKEND = "python"
-    lib = _compiled(_SOURCE, ctypes.CDLL)
-    if lib is None:
-        return None
-    fn = lib.local_move_pass
-    fn.argtypes = _ARGTYPES
-    fn.restype = ctypes.c_int64
-    ACTIVE_BACKEND = "c"
-    return fn
 
 
 @functools.cache
 def snapshot_codec():
-    """The ``_snapshot.c`` extension module, whose ``scan`` and ``write`` the
-    snapshot reader and writer try first, whose ``add_rows`` installs every
-    graph row it takes (any other goes through the Python check) and whose
-    ``scatter`` and ``top`` ``propagate_step`` and ``ranker.to_ranked_list``
-    try first, loaded from the cache or built into it on the first call of
-    the process; ``None`` when it cannot be built or loaded. Sets
-    ``ACTIVE_CODEC`` to the codec that runs."""
-    global ACTIVE_CODEC
-    ACTIVE_CODEC = "python"
-    module = _compiled(_CODEC_SOURCE, _load_extension, extension=True)
-    if module is not None:
-        ACTIVE_CODEC = "c"
-    return module
-
-
-def _load_extension(path):
-    from importlib.util import module_from_spec, spec_from_file_location
-
-    name = f"{__package__}._snapshot"
-    spec = spec_from_file_location(name, path,
-                                   loader=importlib.machinery.ExtensionFileLoader(name, path))
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _compiled(source_path, load, extension=False):
-    """``load(path)`` of the library built from ``source_path`` with
-    ``_CFLAGS`` and ``_LDLIBS``, built into the cache first unless it
-    is there; ``None`` when it cannot be built or loaded. An ``extension``
-    is built against the Python headers, and its key carries the
-    interpreter's extension suffix (``EXT_SUFFIX``), as it is tied to one
-    ABI; a load reads neither, so it imports no ``sysconfig``."""
+    """The ``_snapshot.c`` extension module, whose ``move_pass``
+    ``local_move_pass`` runs, whose ``scan`` and ``write`` the snapshot
+    reader and writer try first, whose ``add_rows`` installs every graph row
+    it takes (any other goes through the Python check) and whose ``scatter``
+    and ``top`` ``propagate_step`` and ``ranker.to_ranked_list`` try first;
+    loaded from the cache or built into it on the first call of the process
+    (see above); ``None`` when it cannot be built or loaded. Sets
+    ``ACTIVE_BACKEND`` to the library that runs."""
+    global ACTIVE_BACKEND
+    ACTIVE_BACKEND = "python"
     try:  # hashlib's BLAKE2 without hashlib, which maps OpenSSL when imported
         from _blake2 import blake2b
     except ImportError:
@@ -366,21 +314,27 @@ def _compiled(source_path, load, extension=False):
     if cache is None:
         return None
     try:
-        source = source_path.read_bytes()
+        source = _CODEC_SOURCE.read_bytes()
     except OSError:
         return None
     flags = (*_CFLAGS, *_LDLIBS)
-    abi = importlib.machinery.EXTENSION_SUFFIXES[0] if extension else ""
+    abi = importlib.machinery.EXTENSION_SUFFIXES[0]
     key = blake2b(b"\0".join([source, " ".join(flags).encode(), platform.machine().encode(),
                               abi.encode()]), digest_size=16).hexdigest()
-    stem = source_path.stem.lstrip("_")
-    path = os.path.join(cache, f"{stem}-{key}.so")
-    if not os.path.exists(path) and not _build(path, stem, source, extension):
+    path = os.path.join(cache, f"snapshot-{key}.so")
+    if not os.path.exists(path) and not _build(path, source):
         return None
+    from importlib.util import module_from_spec, spec_from_file_location
+
+    name = f"{__package__}._snapshot"
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
     try:
-        return load(path)
+        module = module_from_spec(spec_from_file_location(name, path, loader=loader))
+        loader.exec_module(module)
     except (OSError, ImportError):
         return None
+    ACTIVE_BACKEND = "c"
+    return module
 
 
 def _cache_dir():
@@ -400,9 +354,10 @@ def _cache_dir():
     return path
 
 
-def _build(path, stem, source, extension):
-    """Compile the C ``source`` (bytes, read from standard input) to ``path``
-    through a temporary file beside it; whether that worked."""
+def _build(path, source):
+    """Compile the C ``source`` (bytes, read from standard input) against the
+    Python headers to ``path`` through a temporary file beside it; whether
+    that worked."""
     import shlex
     import subprocess
     import sysconfig
@@ -410,13 +365,11 @@ def _build(path, stem, source, extension):
     cc = sysconfig.get_config_var("CC")
     if not cc:
         return False
-    cflags = _CFLAGS
-    if extension:
-        paths = sysconfig.get_paths()
-        cflags = (*cflags, *(f"-I{p}" for p in dict.fromkeys(
-            (paths["include"], paths["platinclude"]))))
+    paths = sysconfig.get_paths()
+    cflags = (*_CFLAGS, *(f"-I{p}" for p in dict.fromkeys(
+        (paths["include"], paths["platinclude"]))))
     try:
-        fd, tmp = tempfile.mkstemp(prefix=f".{stem}-", suffix=".so", dir=os.path.dirname(path))
+        fd, tmp = tempfile.mkstemp(prefix=".snapshot-", suffix=".so", dir=os.path.dirname(path))
     except OSError:
         return False
     os.close(fd)

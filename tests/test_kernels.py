@@ -21,6 +21,10 @@ from skillgraph.graph import HeteroGraph, NodeKind, Relation, read_snapshot, wri
 
 from oracles import random_hetero_graph
 
+CODEC = kernels.snapshot_codec()
+needs_codec = pytest.mark.skipif(CODEC is None,
+                                 reason="the compiled extension does not build here")
+
 
 def flow_fixture(seed=0):
     g, _ = random_hetero_graph(np.random.default_rng(seed))
@@ -44,11 +48,10 @@ def run_move_pass(fg, order, labels=None):
 
 
 def test_active_backend_registered():
-    # the move pass perfbench names in each report, once one has run
+    # the library perfbench names in each report, once a move pass has run
     fg, _g = flow_fixture()
     run_move_pass(fg, np.arange(fg.n_units, dtype=np.int64))
-    compiled = kernels._compiled_move_pass() is not None
-    assert kernels.ACTIVE_BACKEND == ("c" if compiled else "python")
+    assert kernels.ACTIVE_BACKEND == ("c" if kernels.snapshot_codec() else "python")
 
 
 def test_local_move_delta_matches_cost_difference():
@@ -76,28 +79,7 @@ def random_flow_graph(rng, n):
                      float(sum(kernels._plogp(v) for v in visit)))
 
 
-def move_passes():
-    """The Python pass and the compiled one; skips the calling test where the
-    compiled pass does not build, which would leave one pass to agree with itself."""
-    if kernels._compiled_move_pass() is None:
-        pytest.skip("the compiled move pass does not build here, so the Python pass "
-                    "has no second pass to agree with")
-    return [kernels._python_move_pass, kernels.local_move_pass]
-
-
-def every_pass(order, labels, fg):
-    """``(labels, moves, delta)`` of each of ``move_passes`` from the same start;
-    each pass gets fresh copies, so no run sees another's writes."""
-    modules = fg.module_state(labels, fg.n_units)
-    runs = []
-    for move_pass in move_passes():
-        out = labels.copy()
-        moves, delta = move_pass(order.copy(), out, fg.visit, fg.tele, fg.size, fg.nbr,
-                                 tuple(m.copy() for m in modules), float(fg.n_orig), 1e-10)
-        runs.append((out.tolist(), moves, delta))
-    return runs
-
-
+@needs_codec
 def test_local_move_pass_equals_reference_bit_for_bit():
     # the C pass keeps module code terms between visits; the Python pass
     # recomputes them, so every label, the move count and the delta agree
@@ -110,9 +92,8 @@ def test_local_move_pass_equals_reference_bit_for_bit():
         level = fg
         for _level in range(2):
             order = rng.permutation(level.n_units).astype(np.int64)
-            runs = every_pass(order, np.arange(level.n_units, dtype=np.int64), level)
-            assert all(run == runs[0] for run in runs)
-            _, dense = np.unique(runs[0][0], return_inverse=True)
+            _moves, labels, _delta = run_move_pass(level, order)
+            _, dense = np.unique(labels, return_inverse=True)
             level = level.aggregate(dense.astype(np.int64), int(dense.max()) + 1)
 
 
@@ -136,12 +117,12 @@ def flow_graphs(draw):
     return fg, labels, order
 
 
+@needs_codec
 @settings(max_examples=300, deadline=None)
 @given(flow_graphs())
 def test_move_passes_agree_on_drawn_graphs(case):
     fg, labels, order = case
-    runs = every_pass(order, labels, fg)
-    assert all(run == runs[0] for run in runs)
+    run_move_pass(fg, order, labels)
 
 
 def test_equal_gains_move_to_lowest_module():
@@ -256,91 +237,17 @@ def test_bad_index_raises_before_either_pass(name, args):
 
 @pytest.fixture
 def fresh_build(monkeypatch, tmp_path):
-    """The move pass resolved anew, with its cache under ``tmp_path``;
-    yields the cache directory."""
+    """The compiled extension resolved anew, with its cache under
+    ``tmp_path``; yields the cache directory."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(kernels, "ACTIVE_BACKEND", kernels.ACTIVE_BACKEND)
-    kernels._compiled_move_pass.cache_clear()
+    kernels.snapshot_codec.cache_clear()
     yield tmp_path / "skillgraph"
-    kernels._compiled_move_pass.cache_clear()
+    kernels.snapshot_codec.cache_clear()
 
 
 def fails_if_run(*args, **kwargs):
     raise AssertionError(f"compiler ran: {args[0]!r}")
-
-
-def test_without_compiler_python_pass_runs(fresh_build, monkeypatch, tmp_path):
-    g, _ = random_hetero_graph(np.random.default_rng(11))
-    fg = FlowGraph.from_graph(g, 0.15)
-    order = np.random.default_rng(1).permutation(fg.n_units).astype(np.int64)
-
-    def outputs():
-        moves, labels, delta = run_move_pass(fg, order)
-        return detect_communities(g, seed=3), moves, labels.tolist(), delta
-
-    before = outputs()
-    # an empty cache, and a compiler that cannot be found
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
-    kernels._compiled_move_pass.cache_clear()
-    config_var = sysconfig.get_config_var
-    monkeypatch.setattr(sysconfig, "get_config_var",
-                        lambda name: "/nonexistent/cc" if name == "CC" else config_var(name))
-    assert outputs() == before
-    assert kernels.ACTIVE_BACKEND == "python"
-    assert os.listdir(tmp_path / "empty" / "skillgraph") == []  # the failed build leaves no file
-
-
-def test_second_resolution_loads_without_compiling(fresh_build, monkeypatch):
-    if kernels._compiled_move_pass() is None:
-        pytest.skip("the move pass does not build here")
-    assert stat.S_IMODE(os.stat(fresh_build).st_mode) == 0o700
-    built = os.listdir(fresh_build)
-    assert len(built) == 1 and built[0].endswith(".so")
-    kernels._compiled_move_pass.cache_clear()
-    monkeypatch.setattr(subprocess, "run", fails_if_run)
-    assert kernels._compiled_move_pass() is not None
-    assert kernels.ACTIVE_BACKEND == "c"
-    assert os.listdir(fresh_build) == built
-
-
-def test_versions_sharing_a_cache_keep_their_libraries(fresh_build, monkeypatch, tmp_path):
-    # two sources built into one cache: no build removes the other's library,
-    # so a later process of either version loads it without compiling
-    if kernels._compiled_move_pass() is None:
-        pytest.skip("the move pass does not build here")
-    real, edited = kernels._SOURCE, tmp_path / "_move_pass.c"
-    edited.write_bytes(real.read_bytes() + b"/* another version */\n")
-    monkeypatch.setattr(kernels, "_SOURCE", edited)
-    kernels._compiled_move_pass.cache_clear()
-    assert kernels._compiled_move_pass() is not None
-    built = sorted(os.listdir(fresh_build))
-    assert len(built) == 2 and all(name.endswith(".so") for name in built)
-    monkeypatch.setattr(subprocess, "run", fails_if_run)
-    for source in (real, edited):
-        monkeypatch.setattr(kernels, "_SOURCE", source)
-        kernels._compiled_move_pass.cache_clear()
-        assert kernels._compiled_move_pass() is not None
-        assert kernels.ACTIVE_BACKEND == "c"
-    assert sorted(os.listdir(fresh_build)) == built
-
-
-def test_cache_others_can_write_is_not_used(fresh_build, monkeypatch):
-    fresh_build.mkdir()
-    fresh_build.chmod(0o777)
-    monkeypatch.setattr(subprocess, "run", fails_if_run)
-    assert kernels._compiled_move_pass() is None
-    assert kernels.ACTIVE_BACKEND == "python"
-
-
-@pytest.fixture
-def fresh_codec(monkeypatch, tmp_path):
-    """The snapshot codec resolved anew, with its cache under ``tmp_path``;
-    yields the cache directory."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(kernels, "ACTIVE_CODEC", kernels.ACTIVE_CODEC)
-    kernels.snapshot_codec.cache_clear()
-    yield tmp_path / "skillgraph"
-    kernels.snapshot_codec.cache_clear()
 
 
 def round_trip(tmp_path):
@@ -362,34 +269,78 @@ ROUND_TRIP = (b"E J1 r 100%25 0.33333333333333331\nE J1 r a%20b 0.66666666666666
               [("J1", [("100%", 1 / 3), ("a b", 2 / 3)])])
 
 
-def test_codec_builds_once_and_loads_after(fresh_codec, monkeypatch, tmp_path):
+def test_without_compiler_python_pass_runs(fresh_build, monkeypatch, tmp_path):
+    g, _ = random_hetero_graph(np.random.default_rng(11))
+    fg = FlowGraph.from_graph(g, 0.15)
+    order = np.random.default_rng(1).permutation(fg.n_units).astype(np.int64)
+
+    def outputs():
+        moves, labels, delta = run_move_pass(fg, order)
+        return detect_communities(g, seed=3), moves, labels.tolist(), delta, round_trip(tmp_path)
+
+    before = outputs()
+    assert before[-1] == ROUND_TRIP
+    # an empty cache, and a compiler that cannot be found
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+    kernels.snapshot_codec.cache_clear()
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: "/nonexistent/cc" if name == "CC" else config_var(name))
+    assert outputs() == before
+    assert kernels.ACTIVE_BACKEND == "python"
+    assert os.listdir(tmp_path / "empty" / "skillgraph") == []  # the failed build leaves no file
+
+
+def test_second_resolution_loads_without_compiling(fresh_build, monkeypatch, tmp_path):
     if kernels.snapshot_codec() is None:
-        pytest.skip("the snapshot codec does not build here")
-    assert kernels.ACTIVE_CODEC == "c"
-    built = os.listdir(fresh_codec)
+        pytest.skip("the compiled extension does not build here")
+    assert kernels.ACTIVE_BACKEND == "c"
+    assert stat.S_IMODE(os.stat(fresh_build).st_mode) == 0o700
+    built = os.listdir(fresh_build)
     assert len(built) == 1 and built[0].startswith("snapshot-") and built[0].endswith(".so")
     kernels.snapshot_codec.cache_clear()
     monkeypatch.setattr(subprocess, "run", fails_if_run)
     assert kernels.snapshot_codec() is not None
-    assert kernels.ACTIVE_CODEC == "c"
-    assert os.listdir(fresh_codec) == built
+    assert kernels.ACTIVE_BACKEND == "c"
+    assert os.listdir(fresh_build) == built
+    assert move_from(path_fixture(), [1], [0, 1, 2, 3]) == (2, [0, 0, 3, 3])
     assert round_trip(tmp_path) == ROUND_TRIP
 
 
-def test_without_compiler_python_codec_runs(fresh_codec, monkeypatch, tmp_path):
-    config_var = sysconfig.get_config_var
-    monkeypatch.setattr(sysconfig, "get_config_var",
-                        lambda name: "/nonexistent/cc" if name == "CC" else config_var(name))
+def test_versions_sharing_a_cache_keep_their_libraries(fresh_build, monkeypatch, tmp_path):
+    # two sources built into one cache: no build removes the other's library,
+    # so a later process of either version loads it without compiling
+    if kernels.snapshot_codec() is None:
+        pytest.skip("the compiled extension does not build here")
+    real, edited = kernels._CODEC_SOURCE, tmp_path / "_snapshot.c"
+    edited.write_bytes(real.read_bytes() + b"/* another version */\n")
+    monkeypatch.setattr(kernels, "_CODEC_SOURCE", edited)
+    kernels.snapshot_codec.cache_clear()
+    assert kernels.snapshot_codec() is not None
+    built = sorted(os.listdir(fresh_build))
+    assert len(built) == 2 and all(name.endswith(".so") for name in built)
+    monkeypatch.setattr(subprocess, "run", fails_if_run)
+    for source in (real, edited):
+        monkeypatch.setattr(kernels, "_CODEC_SOURCE", source)
+        kernels.snapshot_codec.cache_clear()
+        assert kernels.snapshot_codec() is not None
+        assert kernels.ACTIVE_BACKEND == "c"
+    assert sorted(os.listdir(fresh_build)) == built
+
+
+def test_cache_others_can_write_is_not_used(fresh_build, monkeypatch):
+    fresh_build.mkdir()
+    fresh_build.chmod(0o777)
+    monkeypatch.setattr(subprocess, "run", fails_if_run)
     assert kernels.snapshot_codec() is None
-    assert kernels.ACTIVE_CODEC == "python"
-    assert round_trip(tmp_path) == ROUND_TRIP
-    assert os.listdir(fresh_codec) == []  # the failed build leaves no file
+    assert kernels.ACTIVE_BACKEND == "python"
 
 
-def test_codec_is_built_and_keyed_without_fused_multiply_add(fresh_codec, monkeypatch):
-    # a fused multiply-add would round the scatter's w * s + out once, where
-    # NumPy rounds twice; the flag is in the compiler command, and in the key,
-    # so no library built without it is loaded in its place
+def test_codec_is_built_and_keyed_without_fused_multiply_add(fresh_build, monkeypatch):
+    # a fused multiply-add would round the scatter's w * s + out, or a move
+    # pass term, once where NumPy and Python round twice; the flag is in the
+    # compiler command, and in the key, so no library built without it is
+    # loaded in its place
     commands = []
     run = subprocess.run
 
@@ -399,7 +350,7 @@ def test_codec_is_built_and_keyed_without_fused_multiply_add(fresh_codec, monkey
 
     monkeypatch.setattr(subprocess, "run", recording)
     if kernels.snapshot_codec() is None:
-        pytest.skip("the snapshot codec does not build here")
+        pytest.skip("the compiled extension does not build here")
     [command] = commands
     assert "-ffp-contract=off" in command
     try:
@@ -411,24 +362,39 @@ def test_codec_is_built_and_keyed_without_fused_multiply_add(fresh_codec, monkey
                               platform.machine().encode(),
                               importlib.machinery.EXTENSION_SUFFIXES[0].encode()]),
                   digest_size=16).hexdigest()
-    assert os.listdir(fresh_codec) == [f"snapshot-{key}.so"]
+    assert os.listdir(fresh_build) == [f"snapshot-{key}.so"]
 
 
-def test_resolving_both_libraries_maps_no_openssl():
+def test_fresh_interpreter_builds_one_library_and_maps_no_openssl(tmp_path):
     # importing hashlib imports _hashlib, which maps OpenSSL's libcrypto
     # (about 3.4 MB resident) into every process that keys a library; the
-    # cache key needs neither, so a fresh interpreter never imports it
-    code = ("import sys; from skillgraph import kernels; kernels._compiled_move_pass(); "
-            "kernels.snapshot_codec(); print('_hashlib' in sys.modules)")
-    src = str(Path(kernels.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=300)
-    assert run.stdout.split() == ["False"]
-
-
-CODEC = kernels.snapshot_codec()
-needs_codec = pytest.mark.skipif(CODEC is None, reason="the snapshot codec does not build here")
+    # cache key needs neither, so resolving the library imports neither. The
+    # move pass, the graph rows and the snapshot then all run in that one
+    # library, so a fresh cache holds one, from one compiler run. A fresh
+    # interpreter, so that no library a test before loaded is at hand
+    code = ("import subprocess, sys\n"
+            "runs, run = [], subprocess.run\n"
+            "subprocess.run = lambda command, **kw: runs.append(command) or run(command, **kw)\n"
+            "from skillgraph import community, graph, kernels\n"
+            "kernels.snapshot_codec()\n"
+            "print('_hashlib' in sys.modules)\n"
+            "import numpy as np\n"
+            "from oracles import random_hetero_graph\n"
+            "g, _ = random_hetero_graph(np.random.default_rng(11))\n"
+            "community.detect_communities(g, seed=3)\n"
+            "graph.write_snapshot(g, sys.argv[1])\n"
+            "print(len(runs), kernels.ACTIVE_BACKEND,\n"
+            "      graph.read_snapshot(sys.argv[1]).num_edges() == g.num_edges() > 0)\n")
+    path = [str(Path(kernels.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), XDG_CACHE_HOME=str(tmp_path))
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "g.graph")], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    hashlib_imported, runs, backend, same_edges = run.stdout.split()
+    assert (hashlib_imported, same_edges) == ("False", "True")
+    if backend != "c":
+        pytest.skip("the compiled extension does not build here")
+    assert runs == "1"
+    assert [name.endswith(".so") for name in os.listdir(tmp_path / "skillgraph")] == [True]
 
 
 def numpy_step(scores, esrc, edst, eweight, n):
@@ -603,3 +569,44 @@ def test_a_scatter_handed_back_late_leaves_out_as_it_was(size):
 def test_scatter_takes_five_arguments():
     with pytest.raises(TypeError, match="5 arguments"):
         CODEC.scatter(np.zeros(1))
+
+
+def move_pass_args():
+    """The compiled ``move_pass``'s 17 arguments for unit 1 of a 4-unit path,
+    from singletons."""
+    fg = path_fixture()
+    modules = fg.module_state(np.arange(4), 4)
+    return [np.array([1], dtype=np.int64), np.arange(4, dtype=np.int64), fg.visit, fg.tele,
+            fg.size, *fg.nbr, *[m.copy() for m in modules], float(modules[4].sum()), 4.0, 1e-10]
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+MOVE_PASS_HAND_BACKS = {
+    "float32 visit": (2, lambda a: a.astype(np.float32)),
+    "strided flows": (7, lambda a: np.repeat(a, 2)[::2]),
+    "read-only labels": (1, read_only),
+    "read-only module exits": (13, read_only),
+    "int n_orig": (15, int),
+}
+
+
+@needs_codec
+@pytest.mark.parametrize("position, value", MOVE_PASS_HAND_BACKS.values(),
+                         ids=MOVE_PASS_HAND_BACKS)
+def test_move_pass_hands_back_what_python_must_answer(position, value):
+    assert CODEC.move_pass(*move_pass_args()) is not None  # the unchanged input is taken
+    args = move_pass_args()
+    args[position] = value(args[position])
+    before = [np.copy(a) for a in args]
+    assert CODEC.move_pass(*args) is None
+    assert all(np.array_equal(a, b) for a, b in zip(before, args))  # nothing written
+
+
+@needs_codec
+def test_move_pass_takes_17_arguments():
+    with pytest.raises(TypeError, match="17 arguments"):
+        CODEC.move_pass(np.zeros(1))

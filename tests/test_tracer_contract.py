@@ -43,7 +43,7 @@ def small_graph():
 
 def test_traced_recommend_records_spans_and_restores():
     tracer_mod = load_tracer()
-    # the graph's first row sets kernels.ACTIVE_CODEC, so the graph comes
+    # the graph's first row sets kernels.ACTIVE_BACKEND, so the graph comes
     # first and the snapshot below sees only what the tracer patches
     g, labels = small_graph()
     before = [dict(vars(owner)) for owner in PATCHED]
@@ -81,10 +81,9 @@ def test_traced_batch_stages_record_every_load_build_and_snapshot(tmp_path):
               ["communities", "--out", str(out), "--seed", "3"],
               ["link", "--out", str(out)]]
     tracer_mod = load_tracer()
-    # the process's first move pass sets kernels.ACTIVE_BACKEND, and its
-    # first graph row or snapshot kernels.ACTIVE_CODEC; resolve both here,
-    # so that the snapshot below sees only what the tracer patches
-    kernels._compiled_move_pass()
+    # the compiled library sets kernels.ACTIVE_BACKEND when it is first
+    # resolved; resolve it here, so that the snapshot below sees only what
+    # the tracer patches
     kernels.snapshot_codec()
     before = [dict(vars(owner)) for owner in PATCHED]
     tracer = tracer_mod.Tracer()
