@@ -276,10 +276,9 @@ def test_without_compiler_python_pass_runs(fresh_build, monkeypatch, tmp_path):
 
     def outputs():
         moves, labels, delta = run_move_pass(fg, order)
-        return detect_communities(g, seed=3), moves, labels.tolist(), delta, round_trip(tmp_path)
+        return detect_communities(g, seed=3), moves, labels.tolist(), delta
 
     before = outputs()
-    assert before[-1] == ROUND_TRIP
     # an empty cache, and a compiler that cannot be found
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
     kernels.snapshot_codec.cache_clear()
@@ -291,7 +290,17 @@ def test_without_compiler_python_pass_runs(fresh_build, monkeypatch, tmp_path):
     assert os.listdir(tmp_path / "empty" / "skillgraph") == []  # the failed build leaves no file
 
 
-def test_second_resolution_loads_without_compiling(fresh_build, monkeypatch, tmp_path):
+def test_without_compiler_python_codec_runs(fresh_build, monkeypatch, tmp_path):
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: "/nonexistent/cc" if name == "CC" else config_var(name))
+    assert kernels.snapshot_codec() is None
+    assert kernels.ACTIVE_BACKEND == "python"
+    assert round_trip(tmp_path) == ROUND_TRIP
+    assert os.listdir(fresh_build) == []  # the failed build leaves no file
+
+
+def test_second_resolution_loads_without_compiling(fresh_build, monkeypatch):
     if kernels.snapshot_codec() is None:
         pytest.skip("the compiled extension does not build here")
     assert kernels.ACTIVE_BACKEND == "c"
@@ -304,6 +313,19 @@ def test_second_resolution_loads_without_compiling(fresh_build, monkeypatch, tmp
     assert kernels.ACTIVE_BACKEND == "c"
     assert os.listdir(fresh_build) == built
     assert move_from(path_fixture(), [1], [0, 1, 2, 3]) == (2, [0, 0, 3, 3])
+
+
+def test_codec_builds_once_and_loads_after(fresh_build, monkeypatch, tmp_path):
+    if kernels.snapshot_codec() is None:
+        pytest.skip("the compiled extension does not build here")
+    assert kernels.ACTIVE_BACKEND == "c"
+    built = os.listdir(fresh_build)
+    assert len(built) == 1 and built[0].startswith("snapshot-") and built[0].endswith(".so")
+    kernels.snapshot_codec.cache_clear()
+    monkeypatch.setattr(subprocess, "run", fails_if_run)
+    assert kernels.snapshot_codec() is not None
+    assert kernels.ACTIVE_BACKEND == "c"
+    assert os.listdir(fresh_build) == built
     assert round_trip(tmp_path) == ROUND_TRIP
 
 
