@@ -31,31 +31,32 @@
  * does not take,)), which graph._add_rows_python then adds or raises on
  * before add_rows goes on with the same iterator, or (rows installed, None)
  * at the end. An error that the iterator raises comes back in place of the
- * 1-tuple, so that the rows installed before it are counted.
+ * 1-tuple, so that the rows installed before it are counted. It writes
+ * nothing but the rows it installs.
  *
  * scatter and top are the two array loops of a ranker query.
- * scatter(out, scores, src, dst, wgt) is kernels.propagate_step's scatter:
- * out[dst[e]] += wgt[e] * scores[src[e]] for each edge e in edge order, the
- * sums np.bincount(dst, weights=wgt * scores[src], minlength=len(out)) gives
- * from out's zeros. top(scores, cutoff, nodes) is ranker.to_ranked_list's
- * cut: the positions of the cutoff highest positive scores (all of them for
- * None), highest first and equal scores by position, mapped through nodes
- * unless it is None, and their scores, as two lists. Each takes, by the same
- * rule as the codec, only input that it handles as the NumPy lines do, bit
- * for bit: exact numpy.ndarray vectors, 1-d and C-contiguous, of native
- * float64 (out, scores, wgt) and int64 (src, dst, nodes); src, dst and wgt of
- * one length, and nodes of scores'; every src below len(scores) and every
- * dst below len(out), none negative; out writable and sharing no memory with
- * the others; products and sums that raise no floating-point flag (NumPy's
+ * scatter(scores, src, dst, wgt, n) is kernels.propagate_step's scatter: it
+ * makes a vector of n zeros with numpy.zeros, adds wgt[e] * scores[src[e]]
+ * into slot dst[e] for each edge e in edge order, the sums np.bincount(dst,
+ * weights=wgt * scores[src], minlength=n) gives, and returns that vector,
+ * which no one else holds. top(scores, cutoff, nodes) is
+ * ranker.to_ranked_list's cut: the positions of the cutoff highest positive
+ * scores (all of them for None), highest first and equal scores by position,
+ * mapped through nodes unless it is None, and their scores, as two lists.
+ * Each takes, by the same rule as the codec, only input that it handles as
+ * the NumPy lines do, bit for bit: exact numpy.ndarray vectors, 1-d and
+ * C-contiguous, of native float64 (scores, wgt) and int64 (src, dst, nodes);
+ * src, dst and wgt of one length, and nodes of scores'; every src below
+ * len(scores) and every dst below n, none negative; n an exact int of at
+ * least 0; products and sums that raise no floating-point flag (NumPy's
  * multiply warns or raises on one, as its error state says) and leave no NaN
- * in out (its payload is the hardware's choice); a cutoff that is None or an
- * index of at least 0. On anything else scatter returns False, with out as
- * it was, and top None, so that the NumPy line runs and gives its own result
- * or error. The multiply-add is two binary64 roundings, as NumPy's multiply
- * and then bincount's add: this file is built with -ffp-contract=off, so no
- * fused multiply-add is formed, and a platform that evaluates doubles in
- * wider registers fails the check below, and so runs every caller's Python
- * line.
+ * (its payload is the hardware's choice); a cutoff that is None or an index
+ * of at least 0. On anything else each returns None, so that the NumPy line
+ * runs and gives its own result or error; neither writes its input. The
+ * multiply-add is two binary64 roundings, as NumPy's multiply and then
+ * bincount's add: this file is built with -ffp-contract=off, so no fused
+ * multiply-add is formed, and a platform that evaluates doubles in wider
+ * registers fails the check below, and so runs every caller's Python line.
  *
  * move_pass(order, labels, ..., eps) is kernels.local_move_pass's pass: it
  * writes the final labels into labels, leaves the module arrays as the moves
@@ -64,9 +65,10 @@
  * the other; log2 is libm's, as CPython's math.log2. It takes, by scatter's
  * rule, exact int64 (order, labels, nbr_ptr, nbr_idx) and float64 vectors,
  * labels and the module arrays writable, and three floats; on anything else
- * it returns None, having written nothing. The caller checks every length
- * and index first, as kernels._check_move_input does; the pass runs without
- * the GIL. */
+ * (another dtype, a strided view, read-only labels) it returns None, having
+ * written nothing, and the Python pass runs. It writes only labels and the
+ * module arrays. The caller checks every length and index first, as
+ * kernels._check_move_input does; the pass runs without the GIL. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
@@ -863,19 +865,21 @@ static PyObject *codec_add_rows(PyObject *self, PyObject *args)
 
 /* --- scatter and top ------------------------------------------------------ */
 
-static PyObject *ndarray;  /* numpy.ndarray, looked up at the first call that needs it */
+/* numpy.ndarray and numpy.zeros, looked up at the first call that needs them */
+static PyObject *ndarray, *zeros;
 
 /* Whether obj is an exact numpy.ndarray holding a 1-d C-contiguous vector of
  * native 8-byte items of type code, 'd' (float64) or 'q' (int64), writable if
  * asked; its buffer is then held in view. Otherwise 0, with no error set and
- * no buffer held, or -1 with an error set when numpy.ndarray cannot be found. */
+ * no buffer held, or -1 with an error set when numpy cannot be found. */
 static int vector(PyObject *obj, char code, int writable, Py_buffer *view)
 {
     if (ndarray == NULL) {
         PyObject *numpy = PyImport_ImportModule("numpy");
         if (numpy == NULL)
             return -1;
-        ndarray = PyObject_GetAttrString(numpy, "ndarray");
+        Py_XSETREF(zeros, PyObject_GetAttrString(numpy, "zeros"));
+        ndarray = zeros ? PyObject_GetAttrString(numpy, "ndarray") : NULL;
         Py_DECREF(numpy);
         if (ndarray == NULL)
             return -1;
@@ -896,47 +900,32 @@ static int vector(PyObject *obj, char code, int writable, Py_buffer *view)
     return 0;
 }
 
-static int overlaps(const Py_buffer *a, const Py_buffer *b)
-{
-    uintptr_t a0 = (uintptr_t)a->buf, b0 = (uintptr_t)b->buf;
-    return a0 < b0 + (uintptr_t)b->len && b0 < a0 + (uintptr_t)a->len;
-}
-
-/* out's values before a scatter, so that one that meets input it does not
- * take puts them back; held on the stack up to this many */
-#define KEPT_ON_STACK 1024
-
 static PyObject *codec_scatter(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const char codes[5] = {'d', 'd', 'q', 'q', 'd'};  /* out, scores, src, dst, wgt */
-    Py_buffer view[5];
-    int held = 0, got = 1, copied = 0;
-    double stack[KEPT_ON_STACK], *kept = stack;
+    static const char codes[4] = {'d', 'q', 'q', 'd'};  /* scores, src, dst, wgt */
+    Py_buffer view[4], sums;
+    int held = 0, got = 1;
     if (nargs != 5) {
-        PyErr_SetString(PyExc_TypeError, "scatter takes 5 arguments (out, scores, src, dst, wgt)");
+        PyErr_SetString(PyExc_TypeError, "scatter takes 5 arguments (scores, src, dst, wgt, n)");
         return NULL;
     }
-    while (held < 5 && (got = vector(args[held], codes[held], held == 0, &view[held])) == 1)
+    /* n: an exact int, neither negative nor past Py_ssize_t */
+    Py_ssize_t n = PyLong_CheckExact(args[4]) ? PyLong_AsSsize_t(args[4]) : -1;
+    if (n < 0) {
+        PyErr_Clear();
+        Py_RETURN_NONE;
+    }
+    while (held < 4 && (got = vector(args[held], codes[held], 0, &view[held])) == 1)
         held++;
-    int taken = held == 5;
+    int taken = held == 4 && view[2].len == view[1].len && view[3].len == view[1].len;
+    PyObject *out = taken ? PyObject_CallOneArg(zeros, args[4]) : NULL;
+    taken = out != NULL && PyObject_GetBuffer(out, &sums, PyBUF_WRITABLE) == 0;
     if (taken) {
-        double *out = view[0].buf;
-        const double *scores = view[1].buf, *wgt = view[4].buf;
-        const int64_t *src = view[2].buf, *dst = view[3].buf;
-        uint64_t n_out = (uint64_t)(view[0].len / 8), n_scores = (uint64_t)(view[1].len / 8);
-        Py_ssize_t m = view[2].len / 8;
-        taken = view[3].len == view[2].len && view[4].len == view[2].len;
-        for (int k = 1; taken && k < 5; k++)
-            taken = !overlaps(&view[0], &view[k]);
-        if (taken && n_out > KEPT_ON_STACK && (kept = PyMem_Malloc(view[0].len)) == NULL) {
-            PyErr_NoMemory();
-            got = -1;
-            taken = 0;
-        }
-        if (taken) {
-            memcpy(kept, out, view[0].len);
-            copied = 1;
-        }
+        double *sum = sums.buf;
+        const double *scores = view[0].buf, *wgt = view[3].buf;
+        const int64_t *src = view[1].buf, *dst = view[2].buf;
+        uint64_t n_scores = (uint64_t)(view[0].len / 8);
+        Py_ssize_t m = view[1].len / 8;
         /* NumPy's multiply warns or raises, as its error state says, on a
          * product that raises a floating-point flag, so a scatter whose
          * products or sums raise one goes back to it (bincount's sums raise
@@ -946,28 +935,28 @@ static PyObject *codec_scatter(PyObject *self, PyObject *const *args, Py_ssize_t
         feclearexcept(FE_ALL_EXCEPT);
         for (Py_ssize_t e = 0; taken && e < m; e++) {
             uint64_t from = (uint64_t)src[e], to = (uint64_t)dst[e];
-            if (from >= n_scores || to >= n_out) {
+            if (from >= n_scores || to >= (uint64_t)n) {
                 taken = 0;
                 break;
             }
-            out[to] += wgt[e] * scores[from];
+            sum[to] += wgt[e] * scores[from];
         }
         if (taken && fetestexcept(FE_DIVBYZERO | FE_INVALID | FE_OVERFLOW | FE_UNDERFLOW))
             taken = 0;
-        int nan = 0;
-        for (uint64_t i = 0; taken && i < n_out; i++)
-            nan |= out[i] != out[i];
-        taken &= !nan;
-        if (!taken && copied)
-            memcpy(out, kept, view[0].len);
+        for (Py_ssize_t i = 0; taken && i < n; i++)
+            taken = sum[i] == sum[i];
+        PyBuffer_Release(&sums);
     }
-    if (kept != stack)
-        PyMem_Free(kept);
     while (held > 0)
         PyBuffer_Release(&view[--held]);
     if (got < 0)
         return NULL;
-    return PyBool_FromLong(taken);
+    if (taken)
+        return out;
+    /* numpy.zeros may have raised: the NumPy line then raises its own error */
+    Py_XDECREF(out);
+    PyErr_Clear();
+    Py_RETURN_NONE;
 }
 
 typedef struct {
@@ -1292,8 +1281,8 @@ static PyMethodDef methods[] = {
      "add_rows(kind, out, rows, signature): install the rows of the iterator rows up to\n"
      "one it does not take; (rows installed, (that row,) or an error raised or None)"},
     {"scatter", (PyCFunction)(void (*)(void))codec_scatter, METH_FASTCALL,
-     "scatter(out, scores, src, dst, wgt): out[dst[e]] += wgt[e] * scores[src[e]] in edge\n"
-     "order; False, having written nothing, when the NumPy line must"},
+     "scatter(scores, src, dst, wgt, n): a new vector of n zeros, plus wgt[e] * scores[src[e]]\n"
+     "at dst[e] in edge order; None when the NumPy line must"},
     {"top", (PyCFunction)(void (*)(void))codec_top, METH_FASTCALL,
      "top(scores, cutoff, nodes): the cutoff highest positive scores' positions (through\n"
      "nodes) and scores, highest first, ties by position; None when the NumPy line must"},

@@ -18,11 +18,12 @@ passes every check goes straight in (the graph keeps the caller's dict, so
 each row must be a fresh dict); a row that fails raises the message
 ``_check_row`` makes for its first bad entry. Where the compiled codec loads
 (``kernels.snapshot_codec``), its ``add_rows`` checks and installs the rows
-in C; a row it does not take, a faulty one or one with a weight that is no
-float, goes through the Python check, ``_add_rows_python``, which checks
-every row where the codec does not load. The builders add each distinct
-node once, in the order a node-at-a-time build adds it, so that a clash of
-ids raises the same first message.
+in C, writing nothing but the rows it installs; a row it does not take, a
+faulty one or one with a weight that is no float, it hands back to
+``_add_rows_python``, which runs ``_check_row`` on it and installs it or
+raises, as it does for every row where the codec does not load. The
+builders add each distinct node once, in the order a node-at-a-time build
+adds it, so that a clash of ids raises the same first message.
 
 ``read_snapshot`` reads a snapshot in one pass that keeps nothing to explain
 a fault; when a row fails, it reads the file again to name the line. The
@@ -136,12 +137,12 @@ class HeteroGraph:
 
         Where the compiled codec loads, its ``add_rows`` checks and installs
         the rows it takes: those of float weights and string ids that pass
-        every check (the header of ``_snapshot.c`` lists them). It hands back
-        any other row, which ``_add_rows_python`` adds or raises on, and then
-        goes on with the same iterator. So the messages, the rows kept before
-        a fault, the insertion order and the version are those of
-        ``_add_rows_python`` alone, which adds every row where the codec does
-        not load.
+        every check (the header of ``_snapshot.c`` lists them). It writes
+        nothing else, and hands back any other row untouched, which
+        ``_add_rows_python`` adds or raises on, and then goes on with the same
+        iterator. So the messages, the rows kept before a fault, the insertion
+        order and the version are those of ``_add_rows_python`` alone, which
+        adds every row where the codec does not load.
         """
         codec = kernels.snapshot_codec()
         if codec is None:
@@ -158,33 +159,15 @@ class HeteroGraph:
             self._add_rows_python(rest)  # the one row add_rows did not take
 
     def _add_rows_python(self, rows: Iterable[tuple[str, Relation, dict[str, float]]]) -> None:
-        """``_add_rows`` in Python. Each row's source kind is looked up once,
-        and each distinct target's kind once per call."""
-        kinds, out = self._kind, self._out
-        known: dict[NodeKind, set[str]] = {kind: set() for kind in NodeKind}
-        last = None
+        """``_add_rows`` in Python: ``_check_row`` on each non-empty row, then
+        the row goes in."""
         for source, relation, row in rows:
-            if relation is not last:
-                last = relation
-                src_kind, dst_kind = RELATION_SIGNATURE[relation]
-                rel_rows, targets = out[relation], known[dst_kind]
-            if not row:
-                continue
-            weights = row.values()
-            old = rel_rows.get(source)
-            # a positive least weight rules out a weight <= 0 (a NaN can hide
-            # from min, never make it positive); a finite sum then rules out
-            # NaN and infinity, and an infinite one leaves the entries to check
-            if not (kinds.get(source) is src_kind and 0.0 < min(weights)
-                    and sum(weights) < math.inf
-                    and (targets.issuperset(row) or self._all_of_kind(row, dst_kind, targets))
-                    and (old is None or old.keys().isdisjoint(row))):
+            if row:
                 self._check_row(source, relation, row)
-            if old is None:
-                rel_rows[source] = row
-            else:
-                old.update(row)
-            self._version += 1
+                old = self._out[relation].setdefault(source, row)
+                if old is not row:
+                    old.update(row)
+                self._version += 1
 
     def _check_row(self, source: str, relation: Relation, row: dict[str, float]) -> None:
         """Raise the message of ``row``'s first bad entry, as ``add_row``
@@ -203,14 +186,6 @@ class HeteroGraph:
             else:
                 continue
             raise GraphError(f"edge {source}-{relation.value}->{target}{problem}")
-
-    def _all_of_kind(self, ids: Iterable[str], kind: NodeKind, known: set[str]) -> bool:
-        """Whether every id is a ``kind`` node; ``known`` gains those that are."""
-        new = [i for i in ids if i not in known]
-        if all(self._kind.get(i) is kind for i in new):
-            known.update(new)
-            return True
-        return False
 
     # -- queries ------------------------------------------------------------
 

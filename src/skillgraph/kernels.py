@@ -12,14 +12,14 @@ Two are vectorised NumPy. The other two run in ``_snapshot.c``, the one
 compiled source: a CPython extension, loaded by ``snapshot_codec`` through
 ``importlib.machinery.ExtensionFileLoader``. The move pass is sequential and
 has no vectorised form, so its C form, the extension's ``move_pass``, runs
-wherever the extension loads. ``propagate_step`` tries the extension's
-``scatter`` first and runs its NumPy line (a gather, a multiply and a
-``bincount``) where the extension does not load and on input ``scatter``
-hands back; the scatter gives that line's bits, and is still called once per
-step. The extension also holds the snapshot codec: the ``scan`` and
-``write`` that the snapshot reader and writer of ``graph`` try first, the
-``add_rows`` that installs the graph rows it takes, and ``top``,
-``ranker.to_ranked_list``'s top-k cut.
+wherever the extension loads. ``propagate_step`` calls the extension's
+``scatter``, which makes and returns the step's vector, and runs its NumPy
+line (a gather, a multiply and a ``bincount``) where the extension does not
+load or ``scatter`` hands the input back; the scatter gives that line's
+bits, and is still called once per step. The extension also holds the
+snapshot codec: the ``scan`` and ``write`` that the snapshot reader and
+writer of ``graph`` try first, the ``add_rows`` that installs the graph rows
+it takes, and ``top``, ``ranker.to_ranked_list``'s top-k cut.
 
 It is built on the first use in a process, with the C compiler Python was
 built with (``sysconfig``'s ``CC``), ``-O2 -fPIC -shared -ffp-contract=off
@@ -64,10 +64,13 @@ results.
 ``ACTIVE_BACKEND`` names the library that runs, for benchmark reports:
 ``"c"`` once ``snapshot_codec`` has loaded the extension, ``"python"``
 before the first move pass, graph row, snapshot read or write, scatter or
-ranked list of a process and when it could not. The extension runs whenever
-it loads; on input it does not take, the Python pass, the Python codec or
-the NumPy line runs in its place, and a graph row it does not take goes
-through the Python check.
+ranked list of a process and when it could not. Each entry point of the
+extension has one contract: it takes the input and owns what it returns,
+or hands the input back having written nothing of the caller's, and the
+Python pass, the Python codec or the NumPy line runs in its place and gives
+its own result or error. ``add_rows`` writes only the rows it installs,
+``move_pass`` only the labels and the module copies ``local_move_pass``
+makes, and ``scatter`` only the vector it makes.
 """
 from __future__ import annotations
 
@@ -116,14 +119,13 @@ def partition_cost(mod_visit, mod_exit, node_plogp_sum):
 
 def propagate_step(scores, esrc, edst, eweight, n):
     """``scores`` pushed along the edges ``esrc -> edst`` weighted by
-    ``eweight``, summed per target in edge order into ``n`` slots: the
-    compiled scatter where it takes the input, else the NumPy line, whose
-    result and errors it gives bit for bit."""
+    ``eweight``, summed per target in edge order into ``n`` slots: the vector
+    the compiled scatter makes where it takes the input, else the NumPy
+    line's, whose result and errors it gives bit for bit."""
     codec = snapshot_codec()
-    if codec is not None and type(n) is int and n >= 0:
-        out = np.zeros(n)
-        if codec.scatter(out, scores, esrc, edst, eweight):
-            return out
+    out = codec.scatter(scores, esrc, edst, eweight, n) if codec is not None else None
+    if out is not None:
+        return out
     return np.bincount(edst, weights=eweight * scores[esrc], minlength=n)
 
 
@@ -131,28 +133,27 @@ def local_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps)
     """Greedy single-unit moves from a FIFO queue that starts as ``order``.
 
     ``nbr`` is ``FlowGraph.nbr`` and ``modules`` the ``FlowGraph.module_state``
-    of ``labels``; the pass works on copies of both and writes only the final
-    ``labels`` back, in place. A unit that moves to module ``b`` queues each
-    neighbour that is neither queued nor in ``b``; the pass ends when the
-    queue is empty, which it reaches because every move lowers the cost by
-    more than ``eps``. Returns ``(moves, delta_sum)``, the move count and the
-    summed cost change. Raises ``ValueError`` when an index in ``order``,
-    ``labels`` or ``nbr`` is out of range or the arrays disagree in length,
-    before either pass starts."""
+    of ``labels``; the pass works on copies of the modules and writes only
+    the final ``labels`` back, in place. A unit that moves to module ``b``
+    queues each neighbour that is neither queued nor in ``b``; the pass ends
+    when the queue is empty, which it reaches because every move lowers the
+    cost by more than ``eps``. Returns ``(moves, delta_sum)``, the move count
+    and the summed cost change. Raises ``ValueError`` when an index in
+    ``order``, ``labels`` or ``nbr`` is out of range or the arrays disagree in
+    length, before either pass starts.
+
+    The vectors go to the compiled pass as given; it runs on exact int64 and
+    float64 ndarrays, 1-d and C-contiguous, with writable labels, and hands
+    any other input (another dtype, a strided view, read-only labels) back,
+    having written nothing, to the Python pass."""
     _check_move_input(order, labels, visit, tele, size, nbr, modules)
     codec = snapshot_codec()
     if codec is not None:
-        labels_c = np.require(labels, np.int64, ["C", "W"])  # the pass writes the labels here
         done = codec.move_pass(
-            np.ascontiguousarray(order, dtype=np.int64), labels_c,
-            *[np.ascontiguousarray(a, dtype=np.float64) for a in (visit, tele, size)],
-            *[np.ascontiguousarray(a, dtype=np.int64) for a in nbr[:2]],
-            *[np.ascontiguousarray(a, dtype=np.float64) for a in nbr[2:]],
+            order, labels, visit, tele, size, *nbr,
             *[np.array(a, dtype=np.float64) for a in modules],  # copies the pass updates
             float(modules[4].sum()), float(n_orig), float(eps))
         if done is not None:
-            if labels_c is not labels:
-                labels[:] = labels_c
             return done
     return _python_move_pass(order, labels, visit, tele, size, nbr, modules, n_orig, eps)
 
