@@ -77,8 +77,12 @@ def _neighbours(src: np.ndarray, dst: np.ndarray, flow: np.ndarray, n: int) -> t
     pair given more than once are added in the order given."""
     keys, inverse = np.unique(np.concatenate((src * n + dst, dst * n + src)),
                               return_inverse=True)
+    # a bincount of no entries is int64 even with weights; a level with no
+    # flow between units keeps float64 flows, the dtype the compiled move
+    # pass takes
     out = np.bincount(inverse[:src.size], weights=flow, minlength=keys.size)
     inflow = np.bincount(inverse[src.size:], weights=flow, minlength=keys.size)
+    out, inflow = out.astype(np.float64, copy=False), inflow.astype(np.float64, copy=False)
     ptr = np.zeros(n + 1, dtype=np.int64)
     ptr[1:] = np.cumsum(np.bincount(keys // n, minlength=n))
     return ptr, keys % n, out, inflow
@@ -247,13 +251,13 @@ def detect_communities(g: HeteroGraph, seed: int = 0,
         if comp_cost < recomputed:
             final, recomputed = comp, comp_cost
     # canonical labels: first appearance over sorted node ids
-    relabel: dict[int, int] = {}
-    assignment: dict[str, int] = {}
-    for node_id, lab in zip(g.cached(GraphIndex).ids, final):
-        assignment[node_id] = relabel.setdefault(int(lab), len(relabel))
+    _, first, inverse = np.unique(final, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    assignment = dict(zip(g.cached(GraphIndex).ids, rank[inverse].tolist()))
     return CommunityPartition(assignment=assignment,
                               description_length=float(recomputed),
-                              num_communities=len(relabel))
+                              num_communities=int(first.size))
 
 
 def merge_partitions(edu_part: CommunityPartition, edu_graph: HeteroGraph,

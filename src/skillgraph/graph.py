@@ -29,6 +29,15 @@ adds it, so that a clash of ids raises the same first message.
 a fault; when a row fails, it reads the file again to name the line. The
 pass and ``write_snapshot`` run as C where the compiled codec loads
 (``kernels.snapshot_codec``), with the same results.
+
+Work done once per node or edge runs in builtins and NumPy rather than in a
+Python loop body where that gives the same result: the scanned node lines
+go in as one dict when no id repeats, ``GraphIndex`` fills its arrays with
+``np.fromiter`` and sorts a relation only when some row's targets came
+unsorted, and ``GraphIndex.walk`` sorts only when two relations' edges
+interleave. ``validate`` and ``_union_rows`` keep their loops: their vector
+forms measured slower (each row's sum, or its few targets, is most of the
+work).
 """
 from __future__ import annotations
 
@@ -225,12 +234,20 @@ class HeteroGraph:
         g = HeteroGraph()
         g._kind = dict(self._kind)
         g._name = dict(self._name)
-        for rel in Relation:
-            g._out[rel] = {s: dict(ts) for s, ts in self._out[rel].items()}
+        for rel, rows in self._out.items():
+            g._out[rel] = dict(zip(rows, map(dict, rows.values())))
         return g
 
     def validate(self) -> None:
-        """Check normalization; ``add_row`` enforces kinds and weights."""
+        """Check normalization; ``add_row`` enforces kinds and weights.
+
+        Rows are checked in dict order, each total being Python's ``sum``, so
+        the first bad row is named with that total (``2`` for int weights)
+        and a weight type whose sum cannot be compared, such as ``Decimal``,
+        raises its ``TypeError`` at its row. The sums are most of the time:
+        taking them all first and checking them as a float64 vector measured
+        slower than this loop.
+        """
         for rel in Relation:
             for source, row in self._out[rel].items():
                 total = sum(row.values())
@@ -587,9 +604,10 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
     """Load a snapshot; its lines may come in any order.
 
     One pass adds every node and gathers the edges into rows
-    (``_read_rows``, or the compiled codec's ``scan``, whose nodes are then
-    added in line order; a node that fails there has ``_read_rows`` read the
-    file again to name its line). The rows then go to
+    (``_read_rows``, or the compiled codec's ``scan``, whose nodes then go
+    in as one dict in line order; when an id repeats they are added one at
+    a time, and a node that fails there has ``_read_rows`` read the file
+    again to name its line). The rows then go to
     ``HeteroGraph._add_rows`` in line order, and when it raises, a second
     read names the line (``_raise_edge_fault``). So an undecodable byte
     anywhere comes first, then node and line-shape errors, then edge errors
@@ -603,12 +621,17 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
         sources, relations, rows = _read_rows(g, path)
     else:
         node_ids, kinds, sources, relations, rows = scanned
-        try:
-            for node_id, kind in zip(node_ids, kinds):
-                g.add_node(node_id, kind)
-        except GraphError:
-            _read_rows(HeteroGraph(), path)  # raises naming the line
-            raise
+        kind_of = dict(zip(node_ids, kinds))
+        if len(kind_of) == len(node_ids):  # no id repeats: each node added once
+            g._kind, g._name = kind_of, dict(zip(node_ids, node_ids))
+            g._version += len(node_ids)
+        else:
+            try:
+                for node_id, kind in zip(node_ids, kinds):
+                    g.add_node(node_id, kind)
+            except GraphError:
+                _read_rows(HeteroGraph(), path)  # raises naming the line
+                raise
     try:
         g._add_rows(zip(sources, relations, rows))
     except GraphError:
@@ -677,27 +700,38 @@ class GraphIndex:
 
     Read it as ``g.cached(GraphIndex)``: every caller shares one build per
     graph state, so its edge arrays are read-only and ``kinds`` and
-    ``names`` tuples. A query resolves on an index and walks the index its
-    seeds and scores were made on, which keeps that graph state, names
-    included, after the graph changes.
+    ``names`` tuples. A relation's edges are ordered by source and then
+    target position: its rows are read in sorted source order, each in dict
+    order, and a lexsort runs only when some row's targets are not sorted
+    (the builders and the snapshot reader add them sorted). A query resolves
+    on an index and walks the index its seeds and scores were made on, which
+    keeps that graph state, names included, after the graph changes.
     """
 
     def __init__(self, g: HeteroGraph) -> None:
         self.ids: list[str] = g.node_ids()
-        self.pos: dict[str, int] = {node_id: i for i, node_id in enumerate(self.ids)}
+        self.n = len(self.ids)
+        self.pos: dict[str, int] = dict(zip(self.ids, range(self.n)))
         self.kinds: tuple[NodeKind, ...] = tuple(map(g._kind.__getitem__, self.ids))
         self.names: tuple[str, ...] = tuple(map(g._name.__getitem__, self.ids))
-        self.n = len(self.ids)
         self.rel_edges: dict[Relation, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        at = self.pos.__getitem__
         for rel, rows in g._out.items():
-            src, dst, wgt = [], [], []
-            for source in sorted(rows):
-                for target, weight in sorted(rows[source].items()):
-                    src.append(self.pos[source])
-                    dst.append(self.pos[target])
-                    wgt.append(weight)
-            arrays = (np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
-                      np.asarray(wgt, dtype=np.float64))
+            sources = sorted(rows)
+            row_of = list(map(rows.__getitem__, sources))
+            sizes = np.fromiter(map(len, row_of), dtype=np.int64, count=len(row_of))
+            m = int(sizes.sum())
+            src = np.repeat(np.fromiter(map(at, sources), dtype=np.int64, count=len(sources)),
+                            sizes)
+            dst = np.fromiter(map(at, itertools.chain.from_iterable(row_of)),
+                              dtype=np.int64, count=m)
+            wgt = np.fromiter(itertools.chain.from_iterable(map(dict.values, row_of)),
+                              dtype=np.float64, count=m)
+            # the sources ascend; sort when some row's targets came unsorted
+            if not ((src[1:] > src[:-1]) | (dst[1:] > dst[:-1])).all():
+                order = np.lexsort((dst, src))
+                dst, wgt = dst[order], wgt[order]
+            arrays = (src, dst, wgt)
             for array in arrays:
                 array.setflags(write=False)
             self.rel_edges[rel] = arrays
@@ -711,13 +745,22 @@ class GraphIndex:
     def walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Row-stochastic walk matrix averaging each node's relations uniformly.
 
-        Returns COO arrays (src, dst, weight) plus a dangling mask for nodes
-        with no outgoing edges in any relation.
+        Returns COO arrays (src, dst, weight) in ``(src, dst)`` order plus a
+        dangling mask for nodes with no outgoing edges in any relation. The
+        relations' edges are joined in relation order and sorted only when
+        they interleave; a graph with one relation (a career graph) needs no
+        sort.
         """
         rel_count = np.zeros(self.n, dtype=np.int64)
         for src, _dst, _w in self.rel_edges.values():
             rel_count += np.bincount(src, minlength=self.n) > 0
         # no (src, dst) pair carries two relations: their endpoint kinds differ
         src, dst, wgt = (np.concatenate(parts) for parts in zip(*self.rel_edges.values()))
-        order = np.lexsort((dst, src))
-        return src[order], dst[order], (wgt / rel_count[src])[order], rel_count == 0
+        wgt = wgt / rel_count[src]
+        # each relation's pairs ascend, so the joined pairs do when each
+        # relation's first pair comes after the last of the relation before
+        ends = [((s[0], d[0]), (s[-1], d[-1])) for s, d, _w in self.rel_edges.values() if s.size]
+        if any(last >= first for (_, last), (first, _) in zip(ends, ends[1:])):
+            order = np.lexsort((dst, src))
+            src, dst, wgt = src[order], dst[order], wgt[order]
+        return src, dst, wgt, rel_count == 0

@@ -20,7 +20,7 @@ from skillgraph.community import Labels
 from skillgraph.errors import GraphError, IngestError
 from skillgraph.graph import (GraphIndex, HeteroGraph, NodeKind, Relation, build_career_graph,
                               build_education_graph)
-from skillgraph.ingest import Course, EnrollmentRecord, Job, Skill, tokenize
+from skillgraph.ingest import _TOKEN_SPLIT, Course, EnrollmentRecord, Job, Skill, tokenize
 from skillgraph.linker import Bm25Params
 from skillgraph.ranker import (BASE_PATH, TAKEN_PATH, UPSKILL_PATH, MetaPath, MetaPathStep,
                                CommunityEdges, Provenance, ScenarioInput, Scores, Seeds,
@@ -638,6 +638,11 @@ def ref_merge_partitions(edu_part, edu_graph: HeteroGraph,
 # ---------------------------------------------------------------------------
 # course-skill matching and skill linking by exhaustive scans
 # ---------------------------------------------------------------------------
+
+def ref_tokenize(text: str) -> list[str]:
+    """``tokenize`` by its regex alone, on ASCII text too."""
+    return _TOKEN_SPLIT.sub(" ", text.lower()).split()
+
 
 def ref_match_course_skills(course, catalog) -> set[str]:
     """Slide every catalog skill over the course's token stream, longest

@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import re
+import sys
 import warnings
 
 import pytest
@@ -13,8 +15,11 @@ from skillgraph.community import read_labels
 from skillgraph.config import ENV_CONFIG, PipelineConfig, load_config, parse_config_text
 from skillgraph.errors import ConfigError
 from skillgraph.graph import read_snapshot
-from skillgraph.ingest import load_courses, load_jobs
+from skillgraph import ingest as ingest_mod
+from skillgraph.ingest import load_courses, load_jobs, tokenize
 from skillgraph.ranker import ScenarioInput, format_ranked_list, recommend
+
+from oracles import ref_tokenize
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +46,22 @@ def run_pipeline(tmp_path, capsys, seed=7, out_name="out"):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
     return data, out
+
+
+def non_ascii_word(match):
+    """About half the words spelt with letters outside ASCII, each in one of
+    five ways: an accent, an eszett, a dotted capital I (which lower-cases to
+    two code points), a CJK letter or a fullwidth digit."""
+    word = match.group()
+    if not sum(map(ord, word)) % 2:
+        return word
+    if "e" in word:
+        return word.replace("e", "\u00e9", 1)
+    if "s" in word:
+        return word.replace("s", "\u00df")
+    if "i" in word:
+        return word.upper().replace("I", "\u0130")
+    return f"{word}\u4e2d" if "o" in word else f"{word}\uff11"
 
 
 def ingest_argv(tmp_path, capsys, **replaced):
@@ -168,6 +189,52 @@ class TestPipeline:
             "runs": "db639ca677109195f34023307888113ddf25d52fb2e3333d00f10cfc030d4dca",
         }
         assert digests == expected
+
+    def test_non_ascii_names_write_what_the_regex_tokenizer_writes(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # tokenize maps ASCII text through a byte table and runs its regex on
+        # any other; a corpus holding both kinds of name must give the same
+        # bytes as a run in which every module tokenizes with the regex alone
+        data = tmp_path / "data"
+        code, _, err = run_cli(capsys, "synth", "--seed", "7", "--jobs", "60", "--courses", "16",
+                               "--skills", "30", "--alignment", "0.4", "--out", str(data))
+        assert code == 0, err
+        for name in ("courses", "jobs", "skills"):
+            path = data / f"{name}.csv"
+            head, rest = path.read_text(encoding="utf-8").split("\n", 1)
+            if name == "courses":  # no job skill or id may hold other whitespace
+                rest = rest.replace(" with ", " with\u00a0")
+            path.write_text(f"{head}\n{re.sub('[a-z]+', non_ascii_word, rest)}",
+                            encoding="utf-8")
+        goal, job = (re.sub("[a-z]+", non_ascii_word, text)
+                     for text in ("topic-0 engineer", "topic-0 analyst"))
+        assert not goal.isascii() and not job.isascii()
+
+        def pipeline(out):
+            ingest = ["ingest", "--out", str(out)]
+            for name in ("courses", "jobs", "skills", "enrollments"):
+                ingest += [f"--{name}", str(data / f"{name}.csv")]
+            lists = []
+            for stage in (ingest, ["build", "--out", str(out)],
+                          ["communities", "--out", str(out), "--seed", "3"],
+                          ["link", "--out", str(out), "--dump-links"],
+                          ["recommend", "--out", str(out), "--scenario", "1", "--goal", goal],
+                          ["recommend", "--out", str(out), "--scenario", "3",
+                           "--current-job", job]):
+                code, stdout, err = run_cli(capsys, *stage)
+                assert code == 0, (stage[0], err)
+                if stage[0] == "recommend":
+                    assert len(stdout.splitlines()) > 1, stage
+                    lists.append(stdout)
+            return lists + [(path.name, path.read_bytes()) for path in sorted(out.iterdir())]
+
+        fast = pipeline(tmp_path / "fast")
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("skillgraph")
+                    and getattr(module, "tokenize", None) is tokenize):
+                monkeypatch.setattr(module, "tokenize", ref_tokenize)
+        assert ingest_mod.tokenize is ref_tokenize
+        assert pipeline(tmp_path / "regex") == fast
 
     def test_link_dump_flag(self, tmp_path, capsys):
         _data, out = run_pipeline(tmp_path, capsys)

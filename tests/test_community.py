@@ -343,6 +343,38 @@ class TestDetectCommunities:
         assert part.num_communities == 5
         assert part.assignment == {f"s{i}": i for i in range(5)}
 
+    def test_no_level_hands_the_compiled_move_pass_back(self, monkeypatch):
+        # the last level of two linked cycles holds one unit per cycle and no
+        # flow between them; its neighbour flows must still be float64, the
+        # dtype the compiled pass takes, and where it loads it must answer
+        flow_dtypes, answers = [], []
+        local_move_pass = kernels.local_move_pass
+
+        def recording(order, labels, visit, tele, size, nbr, *rest):
+            flow_dtypes.extend(a.dtype for a in nbr[2:])
+            return local_move_pass(order, labels, visit, tele, size, nbr, *rest)
+
+        monkeypatch.setattr(kernels, "local_move_pass", recording)
+        codec = kernels.snapshot_codec()
+        if codec is not None:
+            move_pass = codec.move_pass
+
+            def counting(*args):
+                answers.append(move_pass(*args))
+                return answers[-1]
+
+            monkeypatch.setattr(codec, "move_pass", counting)
+        g = HeteroGraph()
+        for cycle in (["a", "b", "c"], ["x", "y", "z"]):
+            for s in cycle:
+                g.add_node(s, NodeKind.SKILL)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                g.add_edge(a, Relation.LINKED, b, 1.0)
+        part = detect_communities(g, seed=0)
+        assert part.num_communities == 2
+        assert len(flow_dtypes) == 4 and set(flow_dtypes) == {np.dtype(np.float64)}
+        assert codec is None or (len(answers) == 2 and None not in answers)
+
     def test_single_node_zero_bits(self):
         g = HeteroGraph()
         g.add_node("s", NodeKind.SKILL)

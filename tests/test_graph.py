@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import re
 import types
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -428,18 +429,24 @@ def test_graph_stats_counts():
     assert g.num_nodes() == 4 and g.num_edges() == 3
 
 
+def _walk_reference(g, index):
+    """The walk matrix as ``{(source, target): weight}`` by index position."""
+    want: dict[tuple[int, int], float] = {}
+    for node_id in g.node_ids():
+        rels = [rel for rel in Relation if out_edges(g, node_id, rel)]
+        for rel in rels:
+            for target, weight in out_edges(g, node_id, rel):
+                key = (index.pos[node_id], index.pos[target])
+                want[key] = want.get(key, 0.0) + weight / len(rels)
+    return want
+
+
 def test_combined_transition_matches_dict_reference():
     dangling_seen = False
     for seed in range(15):
         g, _labels = random_hetero_graph(np.random.default_rng(seed))
         index = GraphIndex(g)
-        want: dict[tuple[int, int], float] = {}
-        for node_id in g.node_ids():
-            rels = [rel for rel in Relation if out_edges(g, node_id, rel)]
-            for rel in rels:
-                for target, weight in out_edges(g, node_id, rel):
-                    key = (index.pos[node_id], index.pos[target])
-                    want[key] = want.get(key, 0.0) + weight / len(rels)
+        want = _walk_reference(g, index)
         src, dst, wgt, dangling = index.walk
         assert list(zip(src.tolist(), dst.tolist())) == sorted(want)
         assert wgt.tolist() == [want[key] for key in sorted(want)]
@@ -487,6 +494,79 @@ def test_validate_rejects_nan_weight_sum():
     g._out[Relation.REQUIRED]["J1"] = {"S1": math.nan}
     with pytest.raises(GraphError, match="sum to nan, not 1"):
         g.validate()
+
+
+def _job_rows(rows):
+    """A graph of ``(job, row)`` required rows, added in the order given, with
+    no check that a row sums to 1."""
+    g = HeteroGraph()
+    for job, row in rows:
+        g.add_node(job, NodeKind.JOB)
+        for skill in row:
+            g.add_node(skill, NodeKind.SKILL)
+        g.add_row(job, Relation.REQUIRED, row)
+    return g
+
+
+def test_validate_names_an_int_total_as_python_sums_it():
+    # a float64 vector of the totals would read 2.0
+    _job_rows([("J0", {"S0": 1})]).validate()
+    with pytest.raises(GraphError, match=r"^outgoing r-weights of 'J0' sum to 2, not 1$"):
+        _job_rows([("J0", {"S0": 1, "S1": 1})]).validate()
+
+
+def test_validate_keeps_the_type_error_of_decimal_weights():
+    # a Decimal total cannot have a float taken from it; as a float64 it would pass
+    g = _job_rows([("J0", {"S0": Decimal("0.5"), "S1": Decimal("0.5")})])
+    with pytest.raises(TypeError, match="'decimal.Decimal' and 'float'"):
+        g.validate()
+
+
+@pytest.mark.parametrize("rows", [
+    [("J1", {"S0": 0.25}), ("J0", {"S0": 0.5}), ("J2", {"S0": 1.0})],
+    # a later row whose weights cannot be added comes after the first bad one
+    [("J1", {"S0": 0.25}), ("J0", {"S0": Decimal("0.5"), "S1": 0.5})],
+])
+def test_validate_names_the_first_bad_row_in_dict_order(rows):
+    with pytest.raises(GraphError, match=r"^outgoing r-weights of 'J1' sum to 0\.25, not 1$"):
+        _job_rows(rows).validate()
+
+
+def _sorted_triples(g, rel):
+    """``rel``'s edges as ``(source, target, weight)`` by index position, sorted."""
+    pos = {node_id: i for i, node_id in enumerate(g.node_ids())}
+    return sorted((pos[s], pos[t], w) for s, row in g._out[rel].items() for t, w in row.items())
+
+
+def test_index_sorts_targets_added_in_descending_order():
+    g = HeteroGraph()
+    for c in ("C1", "C0"):
+        g.add_node(c, NodeKind.COURSE)
+    for s in ("S2", "S1", "S0"):
+        g.add_node(s, NodeKind.SKILL)
+    g.add_row("C1", Relation.COVERED, {"S2": 0.5, "S1": 0.375, "S0": 0.125})
+    g.add_row("C0", Relation.COVERED, {"S1": 0.75, "S0": 0.25})
+    g.add_row("C1", Relation.PRE_REQUIRED, {"C0": 1.0})
+    index = GraphIndex(g)
+    for rel in Relation:
+        src, dst, wgt = index.rel_edges[rel]
+        assert list(zip(src.tolist(), dst.tolist(), wgt.tolist())) == _sorted_triples(g, rel)
+    assert index.rel_edges[Relation.COVERED][1].tolist() == [2, 3, 2, 3, 4]
+
+
+def test_walk_sorts_an_education_graphs_interleaved_relations():
+    courses = [course("C0", {"S1", "S0"}), course("C1", {"S0"}), course("C2", {"S2"})]
+    enrollments = [EnrollmentRecord(student, c, term)
+                   for student in ("a", "b") for term, c in enumerate(["C2", "C0", "C1"], 1)]
+    g = build_education_graph(courses, enrollments)
+    index = GraphIndex(g)
+    # each course's prerequisite edges come before every course's covered edges
+    concatenated = np.concatenate([index.rel_edges[rel][0] for rel in Relation])
+    assert (np.diff(concatenated) < 0).any()
+    want = _walk_reference(g, index)
+    src, dst, wgt, _dangling = index.walk
+    assert list(zip(src.tolist(), dst.tolist())) == sorted(want)
+    assert wgt.tolist() == [want[key] for key in sorted(want)]
 
 
 def _use_every_view(g, labels):

@@ -16,7 +16,7 @@ from skillgraph.ingest import (Course, EnrollmentRecord, Job, Skill, apply_skill
                                load_jobs, load_skills, tokenize, write_course_skills,
                                write_courses, write_enrollments, write_jobs, write_skills)
 
-from oracles import ref_match_course_skills
+from oracles import ref_match_course_skills, ref_tokenize
 
 
 def match_one(course, catalog):
@@ -725,6 +725,25 @@ def test_tokenize_deterministic_and_clean(text):
     for t in tokens:
         assert t == t.lower()
         assert t.isalnum()
+
+
+ASCII = [chr(c) for c in range(128)]
+# accented letters, an eszett, a dotted capital I (which lower-cases to two
+# code points), a CJK letter, a fullwidth digit and a no-break space
+NON_ASCII = ["é", "É", "ß", "İ", "中", "\uff11", "\u00a0"]
+
+
+def test_tokenize_equals_the_regex_on_every_ascii_code_point():
+    for c in ASCII:
+        for text in (c, f"Ab{c}Z9", f"{c}{c}x{c}"):
+            assert tokenize(text) == ref_tokenize(text), repr(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet=st.sampled_from(ASCII), max_size=40),
+                 st.text(alphabet=st.sampled_from(ASCII + NON_ASCII), max_size=40)))
+def test_tokenize_equals_the_regex(text):
+    assert tokenize(text) == ref_tokenize(text)
 
 
 @settings(max_examples=30, deadline=None)
