@@ -7,7 +7,10 @@ the first argument, before anything else loads the compiled extension; then
 detects communities on the graph, writes its snapshot to a temporary
 directory and reads it back, and compares it again. On the compiled library
 every ``move_pass`` call of the detection must answer (a move count and cost
-change) rather than hand its level back to the Python pass. Last it runs one
+change) rather than hand its level back to the Python pass, the read's
+``scan`` must take the snapshot (rather than return None), and each
+``add_rows`` call of the read must install up to the end of its rows rather
+than stop at one for the Python check. Last it runs one
 ``recommend`` on the graph: its entries must be the same on either library,
 ``kernels.ACTIVE_BACKEND`` must still name it, and on the compiled one a
 counting wrapper on the extension's ``scatter`` and ``top`` must see calls
@@ -56,14 +59,14 @@ codec = kernels.snapshot_codec()
 calls = Counter()
 
 
-def count_answers(name):
+def count_answers(name, answered=lambda args, answer: answer is not None):
     """Wrap the extension's ``name`` to count its calls and those that answered."""
     call = getattr(codec, name)
 
     def counting(*args):
         answer = call(*args)
         calls[name] += 1
-        calls[f"{name} answered"] += answer is not None
+        calls[f"{name} answered"] += answered(args, answer)
         return answer
     setattr(codec, name, counting)
 
@@ -77,9 +80,18 @@ if expected == "c" and not 0 < calls["move_pass answered"] == calls["move_pass"]
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "g.graph"
     write_snapshot(g, path)
+    if codec is not None:
+        count_answers("scan")
+        # the rows are the call's sixth argument; it stops at their end
+        count_answers("add_rows", lambda args, answer: answer[1] == len(args[5]))
     if read_snapshot(path).num_edges() != g.num_edges():
         sys.exit("the snapshot read back holds other edges")
 check("detection and the snapshot")
+if expected == "c" and not (calls["scan answered"] == calls["scan"] == 1
+                            and 0 < calls["add_rows answered"] == calls["add_rows"]):
+    sys.exit(f"the compiled scan took {calls['scan answered']} of the read's {calls['scan']} "
+             f"files, and add_rows ended {calls['add_rows answered']} of its "
+             f"{calls['add_rows']} calls at the last row")
 
 for name in ("scatter", "top") if codec is not None else ():
     count_answers(name)

@@ -5,34 +5,37 @@
  * kernels.snapshot_codec builds and loads it.
  *
  * scan(path, kind_by_value, relation_by_value) reads a snapshot a line at a
- * time and returns (node ids, node kinds, sources, relations, rows): the node
- * lines' ids and kinds in line order, then what graph._read_rows gathers, by
- * the same rule for where a run of edge lines ends. write(path, kind, out,
- * value) writes the bytes graph._snapshot_text gives for the graph whose node
- * kinds are ``kind`` and rows ``out``, ``value`` naming each kind and relation.
+ * time and returns (node kinds, sources, relations, rows): a dict from each
+ * node line's id to its kind, in line order, then what graph._read_rows
+ * gathers, by the same rule for where a run of edge lines ends. write(path,
+ * kind, out, value) writes the bytes graph._snapshot_text gives for the graph
+ * whose node kinds are ``kind`` and rows ``out``, ``value`` naming each kind
+ * and relation.
  *
  * Each takes only input that it handles as the Python codec does, bit for
  * bit: every line a well-formed E or N line of printable ASCII ending in \n,
- * with no % that the encoder did not write and every weight a finite float;
- * every id printable ASCII and every weight a positive finite float. On
- * anything else scan returns None and write False, having written nothing,
- * so that the Python codec runs and raises its own messages. Weights are
- * parsed and formatted by the functions float() and format(w, ".17g") call.
- * Neither holds a whole file or text: scan reads a line at a time and write
- * writes a row at a time.
+ * with no % that the encoder did not write, no id on two node lines and
+ * every weight a finite float; every id printable ASCII and every weight a
+ * positive finite float. On anything else scan returns None and write False,
+ * having written nothing, so that the Python codec runs and raises its own
+ * messages. Weights are parsed and formatted by the functions float() and
+ * format(w, ".17g") call. Neither holds a whole file or text: scan reads a
+ * line at a time and write writes a row at a time.
  *
- * add_rows(kind, out, rows, signature) pulls (source, relation, row) items
- * from the iterator rows and installs each into out[relation], as the row of
- * source or added to it, while it takes them: an exact 3-tuple whose row is
- * an exact dict, empty (it adds nothing) or with every weight a float w with
- * 0 < w < inf, whose source is a str node of the relation's source kind in
- * signature and every target a str node of its target kind, and no target
- * already in source's row. It returns (rows installed, (the first item it
- * does not take,)), which graph._add_rows_python then adds or raises on
- * before add_rows goes on with the same iterator, or (rows installed, None)
- * at the end. An error that the iterator raises comes back in place of the
- * 1-tuple, so that the rows installed before it are counted. It writes
- * nothing but the rows it installs.
+ * add_rows(kind, out, signature, sources, relations, rows, start) installs
+ * rows[i] into out[relations[i]], as the row of sources[i] or added to it,
+ * for i from start on while it takes them: a row that is an exact dict,
+ * empty (it adds nothing) or with every weight a float w with 0 < w < inf,
+ * whose relation is a key of signature and of out, whose source is a str
+ * node of the relation's source kind in signature and every target a str
+ * node of its target kind, and no target already in source's row. The three
+ * lists must be of one length (ValueError). It returns (rows installed,
+ * stop), stop being the index of the first row it does not take, which
+ * graph._add_rows_python then adds or raises on before add_rows goes on from
+ * stop + 1, or len(rows). It writes nothing but the rows it installs. It
+ * holds no reference of its own: a relation is found by identity, and each
+ * other key it looks up is an exact str, so no Python code runs during the
+ * call while the graph's ids are strings.
  *
  * scatter and top are the two array loops of a ranker query.
  * scatter(scores, src, dst, wgt, n) is kernels.propagate_step's scatter: it
@@ -369,10 +372,8 @@ static PyObject *codec_scan(PyObject *self, PyObject *args)
     if (f == NULL)
         Py_RETURN_NONE;
 
-    PyObject *lists[5] = {PyList_New(0), PyList_New(0), PyList_New(0), PyList_New(0),
-                          PyList_New(0)};
-    PyObject *node_ids = lists[0], *node_kinds = lists[1], *sources = lists[2],
-             *relations = lists[3], *rows = lists[4];
+    PyObject *parts[4] = {PyDict_New(), PyList_New(0), PyList_New(0), PyList_New(0)};
+    PyObject *node_kind = parts[0], *sources = parts[1], *relations = parts[2], *rows = parts[3];
     PyObject *result = NULL;
     Table ids = {NULL, 0, 0}, weights = {NULL, 0, 0};
     char *line = NULL;
@@ -380,8 +381,8 @@ static PyObject *codec_scan(PyObject *self, PyObject *args)
     ssize_t n;
     /* the run at hand, borrowed; a node line ends it */
     PyObject *source = NULL, *relation = NULL, *row = NULL;
-    for (int i = 0; i < 5; i++)
-        if (lists[i] == NULL)
+    for (int i = 0; i < 4; i++)
+        if (parts[i] == NULL)
             goto done;
     if (table_init(&ids) < 0 || table_init(&weights) < 0)
         goto done;
@@ -437,8 +438,11 @@ static PyObject *codec_scan(PyObject *self, PyObject *args)
             PyObject *id = kind ? read_id(&ids, field[1], len[1]) : NULL;
             if (id == NULL)
                 goto bail;
-            if (PyList_Append(node_ids, id) < 0 || PyList_Append(node_kinds, kind) < 0)
+            Py_ssize_t size = PyDict_GET_SIZE(node_kind);
+            if (PyDict_SetDefault(node_kind, id, kind) == NULL)
                 goto done;
+            if (PyDict_GET_SIZE(node_kind) == size)  /* an id on two node lines */
+                goto bail;
             row = NULL;
         } else {
             goto bail;
@@ -446,7 +450,7 @@ static PyObject *codec_scan(PyObject *self, PyObject *args)
     }
     if (ferror(f) || !feof(f))  /* a read error, or no memory for a line */
         goto bail;
-    result = PyTuple_Pack(5, node_ids, node_kinds, sources, relations, rows);
+    result = PyTuple_Pack(4, node_kind, sources, relations, rows);
     goto done;
 bail:
     if (!PyErr_Occurred())
@@ -456,8 +460,8 @@ done:
     fclose(f);
     table_free(&ids);
     table_free(&weights);
-    for (int i = 0; i < 5; i++)
-        Py_XDECREF(lists[i]);
+    for (int i = 0; i < 4; i++)
+        Py_XDECREF(parts[i]);
     return result;
 }
 
@@ -768,99 +772,57 @@ static int takes(PyObject *kind, PyObject *source, PyObject *row, PyObject *old,
     return 1;
 }
 
-/* The error that the iterator raised, taken off the error indicator, its
- * traceback attached; an error set when that fails. */
-static PyObject *take_error(void)
+/* The value of the key of dict that is key itself (borrowed), or NULL. */
+static PyObject *value_at(PyObject *dict, PyObject *key)
 {
-#if PY_VERSION_HEX >= 0x030C0000
-    return PyErr_GetRaisedException();
-#else
-    PyObject *type, *value, *tb;
-    PyErr_Fetch(&type, &value, &tb);
-    PyErr_NormalizeException(&type, &value, &tb);
-    if (tb != NULL && value != NULL)
-        PyException_SetTraceback(value, tb);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-    return value;
-#endif
+    PyObject *k, *value;
+    for (Py_ssize_t pos = 0; PyDict_Next(dict, &pos, &k, &value);)
+        if (k == key)
+            return value;
+    return NULL;
 }
 
 static PyObject *codec_add_rows(PyObject *self, PyObject *args)
 {
-    PyObject *kind, *out, *rows, *signature, *item;
-    if (!PyArg_ParseTuple(args, "O!O!OO!:add_rows", &PyDict_Type, &kind, &PyDict_Type, &out,
-                          &rows, &PyDict_Type, &signature))
+    PyObject *kind, *out, *signature, *sources, *relations, *rows;
+    Py_ssize_t at;
+    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!n:add_rows", &PyDict_Type, &kind, &PyDict_Type,
+                          &out, &PyDict_Type, &signature, &PyList_Type, &sources, &PyList_Type,
+                          &relations, &PyList_Type, &rows, &at))
         return NULL;
-    if (!PyIter_Check(rows)) {
-        PyErr_SetString(PyExc_TypeError, "add_rows: rows must be an iterator");
-        return NULL;
-    }
-    /* the relation at hand, its rows and its kinds: strong references, as the
-     * iterator may run code (a generator adds nodes between rows) */
+    Py_ssize_t n = PyList_GET_SIZE(rows);
+    if (PyList_GET_SIZE(sources) != n || PyList_GET_SIZE(relations) != n || at < 0 || at > n)
+        return PyErr_Format(PyExc_ValueError, "add_rows: unequal lists, or start %zd outside", at);
+    /* the relation at hand, its rows and its kinds */
     PyObject *relation = NULL, *rel_rows = NULL, *src_kind = NULL, *dst_kind = NULL;
-    PyObject *rest = NULL;  /* the item not taken, then a 1-tuple of it; or an error */
     Py_ssize_t installed = 0;
-    while ((item = PyIter_Next(rows)) != NULL) {
-        if (!PyTuple_CheckExact(item) || PyTuple_GET_SIZE(item) != 3) {
-            rest = item;
-            break;
-        }
-        PyObject *source = PyTuple_GET_ITEM(item, 0), *rel = PyTuple_GET_ITEM(item, 1),
-                 *row = PyTuple_GET_ITEM(item, 2);
-        if (rel != relation) {
-            PyObject *kinds = PyDict_GetItemWithError(signature, rel), *found = NULL;
-            if (kinds != NULL && PyTuple_CheckExact(kinds) && PyTuple_GET_SIZE(kinds) == 2) {
-                Py_XSETREF(src_kind, Py_NewRef(PyTuple_GET_ITEM(kinds, 0)));
-                Py_XSETREF(dst_kind, Py_NewRef(PyTuple_GET_ITEM(kinds, 1)));
-                found = PyDict_GetItemWithError(out, rel);
-            }
-            if (found == NULL || !PyDict_CheckExact(found)) {
-                PyErr_Clear();
-                rest = item;
+    for (; at < n; at++) {
+        PyObject *source = PyList_GET_ITEM(sources, at), *row = PyList_GET_ITEM(rows, at);
+        if (PyList_GET_ITEM(relations, at) != relation) {
+            relation = PyList_GET_ITEM(relations, at);
+            PyObject *kinds = value_at(signature, relation);
+            rel_rows = value_at(out, relation);
+            if (kinds == NULL || !PyTuple_CheckExact(kinds) || PyTuple_GET_SIZE(kinds) != 2
+                    || rel_rows == NULL || !PyDict_CheckExact(rel_rows))
                 break;
-            }
-            Py_XSETREF(relation, Py_NewRef(rel));
-            Py_XSETREF(rel_rows, Py_NewRef(found));
+            src_kind = PyTuple_GET_ITEM(kinds, 0);
+            dst_kind = PyTuple_GET_ITEM(kinds, 1);
         }
-        if (!PyDict_CheckExact(row)) {
-            rest = item;
+        if (!PyDict_CheckExact(row))
             break;
-        }
-        if (PyDict_GET_SIZE(row) == 0) {  /* an empty row adds nothing */
-            Py_DECREF(item);
+        if (PyDict_GET_SIZE(row) == 0)  /* an empty row adds nothing */
             continue;
-        }
-        /* source's row so far, held, as a lookup may run code */
         PyObject *old = PyUnicode_CheckExact(source)
-                        ? Py_XNewRef(PyDict_GetItemWithError(rel_rows, source)) : NULL;
+                        ? PyDict_GetItemWithError(rel_rows, source) : NULL;
         if (PyErr_Occurred() || (old != NULL && !PyDict_CheckExact(old))
-                || !takes(kind, source, row, old, src_kind, dst_kind)) {
-            PyErr_Clear();
-            Py_XDECREF(old);
-            rest = item;
+                || !takes(kind, source, row, old, src_kind, dst_kind))
             break;
-        }
-        int failed = old == NULL ? PyDict_SetItem(rel_rows, source, row) : PyDict_Update(old, row);
-        Py_XDECREF(old);
-        Py_DECREF(item);
-        if (failed)
-            break;
+        if (old == NULL ? PyDict_SetItem(rel_rows, source, row) : PyDict_Update(old, row))
+            return NULL;
         installed++;
     }
-    if (rest != NULL)
-        Py_SETREF(rest, PyTuple_Pack(1, rest));
-    /* an error that the iterator or an install raised comes back in place of
-     * the rest, so that the rows installed before it are counted */
-    if (rest == NULL && PyErr_Occurred())
-        rest = take_error();
-    Py_XDECREF(relation);
-    Py_XDECREF(rel_rows);
-    Py_XDECREF(src_kind);
-    Py_XDECREF(dst_kind);
-    PyObject *result = Py_BuildValue("(nO)", installed, rest ? rest : Py_None);
-    Py_XDECREF(rest);
-    return result;
+    PyErr_Clear();  /* a lookup that failed hands its row back */
+    return Py_BuildValue("(nn)", installed, at);
 }
 
 /* --- scatter and top ------------------------------------------------------ */
@@ -1272,14 +1234,14 @@ static PyObject *codec_move_pass(PyObject *self, PyObject *const *args, Py_ssize
 
 static PyMethodDef methods[] = {
     {"scan", codec_scan, METH_VARARGS,
-     "scan(path, kind_by_value, relation_by_value): a snapshot's node ids, node kinds,\n"
+     "scan(path, kind_by_value, relation_by_value): a snapshot's node kinds by id,\n"
      "sources, relations and rows, or None"},
     {"write", codec_write, METH_VARARGS,
      "write(path, kind, out, value): write a graph's snapshot; False, having written\n"
      "nothing, when the Python writer must"},
     {"add_rows", codec_add_rows, METH_VARARGS,
-     "add_rows(kind, out, rows, signature): install the rows of the iterator rows up to\n"
-     "one it does not take; (rows installed, (that row,) or an error raised or None)"},
+     "add_rows(kind, out, signature, sources, relations, rows, start): install the rows\n"
+     "from start up to one it does not take; (rows installed, that row's index or len(rows))"},
     {"scatter", (PyCFunction)(void (*)(void))codec_scatter, METH_FASTCALL,
      "scatter(scores, src, dst, wgt, n): a new vector of n zeros, plus wgt[e] * scores[src[e]]\n"
      "at dst[e] in edge order; None when the NumPy line must"},

@@ -12,18 +12,20 @@ that relation exists.
 
 Graphs are built a row at a time. Every row is written through
 ``HeteroGraph._add_rows``, the bulk entry of the builders, ``merge_graphs``,
-``linker.link_skills`` and ``read_snapshot``; ``add_row`` is its one-row
+``linker.link_skills`` and ``read_snapshot``, which each hand it three
+parallel lists: sources, relations and rows. ``add_row`` is its one-row
 form on a copy of the row, and ``add_edge`` a one-edge row. A row that
 passes every check goes straight in (the graph keeps the caller's dict, so
 each row must be a fresh dict); a row that fails raises the message
 ``_check_row`` makes for its first bad entry. Where the compiled codec loads
 (``kernels.snapshot_codec``), its ``add_rows`` checks and installs the rows
-in C, writing nothing but the rows it installs; a row it does not take, a
-faulty one or one with a weight that is no float, it hands back to
-``_add_rows_python``, which runs ``_check_row`` on it and installs it or
+in C, writing nothing but the rows it installs; at a row it does not take, a
+faulty one or one with a weight that is no float, it stops, and
+``_add_rows_python`` runs ``_check_row`` on that row and installs it or
 raises, as it does for every row where the codec does not load. The
 builders add each distinct node once, in the order a node-at-a-time build
-adds it, so that a clash of ids raises the same first message.
+adds it, and then every row, so that a clash of ids raises the same first
+message.
 
 ``read_snapshot`` reads a snapshot in one pass that keeps nothing to explain
 a fault; when a row fails, it reads the file again to name the line. The
@@ -32,7 +34,7 @@ pass and ``write_snapshot`` run as C where the compiled codec loads
 
 Work done once per node or edge runs in builtins and NumPy rather than in a
 Python loop body where that gives the same result: the scanned node lines
-go in as one dict when no id repeats, ``GraphIndex`` fills its arrays with
+go in as one dict, ``GraphIndex`` fills its arrays with
 ``np.fromiter`` and sorts a relation only when some row's targets came
 unsorted, and ``GraphIndex.walk`` sorts only when two relations' edges
 interleave. ``validate`` and ``_union_rows`` keep their loops: their vector
@@ -133,11 +135,13 @@ class HeteroGraph:
         not yet in ``source``'s row. The first bad entry raises and nothing is
         added. The graph keeps a copy of ``row``.
         """
-        self._add_rows([(source, relation, dict(row))])
+        self._add_rows([source], [relation], [dict(row)])
 
-    def _add_rows(self, rows: Iterable[tuple[str, Relation, dict[str, float]]]) -> None:
-        """``add_row(source, relation, row)`` for each ``(source, relation, row)``
-        in turn, in bulk, for the package's own builders and readers.
+    def _add_rows(self, sources: list[str], relations: list[Relation],
+                  rows: list[dict[str, float]]) -> None:
+        """``add_row(sources[i], relations[i], rows[i])`` for each ``i`` in
+        turn, in bulk, for the package's own builders and readers; lists of
+        unequal length raise ``ValueError``.
 
         Unlike ``add_row``, which copies, the dict itself becomes the source's
         row when it has none yet, so the caller hands each dict over and must
@@ -147,25 +151,26 @@ class HeteroGraph:
         Where the compiled codec loads, its ``add_rows`` checks and installs
         the rows it takes: those of float weights and string ids that pass
         every check (the header of ``_snapshot.c`` lists them). It writes
-        nothing else, and hands back any other row untouched, which
-        ``_add_rows_python`` adds or raises on, and then goes on with the same
-        iterator. So the messages, the rows kept before a fault, the insertion
-        order and the version are those of ``_add_rows_python`` alone, which
-        adds every row where the codec does not load.
+        nothing else, and stops at any other row, which ``_add_rows_python``
+        adds or raises on before the codec goes on with the next. So the
+        messages, the rows kept before a fault, the insertion order and the
+        version are those of ``_add_rows_python`` alone, which adds every row
+        where the codec does not load.
         """
+        if not len(sources) == len(relations) == len(rows):
+            raise ValueError("sources, relations and rows differ in length")
         codec = kernels.snapshot_codec()
         if codec is None:
-            self._add_rows_python(rows)
+            self._add_rows_python(zip(sources, relations, rows))
             return
-        rows = iter(rows)
-        while True:
-            installed, rest = codec.add_rows(self._kind, self._out, rows, RELATION_SIGNATURE)
+        at = 0
+        while at < len(rows):
+            installed, at = codec.add_rows(self._kind, self._out, RELATION_SIGNATURE,
+                                           sources, relations, rows, at)
             self._version += installed
-            if rest is None:
-                return
-            if isinstance(rest, BaseException):  # the iterator raised it
-                raise rest
-            self._add_rows_python(rest)  # the one row add_rows did not take
+            if at < len(rows):  # the row it did not take
+                self._add_rows_python([(sources[at], relations[at], rows[at])])
+                at += 1
 
     def _add_rows_python(self, rows: Iterable[tuple[str, Relation, dict[str, float]]]) -> None:
         """``_add_rows`` in Python: ``_check_row`` on each non-empty row, then
@@ -310,32 +315,29 @@ def build_education_graph(courses: Sequence[Course], enrollments: Sequence[Enrol
     for course in courses:
         g.add_node(course.id, NodeKind.COURSE, course.name)
     kinds = g._kind
-
-    def covered() -> Iterator[tuple[str, Relation, dict[str, float]]]:
-        # each course's skill nodes come just before its row
-        for course in courses:
-            skills = sorted(course.skills)
-            for sid in skills:
-                if kinds.get(sid) is not NodeKind.SKILL:
-                    g.add_node(sid, NodeKind.SKILL, skill_names.get(sid))
-            if skills:
-                yield course.id, Relation.COVERED, dict.fromkeys(skills, 1.0 / len(skills))
-
-    g._add_rows(covered())
+    # each course's skill nodes in course order, then every covered row: no
+    # row can fail once its nodes are in, so a clash raises as node by node
+    covered = {}  # by course id, each distinct
+    for course in courses:
+        skills = sorted(course.skills)
+        for sid in skills:
+            if kinds.get(sid) is not NodeKind.SKILL:
+                g.add_node(sid, NodeKind.SKILL, skill_names.get(sid))
+        if skills:
+            covered[course.id] = dict.fromkeys(skills, 1.0 / len(skills))
+    g._add_rows(list(covered), [Relation.COVERED] * len(covered), list(covered.values()))
     known = set(ids)
     kept = [rec for rec in enrollments if rec.course in known]
     if len(kept) < len(enrollments):
         log.warning("skipped %d enrollment records naming unknown courses",
                     len(enrollments) - len(kept))
     counts = _prereq_rows(kept)
-
-    def pre_required() -> Iterator[tuple[str, Relation, dict[str, float]]]:
-        for ci in sorted(counts):
-            row = counts[ci]
-            total = sum(row.values())
-            yield ci, Relation.PRE_REQUIRED, {cj: row[cj] / total for cj in sorted(row)}
-
-    g._add_rows(pre_required())
+    sources, rows = sorted(counts), []
+    for ci in sources:
+        row = counts[ci]
+        total = sum(row.values())
+        rows.append({cj: row[cj] / total for cj in sorted(row)})
+    g._add_rows(sources, [Relation.PRE_REQUIRED] * len(sources), rows)
     g.validate()
     return g
 
@@ -366,26 +368,25 @@ def build_career_graph(jobs: Sequence[Job], aggregate_by_title: bool = False) ->
         nodes = ((job.id, job.title, (job,)) for job in jobs)
     g = HeteroGraph()
     kinds = g._kind
-
-    def required() -> Iterator[tuple[str, Relation, dict[str, float]]]:
-        # each node comes just before its skill nodes and its row
-        for node_id, name, postings in nodes:
-            g.add_node(node_id, NodeKind.JOB, name)
-            if len(postings) == 1:  # each of its d skills has frequency 1/d
-                # skipping the Counter takes a third off a build-mid
-                # build_career_graph (median 89 to 58 ms CPU on a 2-vCPU VM)
-                skills = sorted(postings[0].skills)
-                row = dict.fromkeys(skills, 1 / len(skills))
-            else:
-                counts = Counter(sid for job in postings for sid in job.skills)
-                total = sum(counts.values())
-                row = {sid: n / total for sid, n in sorted(counts.items())}
-            for sid in row:
-                if kinds.get(sid) is not NodeKind.SKILL:
-                    g.add_node(sid, NodeKind.SKILL)
-            yield node_id, Relation.REQUIRED, row
-
-    g._add_rows(required())
+    # each node just before its skill nodes, then every row: no row can fail
+    # once its nodes are in, so a clash raises as node by node
+    rows = {}  # by node id, each distinct
+    for node_id, name, postings in nodes:
+        g.add_node(node_id, NodeKind.JOB, name)
+        if len(postings) == 1:  # each of its d skills has frequency 1/d
+            # skipping the Counter takes a third off a build-mid
+            # build_career_graph (median 89 to 58 ms CPU on a 2-vCPU VM)
+            skills = sorted(postings[0].skills)
+            row = dict.fromkeys(skills, 1 / len(skills))
+        else:
+            counts = Counter(sid for job in postings for sid in job.skills)
+            total = sum(counts.values())
+            row = {sid: n / total for sid, n in sorted(counts.items())}
+        for sid in row:
+            if kinds.get(sid) is not NodeKind.SKILL:
+                g.add_node(sid, NodeKind.SKILL)
+        rows[node_id] = row
+    g._add_rows(list(rows), [Relation.REQUIRED] * len(rows), list(rows.values()))
     g.validate()
     return g
 
@@ -425,22 +426,28 @@ def merge_graphs(education: HeteroGraph, career: HeteroGraph) -> HeteroGraph:
         for node_id, union_id in mapping.items():
             kind = kinds[node_id]
             merged.add_node(union_id, kind, union_id if kind is NodeKind.SKILL else names[node_id])
-    merged._add_rows(row for g, mapping in maps for row in _union_rows(g, mapping))
+    sources, relations, rows = [], [], []
+    for g, mapping in maps:
+        _union_rows(g, mapping, sources, relations, rows)
+    merged._add_rows(sources, relations, rows)
     merged.validate()
     return merged
 
 
-def _union_rows(g: HeteroGraph, mapping: dict[str, str]
-                ) -> Iterator[tuple[str, Relation, dict[str, float]]]:
-    """``g``'s rows renamed by ``mapping``, sources then targets in sorted
-    order; targets the renaming makes one have their weights added."""
-    for relation, rows in g._out.items():
-        for source in sorted(rows):
+def _union_rows(g: HeteroGraph, mapping: dict[str, str], sources: list[str],
+                relations: list[Relation], rows: list[dict[str, float]]) -> None:
+    """Append ``g``'s rows renamed by ``mapping`` to ``sources``,
+    ``relations`` and ``rows``, sources then targets in sorted order; targets
+    the renaming makes one have their weights added."""
+    for relation, by_source in g._out.items():
+        for source in sorted(by_source):
             row = {}
-            for target, weight in sorted(rows[source].items()):
+            for target, weight in sorted(by_source[source].items()):
                 union_target = mapping[target]
                 row[union_target] = row.get(union_target, 0.0) + weight
-            yield mapping[source], relation, row
+            sources.append(mapping[source])
+            relations.append(relation)
+            rows.append(row)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +461,8 @@ def _union_rows(g: HeteroGraph, mapping: dict[str, str]
 #
 # Two codecs read and write this text. The compiled one, ``_snapshot.c``
 # (``kernels.snapshot_codec``), runs whenever it loads: its ``scan`` returns
-# what ``_read_rows`` gathers, the node lines' ids and kinds first, and its
-# ``write`` writes the bytes of ``_snapshot_text``. On any input outside
+# what ``_read_rows`` gathers, after a dict of the node lines' kinds by id,
+# and its ``write`` writes the bytes of ``_snapshot_text``. On any input outside
 # what it takes (listed in the header of ``_snapshot.c``) it writes nothing
 # and hands over to the Python codec below, so every error message, line
 # number and error order is the Python reader's. Both codecs read a line,
@@ -604,10 +611,10 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
     """Load a snapshot; its lines may come in any order.
 
     One pass adds every node and gathers the edges into rows
-    (``_read_rows``, or the compiled codec's ``scan``, whose nodes then go
-    in as one dict in line order; when an id repeats they are added one at
-    a time, and a node that fails there has ``_read_rows`` read the file
-    again to name its line). The rows then go to
+    (``_read_rows``, or the compiled codec's ``scan``, whose node kinds by
+    id become the graph's; it hands a file that names an id on two node
+    lines to ``_read_rows``, which adds a repeat of the same kind once and
+    names the line of a clash). The rows then go to
     ``HeteroGraph._add_rows`` in line order, and when it raises, a second
     read names the line (``_raise_edge_fault``). So an undecodable byte
     anywhere comes first, then node and line-shape errors, then edge errors
@@ -617,23 +624,14 @@ def read_snapshot(path: str | Path) -> HeteroGraph:
     g = HeteroGraph()
     codec = kernels.snapshot_codec()
     scanned = codec and codec.scan(path, _KIND_BY_VALUE, _RELATION_BY_VALUE)
-    if not scanned:
+    if scanned is None:
         sources, relations, rows = _read_rows(g, path)
-    else:
-        node_ids, kinds, sources, relations, rows = scanned
-        kind_of = dict(zip(node_ids, kinds))
-        if len(kind_of) == len(node_ids):  # no id repeats: each node added once
-            g._kind, g._name = kind_of, dict(zip(node_ids, node_ids))
-            g._version += len(node_ids)
-        else:
-            try:
-                for node_id, kind in zip(node_ids, kinds):
-                    g.add_node(node_id, kind)
-            except GraphError:
-                _read_rows(HeteroGraph(), path)  # raises naming the line
-                raise
+    else:  # each id on one node line: the nodes go in as one dict
+        g._kind, sources, relations, rows = scanned
+        g._name = dict(zip(g._kind, g._kind))
+        g._version += len(g._kind)
     try:
-        g._add_rows(zip(sources, relations, rows))
+        g._add_rows(sources, relations, rows)
     except GraphError:
         _raise_edge_fault(path, g._kind)
         raise

@@ -33,11 +33,12 @@ instead of a slide of every catalog skill over its token stream.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 from collections import Counter
 from contextlib import AbstractContextManager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -73,10 +74,11 @@ def tokenize(text: str) -> list[str]:
 class Skill:
     id: str
     name: str
-    tokens: tuple[str, ...] = field(init=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(tokenize(self.name)))
+    @functools.cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """The name's tokens, made on first read: only the matcher reads them."""
+        return tuple(tokenize(self.name))
 
 
 @dataclass(frozen=True)

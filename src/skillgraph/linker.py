@@ -190,7 +190,7 @@ def link_skills(g: HeteroGraph, communities: Mapping[str, int],
     for sid in skills:
         by_community.setdefault(communities[sid], []).append(sid)
     links: list[Link] = []
-    rows: list[tuple[str, Relation, dict[str, float]]] = []
+    sources, rows = [], []
     for community in sorted(by_community):
         members = by_community[community]
         if len(members) < 2:
@@ -217,10 +217,10 @@ def link_skills(g: HeteroGraph, communities: Mapping[str, int],
             targets = names[target].tolist()
             links.extend(zip(names[source + lo].tolist(), targets, raws, weights))
             each = zip(targets, weights)
-            rows.extend((s, Relation.LINKED, dict(islice(each, n)))
-                        for s, n in zip(members[lo:hi], counts))
+            sources += members[lo:hi]
+            rows += [dict(islice(each, n)) for n in counts]
     linked = g.copy()
-    linked._add_rows(rows)
+    linked._add_rows(sources, [Relation.LINKED] * len(sources), rows)
     linked.validate()
     return linked, links
 

@@ -429,10 +429,11 @@ def ref_build_career_graph(jobs, aggregate_by_title: bool = False) -> HeteroGrap
 # ---------------------------------------------------------------------------
 # graph construction one node and one row at a time
 # ---------------------------------------------------------------------------
-# The builders add rows in bulk (``HeteroGraph._add_rows``) and each distinct
-# node once. These add every node and row through ``add_node`` and
-# ``add_row`` alone, in the order the builders document, so that both must
-# give the same snapshot, names and first error message.
+# The builders add each distinct node once, in the order documented below,
+# and then every row in bulk (``HeteroGraph._add_rows``). These add every
+# node and row through ``add_node`` and ``add_row`` alone, each row just
+# after its nodes. No builder row can fail once its nodes are in, so both
+# must give the same snapshot, names and first error message.
 
 def rowwise_education_graph(courses, enrollments, catalog=None) -> HeteroGraph:
     """Every course node; then per course its skill nodes and covered row

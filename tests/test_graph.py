@@ -352,7 +352,8 @@ _ROW_WEIGHTS = [0.25, 0.5, 1.0, 0.0, -0.5, math.inf, math.nan, 1e308]
 def test_add_rows_is_add_row_in_turn(rows):
     bulk, rowwise = _job_graph(), _job_graph()
     try:
-        bulk._add_rows([(source, relation, dict(row)) for source, relation, row in rows])
+        bulk._add_rows([source for source, _r, _row in rows], [r for _s, r, _row in rows],
+                       [dict(row) for _s, _r, row in rows])
         got = None
     except GraphError as exc:
         got = str(exc)

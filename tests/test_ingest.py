@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skillgraph
+from skillgraph import cli, ingest
 from skillgraph.errors import IngestError
 from skillgraph.ingest import (Course, EnrollmentRecord, Job, Skill, apply_skill_matching,
                                load_course_skills, load_courses, load_enrollments,
                                load_jobs, load_skills, tokenize, write_course_skills,
                                write_courses, write_enrollments, write_jobs, write_skills)
+from skillgraph.synth import generate_synthetic_corpus
 
 from oracles import ref_match_course_skills, ref_tokenize
 
@@ -621,6 +623,41 @@ def test_apply_skill_matching_pre_matched(tmp_path):
     assert matched[1].skills == frozenset()
     with pytest.raises(IngestError, match="SK9"):
         apply_skill_matching(courses, catalog, pre_matched=[("C1", "SK9")])
+
+
+def test_only_the_matcher_tokenizes_catalog_names(tmp_path, monkeypatch):
+    # a skill's tokens are made on first read, and only the matcher reads
+    # them: loading the catalog and the communities stage tokenize no name
+    data, out = tmp_path / "data", tmp_path / "out"
+    generate_synthetic_corpus(7, 60, 15, 40, 0.3, data)
+    for argv in (["ingest", "--courses", str(data / "courses.csv"), "--jobs",
+                  str(data / "jobs.csv"), "--skills", str(data / "skills.csv"),
+                  "--enrollments", str(data / "enrollments.csv"), "--out", str(out)],
+                 ["build", "--out", str(out)]):
+        assert cli.main(argv) == 0
+    names = {s.name for s in load_skills(out / "skills.csv")}
+    seen = []
+
+    def counted(text):
+        seen.append(text)
+        return tokenize(text)
+    monkeypatch.setattr(ingest, "tokenize", counted)
+    catalog = load_skills(out / "skills.csv")
+    assert cli.main(["communities", "--out", str(out), "--seed", "3"]) == 0
+    assert not names.intersection(seen)
+    apply_skill_matching(load_courses(out / "courses.csv"), catalog)
+    assert names.intersection(seen)
+
+
+def test_skill_tokens_are_no_field():
+    skill = Skill("SK1", "Data  Base")
+    assert skill.tokens == ("data", "base")
+    assert skill == Skill("SK1", "Data  Base") and hash(skill) == hash(Skill("SK1", "Data  Base"))
+    assert skill != Skill("SK1", "data base")
+    with pytest.raises(TypeError):
+        Skill("SK1", "sql", ("sql",))
+    with pytest.raises(AttributeError):
+        skill.name = "sql"
 
 
 def test_pre_matched_skill_without_letters_or_digits_rejected():
